@@ -163,8 +163,7 @@ class Runner:
         # (repro.sim.vector epochs, bit-identical where supported).
         # None defers to $REPRO_BACKEND at run() time.
         self._backend_request = backend
-        self._vector_kind: Optional[str] = None
-        # Buffered TLB-draw bridge owned by the vector loops; resynced
+        # Buffered TLB-draw bridge owned by the vector loop; resynced
         # into self._rng once at end of run.
         self._vector_tlb_rng: Optional[_vector.BatchedRandom] = None
         self._warm_source = "none"
@@ -180,8 +179,9 @@ class Runner:
         self._rng_random = self._rng.random
         # Observability: bind the active tracer once (None = disabled).
         # Hot paths branch on this local/attribute, never on the
-        # module flag, and sampled jobs take duplicated *traced* loop
-        # bodies so the untraced per-step path stays branch-free.
+        # module flag.  The job loops look up a sampled job's record
+        # once per job (or dispatch) and pay one ``record is not None``
+        # test per step.
         self._tracer = _tracer_active()
         self._telemetry: Optional[TelemetrySampler] = None
         # Per-run invariants bound once for the per-access fast paths.
@@ -277,24 +277,17 @@ class Runner:
         # engages on run shapes it can reproduce bit-identically;
         # everything else silently takes the scalar path and records
         # the fallback reason in repro.sim.vector.stats().
+        vector_kind = None
         if _vector.resolve_backend(self._backend_request) == "vector":
-            self._vector_kind, reason = _vector.classify(self)
-            if self._vector_kind is None:
+            vector_kind, reason = _vector.classify(self)
+            if vector_kind is None:
                 _vector.record_fallback(reason)
-        else:
-            self._vector_kind = None
 
         open_loop = not isinstance(self.arrivals, ClosedLoop)
-        if self._vector_kind == "fused":
-            # Single-core DRAM-only: the whole measurement phase runs
-            # heap-free; spawn/start_measurement/burst events are
-            # accounted through Engine.advance_batch.
-            _vector.run_fused(self)
-        elif self._vector_kind in ("open-loop", "multi-core"):
-            # Open-loop and/or multi-core DRAM-only: arrivals, core
-            # resumes, and the measurement boundary advance as one
-            # merged event horizon — a heap-free (time, seq) mirror of
-            # the scalar schedule.
+        if vector_kind is not None:
+            # DRAM-only: arrivals, core resumes, and the measurement
+            # boundary advance as one merged event horizon — a
+            # heap-free (time, seq) mirror of the scalar schedule.
             _vector.run_merged(self)
         else:
             if open_loop:
@@ -308,7 +301,7 @@ class Runner:
             end = scale.warmup_ns + scale.measurement_ns
             engine.run(until=end)
         self.throughput.stop_measurement(engine.now)
-        if self._vector_kind is not None:
+        if vector_kind is not None:
             # Land the Python RNG streams on exactly the consumed
             # draw positions (buffered bridges defer this to run end).
             if self._vector_tlb_rng is not None:
@@ -534,11 +527,7 @@ class Runner:
         if mode is PagingMode.DRAM_ONLY:
             yield from self._run_to_completion_loop(core_id, with_cache=False)
         elif mode is PagingMode.FLASH_SYNC:
-            if self._vector_kind == "job-epoch":
-                yield from self._vector_cache_loop(core_id)
-            else:
-                yield from self._run_to_completion_loop(core_id,
-                                                        with_cache=True)
+            yield from self._run_to_completion_loop(core_id, with_cache=True)
         else:
             yield from self._multiplexed_loop(core_id)
 
@@ -555,6 +544,7 @@ class Runner:
         walk_miss = self._walk_miss_ns
         cache_access = cache.access if cache is not None else None
         tracer = self._tracer
+        track = f"core{core_id}"
 
         while True:
             job = self._next_job(core_id)
@@ -564,31 +554,31 @@ class Runner:
                 yield signal
                 continue
             job.started_at = engine.now
+            # Sampled jobs carry a trace record (None otherwise); the
+            # record only receives charges and track events, so traced
+            # and untraced jobs make identical yields and RNG draws.
+            record = None
             if tracer is not None:
                 record = tracer.start_request(job, engine.now)
                 if record is not None:
-                    # Sampled job: run the instrumented twin of the
-                    # loop below (identical yields and RNG draws).
-                    yield from self._traced_rtc_job(
-                        core_id, job, record, with_cache
-                    )
-                    continue
+                    tracer.push(track, f"{job.workload_name}#{job.job_id}",
+                                engine.now)
             accumulated = 0.0
             job_next_step = job.next_step
             while True:
                 step = job_next_step()
                 if step is None:
                     break
-                accumulated += step.compute_ns + (
-                    0.0 if rng_random() >= tlb_p else walk_miss(step.page)
-                )
+                walk_ns = (0.0 if rng_random() >= tlb_p
+                           else walk_miss(step.page))
+                accumulated += step.compute_ns + walk_ns
                 self._accesses += 1
                 if not with_cache:
-                    accumulated += flat
+                    hit_ns = flat
                 else:
                     result = cache_access(step.page, step.is_write)
                     if result.hit:
-                        accumulated += result.latency_ns
+                        hit_ns = result.latency_ns
                     else:
                         # Flash-Sync: the core waits for the refill.
                         self._misses += 1
@@ -596,11 +586,21 @@ class Runner:
                         yield accumulated
                         self._busy_ns += accumulated
                         accumulated = 0.0
+                        wait_start = engine.now
+                        if record is not None:
+                            tracer.instant(track, "miss", wait_start,
+                                           {"page": step.page})
                         yield result.completion
-                        accumulated += yield from self._replay_until_hit(
+                        hit_ns = yield from self._replay_until_hit(
                             step.page, step.is_write
                         )
+                        if record is not None:
+                            self._charge_sync_wait(record, core_id,
+                                                   wait_start, step.page)
                         self.stats.add("sync_miss_waits")
+                accumulated += hit_ns
+                if record is not None:
+                    record.charge_step(step.compute_ns, walk_ns, hit_ns)
                 if accumulated >= TIME_QUANTUM_NS:
                     yield accumulated
                     self._busy_ns += accumulated
@@ -608,189 +608,8 @@ class Runner:
             if accumulated > 0.0:
                 yield accumulated
                 self._busy_ns += accumulated
-            self._finish_job(job)
-
-    def _traced_rtc_job(self, core_id: int, job: Job, record,
-                        with_cache: bool):
-        """Instrumented twin of one job iteration of
-        :meth:`_run_to_completion_loop`.
-
-        Must stay yield-for-yield and RNG-draw-for-draw identical to
-        the untraced body — the golden determinism test pins this.  The
-        only additions are component charges on ``record`` and track
-        events (both read-only with respect to simulation state).
-        """
-        engine = self.machine.engine
-        flat = self.machine.flat_dram_latency_ns
-        cache = self.machine.dram_cache
-        rng_random = self._rng_random
-        tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
-        cache_access = cache.access if cache is not None else None
-        tracer = self._tracer
-        track = f"core{core_id}"
-
-        tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
-        accumulated = 0.0
-        job_next_step = job.next_step
-        while True:
-            step = job_next_step()
-            if step is None:
-                break
-            walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(step.page))
-            accumulated += step.compute_ns + walk_ns
-            record.compute += step.compute_ns
-            record.tlb_walk += walk_ns
-            self._accesses += 1
-            if not with_cache:
-                accumulated += flat
-                record.dram_hit += flat
-            else:
-                result = cache_access(step.page, step.is_write)
-                if result.hit:
-                    accumulated += result.latency_ns
-                    record.dram_hit += result.latency_ns
-                else:
-                    # Flash-Sync: the core waits for the refill.
-                    self._misses += 1
-                    job.misses += 1
-                    yield accumulated
-                    self._busy_ns += accumulated
-                    accumulated = 0.0
-                    wait_start = engine.now
-                    tracer.instant(track, "miss", wait_start,
-                                   {"page": step.page})
-                    yield result.completion
-                    replay_ns = yield from self._replay_until_hit(
-                        step.page, step.is_write
-                    )
-                    record.sync_wait += engine.now - wait_start
-                    record.add_span("sync_wait", wait_start, engine.now)
-                    tracer.complete(track, "sync_wait", wait_start,
-                                    engine.now, {"page": step.page})
-                    accumulated += replay_ns
-                    record.dram_hit += replay_ns
-                    self.stats.add("sync_miss_waits")
-            if accumulated >= TIME_QUANTUM_NS:
-                yield accumulated
-                self._busy_ns += accumulated
-                accumulated = 0.0
-        if accumulated > 0.0:
-            yield accumulated
-            self._busy_ns += accumulated
-        tracer.pop(track, engine.now)
-        self._finish_job(job)
-
-    # -- Flash-Sync vector twin: batched hit runs, scalar misses ---------------
-
-    def _vector_cache_loop(self, core_id: int):
-        """Vector-backend twin of the Flash-Sync arm of
-        :meth:`_run_to_completion_loop` (DESIGN.md §4h).
-
-        Jobs are planned as columns up front (legal on the vetted
-        single-core closed-loop shape: nothing else consumes the
-        workload/TLB RNG streams between steps), then executed one
-        quantum burst at a time: the burst horizon is precomputed
-        under the all-hit assumption with the exact scalar adds, the
-        burst's tag probes go through
-        :meth:`~repro.dramcache.cache.DramCache.access_run` as one
-        batch, and the first missing tag drops to the *unmodified*
-        scalar miss machinery (FC -> BC -> flash -> replay).  Probing
-        never reaches past the current burst, so a window close
-        truncates with exactly the scalar's probe/counter state.
-        """
-        engine = self.machine.engine
-        cache = self.machine.dram_cache
-        cache_access = cache.access
-        access_run = cache.access_run
-        hit_ns = cache.hit_latency_ns
-        tlb_p = self._tlb_miss_probability
-        walk_ns = self._flat_walk_ns
-        quantum = TIME_QUANTUM_NS
-        plan = self.workload.plan_steps
-        self._vector_tlb_rng = _vector.BatchedRandom(self._rng)
-        rng_take = self._vector_tlb_rng.take
-        tlb_counter = self._tlb_miss_count
-        vstats = _vector.run_stats()
-        vstats["job_epoch_runs"] += 1
-
-        while True:
-            job = self._next_job(core_id)
-            if job is None:
-                # Open-loop idle: park exactly like the scalar loop —
-                # no event for the park itself, one for the wake.
-                signal = Signal(engine, f"idle{core_id}")
-                self._idle[core_id] = signal
-                yield signal
-                continue
-            job.started_at = engine.now
-            compute, pages, writes = plan(job)
-            num_steps = len(compute)
-            d1, miss_flags = _vector.step_deltas(
-                compute, rng_take(num_steps), tlb_p, walk_ns
-            )
-            vstats["batched_jobs"] += 1
-            vstats["batched_steps"] += num_steps
-            accumulated = 0.0
-            i = 0
-            while i < num_steps:
-                # Burst horizon under the all-hit assumption: the
-                # first step whose post-add accumulation crosses the
-                # quantum.  Same two adds per step as the scalar loop,
-                # so the boundary (and its float value) match bit-wise
-                # whenever the assumption holds.
-                j = i
-                probe_acc = accumulated
-                while j < num_steps:
-                    probe_acc += d1[j]
-                    probe_acc += hit_ns
-                    j += 1
-                    if probe_acc >= quantum:
-                        break
-                hits = access_run(pages, writes, i, j)
-                vstats["hit_run_probes"] += hits
-                stop = i + hits
-                while i < stop:
-                    accumulated += d1[i]
-                    self._accesses += 1
-                    if miss_flags[i]:
-                        tlb_counter.incr()
-                    accumulated += hit_ns
-                    i += 1
-                    if accumulated >= quantum:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-                if stop < j:
-                    # The batched probe stopped on a missing tag:
-                    # execute that one step through the scalar path.
-                    accumulated += d1[i]
-                    self._accesses += 1
-                    if miss_flags[i]:
-                        tlb_counter.incr()
-                    result = cache_access(pages[i], writes[i])
-                    if result.hit:  # pragma: no cover - no installer
-                        accumulated += result.latency_ns  # ran between
-                    else:
-                        self._misses += 1
-                        job.misses += 1
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-                        yield result.completion
-                        accumulated += yield from self._replay_until_hit(
-                            pages[i], writes[i]
-                        )
-                        self.stats.add("sync_miss_waits")
-                    i += 1
-                    if accumulated >= quantum:
-                        yield accumulated
-                        self._busy_ns += accumulated
-                        accumulated = 0.0
-            if accumulated > 0.0:
-                yield accumulated
-                self._busy_ns += accumulated
+            if record is not None:
+                tracer.pop(track, engine.now)
             self._finish_job(job)
 
     # -- AstriFlash and OS-Swap: switch-on-stall multiplexing --------------------
@@ -831,14 +650,15 @@ class Runner:
                 self.stats.add("time_switch_ns", switch_ns)
             was_ready = thread.state is ThreadState.READY
             thread.dispatch()
+            record = None
             if thread.job.started_at is None:
                 thread.job.started_at = engine.now
                 if tracer is not None:
-                    tracer.start_request(thread.job, engine.now)
-            elif tracer is not None and dispatched_from in (
-                    ThreadState.PENDING, ThreadState.READY):
+                    record = tracer.start_request(thread.job, engine.now)
+            elif tracer is not None:
                 record = tracer.lookup(thread.job.job_id)
-                if record is not None:
+                if record is not None and dispatched_from in (
+                        ThreadState.PENDING, ThreadState.READY):
                     # Close the parked interval: halt -> this dispatch.
                     signal = thread.wait_signal
                     payload = (signal.value
@@ -853,7 +673,8 @@ class Runner:
                 # must retire even if its page was evicted meanwhile.
                 thread.forward_progress = True
 
-            yield from self._run_thread(core_id, library, thread, mode)
+            yield from self._run_thread(core_id, library, thread, mode,
+                                        record)
 
     def _admit(self, core_id: int) -> None:
         library = self.machine.libraries[core_id]
@@ -869,16 +690,18 @@ class Runner:
             return self.machine.pager.average_fault_latency_ns()
         return self.machine.flash.average_read_latency_ns()
 
-    def _run_thread(self, core_id: int, library, thread: UserThread, mode):
-        tracer = self._tracer
-        if tracer is not None:
-            record = tracer.lookup(thread.job.job_id)
-            if record is not None:
-                yield from self._run_thread_traced(
-                    core_id, library, thread, mode, record
-                )
-                return
+    def _run_thread(self, core_id: int, library, thread: UserThread, mode,
+                    record):
+        """Run ``thread`` on the core until it finishes or parks.
+
+        ``record`` is the job's trace record when it is sampled (None
+        otherwise): it gets component charges and a core-track slice
+        spanning this on-core episode (dispatch to park/finish), and
+        changes no yield or RNG draw.
+        """
         core = self.machine.cores[core_id]
+        engine = self.machine.engine
+        tracer = self._tracer
         accumulated = 0.0
         # Per-step locals: this loop runs once per memory access on the
         # multiplexed modes.  The hit paths are handled inline so the
@@ -890,7 +713,12 @@ class Runner:
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
-        job_next_step = thread.job.next_step
+        job = thread.job
+        job_next_step = job.next_step
+        if record is not None:
+            track = f"core{core_id}"
+            tracer.push(track, f"{job.workload_name}#{job.job_id}",
+                        engine.now)
 
         while True:
             step = thread.current_step
@@ -901,32 +729,42 @@ class Runner:
                 if accumulated > 0.0:
                     yield accumulated
                     self._busy_ns += accumulated
-                job = library.on_finish(thread)
-                self._finish_job(job)
+                if record is not None:
+                    tracer.pop(track, engine.now)
+                self._finish_job(library.on_finish(thread))
                 return
 
-            accumulated += step.compute_ns + (
-                0.0 if rng_random() >= tlb_p else walk_miss(step.page)
-            )
+            walk_ns = (0.0 if rng_random() >= tlb_p
+                       else walk_miss(step.page))
+            accumulated += step.compute_ns + walk_ns
             self._accesses += 1
 
             if astriflash:
                 result = cache.access(step.page, step.is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
+                    if record is not None:
+                        record.charge_step(step.compute_ns, walk_ns,
+                                           result.latency_ns)
                 else:
                     outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, step, accumulated, result
+                        core_id, library, thread, step, walk_ns,
+                        accumulated, result, record
                     )
             else:
                 if pager.access(step.page, step.is_write):
                     outcome = accumulated + flat
+                    if record is not None:
+                        record.charge_step(step.compute_ns, walk_ns, flat)
                 else:
                     outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, step, accumulated
+                        core_id, library, thread, step, walk_ns,
+                        accumulated, record
                     )
             if outcome is None:
                 # Thread parked on the miss: back to the scheduler.
+                if record is not None:
+                    tracer.pop(track, engine.now)
                 return
             accumulated = outcome
             thread.current_step = None
@@ -939,93 +777,19 @@ class Runner:
                 self._busy_ns += accumulated
                 accumulated = 0.0
 
-    def _run_thread_traced(self, core_id: int, library, thread: UserThread,
-                           mode, record):
-        """Instrumented twin of :meth:`_run_thread` for sampled jobs.
-
-        Yield-for-yield and draw-for-draw identical to the untraced
-        body; adds component charges plus a core-track slice spanning
-        this on-core episode (dispatch to park/finish).
-        """
-        core = self.machine.cores[core_id]
-        engine = self.machine.engine
-        tracer = self._tracer
-        accumulated = 0.0
-        astriflash = mode is PagingMode.ASTRIFLASH
-        cache = self.machine.dram_cache if astriflash else None
-        pager = None if astriflash else self.machine.pager
-        flat = self.machine.flat_dram_latency_ns
-        rng_random = self._rng_random
-        tlb_p = self._tlb_miss_probability
-        walk_miss = self._walk_miss_ns
-        job = thread.job
-        job_next_step = job.next_step
-        track = f"core{core_id}"
-        tracer.push(track, f"{job.workload_name}#{job.job_id}", engine.now)
-
-        while True:
-            step = thread.current_step
-            if step is None:
-                step = job_next_step()
-                thread.current_step = step
-            if step is None:
-                if accumulated > 0.0:
-                    yield accumulated
-                    self._busy_ns += accumulated
-                tracer.pop(track, engine.now)
-                finished = library.on_finish(thread)
-                self._finish_job(finished)
-                return
-
-            walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(step.page))
-            accumulated += step.compute_ns + walk_ns
-            record.compute += step.compute_ns
-            record.tlb_walk += walk_ns
-            self._accesses += 1
-
-            if astriflash:
-                result = cache.access(step.page, step.is_write)
-                if result.hit:
-                    outcome = accumulated + result.latency_ns
-                    record.dram_hit += result.latency_ns
-                else:
-                    outcome = yield from self._astriflash_miss(
-                        core_id, library, thread, step, accumulated,
-                        result, record
-                    )
-            else:
-                if pager.access(step.page, step.is_write):
-                    outcome = accumulated + flat
-                    record.dram_hit += flat
-                else:
-                    outcome = yield from self._os_swap_fault(
-                        core_id, library, thread, step, accumulated, record
-                    )
-            if outcome is None:
-                # Thread parked on the miss: back to the scheduler.
-                tracer.pop(track, engine.now)
-                return
-            accumulated = outcome
-            thread.current_step = None
-            if thread.forward_progress:
-                thread.forward_progress = False
-                core.registers.retire_resuming_instruction()
-            if accumulated >= TIME_QUANTUM_NS:
-                yield accumulated
-                self._busy_ns += accumulated
-                accumulated = 0.0
-
     # -- AstriFlash miss path ------------------------------------------------------
 
     def _astriflash_miss(self, core_id: int, library, thread: UserThread,
-                         step, accumulated: float, result, record=None):
+                         step, walk_ns: float, accumulated: float, result,
+                         record=None):
         """Miss continuation for the AstriFlash access path; the hit
         case is handled inline in :meth:`_run_thread`.
 
         ``record`` is the request's trace record when the job is
         sampled (misses are rare relative to steps, so per-miss
         ``record is not None`` checks stay off the per-access path).
+        The step's compute and walk are charged before the cold walk,
+        and no hit latency: a synchronous replay charges its own.
         """
         core = self.machine.cores[core_id]
         engine = self.machine.engine
@@ -1060,6 +824,7 @@ class Runner:
         self._busy_ns += accumulated + cold_walk_ns + result.latency_ns \
             + flush_ns
         if record is not None:
+            record.charge_step(step.compute_ns, walk_ns, 0.0)
             record.tlb_walk += cold_walk_ns
             record.miss_signal += result.latency_ns + flush_ns
             self._tracer.instant(f"core{core_id}", "miss", engine.now,
@@ -1089,7 +854,8 @@ class Runner:
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       replay_ns, step.page)
+                                       step.page)
+                record.dram_hit += replay_ns
             return replay_ns
 
         if library.scheduler.pending_full:
@@ -1104,7 +870,8 @@ class Runner:
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       replay_ns, step.page)
+                                       step.page)
+                record.dram_hit += replay_ns
             return replay_ns
 
         # Park the thread and return to the scheduler.
@@ -1117,9 +884,11 @@ class Runner:
     # -- OS-Swap fault path -----------------------------------------------------------
 
     def _os_swap_fault(self, core_id: int, library, thread: UserThread,
-                       step, accumulated: float, record=None):
+                       step, walk_ns: float, accumulated: float,
+                       record=None):
         """Fault continuation for the OS-Swap access path; the
-        resident-set hit is handled inline in :meth:`_run_thread`."""
+        resident-set hit is handled inline in :meth:`_run_thread`.
+        ``record`` is charged as in :meth:`_astriflash_miss`."""
         pager = self.machine.pager
         engine = self.machine.engine
         flat = self.machine.flat_dram_latency_ns
@@ -1131,6 +900,7 @@ class Runner:
         yield accumulated + self.config.os.page_fault_kernel_ns
         self._busy_ns += accumulated + self.config.os.page_fault_kernel_ns
         if record is not None:
+            record.charge_step(step.compute_ns, walk_ns, 0.0)
             record.miss_signal += self.config.os.page_fault_kernel_ns
             self._tracer.instant(f"core{core_id}", "fault", engine.now,
                                  {"page": step.page})
@@ -1150,7 +920,8 @@ class Runner:
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start,
-                                       flat, step.page)
+                                       step.page)
+                record.dram_hit += flat
             return flat
 
         library.on_miss(thread, step.page, engine.now)
@@ -1159,13 +930,12 @@ class Runner:
         return None
 
     def _charge_sync_wait(self, record, core_id: int, wait_start: float,
-                          replay_ns: float, page: int) -> None:
-        """Attribute a synchronous refill wait ending now: the blocked
-        interval goes to ``sync_wait``, the final replayed hit (or
-        flat re-access) to ``dram_hit``."""
+                          page: int) -> None:
+        """Attribute a synchronous refill wait ending now to
+        ``sync_wait``; the caller charges the replayed hit (or flat
+        re-access) to ``dram_hit``."""
         now = self.machine.engine.now
         record.sync_wait += now - wait_start
-        record.dram_hit += replay_ns
         record.add_span("sync_wait", wait_start, now)
         self._tracer.complete(f"core{core_id}", "sync_wait", wait_start,
                               now, {"page": page})
@@ -1192,24 +962,15 @@ class Runner:
 
     # -- page-table walks -----------------------------------------------------------
 
-    def _walk_cost(self, data_page: int) -> float:
-        """TLB-miss handling cost for this access, if one occurs.
-
-        With DRAM partitioning (and for all non-AstriFlash modes) the
-        walk is served from flat DRAM.  Under `noDP` the PT leaf page
-        goes through the DRAM cache and the walk blocks synchronously on
-        a flash fetch when it misses (Sec. IV-A).
-        """
-        if self._rng_random() >= self._tlb_miss_probability:
-            return 0.0
-        return self._walk_miss_ns(data_page)
-
     def _walk_miss_ns(self, data_page: int) -> float:
-        """Walk cost once the TLB-miss draw has already lost.
+        """TLB-miss handling cost, once the per-step TLB draw has lost.
 
-        Split from :meth:`_walk_cost` so the inner loops can inline the
-        (overwhelmingly common) TLB-hit draw and only pay a call frame
-        on actual misses.
+        The inner loops inline the (overwhelmingly common) TLB-hit draw
+        and only pay this call frame on actual misses.  With DRAM
+        partitioning (and for all non-AstriFlash modes) the walk is
+        served from flat DRAM.  Under `noDP` the PT leaf page goes
+        through the DRAM cache and the walk blocks synchronously on a
+        flash fetch when it misses (Sec. IV-A).
         """
         self._tlb_miss_count.incr()
         if not self.machine.page_tables_in_flash_space:

@@ -53,11 +53,6 @@ class DramCache:
         """One request from the on-chip hierarchy (see FC docs)."""
         return self.frontside.access(page, is_write)
 
-    def access_run(self, pages, writes, start: int = 0,
-                   stop=None) -> int:
-        """Batched leading-hit probe (vector backend; see FC docs)."""
-        return self.frontside.access_run(pages, writes, start, stop)
-
     @property
     def hit_latency_ns(self) -> float:
         """The constant in-DRAM hit latency every hit is charged."""

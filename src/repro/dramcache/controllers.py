@@ -463,22 +463,6 @@ class FrontsideController:
             completion=request.install_signal,
         )
 
-    def access_run(self, pages, writes, start: int = 0,
-                   stop: Optional[int] = None) -> int:
-        """Vector-backend batch probe: leading hits of a planned run.
-
-        Applies the exact side effects :meth:`access` would for each
-        leading hit — FC access counter plus the organization's
-        lookup effects — and stops *before* the first non-hit, whose
-        access (miss counters, coalescing, MSR/BC machinery) the
-        caller replays through the scalar :meth:`access`.  Returns the
-        number of leading hits.
-        """
-        hits = self.organization.lookup_many(pages, writes, start, stop)
-        if hits:
-            self._accesses.add(hits)
-        return hits
-
     def _blocking_put(self, request: MissRequest):
         signal = self.backside.miss_queue.put(request)
         if signal is not None:

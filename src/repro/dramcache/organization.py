@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ProtocolError
 from repro.stats import CounterSet
 
@@ -133,55 +131,6 @@ class DramCacheOrganization:
             return True
         self._misses.incr()
         return False
-
-    def lookup_many(self, pages, writes, start: int = 0,
-                    stop: Optional[int] = None) -> int:
-        """Batched leading-hit probe for the vector backend.
-
-        Processes ``pages[start:stop]`` in order, applying the exact
-        :meth:`lookup` hit side effects (clock tick, LRU touch, access
-        count, dirty-on-write, hit counter) to each page until the
-        first one whose tag is absent, and returns the number of
-        leading hits.  The missing access is *not* probed — no clock
-        tick, no miss counter — so the caller can replay it through
-        the ordinary access path with scalar-identical effects.
-
-        Set indexes for the whole block are computed in one vectorized
-        pass (the mask/modulo arithmetic is the per-probe cost the
-        scalar path pays in Python); the tag-dict walk stays
-        sequential because each hit's LRU timestamp depends on the
-        probes before it.
-        """
-        if stop is None:
-            stop = len(pages)
-        if stop <= start:
-            return 0
-        mask = self._set_mask
-        block = np.asarray(pages[start:stop], dtype=np.int64)
-        if mask is not None:
-            set_indexes = (block & mask).tolist()
-        else:
-            set_indexes = (block % self.num_sets).tolist()
-        tag_index = self._tag_index
-        clock = self._clock
-        hits = 0
-        for offset in range(stop - start):
-            position = start + offset
-            way = tag_index[set_indexes[offset]].get(pages[position])
-            if way is None:
-                break
-            clock += 1
-            way.last_touch = clock
-            way.access_count += 1
-            if writes[position]:
-                way.dirty = True
-            hits += 1
-        self._clock = clock
-        if hits:
-            # Integral increments: one batched add matches the float
-            # value of `hits` single .incr() calls (see warm_job).
-            self._hits.add(hits)
-        return hits
 
     def contains(self, page: int) -> bool:
         """Tag probe without LRU side effects."""

@@ -327,6 +327,6 @@ def run_chaos(experiment: str = "fig9", scale="quick",
         config = build_config(preset, scale)
         for rber in rber_points:
             shape_counts.append((config.mode, config.num_cores, False,
-                                 rber > 0.0, 1))
+                                 rber > 0.0, False, 1))
     bench.execution = _vector.execution_summary(backend, shape_counts)
     return bench

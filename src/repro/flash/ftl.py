@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import CapacityError, ConfigurationError, ProtocolError
 from repro.stats import CounterSet
 
@@ -155,29 +153,6 @@ class PageMappingFtl:
         if entry is not None:
             return entry[0]
         return logical_page % self.num_planes
-
-    def plane_of_many(self, logical_pages) -> List[int]:
-        """Plane routing for a whole batch, page-for-page equal to
-        :meth:`plane_of`.
-
-        The round-robin stripe for never-written pages is one
-        vectorized modulo over the batch; mapped pages (a minority on
-        the read path — only pages the FTL has relocated) override
-        their stripe slot from the mapping table.
-        """
-        block = np.asarray(logical_pages, dtype=np.int64)
-        if block.size:
-            self._check_page(int(block.min()))
-            self._check_page(int(block.max()))
-        planes = (block % self.num_planes).tolist()
-        mapping = self._mapping
-        if mapping:
-            get = mapping.get
-            for position, page in enumerate(logical_pages):
-                entry = get(page)
-                if entry is not None:
-                    planes[position] = entry[0]
-        return planes
 
     def is_mapped(self, logical_page: int) -> bool:
         return logical_page in self._mapping

@@ -449,7 +449,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     # evaluations beyond the grid), all open-loop.
     dram_config = build_config("dram-only", scale)
     shape_counts = [(dram_config.mode, dram_config.num_cores,
-                     False, False, 1)]
+                     False, False, False, 1)]
     for preset in presets:
         config = build_config(preset, scale)
         faulted = rber > 0.0 and preset != "dram-only"
@@ -458,6 +458,6 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
         if knee is not None:
             runs += max(0, len(knee.evaluations) - len(bench.curve(preset)))
         shape_counts.append((config.mode, config.num_cores, True,
-                             faulted, runs))
+                             faulted, False, runs))
     bench.execution = _vector.execution_summary(backend, shape_counts)
     return bench

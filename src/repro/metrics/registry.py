@@ -319,8 +319,8 @@ def _kernel_view(payload: Mapping) -> BenchView:
         if backend == "scalar" and entry.get("state_fingerprint"):
             view.fingerprint = entry["state_fingerprint"]
     # Schema v3: per-shape cells.  Bit-identity gates exactly; the
-    # per-shape speedup is a floor the baseline hand-pins (3x fused,
-    # 2x open-loop/multi-core).
+    # per-shape speedup is a floor the baseline hand-pins (2x on each
+    # of fused, open-loop and multi-core).
     for shape in payload.get("shapes", ()):
         labels = {"shape": shape.get("shape", "")}
         if shape.get("bit_identical") is not None:

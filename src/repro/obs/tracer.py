@@ -129,6 +129,14 @@ class RequestRecord:
         if len(self.spans) < self.MAX_SPANS:
             self.spans.append((component, start, end))
 
+    def charge_step(self, compute_ns: float, walk_ns: float,
+                    hit_ns: float) -> None:
+        """Charge one retired step: its compute segment, TLB walk and
+        DRAM hit (or flat-DRAM access) latency."""
+        self.compute += compute_ns
+        self.tlb_walk += walk_ns
+        self.dram_hit += hit_ns
+
     def charge_resume(self, pending_since: float,
                       data_ready_at: Optional[float], run_start: float,
                       switch_ns: float, payload: Any) -> None:

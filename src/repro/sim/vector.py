@@ -2,35 +2,29 @@
 
 The scalar engine advances one heap pop at a time; most of those pops
 are compute-quantum resumes whose timing is fully determined the moment
-the job is dispatched.  This module batches that predictable work into
-*epochs* between event horizons:
+the job is dispatched.  On DRAM-only runs this module retires that
+predictable work without the event heap:
 
-* whole jobs are **planned** up front — zipf pages, compute jitter and
-  TLB draws are pulled as numpy blocks from the *same* RNG streams the
-  scalar path consumes one call at a time (`BatchedRandom`,
-  `ZipfianGenerator.sample_block`), so stream positions stay aligned;
-* per-step latencies are materialized with numpy and the quantum
-  boundaries recovered by a sequential scan that re-runs the scalar
-  accumulation adds bit-for-bit (float addition is non-associative, so
-  boundaries cannot come from a block cumsum);
-* the DRAM-only single-core measurement loop is then **fused**: bursts
-  retire without touching the event heap at all, and the engine clock /
-  event tally are synchronized in batches via `Engine.advance_batch`;
-* the Flash-Sync single-core loop keeps the event engine (misses run
-  the full FC→BC→flash machinery unchanged) but probes hit runs
-  through `DramCacheOrganization.lookup_many` one burst at a time;
-* **open-loop and multi-core DRAM-only** shapes run a *merged event
-  horizon* (`run_merged`): a heap-free (time, seq) mirror of the
-  scalar schedule interleaving per-stream arrival events (gaps
-  pre-drawn in blocks via the arrival processes' ``gap_block``
-  protocol), per-core burst resumes, and the measurement boundary.
-  Cores advance in lockstep bounded by the earliest cross-core event;
+* compute jitter and TLB draws are pulled as numpy blocks from the
+  *same* RNG streams the scalar path consumes one call at a time
+  (`BatchedRandom`), so the drawn values stay aligned;
+* every DRAM-only shape — single-core closed loop (``fused``),
+  open-loop, multi-core — runs one *merged event horizon*
+  (`run_merged`): a heap-free (time, seq) mirror of the scalar
+  schedule interleaving per-stream arrival events (gaps pre-drawn in
+  blocks via the arrival processes' ``gap_block`` protocol), per-core
+  burst resumes, and the measurement boundary.  Burst durations re-run
+  the scalar accumulation adds bit-for-bit (float addition is
+  non-associative, so boundaries cannot come from a block cumsum);
+  cores advance in lockstep bounded by the earliest cross-core event;
   steps are dealt from global per-stream cursors so shared-RNG draw
-  order matches the scalar interleave exactly.
+  order matches the scalar interleave exactly; the engine clock and
+  event tally are synchronized in batches via `Engine.advance_batch`.
 
-Everything else — tracing, fault plans, finite arrival traces,
-multiplexed-burst modes, multi-core Flash-Sync — **falls back to the
-scalar path**, which remains the golden reference.  The contract is
+Everything else — tracing, finite arrival traces, Flash-Sync (its
+refills run the full FC→BC→flash machinery on the event engine),
+multiplexed-burst modes — **falls back to the scalar path**, which
+remains the golden reference.  The contract is
 bit-identity: same `state_fingerprint`, same deterministic stats, same
 `engine.events_executed`, enforced by tests/test_vector_backend.py and
 the CI perf-smoke job.
@@ -46,8 +40,7 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,15 +92,14 @@ _STATS: Dict[str, int] = {}
 
 def _reset_stats() -> None:
     _STATS.update({
-        "fused_runs": 0,        # DRAM-only runs on the fused loop
-        "job_epoch_runs": 0,    # Flash-Sync runs on the job-epoch loop
+        "fused_runs": 0,        # single-core closed-loop merged runs
+        "job_epoch_runs": 0,    # always 0; bench/sweep.py reads the key
         "open_loop_runs": 0,    # single-core open-loop merged runs
         "multi_core_runs": 0,   # multi-core merged runs (open or closed)
         "scalar_fallbacks": 0,  # vector requested but shape unsupported
         "epochs": 0,            # bursts retired without a heap pop
-        "batched_jobs": 0,      # jobs planned as a block
-        "batched_steps": 0,     # steps materialized through numpy
-        "hit_run_probes": 0,    # tag probes served via lookup_many
+        "batched_jobs": 0,      # jobs dispatched on the merged loop
+        "batched_steps": 0,     # steps retired on the merged loop
         "merged_arrivals": 0,   # arrival events on the merged horizon
     })
 
@@ -131,11 +123,6 @@ def reset_stats() -> None:
     """Zero the telemetry (test isolation)."""
     _reset_stats()
     _FALLBACK_REASONS.clear()
-
-
-def run_stats() -> Dict[str, int]:
-    """The live telemetry dict (internal: the vector loops bump it)."""
-    return _STATS
 
 
 def last_fallback_reason() -> str:
@@ -265,104 +252,6 @@ def uniform_block(rng: random.Random, n: int) -> np.ndarray:
     return block
 
 
-# ------------------------------------------------------------ step planning --
-
-
-def step_deltas(comp: List[float], tlb_draws: np.ndarray, tlb_p: float,
-                walk_ns: float) -> Tuple[List[float], List[bool]]:
-    """Per-step pre-access latency and TLB-miss flags.
-
-    Replicates the scalar expression
-    ``step.compute_ns + (0.0 if draw >= tlb_p else walk_ns)`` — one
-    float64 add per step, walk charged on ``draw < tlb_p`` (the exact
-    complement, ties included).  Small jobs take a plain-Python pass
-    (IEEE adds are the same bits either way and the per-call numpy
-    overhead dominates below a few hundred steps); large blocks go
-    through one numpy pass.
-    """
-    if len(comp) < 256:
-        d1: List[float] = []
-        flags: List[bool] = []
-        append_d1 = d1.append
-        append_flag = flags.append
-        for c, draw in zip(comp, tlb_draws.tolist()):
-            if draw < tlb_p:
-                append_flag(True)
-                append_d1(c + walk_ns)
-            else:
-                append_flag(False)
-                append_d1(c + 0.0)
-        return d1, flags
-    draws = np.asarray(tlb_draws)
-    missed = draws < tlb_p
-    d1_arr = np.asarray(comp, dtype=np.float64) + np.where(missed, walk_ns, 0.0)
-    return d1_arr.tolist(), missed.tolist()
-
-
-def scan_bursts(d1: List[float], miss_flags: List[bool], flat: float,
-                quantum: float) -> Tuple[List[float], List[int], List[int]]:
-    """Quantum-burst boundaries for one job, scalar-add-exact.
-
-    Re-runs the inner-loop accumulation (``acc += d1; acc += flat``,
-    two separate adds, reset to 0.0 at each crossing) so burst
-    durations carry the identical float rounding the scalar path
-    produces.  Returns parallel lists: burst duration, steps in the
-    burst, TLB misses in the burst.  The trailing partial burst is
-    included when non-empty; a job whose last step lands exactly on a
-    quantum boundary has no trailing burst, matching the scalar
-    ``if accumulated > 0.0`` flush guard.
-    """
-    durations: List[float] = []
-    step_counts: List[int] = []
-    tlb_counts: List[int] = []
-    acc = 0.0
-    steps = 0
-    misses = 0
-    for delta, missed in zip(d1, miss_flags):
-        acc += delta
-        acc += flat
-        steps += 1
-        if missed:
-            misses += 1
-        if acc >= quantum:
-            durations.append(acc)
-            step_counts.append(steps)
-            tlb_counts.append(misses)
-            acc = 0.0
-            steps = 0
-            misses = 0
-    if steps:
-        durations.append(acc)
-        step_counts.append(steps)
-        tlb_counts.append(misses)
-    return durations, step_counts, tlb_counts
-
-
-def scan_durations(d1: List[float], flat: float,
-                   quantum: float) -> List[float]:
-    """Burst durations only — the :func:`scan_bursts` fold without the
-    per-burst step/miss bookkeeping (fast path for block-planned jobs;
-    crossing jobs rescan with :func:`scan_bursts` for the counts).
-
-    The trailing-burst guard is ``acc > 0.0`` rather than a step
-    count: every step contributes a strictly positive delta (compute
-    jitter > 0, flat DRAM latency > 0), so a zero accumulator means
-    the last step landed exactly on a quantum boundary.
-    """
-    durations: List[float] = []
-    append = durations.append
-    acc = 0.0
-    for delta in d1:
-        acc += delta
-        acc += flat
-        if acc >= quantum:
-            append(acc)
-            acc = 0.0
-    if acc > 0.0:
-        append(acc)
-    return durations
-
-
 # ----------------------------------------------------------- run-shape gate --
 
 
@@ -373,15 +262,13 @@ def classify_shape(mode, num_cores: int, open_loop: bool = False,
                    ) -> Tuple[Optional[str], str]:
     """Pure run-shape gate: which vector loop (if any) fits the shape.
 
-    Returns ``(kind, reason)`` where kind is ``"fused"`` (single-core
-    closed-loop DRAM-only, no event heap), ``"open-loop"`` /
-    ``"multi-core"`` (DRAM-only merged event horizon),
-    ``"job-epoch"`` (single-core Flash-Sync, batched hit runs) or
-    ``None`` with the fallback reason.  The gates mirror DESIGN.md
-    §4h: per-event observation (tracing), per-read fault draws, a
-    finite arrival trace that ends the stream mid-window, cross-core
-    sharing of the DRAM cache/flash path, and the multiplexed-burst
-    modes keep the scalar path.
+    Returns ``(kind, reason)`` where kind names the DRAM-only shape
+    :func:`run_merged` executes — ``"fused"`` (single-core closed
+    loop), ``"open-loop"`` or ``"multi-core"`` — or is ``None`` with
+    the fallback reason.  The gates mirror DESIGN.md §4h: per-event
+    observation (tracing), a finite arrival trace that ends the stream
+    mid-window, and every mode with a DRAM cache or pager (Flash-Sync
+    refills, multiplexed bursts) keep the scalar path.
 
     Pure on purpose: the sweep drivers (loadgen/chaos) call it with
     config-derived facts to report deterministic per-cell backend
@@ -405,14 +292,12 @@ def classify_shape(mode, num_cores: int, open_loop: bool = False,
         if faulted:
             return None, "fault plan active (per-read outcome draws)"
         if writes_enabled:
-            # Admission hooks run per access (sketch observes, write-
-            # through spawns) — the batched hit-run probe would skip
-            # them, so the write path keeps the scalar loop.
+            # The writes bench and its CI job read this reason.
             return None, "writes"
         if num_cores != 1:
             return None, ("multi-core flash-sync (cores share the "
                           "DRAM cache and flash path)")
-        return "job-epoch", ""
+        return None, "flash-sync (refills run on the event engine)"
     return None, f"mode {mode.name} multiplexes threads per burst"
 
 
@@ -443,227 +328,15 @@ def record_fallback(reason: str) -> None:
     _LAST_FALLBACK_REASON = reason
 
 
-# ------------------------------------------------------- fused DRAM-only loop --
-
-
-#: Steps planned per numpy pass on the fused path (amortizes the
-#: per-call numpy overhead over several thousand steps).  The job
-#: count per block adapts to the workload's steps-per-job so long
-#: requests don't balloon a block past the measurement window.
-PLAN_BLOCK_STEPS = 12288
-
-#: Jobs in the first (probe) block, before steps-per-job is known.
-PLAN_PROBE_JOBS = 16
-
-#: Safety margin for the interior-job fast path.  ``sum(durations)``
-#: is a left-fold like the exact per-burst adds but its rounding can
-#: differ by a few ulp (~1e-9 ns at these magnitudes); a job is only
-#: fast-pathed when even that estimate plus this margin stays inside
-#: the window, so truncation decisions always take the exact path.
-_FAST_PATH_GUARD_NS = 64.0
-
-
-def run_fused(runner) -> None:
-    """Measurement phase of a single-core DRAM-only run, heap-free.
-
-    Replaces ``spawn(core_loop) + engine.run(until=end)`` for the shape
-    :func:`classify` vetted.  Event accounting replicates the scalar
-    run exactly: one spawn resume at t=0, one ``start_measurement``
-    event at ``warmup_ns`` (which outranks any same-time burst resume
-    by sequence number), and one event per retired burst; a burst whose
-    resume time falls past the window end never executes — its steps
-    were already generated (accesses/TLB counted) but its busy time is
-    not charged, matching the scalar truncation semantics.
-
-    Two-speed structure: jobs that provably retire strictly inside the
-    measurement window take a batched path (counters updated per job;
-    ``now``/busy time still advanced burst-by-burst, because those are
-    sequential float folds).  Jobs that might cross ``warmup`` or the
-    window end replay the scalar per-burst order exactly.  Workloads
-    exposing ``plan_compute_block`` are planned ``PLAN_BLOCK_STEPS``
-    steps at a time in one numpy pass; others are planned per job via
-    :meth:`~repro.workloads.base.Workload.plan_steps`.
-    """
-    from repro.core.runner import TIME_QUANTUM_NS
-
-    machine = runner.machine
-    engine = machine.engine
-    scale = runner.config.scale
-    warmup = scale.warmup_ns
-    end = warmup + scale.measurement_ns
-    flat = machine.flat_dram_latency_ns
-    tlb_p = runner._tlb_miss_probability
-    walk_ns = runner._flat_walk_ns
-    quantum = TIME_QUANTUM_NS
-    workload = runner.workload
-    plan = workload.plan_steps
-    plan_block = getattr(workload, "plan_compute_block", None)
-    runner._vector_tlb_rng = BatchedRandom(runner._rng)
-    rng_take = runner._vector_tlb_rng.take
-    # classify() vetted a closed-loop single-core run with no tracer:
-    # _next_job always mints a fresh job (queues stay empty) and
-    # _finish_job's live-set bookkeeping is unobservable (nothing
-    # cancels or censors closed-loop jobs), so both are inlined here.
-    # The bound tracker methods re-check the measurement flag / window
-    # themselves, exactly as the runner methods would.
-    make_job = workload.make_job
-    finish_job = runner._finish_job
-    service_record = runner.service_latency.record
-    response_record = runner.response_latency.record
-    record_completion = runner.throughput.record_completion
-    completed_incr = runner._jobs_completed_count.incr
-    advance = engine.advance_batch
-    vstats = _STATS
-
-    vstats["fused_runs"] += 1
-    now = engine.now
-    delta_events = 1  # the core's spawn resume pops at t=0
-    measuring = False
-    jobs_done = 0
-    steps_done = 0
-    epochs_done = 0
-    # Shadow accumulators, written back at the measurement boundary
-    # (the snapshot _start_measurement takes) and at end of run.  The
-    # float adds happen in scalar order; only the attribute traffic is
-    # batched.  TLB misses are integer counts, so one deferred
-    # Counter.add at end of run equals the scalar per-miss increments.
-    busy_ns = runner._busy_ns
-    accesses = runner._accesses
-    tlb_misses = 0
-    # Per-job planned entries: (d1, miss_flags, tlb_total).  Burst
-    # boundaries are scanned lazily at pop time so jobs planned past
-    # the window end (a block always overshoots) cost no python scan;
-    # per-burst step/miss counts are only materialized (scan_bursts)
-    # for jobs that might cross a window boundary.
-    planned: Deque[Tuple[memoryview, np.ndarray, int]] = deque()
-    fast_end = end - _FAST_PATH_GUARD_NS
-    block_jobs = PLAN_PROBE_JOBS
-
-    while True:
-        job = make_job()
-        job.arrived_at = now
-        job.started_at = now
-        if plan_block is not None:
-            if not planned:
-                comp, steps_per_job = plan_block(block_jobs)
-                block_jobs = max(PLAN_PROBE_JOBS,
-                                 PLAN_BLOCK_STEPS // steps_per_job)
-                missed = rng_take(comp.shape[0]) < tlb_p
-                # memoryview: zero-copy slices whose elements read back
-                # as plain Python floats (iteration matches a tolist'd
-                # list bit-for-bit without paying the conversion).
-                d1_block = memoryview(comp + np.where(missed, walk_ns,
-                                                      0.0))
-                tlb_totals = missed.reshape(-1, steps_per_job) \
-                                   .sum(axis=1).tolist()
-                for j, tlb_total in enumerate(tlb_totals):
-                    a = j * steps_per_job
-                    b = a + steps_per_job
-                    # miss flags stay an ndarray view; only crossing
-                    # jobs (scan_bursts rescan) pay the tolist.
-                    planned.append((d1_block[a:b], missed[a:b],
-                                    tlb_total))
-            d1, miss_flags, tlb_total = planned.popleft()
-            durations = scan_durations(d1, flat, quantum)
-            num_steps = len(d1)
-            step_counts = None
-        else:
-            comp, _pages, _writes = plan(job)
-            num_steps = len(comp)
-            d1, miss_flags = step_deltas(comp, rng_take(num_steps),
-                                         tlb_p, walk_ns)
-            durations, step_counts, tlb_counts = scan_bursts(
-                d1, miss_flags, flat, quantum
-            )
-            tlb_total = sum(tlb_counts)
-        jobs_done += 1
-        steps_done += num_steps
-        epochs_done += len(durations)
-
-        if measuring and now + sum(durations) <= fast_end:
-            # Interior job: every burst retires strictly inside the
-            # window, so counters batch per job; now/busy stay
-            # burst-sequential (float fold order is observable).  The
-            # engine clock is stored directly; the event tally is
-            # settled in one advance_batch at end of run (nothing
-            # reads it mid-run on this vetted shape).
-            accesses += num_steps
-            tlb_misses += tlb_total
-            for duration in durations:
-                now += duration
-                busy_ns += duration
-            delta_events += len(durations)
-            engine._now = now
-            service_record(now - job.started_at)
-            response_record(now - job.arrived_at)
-            record_completion()
-            completed_incr()
-            continue
-
-        # Boundary-exact path: warmup / window-end crossing candidates
-        # replay the scalar per-burst order.
-        if step_counts is None:
-            durations, step_counts, tlb_counts = scan_bursts(
-                d1, miss_flags.tolist(), flat, quantum
-            )
-        truncated = False
-        for k in range(len(durations)):
-            # Burst k's steps are generated (counters bumped) before
-            # its resume is "scheduled" — scalar order.
-            accesses += step_counts[k]
-            tlb_misses += tlb_counts[k]
-            duration = durations[k]
-            resume_at = now + duration
-            if not measuring and resume_at >= warmup:
-                # start_measurement was scheduled before any burst
-                # resume, so at equal times it fires first.
-                advance(warmup, delta_events + 1)
-                delta_events = 0
-                runner._busy_ns = busy_ns
-                runner._accesses = accesses
-                runner._start_measurement()
-                measuring = True
-            if resume_at > end:
-                truncated = True
-                break
-            now = resume_at
-            delta_events += 1
-            busy_ns += duration
-        if truncated:
-            # The in-flight job the window cut off: the only live-set
-            # entry a closed-loop scalar run ends with (feeds the
-            # unfinished/inflight/backlog result fields).
-            runner._live_jobs[job.job_id] = job
-            break
-        engine._now = now
-        finish_job(job)
-    if not measuring:  # pragma: no cover - warmup shorter than any job
-        advance(warmup, delta_events + 1)
-        delta_events = 0
-        runner._busy_ns = busy_ns
-        runner._accesses = accesses
-        runner._start_measurement()
-    advance(end, delta_events)
-    runner._busy_ns = busy_ns
-    runner._accesses = accesses
-    if tlb_misses:
-        runner._tlb_miss_count.add(tlb_misses)
-    vstats["batched_jobs"] += jobs_done
-    vstats["batched_steps"] += steps_done
-    vstats["epochs"] += epochs_done
-
-
 def execution_summary(backend: str, shape_counts) -> Dict[str, object]:
     """Deterministic per-sweep backend accounting for bench schemas.
 
     ``shape_counts`` is an iterable of ``(mode, num_cores, open_loop,
-    faulted, count)`` tuples describing the runs a sweep issued — or
-    six-element tuples with ``writes_enabled`` inserted before the
-    count (the writes sweep; older callers keep the 5-tuple).  Each
-    shape is classified via :func:`classify_shape` (config-derived
-    facts only — never run results, which may come from the cache), so
-    the summary is byte-identical across invocations of the same
-    sweep.  The ``fallback_reasons`` histogram is the sweep-level
+    faulted, writes_enabled, count)`` tuples describing the runs a
+    sweep issued.  Each shape is classified via :func:`classify_shape`
+    (config-derived facts only — never run results, which may come
+    from the cache), so the summary is byte-identical across
+    invocations of the same sweep.  The ``fallback_reasons`` histogram is the sweep-level
     surface of the process-wide :func:`fallback_reasons` counters.
     """
     summary: Dict[str, object] = {
@@ -675,12 +348,8 @@ def execution_summary(backend: str, shape_counts) -> Dict[str, object]:
     }
     kinds: Dict[str, int] = summary["vector_kinds"]
     reasons: Dict[str, int] = summary["fallback_reasons"]
-    for shape in shape_counts:
-        if len(shape) == 6:
-            mode, num_cores, open_loop, faulted, writes_enabled, count = shape
-        else:
-            mode, num_cores, open_loop, faulted, count = shape
-            writes_enabled = False
+    for mode, num_cores, open_loop, faulted, writes_enabled, count \
+            in shape_counts:
         if backend != "vector":
             summary["scalar_cells"] += count
             continue
@@ -708,8 +377,8 @@ MERGED_STEP_CHUNK = 4096
 
 
 def run_merged(runner) -> None:
-    """Measurement phase for the open-loop and multi-core DRAM-only
-    shapes: a heap-free (time, seq) mirror of the scalar schedule.
+    """Measurement phase for every DRAM-only shape :func:`classify`
+    vets: a heap-free (time, seq) mirror of the scalar schedule.
 
     The scalar run's heap holds at most one pending resume per core,
     one pending arrival per stream, and the measurement boundary; the
@@ -765,7 +434,12 @@ def run_merged(runner) -> None:
     advance = engine.advance_batch
     vstats = _STATS
 
-    vstats["multi_core_runs" if num_cores != 1 else "open_loop_runs"] += 1
+    if num_cores != 1:
+        vstats["multi_core_runs"] += 1
+    elif open_loop:
+        vstats["open_loop_runs"] += 1
+    else:
+        vstats["fused_runs"] += 1
 
     runner._vector_tlb_rng = BatchedRandom(runner._rng)
     tlb_take = runner._vector_tlb_rng.take

@@ -35,37 +35,6 @@ class ArraySwapWorkload(Workload):
     def num_elements(self) -> int:
         return self.dataset_pages * ELEMENTS_PER_PAGE
 
-    def plan_steps(self, job):
-        """Numpy planner for the vector backend.
-
-        Draw-for-draw identical to iterating :meth:`_steps_for_job`:
-        the zipf stream yields ``a, b`` per op (one buffered block
-        here), then the workload RNG yields four jitters per op (one
-        buffered Mersenne-Twister block).  The jitter expression
-        ``compute_ns * (0.5 + r)`` is a float64 elementwise op either
-        way, so the bits match.
-        """
-        ops = self.ops_per_job
-        pairs = self._zipf.sample_block(2 * ops)
-        jitter = self._planner_rng().take(4 * ops)
-        return self._columns_from(pairs, jitter, ops)
-
-    def plan_compute_block(self, num_jobs):
-        """Compute columns for ``num_jobs`` upcoming jobs at once
-        (fused DRAM-only backend); ``(compute_ns_array, steps_per_job)``.
-
-        Only the jitter stream is drawn: the fused loop never observes
-        addresses, and RNG stream *positions* sit outside the
-        bit-identity contract (fingerprints, stats), so the zipf
-        address draws are skipped rather than drawn and discarded.
-        The jitter draws themselves stay stream-exact — consecutive
-        per-job blocks in job order, as the scalar generator consumes
-        them.
-        """
-        steps_per_job = 4 * self.ops_per_job
-        jitter = self._planner_rng().take(steps_per_job * num_jobs)
-        return self.compute_ns * (0.5 + jitter), steps_per_job
-
     @property
     def uniform_steps_per_job(self) -> int:
         """Every job has the same step count (merged-loop dealing)."""
@@ -73,29 +42,18 @@ class ArraySwapWorkload(Workload):
 
     def plan_step_block(self, num_steps):
         """Compute values for the next ``num_steps`` steps as one
-        global per-step stream (merged open-loop/multi-core backend).
+        global per-step stream (the vector backend's merged loop).
 
-        Unlike :meth:`plan_compute_block` this is *not* aligned to job
-        boundaries: the merged loop deals steps to cores in global
-        event order, which for the jitter stream is exactly the order
-        the scalar generators would draw (jitter draws happen at step
-        generation, one per step, regardless of which core's job pulls
-        next).  Zipf address draws are skipped — DRAM-only mode never
-        observes pages, and RNG stream positions sit outside the
-        bit-identity contract.
+        The block is *not* aligned to job boundaries: the merged loop
+        deals steps to cores in global event order, which for the
+        jitter stream is exactly the order the scalar generators would
+        draw (jitter draws happen at step generation, one per step,
+        regardless of which core's job pulls next).  Zipf address draws
+        are skipped — DRAM-only mode never observes pages, and RNG
+        stream positions sit outside the bit-identity contract.
         """
         jitter = self._planner_rng().take(num_steps)
         return self.compute_ns * (0.5 + jitter)
-
-    def _columns_from(self, pairs, jitter, ops):
-        compute = (self.compute_ns * (0.5 + jitter)).tolist()
-        pages = []
-        for op in range(ops):
-            page_a = pairs[2 * op]
-            page_b = pairs[2 * op + 1]
-            pages += (page_a, page_b, page_a, page_b)
-        writes = [False, False, True, True] * ops
-        return compute, pages, writes
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         # _compute is inlined (same draw, same bits — see Workload._compute).

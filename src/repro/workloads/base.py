@@ -105,29 +105,6 @@ class Workload:
 
     # -- vector-backend planning (repro.sim.vector) ---------------------------
 
-    def plan_steps(self, job: "Job"):
-        """Materialize ``job``'s steps as parallel columns.
-
-        Returns ``(compute_ns, pages, is_write)`` — plain Python lists
-        (no numpy scalars: pages flow into dict keys and state dumps
-        that must repr identically to the scalar path).  The base
-        implementation drains the job's own generator, so the RNG
-        draws are the scalar draws by construction; subclasses with
-        block-drawable streams (see
-        :meth:`repro.workloads.arrayswap.ArraySwapWorkload.plan_steps`)
-        override it with a numpy planner that consumes the same
-        streams in the same order.  The job's step iterator is spent
-        afterwards; the vector backend executes from the columns.
-        """
-        compute: List[float] = []
-        pages: List[int] = []
-        writes: List[bool] = []
-        for step in job.steps:
-            compute.append(step.compute_ns)
-            pages.append(step.page)
-            writes.append(step.is_write)
-        return compute, pages, writes
-
     def _planner_rng(self):
         """Persistent buffered bridge over ``self._rng`` for numpy
         planners.  Amortizes the Mersenne-Twister state transplant

@@ -64,33 +64,6 @@ class ZipfianGenerator:
         self._cursor = cursor + 1
         return buffer[cursor]
 
-    def sample_block(self, count: int) -> list:
-        """``count`` item indices from the *buffered* stream.
-
-        Consumes exactly the samples ``count`` successive
-        :meth:`sample` calls would return — same buffer, same refill
-        policy, same RNG stream position afterwards — so the vector
-        backend's eager per-job planning stays bit-identical to the
-        scalar one-at-a-time path.  (:meth:`sample_array` draws fresh
-        uniforms and is *not* stream-compatible with :meth:`sample`.)
-        """
-        out: list = []
-        remaining = count
-        while remaining > 0:
-            cursor = self._cursor
-            buffer = self._buffer
-            available = len(buffer) - cursor
-            if available <= 0:
-                self._refill()
-                cursor = 0
-                buffer = self._buffer
-                available = len(buffer)
-            take = available if available < remaining else remaining
-            out.extend(buffer[cursor:cursor + take])
-            self._cursor = cursor + take
-            remaining -= take
-        return out
-
     def sample_array(self, count: int) -> np.ndarray:
         """``count`` item indices as a numpy array."""
         uniforms = self._rng.random(count)

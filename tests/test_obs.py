@@ -424,12 +424,23 @@ RESULT_FIELDS = (
 
 ALL_MODES = ("dram-only", "astriflash", "flash-sync", "os-swap")
 
+# Every mode traced fully (sample_every=1) and partially (every third
+# job): sampled and unsampled jobs share one job loop, so partial
+# sampling is where a stale trace record would leak between jobs.
+SAMPLING = pytest.mark.parametrize(
+    "config_name,sample_every",
+    [(mode, 1) for mode in ALL_MODES] + [(mode, 3) for mode in ALL_MODES],
+    ids=list(ALL_MODES) + [f"{mode}-sampled" for mode in ALL_MODES],
+)
+
 
 class TestTracedSimulation:
-    @pytest.mark.parametrize("config_name", ALL_MODES)
-    def test_tracing_leaves_results_bit_identical(self, config_name):
+    @SAMPLING
+    def test_tracing_leaves_results_bit_identical(self, config_name,
+                                                  sample_every):
         baseline = _simulate(config_name)
-        traced = _simulate(config_name, tracer=Tracer())
+        traced = _simulate(config_name,
+                           tracer=Tracer(sample_every=sample_every))
         for name in RESULT_FIELDS:
             assert getattr(traced, name) == getattr(baseline, name), name
         # Engine counters shift (telemetry events retire on the same
@@ -440,11 +451,13 @@ class TestTracedSimulation:
                            if not k.startswith("engine.")}
         assert traced_counters == base_counters
 
-    @pytest.mark.parametrize("config_name", ALL_MODES)
-    def test_component_sums_reconstruct_service_latency(self, config_name):
-        tracer = Tracer()
+    @SAMPLING
+    def test_component_sums_reconstruct_service_latency(self, config_name,
+                                                        sample_every):
+        tracer = Tracer(sample_every=sample_every)
         _simulate(config_name, tracer=tracer)
         assert tracer.completed
+        assert all(r.job_id % sample_every == 0 for r in tracer.completed)
         for record in tracer.completed:
             measured = record.service_latency_ns
             if measured <= 0.0:
@@ -458,6 +471,20 @@ class TestTracedSimulation:
         document = export_chrome_trace(tracer)
         assert validate_chrome_trace(document) == []
         assert len(document["traceEvents"]) > 0
+
+    def test_partially_sampled_trace_validates(self):
+        """Core-track slices open and close only for sampled jobs, so
+        a partially sampled multiplexed run still exports balanced."""
+        tracer = Tracer(sample_every=3)
+        _simulate("astriflash", tracer=tracer)
+        assert tracer.requests_seen > len(tracer.completed) > 0
+        document = export_chrome_trace(tracer)
+        assert validate_chrome_trace(document) == []
+        slices = [event for event in document["traceEvents"]
+                  if event.get("ph") == "B"]
+        assert slices
+        assert all(int(event["name"].rsplit("#", 1)[1]) % 3 == 0
+                   for event in slices)
 
     def test_miss_components_appear_in_astriflash_tail(self):
         tracer = Tracer()
