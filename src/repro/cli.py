@@ -27,10 +27,10 @@ environment the harness reads.
 
 Every measuring verb (``report``, ``profile``, ``bench-kernel``,
 ``bench-sweep``, ``chaos``, ``writes``, ``loadgen``, ``simulate``)
-appends a
-:class:`repro.metrics.RunRecord` to ``.repro_runs/ledger.jsonl``
-(``$REPRO_RUNS_DIR`` overrides the directory, ``REPRO_LEDGER=0``
-disables); appends are best-effort and never fail the verb.
+appends a :class:`repro.metrics.RunRecord` to
+``.repro_runs/ledger.jsonl`` (``$REPRO_RUNS_DIR`` overrides the
+directory, ``REPRO_LEDGER=0`` disables); appends are best-effort and
+never fail the verb.  ``--json PATH`` writes the same record to a file.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="hotspot rows to report (default 15)")
     profile_parser.add_argument("--json", dest="json_out", default=None,
                                 metavar="PATH",
-                                help="also write the report as JSON")
+                                help="also write the run record as JSON")
     profile_parser.add_argument("--backend", default=None,
                                 choices=("scalar", "vector"),
                                 help="execution backend for the profiled "
@@ -149,8 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kernel_parser = commands.add_parser(
         "bench-kernel", help="time the batch-execution kernel per "
-                             "backend (scalar vs vector; writes "
-                             "BENCH_kernel.json for CI)")
+                             "backend (scalar vs vector)")
     kernel_parser.add_argument("--scale", default="quick",
                                choices=("quick", "full"))
     kernel_parser.add_argument("--backend", default=None,
@@ -173,26 +172,23 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "three shapes)")
     kernel_parser.add_argument("--json", dest="json_out", default=None,
                                metavar="PATH",
-                               help="also write the bench as JSON "
-                                    "(e.g. BENCH_kernel.json for CI)")
+                               help="also write the run record as JSON")
 
     sweep_parser = commands.add_parser(
         "bench-sweep", help="time one sweep with snapshots off vs on "
-                            "(the harness-level bench series; writes "
-                            "BENCH_sweep.json for CI)")
+                            "(the harness-level bench series)")
     sweep_parser.add_argument("experiment", nargs="?", default="fig1",
                               choices=sorted(EXPERIMENTS))
     sweep_parser.add_argument("--scale", default="quick",
                               choices=("quick", "full"))
     sweep_parser.add_argument("--json", dest="json_out", default=None,
                               metavar="PATH",
-                              help="also write the bench as JSON "
-                                   "(e.g. BENCH_sweep.json for CI)")
+                              help="also write the run record as JSON")
 
     chaos_parser = commands.add_parser(
         "chaos", help="sweep injected flash fault rates (RBER) and "
                       "report throughput/p99 degradation curves per "
-                      "preset; writes BENCH_chaos.json for CI")
+                      "preset")
     chaos_parser.add_argument("experiment", nargs="?", default="fig9",
                               choices=sorted(EXPERIMENTS))
     chaos_parser.add_argument("--scale", default="quick",
@@ -200,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--rber-sweep", default=None,
                               metavar="P0,P1,...",
                               help="comma-separated RBER sweep points "
-                                   "(default 0,2e-3,4e-3,8e-3; 0 = "
+                                   "(default 0,8e-3; 0 = "
                                    "faults-disabled baseline)")
     chaos_parser.add_argument("--workload", default=None,
                               choices=EVALUATED_WORKLOADS,
@@ -219,18 +215,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "scalar, bit-identically)")
     chaos_parser.add_argument("--json", dest="json_out", default=None,
                               metavar="PATH",
-                              help="also write the curves as JSON "
-                                   "(e.g. BENCH_chaos.json for CI)")
+                              help="also write the run record as JSON")
     add_snapshot_flags(chaos_parser)
 
     writes_parser = commands.add_parser(
         "writes", help="sweep DRAM->flash admission policies and KV "
                        "SET ratios over the write-enabled presets; "
                        "reports write amplification and P/E lifetime "
-                       "per policy; writes BENCH_writes.json for CI")
+                       "per policy")
     writes_parser.add_argument("experiment", nargs="?", default="kv",
                                help="experiment tag recorded in the "
-                                    "bench payload (default: kv)")
+                                    "run record (default: kv)")
     writes_parser.add_argument("--scale", default="quick",
                                choices=("quick", "full"))
     writes_parser.add_argument("--write-ratio-sweep", default=None,
@@ -260,15 +255,14 @@ def _build_parser() -> argparse.ArgumentParser:
     writes_parser.add_argument("--json", dest="json_out", nargs="?",
                                const="BENCH_writes.json", default=None,
                                metavar="PATH",
-                               help="also write the sweep as JSON "
+                               help="also write the run record as JSON "
                                     "(bare flag: BENCH_writes.json)")
     add_snapshot_flags(writes_parser)
 
     loadgen_parser = commands.add_parser(
         "loadgen", help="sweep offered load (QPS) per config preset "
                         "and report latency-vs-load knee curves with "
-                        "sustained-QPS-under-SLO; writes "
-                        "BENCH_loadgen.json for CI")
+                        "sustained-QPS-under-SLO")
     loadgen_parser.add_argument("experiment", nargs="?", default="fig10",
                                 choices=sorted(EXPERIMENTS))
     loadgen_parser.add_argument("--scale", default="quick",
@@ -322,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--json", dest="json_out", nargs="?",
                                 const="BENCH_loadgen.json", default=None,
                                 metavar="PATH",
-                                help="also write the knee curves as "
+                                help="also write the run record as "
                                      "JSON (bare flag: "
                                      "BENCH_loadgen.json)")
     add_snapshot_flags(loadgen_parser)
@@ -392,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diff_parser = commands.add_parser(
         "diff", help="per-metric deltas between two runs (ledger "
-                     "index, record-id prefix, or bench JSON path)")
+                     "index, record-id prefix, or record JSON path)")
     diff_parser.add_argument("baseline",
                              help="baseline run: ledger index (-1 = "
                                   "newest), record-id prefix, or JSON "
@@ -416,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "baseline (exit 0 pass, 1 regression, 2 error)")
     regress_parser.add_argument("--baseline", required=True,
                                 metavar="PATH",
-                                help="baseline file: a ledger-record "
-                                     "dump or any BENCH_*/PROFILE_* "
-                                     "JSON (policies ride along)")
+                                help="baseline file: a verb's --json "
+                                     "run record (its gate policies "
+                                     "ride along)")
     regress_parser.add_argument("--current", default=None, metavar="PATH",
                                 help="run to gate (default: the newest "
                                      "ledger record matching the "
@@ -434,19 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="also write the verdict as JSON")
 
     dash_parser = commands.add_parser(
-        "dashboard", help="render the ledger + BENCH_*.json files as a "
-                          "self-contained static HTML page (inline SVG, "
-                          "no external dependencies)")
+        "dashboard", help="render the run ledger as a self-contained "
+                          "static HTML page (inline SVG, no external "
+                          "dependencies)")
     dash_parser.add_argument("--out", default="report.html",
                              help="output HTML path (default "
                                   "report.html)")
     dash_parser.add_argument("--ledger", default=None, metavar="PATH",
                              help=ledger_help)
-    dash_parser.add_argument("--bench", nargs="*", default=None,
-                             metavar="PATH",
-                             help="bench JSON files to render (default: "
-                                  "scan the working directory for "
-                                  "BENCH_*.json / PROFILE_*.json)")
     return parser
 
 
@@ -459,18 +448,31 @@ def _apply_snapshot_flags(args: argparse.Namespace) -> None:
         os.environ["REPRO_SNAPSHOT_DIR"] = args.snapshot_dir
 
 
-def _append_ledger(verb: str, **fields) -> None:
+def _append_ledger(record) -> None:
     """Best-effort run-ledger append: the ledger is observability, so
     an IO failure (read-only checkout, full disk) warns and moves on
     instead of failing the verb that did the real work."""
     try:
-        from repro.metrics import append_record, ledger_enabled, make_record
+        from repro.metrics import append_record
 
-        if not ledger_enabled():
-            return
-        append_record(make_record(verb, **fields))
+        append_record(record)
     except Exception as exc:  # noqa: BLE001 - deliberately broad
         print(f"ledger: append failed ({exc})", file=sys.stderr)
+
+
+def _emit(result, json_out: Optional[str]) -> None:
+    """The tail every measuring verb shares: print the typed result,
+    write its RunRecord to ``--json PATH``, and append the same record
+    (plus that artifact path) to the ledger."""
+    from repro.metrics import write_record
+
+    print(result.format_text())
+    record = result.record()
+    if json_out is not None:
+        write_record(record, json_out)
+        print(f"wrote {json_out}")
+        record.artifacts = [json_out]
+    _append_ledger(record)
 
 
 def _warn_vector_fallback(requested, fallbacks: int,
@@ -539,17 +541,17 @@ def cmd_report(scale: str, out: str, jobs: Optional[int],
     wall_seconds = time.perf_counter() - wall_start
     events = total_events_executed() - events_before
     print(f"wrote {out}")
-    from repro.metrics import metrics_from_experiments
+    from repro.metrics import make_record, metrics_from_experiments
 
     metrics, fingerprint = metrics_from_experiments(results)
-    _append_ledger(
+    _append_ledger(make_record(
         "report", experiment=",".join(EXPERIMENTS), scale=scale,
         metrics=metrics, fingerprint=fingerprint,
         wall_seconds=wall_seconds,
         events_per_second=(events / wall_seconds
                            if events and wall_seconds > 0 else 0.0),
         artifacts=[out],
-    )
+    ))
     if telemetry:
         breakdown = _telemetry_breakdown(scale)
         print()
@@ -636,20 +638,9 @@ def cmd_profile(experiment: str, scale: str, top: int,
 
     report = profile_experiment(experiment, scale=scale, top=top,
                                 backend=backend)
-    print(report.format_text())
-    if json_out is not None:
-        report.write_json(json_out)
-        print(f"wrote {json_out}")
+    _emit(report, json_out)
     _warn_vector_fallback(report.backend, report.scalar_fallbacks,
                           report.fallback_reasons)
-    _append_ledger(
-        "profile", experiment=experiment, scale=scale,
-        preset=report.config_preset, backend=report.backend,
-        metrics=report.key_metrics(),
-        wall_seconds=report.wall_seconds,
-        events_per_second=report.events_per_second,
-        artifacts=[json_out] if json_out else [],
-    )
     return 0
 
 
@@ -663,10 +654,7 @@ def cmd_bench_kernel(args: argparse.Namespace) -> int:
     bench = bench_kernel(scale=args.scale, backends=backends,
                          repeat=args.repeat,
                          shapes=tuple(args.shape) if args.shape else None)
-    print(bench.format_text())
-    if args.json_out is not None:
-        bench.write_json(args.json_out)
-        print(f"wrote {args.json_out}")
+    _emit(bench, args.json_out)
     for shape in bench.shapes:
         for entry in shape.entries:
             if entry.backend == "vector":
@@ -674,21 +662,12 @@ def cmd_bench_kernel(args: argparse.Namespace) -> int:
                     "vector",
                     entry.vector_stats.get("scalar_fallbacks", 0),
                     entry.fallback_reasons)
-    fingerprint = bench.entries[0].state_fingerprint \
-        if bench.entries else ""
-    _append_ledger(
-        "bench-kernel", scale=bench.scale, preset=bench.config_preset,
-        workload=bench.workload,
-        backend=",".join(entry.backend for entry in bench.entries),
-        metrics=bench.key_metrics(), fingerprint=fingerprint,
-        wall_seconds=sum(entry.wall_seconds for entry in bench.entries),
-        events_per_second=(bench.entries[-1].events_per_second
-                           if bench.entries else 0.0),
-        artifacts=[args.json_out] if args.json_out else [],
-    )
-    if bench.bit_identical is False:
-        print("bench-kernel: backends DIVERGED (fingerprints or "
-              "deterministic results differ)", file=sys.stderr)
+    diverged = [cell.shape for cell in bench.shapes
+                if cell.bit_identical is False]
+    if diverged:
+        print(f"bench-kernel: backends DIVERGED on {', '.join(diverged)} "
+              "(fingerprints or deterministic results differ)",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -697,20 +676,15 @@ def cmd_bench_sweep(experiment: str, scale: str,
                     json_out: Optional[str]) -> int:
     from repro.perf import bench_sweep
 
-    bench = bench_sweep(experiment, scale=scale)
-    print(bench.format_text())
-    if json_out is not None:
-        bench.write_json(json_out)
-        print(f"wrote {json_out}")
-    _append_ledger(
-        "bench-sweep", experiment=experiment, scale=scale,
-        preset=bench.config_preset, metrics=bench.key_metrics(),
-        wall_seconds=bench.wall_seconds_snapshots_off
-        + bench.wall_seconds_snapshots_cold
-        + bench.wall_seconds_snapshots_on,
-        artifacts=[json_out] if json_out else [],
-    )
+    _emit(bench_sweep(experiment, scale=scale), json_out)
     return 0
+
+
+def _warn_sweep_fallback(execution) -> None:
+    """The fallback warning for a sweep, from its execution block."""
+    _warn_vector_fallback(execution.get("backend"),
+                          execution.get("scalar_cells", 0),
+                          execution.get("fallback_reasons"))
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -724,22 +698,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed, workload=args.workload,
         jobs=args.jobs, backend=args.backend,
     )
-    print(bench.format_text())
-    if args.json_out is not None:
-        bench.write_json(args.json_out)
-        print(f"wrote {args.json_out}")
-    if bench.execution.get("backend") == "vector":
-        _warn_vector_fallback("vector",
-                              bench.execution.get("scalar_cells", 0),
-                              bench.execution.get("fallback_reasons"))
-    _append_ledger(
-        "chaos", experiment=args.experiment, scale=bench.scale,
-        preset=bench.config_preset, workload=bench.workload,
-        backend=bench.execution.get("backend", ""),
-        seed=args.fault_seed, metrics=bench.key_metrics(),
-        fingerprint=bench.fingerprint(),
-        artifacts=[args.json_out] if args.json_out else [],
-    )
+    _emit(bench, args.json_out)
+    _warn_sweep_fallback(bench.execution)
     return 0
 
 
@@ -769,25 +729,11 @@ def cmd_writes(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"writes: {exc}", file=sys.stderr)
         return 2
-    print(bench.format_text())
-    if args.json_out is not None:
-        bench.write_json(args.json_out)
-        print(f"wrote {args.json_out}")
-    if bench.execution.get("backend") == "vector":
-        _warn_vector_fallback("vector",
-                              bench.execution.get("scalar_cells", 0),
-                              bench.execution.get("fallback_reasons"))
-    _append_ledger(
-        "writes", experiment=args.experiment, scale=bench.scale,
-        preset=bench.config_preset, workload=bench.workload,
-        backend=bench.execution.get("backend", ""),
-        seed=bench.seed, metrics=bench.key_metrics(),
-        fingerprint=bench.fingerprint(),
-        artifacts=[args.json_out] if args.json_out else [],
-    )
+    _emit(bench, args.json_out)
+    _warn_sweep_fallback(bench.execution)
     if not bench.policy_order_ok:
         print("writes: admission-policy WA ordering violated "
-              "(expected write-through >= write-back >= readiness on "
+              "(expected write-through > write-back > readiness on "
               "flash_writes_per_app_write)", file=sys.stderr)
         return 1
     return 0
@@ -805,22 +751,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         refine_evals=args.refine_evals, jobs=args.jobs,
         backend=args.backend,
     )
-    print(bench.format_text())
-    if args.json_out is not None:
-        bench.write_json(args.json_out)
-        print(f"wrote {args.json_out}")
-    if bench.execution.get("backend") == "vector":
-        _warn_vector_fallback("vector",
-                              bench.execution.get("scalar_cells", 0),
-                              bench.execution.get("fallback_reasons"))
-    _append_ledger(
-        "loadgen", experiment=args.experiment, scale=bench.scale,
-        preset=bench.config_preset, workload=bench.workload,
-        backend=bench.execution.get("backend", ""),
-        seed=bench.seed, metrics=bench.key_metrics(),
-        fingerprint=bench.fingerprint(),
-        artifacts=[args.json_out] if args.json_out else [],
-    )
+    _emit(bench, args.json_out)
+    _warn_sweep_fallback(bench.execution)
     return 0
 
 
@@ -880,20 +812,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     _warn_vector_fallback(args.backend, fallbacks, reasons)
     try:
-        from repro.metrics import machine_metrics
+        from repro.metrics import machine_metrics, make_record
         resolved = vector.resolve_backend(args.backend)
         metrics = result.metrics(backend=resolved)
         metrics.merge(machine_metrics(
             runner.machine, preset=args.config,
             workload=args.workload, backend=resolved))
-        _append_ledger(
+        _append_ledger(make_record(
             "simulate", preset=args.config, workload=args.workload,
             backend=resolved, seed=args.seed,
             metrics=metrics.as_dict(),
             fingerprint=runner.machine.state_fingerprint(),
             wall_seconds=result.wall_seconds,
             events_per_second=result.events_per_second,
-        )
+        ))
     except Exception as exc:  # noqa: BLE001 - observability only
         print(f"ledger: append failed ({exc})", file=sys.stderr)
     return 0
@@ -983,8 +915,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
 def cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.metrics import render_dashboard
 
-    out = render_dashboard(args.out, ledger=args.ledger,
-                           bench_paths=args.bench)
+    out = render_dashboard(args.out, ledger=args.ledger)
     print(f"wrote {out}")
     return 0
 

@@ -15,8 +15,8 @@ wear coupling switch on for every faulted point.  The rber = 0 point
 runs with faults *disabled* — the clean baseline the curve hangs off.
 
 Determinism: every cell uses the same simulation seed and one fixed
-``fault_seed``, so two invocations produce identical curves (the
-acceptance bar for ``BENCH_chaos.json``).
+``fault_seed``, so two invocations produce identical curves — and
+identical record fingerprints, which is what CI's rerun gates on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.harness.common import build_config, resolve_scale
-from repro.jsonutil import dumps as json_dumps
 from repro.sim import vector as _vector
 from repro.harness.parallel import (
     ParallelRunError,
@@ -36,20 +35,13 @@ from repro.harness.parallel import (
     run_specs,
 )
 
-#: Bump when the JSON layout of :class:`ChaosBench` changes so CI
-#: consumers of ``BENCH_chaos.json`` can detect incompatible files.
-#: v2: added the ``execution`` backend-accounting block (backend name,
-#: vector/scalar cell counts, per-kind and per-fallback-reason
-#: histograms).
-CHAOS_SCHEMA_VERSION = 2
-
 #: Presets used when an experiment module exposes no ``CONFIGS`` tuple.
 DEFAULT_PRESETS: Tuple[str, ...] = ("astriflash", "flash-sync")
 
 #: Default sweep: clean baseline versus a retry-storm error rate.  The
 #: two points are deliberately far apart so the degradation signal
 #: dwarfs scheduling noise for every preset — the monotone-p99 property
-#: CI asserts.  Dense curves (``--rber-sweep 0,2e-3,4e-3,8e-3``) are
+#: the record gates on.  Dense curves (``--rber-sweep 0,2e-3,4e-3,8e-3``) are
 #: exploratory: around the degradation threshold, marking a plane
 #: failing reroutes its reads to the uncontended mirror, which can
 #: *flatten or heal* the tail between mid and high fault rates.
@@ -87,7 +79,7 @@ class ChaosCell:
 
 @dataclass
 class ChaosBench:
-    """Everything one chaos sweep produced, schema-stamped for CI."""
+    """Everything one chaos sweep produced."""
 
     experiment: str
     scale: str
@@ -99,14 +91,12 @@ class ChaosBench:
     #: True iff every preset's p99 series is non-decreasing across the
     #: rber points (failed cells excluded) — the acceptance property.
     monotonic_p99: bool = True
-    schema_version: int = CHAOS_SCHEMA_VERSION
     config_preset: str = ""  # HarnessScale.name the run resolved to
-    #: Backend accounting (schema v2): which execution backend the
-    #: sweep requested and, per run shape, how many cells the vector
-    #: backend accepted (``vector_kinds``) versus fell back on
-    #: (``fallback_reasons``).  Derived from config facts only, so it
-    #: is deterministic — but it names the backend, so CI byte-diffs
-    #: across backends must exclude this key.
+    #: Backend accounting: which execution backend the sweep requested
+    #: and, per run shape, how many cells the vector backend accepted
+    #: (``vector_kinds``) versus fell back on (``fallback_reasons``).
+    #: Derived from config facts only, so it is deterministic — but it
+    #: names the backend, so the record fingerprint leaves it out.
     execution: dict = field(default_factory=dict)
 
     def curve(self, preset: str) -> List[ChaosCell]:
@@ -145,26 +135,37 @@ class ChaosBench:
                 )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        # repro.jsonutil: non-finite floats serialize as null, never as
-        # the non-standard Infinity/NaN tokens json.dumps would emit.
-        return json_dumps(asdict(self))
+    def record(self):
+        """This sweep as a :class:`~repro.metrics.RunRecord`: monotone
+        p99 and per-cell device failure gate ``exact``, fault counters
+        are ``info``, and the fingerprint pins every simulated figure."""
+        from repro.metrics import (  # deferred: import cost
+            EXACT, INFO, MetricSet, detail_fingerprint, make_record,
+        )
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json() + "\n")
-
-    def key_metrics(self) -> dict:
-        """Registry-namespace projection for the run ledger."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).metrics
-
-    def fingerprint(self) -> str:
-        """Deterministic digest over the cells (ledger identity)."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).fingerprint
+        metrics = MetricSet()
+        metrics.add("chaos/monotonic_p99", float(self.monotonic_p99),
+                    gate=EXACT)
+        for cell in self.cells:
+            labels = {"preset": cell.preset, "rber": format(cell.rber, "g")}
+            metrics.add("chaos/failed", float(cell.failed), gate=EXACT,
+                        **labels)
+            if cell.failed:
+                continue
+            for stat in ("service_p99_ns", "service_mean_ns",
+                         "throughput_jobs_per_s"):
+                metrics.add(f"chaos/{stat}", getattr(cell, stat), **labels)
+            for counter, value in cell.fault_counters.items():
+                metrics.add(f"chaos/{counter.replace('.', '/')}", value,
+                            gate=INFO, **labels)
+        detail = asdict(self)
+        return make_record(
+            "chaos", experiment=self.experiment, scale=self.scale,
+            preset=self.config_preset, workload=self.workload,
+            backend=self.execution.get("backend", ""),
+            seed=self.fault_seed, metrics=metrics.as_dict(),
+            policies=metrics.policies(), detail=detail,
+            fingerprint=detail_fingerprint(detail))
 
 
 def parse_rber_sweep(text: str) -> Tuple[float, ...]:
@@ -318,7 +319,7 @@ def run_chaos(experiment: str = "fig9", scale="quick",
     )
     bench.monotonic_p99 = _check_monotonic(bench)
 
-    # Backend accounting (schema v2): classified from config facts so
+    # Backend accounting: classified from config facts so
     # the block is identical whether cells executed or came from the
     # cache.  Chaos cells are closed-loop; rber > 0 activates a fault
     # plan (per-read outcome draws), which the vector backend refuses.

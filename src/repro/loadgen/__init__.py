@@ -4,8 +4,7 @@ The arrival processes themselves live in
 :mod:`repro.workloads.arrival` (they are workload plumbing); this
 package owns the sweep driver (:func:`run_loadgen`), the
 sustained-QPS-under-SLO knee solver (:func:`solve_knee`) and the
-schema-stamped ``BENCH_loadgen.json`` artifact
-(:class:`LoadgenBench`).
+typed sweep result (:class:`LoadgenBench`).
 """
 
 from repro.loadgen.knee import (
@@ -20,7 +19,6 @@ from repro.loadgen.knee import (
 )
 from repro.loadgen.schema import (
     DEFAULT_BACKLOG_THRESHOLD,
-    LOADGEN_SCHEMA_VERSION,
     KneeEvalPoint,
     LoadgenBench,
     LoadgenCell,
@@ -45,7 +43,6 @@ __all__ = [
     "KneeEvalPoint",
     "KneeEvaluation",
     "KneeSolution",
-    "LOADGEN_SCHEMA_VERSION",
     "LoadgenBench",
     "LoadgenCell",
     "PresetKnee",

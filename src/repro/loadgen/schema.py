@@ -1,25 +1,14 @@
-"""Schema-stamped knee-curve artifacts (``BENCH_loadgen.json``).
+"""Typed knee-curve results of ``repro loadgen``.
 
 Every field is deterministic (simulation-derived, no wall-clock
-values), so two invocations of the same sweep produce bit-identical
-JSON — the CI acceptance bar.  Serialization goes through
-:mod:`repro.jsonutil` so non-finite floats become ``null`` instead of
-leaking non-standard ``Infinity`` tokens.
+values), so two invocations of the same sweep — on either backend —
+produce the same record fingerprint, the CI acceptance bar.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
-
-from repro.jsonutil import dumps
-
-#: Bump when the JSON layout of :class:`LoadgenBench` changes so CI
-#: consumers of ``BENCH_loadgen.json`` can detect incompatible files.
-#: v2: added the ``execution`` backend-accounting block (backend name,
-#: vector/scalar cell counts, per-kind and per-fallback-reason
-#: histograms).
-LOADGEN_SCHEMA_VERSION = 2
 
 #: Default censoring threshold: a cell whose unfinished-job backlog
 #: exceeds this fraction of offered requests cannot certify a p99 from
@@ -84,7 +73,7 @@ class PresetKnee:
 
 @dataclass
 class LoadgenBench:
-    """Everything one loadgen sweep produced, schema-stamped for CI."""
+    """Everything one loadgen sweep produced."""
 
     experiment: str
     scale: str
@@ -101,17 +90,15 @@ class LoadgenBench:
     cells: List[LoadgenCell]
     knees: List[PresetKnee]
     #: True iff every preset's observed p99 series is non-decreasing
-    #: across the swept loads (censored cells excluded) — the CI
-    #: acceptance property.
+    #: across the swept loads (censored cells excluded) — the
+    #: acceptance property the record gates on.
     monotonic_p99: bool = True
-    schema_version: int = LOADGEN_SCHEMA_VERSION
     config_preset: str = ""  # HarnessScale.name the run resolved to
-    #: Backend accounting (schema v2): which execution backend the
-    #: sweep requested and, per run shape, how many cells the vector
-    #: backend accepted (``vector_kinds``) versus fell back on
-    #: (``fallback_reasons``).  Derived from config facts only, so it
-    #: is deterministic — but it names the backend, so CI byte-diffs
-    #: across backends must exclude this key.
+    #: Backend accounting: which execution backend the sweep requested
+    #: and, per run shape, how many cells the vector backend accepted
+    #: (``vector_kinds``) versus fell back on (``fallback_reasons``).
+    #: Derived from config facts only, so it is deterministic — but it
+    #: names the backend, so the record fingerprint leaves it out.
     execution: dict = field(default_factory=dict)
 
     def curve(self, preset: str) -> List[LoadgenCell]:
@@ -177,21 +164,31 @@ class LoadgenBench:
                     )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return dumps(asdict(self))
+    def record(self):
+        """This sweep as a :class:`~repro.metrics.RunRecord`: monotone
+        p99 gates ``exact``, and the fingerprint pins every simulated
+        figure (cells and knees alike)."""
+        from repro.metrics import (  # deferred: import cost
+            EXACT, MetricSet, detail_fingerprint, make_record,
+        )
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json() + "\n")
-
-    def key_metrics(self) -> dict:
-        """Registry-namespace projection for the run ledger."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).metrics
-
-    def fingerprint(self) -> str:
-        """Deterministic digest over the cells (ledger identity)."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).fingerprint
+        metrics = MetricSet()
+        metrics.add("loadgen/monotonic_p99", float(self.monotonic_p99),
+                    gate=EXACT)
+        metrics.add("loadgen/saturation_qps", self.saturation_qps)
+        for knee in self.knees:
+            for stat in ("sustained_qps", "sustained_fraction_of_dram"):
+                metrics.add(f"loadgen/{stat}", getattr(knee, stat),
+                            preset=knee.preset)
+        for cell in self.cells:
+            for stat in ("p99_us", "achieved_qps", "backlog_fraction"):
+                metrics.add(f"loadgen/{stat}", getattr(cell, stat),
+                            preset=cell.preset,
+                            qps=format(cell.offered_qps, "g"))
+        detail = asdict(self)
+        return make_record(
+            "loadgen", experiment=self.experiment, scale=self.scale,
+            preset=self.config_preset, workload=self.workload,
+            backend=self.execution.get("backend", ""), seed=self.seed,
+            metrics=metrics.as_dict(), policies=metrics.policies(),
+            detail=detail, fingerprint=detail_fingerprint(detail))

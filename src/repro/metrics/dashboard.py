@@ -1,13 +1,14 @@
-"""``repro dashboard``: the ledger + bench artifacts as one HTML page.
+"""``repro dashboard``: the run ledger as one HTML page.
 
-Dependency-free on both ends: the input is the run ledger plus any
-``BENCH_*.json`` / ``PROFILE_*.json`` files on disk, the output is a
-single self-contained HTML document — inline CSS, inline SVG charts,
-no scripts, no external fetches — that renders the kernel-throughput
-trajectory, chaos degradation curves, loadgen knee curves, and the
-latest tail-latency attribution.  Every section degrades gracefully:
-an empty ledger or a missing bench file renders a placeholder note,
-never an error (the dashboard must work on a fresh clone).
+Dependency-free on both ends: the input is the run ledger alone, the
+output is a single self-contained HTML document — inline CSS, inline
+SVG charts, no scripts, no external fetches — that renders the
+kernel-throughput trajectory, the newest record's ``detail`` of each
+measuring verb (kernel bench, sweep bench, chaos degradation curves,
+loadgen knee curves, profile hotspots), and the latest tail-latency
+attribution.  Every section degrades gracefully: an empty ledger or a
+verb that never ran renders a placeholder or nothing, never an error
+(the dashboard must work on a fresh clone).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.jsonutil import loads as json_loads
 from repro.metrics.ledger import RunRecord, read_ledger
 from repro.metrics.registry import parse_key
 
@@ -164,48 +164,6 @@ def _section(title: str, body: str, note: str = "") -> str:
             "</section>")
 
 
-# --------------------------------------------------------- input loading --
-
-
-def discover_bench_files(directory: os.PathLike = ".") -> List[Path]:
-    """``BENCH_*.json`` and ``PROFILE_*.json`` files, sorted by name."""
-    root = Path(directory)
-    if not root.is_dir():
-        return []
-    return sorted(
-        list(root.glob("BENCH_*.json")) + list(root.glob("PROFILE_*.json"))
-    )
-
-
-def load_bench_payloads(paths: Sequence[os.PathLike],
-                        ) -> List[Tuple[str, dict]]:
-    """Readable JSON objects from ``paths`` (unreadable files skipped)."""
-    payloads: List[Tuple[str, dict]] = []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json_loads(handle.read())
-        except (OSError, ValueError):
-            continue
-        if isinstance(payload, dict):
-            payloads.append((os.path.basename(str(path)), payload))
-    return payloads
-
-
-def _classify_payload(payload: Mapping) -> str:
-    if "ops_per_job" in payload and "entries" in payload:
-        return "kernel"
-    if "rber_points" in payload:
-        return "chaos"
-    if "knees" in payload:
-        return "loadgen"
-    if "wall_seconds_snapshots_off" in payload:
-        return "sweep"
-    if "hotspots" in payload:
-        return "profile"
-    return "unknown"
-
-
 # ------------------------------------------------------- panel builders --
 
 
@@ -232,81 +190,87 @@ def _ledger_panel(records: Sequence[RunRecord]) -> str:
 
 
 def _kernel_trajectory_panel(records: Sequence[RunRecord]) -> str:
-    """Per-backend kernel events/s sparkline across ledger history."""
-    kernel_records = [r for r in records if r.verb == "bench-kernel"]
-    series: Dict[str, List[float]] = {}
-    for record in kernel_records:
+    """Per-(shape, backend) kernel events/s across ledger history."""
+    series: Dict[Tuple[str, str], List[float]] = {}
+    for record in records:
+        if record.verb != "bench-kernel":
+            continue
         for key, value in record.metrics.items():
             name, labels = parse_key(key)
             if name == "kernel/events_per_second":
-                backend = labels.get("backend", "?")
-                series.setdefault(backend, []).append(value)
+                group = (labels.get("shape", "?"), labels.get("backend", "?"))
+                series.setdefault(group, []).append(value)
     if not series:
         return _section("Kernel throughput trajectory",
                         "<p class='muted'>no bench-kernel ledger records "
                         "yet</p>")
     rows = []
-    for index, (backend, values) in enumerate(sorted(series.items())):
-        rows.append(f"<div class='spark'><b>{_esc(backend)}</b> "
+    for index, ((shape, backend), values) in enumerate(
+            sorted(series.items())):
+        rows.append(f"<div class='spark'><b>{_esc(shape)} / "
+                    f"{_esc(backend)}</b> "
                     f"{svg_sparkline(values, color=_color(index))} "
                     f"<span class='muted'>latest "
                     f"{_fmt(values[-1], ',.0f')} events/s over "
                     f"{len(values)} runs</span></div>")
     return _section("Kernel throughput trajectory", "".join(rows),
-                    note="events/s per backend across ledger history "
-                         "(wall-clock: trend, not a gate)")
+                    note="events/s per shape and backend across ledger "
+                         "history (wall-clock: trend, not a gate)")
 
 
-def _kernel_panel(payload: Mapping) -> str:
+def _kernel_panel(detail: Mapping) -> str:
     rows = []
-    for entry in payload.get("entries", ()):
-        stats = entry.get("vector_stats") or {}
-        reasons = entry.get("fallback_reasons") or {}
-        reason_text = "; ".join(f"{k} x{v}" for k, v in sorted(
-            reasons.items())) or "-"
-        rows.append((entry.get("backend", "?"),
-                     _fmt(entry.get("wall_seconds"), ".4f"),
-                     _fmt(entry.get("events_executed"), ",.0f"),
-                     _fmt(entry.get("events_per_second"), ",.0f"),
-                     _fmt(float(stats["scalar_fallbacks"])
-                          if "scalar_fallbacks" in stats else None, ".0f"),
-                     reason_text,
-                     (entry.get("state_fingerprint") or "")[:10]))
-    verdict = payload.get("bit_identical")
-    badge = ("<span class='ok'>bit-identical</span>" if verdict
-             else "<span class='bad'>DIVERGED</span>"
-             if verdict is False else "")
-    speedup = payload.get("speedup")
-    speed_text = (f" &middot; speedup {_esc(_fmt(speedup, '.2f'))}x "
-                  "(vector/scalar)" if speedup is not None else "")
-    body = _table(("backend", "wall s", "events", "events/s",
+    verdicts = []
+    for cell in detail.get("shapes", ()):
+        shape = cell.get("shape", "?")
+        for entry in cell.get("entries", ()):
+            stats = entry.get("vector_stats") or {}
+            reasons = entry.get("fallback_reasons") or {}
+            reason_text = "; ".join(f"{k} x{v}" for k, v in sorted(
+                reasons.items())) or "-"
+            rows.append((shape, entry.get("backend", "?"),
+                         _fmt(entry.get("wall_seconds"), ".4f"),
+                         _fmt(entry.get("events_executed"), ",.0f"),
+                         _fmt(entry.get("events_per_second"), ",.0f"),
+                         _fmt(stats.get("scalar_fallbacks")),
+                         reason_text,
+                         (entry.get("state_fingerprint") or "")[:10]))
+        verdict = cell.get("bit_identical")
+        badge = ("<span class='ok'>bit-identical</span>" if verdict
+                 else "<span class='bad'>DIVERGED</span>"
+                 if verdict is False else "")
+        speedup = cell.get("speedup")
+        speed_text = (f" &middot; speedup {_esc(_fmt(speedup, '.2f'))}x "
+                      "(vector/scalar)" if speedup is not None else "")
+        verdicts.append(f"<p><b>{_esc(shape)}</b> {badge}{speed_text}</p>")
+    body = _table(("shape", "backend", "wall s", "events", "events/s",
                    "fallbacks", "fallback reasons", "fingerprint"),
-                  rows) + f"<p>{badge}{speed_text}</p>"
+                  rows) + "".join(verdicts)
     return _section(
         "Kernel bench (scalar vs vector)", body,
-        note=f"workload={payload.get('workload', '?')} "
-             f"scale={payload.get('scale', '?')} "
-             f"ops_per_job={payload.get('ops_per_job', '?')}")
+        note=f"workload={detail.get('workload', '?')} "
+             f"scale={detail.get('scale', '?')} "
+             f"ops_per_job={detail.get('ops_per_job', '?')}")
 
 
-def _sweep_panel(payload: Mapping) -> str:
+def _sweep_panel(detail: Mapping) -> str:
     rows = [("snapshots off",
-             _fmt(payload.get("wall_seconds_snapshots_off"), ".3f")),
+             _fmt(detail.get("wall_seconds_snapshots_off"), ".3f")),
             ("snapshots cold",
-             _fmt(payload.get("wall_seconds_snapshots_cold"), ".3f")),
+             _fmt(detail.get("wall_seconds_snapshots_cold"), ".3f")),
             ("snapshots on",
-             _fmt(payload.get("wall_seconds_snapshots_on"), ".3f")),
+             _fmt(detail.get("wall_seconds_snapshots_on"), ".3f")),
             ("speedup (off/on)",
-             _fmt(payload.get("speedup"), ".2f") + "x")]
+             _fmt(detail.get("speedup"), ".2f") + "x")]
     return _section("Sweep bench (snapshot amortization)",
                     _table(("timing", "value"), rows),
-                    note=f"experiment={payload.get('experiment', '?')} "
-                         f"scale={payload.get('scale', '?')}")
+                    note=f"experiment={detail.get('experiment', '?')} "
+                         f"scale={detail.get('scale', '?')}")
 
 
-def _chaos_panel(payload: Mapping) -> str:
+def _chaos_panel(detail: Mapping) -> str:
     series: Dict[str, List[Point]] = {}
-    for cell in payload.get("cells", ()):
+    for cell in detail.get("cells", ()):
         if cell.get("failed") or cell.get("service_p99_ns") is None:
             continue
         series.setdefault(cell.get("preset", "?"), []).append(
@@ -315,7 +279,7 @@ def _chaos_panel(payload: Mapping) -> str:
     chart = svg_chart(series, x_label="injected RBER",
                       y_label="service p99 (us)")
     failed = [(cell.get("preset", "?"), format(cell.get("rber", 0.0), "g"))
-              for cell in payload.get("cells", ()) if cell.get("failed")]
+              for cell in detail.get("cells", ()) if cell.get("failed")]
     failed_note = ""
     if failed:
         items = ", ".join(f"{preset}@rber={rber}"
@@ -324,15 +288,15 @@ def _chaos_panel(payload: Mapping) -> str:
                        f"{_esc(items)}</p>")
     return _section(
         "Chaos degradation curves", chart + failed_note,
-        note=f"workload={payload.get('workload', '?')} "
-             f"fault_seed={payload.get('fault_seed', '?')} "
+        note=f"workload={detail.get('workload', '?')} "
+             f"fault_seed={detail.get('fault_seed', '?')} "
              f"monotonic_p99="
-             f"{bool(payload.get('monotonic_p99'))}")
+             f"{bool(detail.get('monotonic_p99'))}")
 
 
-def _loadgen_panel(payload: Mapping) -> str:
+def _loadgen_panel(detail: Mapping) -> str:
     series: Dict[str, List[Point]] = {}
-    for cell in payload.get("cells", ()):
+    for cell in detail.get("cells", ()):
         p99 = cell.get("p99_us")
         if p99 is None:
             p99 = cell.get("p99_lower_bound_us")
@@ -348,43 +312,38 @@ def _loadgen_panel(payload: Mapping) -> str:
          (_fmt(knee["sustained_fraction_of_dram"], ".1%")
           if knee.get("sustained_fraction_of_dram") is not None else "-"),
          knee.get("status", "-"))
-        for knee in payload.get("knees", ())
+        for knee in detail.get("knees", ())
     ]
     knees = _table(("preset", "sustained QPS under SLO",
                     "fraction of DRAM saturation", "status"), knee_rows)
     return _section(
         "Loadgen knee curves", chart + knees,
-        note=f"SLO p99 <= {_fmt(payload.get('slo_us'), ',.1f')} us; "
+        note=f"SLO p99 <= {_fmt(detail.get('slo_us'), ',.1f')} us; "
              "censored cells plot their censoring-corrected lower "
              "bound")
 
 
-def _profile_panel(payloads: Sequence[Tuple[str, Mapping]]) -> str:
-    parts = []
-    for source, payload in payloads:
-        rows = [(spot.get("function", "?"),
-                 _fmt(spot.get("calls"), ",.0f"),
-                 _fmt(spot.get("total_s"), ".3f"),
-                 _fmt(spot.get("cumulative_s"), ".3f"))
-                for spot in (payload.get("hotspots") or ())[:10]]
-        fallbacks = payload.get("scalar_fallbacks")
-        fallback_note = ""
-        if fallbacks:
-            reasons = "; ".join(
-                f"{k} x{v}" for k, v in sorted(
-                    (payload.get("fallback_reasons") or {}).items()))
-            fallback_note = (f"<p class='bad'>scalar fallbacks: "
-                             f"{_esc(_fmt(float(fallbacks), '.0f'))}"
-                             f" ({_esc(reasons)})</p>")
-        parts.append(
-            f"<h3>{_esc(source)} &mdash; "
-            f"{_esc(payload.get('experiment', '?'))} on "
-            f"{_esc(payload.get('backend', '?'))}, "
-            f"{_esc(_fmt(payload.get('events_per_second'), ',.0f'))} "
-            "events/s</h3>" + fallback_note
-            + _table(("function", "calls", "tottime s", "cumtime s"),
-                     rows))
-    return _section("Profile hotspots", "".join(parts))
+def _profile_panel(detail: Mapping) -> str:
+    rows = [(spot.get("function", "?"),
+             _fmt(spot.get("calls"), ",.0f"),
+             _fmt(spot.get("total_s"), ".3f"),
+             _fmt(spot.get("cumulative_s"), ".3f"))
+            for spot in (detail.get("hotspots") or ())[:10]]
+    fallback_note = ""
+    if detail.get("scalar_fallbacks"):
+        reasons = "; ".join(
+            f"{k} x{v}" for k, v in sorted(
+                (detail.get("fallback_reasons") or {}).items()))
+        fallback_note = (f"<p class='bad'>scalar fallbacks: "
+                         f"{_esc(detail['scalar_fallbacks'])}"
+                         f" ({_esc(reasons)})</p>")
+    return _section(
+        "Profile hotspots",
+        f"<h3>{_esc(detail.get('experiment', '?'))} on "
+        f"{_esc(detail.get('backend', '?'))}, "
+        f"{_esc(_fmt(detail.get('events_per_second'), ',.0f'))} "
+        "events/s</h3>" + fallback_note
+        + _table(("function", "calls", "tottime s", "cumtime s"), rows))
 
 
 def _tail_panel(records: Sequence[RunRecord]) -> str:
@@ -430,30 +389,26 @@ section { page-break-inside: avoid; }
 """
 
 
-def build_dashboard(records: Sequence[RunRecord],
-                    payloads: Sequence[Tuple[str, dict]] = ()) -> str:
-    """Assemble the full HTML document from ledger + bench payloads."""
-    grouped: Dict[str, List[Tuple[str, dict]]] = {}
-    for source, payload in payloads:
-        grouped.setdefault(_classify_payload(payload), []).append(
-            (source, payload))
+#: Measuring verb -> the panel that renders its newest record's detail.
+_DETAIL_PANELS = (
+    ("bench-kernel", _kernel_panel),
+    ("bench-sweep", _sweep_panel),
+    ("chaos", _chaos_panel),
+    ("loadgen", _loadgen_panel),
+    ("profile", _profile_panel),
+)
 
+
+def build_dashboard(records: Sequence[RunRecord]) -> str:
+    """Assemble the full HTML document from the ledger records."""
     sections = [_ledger_panel(records),
                 _kernel_trajectory_panel(records)]
-    if grouped.get("kernel"):
-        sections.append(_kernel_panel(grouped["kernel"][-1][1]))
-    if grouped.get("sweep"):
-        sections.append(_sweep_panel(grouped["sweep"][-1][1]))
-    if grouped.get("chaos"):
-        sections.append(_chaos_panel(grouped["chaos"][-1][1]))
-    if grouped.get("loadgen"):
-        sections.append(_loadgen_panel(grouped["loadgen"][-1][1]))
-    if grouped.get("profile"):
-        sections.append(_profile_panel(grouped["profile"]))
+    for verb, panel in _DETAIL_PANELS:
+        newest = [record for record in records
+                  if record.verb == verb and record.detail]
+        if newest:
+            sections.append(panel(newest[-1].detail))
     sections.append(_tail_panel(records))
-
-    source_list = ", ".join(sorted(source for source, _ in payloads)) \
-        or "none"
     return (
         "<!doctype html>\n<html lang='en'><head>"
         "<meta charset='utf-8'>"
@@ -463,24 +418,19 @@ def build_dashboard(records: Sequence[RunRecord],
         f"<style>{_CSS}</style></head><body>"
         "<h1>AstriFlash repro &mdash; run ledger &amp; regression "
         "observatory</h1>"
-        f"<p class='muted'>{len(records)} ledger records &middot; "
-        f"bench files: {_esc(source_list)}</p>"
+        f"<p class='muted'>{len(records)} ledger records</p>"
         + "".join(sections)
         + "</body></html>\n"
     )
 
 
 def render_dashboard(out: os.PathLike,
-                     ledger: Optional[os.PathLike] = None,
-                     bench_paths: Optional[Sequence[os.PathLike]] = None,
-                     scan_dir: os.PathLike = ".") -> Path:
-    """Read inputs, build, and write the dashboard; returns the path."""
-    records = read_ledger(ledger)
-    paths = list(bench_paths) if bench_paths is not None \
-        else discover_bench_files(scan_dir)
-    document = build_dashboard(records, load_bench_payloads(paths))
+                     ledger: Optional[os.PathLike] = None) -> Path:
+    """Read the ledger, build, and write the dashboard; returns the
+    path."""
     target = Path(out)
     if target.parent and not target.parent.is_dir():
         raise ReproError(f"output directory {target.parent} does not exist")
-    target.write_text(document, encoding="utf-8")
+    target.write_text(build_dashboard(read_ledger(ledger)),
+                      encoding="utf-8")
     return target

@@ -13,22 +13,22 @@ classifies every delta:
 * ``added`` / ``removed`` — the metric exists on one side only.
 
 ``repro regress --baseline FILE`` runs the same engine against a
-*committed* baseline (a ledger record dump or any recognized
-``BENCH_*`` payload) and collapses the verdicts into a pass/fail exit
-code — the one place CI's speedup floor and bit-identity gate live.
-Baselines carry per-metric policies (``exact``/``floor``/``relative``/
-``info``, see :mod:`repro.metrics.registry`); metrics without one fall
-back to the direction heuristics below.
+*committed* baseline (a verb's ``--json`` record) and collapses the
+verdicts into a pass/fail exit code — the one place CI's gates live.
+Every comparison uses the baseline record's per-metric policies
+(``exact``/``floor``/``relative``/``info``, see
+:mod:`repro.metrics.registry`); metrics without one fall back to the
+direction heuristics below.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ReproError
-from repro.metrics.ledger import RunRecord, read_ledger
+from repro.metrics.ledger import RunRecord, read_ledger, record_from_file
 from repro.metrics.registry import parse_key
 
 #: Default relative-change threshold for diff verdicts.
@@ -117,8 +117,9 @@ def classify_delta(key: str, baseline: Optional[float],
             else "regression"
         return delta
     if mode == "floor":
-        delta.verdict = "regression" if current < baseline else (
-            "within-noise" if current == baseline else "improvement")
+        bound = float(policy.get("min", baseline))
+        delta.verdict = "regression" if current < bound else (
+            "improvement" if current > baseline else "within-noise")
         return delta
     relative = delta.relative
     moved = (relative is not None and abs(relative) > threshold) \
@@ -211,15 +212,14 @@ class DiffReport:
 
 
 def diff_records(baseline: RunRecord, current: RunRecord,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 policies: Optional[Mapping[str, Mapping]] = None,
-                 ) -> DiffReport:
+                 threshold: float = DEFAULT_THRESHOLD) -> DiffReport:
+    """Every metric's verdict under the *baseline's* policies."""
     report = DiffReport(
         baseline_label=baseline.label(),
         current_label=current.label(),
         threshold=threshold,
         deltas=diff_metric_dicts(baseline.metrics, current.metrics,
-                                 threshold, policies),
+                                 threshold, baseline.policies),
     )
     if baseline.fingerprint and current.fingerprint:
         report.fingerprint_match = \
@@ -252,43 +252,22 @@ class RegressReport:
         return "\n".join(lines)
 
 
-def _baseline_policies(path: os.PathLike) -> Dict[str, Dict[str, object]]:
-    """Per-metric policies for a baseline file: explicit policies from
-    a record dump's ``policies`` key, else the bench adapter's."""
-    from repro.jsonutil import loads as json_loads
-    from repro.metrics.registry import bench_view
-
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json_loads(handle.read())
-    if not isinstance(payload, dict):
-        return {}
-    if "verb" in payload and "metrics" in payload:
-        policies = payload.get("policies")
-        return dict(policies) if isinstance(policies, dict) else {}
-    try:
-        return bench_view(payload).policies
-    except ReproError:
-        return {}
-
-
 def run_regress(baseline_path: os.PathLike,
                 current_path: Optional[os.PathLike] = None,
                 ledger: Optional[os.PathLike] = None,
                 threshold: float = DEFAULT_THRESHOLD) -> RegressReport:
     """The ``repro regress`` engine.
 
-    ``current_path`` names a bench JSON / record dump to gate; without
-    it the newest ledger record whose verb matches the baseline's is
-    gated (so CI can bench, append, and regress in three commands).
-    Raises :class:`ReproError` when either side cannot be resolved —
-    the CLI maps that to exit code 2, distinct from a failing gate (1).
+    ``current_path`` names a record file to gate; without it the
+    newest ledger record whose verb matches the baseline's is gated
+    (so CI can bench, append, and regress in three commands).  Raises
+    :class:`ReproError` when either side cannot be resolved or is not
+    a record — the CLI maps that to exit code 2, distinct from a
+    failing gate (1).
     """
-    from repro.metrics.ledger import record_from_file
-
     if not os.path.isfile(baseline_path):
         raise ReproError(f"baseline {baseline_path} does not exist")
     baseline = record_from_file(baseline_path)
-    policies = _baseline_policies(baseline_path)
 
     if current_path is not None:
         if not os.path.isfile(current_path):
@@ -305,8 +284,7 @@ def run_regress(baseline_path: os.PathLike,
             )
         current = candidates[-1]
 
-    diff = diff_records(baseline, current, threshold=threshold,
-                        policies=policies)
+    diff = diff_records(baseline, current, threshold=threshold)
     reason = ""
     passed = not diff.regressions
     if diff.fingerprint_match is False:

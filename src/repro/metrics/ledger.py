@@ -1,12 +1,14 @@
-"""The run ledger: one JSONL line per CLI invocation.
+"""Run records and the run ledger: one JSONL line per CLI invocation.
 
-Every measuring verb (``report``, ``profile``, ``bench-kernel``,
-``bench-sweep``, ``chaos``, ``loadgen``, ``simulate``) appends a
-schema-stamped :class:`RunRecord` to ``.repro_runs/ledger.jsonl`` —
-the persistent perf trajectory that ``repro history``/``diff``/
-``regress``/``dashboard`` read.  The ledger is observability, not a
-result store: appends are best-effort (IO failures warn, never fail
-the verb) and can be disabled wholesale with ``REPRO_LEDGER=0``.
+:class:`RunRecord` is the one artifact schema.  Every measuring verb
+(``report``, ``profile``, ``bench-kernel``, ``bench-sweep``, ``chaos``,
+``writes``, ``loadgen``, ``simulate``) appends one to
+``.repro_runs/ledger.jsonl`` — the persistent perf trajectory that
+``repro history``/``diff``/``regress``/``dashboard`` read — and
+``--json PATH`` writes the same record to a file (committed baselines
+are such files).  The ledger is observability, not a result store:
+appends are best-effort (IO failures warn, never fail the verb) and
+can be disabled wholesale with ``REPRO_LEDGER=0``.
 
 Determinism contract: a record's identity (``record_id``) is the
 digest of its *normalized* payload — every field except the
@@ -20,18 +22,20 @@ round-trip determinism.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.jsonutil import dumps as json_dumps, loads as json_loads
 
 #: Bump when the JSONL layout of :class:`RunRecord` changes so ledger
-#: consumers can detect incompatible lines.
-LEDGER_SCHEMA_VERSION = 1
+#: consumers can detect incompatible lines.  v2 added ``policies`` and
+#: ``detail``; older lines still load with both empty.
+LEDGER_SCHEMA_VERSION = 2
 
 #: Wall-clock / host-dependent record fields, excluded from the
 #: normalized payload (and so from ``record_id`` and ``repro diff``'s
@@ -65,7 +69,8 @@ def ledger_path(path: Optional[os.PathLike] = None) -> Path:
 
 @dataclass
 class RunRecord:
-    """One ledger line: what ran, on what source, and what it measured."""
+    """One run: what ran, on what source, what it measured, how each
+    metric gates, and the verb's full typed result."""
 
     verb: str
     experiment: str = ""
@@ -76,9 +81,14 @@ class RunRecord:
     seed: int = 0
     source_digest: str = ""
     fingerprint: str = ""
-    #: Rendered registry keys (see repro.metrics.registry) -> values;
-    #: deterministic by construction — wall figures live below instead.
+    #: Rendered registry keys (see repro.metrics.registry) -> values.
     metrics: Dict[str, float] = field(default_factory=dict)
+    #: Key -> gate policy (registry.POLICY_MODES) for the metrics that
+    #: carry one; ``repro regress`` gates with the baseline's.
+    policies: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    #: The verb's typed result as a dict (cells, curves, hotspots):
+    #: what the dashboard panels render.
+    detail: Dict[str, object] = field(default_factory=dict)
     wall_seconds: float = 0.0
     events_per_second: float = 0.0
     timestamp: str = ""
@@ -122,6 +132,8 @@ class RunRecord:
 def make_record(verb: str, *, experiment: str = "", preset: str = "",
                 workload: str = "", backend: str = "", scale: str = "",
                 seed: int = 0, metrics: Optional[Dict[str, float]] = None,
+                policies: Optional[Mapping[str, Dict[str, object]]] = None,
+                detail: Optional[Dict[str, object]] = None,
                 fingerprint: str = "", wall_seconds: float = 0.0,
                 events_per_second: float = 0.0,
                 artifacts: Sequence[str] = ()) -> RunRecord:
@@ -139,6 +151,8 @@ def make_record(verb: str, *, experiment: str = "", preset: str = "",
         source_digest=source_digest(),
         fingerprint=fingerprint,
         metrics=dict(metrics or {}),
+        policies=dict(policies or {}),
+        detail=dict(detail or {}),
         wall_seconds=float(wall_seconds),
         events_per_second=float(events_per_second),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -160,16 +174,25 @@ def append_record(record: RunRecord,
     return target
 
 
+def write_record(record: RunRecord, path: os.PathLike) -> None:
+    """``--json PATH``: the record as one indented JSON document."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json_dumps(record.to_dict()) + "\n")
+
+
 def read_ledger(path: Optional[os.PathLike] = None) -> List[RunRecord]:
     """Every parseable record, oldest first; a missing ledger is empty.
 
-    Malformed lines (a crashed append, hand edits) are skipped rather
-    than poisoning every history/diff invocation after them.
+    Malformed lines (a truncated append, hand edits) are skipped rather
+    than poisoning every history/diff invocation after them — but never
+    silently: a skipped newest line means ``regress`` gates an older
+    record, so the count goes to stderr.
     """
     target = ledger_path(path)
     if not target.is_file():
         return []
     records: List[RunRecord] = []
+    skipped = 0
     with open(target, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -178,9 +201,14 @@ def read_ledger(path: Optional[os.PathLike] = None) -> List[RunRecord]:
             try:
                 payload = json_loads(line)
             except ValueError:
-                continue
+                payload = None
             if isinstance(payload, dict) and payload.get("verb"):
                 records.append(RunRecord.from_dict(payload))
+            else:
+                skipped += 1
+    if skipped:
+        print(f"ledger: skipped {skipped} malformed line(s) in {target}",
+              file=sys.stderr)
     return records
 
 
@@ -206,9 +234,7 @@ def select_record(records: Sequence[RunRecord], selector: str) -> RunRecord:
     """Resolve a ``repro diff`` selector against the ledger.
 
     Accepts a ledger index (``0`` oldest, ``-1`` newest), a
-    ``record_id`` prefix, or a path to a JSON file holding either a
-    :class:`RunRecord` dump or any recognized bench payload (which is
-    projected through :func:`repro.metrics.registry.bench_view`).
+    ``record_id`` prefix, or a path to a :class:`RunRecord` JSON file.
     """
     try:
         index = int(selector)
@@ -240,20 +266,15 @@ def select_record(records: Sequence[RunRecord], selector: str) -> RunRecord:
 
 
 def record_from_file(path: os.PathLike) -> RunRecord:
-    """A RunRecord from a JSON file: either a ledger-record dump or a
-    bench payload adapted through the registry."""
-    from repro.metrics.registry import bench_view
-
+    """The :class:`RunRecord` a verb's ``--json`` wrote to ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json_loads(handle.read())
-    if not isinstance(payload, dict):
-        raise ReproError(f"{path}: expected a JSON object")
-    if "verb" in payload and "metrics" in payload:
-        return RunRecord.from_dict(payload)
-    view = bench_view(payload)
-    record = RunRecord(verb=view.verb, metrics=view.metrics,
-                       fingerprint=view.fingerprint,
-                       scale=str(payload.get("scale", "")),
-                       experiment=str(payload.get("experiment", "")))
-    record.record_id = record.compute_id()
-    return record
+        try:
+            payload = json_loads(handle.read())
+        except ValueError as exc:
+            raise ReproError(f"{path}: not valid JSON ({exc})") from None
+    if not (isinstance(payload, dict) and payload.get("verb")
+            and isinstance(payload.get("metrics"), dict)):
+        raise ReproError(
+            f"{path}: not a run record (expected the --json output of "
+            "a measuring verb)")
+    return RunRecord.from_dict(payload)

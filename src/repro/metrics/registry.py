@@ -4,7 +4,7 @@ The simulator's observability surface grew organically — counters in
 :class:`repro.stats.CounterSet` bags, latency percentiles as
 ``SimulationResult`` fields, process-wide vector-backend telemetry in
 ``repro.sim.vector.stats()``, GC/wear figures living on the machine,
-and five disjoint ``BENCH_*`` JSON schemas.  This module folds all of
+and the measuring verbs' typed results.  This module folds all of
 them into a single flat namespace:
 
     ``subsystem/name{label=value,...}`` -> float
@@ -17,11 +17,10 @@ what the run ledger stores and ``repro diff``/``repro regress``
 compare — plain ``Dict[str, float]`` on the wire, structured
 :class:`Metric` objects in memory.
 
-:func:`bench_view` is the adapter layer: it recognizes any of the
-repo's schema-stamped bench payloads (kernel, sweep, chaos, loadgen,
-writes, profile) and projects it onto the namespace, together with per-metric
-*comparison policies* (exact, floor, relative, informational) that
-drive the regression verdicts in :mod:`repro.metrics.diff`.
+A sample may carry a *gate policy* (:data:`POLICY_MODES`) that drives
+its regression verdict in :mod:`repro.metrics.diff`; each measuring
+verb's ``record()`` attaches them, and they travel in the
+:class:`~repro.metrics.ledger.RunRecord` next to the metrics.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.jsonutil import dumps as json_dumps
 
 #: The canonical label dimensions (sweep adapters may add axis labels
@@ -66,6 +64,17 @@ def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
     return name, labels
 
 
+#: Gate-policy modes understood by repro.metrics.diff: ``exact`` (any
+#: change is a regression), ``floor`` (a value below the policy's
+#: ``min`` — or the baseline's value, without one — is a regression),
+#: ``relative`` (directional, thresholded; also the default for a key
+#: without a policy) and ``info`` (recorded, never gated).
+POLICY_MODES = ("exact", "floor", "relative", "info")
+
+EXACT: Mapping[str, object] = {"mode": "exact"}
+INFO: Mapping[str, object] = {"mode": "info"}
+
+
 @dataclass(frozen=True)
 class Metric:
     """One named, labeled sample of the registry namespace."""
@@ -93,15 +102,20 @@ class MetricSet:
 
     ``add`` keeps the *last* value written for a key (collection order
     is deterministic, so re-adding is an explicit overwrite, matching
-    counter-restore semantics elsewhere in the repo).
+    counter-restore semantics elsewhere in the repo).  Its ``gate``
+    keyword attaches a gate policy to the key (``policy`` is taken: it
+    is a label on ``writes/*`` metrics).
     """
 
     def __init__(self, metrics: Iterable[Metric] = ()) -> None:
         self._metrics: Dict[str, Metric] = {}
+        self._policies: Dict[str, Dict[str, object]] = {}
         for metric in metrics:
             self._metrics[metric.key()] = metric
 
-    def add(self, name: str, value: float, **labels: str) -> None:
+    def add(self, name: str, value: float,
+            gate: Optional[Mapping[str, object]] = None,
+            **labels: str) -> None:
         if value is None:
             return  # absent samples stay absent (e.g. censored p99)
         value = float(value)
@@ -113,11 +127,15 @@ class MetricSet:
                  if val not in (None, "")}
         metric = Metric(name=name, value=value,
                         labels=tuple(sorted(clean.items())))
-        self._metrics[metric.key()] = metric
+        key = metric.key()
+        self._metrics[key] = metric
+        if gate is not None:
+            self._policies[key] = dict(gate)
 
     def merge(self, other: "MetricSet") -> None:
         for metric in other:
             self._metrics[metric.key()] = metric
+        self._policies.update(other.policies())
 
     def get(self, key: str) -> Optional[float]:
         metric = self._metrics.get(key)
@@ -125,11 +143,18 @@ class MetricSet:
 
     def filter(self, prefix: str) -> "MetricSet":
         """Metrics whose name starts with ``prefix`` (e.g. "flash/")."""
-        return MetricSet(m for m in self if m.name.startswith(prefix))
+        kept = MetricSet(m for m in self if m.name.startswith(prefix))
+        kept._policies = {key: policy for key, policy
+                          in self._policies.items() if key in kept}
+        return kept
 
     def as_dict(self) -> Dict[str, float]:
         """The wire form: rendered key -> value, insertion-ordered."""
         return {key: metric.value for key, metric in self._metrics.items()}
+
+    def policies(self) -> Dict[str, Dict[str, object]]:
+        """Rendered key -> gate policy, for the keys that carry one."""
+        return {key: dict(policy) for key, policy in self._policies.items()}
 
     def __iter__(self) -> Iterator[Metric]:
         return iter(self._metrics.values())
@@ -261,227 +286,20 @@ def metrics_from_experiments(results) -> Tuple[Dict[str, float], str]:
             if values:
                 metrics.add(f"report/{result.experiment}/{column}",
                             sum(values) / len(values))
-    fingerprint = hashlib.sha256(
-        json_dumps(canonical, indent=None).encode()
-    ).hexdigest()[:16]
-    return metrics.as_dict(), fingerprint
+    return metrics.as_dict(), payload_digest(canonical)
 
 
-# ------------------------------------------------------ bench adapters --
-
-#: Comparison-policy modes understood by repro.metrics.diff:
-#: ``exact`` (any change is a regression), ``floor`` (current must not
-#: drop below baseline), ``relative`` (directional, thresholded) and
-#: ``info`` (recorded, never gated — wall-clock-ish figures).
-POLICY_MODES = ("exact", "floor", "relative", "info")
-
-
-@dataclass
-class BenchView:
-    """A bench payload projected onto the metrics namespace."""
-
-    verb: str
-    metrics: Dict[str, float] = field(default_factory=dict)
-    policies: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    fingerprint: str = ""
-
-
-def _cells_fingerprint(payload: Mapping, key: str = "cells") -> str:
+def payload_digest(payload: object) -> str:
+    """16-hex sha256 of a JSON-able payload's compact JSON form."""
     return hashlib.sha256(
-        json_dumps(payload.get(key, []), indent=None).encode()
+        json_dumps(payload, indent=None).encode()
     ).hexdigest()[:16]
 
 
-def _kernel_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="bench-kernel")
-    if payload.get("bit_identical") is not None:
-        view.metrics["kernel/bit_identical"] = \
-            1.0 if payload["bit_identical"] else 0.0
-        view.policies["kernel/bit_identical"] = {"mode": "exact"}
-    if payload.get("speedup") is not None:
-        view.metrics["kernel/speedup"] = float(payload["speedup"])
-        view.policies["kernel/speedup"] = {"mode": "floor"}
-    for entry in payload.get("entries", ()):
-        backend = entry.get("backend", "")
-        for stat, mode in (("events_executed", "exact"),
-                           ("events_per_second", "info"),
-                           ("wall_seconds", "info")):
-            value = entry.get(stat)
-            if value is None:
-                continue
-            key = format_key(f"kernel/{stat}", {"backend": backend})
-            view.metrics[key] = float(value)
-            view.policies[key] = {"mode": mode}
-        for stat, value in (entry.get("vector_stats") or {}).items():
-            key = format_key(f"vector/{stat}", {"backend": backend})
-            view.metrics[key] = float(value)
-            view.policies[key] = {"mode": "info"}
-        if backend == "scalar" and entry.get("state_fingerprint"):
-            view.fingerprint = entry["state_fingerprint"]
-    # Schema v3: per-shape cells.  Bit-identity gates exactly; the
-    # per-shape speedup is a floor the baseline hand-pins (2x on each
-    # of fused, open-loop and multi-core).
-    for shape in payload.get("shapes", ()):
-        labels = {"shape": shape.get("shape", "")}
-        if shape.get("bit_identical") is not None:
-            key = format_key("kernel/bit_identical", labels)
-            view.metrics[key] = 1.0 if shape["bit_identical"] else 0.0
-            view.policies[key] = {"mode": "exact"}
-        if shape.get("speedup") is not None:
-            key = format_key("kernel/speedup", labels)
-            view.metrics[key] = float(shape["speedup"])
-            view.policies[key] = {"mode": "floor"}
-        for entry in shape.get("entries", ()):
-            entry_labels = dict(labels, backend=entry.get("backend", ""))
-            for stat, mode in (("events_executed", "exact"),
-                               ("events_per_second", "info"),
-                               ("wall_seconds", "info")):
-                value = entry.get(stat)
-                if value is None:
-                    continue
-                key = format_key(f"kernel/{stat}", entry_labels)
-                view.metrics[key] = float(value)
-                view.policies[key] = {"mode": mode}
-    if not view.fingerprint:
-        for entry in payload.get("entries", ()):
-            if entry.get("state_fingerprint"):
-                view.fingerprint = entry["state_fingerprint"]
-                break
-    return view
-
-
-def _chaos_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="chaos",
-                     fingerprint=_cells_fingerprint(payload))
-    view.metrics["chaos/monotonic_p99"] = \
-        1.0 if payload.get("monotonic_p99") else 0.0
-    view.policies["chaos/monotonic_p99"] = {"mode": "exact"}
-    for cell in payload.get("cells", ()):
-        labels = {"preset": cell.get("preset", ""),
-                  "rber": format(cell.get("rber", 0.0), "g")}
-        failed_key = format_key("chaos/failed", labels)
-        view.metrics[failed_key] = 1.0 if cell.get("failed") else 0.0
-        view.policies[failed_key] = {"mode": "exact"}
-        if cell.get("failed"):
-            continue
-        for stat in ("service_p99_ns", "service_mean_ns",
-                     "throughput_jobs_per_s"):
-            if cell.get(stat) is not None:
-                view.metrics[format_key(f"chaos/{stat}", labels)] = \
-                    float(cell[stat])
-        for counter, value in (cell.get("fault_counters") or {}).items():
-            key = format_key(f"chaos/{counter.replace('.', '/')}", labels)
-            view.metrics[key] = float(value)
-            view.policies[key] = {"mode": "info"}
-    return view
-
-
-def _writes_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="writes",
-                     fingerprint=_cells_fingerprint(payload))
-    view.metrics["writes/policy_order_ok"] = \
-        1.0 if payload.get("policy_order_ok") else 0.0
-    view.policies["writes/policy_order_ok"] = {"mode": "exact"}
-    for cell in payload.get("cells", ()):
-        labels = {"preset": cell.get("preset", ""),
-                  "policy": cell.get("policy", ""),
-                  "ratio": format(cell.get("write_ratio", 0.0), "g")}
-        failed_key = format_key("writes/failed", labels)
-        view.metrics[failed_key] = 1.0 if cell.get("failed") else 0.0
-        view.policies[failed_key] = {"mode": "exact"}
-        if cell.get("failed"):
-            continue
-        # Event counts and the WA ratios they derive are deterministic
-        # per seed, so any drift is a behavior change worth flagging.
-        for stat in ("host_writes", "device_writes", "app_writes",
-                     "admission_rejects", "writeback_elided",
-                     "gc_migrated_pages", "gc_erases",
-                     "wa_factor", "flash_writes_per_app_write"):
-            if cell.get(stat) is not None:
-                key = format_key(f"writes/{stat}", labels)
-                view.metrics[key] = float(cell[stat])
-                view.policies[key] = {"mode": "exact"}
-        # Latency/throughput/lifetime figures are recorded but never
-        # gated — they move with any timing tweak elsewhere.
-        for stat in ("service_p99_ns", "service_mean_ns",
-                     "throughput_jobs_per_s", "lifetime_years"):
-            if cell.get(stat) is not None:
-                key = format_key(f"writes/{stat}", labels)
-                view.metrics[key] = float(cell[stat])
-                view.policies[key] = {"mode": "info"}
-    return view
-
-
-def _loadgen_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="loadgen",
-                     fingerprint=_cells_fingerprint(payload))
-    view.metrics["loadgen/monotonic_p99"] = \
-        1.0 if payload.get("monotonic_p99") else 0.0
-    view.policies["loadgen/monotonic_p99"] = {"mode": "exact"}
-    if payload.get("saturation_qps") is not None:
-        view.metrics["loadgen/saturation_qps"] = \
-            float(payload["saturation_qps"])
-    for knee in payload.get("knees", ()):
-        labels = {"preset": knee.get("preset", "")}
-        for stat in ("sustained_qps", "sustained_fraction_of_dram"):
-            if knee.get(stat) is not None:
-                view.metrics[format_key(f"loadgen/{stat}", labels)] = \
-                    float(knee[stat])
-    for cell in payload.get("cells", ()):
-        labels = {"preset": cell.get("preset", ""),
-                  "qps": format(cell.get("offered_qps", 0.0), "g")}
-        for stat in ("p99_us", "achieved_qps", "backlog_fraction"):
-            if cell.get(stat) is not None:
-                view.metrics[format_key(f"loadgen/{stat}", labels)] = \
-                    float(cell[stat])
-    return view
-
-
-def _sweep_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="bench-sweep")
-    for stat in ("wall_seconds_snapshots_off", "wall_seconds_snapshots_cold",
-                 "wall_seconds_snapshots_on", "speedup"):
-        if payload.get(stat) is not None:
-            key = f"sweep/{stat}"
-            view.metrics[key] = float(payload[stat])
-            view.policies[key] = {"mode": "info"}
-    return view
-
-
-def _profile_view(payload: Mapping) -> BenchView:
-    view = BenchView(verb="profile")
-    for stat in ("events_executed", "events_per_second", "total_calls",
-                 "wall_seconds", "warm_wall_seconds", "scalar_fallbacks"):
-        if payload.get(stat) is not None:
-            key = f"profile/{stat}"
-            view.metrics[key] = float(payload[stat])
-            view.policies[key] = {"mode": "info"}
-    for reason, count in sorted(
-            (payload.get("fallback_reasons") or {}).items()):
-        key = format_key("profile/fallbacks",
-                         {"reason": reason.replace(",", ";")})
-        view.metrics[key] = float(count)
-        view.policies[key] = {"mode": "info"}
-    return view
-
-
-def bench_view(payload: Mapping) -> BenchView:
-    """Project any recognized ``BENCH_*``/``PROFILE_*`` payload onto
-    the namespace; raises :class:`ReproError` for foreign JSON."""
-    if "ops_per_job" in payload and "entries" in payload:
-        return _kernel_view(payload)
-    if "rber_points" in payload:
-        return _chaos_view(payload)
-    if "write_ratio_points" in payload:
-        return _writes_view(payload)
-    if "knees" in payload:
-        return _loadgen_view(payload)
-    if "wall_seconds_snapshots_off" in payload:
-        return _sweep_view(payload)
-    if "hotspots" in payload:
-        return _profile_view(payload)
-    raise ReproError(
-        "unrecognized bench payload (expected one of the BENCH_kernel/"
-        "BENCH_sweep/BENCH_chaos/BENCH_loadgen/BENCH_writes/PROFILE_* "
-        "schemas)"
-    )
+def detail_fingerprint(detail: Mapping[str, object]) -> str:
+    """A sweep record's fingerprint: every simulation-derived byte of
+    its ``detail``.  The ``execution`` block is left out because it
+    names the backend, so the same sweep on either backend (or twice)
+    fingerprints the same."""
+    return payload_digest({key: value for key, value in detail.items()
+                           if key != "execution"})

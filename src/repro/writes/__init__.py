@@ -7,8 +7,8 @@ branches, keeping the golden fixtures bit-identical.  When enabled,
 :func:`make_admission` builds the configured
 :class:`~repro.writes.admission.AdmissionPolicy` and the machine
 threads it through both DRAM-cache controllers; the driver in
-:mod:`repro.writes.bench` sweeps policies and write ratios into the
-schema-stamped ``BENCH_writes.json``.
+:mod:`repro.writes.bench` sweeps policies and write ratios behind
+``repro writes``.
 """
 
 from repro.writes.admission import (
@@ -21,7 +21,6 @@ from repro.writes.admission import (
 )
 from repro.writes.bench import (
     DEFAULT_WRITE_RATIOS,
-    WRITES_SCHEMA_VERSION,
     WritesBench,
     WritesCell,
     parse_write_ratio_sweep,
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_WRITE_RATIOS",
     "ReadinessAdmission",
     "ReadinessSketch",
-    "WRITES_SCHEMA_VERSION",
     "WriteBackAdmission",
     "WriteThroughAdmission",
     "WritesBench",

@@ -26,8 +26,8 @@ window (DESIGN.md §4j):
 Determinism: every cell uses the same simulation seed, the readiness
 sketch hashes with its own seeded salts, and write-path runs fall back
 to the scalar backend (the ``execution`` block records the ``writes``
-fallback reason) — two invocations produce byte-identical
-``BENCH_writes.json``, the acceptance bar the CI smoke job reruns.
+fallback reason) — two invocations produce identical records, down to
+the fingerprint CI's rerun gates on.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config.system import WritesConfig
 from repro.errors import ReproError
 from repro.harness.common import HarnessScale, build_config, resolve_scale
-from repro.jsonutil import dumps as json_dumps
 from repro.sim import vector as _vector
 from repro.harness.parallel import (
     ParallelRunError,
@@ -47,10 +46,6 @@ from repro.harness.parallel import (
     execute_spec,
     run_specs,
 )
-
-#: Bump when the JSON layout of :class:`WritesBench` changes so CI
-#: consumers of ``BENCH_writes.json`` can detect incompatible files.
-WRITES_SCHEMA_VERSION = 1
 
 #: The write-enabled presets (outside EVALUATED_CONFIG_NAMES).
 DEFAULT_PRESETS: Tuple[str, ...] = ("astriflash-writes", "flash-sync-writes")
@@ -103,7 +98,7 @@ class WritesCell:
 
 @dataclass
 class WritesBench:
-    """Everything one write sweep produced, schema-stamped for CI."""
+    """Everything one write sweep produced."""
 
     experiment: str
     scale: str
@@ -116,13 +111,12 @@ class WritesBench:
     #: True iff for every (preset, ratio) group the end-to-end WA
     #: (``flash_writes_per_app_write``) is strictly decreasing in
     #: write-through → write-back → readiness order (failed cells
-    #: void the group) — the acceptance property CI asserts.
+    #: void the group) — the acceptance property the record gates on.
     policy_order_ok: bool = True
-    schema_version: int = WRITES_SCHEMA_VERSION
     config_preset: str = ""  # HarnessScale.name the run resolved to
     #: Backend accounting (same contract as the chaos bench): derived
     #: from config facts only, so deterministic — but it names the
-    #: backend, so byte-diffs across backends must exclude this key.
+    #: backend, so the record fingerprint leaves it out.
     execution: dict = dataclasses.field(default_factory=dict)
 
     def grid(self, preset: str, write_ratio: float) -> List[WritesCell]:
@@ -167,26 +161,42 @@ class WritesBench:
                     )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        # repro.jsonutil: non-finite floats serialize as null, never as
-        # the non-standard Infinity/NaN tokens json.dumps would emit.
-        return json_dumps(asdict(self))
+    def record(self):
+        """This sweep as a :class:`~repro.metrics.RunRecord`.
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json() + "\n")
+        The policy WA order, per-cell failure, and each cell's write
+        counts and the WA ratios they derive gate ``exact`` (they are
+        deterministic per seed); latency, throughput and lifetime are
+        ``info``.  The fingerprint pins every simulated figure.
+        """
+        from repro.metrics import (  # deferred: import cost
+            EXACT, INFO, MetricSet, detail_fingerprint, make_record,
+        )
 
-    def key_metrics(self) -> dict:
-        """Registry-namespace projection for the run ledger."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).metrics
-
-    def fingerprint(self) -> str:
-        """Deterministic digest over the cells (ledger identity)."""
-        from repro.metrics import bench_view  # deferred: cycle
-
-        return bench_view(asdict(self)).fingerprint
+        metrics = MetricSet()
+        metrics.add("writes/policy_order_ok", float(self.policy_order_ok),
+                    gate=EXACT)
+        for cell in self.cells:
+            labels = {"preset": cell.preset, "policy": cell.policy,
+                      "ratio": format(cell.write_ratio, "g")}
+            metrics.add("writes/failed", float(cell.failed), gate=EXACT,
+                        **labels)
+            if cell.failed:
+                continue
+            for stat in _WINDOW_FIELDS:
+                metrics.add(f"writes/{stat}", getattr(cell, stat),
+                            gate=EXACT, **labels)
+            for stat in ("service_p99_ns", "service_mean_ns",
+                         "throughput_jobs_per_s", "lifetime_years"):
+                metrics.add(f"writes/{stat}", getattr(cell, stat),
+                            gate=INFO, **labels)
+        detail = asdict(self)
+        return make_record(
+            "writes", experiment=self.experiment, scale=self.scale,
+            preset=self.config_preset, workload=self.workload,
+            backend=self.execution.get("backend", ""), seed=self.seed,
+            metrics=metrics.as_dict(), policies=metrics.policies(),
+            detail=detail, fingerprint=detail_fingerprint(detail))
 
 
 def parse_write_ratio_sweep(text: str) -> Tuple[float, ...]:

@@ -106,14 +106,17 @@ class TestBenchSweepCommand:
     def test_bench_sweep_writes_json(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "BENCH_sweep.json"
+        out = tmp_path / "sweep.json"
         assert main(["bench-sweep", "fig1", "--scale", "quick",
                      "--json", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "speedup" in printed
         data = json.loads(out.read_text())
+        assert data["verb"] == "bench-sweep"
         assert data["experiment"] == "fig1"
-        assert data["speedup"] > 0
+        assert data["detail"]["speedup"] > 0
+        assert main(["regress", "--baseline", str(out),
+                     "--current", str(out)]) == 0
 
 
 class TestReportCommand:

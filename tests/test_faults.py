@@ -15,8 +15,7 @@ from repro.errors import ConfigurationError, DeviceFailedError, \
 from repro.faults import FaultPlan, describe_outcome, effective_rber, \
     page_failure_probability, poisson_tail
 from repro.faults.chaos import ChaosBench, ChaosCell, \
-    CHAOS_SCHEMA_VERSION, _check_monotonic, fault_overrides, \
-    parse_rber_sweep
+    _check_monotonic, fault_overrides, parse_rber_sweep
 from repro.flash import FlashDevice
 from repro.sim import Engine, spawn
 from repro.units import US
@@ -387,6 +386,40 @@ class TestChaosHarness:
         assert _check_monotonic(bench)
 
     def test_schema_version_is_stamped(self):
-        bench = self._bench([1.0])
-        assert bench.schema_version == CHAOS_SCHEMA_VERSION == 2
-        assert '"schema_version": 2' in bench.to_json()
+        from repro.metrics import LEDGER_SCHEMA_VERSION
+
+        bench = self._bench([1.0, None])
+        record = bench.record()
+        assert record.schema_version == LEDGER_SCHEMA_VERSION
+        assert record.verb == "chaos"
+        assert record.detail["cells"][0]["service_p99_ns"] == 1.0
+        assert record.policies["chaos/monotonic_p99"] == {"mode": "exact"}
+        assert record.metrics["chaos/failed{preset=x,rber=1}"] == 1.0
+        assert record.policies["chaos/failed{preset=x,rber=1}"] == \
+            {"mode": "exact"}
+        assert "chaos/service_p99_ns{preset=x,rber=1}" not in \
+            record.metrics
+        # The execution block names the backend; the fingerprint
+        # leaves it out but pins every simulated figure.
+        bench.execution = {"backend": "vector"}
+        assert bench.record().fingerprint == record.fingerprint
+        bench.cells[0].service_p99_ns = 1.5
+        assert bench.record().fingerprint != record.fingerprint
+
+    def test_cli_json_is_a_record_that_regresses_clean(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.faults.chaos
+        from repro.cli import main
+        from repro.metrics import record_from_file
+
+        bench = self._bench([1.0, 2.0])
+        bench.execution = {"backend": "scalar"}
+        monkeypatch.setattr(repro.faults.chaos, "run_chaos",
+                            lambda *args, **kwargs: bench)
+        out = tmp_path / "chaos.json"
+        assert main(["chaos", "--json", str(out)]) == 0
+        record = record_from_file(out)
+        assert record.verb == "chaos"
+        assert record.fingerprint == bench.record().fingerprint
+        assert main(["regress", "--baseline", str(out),
+                     "--current", str(out)]) == 0

@@ -1,10 +1,12 @@
 """Tests for repro.loadgen: knee solver, censoring, sweeps, JSON."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from repro.cli import main
 from repro.config import make_config
 from repro.core import Runner
 from repro.errors import ConfigurationError, ReproError
@@ -20,6 +22,8 @@ from repro.loadgen import (
     run_loadgen,
     solve_knee,
 )
+from repro.metrics import LEDGER_SCHEMA_VERSION, read_ledger, \
+    record_from_file, write_record
 from repro.units import US
 from repro.workloads import ClosedLoop, PoissonArrivals, make_workload
 
@@ -229,7 +233,7 @@ class TestRunLoadgen:
                 bench.qps_points
 
     def test_schema_stamp_and_normalization(self, bench):
-        assert bench.schema_version == 2
+        assert bench.record().schema_version == LEDGER_SCHEMA_VERSION
         assert bench.saturation_qps > 0
         assert bench.slo_us > 0
         for knee in bench.knees:
@@ -245,11 +249,14 @@ class TestRunLoadgen:
             else:
                 assert cell.backlog_fraction <= bench.backlog_threshold
 
-    def test_json_round_trips_strictly(self, bench):
-        document = json.loads(bench.to_json())
-        assert document["schema_version"] == 2
-        assert "Infinity" not in bench.to_json()
-        assert "NaN" not in bench.to_json()
+    def test_json_round_trips_strictly(self, bench, tmp_path):
+        path = tmp_path / "loadgen.json"
+        write_record(bench.record(), path)
+        text = path.read_text()
+        assert "Infinity" not in text
+        assert "NaN" not in text
+        document = json.loads(text)
+        assert document["detail"]["qps_points"] == bench.qps_points
 
     def test_rerun_is_bit_identical(self, bench, tmp_path):
         rerun = run_loadgen(
@@ -257,7 +264,9 @@ class TestRunLoadgen:
             workload="arrayswap", presets=("dram-only", "astriflash"),
             refine_evals=1, cache_dir=str(tmp_path),
         )
-        assert rerun.to_json() == bench.to_json()
+        assert dumps(dataclasses.asdict(rerun)) == \
+            dumps(dataclasses.asdict(bench))
+        assert rerun.record().fingerprint == bench.record().fingerprint
 
     def test_execution_block_accounts_every_cell(self, bench):
         execution = bench.execution
@@ -282,13 +291,45 @@ class TestRunLoadgen:
             refine_evals=1, cache_dir=str(tmp_path / "s"),
             backend="scalar",
         )
-        other = json.loads(bench.to_json())
-        mine = json.loads(scalar.to_json())
-        assert mine.pop("execution")["backend"] == "scalar"
-        other.pop("execution")
-        # Everything simulation-derived must match byte for byte; only
-        # the execution-accounting block may name a different backend.
-        assert dumps(mine) == dumps(other)
+        assert scalar.execution["backend"] == "scalar"
+        # The record fingerprint digests every simulation-derived byte;
+        # only the execution-accounting block (left out) names the
+        # backend.
+        assert scalar.record().fingerprint == bench.record().fingerprint
+
+    def test_flash_knee_never_beats_dram(self, tmp_path):
+        # The shared fixture's window censors every cell; a longer one
+        # leaves both knees measurable.
+        bench = run_loadgen(
+            "fig10", scale=dataclasses.replace(TINY, measurement_us=4000.0),
+            qps_sweep="0.2x:0.6x:2", workload="arrayswap",
+            presets=("dram-only", "astriflash"), refine_evals=0,
+            cache_dir=str(tmp_path),
+        )
+        dram = bench.knee("dram-only").sustained_qps
+        flash = bench.knee("astriflash").sustained_qps
+        assert dram is not None and flash is not None
+        assert flash <= dram
+
+    def test_cli_json_is_a_record_that_regresses_clean(
+            self, bench, tmp_path, monkeypatch, capsys):
+        import repro.loadgen
+
+        monkeypatch.setattr(repro.loadgen, "run_loadgen",
+                            lambda *args, **kwargs: bench)
+        out = tmp_path / "loadgen.json"
+        assert main(["loadgen", "--json", str(out)]) == 0
+        record = record_from_file(out)
+        assert record.verb == "loadgen"
+        assert record.fingerprint == bench.record().fingerprint
+        assert record.policies["loadgen/monotonic_p99"] == {"mode": "exact"}
+        # The ledger line is the same record plus its artifact path.
+        appended = read_ledger()[-1]
+        assert appended.artifacts == [str(out)]
+        appended.artifacts = []
+        assert appended.to_dict() == record.to_dict()
+        assert main(["regress", "--baseline", str(out),
+                     "--current", str(out)]) == 0
 
     def test_unknown_arrival_kind_raises(self):
         with pytest.raises(ReproError):

@@ -11,10 +11,11 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.metrics import (
     DEFAULT_THRESHOLD,
+    EXACT,
+    LEDGER_SCHEMA_VERSION,
     MetricSet,
     RunRecord,
     append_record,
-    bench_view,
     classify_delta,
     diff_records,
     filter_records,
@@ -22,11 +23,15 @@ from repro.metrics import (
     make_record,
     metric_direction,
     parse_key,
+    payload_digest,
     read_ledger,
+    record_from_file,
     render_dashboard,
     run_regress,
     select_record,
+    write_record,
 )
+from repro.perf import KernelBackendEntry, KernelBench, KernelShapeBench
 
 
 # ------------------------------------------------------------- registry --
@@ -58,10 +63,20 @@ class TestRegistry:
         left = MetricSet()
         left.add("flash/reads", 5.0, preset="p")
         right = MetricSet()
-        right.add("gc/moves", 2.0)
+        right.add("gc/moves", 2.0, gate=EXACT)
         left.merge(right)
         assert len(left) == 2
         assert list(left.filter("gc/").as_dict()) == ["gc/moves"]
+        # Gate policies follow their keys through merge and filter.
+        assert left.policies() == {"gc/moves": {"mode": "exact"}}
+        assert left.filter("gc/").policies() == left.policies()
+        assert left.filter("flash/").policies() == {}
+        # "policy" stays free as a label (writes/* metrics use it).
+        right.add("writes/admission_rejects", 3.0, gate=EXACT,
+                  policy="readiness")
+        key = "writes/admission_rejects{policy=readiness}"
+        assert right.get(key) == 3.0
+        assert right.policies()[key] == {"mode": "exact"}
 
     def test_result_metrics_exclude_wall_fields(self):
         from repro.config import make_config
@@ -88,54 +103,91 @@ class TestRegistry:
         assert sample.label("backend") == "scalar"
 
 
-class TestBenchView:
-    def test_rejects_foreign_payload(self):
-        with pytest.raises(ReproError):
-            bench_view({"hello": "world"})
+def _kernel_bench(speedup=3.0, events=7636, fingerprint="abc",
+                  backends=("scalar", "vector")):
+    """A one-shape kernel bench with fixed (host-independent) figures."""
+    entries = [
+        KernelBackendEntry(
+            backend=backend, wall_seconds=0.01, events_executed=events,
+            events_per_second=1e6, state_fingerprint=fingerprint,
+            vector_stats=({"batched_jobs": 10, "scalar_fallbacks": 0}
+                          if backend == "vector" else {}))
+        for backend in backends
+    ]
+    both = len(entries) == 2
+    cell = KernelShapeBench(
+        shape="fused", workload="arrayswap", config_preset="dram-only",
+        num_cores=1, arrival="closed", entries=entries,
+        bit_identical=True if both else None,
+        speedup=speedup if both else None)
+    return KernelBench(workload="arrayswap", scale="quick",
+                       config_preset="dram-only", ops_per_job=48,
+                       repeat=3, shapes=[cell])
 
-    def test_kernel_view_policies(self):
-        payload = {
-            "ops_per_job": 48, "entries": [
-                {"backend": "scalar", "events_executed": 100,
-                 "events_per_second": 1e6, "wall_seconds": 0.1,
-                 "state_fingerprint": "abc"},
-            ],
-            "bit_identical": True, "speedup": 4.0,
-        }
-        view = bench_view(payload)
-        assert view.verb == "bench-kernel"
-        assert view.metrics["kernel/bit_identical"] == 1.0
-        assert view.policies["kernel/bit_identical"]["mode"] == "exact"
-        assert view.policies["kernel/speedup"]["mode"] == "floor"
-        assert view.policies[
-            "kernel/events_executed{backend=scalar}"]["mode"] == "exact"
-        assert view.policies[
-            "kernel/wall_seconds{backend=scalar}"]["mode"] == "info"
-        assert view.fingerprint == "abc"
+
+class TestBenchView:
+    """A bench result's view on the registry: its record's metrics,
+    gate policies, fingerprint and detail."""
+
+    def test_rejects_foreign_payload(self, tmp_path):
+        path = tmp_path / "foreign.json"
+        path.write_text(json.dumps({"hello": "world"}))
+        with pytest.raises(ReproError, match="not a run record"):
+            record_from_file(path)
+        path.write_text("{truncated")
+        with pytest.raises(ReproError, match="not valid JSON"):
+            record_from_file(path)
+
+    def test_kernel_view_policies(self, tmp_path):
+        record = _kernel_bench().record()
+        assert record.verb == "bench-kernel"
+        assert record.schema_version == LEDGER_SCHEMA_VERSION
+        key = "kernel/bit_identical{shape=fused}"
+        assert record.metrics[key] == 1.0
+        assert record.policies[key] == {"mode": "exact"}
+        assert record.policies["kernel/speedup{shape=fused}"] == \
+            {"mode": "floor", "min": 2.0}
+        assert record.policies[
+            "kernel/events_executed{backend=scalar,shape=fused}"] == \
+            {"mode": "exact"}
+        assert record.policies[
+            "kernel/wall_seconds{backend=scalar,shape=fused}"] == \
+            {"mode": "info"}
+        key = "kernel/scalar_fallbacks{shape=fused}"
+        assert record.metrics[key] == 0.0
+        assert record.policies[key] == {"mode": "exact"}
+        # No unlabeled top-level mirror of the first shape.
+        assert "kernel/speedup" not in record.metrics
+        assert not any(name.startswith("kernel/") and "shape=" not in name
+                       for name in record.metrics)
+        assert record.fingerprint == payload_digest(["abc"])
+        assert record.detail["shapes"][0]["shape"] == "fused"
+        path = tmp_path / "record.json"
+        write_record(record, path)
+        assert record_from_file(path).to_dict() == record.to_dict()
 
     def test_kernel_view_shape_cells(self):
-        payload = {
-            "ops_per_job": 48, "entries": [],
-            "bit_identical": True, "speedup": 4.0,
-            "shapes": [
-                {"shape": "open-loop", "bit_identical": True,
-                 "speedup": 2.5,
-                 "entries": [
-                     {"backend": "vector", "events_executed": 77,
-                      "events_per_second": 1e6, "wall_seconds": 0.1},
-                 ]},
-            ],
-        }
-        view = bench_view(payload)
-        key = "kernel/bit_identical{shape=open-loop}"
-        assert view.metrics[key] == 1.0
-        assert view.policies[key]["mode"] == "exact"
-        key = "kernel/speedup{shape=open-loop}"
-        assert view.metrics[key] == 2.5
-        assert view.policies[key]["mode"] == "floor"
-        key = "kernel/events_executed{backend=vector,shape=open-loop}"
-        assert view.metrics[key] == 77.0
-        assert view.policies[key]["mode"] == "exact"
+        bench = _kernel_bench()
+        bench.shapes.append(KernelShapeBench(
+            shape="open-loop", workload="arrayswap",
+            config_preset="dram-only", num_cores=1, arrival="poisson",
+            entries=[KernelBackendEntry(
+                backend="scalar", wall_seconds=0.1, events_executed=77,
+                events_per_second=1e6, state_fingerprint="def")]))
+        record = bench.record()
+        key = "kernel/events_executed{backend=scalar,shape=open-loop}"
+        assert record.metrics[key] == 77.0
+        assert record.policies[key]["mode"] == "exact"
+        assert "kernel/speedup{shape=open-loop}" not in record.metrics
+        assert record.metrics[
+            "vector/batched_jobs{backend=vector,shape=fused}"] == 10.0
+        # Every shape's scalar state fingerprint feeds the digest.
+        assert record.fingerprint == payload_digest(["abc", "def"])
+        assert record.backend == "scalar,vector"
+        # Without a scalar entry there is nothing to digest.
+        vector_only = _kernel_bench(backends=("vector",)).record()
+        assert vector_only.fingerprint == ""
+        assert "kernel/speedup{shape=fused}" not in vector_only.metrics
 
 
 # --------------------------------------------------------------- ledger --
@@ -153,6 +205,15 @@ class TestLedger:
         loaded = read_ledger(path)
         assert len(loaded) == 1
         assert loaded[0].to_dict() == record.to_dict()
+        # A schema-1 line (before policies/detail) still loads.
+        old = record.to_dict()
+        del old["policies"], old["detail"]
+        old["schema_version"] = 1
+        with open(path, "a") as handle:
+            handle.write(json.dumps(old) + "\n")
+        legacy = read_ledger(path)[-1]
+        assert legacy.policies == {} and legacy.detail == {}
+        assert legacy.metrics == record.metrics
 
     def test_record_id_ignores_wall_fields(self):
         a = make_record("simulate", preset="p", metrics={"m": 1.0},
@@ -165,7 +226,7 @@ class TestLedger:
         c = make_record("simulate", preset="p", metrics={"m": 2.0})
         assert c.record_id != a.record_id
 
-    def test_read_ledger_skips_malformed_lines(self, tmp_path):
+    def test_read_ledger_skips_malformed_lines(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
         record = make_record("profile", metrics={"m": 1.0})
         append_record(record, path)
@@ -173,6 +234,29 @@ class TestLedger:
             handle.write("not json\n\n{\"no_verb\": 1}\n")
         append_record(record, path)
         assert len(read_ledger(path)) == 2
+        assert "ledger: skipped 2 malformed line(s)" in \
+            capsys.readouterr().err
+
+    def test_truncated_trailing_line_is_reported(self, tmp_path,
+                                                monkeypatch, capsys):
+        """A truncated newest append makes regress gate an older
+        record: every ledger-reading verb must say so on stderr."""
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        path = tmp_path / "ledger.jsonl"
+        record = make_record("simulate", metrics={"m/x": 1.0})
+        append_record(record, path)
+        append_record(record, path)
+        line = json.dumps(record.to_dict())
+        with open(path, "a") as handle:
+            handle.write(line[:len(line) // 2])
+        baseline = tmp_path / "base.json"
+        write_record(record, baseline)
+        for argv in (["history"], ["diff", "0", "-1"],
+                     ["regress", "--baseline", str(baseline)],
+                     ["dashboard", "--out", str(tmp_path / "r.html")]):
+            assert main(argv) == 0, argv
+            err = capsys.readouterr().err
+            assert "ledger: skipped 1 malformed line(s)" in err, argv
 
     def test_missing_ledger_is_empty(self, tmp_path):
         assert read_ledger(tmp_path / "absent.jsonl") == []
@@ -275,6 +359,17 @@ class TestDiff:
         better = classify_delta("kernel/speedup", 3.0, 6.0,
                                 DEFAULT_THRESHOLD, {"mode": "floor"})
         assert better.verdict == "improvement"
+        # With a bound, only a value below "min" regresses.
+        floor = {"mode": "floor", "min": 2.0}
+        assert classify_delta("kernel/speedup", 3.0, 2.5,
+                              DEFAULT_THRESHOLD, floor).verdict \
+            == "within-noise"
+        assert classify_delta("kernel/speedup", 3.0, 1.9,
+                              DEFAULT_THRESHOLD, floor).verdict \
+            == "regression"
+        assert classify_delta("kernel/speedup", 1.5, 1.9,
+                              DEFAULT_THRESHOLD, floor).verdict \
+            == "regression"
 
     def test_info_policy_never_gates(self):
         delta = classify_delta("kernel/wall_seconds", 1.0, 99.0,
@@ -303,56 +398,39 @@ class TestDiff:
 # -------------------------------------------------------------- regress --
 
 
-KERNEL_PAYLOAD = {
-    "workload": "arrayswap", "scale": "quick", "config_preset": "dram-only",
-    "ops_per_job": 48, "repeat": 3, "bit_identical": True, "speedup": 3.0,
-    "schema_version": 2,
-    "entries": [
-        {"backend": "scalar", "wall_seconds": None, "events_executed": 7636,
-         "events_per_second": None, "state_fingerprint": "abc",
-         "vector_stats": {}, "fallback_reasons": {}},
-        {"backend": "vector", "wall_seconds": None, "events_executed": 7636,
-         "events_per_second": None, "state_fingerprint": "abc",
-         "vector_stats": {"batches": 10, "scalar_fallbacks": 0},
-         "fallback_reasons": {}},
-    ],
-}
-
-
 class TestRegress:
-    def _write(self, path, payload):
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+    def _write(self, path, bench):
+        write_record(bench.record(), path)
         return str(path)
 
     def test_regress_pass(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", KERNEL_PAYLOAD)
-        current = self._write(tmp_path / "cur.json", KERNEL_PAYLOAD)
+        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        current = self._write(tmp_path / "cur.json", _kernel_bench())
         report = run_regress(baseline, current_path=current)
         assert report.passed
         assert not report.diff.regressions
 
     def test_regress_speedup_floor(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", KERNEL_PAYLOAD)
-        worse = json.loads(json.dumps(KERNEL_PAYLOAD))
-        worse["speedup"] = 2.0
-        current = self._write(tmp_path / "cur.json", worse)
+        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        # Below the measured baseline but above the floor's min: passes.
+        current = self._write(tmp_path / "cur.json",
+                              _kernel_bench(speedup=2.5))
+        assert run_regress(baseline, current_path=current).passed
+        current = self._write(tmp_path / "cur.json",
+                              _kernel_bench(speedup=1.5))
         report = run_regress(baseline, current_path=current)
         assert not report.passed
         keys = [d.key for d in report.diff.regressions]
-        assert keys == ["kernel/speedup"]
-        # Above the floor is an improvement, not a failure.
-        better = json.loads(json.dumps(KERNEL_PAYLOAD))
-        better["speedup"] = 9.0
-        current = self._write(tmp_path / "cur2.json", better)
+        assert keys == ["kernel/speedup{shape=fused}"]
+        # Above the baseline is an improvement, not a failure.
+        current = self._write(tmp_path / "cur2.json",
+                              _kernel_bench(speedup=9.0))
         assert run_regress(baseline, current_path=current).passed
 
     def test_regress_fingerprint_divergence(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", KERNEL_PAYLOAD)
-        diverged = json.loads(json.dumps(KERNEL_PAYLOAD))
-        for entry in diverged["entries"]:
-            entry["state_fingerprint"] = "zzz"
-        current = self._write(tmp_path / "cur.json", diverged)
+        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        current = self._write(tmp_path / "cur.json",
+                              _kernel_bench(fingerprint="zzz"))
         report = run_regress(baseline, current_path=current)
         assert not report.passed
         assert "fingerprint" in report.reason
@@ -362,23 +440,31 @@ class TestRegress:
             run_regress(tmp_path / "absent.json")
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", KERNEL_PAYLOAD)
-        current = self._write(tmp_path / "cur.json", KERNEL_PAYLOAD)
+        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        current = self._write(tmp_path / "cur.json", _kernel_bench())
         assert main(["regress", "--baseline", baseline,
                      "--current", current]) == 0
-        perturbed = json.loads(json.dumps(KERNEL_PAYLOAD))
-        perturbed["entries"][0]["events_executed"] += 1
-        bad = self._write(tmp_path / "bad.json", perturbed)
+        # An exact metric moved (the fingerprint is left unchanged).
+        bad = self._write(tmp_path / "bad.json",
+                          _kernel_bench(events=7637))
         assert main(["regress", "--baseline", bad,
                      "--current", current]) == 1
         assert main(["regress", "--baseline", str(tmp_path / "no.json"),
                      "--current", current]) == 2
-        out = capsys.readouterr().out
-        assert "REGRESS PASS" in out and "REGRESS FAIL" in out
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text(json.dumps({"speedup": 2.0, "entries": []}))
+        assert main(["regress", "--baseline", str(foreign),
+                     "--current", current]) == 2
+        assert main(["regress", "--baseline", baseline,
+                     "--current", str(foreign)]) == 2
+        captured = capsys.readouterr()
+        assert "REGRESS PASS" in captured.out
+        assert "REGRESS FAIL" in captured.out
+        assert "not a run record" in captured.err
 
     def test_cli_regress_json_verdict(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", KERNEL_PAYLOAD)
-        current = self._write(tmp_path / "cur.json", KERNEL_PAYLOAD)
+        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        current = self._write(tmp_path / "cur.json", _kernel_bench())
         verdict = tmp_path / "verdict.json"
         assert main(["regress", "--baseline", baseline, "--current",
                      current, "--json", str(verdict)]) == 0
@@ -430,6 +516,9 @@ class TestHistoryAndDiffCli:
                                        capsys):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         assert main(["diff", "0", "1"]) == 2
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text("[1, 2]")
+        assert main(["diff", str(foreign), str(foreign)]) == 2
 
 
 # ------------------------------------------------------------ dashboard --
@@ -468,7 +557,7 @@ def _check_html(path):
 CHAOS_PAYLOAD = {
     "experiment": "fig9", "scale": "quick", "workload": "tatp",
     "fault_seed": 1, "rber_points": [0.0, 8e-3],
-    "presets": ["astriflash"], "monotonic_p99": True, "schema_version": 1,
+    "presets": ["astriflash"], "monotonic_p99": True,
     "cells": [
         {"preset": "astriflash", "rber": 0.0, "failed": False,
          "throughput_jobs_per_s": 1000.0, "service_p99_ns": 50000.0,
@@ -486,7 +575,6 @@ LOADGEN_PAYLOAD = {
     "backlog_threshold": 0.05, "saturation_qps": 2000.0,
     "qps_points": [500.0, 1000.0], "presets": ["astriflash"],
     "rber": 0.0, "fault_seed": 1, "monotonic_p99": True,
-    "schema_version": 1,
     "knees": [{"preset": "astriflash", "sustained_qps": 1000.0,
                "sustained_fraction_of_dram": 0.5, "status": "ok",
                "evaluations": []}],
@@ -511,13 +599,13 @@ SWEEP_PAYLOAD = {
     "wall_seconds_snapshots_off": 10.0,
     "wall_seconds_snapshots_cold": 11.0,
     "wall_seconds_snapshots_on": 4.0, "speedup": 2.5,
-    "schema_version": 1, "config_preset": "quick",
+    "config_preset": "quick",
 }
 
 PROFILE_PAYLOAD = {
     "experiment": "fig9", "scale": "quick", "wall_seconds": 2.0,
     "total_calls": 100000, "events_executed": 50000,
-    "events_per_second": 25000.0, "schema_version": 3,
+    "events_per_second": 25000.0,
     "config_preset": "quick", "warm_wall_seconds": 0.0,
     "backend": "vector", "scalar_fallbacks": 2,
     "fallback_reasons": {"tracing active (per-event observation)": 2},
@@ -526,11 +614,31 @@ PROFILE_PAYLOAD = {
 }
 
 
+def _typed_results():
+    """One typed result per dashboard panel, built from the payloads."""
+    from repro.faults.chaos import ChaosBench, ChaosCell
+    from repro.loadgen import LoadgenBench, LoadgenCell, PresetKnee
+    from repro.perf import Hotspot, ProfileReport, SweepBench
+
+    return [
+        _kernel_bench(),
+        ChaosBench(**dict(CHAOS_PAYLOAD, cells=[
+            ChaosCell(**cell) for cell in CHAOS_PAYLOAD["cells"]])),
+        LoadgenBench(**dict(
+            LOADGEN_PAYLOAD,
+            cells=[LoadgenCell(**cell) for cell in LOADGEN_PAYLOAD["cells"]],
+            knees=[PresetKnee(**knee) for knee in LOADGEN_PAYLOAD["knees"]])),
+        SweepBench(**SWEEP_PAYLOAD),
+        ProfileReport(**dict(PROFILE_PAYLOAD, hotspots=[
+            Hotspot(**spot) for spot in PROFILE_PAYLOAD["hotspots"]])),
+    ]
+
+
 class TestDashboard:
     def test_empty_ledger_renders(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         out = tmp_path / "report.html"
-        assert main(["dashboard", "--out", str(out), "--bench"]) == 0
+        assert main(["dashboard", "--out", str(out)]) == 0
         capsys.readouterr()
         text = _check_html(out)
         assert "Run ledger" in text
@@ -538,29 +646,21 @@ class TestDashboard:
 
     def test_renders_all_five_schemas(self, tmp_path, monkeypatch,
                                       capsys):
+        """Every panel renders from the newest ledger record's detail of
+        its verb; nothing is read from the working directory."""
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-        payloads = {
-            "BENCH_kernel.json": KERNEL_PAYLOAD,
-            "BENCH_chaos.json": CHAOS_PAYLOAD,
-            "BENCH_loadgen.json": LOADGEN_PAYLOAD,
-            "BENCH_sweep.json": SWEEP_PAYLOAD,
-            "PROFILE_fig9.json": PROFILE_PAYLOAD,
-        }
-        paths = []
-        for name, payload in payloads.items():
-            path = tmp_path / name
-            path.write_text(json.dumps(payload))
-            paths.append(str(path))
+        for result in _typed_results():
+            append_record(result.record())
         append_record(make_record("simulate", preset="astriflash",
                                   metrics={"runner/service_p99_ns": 5e4}))
         out = tmp_path / "report.html"
-        assert main(["dashboard", "--out", str(out), "--bench"]
-                    + paths) == 0
+        assert main(["dashboard", "--out", str(out)]) == 0
         capsys.readouterr()
         text = _check_html(out)
         for marker in ("Kernel bench", "Chaos degradation",
                        "Loadgen knee", "Sweep bench", "Profile hotspots",
-                       "Run ledger", "<svg"):
+                       "Run ledger", "<svg", "fused / scalar",
+                       "repro/sim/engine.py:1(run)"):
             assert marker in text, marker
         # Self-contained: no external fetches.
         assert "http://" not in text and "https://" not in text
@@ -578,7 +678,7 @@ class TestDashboard:
     def test_missing_out_dir_raises(self, tmp_path):
         with pytest.raises(ReproError):
             render_dashboard(tmp_path / "absent" / "report.html",
-                             bench_paths=[])
+                             ledger=tmp_path / "ledger.jsonl")
 
 
 # ----------------------------------------------- fallback observability --
@@ -609,16 +709,17 @@ class TestFallbackSurfacing:
         assert "multi-core flash-sync" in err
 
     def test_profile_report_carries_fallback_fields(self):
-        from repro.perf import PROFILE_SCHEMA_VERSION, ProfileReport
+        from repro.perf import ProfileReport
 
-        assert PROFILE_SCHEMA_VERSION == 3
         report = ProfileReport(
             experiment="fig9", scale="quick", wall_seconds=1.0,
             total_calls=10, events_executed=100,
             events_per_second=100.0, scalar_fallbacks=3,
             fallback_reasons={"tracing active": 3})
         assert "scalar fallbacks" in report.format_text()
-        assert report.key_metrics()["profile/scalar_fallbacks"] == 3.0
+        metrics = report.record().metrics
+        assert metrics["profile/scalar_fallbacks"] == 3.0
+        assert metrics["profile/fallbacks{reason=tracing active}"] == 3.0
 
 
 # ------------------------------------------------------------ telemetry --

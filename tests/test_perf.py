@@ -9,6 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
+from repro.metrics import LEDGER_SCHEMA_VERSION, record_from_file, \
+    write_record
 from repro.perf import (
     Hotspot,
     ProfileReport,
@@ -65,21 +67,27 @@ class TestProfileReport:
         assert "a.py:1(f)" in text
 
     def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_kernel.json"
-        self._report().write_json(str(path))
-        data = json.loads(path.read_text())
-        assert data["experiment"] == "fig9"
-        assert data["events_per_second"] == 2000.0
-        assert data["hotspots"][0]["function"] == "a.py:1(f)"
+        path = tmp_path / "profile.json"
+        record = self._report().record()
+        write_record(record, path)
+        assert record_from_file(path).to_dict() == record.to_dict()
+        detail = json.loads(path.read_text())["detail"]
+        assert detail["experiment"] == "fig9"
+        assert detail["events_per_second"] == 2000.0
+        assert detail["hotspots"][0]["function"] == "a.py:1(f)"
 
     def test_json_carries_schema_stamp(self, tmp_path):
-        from repro.perf import PROFILE_SCHEMA_VERSION
-
-        path = tmp_path / "BENCH_kernel.json"
-        self._report().write_json(str(path))
+        path = tmp_path / "profile.json"
+        write_record(self._report().record(), path)
         data = json.loads(path.read_text())
-        assert data["schema_version"] == PROFILE_SCHEMA_VERSION
-        assert "config_preset" in data
+        assert data["schema_version"] == LEDGER_SCHEMA_VERSION
+        assert data["verb"] == "profile"
+        assert data["experiment"] == "fig9"
+        assert "config_preset" in data["detail"]
+        # Wall-clock figures are recorded, never gated.
+        assert data["metrics"]["profile/events_per_second"] == 2000.0
+        assert {policy["mode"] for policy in data["policies"].values()} \
+            == {"info"}
 
 
 class TestProfileExperiment:
@@ -100,11 +108,9 @@ class TestProfileExperiment:
         assert len(report.hotspots) <= 5
 
     def test_report_is_stamped_with_config_preset(self):
-        from repro.perf import PROFILE_SCHEMA_VERSION
-
         report = profile_experiment("table1", top=1)
-        assert report.schema_version == PROFILE_SCHEMA_VERSION
         assert report.config_preset == "quick"
+        assert report.record().preset == "quick"
 
     def test_cache_env_is_restored(self):
         saved = os.environ.get("REPRO_CACHE")
@@ -121,13 +127,17 @@ class TestProfileExperiment:
 
 class TestCli:
     def test_profile_command_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_kernel.json"
+        out = tmp_path / "profile.json"
         assert main(["profile", "table1", "--top", "3",
                      "--json", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "profile: table1" in captured
-        data = json.loads(out.read_text())
-        assert set(data) >= {"experiment", "events_per_second", "hotspots"}
+        record = record_from_file(out)
+        assert record.verb == "profile"
+        assert set(record.detail) >= {"experiment", "events_per_second",
+                                      "hotspots"}
+        assert main(["regress", "--baseline", str(out),
+                     "--current", str(out)]) == 0
 
 
 def test_total_events_executed_tracks_engine_runs():

@@ -405,10 +405,14 @@ def test_fig1_rows_identical_with_and_without_snapshots(tmp_path):
 
 
 def test_bench_sweep_schema_and_speedup(tmp_path):
+    from repro.metrics import LEDGER_SCHEMA_VERSION, write_record
+
     bench = perf.bench_sweep("fig1", scale="quick",
                              snapshot_dir=str(tmp_path))
-    data = json.loads(bench.to_json())
-    assert data["schema_version"] == perf.SWEEP_SCHEMA_VERSION
+    record = bench.record()
+    assert record.verb == "bench-sweep"
+    assert record.schema_version == LEDGER_SCHEMA_VERSION
+    data = record.detail
     for field in ("experiment", "scale", "wall_seconds_snapshots_off",
                   "wall_seconds_snapshots_cold",
                   "wall_seconds_snapshots_on", "speedup",
@@ -417,9 +421,11 @@ def test_bench_sweep_schema_and_speedup(tmp_path):
     assert data["experiment"] == "fig1"
     assert data["wall_seconds_snapshots_on"] > 0
     assert data["speedup"] > 0
-    out = tmp_path / "BENCH_sweep.json"
-    bench.write_json(str(out))
-    assert json.loads(out.read_text())["speedup"] == data["speedup"]
+    assert record.metrics["sweep/speedup"] == data["speedup"]
+    out = tmp_path / "sweep.json"
+    write_record(record, out)
+    assert json.loads(out.read_text())["detail"]["speedup"] == \
+        data["speedup"]
 
 
 def test_bench_sweep_unknown_experiment():

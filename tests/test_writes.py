@@ -283,17 +283,33 @@ class TestRunWritesEndToEnd:
             or bench.execution["backend"] == "scalar"
 
     def test_payload_projects_onto_metrics_registry(self, bench):
-        import json
+        record = bench.record()
+        assert record.verb == "writes"
+        assert "write_ratio_points" in record.detail
+        assert record.metrics["writes/policy_order_ok"] == 1.0
+        assert record.policies["writes/policy_order_ok"] == \
+            {"mode": "exact"}
+        labels = "policy=readiness,preset=flash-sync-writes,ratio=0.5"
+        key = f"writes/admission_rejects{{{labels}}}"
+        assert record.metrics[key] > 0
+        assert record.policies[key] == {"mode": "exact"}
+        assert record.policies[f"writes/failed{{{labels}}}"] == \
+            {"mode": "exact"}
+        assert record.policies[f"writes/service_p99_ns{{{labels}}}"] == \
+            {"mode": "info"}
 
-        from repro.metrics import bench_view
+    def test_cli_json_is_a_record_that_regresses_clean(
+            self, bench, tmp_path, monkeypatch, capsys):
+        import repro.writes
+        from repro.cli import main
+        from repro.metrics import record_from_file
 
-        payload = json.loads(bench.to_json())
-        assert payload["schema_version"] >= 1
-        assert "write_ratio_points" in payload
-        view = bench_view(payload)
-        assert view.verb == "writes"
-        assert view.metrics["writes/policy_order_ok"] == 1.0
-        key = ("writes/admission_rejects{policy=readiness,"
-               "preset=flash-sync-writes,ratio=0.5}")
-        assert view.metrics[key] > 0
-        assert view.policies[key] == {"mode": "exact"}
+        monkeypatch.setattr(repro.writes, "run_writes",
+                            lambda *args, **kwargs: bench)
+        out = tmp_path / "writes.json"
+        assert main(["writes", "--json", str(out)]) == 0
+        record = record_from_file(out)
+        assert record.verb == "writes"
+        assert record.fingerprint == bench.record().fingerprint
+        assert main(["regress", "--baseline", str(out),
+                     "--current", str(out)]) == 0
