@@ -8,7 +8,6 @@ Commands:
 * ``trace-run <experiment>``      — traced run -> Chrome trace JSON
 * ``report [--telemetry]``        — full report (+ tail attribution)
 * ``bench-sweep``                 — sweep wall time, snapshots off vs on
-* ``bench-kernel``                — batch-execution kernel, scalar vs vector
 * ``chaos <experiment>``          — fault-injection degradation curves
 * ``writes [exp]``                — admission-policy WA/lifetime sweeps
 * ``loadgen <experiment>``        — QPS sweeps and SLO knee curves
@@ -25,12 +24,11 @@ control warm-state snapshot reuse (default: on, under the result-cache
 directory); the flags set the ``REPRO_SNAPSHOT`` / ``REPRO_SNAPSHOT_DIR``
 environment the harness reads.
 
-Every measuring verb (``report``, ``profile``, ``bench-kernel``,
-``bench-sweep``, ``chaos``, ``writes``, ``loadgen``, ``simulate``)
-appends a :class:`repro.metrics.RunRecord` to
-``.repro_runs/ledger.jsonl`` (``$REPRO_RUNS_DIR`` overrides the
-directory, ``REPRO_LEDGER=0`` disables); appends are best-effort and
-never fail the verb.  ``--json PATH`` writes the same record to a file.
+Every measuring verb (``report``, ``profile``, ``bench-sweep``,
+``chaos``, ``writes``, ``loadgen``, ``simulate``) appends a
+:class:`repro.metrics.RunRecord` to ``.repro_runs/ledger.jsonl``
+(``$REPRO_RUNS_DIR`` overrides the directory, ``REPRO_LEDGER=0``
+disables); appends are best-effort and never fail the verb.  ``--json PATH`` writes the same record to a file.
 """
 
 from __future__ import annotations
@@ -141,38 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--json", dest="json_out", default=None,
                                 metavar="PATH",
                                 help="also write the run record as JSON")
-    profile_parser.add_argument("--backend", default=None,
-                                choices=("scalar", "vector"),
-                                help="execution backend for the profiled "
-                                     "runs (default: $REPRO_BACKEND or "
-                                     "scalar)")
-
-    kernel_parser = commands.add_parser(
-        "bench-kernel", help="time the batch-execution kernel per "
-                             "backend (scalar vs vector)")
-    kernel_parser.add_argument("--scale", default="quick",
-                               choices=("quick", "full"))
-    kernel_parser.add_argument("--backend", default=None,
-                               choices=("scalar", "vector"),
-                               help="bench a single backend (default: "
-                                    "both, with bit-identity check)")
-    kernel_parser.add_argument("--compare", action="store_true",
-                               help="bench both backends and print the "
-                                    "vector/scalar speedup ratio "
-                                    "(the default when --backend is "
-                                    "not given)")
-    kernel_parser.add_argument("--repeat", type=int, default=3,
-                               help="timed runs per backend; the best "
-                                    "wall is reported (default 3)")
-    kernel_parser.add_argument("--shape", action="append", default=None,
-                               choices=("fused", "open-loop",
-                                        "multi-core"),
-                               help="bench only this run shape (repeat "
-                                    "the flag for several; default: all "
-                                    "three shapes)")
-    kernel_parser.add_argument("--json", dest="json_out", default=None,
-                               metavar="PATH",
-                               help="also write the run record as JSON")
 
     sweep_parser = commands.add_parser(
         "bench-sweep", help="time one sweep with snapshots off vs on "
@@ -207,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "identical curves)")
     chaos_parser.add_argument("--jobs", type=int, default=None,
                               help=jobs_help)
-    chaos_parser.add_argument("--backend", default=None,
-                              choices=("scalar", "vector"),
-                              help="execution backend for the sweep "
-                                   "(default: $REPRO_BACKEND or vector; "
-                                   "unsupported cells fall back to "
-                                   "scalar, bit-identically)")
     chaos_parser.add_argument("--json", dest="json_out", default=None,
                               metavar="PATH",
                               help="also write the run record as JSON")
@@ -246,12 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     writes_parser.add_argument("--seed", type=int, default=42)
     writes_parser.add_argument("--jobs", type=int, default=None,
                                help=jobs_help)
-    writes_parser.add_argument("--backend", default=None,
-                               choices=("scalar", "vector"),
-                               help="execution backend for the sweep "
-                                    "(write-enabled cells always fall "
-                                    "back to scalar, recorded under "
-                                    "the 'writes' fallback reason)")
     writes_parser.add_argument("--json", dest="json_out", nargs="?",
                                const="BENCH_writes.json", default=None,
                                metavar="PATH",
@@ -307,12 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--seed", type=int, default=42)
     loadgen_parser.add_argument("--jobs", type=int, default=None,
                                 help=jobs_help)
-    loadgen_parser.add_argument("--backend", default=None,
-                                choices=("scalar", "vector"),
-                                help="execution backend for the sweep "
-                                     "(default: $REPRO_BACKEND or "
-                                     "vector; unsupported cells fall "
-                                     "back to scalar, bit-identically)")
     loadgen_parser.add_argument("--json", dest="json_out", nargs="?",
                                 const="BENCH_loadgen.json", default=None,
                                 metavar="PATH",
@@ -354,10 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "streams internally; default: closed "
                                  "loop)")
     sim_parser.add_argument("--seed", type=int, default=42)
-    sim_parser.add_argument("--backend", default=None,
-                            choices=("scalar", "vector"),
-                            help="execution backend (default: "
-                                 "$REPRO_BACKEND or scalar)")
 
     ledger_help = ("ledger file (default: $REPRO_RUNS_DIR/ledger.jsonl "
                    "or .repro_runs/ledger.jsonl)")
@@ -373,8 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="filter by config preset")
     history_parser.add_argument("--workload", default="",
                                 help="filter by workload")
-    history_parser.add_argument("--backend", default="",
-                                help="filter by backend")
     history_parser.add_argument("--last", type=int, default=None,
                                 metavar="N",
                                 help="show only the newest N records")
@@ -473,24 +415,6 @@ def _emit(result, json_out: Optional[str]) -> None:
         print(f"wrote {json_out}")
         record.artifacts = [json_out]
     _append_ledger(record)
-
-
-def _warn_vector_fallback(requested, fallbacks: int,
-                          reasons=None) -> None:
-    """One-line stderr warning when a requested ``--backend vector``
-    run silently fell back to the scalar engine."""
-    from repro.sim.vector import resolve_backend
-
-    if resolve_backend(requested) != "vector" or fallbacks <= 0:
-        return
-    if reasons:
-        detail = "; ".join(f"{reason} x{count}" for reason, count
-                           in sorted(dict(reasons).items()))
-    else:
-        from repro.sim.vector import last_fallback_reason
-        detail = last_fallback_reason() or "unsupported run shape"
-    print(f"warning: vector backend fell back to scalar for "
-          f"{fallbacks} run(s): {detail}", file=sys.stderr)
 
 
 def cmd_experiments() -> int:
@@ -632,43 +556,10 @@ def cmd_trace_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(experiment: str, scale: str, top: int,
-                json_out: Optional[str],
-                backend: Optional[str] = None) -> int:
+                json_out: Optional[str]) -> int:
     from repro.perf import profile_experiment
 
-    report = profile_experiment(experiment, scale=scale, top=top,
-                                backend=backend)
-    _emit(report, json_out)
-    _warn_vector_fallback(report.backend, report.scalar_fallbacks,
-                          report.fallback_reasons)
-    return 0
-
-
-def cmd_bench_kernel(args: argparse.Namespace) -> int:
-    from repro.perf import bench_kernel
-
-    if args.backend is not None and not args.compare:
-        backends = (args.backend,)
-    else:
-        backends = ("scalar", "vector")
-    bench = bench_kernel(scale=args.scale, backends=backends,
-                         repeat=args.repeat,
-                         shapes=tuple(args.shape) if args.shape else None)
-    _emit(bench, args.json_out)
-    for shape in bench.shapes:
-        for entry in shape.entries:
-            if entry.backend == "vector":
-                _warn_vector_fallback(
-                    "vector",
-                    entry.vector_stats.get("scalar_fallbacks", 0),
-                    entry.fallback_reasons)
-    diverged = [cell.shape for cell in bench.shapes
-                if cell.bit_identical is False]
-    if diverged:
-        print(f"bench-kernel: backends DIVERGED on {', '.join(diverged)} "
-              "(fingerprints or deterministic results differ)",
-              file=sys.stderr)
-        return 1
+    _emit(profile_experiment(experiment, scale=scale, top=top), json_out)
     return 0
 
 
@@ -680,13 +571,6 @@ def cmd_bench_sweep(experiment: str, scale: str,
     return 0
 
 
-def _warn_sweep_fallback(execution) -> None:
-    """The fallback warning for a sweep, from its execution block."""
-    _warn_vector_fallback(execution.get("backend"),
-                          execution.get("scalar_cells", 0),
-                          execution.get("fallback_reasons"))
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import parse_rber_sweep, run_chaos
 
@@ -696,10 +580,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     bench = run_chaos(
         args.experiment, scale=args.scale, rber_points=rber_points,
         fault_seed=args.fault_seed, workload=args.workload,
-        jobs=args.jobs, backend=args.backend,
+        jobs=args.jobs,
     )
     _emit(bench, args.json_out)
-    _warn_sweep_fallback(bench.execution)
     return 0
 
 
@@ -724,13 +607,12 @@ def cmd_writes(args: argparse.Namespace) -> int:
         bench = run_writes(
             args.experiment, scale=args.scale, write_ratios=write_ratios,
             policies=policies, presets=presets, seed=args.seed,
-            jobs=args.jobs, backend=args.backend,
+            jobs=args.jobs,
         )
     except ReproError as exc:
         print(f"writes: {exc}", file=sys.stderr)
         return 2
     _emit(bench, args.json_out)
-    _warn_sweep_fallback(bench.execution)
     if not bench.policy_order_ok:
         print("writes: admission-policy WA ordering violated "
               "(expected write-through > write-back > readiness on "
@@ -749,10 +631,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed, seed=args.seed,
         backlog_threshold=args.backlog_threshold,
         refine_evals=args.refine_evals, jobs=args.jobs,
-        backend=args.backend,
     )
     _emit(bench, args.json_out)
-    _warn_sweep_fallback(bench.execution)
     return 0
 
 
@@ -795,32 +675,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # load while fig10/table2 used the per-core convention.
         arrivals = PoissonArrivals(args.interarrival_us * US * args.cores,
                                    seed=args.seed + 1)
-    from repro.sim import vector
-
-    fallbacks_before = vector.stats().get("scalar_fallbacks", 0)
-    reasons_before = vector.fallback_reasons()
-    runner = Runner(config, workload, arrivals=arrivals,
-                    backend=args.backend)
+    runner = Runner(config, workload, arrivals=arrivals)
     result = runner.run()
     print(result.describe())
-    fallbacks = (vector.stats().get("scalar_fallbacks", 0)
-                 - fallbacks_before)
-    reasons = {
-        reason: count - reasons_before.get(reason, 0)
-        for reason, count in vector.fallback_reasons().items()
-        if count > reasons_before.get(reason, 0)
-    }
-    _warn_vector_fallback(args.backend, fallbacks, reasons)
     try:
         from repro.metrics import machine_metrics, make_record
-        resolved = vector.resolve_backend(args.backend)
-        metrics = result.metrics(backend=resolved)
+        metrics = result.metrics()
         metrics.merge(machine_metrics(
-            runner.machine, preset=args.config,
-            workload=args.workload, backend=resolved))
+            runner.machine, preset=args.config, workload=args.workload))
         _append_ledger(make_record(
             "simulate", preset=args.config, workload=args.workload,
-            backend=resolved, seed=args.seed,
+            seed=args.seed,
             metrics=metrics.as_dict(),
             fingerprint=runner.machine.state_fingerprint(),
             wall_seconds=result.wall_seconds,
@@ -837,8 +702,7 @@ def cmd_history(args: argparse.Namespace) -> int:
     path = ledger_path(args.ledger)
     records = filter_records(
         read_ledger(path), verb=args.verb, experiment=args.experiment,
-        preset=args.preset, workload=args.workload,
-        backend=args.backend, last=args.last,
+        preset=args.preset, workload=args.workload, last=args.last,
     )
     if args.json_out:
         print(json_dumps([record.to_dict() for record in records]))
@@ -950,9 +814,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_trace_run(args)
     if args.command == "profile":
         return cmd_profile(args.experiment, args.scale, args.top,
-                           args.json_out, args.backend)
-    if args.command == "bench-kernel":
-        return cmd_bench_kernel(args)
+                           args.json_out)
     if args.command == "simulate":
         return cmd_simulate(args)
     if args.command == "history":

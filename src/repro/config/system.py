@@ -348,6 +348,16 @@ class OsConfig:
     # OS-Swap uses kernel threads multiplexed per core.
     kernel_threads_per_core: int = 32
 
+    def validate(self) -> None:
+        if self.page_table_levels < 1:
+            raise ConfigurationError("page_table_levels must be >= 1")
+        if self.shootdown_batch_size < 1:
+            raise ConfigurationError("shootdown_batch_size must be >= 1")
+        for name in ("context_switch_ns", "page_fault_kernel_ns",
+                     "tlb_shootdown_base_ns", "tlb_shootdown_per_core_ns"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} cannot be negative")
+
 
 @dataclass
 class UltConfig:
@@ -364,6 +374,13 @@ class UltConfig:
     # which the pending-queue head preempts new jobs.
     aging_threshold_factor: float = 1.0
 
+    def validate(self) -> None:
+        if self.switch_latency_ns < 0:
+            raise ConfigurationError("switch_latency_ns cannot be negative")
+        if self.aging_threshold_factor < 0:
+            raise ConfigurationError(
+                "aging_threshold_factor cannot be negative")
+
 
 @dataclass
 class TlbConfig:
@@ -375,6 +392,10 @@ class TlbConfig:
     # Probability a job step needs translation not covered by the
     # on-core TLBs (cold/irregular accesses).
     miss_probability: float = 0.02
+
+    def validate(self) -> None:
+        if not 0.0 <= self.miss_probability <= 1.0:
+            raise ConfigurationError("miss_probability must be in [0, 1]")
 
 
 @dataclass
@@ -427,6 +448,9 @@ class SystemConfig:
         self.flash.validate()
         self.faults.validate()
         self.writes.validate()
+        self.os.validate()
+        self.ult.validate()
+        self.tlb.validate()
         self.scale.validate()
 
     # -- derived, scaled quantities ----------------------------------------

@@ -221,10 +221,9 @@ class Machine:
             parts.append(sorted(self.pager.resident.dump_state().items()))
         if self.flash is not None:
             # Device-side activity (reads, GC, retries) — pins the
-            # flash path in the scalar-vs-vector identity contract on
-            # top of the snapshot contract above (both tiers are empty
-            # at the warm/measure boundary, so snapshot comparisons
-            # are unaffected).
+            # flash path on top of the snapshot contract above (both
+            # tiers are empty at the warm/measure boundary, so
+            # snapshot comparisons are unaffected).
             parts.append(sorted(self.flash.stats.as_dict().items()))
             parts.append(sorted(self.flash.ftl.stats.as_dict().items()))
         return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracer import active as _tracer_active
 from repro.sim import Signal, observe, spawn
-from repro.sim import vector as _vector
 from repro.stats import CounterSet, LatencyTracker, ThroughputTracker
 from repro.stats.histogram import percentile
 from repro.ult.queuepair import CompletionQueue
@@ -68,6 +67,14 @@ _WALL_TOTALS: Dict[str, float] = {"warm_seconds": 0.0,
 def wall_split_totals() -> Dict[str, float]:
     """Cumulative in-process wall seconds spent warming vs measuring."""
     return dict(_WALL_TOTALS)
+
+
+#: SimulationResult fields that depend on the wall clock or warm-state
+#: provenance.  Everything else is deterministic: two runs of the same
+#: spec match on it bit-for-bit (serial or parallel, cached or fresh).
+RESULT_WALL_FIELDS = (
+    "events_per_second", "wall_seconds", "warm_wall_seconds", "warm_source",
+)
 
 
 @dataclass
@@ -136,14 +143,14 @@ class SimulationResult:
             )
         return "\n".join(lines)
 
-    def metrics(self, backend: str = ""):
+    def metrics(self):
         """This result as a labeled :class:`repro.metrics.MetricSet`
         (the unified-registry view, DESIGN.md §4i).  Wall-clock fields
         stay out — they belong on the run-ledger record, so the view
         is deterministic for identical-seed runs."""
         from repro.metrics import metrics_from_result  # deferred: cycle
 
-        return metrics_from_result(self, backend=backend)
+        return metrics_from_result(self)
 
 
 class Runner:
@@ -151,7 +158,7 @@ class Runner:
 
     def __init__(self, config: SystemConfig, workload: Workload,
                  arrivals=None, seed: Optional[int] = None,
-                 warm: bool = True, backend: Optional[str] = None) -> None:
+                 warm: bool = True) -> None:
         self.config = config
         self.workload = workload
         self.arrivals = arrivals if arrivals is not None else ClosedLoop()
@@ -159,13 +166,6 @@ class Runner:
         self.seed = config.scale.seed if seed is None else seed
         self._rng = random.Random(self.seed)
         self._warm = warm
-        # Execution backend: "scalar" (golden reference) or "vector"
-        # (repro.sim.vector epochs, bit-identical where supported).
-        # None defers to $REPRO_BACKEND at run() time.
-        self._backend_request = backend
-        # Buffered TLB-draw bridge owned by the vector loop; resynced
-        # into self._rng once at end of run.
-        self._vector_tlb_rng: Optional[_vector.BatchedRandom] = None
         self._warm_source = "none"
         self._warm_wall_seconds = 0.0
 
@@ -273,43 +273,16 @@ class Runner:
                 )
                 self._telemetry.start()
 
-        # Backend selection (DESIGN.md §4h): the vector backend only
-        # engages on run shapes it can reproduce bit-identically;
-        # everything else silently takes the scalar path and records
-        # the fallback reason in repro.sim.vector.stats().
-        vector_kind = None
-        if _vector.resolve_backend(self._backend_request) == "vector":
-            vector_kind, reason = _vector.classify(self)
-            if vector_kind is None:
-                _vector.record_fallback(reason)
-
         open_loop = not isinstance(self.arrivals, ClosedLoop)
-        if vector_kind is not None:
-            # DRAM-only: arrivals, core resumes, and the measurement
-            # boundary advance as one merged event horizon — a
-            # heap-free (time, seq) mirror of the scalar schedule.
-            _vector.run_merged(self)
-        else:
-            if open_loop:
-                for core_id in range(self.config.num_cores):
-                    spawn(engine, self._arrival_process(core_id),
-                          name=f"arrivals{core_id}")
+        if open_loop:
             for core_id in range(self.config.num_cores):
-                spawn(engine, self._core_loop(core_id),
-                      name=f"core{core_id}")
-            engine.schedule(scale.warmup_ns, self._start_measurement)
-            end = scale.warmup_ns + scale.measurement_ns
-            engine.run(until=end)
+                spawn(engine, self._arrival_process(core_id),
+                      name=f"arrivals{core_id}")
+        for core_id in range(self.config.num_cores):
+            spawn(engine, self._core_loop(core_id), name=f"core{core_id}")
+        engine.schedule(scale.warmup_ns, self._start_measurement)
+        engine.run(until=scale.warmup_ns + scale.measurement_ns)
         self.throughput.stop_measurement(engine.now)
-        if vector_kind is not None:
-            # Land the Python RNG streams on exactly the consumed
-            # draw positions (buffered bridges defer this to run end).
-            if self._vector_tlb_rng is not None:
-                self._vector_tlb_rng.sync()
-            self.workload.plan_sync()
-            gap_sync = getattr(self.arrivals, "gap_sync", None)
-            if gap_sync is not None:
-                gap_sync()
         if tracer is not None:
             tracer.end_run(engine.now)
 
@@ -318,11 +291,7 @@ class Runner:
         return self._build_result(open_loop, wall_seconds)
 
     def _start_measurement(self) -> None:
-        """Open the measurement window (scheduled at ``warmup_ns``).
-
-        Split out of :meth:`run` so the vector backend can fire it at
-        the same simulated instant the scalar schedule would.
-        """
+        """Open the measurement window (scheduled at ``warmup_ns``)."""
         machine = self.machine
         self.service_latency.start_measurement()
         self.response_latency.start_measurement()

@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.harness.common import build_config, resolve_scale
-from repro.sim import vector as _vector
+from repro.harness.common import resolve_scale
 from repro.harness.parallel import (
     ParallelRunError,
     RunSpec,
@@ -92,12 +91,6 @@ class ChaosBench:
     #: rber points (failed cells excluded) — the acceptance property.
     monotonic_p99: bool = True
     config_preset: str = ""  # HarnessScale.name the run resolved to
-    #: Backend accounting: which execution backend the sweep requested
-    #: and, per run shape, how many cells the vector backend accepted
-    #: (``vector_kinds``) versus fell back on (``fallback_reasons``).
-    #: Derived from config facts only, so it is deterministic — but it
-    #: names the backend, so the record fingerprint leaves it out.
-    execution: dict = field(default_factory=dict)
 
     def curve(self, preset: str) -> List[ChaosCell]:
         """The preset's cells in sweep order."""
@@ -140,7 +133,7 @@ class ChaosBench:
         p99 and per-cell device failure gate ``exact``, fault counters
         are ``info``, and the fingerprint pins every simulated figure."""
         from repro.metrics import (  # deferred: import cost
-            EXACT, INFO, MetricSet, detail_fingerprint, make_record,
+            EXACT, INFO, MetricSet, make_record, payload_digest,
         )
 
         metrics = MetricSet()
@@ -162,10 +155,9 @@ class ChaosBench:
         return make_record(
             "chaos", experiment=self.experiment, scale=self.scale,
             preset=self.config_preset, workload=self.workload,
-            backend=self.execution.get("backend", ""),
             seed=self.fault_seed, metrics=metrics.as_dict(),
             policies=metrics.policies(), detail=detail,
-            fingerprint=detail_fingerprint(detail))
+            fingerprint=payload_digest(detail))
 
 
 def parse_rber_sweep(text: str) -> Tuple[float, ...]:
@@ -246,17 +238,9 @@ def run_chaos(experiment: str = "fig9", scale="quick",
               presets: Optional[Sequence[str]] = None,
               jobs: Optional[int] = None,
               snapshots: Optional[bool] = None,
-              snapshot_dir=None,
-              backend: Optional[str] = None) -> ChaosBench:
-    """Sweep injected fault rates and build the degradation curves.
-
-    ``backend`` selects the execution backend for every cell (default:
-    :func:`repro.sim.vector.preferred_backend` — vector unless
-    ``$REPRO_BACKEND`` overrides); faulted cells fall back per run and
-    the ``execution`` block accounts for both populations.
-    """
+              snapshot_dir=None) -> ChaosBench:
+    """Sweep injected fault rates and build the degradation curves."""
     scale = resolve_scale(scale)
-    backend = _vector.preferred_backend(backend)
     if rber_points is None:
         rber_points = DEFAULT_RBER_POINTS
     rber_points = tuple(sorted(set(float(p) for p in rber_points)))
@@ -275,7 +259,7 @@ def run_chaos(experiment: str = "fig9", scale="quick",
     ]
     try:
         results = run_specs(specs, jobs=jobs, snapshots=snapshots,
-                            snapshot_dir=snapshot_dir, backend=backend)
+                            snapshot_dir=snapshot_dir)
     except ParallelRunError:
         # Some point of the grid died (DeviceFailedError at an extreme
         # fault rate).  Re-run cell by cell so the surviving points
@@ -284,8 +268,7 @@ def run_chaos(experiment: str = "fig9", scale="quick",
         for spec in specs:
             try:
                 results.append(execute_spec(spec, snapshots=snapshots,
-                                            snapshot_dir=snapshot_dir,
-                                            backend=backend))
+                                            snapshot_dir=snapshot_dir))
             except ReproError:
                 results.append(None)
 
@@ -318,16 +301,4 @@ def run_chaos(experiment: str = "fig9", scale="quick",
         config_preset=scale.name,
     )
     bench.monotonic_p99 = _check_monotonic(bench)
-
-    # Backend accounting: classified from config facts so
-    # the block is identical whether cells executed or came from the
-    # cache.  Chaos cells are closed-loop; rber > 0 activates a fault
-    # plan (per-read outcome draws), which the vector backend refuses.
-    shape_counts = []
-    for preset in presets:
-        config = build_config(preset, scale)
-        for rber in rber_points:
-            shape_counts.append((config.mode, config.num_cores, False,
-                                 rber > 0.0, False, 1))
-    bench.execution = _vector.execution_summary(backend, shape_counts)
     return bench

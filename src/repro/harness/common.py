@@ -130,17 +130,11 @@ def build_config(config_name: str, scale: HarnessScale) -> SystemConfig:
 
 def run_simulation(config_name: str, workload_name: str,
                    scale: HarnessScale, arrivals=None, seed: int = 42,
-                   backend=None, **workload_overrides):
-    """One full-system run at harness scale.
-
-    ``backend`` picks the execution backend (scalar/vector); ``None``
-    defers to ``$REPRO_BACKEND`` so profiling/bench drivers can steer
-    whole experiments without threading an argument through each one.
-    """
+                   **workload_overrides):
+    """One full-system run at harness scale."""
     config = build_config(config_name, scale)
     kwargs = scale.workload_kwargs()
     kwargs.update(workload_overrides)
     workload = make_workload(workload_name, scale.dataset_pages, seed=seed,
                              **kwargs)
-    return Runner(config, workload, arrivals=arrivals,
-                  backend=backend).run()
+    return Runner(config, workload, arrivals=arrivals).run()

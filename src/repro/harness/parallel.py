@@ -195,17 +195,14 @@ def _spec_warm_key(spec: RunSpec) -> Optional[str]:
                          dataset_pages=scale.dataset_pages)
 
 
-def _prepare_runner(spec: RunSpec, store,
-                    backend: Optional[str] = None) -> Runner:
+def _prepare_runner(spec: RunSpec, store) -> Runner:
     """Build the :class:`Runner` for one spec, warm state included.
 
     With snapshots enabled the dataset build is memoized, and the
     warm/measure-boundary state is restored from the store when the
     spec's warm key is already captured — bit-identical to a fresh
     ``machine.warm_caches()`` — or captured for the rest of the sweep
-    otherwise.  ``backend`` selects the execution backend for the
-    measurement phase (warm state is backend-independent, as is the
-    result — the vector backend is bit-identical or falls back).
+    otherwise.
     """
     from repro import snapshot as snap
 
@@ -219,20 +216,19 @@ def _prepare_runner(spec: RunSpec, store,
             payload = store.load(snap.WARM_KIND, key)
             if payload is not None:
                 runner = Runner(config, payload["workload"],
-                                arrivals=arrivals, warm=False,
-                                backend=backend)
+                                arrivals=arrivals, warm=False)
                 snap.restore_warm(runner, payload)
                 return runner
     workload = snap.build_workload(spec.workload_name, scale.dataset_pages,
                                    spec.seed, store=store, **kwargs)
-    runner = Runner(config, workload, arrivals=arrivals, backend=backend)
+    runner = Runner(config, workload, arrivals=arrivals)
     if key is not None:
         snap.capture_warm(runner, key, store)
     return runner
 
 
 def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None,
-                 snapshot_dir=None, backend: Optional[str] = None):
+                 snapshot_dir=None):
     """Run one spec to a ``SimulationResult`` (mirrors the serial path
     of ``run_simulation`` so results match bit-for-bit).
 
@@ -240,14 +236,12 @@ def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None,
     policy (default: the ``REPRO_SNAPSHOT``/``REPRO_SNAPSHOT_DIR``
     environment); both the fresh-warm and snapshot-restore paths
     produce bit-identical results — the golden determinism test pins
-    this.  ``backend`` picks the execution backend (``None`` keeps the
-    Runner default, i.e. ``$REPRO_BACKEND`` or scalar); the cache key
-    deliberately excludes it, because results are backend-invariant.
+    this.
     """
     from repro import snapshot as snap
 
     store = snap.resolve_store(snapshots, snapshot_dir)
-    return _prepare_runner(spec, store, backend=backend).run()
+    return _prepare_runner(spec, store).run()
 
 
 # ------------------------------------------------------------ result cache --
@@ -446,8 +440,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
               cache_dir: Optional[Union[str, Path]] = None,
               report: Optional[Dict[str, int]] = None,
               snapshots: Optional[bool] = None,
-              snapshot_dir: Optional[Union[str, Path]] = None,
-              backend: Optional[str] = None) -> List:
+              snapshot_dir: Optional[Union[str, Path]] = None) -> List:
     """Execute a batch of run specs, results in spec order.
 
     ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Cached
@@ -460,19 +453,10 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     failure raises :class:`ParallelRunError`.  ``report``, if given,
     is filled with batch statistics (``cache_hits`` / ``executed`` /
     ``retried`` / ``jobs``).
-
-    ``backend`` defaults to the sweep-level preference
-    (:func:`repro.sim.vector.preferred_backend`): vector unless
-    ``$REPRO_BACKEND`` overrides — safe because the vector backend is
-    bit-identical on the shapes it accepts and falls back per run on
-    the rest, so this only changes wall time, never results (nor cache
-    keys, which exclude the backend for the same reason).
     """
     from repro import snapshot as snap
-    from repro.sim import vector as _vector
 
     specs = list(specs)
-    backend = _vector.preferred_backend(backend)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     use_cache = cache_enabled() if cache is None else cache
     directory = Path(cache_dir) if cache_dir is not None \
@@ -502,8 +486,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 _prewarm_groups(specs, pending, store)
             worker = functools.partial(execute_spec,
                                        snapshots=store.enabled,
-                                       snapshot_dir=store.directory,
-                                       backend=backend)
+                                       snapshot_dir=store.directory)
             outcomes = _run_in_pool(
                 worker, [specs[i] for i in pending],
                 min(jobs, len(pending)),
@@ -517,8 +500,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 try:
                     outcomes.append(
                         execute_spec(specs[index], snapshots=store.enabled,
-                                     snapshot_dir=store.directory,
-                                     backend=backend))
+                                     snapshot_dir=store.directory))
                 except Exception as exc:
                     outcomes.append(exc)
         for slot, index in enumerate(pending):
@@ -531,8 +513,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 try:
                     outcome = execute_spec(specs[index],
                                            snapshots=store.enabled,
-                                           snapshot_dir=store.directory,
-                                           backend=backend)
+                                           snapshot_dir=store.directory)
                 except Exception as exc:
                     raise ParallelRunError(specs[index], exc) from exc
             results[index] = outcome

@@ -1,8 +1,8 @@
 """Typed knee-curve results of ``repro loadgen``.
 
 Every field is deterministic (simulation-derived, no wall-clock
-values), so two invocations of the same sweep — on either backend —
-produce the same record fingerprint, the CI acceptance bar.
+values), so two invocations of the same sweep produce the same record
+fingerprint, the CI acceptance bar.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class LoadgenBench:
     #: acceptance property the record gates on.
     monotonic_p99: bool = True
     config_preset: str = ""  # HarnessScale.name the run resolved to
-    #: Backend accounting: which execution backend the sweep requested
-    #: and, per run shape, how many cells the vector backend accepted
-    #: (``vector_kinds``) versus fell back on (``fallback_reasons``).
-    #: Derived from config facts only, so it is deterministic — but it
-    #: names the backend, so the record fingerprint leaves it out.
-    execution: dict = field(default_factory=dict)
 
     def curve(self, preset: str) -> List[LoadgenCell]:
         """The preset's cells in sweep order."""
@@ -169,7 +163,7 @@ class LoadgenBench:
         p99 gates ``exact``, and the fingerprint pins every simulated
         figure (cells and knees alike)."""
         from repro.metrics import (  # deferred: import cost
-            EXACT, MetricSet, detail_fingerprint, make_record,
+            EXACT, MetricSet, make_record, payload_digest,
         )
 
         metrics = MetricSet()
@@ -189,6 +183,6 @@ class LoadgenBench:
         return make_record(
             "loadgen", experiment=self.experiment, scale=self.scale,
             preset=self.config_preset, workload=self.workload,
-            backend=self.execution.get("backend", ""), seed=self.seed,
-            metrics=metrics.as_dict(), policies=metrics.policies(),
-            detail=detail, fingerprint=detail_fingerprint(detail))
+            seed=self.seed, metrics=metrics.as_dict(),
+            policies=metrics.policies(), detail=detail,
+            fingerprint=payload_digest(detail))

@@ -39,8 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.chaos import fault_overrides
 from repro.harness import parallel
-from repro.harness.common import build_config, resolve_scale
-from repro.sim import vector as _vector
+from repro.harness.common import resolve_scale
 from repro.harness.parallel import RunSpec, run_spec, run_specs
 from repro.loadgen.knee import (
     ABOVE_RANGE,
@@ -339,8 +338,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
                 snapshots: Optional[bool] = None,
                 snapshot_dir=None,
                 cache: Optional[bool] = None,
-                cache_dir=None,
-                backend: Optional[str] = None) -> LoadgenBench:
+                cache_dir=None) -> LoadgenBench:
     """Sweep offered load and build per-preset knee curves.
 
     The DRAM-only closed-loop saturation run anchors everything:
@@ -349,15 +347,8 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     the knee's ``sustained_fraction_of_dram`` normalization.  With
     ``rber > 0`` the flash-backed presets run under injected faults
     (same knobs as ``repro chaos``), composing the two sweep axes.
-
-    ``backend`` selects the execution backend for every cell (default:
-    :func:`repro.sim.vector.preferred_backend` — vector unless
-    ``$REPRO_BACKEND`` overrides).  Cells whose shape the vector
-    backend cannot reproduce bit-identically fall back per run; the
-    ``execution`` block of the result accounts for both populations.
     """
     scale = resolve_scale(scale)
-    backend = _vector.preferred_backend(backend)
     if arrival not in ARRIVAL_KINDS:
         known = ", ".join(ARRIVAL_KINDS)
         raise ReproError(
@@ -374,7 +365,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
 
     run_kwargs = dict(jobs=jobs, snapshots=snapshots,
                       snapshot_dir=snapshot_dir, cache=cache,
-                      cache_dir=cache_dir, backend=backend)
+                      cache_dir=cache_dir)
 
     saturation = run_spec(
         RunSpec("dram-only", workload, scale, seed=seed), **run_kwargs
@@ -441,23 +432,4 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
         bench.knees.append(knee)
 
     bench.monotonic_p99 = _check_monotonic(bench)
-
-    # Backend accounting (schema v2): classified from config facts so
-    # the block is identical whether cells executed or came from the
-    # cache.  One closed-loop saturation anchor, then per preset the
-    # grid cells plus the fresh knee-refinement probes (knee
-    # evaluations beyond the grid), all open-loop.
-    dram_config = build_config("dram-only", scale)
-    shape_counts = [(dram_config.mode, dram_config.num_cores,
-                     False, False, False, 1)]
-    for preset in presets:
-        config = build_config(preset, scale)
-        faulted = rber > 0.0 and preset != "dram-only"
-        runs = len(bench.curve(preset))
-        knee = bench.knee(preset)
-        if knee is not None:
-            runs += max(0, len(knee.evaluations) - len(bench.curve(preset)))
-        shape_counts.append((config.mode, config.num_cores, True,
-                             faulted, False, runs))
-    bench.execution = _vector.execution_summary(backend, shape_counts)
     return bench

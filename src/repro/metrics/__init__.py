@@ -47,14 +47,12 @@ from repro.metrics.registry import (
     METRIC_LABELS,
     Metric,
     MetricSet,
-    detail_fingerprint,
     format_key,
     machine_metrics,
     metrics_from_experiments,
     metrics_from_result,
     parse_key,
     payload_digest,
-    vector_metrics,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "build_dashboard",
     "classify_delta",
     "default_runs_dir",
-    "detail_fingerprint",
     "diff_metric_dicts",
     "diff_records",
     "filter_records",
@@ -93,6 +90,5 @@ __all__ = [
     "render_dashboard",
     "run_regress",
     "select_record",
-    "vector_metrics",
     "write_record",
 ]

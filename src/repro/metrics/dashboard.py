@@ -4,11 +4,11 @@ Dependency-free on both ends: the input is the run ledger alone, the
 output is a single self-contained HTML document — inline CSS, inline
 SVG charts, no scripts, no external fetches — that renders the
 kernel-throughput trajectory, the newest record's ``detail`` of each
-measuring verb (kernel bench, sweep bench, chaos degradation curves,
-loadgen knee curves, profile hotspots), and the latest tail-latency
-attribution.  Every section degrades gracefully: an empty ledger or a
-verb that never ran renders a placeholder or nothing, never an error
-(the dashboard must work on a fresh clone).
+measuring verb (sweep bench, chaos degradation curves, loadgen knee
+curves, profile hotspots), and the latest tail-latency attribution.
+Every section degrades gracefully: an empty ledger or a verb that
+never ran renders a placeholder or nothing, never an error (the
+dashboard must work on a fresh clone).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.metrics.ledger import RunRecord, read_ledger
-from repro.metrics.registry import parse_key
 
 #: Colorblind-safe categorical palette (Observable 10 ordering).
 PALETTE = ("#4269d0", "#efb118", "#ff725c", "#6cc5b0", "#3ca951",
@@ -175,14 +174,14 @@ def _ledger_panel(records: Sequence[RunRecord]) -> str:
         (index, record.record_id[:8] or "-", record.timestamp,
          record.verb, record.experiment or "-",
          f"{record.preset or '-'}/{record.workload or '-'}",
-         record.backend or "-", record.scale or "-",
+         record.scale or "-",
          _fmt(record.wall_seconds, ".2f"),
          _fmt(record.events_per_second, ",.0f"),
          (record.fingerprint[:8] or "-"))
         for index, record in enumerate(records)
     ][-50:]
     table = _table(("#", "id", "timestamp (UTC)", "verb", "experiment",
-                    "preset/workload", "backend", "scale", "wall s",
+                    "preset/workload", "scale", "wall s",
                     "events/s", "fingerprint"), rows)
     return _section("Run ledger", table,
                     note=f"{len(records)} records (newest last, "
@@ -190,67 +189,31 @@ def _ledger_panel(records: Sequence[RunRecord]) -> str:
 
 
 def _kernel_trajectory_panel(records: Sequence[RunRecord]) -> str:
-    """Per-(shape, backend) kernel events/s across ledger history."""
+    """Per-(experiment, scale) profiled kernel events/s across ledger
+    history."""
     series: Dict[Tuple[str, str], List[float]] = {}
     for record in records:
-        if record.verb != "bench-kernel":
-            continue
-        for key, value in record.metrics.items():
-            name, labels = parse_key(key)
-            if name == "kernel/events_per_second":
-                group = (labels.get("shape", "?"), labels.get("backend", "?"))
-                series.setdefault(group, []).append(value)
+        value = record.metrics.get("profile/events_per_second")
+        if record.verb == "profile" and value is not None:
+            group = (record.experiment or "?", record.scale or "?")
+            series.setdefault(group, []).append(value)
     if not series:
         return _section("Kernel throughput trajectory",
-                        "<p class='muted'>no bench-kernel ledger records "
+                        "<p class='muted'>no profile ledger records "
                         "yet</p>")
     rows = []
-    for index, ((shape, backend), values) in enumerate(
+    for index, ((experiment, scale), values) in enumerate(
             sorted(series.items())):
-        rows.append(f"<div class='spark'><b>{_esc(shape)} / "
-                    f"{_esc(backend)}</b> "
+        rows.append(f"<div class='spark'><b>{_esc(experiment)} / "
+                    f"{_esc(scale)}</b> "
                     f"{svg_sparkline(values, color=_color(index))} "
                     f"<span class='muted'>latest "
                     f"{_fmt(values[-1], ',.0f')} events/s over "
                     f"{len(values)} runs</span></div>")
     return _section("Kernel throughput trajectory", "".join(rows),
-                    note="events/s per shape and backend across ledger "
-                         "history (wall-clock: trend, not a gate)")
-
-
-def _kernel_panel(detail: Mapping) -> str:
-    rows = []
-    verdicts = []
-    for cell in detail.get("shapes", ()):
-        shape = cell.get("shape", "?")
-        for entry in cell.get("entries", ()):
-            stats = entry.get("vector_stats") or {}
-            reasons = entry.get("fallback_reasons") or {}
-            reason_text = "; ".join(f"{k} x{v}" for k, v in sorted(
-                reasons.items())) or "-"
-            rows.append((shape, entry.get("backend", "?"),
-                         _fmt(entry.get("wall_seconds"), ".4f"),
-                         _fmt(entry.get("events_executed"), ",.0f"),
-                         _fmt(entry.get("events_per_second"), ",.0f"),
-                         _fmt(stats.get("scalar_fallbacks")),
-                         reason_text,
-                         (entry.get("state_fingerprint") or "")[:10]))
-        verdict = cell.get("bit_identical")
-        badge = ("<span class='ok'>bit-identical</span>" if verdict
-                 else "<span class='bad'>DIVERGED</span>"
-                 if verdict is False else "")
-        speedup = cell.get("speedup")
-        speed_text = (f" &middot; speedup {_esc(_fmt(speedup, '.2f'))}x "
-                      "(vector/scalar)" if speedup is not None else "")
-        verdicts.append(f"<p><b>{_esc(shape)}</b> {badge}{speed_text}</p>")
-    body = _table(("shape", "backend", "wall s", "events", "events/s",
-                   "fallbacks", "fallback reasons", "fingerprint"),
-                  rows) + "".join(verdicts)
-    return _section(
-        "Kernel bench (scalar vs vector)", body,
-        note=f"workload={detail.get('workload', '?')} "
-             f"scale={detail.get('scale', '?')} "
-             f"ops_per_job={detail.get('ops_per_job', '?')}")
+                    note="repro profile events/s per experiment and "
+                         "scale across ledger history (wall-clock: "
+                         "trend, not a gate)")
 
 
 def _sweep_panel(detail: Mapping) -> str:
@@ -329,20 +292,12 @@ def _profile_panel(detail: Mapping) -> str:
              _fmt(spot.get("total_s"), ".3f"),
              _fmt(spot.get("cumulative_s"), ".3f"))
             for spot in (detail.get("hotspots") or ())[:10]]
-    fallback_note = ""
-    if detail.get("scalar_fallbacks"):
-        reasons = "; ".join(
-            f"{k} x{v}" for k, v in sorted(
-                (detail.get("fallback_reasons") or {}).items()))
-        fallback_note = (f"<p class='bad'>scalar fallbacks: "
-                         f"{_esc(detail['scalar_fallbacks'])}"
-                         f" ({_esc(reasons)})</p>")
     return _section(
         "Profile hotspots",
-        f"<h3>{_esc(detail.get('experiment', '?'))} on "
-        f"{_esc(detail.get('backend', '?'))}, "
+        f"<h3>{_esc(detail.get('experiment', '?'))} at scale "
+        f"{_esc(detail.get('scale', '?'))}, "
         f"{_esc(_fmt(detail.get('events_per_second'), ',.0f'))} "
-        "events/s</h3>" + fallback_note
+        "events/s</h3>"
         + _table(("function", "calls", "tottime s", "cumtime s"), rows))
 
 
@@ -378,7 +333,7 @@ table { border-collapse: collapse; margin: 0.6em 0; width: 100%; }
 th, td { border-bottom: 1px solid #ddd; padding: 3px 8px;
          text-align: left; font-variant-numeric: tabular-nums; }
 th { background: #f4f4f8; }
-.muted { color: #777; } .ok { color: #2a7a2a; font-weight: 600; }
+.muted { color: #777; }
 .bad { color: #b33; font-weight: 600; }
 .tick { font-size: 10px; fill: #666; }
 .legend { margin-right: 1.2em; }
@@ -391,7 +346,6 @@ section { page-break-inside: avoid; }
 
 #: Measuring verb -> the panel that renders its newest record's detail.
 _DETAIL_PANELS = (
-    ("bench-kernel", _kernel_panel),
     ("bench-sweep", _sweep_panel),
     ("chaos", _chaos_panel),
     ("loadgen", _loadgen_panel),

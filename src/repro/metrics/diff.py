@@ -16,7 +16,7 @@ classifies every delta:
 *committed* baseline (a verb's ``--json`` record) and collapses the
 verdicts into a pass/fail exit code — the one place CI's gates live.
 Every comparison uses the baseline record's per-metric policies
-(``exact``/``floor``/``relative``/``info``, see
+(``exact``/``relative``/``info``, see
 :mod:`repro.metrics.registry`); metrics without one fall back to the
 direction heuristics below.
 """
@@ -40,11 +40,11 @@ DEFAULT_THRESHOLD = 0.05
 #: a name carrying both.
 _LOWER_TOKENS = ("_ns", "_us", "p99", "p50", "latency", "miss_ratio",
                  "backlog", "stall", "timeout", "reissue", "retries",
-                 "unfinished", "queued_jobs", "inflight", "fallback",
-                 "failed", "uncorrectable", "wall_seconds")
+                 "unfinished", "queued_jobs", "inflight", "failed",
+                 "uncorrectable", "wall_seconds")
 _HIGHER_TOKENS = ("throughput", "jobs_per_s", "events_per_second",
                   "speedup", "sustained", "saturation", "completed",
-                  "hits", "bit_identical", "monotonic", "qps")
+                  "hits", "monotonic", "qps")
 
 
 def metric_direction(key: str) -> str:
@@ -115,11 +115,6 @@ def classify_delta(key: str, baseline: Optional[float],
     if mode == "exact":
         delta.verdict = "within-noise" if current == baseline \
             else "regression"
-        return delta
-    if mode == "floor":
-        bound = float(policy.get("min", baseline))
-        delta.verdict = "regression" if current < bound else (
-            "improvement" if current > baseline else "within-noise")
         return delta
     relative = delta.relative
     moved = (relative is not None and abs(relative) > threshold) \

@@ -1,8 +1,8 @@
 """Run records and the run ledger: one JSONL line per CLI invocation.
 
 :class:`RunRecord` is the one artifact schema.  Every measuring verb
-(``report``, ``profile``, ``bench-kernel``, ``bench-sweep``, ``chaos``,
-``writes``, ``loadgen``, ``simulate``) appends one to
+(``report``, ``profile``, ``bench-sweep``, ``chaos``, ``writes``,
+``loadgen``, ``simulate``) appends one to
 ``.repro_runs/ledger.jsonl`` — the persistent perf trajectory that
 ``repro history``/``diff``/``regress``/``dashboard`` read — and
 ``--json PATH`` writes the same record to a file (committed baselines
@@ -76,7 +76,6 @@ class RunRecord:
     experiment: str = ""
     preset: str = ""
     workload: str = ""
-    backend: str = ""
     scale: str = ""
     seed: int = 0
     source_digest: str = ""
@@ -130,7 +129,7 @@ class RunRecord:
 
 
 def make_record(verb: str, *, experiment: str = "", preset: str = "",
-                workload: str = "", backend: str = "", scale: str = "",
+                workload: str = "", scale: str = "",
                 seed: int = 0, metrics: Optional[Dict[str, float]] = None,
                 policies: Optional[Mapping[str, Dict[str, object]]] = None,
                 detail: Optional[Dict[str, object]] = None,
@@ -145,7 +144,6 @@ def make_record(verb: str, *, experiment: str = "", preset: str = "",
         experiment=experiment,
         preset=preset,
         workload=workload,
-        backend=backend,
         scale=scale,
         seed=int(seed),
         source_digest=source_digest(),
@@ -214,7 +212,7 @@ def read_ledger(path: Optional[os.PathLike] = None) -> List[RunRecord]:
 
 def filter_records(records: Sequence[RunRecord], verb: str = "",
                    experiment: str = "", preset: str = "",
-                   workload: str = "", backend: str = "",
+                   workload: str = "",
                    last: Optional[int] = None) -> List[RunRecord]:
     """Ledger query: equality filters, then keep the newest ``last``."""
     selected = [
@@ -223,7 +221,6 @@ def filter_records(records: Sequence[RunRecord], verb: str = "",
         and (not experiment or record.experiment == experiment)
         and (not preset or record.preset == preset)
         and (not workload or record.workload == workload)
-        and (not backend or record.backend == backend)
     ]
     if last is not None and last >= 0:
         selected = selected[-last:] if last else []

@@ -2,15 +2,14 @@
 
 The simulator's observability surface grew organically — counters in
 :class:`repro.stats.CounterSet` bags, latency percentiles as
-``SimulationResult`` fields, process-wide vector-backend telemetry in
-``repro.sim.vector.stats()``, GC/wear figures living on the machine,
+``SimulationResult`` fields, GC/wear figures living on the machine,
 and the measuring verbs' typed results.  This module folds all of
 them into a single flat namespace:
 
     ``subsystem/name{label=value,...}`` -> float
 
 Labels are the cross-cutting dimensions every comparison tool needs
-(``preset``, ``workload``, ``backend``, ``core``, plus sweep axes like
+(``preset``, ``workload``, ``core``, plus sweep axes like
 ``rber``/``qps``), rendered into the key in sorted order so the same
 metric always serializes to the same string.  The rendered keys are
 what the run ledger stores and ``repro diff``/``repro regress``
@@ -35,7 +34,7 @@ from repro.jsonutil import dumps as json_dumps
 
 #: The canonical label dimensions (sweep adapters may add axis labels
 #: such as ``rber`` or ``qps`` on top).
-METRIC_LABELS = ("preset", "workload", "backend", "core")
+METRIC_LABELS = ("preset", "workload", "core")
 
 _KEY_RE = re.compile(r"^(?P<name>[^{]+)(\{(?P<labels>[^}]*)\})?$")
 
@@ -65,11 +64,10 @@ def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 
 #: Gate-policy modes understood by repro.metrics.diff: ``exact`` (any
-#: change is a regression), ``floor`` (a value below the policy's
-#: ``min`` — or the baseline's value, without one — is a regression),
-#: ``relative`` (directional, thresholded; also the default for a key
-#: without a policy) and ``info`` (recorded, never gated).
-POLICY_MODES = ("exact", "floor", "relative", "info")
+#: change is a regression), ``relative`` (directional, thresholded;
+#: also the default for a key without a policy) and ``info``
+#: (recorded, never gated).
+POLICY_MODES = ("exact", "relative", "info")
 
 EXACT: Mapping[str, object] = {"mode": "exact"}
 INFO: Mapping[str, object] = {"mode": "info"}
@@ -171,14 +169,7 @@ class MetricSet:
 
 # -------------------------------------------------- simulation adapters --
 
-#: SimulationResult fields that depend on the wall clock or warm-state
-#: provenance; they are ledger *record* fields, never metrics.
-RESULT_WALL_FIELDS = (
-    "events_per_second", "wall_seconds", "warm_wall_seconds", "warm_source",
-)
-
-
-def metrics_from_result(result, backend: str = "") -> "MetricSet":
+def metrics_from_result(result) -> "MetricSet":
     """Project one ``SimulationResult`` onto the registry namespace.
 
     Scalar result fields land under ``runner/``; the counters dict is
@@ -187,10 +178,10 @@ def metrics_from_result(result, backend: str = "") -> "MetricSet":
     belong on the :class:`~repro.metrics.ledger.RunRecord` itself, so
     the metrics mapping of two identical-seed runs is bit-identical.
     """
+    from repro.core.runner import RESULT_WALL_FIELDS  # deferred: heavy
+
     labels = {"preset": result.config_name,
               "workload": result.workload_name}
-    if backend:
-        labels["backend"] = backend
     metrics = MetricSet()
     for name, value in result.__dict__.items():
         if name in RESULT_WALL_FIELDS or name in ("config_name",
@@ -248,19 +239,6 @@ def machine_metrics(machine, **labels: str) -> "MetricSet":
     return metrics
 
 
-def vector_metrics(**labels: str) -> "MetricSet":
-    """The process-wide vector-backend telemetry as ``vector/*``."""
-    from repro.sim import vector
-
-    metrics = MetricSet()
-    for key, value in vector.stats().items():
-        metrics.add(f"vector/{key}", float(value), **labels)
-    for reason, count in sorted(vector.fallback_reasons().items()):
-        metrics.add("vector/fallbacks", float(count),
-                    reason=reason.replace(",", ";"), **labels)
-    return metrics
-
-
 def metrics_from_experiments(results) -> Tuple[Dict[str, float], str]:
     """Summarize ``repro report`` output (ExperimentResult list) into
     the namespace, plus a deterministic fingerprint over every table.
@@ -294,12 +272,3 @@ def payload_digest(payload: object) -> str:
     return hashlib.sha256(
         json_dumps(payload, indent=None).encode()
     ).hexdigest()[:16]
-
-
-def detail_fingerprint(detail: Mapping[str, object]) -> str:
-    """A sweep record's fingerprint: every simulation-derived byte of
-    its ``detail``.  The ``execution`` block is left out because it
-    names the backend, so the same sweep on either backend (or twice)
-    fingerprints the same."""
-    return payload_digest({key: value for key, value in detail.items()
-                           if key != "execution"})

@@ -285,31 +285,6 @@ class Engine:
             _total_events += executed
             self._running = False
 
-    def advance_batch(self, now: float, events: int) -> None:
-        """Jump the clock to ``now`` and credit ``events`` executed
-        events without touching the heap.
-
-        The vector backend (:mod:`repro.sim.vector`) retires batches of
-        predictable quantum resumes outside the event loop; this is how
-        it keeps the engine's clock and kernel telemetry — including
-        the process-wide tally behind
-        :func:`total_events_executed` — bit-identical to the scalar
-        run it replaces.  Time must not move backwards and the engine
-        must not be mid-``run``.
-        """
-        if now < self._now:
-            raise SimulationError(
-                f"advance_batch to {now} before current time {self._now}"
-            )
-        if self._running:
-            raise SimulationError("advance_batch during engine.run()")
-        if events < 0:
-            raise SimulationError(f"negative event batch: {events}")
-        self._now = now
-        self.events_executed += events
-        global _total_events
-        _total_events += events
-
     def _recycle(self, event: Event) -> None:
         """Park a dead event on the free list (bounded)."""
         event.callback = None

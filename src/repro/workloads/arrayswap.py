@@ -35,26 +35,6 @@ class ArraySwapWorkload(Workload):
     def num_elements(self) -> int:
         return self.dataset_pages * ELEMENTS_PER_PAGE
 
-    @property
-    def uniform_steps_per_job(self) -> int:
-        """Every job has the same step count (merged-loop dealing)."""
-        return 4 * self.ops_per_job
-
-    def plan_step_block(self, num_steps):
-        """Compute values for the next ``num_steps`` steps as one
-        global per-step stream (the vector backend's merged loop).
-
-        The block is *not* aligned to job boundaries: the merged loop
-        deals steps to cores in global event order, which for the
-        jitter stream is exactly the order the scalar generators would
-        draw (jitter draws happen at step generation, one per step,
-        regardless of which core's job pulls next).  Zipf address draws
-        are skipped — DRAM-only mode never observes pages, and RNG
-        stream positions sit outside the bit-identity contract.
-        """
-        jitter = self._planner_rng().take(num_steps)
-        return self.compute_ns * (0.5 + jitter)
-
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         # _compute is inlined (same draw, same bits — see Workload._compute).
         step = Step

@@ -5,20 +5,6 @@ Every process speaks the :class:`ArrivalProcess` protocol: repeated
 once a finite source is exhausted) and ``rate_per_second`` reports the
 long-run mean arrival rate.
 
-The stochastic processes additionally expose ``gap_block(count)`` /
-``gap_sync()`` — the block-draw protocol the vector backend's merged
-event loop uses (:mod:`repro.sim.vector`).  ``gap_block`` returns the
-next ``count`` gaps bit-identical to ``count`` sequential
-``next_gap_ns()`` calls (CPython's ``expovariate`` arithmetic is
-replicated on bridged uniform draws; the modulated processes replay
-their state machines exactly, mutating the real ``state`` /
-``transitions`` / clock fields).  A block may come back short only for
-a finite :class:`TraceArrivals`; empty means exhausted.  ``gap_sync``
-re-lands the Python RNG so later scalar draws continue from a valid
-stream position (the position may overshoot by buffered-but-unserved
-draws — RNG positions are outside the bit-identity contract, which
-covers machine state and results only).
-
 **Per-core convention.** The runner spawns one arrival stream per core,
 all drawing gaps from a single shared process object, so a process's
 mean inter-arrival time is *per core*: a machine with N cores sees an
@@ -65,49 +51,6 @@ class ArrivalProcess(Protocol):
         ...
 
 
-class _UniformBlock:
-    """Buffered uniform draws bridged from a ``random.Random``.
-
-    The vector backend's MT19937 transplant (``BatchedRandom``) serves
-    uniforms in blocks; this wrapper hands them out one at a time so a
-    state-machine process (MMPP dwell tracking, diurnal thinning) can
-    replay its exact scalar draw sequence without a per-draw Python
-    ``random()`` call.  ``sync()`` returns the unconsumed tail to the
-    bridge first, so the source RNG lands exactly on the consumed
-    position.
-    """
-
-    __slots__ = ("_rng", "_bridge", "_buf", "_pos")
-
-    BLOCK = 256
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._bridge = None
-        self._buf: list = []
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            if self._bridge is None:
-                from repro.sim.vector import BatchedRandom
-
-                self._bridge = BatchedRandom(self._rng)
-            self._buf = self._bridge.take(self.BLOCK).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-    def sync(self) -> None:
-        if self._bridge is not None:
-            self._bridge.unserve(len(self._buf) - self._pos)
-            self._bridge.sync()
-        self._bridge = None
-        self._buf = []
-        self._pos = 0
-
-
 class PoissonArrivals:
     """Exponential inter-arrival times with a given per-core mean."""
 
@@ -116,31 +59,10 @@ class PoissonArrivals:
             raise ConfigurationError("mean inter-arrival must be positive")
         self.mean_interarrival_ns = mean_interarrival_ns
         self._rng = random.Random(seed)
-        self._bridge = None
 
     def next_gap_ns(self) -> float:
         """Time until the next request arrives."""
         return self._rng.expovariate(1.0 / self.mean_interarrival_ns)
-
-    def gap_block(self, count: int) -> list:
-        """The next ``count`` gaps, bit-identical to ``count``
-        sequential :meth:`next_gap_ns` calls (CPython's ``expovariate``
-        is ``-log(1 - random()) / lambd``, replicated per element on
-        bridged uniforms)."""
-        if self._bridge is None:
-            from repro.sim.vector import BatchedRandom
-
-            self._bridge = BatchedRandom(self._rng)
-        lambd = 1.0 / self.mean_interarrival_ns
-        log = math.log
-        return [-log(1.0 - u) / lambd
-                for u in self._bridge.take(count).tolist()]
-
-    def gap_sync(self) -> None:
-        """Re-land ``self._rng`` after block draws (see module doc)."""
-        if self._bridge is not None:
-            self._bridge.sync()
-            self._bridge = None
 
     @property
     def rate_per_second(self) -> float:
@@ -192,7 +114,6 @@ class MMPPArrivals:
         self._dwells = (mean_dwell_ns, burst_dwell_ns)
         self._streams = streams
         self._rng = random.Random(seed)
-        self._uniforms = None
         self.state = 0
         self.transitions = 0
         self._dwell_remaining = self._rng.expovariate(1.0 / mean_dwell_ns)
@@ -211,40 +132,6 @@ class MMPPArrivals:
             # new state.
             gap += self._dwell_remaining * self._streams
             self._switch_state()
-
-    def gap_block(self, count: int) -> list:
-        """The next ``count`` gaps via buffered uniforms: the exact
-        :meth:`next_gap_ns` state machine replayed per element, so
-        ``state``/``transitions``/dwell tracking stay live."""
-        if self._uniforms is None:
-            self._uniforms = _UniformBlock(self._rng)
-        take = self._uniforms.next
-        log = math.log
-        means = self._means
-        dwells = self._dwells
-        machine_fraction = 1.0 / self._streams
-        gaps = []
-        for _ in range(count):
-            gap = 0.0
-            while True:
-                lambd = 1.0 / means[self.state]
-                draw = -log(1.0 - take()) / lambd
-                if draw * machine_fraction <= self._dwell_remaining:
-                    self._dwell_remaining -= draw * machine_fraction
-                    gaps.append(gap + draw)
-                    break
-                gap += self._dwell_remaining * self._streams
-                self.state ^= 1
-                self.transitions += 1
-                lambd = 1.0 / dwells[self.state]
-                self._dwell_remaining = -log(1.0 - take()) / lambd
-        return gaps
-
-    def gap_sync(self) -> None:
-        """Re-land ``self._rng`` after block draws (see module doc)."""
-        if self._uniforms is not None:
-            self._uniforms.sync()
-            self._uniforms = None
 
     def _switch_state(self) -> None:
         self.state ^= 1
@@ -295,7 +182,6 @@ class DiurnalArrivals:
         self._base_rate = 1.0 / mean_interarrival_ns
         self._peak_rate = self._base_rate * (1.0 + amplitude)
         self._rng = random.Random(seed)
-        self._uniforms = None
         self._now_ns = 0.0  # machine-time clock
 
     def rate_at(self, t_ns: float) -> float:
@@ -315,35 +201,6 @@ class DiurnalArrivals:
             if rng.random() * self._peak_rate <= self.rate_at(t):
                 self._now_ns = t
                 return gap
-
-    def gap_block(self, count: int) -> list:
-        """The next ``count`` gaps via buffered uniforms: the exact
-        thinning loop of :meth:`next_gap_ns` replayed per element, so
-        the machine-time clock stays live."""
-        if self._uniforms is None:
-            self._uniforms = _UniformBlock(self._rng)
-        take = self._uniforms.next
-        log = math.log
-        peak = self._peak_rate
-        streams = self._streams
-        rate_at = self.rate_at
-        gaps = []
-        for _ in range(count):
-            gap = 0.0
-            while True:
-                gap += -log(1.0 - take()) / peak
-                t = self._now_ns + gap / streams
-                if take() * peak <= rate_at(t):
-                    self._now_ns = t
-                    gaps.append(gap)
-                    break
-        return gaps
-
-    def gap_sync(self) -> None:
-        """Re-land ``self._rng`` after block draws (see module doc)."""
-        if self._uniforms is not None:
-            self._uniforms.sync()
-            self._uniforms = None
 
     @property
     def rate_per_second(self) -> float:
@@ -392,23 +249,6 @@ class TraceArrivals:
         gap = self._gaps[self._index]
         self._index += 1
         return gap
-
-    def gap_block(self, count: int) -> list:
-        """Up to ``count`` gaps by array slice (cycling wraps; a short
-        or empty block means the finite trace ran dry, mirroring the
-        ``None``/``exhausted`` semantics of :meth:`next_gap_ns`)."""
-        gaps = self._gaps
-        out: list = []
-        while len(out) < count:
-            if self._index >= len(gaps):
-                if not self.cycle:
-                    self.exhausted = True
-                    break
-                self._index = 0
-            end = min(len(gaps), self._index + (count - len(out)))
-            out.extend(gaps[self._index:end])
-            self._index = end
-        return out
 
     @property
     def rate_per_second(self) -> float:

@@ -87,9 +87,6 @@ class Workload:
         # Bound method: _compute runs once per generated step.
         self._rng_random = self._rng.random
         self._next_job_id = 0
-        # Lazily-created buffered RNG bridge for numpy planners
-        # (repro.sim.vector.BatchedRandom); see _planner_rng().
-        self._vector_rng = None
 
     # -- job production -----------------------------------------------------
 
@@ -102,25 +99,6 @@ class Workload:
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         raise NotImplementedError
-
-    # -- vector-backend planning (repro.sim.vector) ---------------------------
-
-    def _planner_rng(self):
-        """Persistent buffered bridge over ``self._rng`` for numpy
-        planners.  Amortizes the Mersenne-Twister state transplant
-        across jobs; the vector backend calls :meth:`plan_sync` at end
-        of run to land the Python stream on the consumed position."""
-        rng = self._vector_rng
-        if rng is None:
-            from repro.sim.vector import BatchedRandom
-
-            rng = self._vector_rng = BatchedRandom(self._rng)
-        return rng
-
-    def plan_sync(self) -> None:
-        """Resynchronize ``self._rng`` after buffered planner draws."""
-        if self._vector_rng is not None:
-            self._vector_rng.sync()
 
     # -- calibration helpers -------------------------------------------------
 

@@ -23,11 +23,9 @@ window (DESIGN.md §4j):
   write-back only on dirty eviction, and the readiness filter drops
   evictions of pages without a read history.
 
-Determinism: every cell uses the same simulation seed, the readiness
-sketch hashes with its own seeded salts, and write-path runs fall back
-to the scalar backend (the ``execution`` block records the ``writes``
-fallback reason) — two invocations produce identical records, down to
-the fingerprint CI's rerun gates on.
+Determinism: every cell uses the same simulation seed and the readiness
+sketch hashes with its own seeded salts, so two invocations produce
+identical records, down to the fingerprint CI's rerun gates on.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.system import WritesConfig
 from repro.errors import ReproError
-from repro.harness.common import HarnessScale, build_config, resolve_scale
-from repro.sim import vector as _vector
+from repro.harness.common import HarnessScale, resolve_scale
 from repro.harness.parallel import (
     ParallelRunError,
     RunSpec,
@@ -114,10 +111,6 @@ class WritesBench:
     #: void the group) — the acceptance property the record gates on.
     policy_order_ok: bool = True
     config_preset: str = ""  # HarnessScale.name the run resolved to
-    #: Backend accounting (same contract as the chaos bench): derived
-    #: from config facts only, so deterministic — but it names the
-    #: backend, so the record fingerprint leaves it out.
-    execution: dict = dataclasses.field(default_factory=dict)
 
     def grid(self, preset: str, write_ratio: float) -> List[WritesCell]:
         """The preset's cells at one ratio, in policy sweep order."""
@@ -170,7 +163,7 @@ class WritesBench:
         ``info``.  The fingerprint pins every simulated figure.
         """
         from repro.metrics import (  # deferred: import cost
-            EXACT, INFO, MetricSet, detail_fingerprint, make_record,
+            EXACT, INFO, MetricSet, make_record, payload_digest,
         )
 
         metrics = MetricSet()
@@ -194,9 +187,9 @@ class WritesBench:
         return make_record(
             "writes", experiment=self.experiment, scale=self.scale,
             preset=self.config_preset, workload=self.workload,
-            backend=self.execution.get("backend", ""), seed=self.seed,
-            metrics=metrics.as_dict(), policies=metrics.policies(),
-            detail=detail, fingerprint=detail_fingerprint(detail))
+            seed=self.seed, metrics=metrics.as_dict(),
+            policies=metrics.policies(), detail=detail,
+            fingerprint=payload_digest(detail))
 
 
 def parse_write_ratio_sweep(text: str) -> Tuple[float, ...]:
@@ -296,17 +289,10 @@ def run_writes(experiment: str = "kv", scale="quick",
                workload: str = "kvstore", seed: int = 42,
                jobs: Optional[int] = None,
                snapshots: Optional[bool] = None,
-               snapshot_dir=None,
-               backend: Optional[str] = None) -> WritesBench:
-    """Sweep admission policies and SET ratios over the write presets.
-
-    ``backend`` selects the execution backend per cell; write-enabled
-    runs fall back to the scalar backend with the ``writes`` reason
-    the ``execution`` block accounts for.
-    """
+               snapshot_dir=None) -> WritesBench:
+    """Sweep admission policies and SET ratios over the write presets."""
     base_scale = resolve_scale(scale)
     scale = writes_scale(base_scale)
-    backend = _vector.preferred_backend(backend)
     if write_ratios is None:
         write_ratios = DEFAULT_WRITE_RATIOS
     write_ratios = tuple(sorted(set(float(r) for r in write_ratios)))
@@ -335,7 +321,7 @@ def run_writes(experiment: str = "kv", scale="quick",
     ]
     try:
         results = run_specs(specs, jobs=jobs, snapshots=snapshots,
-                            snapshot_dir=snapshot_dir, backend=backend)
+                            snapshot_dir=snapshot_dir)
     except ParallelRunError:
         # Some point of the grid died (e.g. write-buffer capacity at an
         # extreme ratio).  Re-run cell by cell so the surviving points
@@ -344,8 +330,7 @@ def run_writes(experiment: str = "kv", scale="quick",
         for spec in specs:
             try:
                 results.append(execute_spec(spec, snapshots=snapshots,
-                                            snapshot_dir=snapshot_dir,
-                                            backend=backend))
+                                            snapshot_dir=snapshot_dir))
             except ReproError:
                 results.append(None)
 
@@ -383,16 +368,4 @@ def run_writes(experiment: str = "kv", scale="quick",
         config_preset=scale.name,
     )
     bench.policy_order_ok = _check_policy_order(bench)
-
-    # Backend accounting: classified from config facts so the block is
-    # identical whether cells executed or came from the cache.  Write
-    # cells are closed-loop and unfaulted; the enabled write path is
-    # what drives the vector backend's ``writes`` fallback.
-    shape_counts = []
-    for preset in presets:
-        config = build_config(preset, scale)
-        count = len(write_ratios) * len(policies)
-        shape_counts.append((config.mode, config.num_cores, False, False,
-                             config.writes.enabled, count))
-    bench.execution = _vector.execution_summary(backend, shape_counts)
     return bench

@@ -11,6 +11,9 @@ from repro.config import (
     make_config,
 )
 from repro.errors import ConfigurationError
+from repro.harness.common import HarnessScale
+from repro.harness.parallel import RunSpec, execute_spec
+from repro.sim.engine import total_events_executed
 from repro.units import GIB
 
 
@@ -83,6 +86,40 @@ def test_invalid_configs_raise():
     config.core.store_buffer_entries = config.core.rob_entries + 1
     with pytest.raises(ConfigurationError):
         config.validate()
+
+
+TINY = HarnessScale(
+    name="tiny", dataset_pages=2048, num_cores=1, warmup_us=100.0,
+    measurement_us=200.0, zipf_s=1.8, workloads=("arrayswap",))
+
+#: Out-of-range os/ult/tlb knobs; each used to run to a plausible but
+#: wrong figure (or fail only mid-run).
+BAD_OVERRIDES = (
+    ("tlb.miss_probability", 1.5),
+    ("tlb.miss_probability", -0.5),
+    ("os.page_table_levels", 0),
+    ("os.page_table_levels", -2),
+    ("os.shootdown_batch_size", 0),
+    ("os.context_switch_ns", -1000.0),
+    ("os.page_fault_kernel_ns", -1000.0),
+    ("os.tlb_shootdown_base_ns", -1.0),
+    ("os.tlb_shootdown_per_core_ns", -1.0),
+    ("ult.switch_latency_ns", -100.0),
+    ("ult.aging_threshold_factor", -1.0),
+)
+
+
+@pytest.mark.parametrize("config_name", ("astriflash", "os-swap",
+                                         "dram-only"))
+@pytest.mark.parametrize("path,value", BAD_OVERRIDES)
+def test_bad_sub_config_override_fails_before_running(config_name, path,
+                                                      value):
+    spec = RunSpec(config_name, "arrayswap", TINY,
+                   config_overrides=((path, value),))
+    before = total_events_executed()
+    with pytest.raises(ConfigurationError):
+        execute_spec(spec, snapshots=False)
+    assert total_events_executed() == before
 
 
 def test_deep_copy_is_independent():

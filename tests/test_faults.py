@@ -399,9 +399,7 @@ class TestChaosHarness:
             {"mode": "exact"}
         assert "chaos/service_p99_ns{preset=x,rber=1}" not in \
             record.metrics
-        # The execution block names the backend; the fingerprint
-        # leaves it out but pins every simulated figure.
-        bench.execution = {"backend": "vector"}
+        # The fingerprint pins every simulated figure.
         assert bench.record().fingerprint == record.fingerprint
         bench.cells[0].service_p99_ns = 1.5
         assert bench.record().fingerprint != record.fingerprint
@@ -413,7 +411,6 @@ class TestChaosHarness:
         from repro.metrics import record_from_file
 
         bench = self._bench([1.0, 2.0])
-        bench.execution = {"backend": "scalar"}
         monkeypatch.setattr(repro.faults.chaos, "run_chaos",
                             lambda *args, **kwargs: bench)
         out = tmp_path / "chaos.json"

@@ -268,35 +268,6 @@ class TestRunLoadgen:
             dumps(dataclasses.asdict(bench))
         assert rerun.record().fingerprint == bench.record().fingerprint
 
-    def test_execution_block_accounts_every_cell(self, bench):
-        execution = bench.execution
-        assert execution["backend"] in ("scalar", "vector")
-        total_runs = len(bench.cells) + sum(
-            max(0, len(knee.evaluations) - len(bench.curve(knee.preset)))
-            for knee in bench.knees) + 1  # + the saturation probe
-        assert execution["vector_cells"] + execution["scalar_cells"] \
-            == total_runs
-        if execution["backend"] == "vector":
-            # TINY is one core: the dram-only open-loop cells ride the
-            # merged arrival horizon; astriflash multiplexes threads
-            # per burst and legitimately stays scalar.
-            assert execution["vector_kinds"].get("open-loop", 0) > 0
-            assert any("multiplexes" in reason for reason
-                       in execution["fallback_reasons"])
-
-    def test_backends_agree_byte_for_byte(self, bench, tmp_path):
-        scalar = run_loadgen(
-            "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
-            workload="arrayswap", presets=("dram-only", "astriflash"),
-            refine_evals=1, cache_dir=str(tmp_path / "s"),
-            backend="scalar",
-        )
-        assert scalar.execution["backend"] == "scalar"
-        # The record fingerprint digests every simulation-derived byte;
-        # only the execution-accounting block (left out) names the
-        # backend.
-        assert scalar.record().fingerprint == bench.record().fingerprint
-
     def test_flash_knee_never_beats_dram(self, tmp_path):
         # The shared fixture's window censors every cell; a longer one
         # leaves both knees measurable.

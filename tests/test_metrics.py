@@ -31,7 +31,7 @@ from repro.metrics import (
     select_record,
     write_record,
 )
-from repro.perf import KernelBackendEntry, KernelBench, KernelShapeBench
+from repro.faults.chaos import ChaosBench, ChaosCell
 
 
 # ------------------------------------------------------------- registry --
@@ -90,7 +90,7 @@ class TestRegistry:
         config.scale.measurement_ns = 200 * US
         workload = make_workload("arrayswap", 2048, seed=3)
         result = Runner(config, workload).run()
-        metrics = result.metrics(backend="scalar")
+        metrics = result.metrics()
         keys = metrics.as_dict()
         assert any(key.startswith("runner/throughput_jobs_per_s")
                    for key in keys)
@@ -100,29 +100,25 @@ class TestRegistry:
         # Labels ride on every key.
         sample = next(iter(metrics))
         assert sample.label("preset") == "dram-only"
-        assert sample.label("backend") == "scalar"
+        assert sample.label("workload") == "arrayswap"
 
 
-def _kernel_bench(speedup=3.0, events=7636, fingerprint="abc",
-                  backends=("scalar", "vector")):
-    """A one-shape kernel bench with fixed (host-independent) figures."""
-    entries = [
-        KernelBackendEntry(
-            backend=backend, wall_seconds=0.01, events_executed=events,
-            events_per_second=1e6, state_fingerprint=fingerprint,
-            vector_stats=({"batched_jobs": 10, "scalar_fallbacks": 0}
-                          if backend == "vector" else {}))
-        for backend in backends
+def _chaos_bench(p99_ns=90000.0, failed=False):
+    """A two-cell chaos sweep with fixed (host-independent) figures."""
+    cells = [
+        ChaosCell(preset="astriflash", rber=0.0,
+                  throughput_jobs_per_s=1000.0, service_p99_ns=50000.0,
+                  service_mean_ns=9000.0),
+        ChaosCell(preset="astriflash", rber=8e-3,
+                  throughput_jobs_per_s=900.0, service_p99_ns=p99_ns,
+                  service_mean_ns=12000.0,
+                  fault_counters={"flash.read_retries": 14.0},
+                  failed=failed),
     ]
-    both = len(entries) == 2
-    cell = KernelShapeBench(
-        shape="fused", workload="arrayswap", config_preset="dram-only",
-        num_cores=1, arrival="closed", entries=entries,
-        bit_identical=True if both else None,
-        speedup=speedup if both else None)
-    return KernelBench(workload="arrayswap", scale="quick",
-                       config_preset="dram-only", ops_per_job=48,
-                       repeat=3, shapes=[cell])
+    return ChaosBench(experiment="fig9", scale="quick", workload="tatp",
+                      fault_seed=1, rber_points=[0.0, 8e-3],
+                      presets=["astriflash"], cells=cells,
+                      config_preset="quick")
 
 
 class TestBenchView:
@@ -138,56 +134,33 @@ class TestBenchView:
         with pytest.raises(ReproError, match="not valid JSON"):
             record_from_file(path)
 
-    def test_kernel_view_policies(self, tmp_path):
-        record = _kernel_bench().record()
-        assert record.verb == "bench-kernel"
+    def test_chaos_view_policies(self, tmp_path):
+        record = _chaos_bench().record()
+        assert record.verb == "chaos"
         assert record.schema_version == LEDGER_SCHEMA_VERSION
-        key = "kernel/bit_identical{shape=fused}"
-        assert record.metrics[key] == 1.0
-        assert record.policies[key] == {"mode": "exact"}
-        assert record.policies["kernel/speedup{shape=fused}"] == \
-            {"mode": "floor", "min": 2.0}
-        assert record.policies[
-            "kernel/events_executed{backend=scalar,shape=fused}"] == \
-            {"mode": "exact"}
-        assert record.policies[
-            "kernel/wall_seconds{backend=scalar,shape=fused}"] == \
-            {"mode": "info"}
-        key = "kernel/scalar_fallbacks{shape=fused}"
-        assert record.metrics[key] == 0.0
-        assert record.policies[key] == {"mode": "exact"}
-        # No unlabeled top-level mirror of the first shape.
-        assert "kernel/speedup" not in record.metrics
-        assert not any(name.startswith("kernel/") and "shape=" not in name
-                       for name in record.metrics)
-        assert record.fingerprint == payload_digest(["abc"])
-        assert record.detail["shapes"][0]["shape"] == "fused"
+        assert record.metrics["chaos/monotonic_p99"] == 1.0
+        assert record.policies["chaos/monotonic_p99"] == {"mode": "exact"}
+        key = "chaos/service_p99_ns{preset=astriflash,rber=0.008}"
+        assert record.metrics[key] == 90000.0
+        assert key not in record.policies  # relative by default
+        key = "chaos/flash/read_retries{preset=astriflash,rber=0.008}"
+        assert record.policies[key] == {"mode": "info"}
+        # The fingerprint digests the whole typed result.
+        assert record.fingerprint == payload_digest(record.detail)
+        assert record.detail["cells"][1]["rber"] == 8e-3
         path = tmp_path / "record.json"
         write_record(record, path)
         assert record_from_file(path).to_dict() == record.to_dict()
 
-    def test_kernel_view_shape_cells(self):
-        bench = _kernel_bench()
-        bench.shapes.append(KernelShapeBench(
-            shape="open-loop", workload="arrayswap",
-            config_preset="dram-only", num_cores=1, arrival="poisson",
-            entries=[KernelBackendEntry(
-                backend="scalar", wall_seconds=0.1, events_executed=77,
-                events_per_second=1e6, state_fingerprint="def")]))
-        record = bench.record()
-        key = "kernel/events_executed{backend=scalar,shape=open-loop}"
-        assert record.metrics[key] == 77.0
-        assert record.policies[key]["mode"] == "exact"
-        assert "kernel/speedup{shape=open-loop}" not in record.metrics
-        assert record.metrics[
-            "vector/batched_jobs{backend=vector,shape=fused}"] == 10.0
-        # Every shape's scalar state fingerprint feeds the digest.
-        assert record.fingerprint == payload_digest(["abc", "def"])
-        assert record.backend == "scalar,vector"
-        # Without a scalar entry there is nothing to digest.
-        vector_only = _kernel_bench(backends=("vector",)).record()
-        assert vector_only.fingerprint == ""
-        assert "kernel/speedup{shape=fused}" not in vector_only.metrics
+    def test_chaos_view_failed_cells(self):
+        record = _chaos_bench(failed=True).record()
+        key = "chaos/failed{preset=astriflash,rber=0.008}"
+        assert record.metrics[key] == 1.0
+        assert record.policies[key] == {"mode": "exact"}
+        # A dead cell contributes no figures, only its failure flag.
+        assert not any("rber=0.008" in name for name in record.metrics
+                       if not name.startswith("chaos/failed"))
+        assert record.fingerprint != _chaos_bench().record().fingerprint
 
 
 # --------------------------------------------------------------- ledger --
@@ -335,7 +308,7 @@ class TestDiff:
         assert delta.verdict == "improvement"
 
     def test_relative_regression_higher_better(self):
-        delta = classify_delta("kernel/events_per_second", 100.0, 80.0,
+        delta = classify_delta("profile/events_per_second", 100.0, 80.0,
                                DEFAULT_THRESHOLD)
         assert delta.verdict == "regression"
 
@@ -345,34 +318,15 @@ class TestDiff:
         assert delta.verdict == "changed"
 
     def test_exact_policy(self):
-        delta = classify_delta("kernel/bit_identical", 1.0, 0.0,
+        delta = classify_delta("chaos/monotonic_p99", 1.0, 0.0,
                                DEFAULT_THRESHOLD, {"mode": "exact"})
         assert delta.verdict == "regression"
-        same = classify_delta("kernel/bit_identical", 1.0, 1.0,
+        same = classify_delta("chaos/monotonic_p99", 1.0, 1.0,
                               DEFAULT_THRESHOLD, {"mode": "exact"})
         assert same.verdict == "within-noise"
 
-    def test_floor_policy(self):
-        worse = classify_delta("kernel/speedup", 3.0, 2.5,
-                               DEFAULT_THRESHOLD, {"mode": "floor"})
-        assert worse.verdict == "regression"
-        better = classify_delta("kernel/speedup", 3.0, 6.0,
-                                DEFAULT_THRESHOLD, {"mode": "floor"})
-        assert better.verdict == "improvement"
-        # With a bound, only a value below "min" regresses.
-        floor = {"mode": "floor", "min": 2.0}
-        assert classify_delta("kernel/speedup", 3.0, 2.5,
-                              DEFAULT_THRESHOLD, floor).verdict \
-            == "within-noise"
-        assert classify_delta("kernel/speedup", 3.0, 1.9,
-                              DEFAULT_THRESHOLD, floor).verdict \
-            == "regression"
-        assert classify_delta("kernel/speedup", 1.5, 1.9,
-                              DEFAULT_THRESHOLD, floor).verdict \
-            == "regression"
-
     def test_info_policy_never_gates(self):
-        delta = classify_delta("kernel/wall_seconds", 1.0, 99.0,
+        delta = classify_delta("profile/wall_seconds", 1.0, 99.0,
                                DEFAULT_THRESHOLD, {"mode": "info"})
         assert delta.verdict == "within-noise"
 
@@ -399,39 +353,25 @@ class TestDiff:
 
 
 class TestRegress:
-    def _write(self, path, bench):
-        write_record(bench.record(), path)
+    def _write(self, path, record=None):
+        write_record(record or _chaos_bench().record(), path)
         return str(path)
 
     def test_regress_pass(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", _kernel_bench())
-        current = self._write(tmp_path / "cur.json", _kernel_bench())
+        baseline = self._write(tmp_path / "base.json")
+        current = self._write(tmp_path / "cur.json")
         report = run_regress(baseline, current_path=current)
         assert report.passed
         assert not report.diff.regressions
 
-    def test_regress_speedup_floor(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", _kernel_bench())
-        # Below the measured baseline but above the floor's min: passes.
-        current = self._write(tmp_path / "cur.json",
-                              _kernel_bench(speedup=2.5))
-        assert run_regress(baseline, current_path=current).passed
-        current = self._write(tmp_path / "cur.json",
-                              _kernel_bench(speedup=1.5))
-        report = run_regress(baseline, current_path=current)
-        assert not report.passed
-        keys = [d.key for d in report.diff.regressions]
-        assert keys == ["kernel/speedup{shape=fused}"]
-        # Above the baseline is an improvement, not a failure.
-        current = self._write(tmp_path / "cur2.json",
-                              _kernel_bench(speedup=9.0))
-        assert run_regress(baseline, current_path=current).passed
-
     def test_regress_fingerprint_divergence(self, tmp_path):
-        baseline = self._write(tmp_path / "base.json", _kernel_bench())
+        baseline = self._write(tmp_path / "base.json")
+        # A p99 move inside the noise threshold still changes the
+        # simulated figures the fingerprint pins.
         current = self._write(tmp_path / "cur.json",
-                              _kernel_bench(fingerprint="zzz"))
+                              _chaos_bench(p99_ns=90001.0).record())
         report = run_regress(baseline, current_path=current)
+        assert not report.diff.regressions
         assert not report.passed
         assert "fingerprint" in report.reason
 
@@ -440,13 +380,14 @@ class TestRegress:
             run_regress(tmp_path / "absent.json")
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", _kernel_bench())
-        current = self._write(tmp_path / "cur.json", _kernel_bench())
+        baseline = self._write(tmp_path / "base.json")
+        current = self._write(tmp_path / "cur.json")
         assert main(["regress", "--baseline", baseline,
                      "--current", current]) == 0
         # An exact metric moved (the fingerprint is left unchanged).
-        bad = self._write(tmp_path / "bad.json",
-                          _kernel_bench(events=7637))
+        perturbed = _chaos_bench().record()
+        perturbed.metrics["chaos/monotonic_p99"] = 0.0
+        bad = self._write(tmp_path / "bad.json", perturbed)
         assert main(["regress", "--baseline", bad,
                      "--current", current]) == 1
         assert main(["regress", "--baseline", str(tmp_path / "no.json"),
@@ -463,8 +404,8 @@ class TestRegress:
         assert "not a run record" in captured.err
 
     def test_cli_regress_json_verdict(self, tmp_path, capsys):
-        baseline = self._write(tmp_path / "base.json", _kernel_bench())
-        current = self._write(tmp_path / "cur.json", _kernel_bench())
+        baseline = self._write(tmp_path / "base.json")
+        current = self._write(tmp_path / "cur.json")
         verdict = tmp_path / "verdict.json"
         assert main(["regress", "--baseline", baseline, "--current",
                      current, "--json", str(verdict)]) == 0
@@ -607,8 +548,6 @@ PROFILE_PAYLOAD = {
     "total_calls": 100000, "events_executed": 50000,
     "events_per_second": 25000.0,
     "config_preset": "quick", "warm_wall_seconds": 0.0,
-    "backend": "vector", "scalar_fallbacks": 2,
-    "fallback_reasons": {"tracing active (per-event observation)": 2},
     "hotspots": [{"function": "repro/sim/engine.py:1(run)",
                   "calls": 1000, "total_s": 0.5, "cumulative_s": 1.5}],
 }
@@ -616,12 +555,10 @@ PROFILE_PAYLOAD = {
 
 def _typed_results():
     """One typed result per dashboard panel, built from the payloads."""
-    from repro.faults.chaos import ChaosBench, ChaosCell
     from repro.loadgen import LoadgenBench, LoadgenCell, PresetKnee
     from repro.perf import Hotspot, ProfileReport, SweepBench
 
     return [
-        _kernel_bench(),
         ChaosBench(**dict(CHAOS_PAYLOAD, cells=[
             ChaosCell(**cell) for cell in CHAOS_PAYLOAD["cells"]])),
         LoadgenBench(**dict(
@@ -643,11 +580,13 @@ class TestDashboard:
         text = _check_html(out)
         assert "Run ledger" in text
         assert "ledger is empty" in text
+        assert "no profile ledger records" in text
 
     def test_renders_all_five_schemas(self, tmp_path, monkeypatch,
                                       capsys):
-        """Every panel renders from the newest ledger record's detail of
-        its verb; nothing is read from the working directory."""
+        """Every panel renders from the newest ledger record of its verb
+        (chaos, loadgen, bench-sweep, profile and simulate); nothing is
+        read from the working directory."""
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         for result in _typed_results():
             append_record(result.record())
@@ -657,9 +596,9 @@ class TestDashboard:
         assert main(["dashboard", "--out", str(out)]) == 0
         capsys.readouterr()
         text = _check_html(out)
-        for marker in ("Kernel bench", "Chaos degradation",
-                       "Loadgen knee", "Sweep bench", "Profile hotspots",
-                       "Run ledger", "<svg", "fused / scalar",
+        for marker in ("Kernel throughput trajectory", "fig9 / quick",
+                       "Chaos degradation", "Loadgen knee", "Sweep bench",
+                       "Profile hotspots", "Run ledger", "<svg",
                        "repro/sim/engine.py:1(run)"):
             assert marker in text, marker
         # Self-contained: no external fetches.
@@ -679,47 +618,6 @@ class TestDashboard:
         with pytest.raises(ReproError):
             render_dashboard(tmp_path / "absent" / "report.html",
                              ledger=tmp_path / "ledger.jsonl")
-
-
-# ----------------------------------------------- fallback observability --
-
-
-class TestFallbackSurfacing:
-    def test_vector_fallback_reasons_tracked(self):
-        from repro.sim import vector
-
-        before = vector.fallback_reasons()
-        vector.record_fallback("test reason (unit)")
-        after = vector.fallback_reasons()
-        assert after.get("test reason (unit)", 0) \
-            == before.get("test reason (unit)", 0) + 1
-
-    def test_simulate_warns_on_silent_fallback(self, capsys):
-        # Multi-core Flash-Sync (cores share the DRAM cache and flash
-        # path) forces the scalar fallback under --backend vector;
-        # multi-core DRAM-only now runs the merged vector loop.
-        assert main([
-            "simulate", "--config", "flash-sync", "--workload",
-            "arrayswap", "--dataset-pages", "2048",
-            "--measurement-us", "100", "--cores", "2",
-            "--backend", "vector",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "fell back to scalar" in err
-        assert "multi-core flash-sync" in err
-
-    def test_profile_report_carries_fallback_fields(self):
-        from repro.perf import ProfileReport
-
-        report = ProfileReport(
-            experiment="fig9", scale="quick", wall_seconds=1.0,
-            total_calls=10, events_executed=100,
-            events_per_second=100.0, scalar_fallbacks=3,
-            fallback_reasons={"tracing active": 3})
-        assert "scalar fallbacks" in report.format_text()
-        metrics = report.record().metrics
-        assert metrics["profile/scalar_fallbacks"] == 3.0
-        assert metrics["profile/fallbacks{reason=tracing active}"] == 3.0
 
 
 # ------------------------------------------------------------ telemetry --

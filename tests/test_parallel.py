@@ -1,7 +1,5 @@
 """Tests for the process-parallel harness and its result cache."""
 
-import dataclasses
-
 import pytest
 
 from repro.harness import parallel
@@ -16,6 +14,7 @@ from repro.harness.parallel import (
     run_specs,
     spec_key,
 )
+from repro.perf import canonical_result_dict
 
 # Small enough that one run takes a fraction of a second.
 TINY = HarnessScale(
@@ -30,15 +29,10 @@ def tiny_spec(config_name="astriflash", **kwargs) -> RunSpec:
 
 
 def result_fields(result) -> dict:
-    fields = dataclasses.asdict(result)
-    # Kernel events/sec and the wall-clock split are wall-clock-derived
-    # and vary run to run (warm_source additionally depends on whether
-    # a snapshot happened to exist); every simulated statistic must
-    # still match bit-for-bit.
-    for name in ("events_per_second", "warm_wall_seconds", "wall_seconds",
-                 "warm_source"):
-        fields.pop(name, None)
-    return fields
+    # Wall-clock fields vary run to run (warm_source additionally
+    # depends on whether a snapshot happened to exist); every simulated
+    # statistic must still match bit-for-bit.
+    return canonical_result_dict(result)
 
 
 class TestSpecs:

@@ -5,6 +5,7 @@ import json
 import os
 import pstats
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -17,7 +18,7 @@ from repro.perf import (
     hotspots_from_stats,
     profile_experiment,
 )
-from repro.sim import Engine
+from repro.sim import Engine, vector
 from repro.sim.engine import total_events_executed
 
 
@@ -147,3 +148,55 @@ def test_total_events_executed_tracks_engine_runs():
         engine.schedule(float(index), lambda: None)
     engine.run()
     assert total_events_executed() - before == 25
+
+
+def test_profile_excludes_warm_wall(monkeypatch):
+    """events/s must be computed over the kernel wall, not warm time."""
+    import time as time_mod
+
+    from repro.core import runner as runner_mod
+    from repro.harness import EXPERIMENTS
+
+    def fake_experiment(scale="quick", jobs=1):
+        start = time_mod.perf_counter()
+        while time_mod.perf_counter() - start < 0.02:
+            pass
+        runner_mod._WALL_TOTALS["warm_seconds"] += 0.02
+
+    monkeypatch.setitem(EXPERIMENTS, "warmy", fake_experiment)
+    report = profile_experiment("warmy", top=1)
+    assert report.warm_wall_seconds == pytest.approx(0.02)
+    assert report.wall_seconds < 0.02  # warm time subtracted out
+
+
+def test_profile_env_is_restored(monkeypatch):
+    """Both caching layers are off while profiling, restored after."""
+    from repro.harness import EXPERIMENTS
+
+    seen = {}
+
+    def noop(scale, jobs):
+        seen.update((name, os.environ.get(name))
+                    for name in ("REPRO_CACHE", "REPRO_SNAPSHOT"))
+
+    monkeypatch.setitem(EXPERIMENTS, "noop", noop)
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
+    profile_experiment("noop", top=1)
+    assert seen == {"REPRO_CACHE": "0", "REPRO_SNAPSHOT": "0"}
+    assert os.environ["REPRO_CACHE"] == "1"
+    assert "REPRO_SNAPSHOT" not in os.environ
+
+
+def test_vector_stats_keeps_the_keys_bench_reads():
+    """bench/sweep.py sums these four run counts; every one is 0."""
+    assert vector.stats() == {"fused_runs": 0, "job_epoch_runs": 0,
+                              "open_loop_runs": 0, "multi_core_runs": 0}
+
+
+def test_numpy_meets_declared_lower_bound():
+    """pyproject declares numpy>=1.22 (the Zipfian sampler's
+    ``default_rng`` Generator API)."""
+    major, minor = (int(part) for part in
+                    np.__version__.split(".")[:2])
+    assert (major, minor) >= (1, 22)

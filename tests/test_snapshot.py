@@ -9,7 +9,6 @@ preset x workload pair; the rest covers the versioned file format
 integration (warm-key grouping, fork pool context, sweep bench).
 """
 
-import dataclasses
 import json
 import os
 import pickle
@@ -53,11 +52,7 @@ def tiny_spec(config_name="astriflash", seed=7) -> RunSpec:
 
 def result_fields(result) -> dict:
     """Result as a dict minus wall-clock (non-deterministic) fields."""
-    fields = dataclasses.asdict(result)
-    for name in ("events_per_second", "warm_wall_seconds",
-                 "wall_seconds", "warm_source"):
-        fields.pop(name)
-    return fields
+    return perf.canonical_result_dict(result)
 
 
 def _fresh_runner(config_name: str, workload_name: str) -> Runner:

@@ -278,10 +278,6 @@ class TestRunWritesEndToEnd:
             < by_policy["write-through"].flash_writes_per_app_write
         assert bench.policy_order_ok
 
-    def test_execution_records_writes_fallback(self, bench):
-        assert bench.execution["fallback_reasons"].get("writes", 0) > 0 \
-            or bench.execution["backend"] == "scalar"
-
     def test_payload_projects_onto_metrics_registry(self, bench):
         record = bench.record()
         assert record.verb == "writes"
