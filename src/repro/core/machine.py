@@ -161,9 +161,8 @@ class Machine:
         else:
             insert = self.pager.resident.insert
             while steps_done < num_steps:
-                job = workload.make_job()
-                for step in job.steps:
-                    insert(step.page, dirty=step.is_write)
+                for _, page, is_write in workload.make_job().steps:
+                    insert(page, dirty=is_write)
                     steps_done += 1
 
     # -- warm-state snapshot (repro.snapshot) -----------------------------------

@@ -533,19 +533,14 @@ class Runner:
                     tracer.push(track, f"{job.workload_name}#{job.job_id}",
                                 engine.now)
             accumulated = 0.0
-            job_next_step = job.next_step
-            while True:
-                step = job_next_step()
-                if step is None:
-                    break
-                walk_ns = (0.0 if rng_random() >= tlb_p
-                           else walk_miss(step.page))
-                accumulated += step.compute_ns + walk_ns
+            for compute_ns, page, is_write in job.steps:
+                walk_ns = 0.0 if rng_random() >= tlb_p else walk_miss(page)
+                accumulated += compute_ns + walk_ns
                 self._accesses += 1
                 if not with_cache:
                     hit_ns = flat
                 else:
-                    result = cache_access(step.page, step.is_write)
+                    result = cache_access(page, is_write)
                     if result.hit:
                         hit_ns = result.latency_ns
                     else:
@@ -558,18 +553,18 @@ class Runner:
                         wait_start = engine.now
                         if record is not None:
                             tracer.instant(track, "miss", wait_start,
-                                           {"page": step.page})
+                                           {"page": page})
                         yield result.completion
                         hit_ns = yield from self._replay_until_hit(
-                            step.page, step.is_write
+                            page, is_write
                         )
                         if record is not None:
                             self._charge_sync_wait(record, core_id,
-                                                   wait_start, step.page)
+                                                   wait_start, page)
                         self.stats.add("sync_miss_waits")
                 accumulated += hit_ns
                 if record is not None:
-                    record.charge_step(step.compute_ns, walk_ns, hit_ns)
+                    record.charge_step(compute_ns, walk_ns, hit_ns)
                 if accumulated >= TIME_QUANTUM_NS:
                     yield accumulated
                     self._busy_ns += accumulated
@@ -683,7 +678,7 @@ class Runner:
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
         job = thread.job
-        job_next_step = job.next_step
+        steps = job.steps
         if record is not None:
             track = f"core{core_id}"
             tracer.push(track, f"{job.workload_name}#{job.job_id}",
@@ -692,7 +687,7 @@ class Runner:
         while True:
             step = thread.current_step
             if step is None:
-                step = job_next_step()
+                step = next(steps, None)
                 thread.current_step = step
             if step is None:
                 if accumulated > 0.0:
@@ -702,18 +697,18 @@ class Runner:
                     tracer.pop(track, engine.now)
                 self._finish_job(library.on_finish(thread))
                 return
+            compute_ns, page, is_write = step
 
-            walk_ns = (0.0 if rng_random() >= tlb_p
-                       else walk_miss(step.page))
-            accumulated += step.compute_ns + walk_ns
+            walk_ns = 0.0 if rng_random() >= tlb_p else walk_miss(page)
+            accumulated += compute_ns + walk_ns
             self._accesses += 1
 
             if astriflash:
-                result = cache.access(step.page, step.is_write)
+                result = cache.access(page, is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
                     if record is not None:
-                        record.charge_step(step.compute_ns, walk_ns,
+                        record.charge_step(compute_ns, walk_ns,
                                            result.latency_ns)
                 else:
                     outcome = yield from self._astriflash_miss(
@@ -721,10 +716,10 @@ class Runner:
                         accumulated, result, record
                     )
             else:
-                if pager.access(step.page, step.is_write):
+                if pager.access(page, is_write):
                     outcome = accumulated + flat
                     if record is not None:
-                        record.charge_step(step.compute_ns, walk_ns, flat)
+                        record.charge_step(compute_ns, walk_ns, flat)
                 else:
                     outcome = yield from self._os_swap_fault(
                         core_id, library, thread, step, walk_ns,
@@ -762,6 +757,7 @@ class Runner:
         """
         core = self.machine.cores[core_id]
         engine = self.machine.engine
+        compute_ns, page, is_write = step
 
         self._misses += 1
         thread.job.misses += 1
@@ -774,7 +770,7 @@ class Runner:
                         * self.machine.flat_dram_latency_ns)
         pt_completion = None
         if self.machine.page_tables_in_flash_space:
-            pt_page = self.machine.page_table_page(step.page)
+            pt_page = self.machine.page_table_page(page)
             pt_result = self.machine.dram_cache.access(pt_page, False)
             if pt_result.hit:
                 cold_walk_ns = (
@@ -793,11 +789,11 @@ class Runner:
         self._busy_ns += accumulated + cold_walk_ns + result.latency_ns \
             + flush_ns
         if record is not None:
-            record.charge_step(step.compute_ns, walk_ns, 0.0)
+            record.charge_step(compute_ns, walk_ns, 0.0)
             record.tlb_walk += cold_walk_ns
             record.miss_signal += result.latency_ns + flush_ns
             self._tracer.instant(f"core{core_id}", "miss", engine.now,
-                                 {"page": step.page})
+                                 {"page": page})
         if pt_completion is not None:
             # The hardware walker blocks the core until the PTE page
             # arrives from flash; no thread switch can hide it.
@@ -810,20 +806,17 @@ class Runner:
                 record.add_span("tlb_walk", walk_start, engine.now)
                 self._tracer.complete(f"core{core_id}", "pt_walk_wait",
                                       walk_start, engine.now,
-                                      {"page": step.page})
+                                      {"page": page})
 
         if thread.forward_progress:
             # Sec. IV-C3: complete synchronously, do not deschedule.
             self.stats.add("forward_progress_syncs")
             wait_start = engine.now
             yield result.completion
-            replay_ns = yield from self._replay_until_hit(
-                step.page, step.is_write
-            )
+            replay_ns = yield from self._replay_until_hit(page, is_write)
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
-                self._charge_sync_wait(record, core_id, wait_start,
-                                       step.page)
+                self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += replay_ns
             return replay_ns
 
@@ -833,18 +826,15 @@ class Runner:
             self.stats.add("pending_overflow_syncs")
             wait_start = engine.now
             yield result.completion
-            replay_ns = yield from self._replay_until_hit(
-                step.page, step.is_write
-            )
+            replay_ns = yield from self._replay_until_hit(page, is_write)
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
-                self._charge_sync_wait(record, core_id, wait_start,
-                                       step.page)
+                self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += replay_ns
             return replay_ns
 
         # Park the thread and return to the scheduler.
-        library.on_miss(thread, step.page, engine.now)
+        library.on_miss(thread, page, engine.now)
         thread.wait_signal = result.completion
         observe(result.completion,
                 self._make_ready_callback(core_id, library, thread))
@@ -861,6 +851,7 @@ class Runner:
         pager = self.machine.pager
         engine = self.machine.engine
         flat = self.machine.flat_dram_latency_ns
+        compute_ns, page, is_write = step
 
         self._misses += 1
         thread.job.misses += 1
@@ -869,18 +860,18 @@ class Runner:
         yield accumulated + self.config.os.page_fault_kernel_ns
         self._busy_ns += accumulated + self.config.os.page_fault_kernel_ns
         if record is not None:
-            record.charge_step(step.compute_ns, walk_ns, 0.0)
+            record.charge_step(compute_ns, walk_ns, 0.0)
             record.miss_signal += self.config.os.page_fault_kernel_ns
             self._tracer.instant(f"core{core_id}", "fault", engine.now,
-                                 {"page": step.page})
+                                 {"page": page})
 
-        done = Signal(engine, f"fault-done:{step.page}")
+        done = Signal(engine, f"fault-done:{page}")
 
         def fault_and_signal():
-            yield from pager.fault(step.page, step.is_write)
+            yield from pager.fault(page, is_write)
             done.fire()
 
-        spawn(engine, fault_and_signal(), name=f"fault:{step.page}")
+        spawn(engine, fault_and_signal(), name=f"fault:{page}")
 
         if thread.forward_progress or library.scheduler.pending_full:
             self.stats.add("sync_fault_waits")
@@ -888,12 +879,11 @@ class Runner:
             yield done
             self.stats.add("time_sync_wait_ns", engine.now - wait_start)
             if record is not None:
-                self._charge_sync_wait(record, core_id, wait_start,
-                                       step.page)
+                self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += flat
             return flat
 
-        library.on_miss(thread, step.page, engine.now)
+        library.on_miss(thread, page, engine.now)
         thread.wait_signal = done
         observe(done, self._make_ready_callback(core_id, library, thread))
         return None

@@ -471,22 +471,11 @@ class FrontsideController:
     def _arm_cleanup(self, request: MissRequest) -> None:
         def cleanup(_value):
             self._pending.pop(request.page, None)
+            # The fired signal keeps this request as its payload; drop
+            # the back-reference so the pair is not cyclic garbage.
+            request.install_signal = None
 
-        _on_fire(request.install_signal, cleanup)
+        observe(request.install_signal, cleanup)
 
     def miss_ratio(self) -> float:
         return self.stats.ratio("misses", "accesses")
-
-
-def _on_fire(signal: Signal, callback) -> None:
-    """Invoke ``callback(value)`` when ``signal`` fires.
-
-    Lightweight alternative to spawning a whole process just to observe
-    a signal.
-    """
-
-    class _Observer:
-        def _resume(self, value):
-            callback(value)
-
-    signal._add_waiter(_Observer())  # type: ignore[arg-type]

@@ -242,14 +242,13 @@ class DramCacheOrganization:
         tag_index = self._tag_index
         hits = 0
         done = 0
-        for step in steps:
-            page = step.page
+        for _, page, is_write in steps:
             index = page & mask if mask is not None else page % num_sets
             way = tag_index[index].get(page)
             if way is None:
                 self.reserve_victim(page)
                 self.install(page)
-                if step.is_write:
+                if is_write:
                     way = tag_index[index][page]
                     clock = self._clock + 1
                     self._clock = clock
@@ -263,7 +262,7 @@ class DramCacheOrganization:
                 way.last_touch = clock
                 way.access_count += 1
                 hits += 1
-                if step.is_write:
+                if is_write:
                     clock += 1
                     self._clock = clock
                     way.last_touch = clock

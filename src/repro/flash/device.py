@@ -59,6 +59,16 @@ class FlashRequest:
             raise ValueError("request not complete yet")
         return self.complete_time - self.issue_time
 
+    def complete(self) -> None:
+        """Fire ``signal`` with this request as the payload.
+
+        The request drops its signal first: a fired signal keeps its
+        payload, so the back-reference would leave every completed
+        request in a cycle that only the cyclic collector frees.
+        """
+        signal, self.signal = self.signal, None
+        signal.fire(self)
+
     def __repr__(self) -> str:
         return f"<FlashRequest {self.kind} page={self.logical_page}>"
 
@@ -214,7 +224,7 @@ class FlashDevice:
         yield from self.pcie.transfer(num_bytes)
         request.complete_time = self.engine.now
         self.read_latency.record(request.latency_ns)
-        request.signal.fire(request)
+        request.complete()
 
     def _read_process_faulted(self, request: FlashRequest):
         """Read path under fault injection (DESIGN.md §4f).
@@ -294,7 +304,7 @@ class FlashDevice:
             self.stats.add("uncorrectable_reads")
             request.failed = True
             request.complete_time = self.engine.now
-            request.signal.fire(request)
+            request.complete()
             return
         yield from self._finish_read(request)
 
@@ -338,7 +348,7 @@ class FlashDevice:
             self.stats.add("host_writes")
         # Acknowledge the host: the data is durable in the device cache.
         request.complete_time = self.engine.now
-        request.signal.fire(request)
+        request.complete()
         # Background drain: program the page to its plane.
         channel = self._channel_of(plane_index)
         grant = channel.acquire()

@@ -64,9 +64,8 @@ def workload_trace(workload_name: str, scale: HarnessScale,
     pages: List[int] = []
     append = pages.append
     while len(pages) < num_steps:
-        job = workload.make_job()
-        for step in job.steps:
-            append(step.page)
+        for _, page, _ in workload.make_job().steps:
+            append(page)
     return pages[:num_steps]
 
 

@@ -40,12 +40,7 @@ class TraceRecorder:
         if num_steps < 1:
             raise WorkloadError("need at least one step")
         while len(self.steps) < num_steps:
-            job = self.workload.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                self.steps.append(step)
+            self.steps.extend(self.workload.make_job().steps)
         del self.steps[num_steps:]
         return self.steps
 
@@ -55,11 +50,8 @@ class TraceRecorder:
             with open(target, "w") as handle:
                 return self.save(handle)
         target.write(TRACE_HEADER + "\n")
-        for step in self.steps:
-            target.write(
-                f"{step.compute_ns:.3f},{step.page},"
-                f"{1 if step.is_write else 0}\n"
-            )
+        for compute_ns, page, is_write in self.steps:
+            target.write(f"{compute_ns:.3f},{page},{1 if is_write else 0}\n")
         return len(self.steps)
 
 
@@ -89,7 +81,7 @@ def load_trace(source: Union[str, TextIO]) -> List[Step]:
                 f"malformed trace line {line_number}: is_write must be "
                 f"0 or 1, got {write!r}")
         try:
-            steps.append(Step(float(compute), int(page), write == "1"))
+            steps.append((float(compute), int(page), write == "1"))
         except ValueError:
             raise WorkloadError(
                 f"malformed trace line {line_number}: {line!r}") from None
@@ -113,7 +105,7 @@ class TraceWorkload(Workload):
         if steps_per_job < 1:
             raise WorkloadError("steps_per_job must be positive")
         if dataset_pages is None:
-            dataset_pages = max(step.page for step in steps) + 1
+            dataset_pages = max(page for _, page, _ in steps) + 1
         super().__init__(dataset_pages, seed)
         self._trace = steps
         self.steps_per_job = steps_per_job
@@ -124,10 +116,11 @@ class TraceWorkload(Workload):
         return cls(load_trace(path), **kwargs)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        # Steps are immutable tuples: yield the stored ones, no copy.
         for _ in range(self.steps_per_job):
             step = self._trace[self._cursor]
             self._cursor = (self._cursor + 1) % len(self._trace)
-            yield Step(step.compute_ns, step.page, step.is_write)
+            yield step
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,10 @@ def trace_statistics(steps: Iterable[Step]) -> TraceStatistics:
     writes = 0
     compute_total = 0.0
     num_steps = 0
-    for step in steps:
-        counts[step.page] += 1
-        writes += step.is_write
-        compute_total += step.compute_ns
+    for compute_ns, page, is_write in steps:
+        counts[page] += 1
+        writes += is_write
+        compute_total += compute_ns
         num_steps += 1
     if num_steps == 0:
         raise WorkloadError("empty trace")

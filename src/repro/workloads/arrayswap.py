@@ -36,8 +36,6 @@ class ArraySwapWorkload(Workload):
         return self.dataset_pages * ELEMENTS_PER_PAGE
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
-        # _compute is inlined (same draw, same bits — see Workload._compute).
-        step = Step
         sample = self._zipf.sample
         rng_random = self._rng_random
         compute_ns = self.compute_ns
@@ -45,7 +43,7 @@ class ArraySwapWorkload(Workload):
             page_a = sample()
             page_b = sample()
             # Read both elements, then write both back swapped.
-            yield step(compute_ns * (0.5 + rng_random()), page_a)
-            yield step(compute_ns * (0.5 + rng_random()), page_b)
-            yield step(compute_ns * (0.5 + rng_random()), page_a, is_write=True)
-            yield step(compute_ns * (0.5 + rng_random()), page_b, is_write=True)
+            yield (compute_ns * (0.5 + rng_random()), page_a, False)
+            yield (compute_ns * (0.5 + rng_random()), page_b, False)
+            yield (compute_ns * (0.5 + rng_random()), page_a, True)
+            yield (compute_ns * (0.5 + rng_random()), page_b, True)

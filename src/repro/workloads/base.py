@@ -1,11 +1,17 @@
 """Workload and job abstractions.
 
 A *job* is one client request (a database transaction, a lookup, ...).
-Executing a job produces a sequence of :class:`Step` objects: a compute
-segment (cycles the core spends before the next memory access that
-reaches DRAM) followed by one page access.  The core loop advances
-through the steps; when a step's page misses the DRAM cache the thread
-halts and the same step is replayed after the refill.
+Executing a job produces a sequence of steps, each a plain
+``(compute_ns, page, is_write)`` tuple: a compute segment (time the
+core spends before the next memory access that reaches DRAM) followed
+by one page access.  The core loop iterates ``job.steps`` and unpacks
+each step; when a step's page misses the DRAM cache the thread halts
+and the same step is replayed after the refill.
+
+Step generators are lazy on purpose: steps of concurrently running
+jobs interleave their draws on the workload's shared random streams
+(and Silo's OCC leaf versions), so drawing a job's steps eagerly would
+change every multi-core and multiplexed run.
 
 Workloads own their data structures and produce jobs; they also declare
 the knobs the core model needs (typical ROB occupancy for the flush
@@ -16,24 +22,13 @@ Sec. VI-A).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import WorkloadError
 
-
-class Step:
-    """One compute segment followed by one memory access."""
-
-    __slots__ = ("compute_ns", "page", "is_write")
-
-    def __init__(self, compute_ns: float, page: int, is_write: bool = False):
-        self.compute_ns = compute_ns
-        self.page = page
-        self.is_write = is_write
-
-    def __repr__(self) -> str:
-        rw = "W" if self.is_write else "R"
-        return f"<Step {self.compute_ns:.0f}ns {rw} page={self.page}>"
+#: One compute segment followed by one memory access:
+#: ``(compute_ns, page, is_write)``.
+Step = Tuple[float, int, bool]
 
 
 class Job:
@@ -54,10 +49,6 @@ class Job:
         self.queue_latency_ns: Optional[float] = None
         self.service_latency_ns: Optional[float] = None
         self.misses = 0
-
-    def next_step(self) -> Optional[Step]:
-        """The next step, or None when the job is done."""
-        return next(self.steps, None)
 
     @property
     def response_latency_ns(self) -> float:
@@ -84,7 +75,11 @@ class Workload:
         self.dataset_pages = dataset_pages
         self.seed = seed
         self._rng = random.Random(seed)
-        # Bound method: _compute runs once per generated step.
+        # Bound method, drawn once per generated step: producers jitter
+        # a compute segment as ``mean_ns * (0.5 + rng_random())``, the
+        # bit-identical inlining of ``mean_ns * uniform(0.5, 1.5)`` (the
+        # stdlib computes ``0.5 + (1.5 - 0.5) * random()``, and the span
+        # is exactly 1.0).
         self._rng_random = self._rng.random
         self._next_job_id = 0
 
@@ -102,38 +97,11 @@ class Workload:
 
     # -- calibration helpers -------------------------------------------------
 
-    def _compute(self, mean_ns: float) -> float:
-        """A jittered compute segment (uniform +-50% around the mean).
-
-        Inlined ``uniform(0.5, 1.5)``: with these bounds the stdlib
-        computes ``0.5 + (1.5 - 0.5) * random()`` where the span is
-        exactly 1.0, so ``0.5 + random()`` consumes the same draw and
-        yields the same bits — one call frame cheaper on the hottest
-        workload path.
-        """
-        return mean_ns * (0.5 + self._rng_random())
-
-    def sample_trace(self, num_jobs: int = 32) -> List[Step]:
-        """Flat step trace of a few jobs (calibration/tests)."""
-        steps: List[Step] = []
-        for _ in range(num_jobs):
-            job = self.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                steps.append(step)
-        return steps
-
     def average_service_time_ns(self, num_jobs: int = 64) -> float:
-        """Sum of compute segments plus nominal DRAM hits per job,
-        assuming every access hits (the DRAM-only service time)."""
+        """Mean per-job sum of compute segments over ``num_jobs`` fresh
+        jobs (memory-access latency is not included)."""
         total = 0.0
         for _ in range(num_jobs):
-            job = self.make_job()
-            while True:
-                step = job.next_step()
-                if step is None:
-                    break
-                total += step.compute_ns
+            for compute_ns, _page, _is_write in self.make_job().steps:
+                total += compute_ns
         return total / num_jobs

@@ -145,8 +145,6 @@ class HashTableWorkload(Workload):
                                          permute=False)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
-        # _compute is inlined (same draw, same bits — see Workload._compute).
-        step_cls = Step
         sample = self._zipf.sample
         lookup = self.index.lookup
         rng_random = self._rng_random
@@ -161,6 +159,5 @@ class HashTableWorkload(Workload):
             # All path pages are reads; the final entry access may be a
             # value update (write to the entry's page).
             for page in path[:-1]:
-                yield step_cls(compute_ns * (0.5 + rng_random()), page)
-            yield step_cls(compute_ns * (0.5 + rng_random()), path[-1],
-                           is_write=is_write)
+                yield (compute_ns * (0.5 + rng_random()), page, False)
+            yield (compute_ns * (0.5 + rng_random()), path[-1], is_write)

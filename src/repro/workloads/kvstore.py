@@ -58,9 +58,7 @@ class KvStoreWorkload(Workload):
                                       permute=False)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
-        # _compute is inlined (same draw, same bits — see
-        # Workload._compute); per-op locals bound once per job.
-        step_cls = Step
+        # Per-op locals bound once per job.
         sample = self._zipf.sample
         rng_random = self._rng_random
         compute_ns = self.compute_ns
@@ -73,9 +71,8 @@ class KvStoreWorkload(Workload):
             # Bucket probe: always a read of the packed index.
             bucket_page = (key * 2654435761) % self.num_keys \
                 // BUCKETS_PER_PAGE
-            yield step_cls(compute_ns * (0.5 + rng_random()), bucket_page)
+            yield (compute_ns * (0.5 + rng_random()), bucket_page, False)
             # Value access: hash-spread over the value heap.
             slot = (key * 2654435761) % value_slots
             value_page = index_pages + slot // VALUES_PER_PAGE
-            yield step_cls(compute_ns * (0.5 + rng_random()), value_page,
-                           is_write=is_set)
+            yield (compute_ns * (0.5 + rng_random()), value_page, is_set)

@@ -329,20 +329,22 @@ class MasstreeWorkload(Workload):
                                          permute=False)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        compute = self.compute_ns
+        half = compute * 0.5
+        rng_random = self._rng_random
         for _ in range(self.ops_per_job):
             key = self._zipf.sample()
-            if self._rng.random() < self.scan_fraction:
+            if rng_random() < self.scan_fraction:
                 # Short range scan: after the root-to-leaf descent the
                 # leaf chain is walked sequentially (Masstree range
                 # queries); sequential leaf pages give spatial locality.
                 for page in self.tree.range_pages(key, self.scan_length):
-                    yield Step(self._compute(self.compute_ns * 0.5), page)
+                    yield (half * (0.5 + rng_random()), page, False)
                 continue
-            is_write = self._rng.random() < self.write_fraction
+            is_write = rng_random() < self.write_fraction
             value_page, path = self.tree.get(key)
             if value_page is None:
                 raise WorkloadError(f"key {key} missing from index")
             for page in path:
-                yield Step(self._compute(self.compute_ns), page)
-            yield Step(self._compute(self.compute_ns), value_page,
-                       is_write=is_write)
+                yield (compute * (0.5 + rng_random()), page, False)
+            yield (compute * (0.5 + rng_random()), value_page, is_write)

@@ -329,13 +329,14 @@ class RbtWorkload(Workload):
                                          permute=False)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        compute = self.compute_ns
+        rng_random = self._rng_random
         for _ in range(self.ops_per_job):
             key = self._zipf.sample()
             node_page, path = self.tree.search(key)
             if node_page is None:
                 raise WorkloadError(f"key {key} missing from tree")
-            is_write = self._rng.random() < self.write_fraction
+            is_write = rng_random() < self.write_fraction
             for page in path[:-1]:
-                yield Step(self._compute(self.compute_ns), page)
-            yield Step(self._compute(self.compute_ns), path[-1],
-                       is_write=is_write)
+                yield (compute * (0.5 + rng_random()), page, False)
+            yield (compute * (0.5 + rng_random()), path[-1], is_write)

@@ -88,6 +88,8 @@ class SiloWorkload(Workload):
         steps exactly as Silo would.
         """
         compute = self.compute_ns
+        half = compute * 0.5
+        rng_random = self._rng_random
         for _attempt in range(self.max_retries + 1):
             read_set: List[Tuple[int, int]] = []   # (leaf page, TID seen)
             write_set: List[Tuple[int, int]] = []  # (leaf page, value page)
@@ -98,20 +100,20 @@ class SiloWorkload(Workload):
                 key = self._zipf.sample()
                 value_page, path = self._lookup(key)
                 for page in path:
-                    yield Step(self._compute(compute), page)
-                yield Step(self._compute(compute), value_page)
+                    yield (compute * (0.5 + rng_random()), page, False)
+                yield (compute * (0.5 + rng_random()), value_page, False)
                 read_set.append((path[-1], self._leaf_version(path[-1])))
             for _ in range(self.writes_per_txn):
                 key = self._zipf.sample()
                 value_page, path = self._lookup(key)
                 for page in path:
-                    yield Step(self._compute(compute), page)
+                    yield (compute * (0.5 + rng_random()), page, False)
                 write_set.append((path[-1], value_page))
 
             # Validation phase: re-check TIDs on read-set leaf pages.
             conflicted = False
             for leaf_page, seen_version in read_set:
-                yield Step(self._compute(compute * 0.5), leaf_page)
+                yield (half * (0.5 + rng_random()), leaf_page, False)
                 if self._leaf_version(leaf_page) != seen_version:
                     conflicted = True
             if conflicted:
@@ -120,13 +122,13 @@ class SiloWorkload(Workload):
 
             # Commit phase: install writes, bump leaf TIDs, append log.
             for leaf_page, value_page in write_set:
-                yield Step(self._compute(compute), value_page, is_write=True)
-                yield Step(self._compute(compute * 0.5), leaf_page,
-                           is_write=True)
+                yield (compute * (0.5 + rng_random()), value_page, True)
+                yield (half * (0.5 + rng_random()), leaf_page, True)
                 self._leaf_versions[leaf_page] = \
                     self._leaf_version(leaf_page) + 1
-            yield Step(self._compute(compute * 0.5), self._next_log_page(),
-                       is_write=True)
+            # The jitter is drawn before the log cursor advances (a
+            # tuple literal evaluates left to right).
+            yield (half * (0.5 + rng_random()), self._next_log_page(), True)
             self.commits += 1
             return
         # Retries exhausted: count it and move on (Silo would back off).

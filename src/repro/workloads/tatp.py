@@ -93,15 +93,16 @@ class TatpWorkload(Workload):
         # Transaction bodies are inlined rather than delegated through a
         # per-transaction sub-generator: every step of a TATP job would
         # otherwise resume two generator frames, and this is the hottest
-        # step producer in the suite.  _compute is also inlined (same
-        # draw, same bits — see Workload._compute).  Draw order (zipf
-        # sample, mix roll, per-step compute jitter) is unchanged.
-        step_cls = Step
+        # step producer in the suite.  Draw order (zipf sample, mix
+        # roll, per-step compute jitter) is unchanged; a tuple literal
+        # evaluates left to right, so each step's jitter is drawn before
+        # its page is computed.
         compute_ns = self.compute_ns
         sample = self._zipf.sample
         rng_random = self._rng_random
         thresholds = self._mix_thresholds
         lookup = self.index.lookup
+        array_page = self._array_page
         for _ in range(self.transactions_per_job):
             subscriber = sample()
             roll = rng_random()
@@ -116,42 +117,35 @@ class TatpWorkload(Workload):
 
             if kind == "get_subscriber_data":
                 for page in path:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
             elif kind == "get_access_data":
                 for page in path:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._access_base, subscriber))
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._access_base, subscriber), False)
             elif kind == "get_new_destination":
                 for page in path:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._facility_base,
-                                                subscriber))
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._forwarding_base,
-                                                subscriber))
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._facility_base, subscriber), False)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._forwarding_base, subscriber), False)
             elif kind == "update_location":
                 for page in path[:-1]:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
-                yield step_cls(compute_ns * (0.5 + rng_random()), path[-1], is_write=True)
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
+                yield (compute_ns * (0.5 + rng_random()), path[-1], True)
             elif kind == "update_subscriber_data":
                 for page in path[:-1]:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
-                yield step_cls(compute_ns * (0.5 + rng_random()), path[-1], is_write=True)
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._facility_base,
-                                                subscriber),
-                               is_write=True)
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
+                yield (compute_ns * (0.5 + rng_random()), path[-1], True)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._facility_base, subscriber), True)
             elif kind == "insert_call_forwarding":
                 for page in path:
-                    yield step_cls(compute_ns * (0.5 + rng_random()), page)
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._facility_base,
-                                                subscriber))
-                yield step_cls(compute_ns * (0.5 + rng_random()),
-                               self._array_page(self._forwarding_base,
-                                                subscriber),
-                               is_write=True)
+                    yield (compute_ns * (0.5 + rng_random()), page, False)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._facility_base, subscriber), False)
+                yield (compute_ns * (0.5 + rng_random()),
+                       array_page(self._forwarding_base, subscriber), True)
             else:  # pragma: no cover - guarded by MIX validation
                 raise WorkloadError(f"unknown TATP transaction {kind!r}")

@@ -92,32 +92,35 @@ class TpccWorkload(Workload):
     # -- transactions ------------------------------------------------------------
 
     def _new_order_steps(self, customer: int) -> Iterator[Step]:
-        # _compute is inlined (same draw, same bits — see Workload._compute).
         compute_ns = self.compute_ns
         rng_random = self._rng_random
         sample = self._item_zipf.sample
         warehouse = self._warehouse_page(customer)
-        yield Step(compute_ns * (0.5 + rng_random()), warehouse)
+        yield (compute_ns * (0.5 + rng_random()), warehouse, False)
         # District row: read-modify-write of next_o_id.
-        yield Step(compute_ns * (0.5 + rng_random()), warehouse, is_write=True)
-        yield Step(compute_ns * (0.5 + rng_random()), self._customer_page(customer))
+        yield (compute_ns * (0.5 + rng_random()), warehouse, True)
+        yield (compute_ns * (0.5 + rng_random()),
+               self._customer_page(customer), False)
         for _ in range(self.items_per_order):
             item = sample()
             stock = self._stock_page(item)
-            yield Step(compute_ns * (0.5 + rng_random()), self._item_page(item))
-            yield Step(compute_ns * (0.5 + rng_random()), stock)
-            yield Step(compute_ns * (0.5 + rng_random()), stock, is_write=True)
-            yield Step(compute_ns * (0.5 + rng_random()), self._next_orderline_page(),
-                       is_write=True)
+            yield (compute_ns * (0.5 + rng_random()), self._item_page(item),
+                   False)
+            yield (compute_ns * (0.5 + rng_random()), stock, False)
+            yield (compute_ns * (0.5 + rng_random()), stock, True)
+            # The jitter is drawn before the order-line cursor advances
+            # (a tuple literal evaluates left to right).
+            yield (compute_ns * (0.5 + rng_random()),
+                   self._next_orderline_page(), True)
 
     def _payment_steps(self, customer: int) -> Iterator[Step]:
         compute_ns = self.compute_ns
         rng_random = self._rng_random
         customer_page = self._customer_page(customer)
-        yield Step(compute_ns * (0.5 + rng_random()), self._warehouse_page(customer),
-                   is_write=True)
-        yield Step(compute_ns * (0.5 + rng_random()), customer_page)
-        yield Step(compute_ns * (0.5 + rng_random()), customer_page, is_write=True)
+        yield (compute_ns * (0.5 + rng_random()),
+               self._warehouse_page(customer), True)
+        yield (compute_ns * (0.5 + rng_random()), customer_page, False)
+        yield (compute_ns * (0.5 + rng_random()), customer_page, True)
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         for _ in range(self.transactions_per_job):

@@ -10,7 +10,7 @@ from repro.core import Runner
 from repro.core.runner import REPLAY_RACE_LIMIT
 from repro.errors import SimulationError
 from repro.units import US
-from repro.workloads import PoissonArrivals, Step, Workload, make_workload
+from repro.workloads import PoissonArrivals, Workload, make_workload
 
 
 class OnePageWorkload(Workload):
@@ -30,7 +30,7 @@ class OnePageWorkload(Workload):
     def _steps_for_job(self, job_id):
         for index in range(self.steps_per_job):
             page = self.pages[index % len(self.pages)]
-            yield Step(self.compute_ns_value, page, self.writes)
+            yield (self.compute_ns_value, page, self.writes)
 
 
 def small_config(name, cores=1, dataset=1024, **overrides):

@@ -14,7 +14,7 @@ from repro.trace import (
     trace_statistics,
 )
 from repro.units import US
-from repro.workloads import Step, make_workload
+from repro.workloads import make_workload
 
 
 @pytest.fixture()
@@ -40,11 +40,12 @@ class TestTraceRecorder:
         assert written == 500
         steps = load_trace(path)
         assert len(steps) == 500
-        for original, loaded in zip(recorded.steps, steps):
-            assert loaded.page == original.page
-            assert loaded.is_write == original.is_write
-            assert loaded.compute_ns == pytest.approx(original.compute_ns,
-                                                      abs=0.001)
+        for (compute_ns, page, is_write), loaded in zip(recorded.steps,
+                                                        steps):
+            loaded_compute_ns, loaded_page, loaded_is_write = loaded
+            assert loaded_page == page
+            assert loaded_is_write == is_write
+            assert loaded_compute_ns == pytest.approx(compute_ns, abs=0.001)
 
     def test_save_to_stream(self, recorded):
         buffer = io.StringIO()
@@ -82,7 +83,8 @@ class TestLoadTraceEdgeCases:
         buffer = io.StringIO(self.HEADER + "1.5,7,1\n\n\n")
         steps = load_trace(buffer)
         assert len(steps) == 1
-        assert steps[0].page == 7 and steps[0].is_write
+        _, page, is_write = steps[0]
+        assert page == 7 and is_write
 
     def test_mid_file_comments_skipped(self):
         buffer = io.StringIO(self.HEADER + "# a note\n1.0,2,0\n")
@@ -110,27 +112,27 @@ class TestTraceWorkload:
         job = replay.make_job()
         pages = []
         while True:
-            step = job.next_step()
+            step = next(job.steps, None)
             if step is None:
                 break
-            pages.append(step.page)
-        assert pages == [s.page for s in recorded.steps[:10]]
+            pages.append(step[1])
+        assert pages == [page for _, page, _ in recorded.steps[:10]]
 
     def test_replay_wraps_around(self):
-        steps = [Step(100.0, page, False) for page in range(5)]
+        steps = [(100.0, page, False) for page in range(5)]
         replay = TraceWorkload(steps, steps_per_job=3)
         seen = []
         for _ in range(4):
             job = replay.make_job()
             while True:
-                step = job.next_step()
+                step = next(job.steps, None)
                 if step is None:
                     break
-                seen.append(step.page)
+                seen.append(step[1])
         assert seen == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]
 
     def test_dataset_pages_inferred(self):
-        steps = [Step(1.0, 7, False), Step(1.0, 99, True)]
+        steps = [(1.0, 7, False), (1.0, 99, True)]
         replay = TraceWorkload(steps)
         assert replay.dataset_pages == 100
 
@@ -153,7 +155,8 @@ class TestTraceWorkload:
         path = str(tmp_path / "trace.csv")
         recorded.save(path)
         replay = TraceWorkload.from_file(path, steps_per_job=5)
-        assert replay.make_job().next_step().page == recorded.steps[0].page
+        _, page, _ = next(replay.make_job().steps)
+        assert page == recorded.steps[0][1]
 
 
 class TestTraceStatistics:

@@ -8,13 +8,18 @@ preset x workload pair, a vector run had to produce the same
 are those surfaces, recorded while both backends existed and agreed on
 every cell.  The one remaining path must keep producing them, so the
 retirement provably moved no cell, and a later change that moves one
-fails here as well as in the coarser quick-scale golden.
+fails here as well as in the coarser quick-scale golden.  A second
+table pins two-core runs of the producers the quick golden never runs
+on two cores, so the order in which concurrent jobs draw their steps
+is pinned too.
 
 Re-record (only when a change *intentionally* alters simulation
 semantics, as for ``tests/golden/``) with::
 
     PYTHONPATH=src python tests/test_vector_backend.py --record
 """
+
+import dataclasses
 
 import pytest
 
@@ -89,10 +94,34 @@ IDENTITY_DIGESTS = {
 }
 
 
-def identity_digest(config_name, workload_name):
-    config = build_config(config_name, TINY)
-    workload = make_workload(workload_name, TINY.dataset_pages,
-                             seed=SEED, zipf_s=TINY.zipf_s)
+# Two cores interleave the step draws of concurrent jobs on each
+# workload's shared random streams (and Silo's OCC leaf versions).
+# "<workload>-<preset>" -> identity digest of the two-core TINY run,
+# for the producers the quick golden does not run at two cores.
+TINY_2CORE = dataclasses.replace(TINY, name="tiny-2core", num_cores=2)
+TWO_CORE_DIGESTS = {
+    "rbtree-astriflash": "23f691b5e8f2fab4",
+    "rbtree-flash-sync": "ed5dd0e2a7651e62",
+    "rbtree-os-swap": "cf13e87aaf5a558a",
+    "hashtable-astriflash": "59b26ee1de4f45c8",
+    "hashtable-flash-sync": "3574b00e3373cc81",
+    "hashtable-os-swap": "2f2e6b982b4c287d",
+    "silo-astriflash": "978426b88fb05f74",
+    "silo-flash-sync": "0e77071dd7105858",
+    "silo-os-swap": "7854077afdb52782",
+    "masstree-astriflash": "036118014f39919e",
+    "masstree-flash-sync": "9f01242d0ddc29a5",
+    "masstree-os-swap": "a74e8563aac79c74",
+    "kvstore-astriflash": "af6f9c765aab1e91",
+    "kvstore-flash-sync": "cb583636094282c5",
+    "kvstore-os-swap": "2833afa6d7d08fad",
+}
+
+
+def identity_digest(config_name, workload_name, scale=TINY):
+    config = build_config(config_name, scale)
+    workload = make_workload(workload_name, scale.dataset_pages,
+                             seed=SEED, zipf_s=scale.zipf_s)
     runner = Runner(config, workload)
     result = runner.run()
     return payload_digest([runner.machine.state_fingerprint(),
@@ -108,6 +137,18 @@ def test_vector_bit_identical_to_scalar(config_name, workload_name):
         IDENTITY_DIGESTS[f"{workload_name}-{config_name}"]
 
 
+@pytest.mark.parametrize("config_name",
+                         ["astriflash", "flash-sync", "os-swap"])
+@pytest.mark.parametrize("workload_name",
+                         ["rbtree", "hashtable", "silo", "masstree",
+                          "kvstore"])
+def test_two_core_interleaving_is_pinned(config_name, workload_name):
+    """Lazily drawn steps of jobs running on two cores interleave in
+    the same order as when these digests were recorded."""
+    assert identity_digest(config_name, workload_name, TINY_2CORE) == \
+        TWO_CORE_DIGESTS[f"{workload_name}-{config_name}"]
+
+
 if __name__ == "__main__":
     import sys
 
@@ -117,3 +158,7 @@ if __name__ == "__main__":
         for config_name in EVALUATED_CONFIG_NAMES:
             digest = identity_digest(config_name, workload_name)
             print(f'    "{workload_name}-{config_name}": "{digest}",')
+    for key in TWO_CORE_DIGESTS:
+        workload_name, config_name = key.split("-", 1)
+        digest = identity_digest(config_name, workload_name, TINY_2CORE)
+        print(f'    "{key}": "{digest}",')

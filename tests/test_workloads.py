@@ -1,5 +1,7 @@
 """Tests for the seven evaluated workloads and arrival processes."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,7 +9,6 @@ from repro.workloads import (
     EVALUATED_WORKLOADS,
     ClosedLoop,
     PoissonArrivals,
-    Step,
     make_workload,
 )
 
@@ -25,13 +26,35 @@ def workloads():
 def collect_steps(workload, num_jobs=20):
     steps = []
     for _ in range(num_jobs):
-        job = workload.make_job()
-        while True:
-            step = job.next_step()
-            if step is None:
-                break
-            steps.append(step)
+        steps.extend(workload.make_job().steps)
     return steps
+
+
+# sha256 of each producer's first 300 jobs at seed 7 over 4096 pages
+# (``repr`` of every step tuple, ``|`` after each job), truncated.
+STEP_STREAM_DIGESTS = {
+    "arrayswap": "bf9aeac4b961533e",
+    "rbtree": "e20cb9a5a734042a",
+    "hashtable": "dc17894677426ba8",
+    "tatp": "f0ed9a13e497ee1f",
+    "tpcc": "5465d0bc7cc7f5c9",
+    "silo": "5fc76e0a67902059",
+    "masstree": "9c2a0123e843acc2",
+    "kvstore": "16753454240bdc05",
+}
+
+
+@pytest.mark.parametrize("name", EVALUATED_WORKLOADS + ["kvstore"])
+def test_step_stream_is_pinned(name):
+    """Each producer draws the same steps in the same order, checked
+    at the producer itself rather than through a simulated run."""
+    workload = make_workload(name, 4096, seed=7)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        for compute_ns, page, is_write in workload.make_job().steps:
+            digest.update(repr((compute_ns, page, bool(is_write))).encode())
+        digest.update(b"|")
+    assert digest.hexdigest()[:16] == STEP_STREAM_DIGESTS[name]
 
 
 class TestAllWorkloads:
@@ -48,10 +71,14 @@ class TestAllWorkloads:
         steps = collect_steps(workload, num_jobs=5)
         assert steps, f"{name} produced no steps"
         for step in steps:
-            assert isinstance(step, Step)
-            assert 0 <= step.page < DATASET_PAGES, \
-                f"{name} touched page {step.page} outside the dataset"
-            assert step.compute_ns > 0
+            assert type(step) is tuple and len(step) == 3
+            compute_ns, page, is_write = step
+            assert type(compute_ns) is float
+            assert type(page) is int
+            assert type(is_write) is bool
+            assert 0 <= page < DATASET_PAGES, \
+                f"{name} touched page {page} outside the dataset"
+            assert compute_ns > 0
 
     @pytest.mark.parametrize("name", EVALUATED_WORKLOADS)
     def test_job_ids_are_unique(self, workloads, name):
@@ -71,7 +98,7 @@ class TestAllWorkloads:
     def test_write_traffic_is_limited(self, workloads, name):
         # Paper Sec. V-A: workloads mimic limited write traffic.
         steps = collect_steps(workloads[name], num_jobs=30)
-        write_fraction = sum(s.is_write for s in steps) / len(steps)
+        write_fraction = sum(w for _, _, w in steps) / len(steps)
         # Array Swap is the read-write extreme at exactly half; the
         # database workloads are far below it.
         assert write_fraction <= 0.5, f"{name} writes {write_fraction:.0%}"
@@ -82,7 +109,7 @@ class TestAllWorkloads:
         # accesses (Zipfian popularity).
         from collections import Counter
         steps = collect_steps(workloads[name], num_jobs=60)
-        counts = Counter(step.page for step in steps)
+        counts = Counter(page for _, page, _ in steps)
         total = sum(counts.values())
         hottest = sum(count for _, count in
                       counts.most_common(max(1, len(counts) // 10)))
@@ -121,7 +148,7 @@ class TestSiloOcc:
         workload = SiloWorkload(2048, seed=3)
         for _ in range(20):
             job = workload.make_job()
-            while job.next_step() is not None:
+            while next(job.steps, None) is not None:
                 pass
         assert workload.commits > 0
         assert workload.aborts == 0  # no interleaving: no conflicts
@@ -139,7 +166,7 @@ class TestSiloOcc:
         live = [workload.make_job() for _ in range(16)]
         while live:
             job = rng.choice(live)
-            if job.next_step() is None:
+            if next(job.steps, None) is None:
                 live.remove(job)
         assert workload.commits > 0
         assert workload.aborts > 0, "interleaving must cause OCC conflicts"
