@@ -492,13 +492,14 @@ class Runner:
     # -------------------------------------------------------------- core loop --
 
     def _core_loop(self, core_id: int):
+        """The core's process generator: the mode's loop itself, so a
+        core wake-up resumes it without a ``yield from`` level."""
         mode = self.config.mode
         if mode is PagingMode.DRAM_ONLY:
-            yield from self._run_to_completion_loop(core_id, with_cache=False)
-        elif mode is PagingMode.FLASH_SYNC:
-            yield from self._run_to_completion_loop(core_id, with_cache=True)
-        else:
-            yield from self._multiplexed_loop(core_id)
+            return self._run_to_completion_loop(core_id, with_cache=False)
+        if mode is PagingMode.FLASH_SYNC:
+            return self._run_to_completion_loop(core_id, with_cache=True)
+        return self._multiplexed_loop(core_id)
 
     # -- DRAM-only and Flash-Sync: one job at a time ---------------------------
 
@@ -507,11 +508,13 @@ class Runner:
         flat = self.machine.flat_dram_latency_ns
         cache = self.machine.dram_cache
         # Per-step locals for the hot inner loop; the TLB-hit draw is
-        # inlined so _walk_miss_ns only runs on actual TLB misses.
+        # inlined so _walk_miss_ns only runs on actual TLB misses, and
+        # the frontside controller is called without DramCache.access's
+        # forwarding frame.
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
         walk_miss = self._walk_miss_ns
-        cache_access = cache.access if cache is not None else None
+        cache_access = cache.frontside.access if cache is not None else None
         tracer = self._tracer
         track = f"core{core_id}"
 
@@ -671,7 +674,8 @@ class Runner:
         # multiplexed modes.  The hit paths are handled inline so the
         # miss generators (and their setup cost) only run on misses.
         astriflash = mode is PagingMode.ASTRIFLASH
-        cache = self.machine.dram_cache if astriflash else None
+        cache_access = (self.machine.dram_cache.frontside.access
+                        if astriflash else None)
         pager = None if astriflash else self.machine.pager
         flat = self.machine.flat_dram_latency_ns
         rng_random = self._rng_random
@@ -704,7 +708,7 @@ class Runner:
             self._accesses += 1
 
             if astriflash:
-                result = cache.access(page, is_write)
+                result = cache_access(page, is_write)
                 if result.hit:
                     outcome = accumulated + result.latency_ns
                     if record is not None:

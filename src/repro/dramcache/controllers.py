@@ -278,9 +278,8 @@ class BacksideController:
         read wins or a :class:`FlashTimeoutError` instance when the
         deadline does.  Whichever side settles first wins; the pending
         timeout event is cancelled on completion (it has neither fired
-        nor been cancelled at that point, so the kernel's event
-        recycling rules are respected) and a late completion after a
-        timeout is silently dropped.
+        nor been cancelled at that point, so the cancel is legal) and a
+        late completion after a timeout is silently dropped.
         """
         engine = self.engine
         timeout_ns = self._read_timeout_ns

@@ -9,28 +9,28 @@ Times are floats in nanoseconds (see :mod:`repro.units`).  Ties are
 broken by insertion order, which makes runs fully deterministic for a
 given seed.
 
-The hot loop is tuned for CPython (DESIGN.md §4c): fired events are
-recycled through a free list instead of being reallocated, ``run``
-binds ``heappop``/callback plumbing to locals, the heap holds
-``(time, seq, event)`` tuples so sift comparisons run at C speed
-(``seq`` is unique, so the tuple order never consults the event), and
-the heap is compacted in place when cancelled entries outnumber live
-ones.  None of this changes semantics — pop order is the same
-``(time, seq)`` total order the kernel has always used.
+The kernel is process-native (DESIGN.md §4c).  The heap holds
+``(time, seq, target, value)`` tuples, so sift comparisons run at C
+speed (``seq`` is unique, so the tuple order never consults the
+target).  Almost every entry wakes a :class:`~repro.sim.process.Process`,
+and :meth:`Engine.run` resumes it inline: it sends ``value`` into the
+generator and pushes a float yield straight back on the heap, with no
+per-event object or call frame.  Plain callbacks (:meth:`Engine.schedule`)
+are the rare case and the only cancellable one: they get an
+:class:`Event` handle, and the heap is compacted in place when
+cancelled entries outnumber live ones.  None of this changes
+semantics — pop order is the same ``(time, seq)`` total order the
+kernel has always used.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 Callback = Callable[..., None]
-
-# Free-list bound: enough to absorb the steady-state churn of a large
-# run without pinning an unbounded amount of dead-event memory.
-_MAX_POOL = 4096
 
 # Compaction triggers when the queue holds more cancelled than live
 # entries; tiny queues are never worth rebuilding.
@@ -56,11 +56,6 @@ class Event:
     skipped when popped (unless compaction removes it first).  An event
     that has already executed is marked ``fired``; cancelling it
     afterwards is a protocol error.
-
-    An :class:`Event` reference is only meaningful until the event
-    fires or is cancelled — the kernel recycles dead events through a
-    free list, so holding a handle past that point and cancelling it
-    later is a protocol error the kernel can no longer always detect.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired")
@@ -73,11 +68,6 @@ class Event:
         self.cancelled = False
         self.fired = False
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else (" fired" if self.fired else "")
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -86,6 +76,9 @@ class Event:
 
 class Engine:
     """The event loop.
+
+    ``now`` is the current simulation time in nanoseconds; only the
+    engine advances it.
 
     >>> engine = Engine()
     >>> fired = []
@@ -97,23 +90,14 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: List[Event] = []
+        self.now = 0.0
+        self._queue: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
         self._running = False
-        self._live_events = 0
         self._cancelled_in_queue = 0
-        self._pool: List[Event] = []
         # Kernel health/throughput telemetry (repro.perf reads these).
         self.events_executed = 0
         self.compactions = 0
-
-    # -- time ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     # -- scheduling ---------------------------------------------------------
 
@@ -121,56 +105,39 @@ class Engine:
         """Run ``callback(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Body of schedule_at, inlined: this is the most frequent entry
-        # point into the kernel and the extra call frame shows up.
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, (time, seq, event))
-        self._live_events += 1
-        return event
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, (time, seq, event))
-        self._live_events += 1
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event, None))
         return event
+
+    def resume(self, target: Any, value: Any = None, delay: float = 0.0) -> None:
+        """Wake ``target`` with ``value`` after ``delay`` nanoseconds.
+
+        ``target`` is a :class:`~repro.sim.process.Process` (resumed
+        inline by :meth:`run`) or any object with a ``_resume(value)``
+        method.  Wake-ups cannot be cancelled.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self.now + delay, seq, target, value))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.
 
         Cancelling twice is an error, and so is cancelling an event
-        that already executed: the event was popped from the heap and
-        its live-count slot reclaimed, so decrementing again would
-        corrupt :attr:`pending_events`.
+        that already executed: it has left the heap, so counting it as
+        a cancelled entry would corrupt :attr:`pending_events`.
         """
         if event.fired:
             raise SimulationError(
@@ -181,33 +148,27 @@ class Engine:
         event.cancelled = True
         event.callback = None
         event.args = ()
-        self._live_events -= 1
         self._cancelled_in_queue += 1
         if (self._cancelled_in_queue * 2 > len(self._queue)
                 and len(self._queue) >= _MIN_COMPACT_QUEUE):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from the heap in place.
+        """Drop cancelled events from the heap in place.
 
         Long sweeps that schedule-then-cancel (timeout patterns, the
         Fig. 10 load ladder) would otherwise grow the heap without
         bound and pay ``log``-of-garbage on every push/pop.  Rebuilding
         preserves pop order exactly: ``(time, seq)`` is a total order,
-        so the filtered heap yields the same sequence of live events.
+        so the filtered heap yields the same sequence of live entries.
+        Process wake-ups cannot be cancelled and are always kept.
 
         The list object is mutated in place (slice assignment) because
         ``run`` holds a local reference to it while executing.
         """
         queue = self._queue
-        pool = self._pool
-        live = [entry for entry in queue if not entry[2].cancelled]
-        if len(pool) < _MAX_POOL:
-            dead = (entry[2] for entry in queue if entry[2].cancelled)
-            pool.extend(
-                event for event, _ in zip(dead, range(_MAX_POOL - len(pool)))
-            )
-        queue[:] = live
+        queue[:] = [entry for entry in queue
+                    if entry[2].__class__ is not Event or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
@@ -216,21 +177,7 @@ class Engine:
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none left."""
-        while self._queue:
-            time, _seq, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                self._recycle(event)
-                continue
-            self._live_events -= 1
-            event.fired = True
-            self._now = time
-            self.events_executed += 1
-            global _total_events
-            _total_events += 1
-            event.callback(*event.args)
-            return True
-        return False
+        return self._dispatch(float("inf"), 1) == 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until simulation time ``until``.
@@ -238,64 +185,88 @@ class Engine:
         When ``until`` is given the clock is advanced to exactly
         ``until`` even if the last event fired earlier.
         """
+        # One float compare per event instead of a None test plus a
+        # compare; event times are always finite.
+        self._dispatch(float("inf") if until is None else until, -1)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def _dispatch(self, horizon: float, limit: int) -> int:
+        """Execute events up to time ``horizon``, at most ``limit`` of
+        them (``-1``: no limit).  Returns how many executed.
+
+        A :class:`Process` target is resumed here: ``value`` is sent
+        into its generator, a float yield goes straight back on the
+        heap and any other yield goes to ``Process._wait_on``.  An
+        :class:`Event` runs its callback unless cancelled; any other
+        target gets ``target._resume(value)``.
+        """
         if self._running:
             raise SimulationError("engine.run() re-entered")
         self._running = True
+        # Bound once per call, not per event: process.py imports this
+        # module, so the import cannot sit at module level.
+        from repro.sim.process import Process
         # Local bindings: attribute lookups cost on every iteration of
         # the hottest loop in the simulator.  ``queue`` stays valid
-        # across callbacks because schedule/compact mutate the same
+        # across events because pushes and compaction mutate the same
         # list object in place.
         queue = self._queue
-        pool = self._pool
         heappop = heapq.heappop
+        heappush = heapq.heappush
         executed = 0
-        # One float compare per iteration instead of a None test plus
-        # a compare; event times are always finite.
-        horizon = float("inf") if until is None else until
         try:
-            while queue:
+            while queue and executed != limit:
                 entry = queue[0]
-                if entry[0] > horizon:
+                time = entry[0]
+                if time > horizon:
                     break
                 heappop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    if len(pool) < _MAX_POOL:
-                        pool.append(event)
-                    continue
-                self._live_events -= 1
-                event.fired = True
-                self._now = entry[0]
-                executed += 1
-                callback = event.callback
-                args = event.args
-                # Release payload references early; the Event object
-                # itself parks on the free list for reuse.
-                event.callback = None
-                event.args = ()
-                if len(pool) < _MAX_POOL:
-                    pool.append(event)
-                callback(*args)
-            if until is not None and self._now < until:
-                self._now = until
+                target = entry[2]
+                kind = target.__class__
+                if kind is Process:
+                    self.now = time
+                    executed += 1
+                    if target.finished:
+                        continue
+                    try:
+                        yielded = target.generator.send(entry[3])
+                    except StopIteration as stop:
+                        target._finish(stop.value)
+                        continue
+                    if yielded.__class__ is float:
+                        if yielded < 0:
+                            raise SimulationError(
+                                f"cannot schedule into the past (delay={yielded})"
+                            )
+                        seq = self._seq
+                        self._seq = seq + 1
+                        heappush(queue, (time + yielded, seq, target, None))
+                    else:
+                        target._wait_on(yielded)
+                elif kind is Event:
+                    if target.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    target.fired = True
+                    self.now = time
+                    executed += 1
+                    target.callback(*target.args)
+                else:
+                    self.now = time
+                    executed += 1
+                    target._resume(entry[3])
         finally:
             self.events_executed += executed
             global _total_events
             _total_events += executed
             self._running = False
-
-    def _recycle(self, event: Event) -> None:
-        """Park a dead event on the free list (bounded)."""
-        event.callback = None
-        event.args = ()
-        if len(self._pool) < _MAX_POOL:
-            self._pool.append(event)
+        return executed
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
-        return self._live_events
+        """Number of live (non-cancelled) entries in the queue."""
+        return len(self._queue) - self._cancelled_in_queue
 
     @property
     def queue_length(self) -> int:
@@ -303,4 +274,4 @@ class Engine:
         return len(self._queue)
 
     def __repr__(self) -> str:
-        return f"<Engine t={self._now:.1f} pending={self.pending_events}>"
+        return f"<Engine t={self.now:.1f} pending={self.pending_events}>"

@@ -10,6 +10,12 @@ A *process* is a Python generator that yields:
 
 This mirrors the structure of simpy but is implemented from scratch so
 the library has no external simulation dependency.
+
+Processes are resumed by :meth:`Engine.run <repro.sim.engine.Engine.run>`
+itself, which also handles the float-sleep yield inline; every other
+yield goes through :meth:`Process._wait_on`, and every wake-up (a
+process start, a fired signal, a finished join target) is queued with
+:meth:`Engine.resume <repro.sim.engine.Engine.resume>`.
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ class Signal:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            self.engine.schedule(0.0, process._resume, value)
+            self.engine.resume(process, value)
 
     def _add_waiter(self, process: "Process") -> None:
         if self.fired:
-            self.engine.schedule(0.0, process._resume, self.value)
+            self.engine.resume(process, self.value)
         else:
             self._waiters.append(process)
 
@@ -74,28 +80,15 @@ class Process:
         self.finished = False
         self.result: Any = None
         self._done_signal: Optional[Signal] = None
-        engine.schedule(0.0, self._resume, None)
+        engine.resume(self)
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _resume(self, value: Any) -> None:
-        if self.finished:
-            return
-        try:
-            target = self.generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        # Fast path: the overwhelmingly common yield is a plain float
-        # sleep; dispatch it here without the _wait_on call frame.
-        if type(target) is float:
-            self.engine.schedule(target, self._resume, None)
-        else:
-            self._wait_on(target)
-
     def _wait_on(self, target: Yieldable) -> None:
+        """Block on a yield :meth:`Engine.run` does not handle inline
+        (everything but a plain ``float`` sleep)."""
         if isinstance(target, (int, float)):
-            self.engine.schedule(float(target), self._resume, None)
+            self.engine.resume(self, None, float(target))
         elif isinstance(target, Signal):
             target._add_waiter(self)
         elif isinstance(target, Process):
@@ -113,7 +106,7 @@ class Process:
 
     def _add_join_waiter(self, process: "Process") -> None:
         if self.finished:
-            self.engine.schedule(0.0, process._resume, self.result)
+            self.engine.resume(process, self.result)
             return
         if self._done_signal is None:
             self._done_signal = Signal(self.engine, f"join:{self.name}")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, Signal, observe, spawn
 
 
 def test_events_fire_in_time_order():
@@ -80,8 +80,9 @@ def test_cancel_after_fire_raises():
 
 
 def test_cancel_after_fire_does_not_corrupt_pending_count():
-    # The old accounting decremented _live_events for an event that had
-    # already been popped and executed, driving pending_events negative.
+    # The old accounting decremented the live-event count for an event
+    # that had already been popped and executed, driving pending_events
+    # negative.
     engine = Engine()
     event = engine.schedule(1.0, lambda: None)
     engine.run()
@@ -91,6 +92,20 @@ def test_cancel_after_fire_does_not_corrupt_pending_count():
     assert engine.pending_events == 0
     engine.schedule(1.0, lambda: None)
     assert engine.pending_events == 1
+
+
+def test_stale_handle_cannot_cancel_a_later_event():
+    # A fired event's handle must stay dead: it may not alias a newer
+    # event, or cancelling it would silently drop an unrelated callback.
+    engine = Engine()
+    fired = []
+    first = engine.schedule(1.0, fired.append, "first")
+    engine.run()
+    engine.schedule(1.0, fired.append, "second")
+    with pytest.raises(SimulationError):
+        engine.cancel(first)
+    engine.run()
+    assert fired == ["first", "second"]
 
 
 def test_cancel_after_step_raises():
@@ -149,6 +164,62 @@ def test_step_executes_one_event():
     assert not engine.step()
 
 
+def test_step_resumes_a_process_one_event_at_a_time():
+    engine = Engine()
+    trace = []
+
+    def worker():
+        trace.append(engine.now)
+        yield 10.0
+        trace.append(engine.now)
+        yield 5.0
+        trace.append(engine.now)
+
+    spawn(engine, worker())
+    assert engine.step()
+    assert trace == [0.0]
+    assert engine.step()
+    assert trace == [0.0, 10.0]
+    assert engine.step()
+    assert trace == [0.0, 10.0, 15.0]
+    assert not engine.step()
+    assert engine.events_executed == 3
+
+
+def test_same_time_targets_fire_in_schedule_order():
+    # Callbacks, process sleeps, signal wake-ups and observers share one
+    # (time, seq) order: same-time targets run in the order they were
+    # queued, whatever kind of target they are.
+    engine = Engine()
+    order = []
+    go = Signal(engine, "go")
+
+    def sleeper():
+        yield 5.0
+        order.append("sleeper")
+
+    def waiter():
+        value = yield go
+        order.append(("waiter", value))
+
+    def firer():
+        yield 5.0
+        order.append("firer")
+        go.fire("v")
+
+    engine.schedule(5.0, order.append, "callback-first")
+    spawn(engine, sleeper())
+    spawn(engine, waiter())
+    observe(go, lambda value: order.append(("observer", value)))
+    spawn(engine, firer())
+    engine.schedule(5.0, order.append, "callback-last")
+    engine.run()
+    assert order == ["callback-first", "callback-last", "sleeper", "firer",
+                     ("observer", "v"), ("waiter", "v")]
+    # Three process starts, two sleeps, two callbacks, two wake-ups.
+    assert engine.events_executed == 9
+
+
 def test_cancel_heavy_queue_is_compacted_and_bounded():
     engine = Engine()
     fired = []
@@ -193,3 +264,24 @@ def test_compaction_skips_tiny_queues():
     assert engine.compactions == 0
     engine.run()
     assert engine.queue_length == 0
+
+
+def test_compaction_keeps_process_wakeups():
+    engine = Engine()
+    woke = []
+
+    def sleeper(index):
+        yield 10.0 + index
+        woke.append((index, engine.now))
+
+    for index in range(8):
+        spawn(engine, sleeper(index))
+    engine.run(until=1.0)
+    events = [engine.schedule(5.0, woke.append, "cancelled")
+              for _ in range(100)]
+    for event in events:
+        engine.cancel(event)
+    assert engine.compactions >= 1
+    assert engine.pending_events == 8
+    engine.run()
+    assert woke == [(index, 10.0 + index) for index in range(8)]

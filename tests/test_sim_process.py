@@ -131,3 +131,14 @@ def test_yielding_garbage_raises():
     spawn(engine, bad())
     with pytest.raises(SimulationError):
         engine.run()
+
+
+def test_negative_sleep_raises():
+    engine = Engine()
+
+    def worker():
+        yield -1.0
+
+    spawn(engine, worker())
+    with pytest.raises(SimulationError):
+        engine.run()

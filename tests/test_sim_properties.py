@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, Server, Store, spawn
+from repro.sim import Engine, Server, Signal, Store, observe, spawn
 
 
 class TestEngineProperties:
@@ -55,6 +55,73 @@ class TestEngineProperties:
         spawn(engine, sleeper())
         engine.run()
         assert done[0] == sum(sleeps)
+
+
+class _ReferenceProcess:
+    """Drives a generator the way :class:`~repro.sim.Process` does, but
+    only through ``schedule`` callbacks and ``observe`` — never through
+    the kernel's inline process path."""
+
+    def __init__(self, engine, generator):
+        self.engine = engine
+        self.generator = generator
+        engine.schedule(0.0, self.resume, None)
+
+    def resume(self, value):
+        try:
+            yielded = self.generator.send(value)
+        except StopIteration:
+            return
+        if isinstance(yielded, float):
+            self.engine.schedule(yielded, self.resume, None)
+        else:
+            observe(yielded, self.resume)
+
+
+def _run_programs(programs, fire_times, start):
+    """Run worker programs and timed signal firers on a fresh engine,
+    starting each generator with ``start``; returns the observable
+    behaviour."""
+    engine = Engine()
+    signals = [Signal(engine, f"s{index}") for index in range(len(fire_times))]
+    trace = []
+
+    def worker(tag, ops):
+        for op, arg in ops:
+            if op == "sleep":
+                value = yield arg
+            else:
+                value = yield signals[arg]
+            trace.append((tag, op, engine.now, value))
+
+    def firer(index, at):
+        yield at
+        trace.append((f"firer{index}", "fire", engine.now, None))
+        signals[index].fire(("sig", index))
+
+    for tag, ops in enumerate(programs):
+        start(engine, worker(tag, ops))
+    for index, at in enumerate(fire_times):
+        start(engine, firer(index, at))
+    engine.run()
+    return trace, engine.events_executed, engine.now
+
+
+_times = st.integers(0, 20).map(float)
+_ops = st.one_of(st.tuples(st.just("sleep"), _times),
+                 st.tuples(st.just("wait"), st.integers(0, 2)))
+
+
+class TestProcessDifferential:
+    @given(st.lists(st.lists(_ops, max_size=8), min_size=1, max_size=4),
+           st.lists(st.integers(0, 60).map(float), min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_inline_resume_matches_callback_reference(self, programs,
+                                                      fire_times):
+        # Small integer times force same-time ties, so the (time, seq)
+        # order of process wake-ups is compared too, not just times.
+        assert (_run_programs(programs, fire_times, spawn)
+                == _run_programs(programs, fire_times, _ReferenceProcess))
 
 
 class TestServerProperties:
