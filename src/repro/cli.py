@@ -19,10 +19,11 @@ Commands:
 * ``regress --baseline FILE``     — pass/fail gate for CI
 * ``dashboard``                   — static HTML observatory page
 
-Sweep commands accept ``--no-snapshot`` / ``--snapshot-dir PATH`` to
-control warm-state snapshot reuse (default: on, under the result-cache
-directory); the flags set the ``REPRO_SNAPSHOT`` / ``REPRO_SNAPSHOT_DIR``
-environment the harness reads.
+Sweep commands accept ``--no-snapshot`` to turn warm-state snapshot
+reuse off and ``--snapshot-dir PATH`` to move the one store directory
+that holds stored results and snapshots (default ``.repro_cache``);
+the flags set the ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment
+the harness reads.
 
 Every measuring verb (``report``, ``profile``, ``bench-sweep``,
 ``chaos``, ``writes``, ``loadgen``, ``simulate``) appends a
@@ -71,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(rebuild datasets and re-warm caches "
                               "for every run)")
         sub.add_argument("--snapshot-dir", default=None, metavar="PATH",
-                         help="snapshot directory (default: "
-                              "$REPRO_SNAPSHOT_DIR or "
-                              ".repro_cache/snapshots)")
+                         help="directory holding stored results and "
+                              "snapshots (default: $REPRO_CACHE_DIR "
+                              "or .repro_cache)")
 
     run_parser = commands.add_parser("run", help="regenerate one artifact")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
@@ -387,7 +388,7 @@ def _apply_snapshot_flags(args: argparse.Namespace) -> None:
     if getattr(args, "no_snapshot", False):
         os.environ["REPRO_SNAPSHOT"] = "0"
     if getattr(args, "snapshot_dir", None):
-        os.environ["REPRO_SNAPSHOT_DIR"] = args.snapshot_dir
+        os.environ["REPRO_CACHE_DIR"] = args.snapshot_dir
 
 
 def _append_ledger(record) -> None:
@@ -640,10 +641,9 @@ def cmd_cache_clean(max_bytes: Optional[int],
                     cache_dir: Optional[str]) -> int:
     from pathlib import Path
 
-    from repro.harness.parallel import default_cache_dir
-    from repro.snapshot import clear_cache, prune_cache
+    from repro.snapshot import clear_cache, default_snapshot_dir, prune_cache
 
-    directory = Path(cache_dir) if cache_dir else default_cache_dir()
+    directory = Path(cache_dir) if cache_dir else default_snapshot_dir()
     if not directory.is_dir():
         print(f"cache: {directory} does not exist; nothing to clean")
         return 0

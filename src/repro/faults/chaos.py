@@ -27,12 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.harness.common import resolve_scale
-from repro.harness.parallel import (
-    ParallelRunError,
-    RunSpec,
-    execute_spec,
-    run_specs,
-)
+from repro.harness.parallel import RunSpec, run_specs_or_none
 
 #: Presets used when an experiment module exposes no ``CONFIGS`` tuple.
 DEFAULT_PRESETS: Tuple[str, ...] = ("astriflash", "flash-sync")
@@ -257,20 +252,8 @@ def run_chaos(experiment: str = "fig9", scale="quick",
                 config_overrides=fault_overrides(rber, fault_seed))
         for preset, rber in grid
     ]
-    try:
-        results = run_specs(specs, jobs=jobs, snapshots=snapshots,
-                            snapshot_dir=snapshot_dir)
-    except ParallelRunError:
-        # Some point of the grid died (DeviceFailedError at an extreme
-        # fault rate).  Re-run cell by cell so the surviving points
-        # still produce a curve and the dead ones are marked.
-        results = []
-        for spec in specs:
-            try:
-                results.append(execute_spec(spec, snapshots=snapshots,
-                                            snapshot_dir=snapshot_dir))
-            except ReproError:
-                results.append(None)
+    results = run_specs_or_none(specs, jobs=jobs, snapshots=snapshots,
+                                snapshot_dir=snapshot_dir)
 
     cells = []
     for (preset, rber), result in zip(grid, results):

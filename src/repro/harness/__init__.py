@@ -19,7 +19,6 @@ from repro.harness.common import (
     HarnessScale,
     build_config,
     resolve_scale,
-    run_simulation,
 )
 from repro.harness.parallel import (
     ParallelRunError,
@@ -71,7 +70,6 @@ __all__ = [
     "resolve_scale",
     "run_all",
     "run_experiment",
-    "run_simulation",
     "run_spec",
     "run_specs",
 ]

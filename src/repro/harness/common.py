@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig, make_config
-from repro.core import Runner
 from repro.units import US
-from repro.workloads import make_workload
 
 
 @dataclass(frozen=True)
@@ -126,15 +124,3 @@ def build_config(config_name: str, scale: HarnessScale) -> SystemConfig:
     config.scale.warmup_ns = scale.warmup_us * US
     config.scale.measurement_ns = scale.measurement_us * US
     return config
-
-
-def run_simulation(config_name: str, workload_name: str,
-                   scale: HarnessScale, arrivals=None, seed: int = 42,
-                   **workload_overrides):
-    """One full-system run at harness scale."""
-    config = build_config(config_name, scale)
-    kwargs = scale.workload_kwargs()
-    kwargs.update(workload_overrides)
-    workload = make_workload(workload_name, scale.dataset_pages, seed=seed,
-                             **kwargs)
-    return Runner(config, workload, arrivals=arrivals).run()

@@ -1,4 +1,4 @@
-"""Process-parallel experiment fan-out with a content-addressed cache.
+"""Process-parallel experiment fan-out with stored results.
 
 Every paper artifact is a batch of *independent* ``(config, workload,
 arrivals, overrides)`` simulations, so regenerating figures is
@@ -6,21 +6,22 @@ embarrassingly parallel.  This module provides the fan-out layer the
 figure/table modules build on:
 
 * :class:`RunSpec` — a picklable, hashable description of one run.
-  Executing a spec (:func:`execute_spec`) reproduces *exactly* what the
-  old serial helpers did, so results are bit-identical regardless of
-  the number of worker processes.
+  Executing a spec (:func:`execute_spec`) is the one-run path, so
+  results are bit-identical regardless of the number of worker
+  processes.
 * :func:`run_specs` — execute a batch across a
   ``ProcessPoolExecutor``, returning results in spec order.  Falls back
   to in-process execution when ``jobs == 1`` (the default, also set via
   ``REPRO_JOBS``) or when a process pool cannot be created.  A crashed
   worker is retried once in-process before a structured
-  :class:`ParallelRunError` is raised.
-* A content-addressed result cache: spec-hash → pickled
-  :class:`~repro.core.runner.SimulationResult` under ``.repro_cache/``
-  (override with ``REPRO_CACHE_DIR``; disable with ``REPRO_CACHE=0``).
-  The cache directory carries a version stamp combining
-  :data:`CACHE_VERSION` with a digest of the ``repro`` package sources,
-  so *any* simulator change invalidates stale results.
+  :class:`ParallelRunError` is raised.  Each finished
+  :class:`~repro.core.runner.SimulationResult` is stored as the
+  ``result`` kind of :class:`repro.snapshot.SnapshotStore` under
+  :func:`spec_key`, in the same directory as the dataset and
+  warm-state snapshots (``REPRO_CACHE_DIR``, default ``.repro_cache``;
+  disable with ``REPRO_CACHE=0``).  The store's header check (format
+  version + a digest of the ``repro`` sources) means *any* simulator
+  change invalidates stale results.
 * :func:`map_tasks` — an uncached generic fan-out for harness stages
   that are not full-system runs (trace generation, device stress sims).
 """
@@ -31,7 +32,6 @@ import dataclasses
 import functools
 import hashlib
 import os
-import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,12 +51,6 @@ from repro.errors import ReproError
 from repro.harness.common import HarnessScale, build_config, resolve_scale
 from repro.core import Runner
 from repro.workloads import arrival_from_spec
-
-# Bump manually on semantic changes that the source digest cannot see
-# (e.g. a pickle-format change in SimulationResult).
-CACHE_VERSION = 1
-
-_STAMP_NAME = "CACHE_VERSION"
 
 
 class ParallelRunError(ReproError):
@@ -151,12 +145,6 @@ def make_spec(config_name: str, workload_name: str, scale,
     )
 
 
-def _build_arrivals(arrival_spec: Optional[Tuple]):
-    # Delegates to the arrival registry; ConfigurationError (a
-    # ReproError) propagates for unknown kinds.
-    return arrival_from_spec(arrival_spec)
-
-
 def _apply_config_override(config, path: str, value) -> None:
     parts = path.split(".")
     parent = config
@@ -207,7 +195,7 @@ def _prepare_runner(spec: RunSpec, store) -> Runner:
     from repro import snapshot as snap
 
     config, kwargs, scale = _spec_parts(spec)
-    arrivals = _build_arrivals(spec.arrivals)
+    arrivals = arrival_from_spec(spec.arrivals)
     key = None
     if store.enabled:
         key = snap.warm_key(config, spec.workload_name, spec.seed, kwargs,
@@ -229,11 +217,10 @@ def _prepare_runner(spec: RunSpec, store) -> Runner:
 
 def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None,
                  snapshot_dir=None):
-    """Run one spec to a ``SimulationResult`` (mirrors the serial path
-    of ``run_simulation`` so results match bit-for-bit).
+    """Run one spec to a ``SimulationResult``.
 
     ``snapshots``/``snapshot_dir`` select the warm-state snapshot
-    policy (default: the ``REPRO_SNAPSHOT``/``REPRO_SNAPSHOT_DIR``
+    policy (default: the ``REPRO_SNAPSHOT``/``REPRO_CACHE_DIR``
     environment); both the fresh-warm and snapshot-restore paths
     produce bit-identical results — the golden determinism test pins
     this.
@@ -244,7 +231,7 @@ def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None,
     return _prepare_runner(spec, store).run()
 
 
-# ------------------------------------------------------------ result cache --
+# ---------------------------------------------------------- stored results --
 
 
 def default_jobs() -> int:
@@ -259,46 +246,10 @@ def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
-def default_cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
-def _source_digest() -> str:
-    """Digest of every ``repro`` source file: any simulator change
-    invalidates cached results without manual version bumps.  (The
-    digest itself lives in :mod:`repro.snapshot`, which shares it with
-    the snapshot-file headers.)"""
-    from repro.snapshot import source_digest
-    return source_digest()
-
-
-def _version_stamp() -> str:
-    return f"{CACHE_VERSION}:{_source_digest()}"
-
-
-def _ensure_cache_dir(cache_dir: Path) -> None:
-    """Create the cache dir; wipe stale entries on a stamp mismatch."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    stamp_path = cache_dir / _STAMP_NAME
-    stamp = _version_stamp()
-    try:
-        current = stamp_path.read_text()
-    except OSError:
-        current = None
-    if current != stamp:
-        for entry in cache_dir.glob("*.pkl"):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-        stamp_path.write_text(stamp)
-
-
 def spec_key(spec: RunSpec) -> str:
-    """Content hash naming the cache entry for ``spec``."""
+    """Content hash naming the stored result for ``spec``."""
     scale = resolve_scale(spec.scale)
     canonical = (
-        _version_stamp(),
         spec.config_name,
         spec.workload_name,
         tuple(sorted(dataclasses.asdict(scale).items(),
@@ -309,47 +260,6 @@ def spec_key(spec: RunSpec) -> str:
         spec.config_overrides,
     )
     return hashlib.sha256(repr(canonical).encode()).hexdigest()
-
-
-def cache_load(spec: RunSpec, cache_dir: Path):
-    path = cache_dir / f"{spec_key(spec)}.pkl"
-    try:
-        with open(path, "rb") as handle:
-            result = pickle.load(handle)
-    except OSError:
-        return None
-    except Exception:
-        # Corrupt entry (interrupted writer, version skew): drop it.
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    # Touch on hit: file mtime order is the LRU order the byte-cap
-    # pruner evicts in.
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-    return result
-
-
-def cache_store(spec: RunSpec, result, cache_dir: Path) -> None:
-    path = cache_dir / f"{spec_key(spec)}.pkl"
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            pickle.dump(result, handle)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return
-    # Keep the cache tree (results + snapshots) under the byte cap.
-    from repro.snapshot import prune_cache
-    prune_cache(cache_dir, keep=(path,))
 
 
 # ----------------------------------------------------------------- fan-out --
@@ -437,46 +347,39 @@ def _prewarm_groups(specs: Sequence[RunSpec], pending: Sequence[int],
 
 def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
               cache: Optional[bool] = None,
-              cache_dir: Optional[Union[str, Path]] = None,
               report: Optional[Dict[str, int]] = None,
               snapshots: Optional[bool] = None,
               snapshot_dir: Optional[Union[str, Path]] = None) -> List:
     """Execute a batch of run specs, results in spec order.
 
-    ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Cached
+    ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Stored
     results are reused when ``cache`` is enabled (default, unless
-    ``REPRO_CACHE=0``).  Warm-state snapshots (``snapshots`` /
-    ``snapshot_dir``, default per ``REPRO_SNAPSHOT`` /
-    ``REPRO_SNAPSHOT_DIR``) group pending specs by warm key and warm
-    each group once in the parent before the pool fans out.  Each spec
-    that crashes its worker is retried once in-process; a second
-    failure raises :class:`ParallelRunError`.  ``report``, if given,
-    is filled with batch statistics (``cache_hits`` / ``executed`` /
-    ``retried`` / ``jobs``).
+    ``REPRO_CACHE=0``).  Warm-state snapshots (``snapshots``, default
+    per ``REPRO_SNAPSHOT``) group pending specs by warm key and warm
+    each group once in the parent before the pool fans out.  Results
+    and snapshots share one store directory (``snapshot_dir``, default
+    ``REPRO_CACHE_DIR``).  Each spec that crashes its worker is
+    retried once in-process; a second failure raises
+    :class:`ParallelRunError`.  ``report``, if given, is filled with
+    batch statistics (``cache_hits`` / ``executed`` / ``retried`` /
+    ``jobs``).
     """
     from repro import snapshot as snap
 
     specs = list(specs)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    use_cache = cache_enabled() if cache is None else cache
-    directory = Path(cache_dir) if cache_dir is not None \
-        else default_cache_dir()
     store = snap.resolve_store(snapshots, snapshot_dir)
+    result_store = snap.SnapshotStore(
+        store.directory, enabled=cache_enabled() if cache is None else cache)
 
     results: List = [None] * len(specs)
-    pending: List[int] = []
-    hits = 0
-    if use_cache:
-        _ensure_cache_dir(directory)
-        for index, spec in enumerate(specs):
-            cached = cache_load(spec, directory)
-            if cached is not None:
-                results[index] = cached
-                hits += 1
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(specs)))
+    keys: List[Optional[str]] = [None] * len(specs)
+    if result_store.enabled:
+        keys = [spec_key(spec) for spec in specs]
+        results = [result_store.load(snap.RESULT_KIND, key) for key in keys]
+    pending = [index for index, result in enumerate(results)
+               if result is None]
+    hits = len(specs) - len(pending)
 
     retried = 0
     if pending:
@@ -517,8 +420,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 except Exception as exc:
                     raise ParallelRunError(specs[index], exc) from exc
             results[index] = outcome
-            if use_cache:
-                cache_store(specs[index], results[index], directory)
+            result_store.store(snap.RESULT_KIND, keys[index], outcome)
 
     if report is not None:
         report.update(cache_hits=hits, executed=len(pending),
@@ -532,6 +434,32 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
 def run_spec(spec: RunSpec, **kwargs):
     """Convenience wrapper: one spec, one result."""
     return run_specs([spec], **kwargs)[0]
+
+
+def run_specs_or_none(specs: Sequence[RunSpec], jobs: Optional[int] = None,
+                      snapshots: Optional[bool] = None,
+                      snapshot_dir=None) -> List:
+    """:func:`run_specs` for sweep grids whose points may die: a spec
+    that fails comes back as ``None`` instead of raising.
+
+    When the batch raises :class:`ParallelRunError` (a
+    ``DeviceFailedError`` at an extreme fault rate, write-buffer
+    capacity at an extreme SET ratio), every spec is re-run in-process,
+    so the surviving points still produce curves and a spec that
+    raises :class:`ReproError` is marked ``None``.
+    """
+    try:
+        return run_specs(specs, jobs=jobs, snapshots=snapshots,
+                         snapshot_dir=snapshot_dir)
+    except ParallelRunError:
+        results = []
+        for spec in specs:
+            try:
+                results.append(execute_spec(spec, snapshots=snapshots,
+                                            snapshot_dir=snapshot_dir))
+            except ReproError:
+                results.append(None)
+        return results
 
 
 def map_tasks(func: Callable, kwargs_list: Sequence[Mapping[str, Any]],

@@ -145,8 +145,8 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
 
     ``jobs`` is forwarded to each experiment so its independent runs
     fan out through :mod:`repro.harness.parallel`; repeated invocations
-    reuse the result cache, so regenerating a report after regenerating
-    a figure costs only the runs not already cached.
+    reuse stored results, so regenerating a report after regenerating
+    a figure costs only the runs not already stored.
     """
     from repro import snapshot
     from repro.core.runner import wall_split_totals
@@ -176,13 +176,14 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
 
 def _warmup_footer(split_before: Dict[str, float],
                    snap_before: Dict[str, float]) -> str:
-    """Warmup-vs-measurement wall split and snapshot hit/miss counts
-    accumulated in this process since ``generate`` started.
+    """Warmup-vs-measurement wall split, snapshot hit/miss counts and
+    reused results accumulated in this process since ``generate``
+    started.
 
     Like the kernel line, this covers in-process runs only: with
     ``jobs > 1`` the warm/measure seconds land in the workers, but the
-    snapshot *store* counters (captures in the pre-warm pass, stale
-    rejections) still show up here.
+    store counters (captures in the pre-warm pass, stale rejections,
+    reused results) still show up here.
     """
     from repro import snapshot
     from repro.core.runner import wall_split_totals
@@ -199,8 +200,10 @@ def _warmup_footer(split_before: Dict[str, float],
     restored = delta("warm_restores")
     fresh = delta("warm_captures")
     stale = delta("stale_rejected")
-    if warm == 0.0 and measure == 0.0 and not (restored or fresh or stale):
+    reused = delta("result_memo_hits") + delta("result_disk_hits")
+    if not (warm or measure or restored or fresh or stale or reused):
         return ""
     return (f"warmup: {warm:.2f} s vs measurement {measure:.2f} s "
             f"in-process; snapshots: {restored} restored, "
-            f"{fresh} freshly warmed, {stale} stale rejected")
+            f"{fresh} freshly warmed, {stale} stale rejected; "
+            f"{reused} results reused")

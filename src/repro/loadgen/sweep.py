@@ -5,8 +5,9 @@ offered load across an experiment's config presets and reports, per
 preset, the latency-vs-load curve plus the sustained-QPS-under-SLO
 knee (TailBench methodology; the paper's Fig. 10 lens).  Each
 ``(preset, qps)`` cell is one independent open-loop simulation, so the
-grid fans out through :mod:`repro.harness.parallel` and shares warm-
-state snapshots and the content-addressed result cache.
+grid fans out through :mod:`repro.harness.parallel` and shares one
+store directory (``snapshot_dir``) of warm-state snapshots and stored
+results.
 
 Conventions this layer owns:
 
@@ -337,8 +338,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
                 jobs: Optional[int] = None,
                 snapshots: Optional[bool] = None,
                 snapshot_dir=None,
-                cache: Optional[bool] = None,
-                cache_dir=None) -> LoadgenBench:
+                cache: Optional[bool] = None) -> LoadgenBench:
     """Sweep offered load and build per-preset knee curves.
 
     The DRAM-only closed-loop saturation run anchors everything:
@@ -364,8 +364,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
             else scale.workloads[0]
 
     run_kwargs = dict(jobs=jobs, snapshots=snapshots,
-                      snapshot_dir=snapshot_dir, cache=cache,
-                      cache_dir=cache_dir)
+                      snapshot_dir=snapshot_dir, cache=cache)
 
     saturation = run_spec(
         RunSpec("dram-only", workload, scale, seed=seed), **run_kwargs

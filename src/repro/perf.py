@@ -254,11 +254,11 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
                 snapshot_dir: Optional[str] = None) -> SweepBench:
     """Time one experiment sweep with snapshots off, cold, and on.
 
-    The result cache is disabled throughout (it would short-circuit the
+    Stored results are off throughout (they would short-circuit the
     runs being timed) and everything stays in-process so the three
-    timings are comparable.  Snapshots go to a throwaway directory
+    timings are comparable.  The store directory is a throwaway one
     (``snapshot_dir`` or a fresh temp dir) — the bench must not be
-    contaminated by, or contaminate, a real snapshot store.
+    contaminated by, or contaminate, a real store.
     """
     import shutil
     import tempfile
@@ -281,9 +281,9 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
     # or not its run() threads explicit snapshot kwargs.
     saved_env = {name: os.environ.get(name)
                  for name in ("REPRO_CACHE", "REPRO_SNAPSHOT",
-                              "REPRO_SNAPSHOT_DIR")}
+                              "REPRO_CACHE_DIR")}
     os.environ["REPRO_CACHE"] = "0"
-    os.environ["REPRO_SNAPSHOT_DIR"] = str(directory)
+    os.environ["REPRO_CACHE_DIR"] = str(directory)
     try:
         def timed(snapshots_on: bool) -> float:
             os.environ["REPRO_SNAPSHOT"] = "1" if snapshots_on else "0"

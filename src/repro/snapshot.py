@@ -1,11 +1,12 @@
-"""Warm-state snapshot/restore: amortize dataset builds and cache
-warmup across experiment sweeps (DESIGN.md §4e).
+"""The harness store: stored results and warm-state snapshots, which
+amortize dataset builds and cache warmup across experiment sweeps
+(DESIGN.md §4e).
 
 Every figure/table harness is a *sweep*, yet each run used to rebuild
 its workload dataset and re-warm the DRAM cache / resident set from
 scratch — even when sweep points differ only in a parameter that does
 not affect warm state (arrival rate, switch cost, MSR depth).  This
-module memoizes both:
+module memoizes both, and the finished runs themselves:
 
 * **Dataset builds** (:func:`build_workload`) — the constructed
   workload object (hash index, trees, page-heap layout) is serialized
@@ -19,21 +20,27 @@ module memoizes both:
   *bit-identical* to a fresh warm: the golden determinism test passes
   unchanged through both paths, enforced by
   :meth:`~repro.core.machine.Machine.state_fingerprint` equality.
+* **Finished results** (:data:`RESULT_KIND`) — each run's
+  ``SimulationResult``, stored and reused by
+  :func:`~repro.harness.parallel.run_specs` under the spec's content
+  hash.
 
-Snapshot files are versioned: a header (format version + a digest of
+Store files are versioned: a header (format version + a digest of
 the ``repro`` sources + the semantic key) is validated before the
 payload is unpickled; any mismatch rejects and deletes the stale file
 so it is rebuilt rather than silently loaded.  The in-process memo
-holds the serialized bytes, which ``fork``-started worker processes
-inherit for free (spawn-started workers fall back to the files).
+holds the serialized bytes, keyed by the store directory, which
+``fork``-started worker processes inherit for free (spawn-started
+workers fall back to the files).
 
 Policy knobs (also exposed as CLI flags, see ``repro --help``):
 
-* ``REPRO_SNAPSHOT=0``        — disable snapshots entirely;
-* ``REPRO_SNAPSHOT_DIR=PATH`` — snapshot directory (default:
-  ``$REPRO_CACHE_DIR/snapshots`` next to the result cache);
-* ``REPRO_CACHE_MAX_BYTES=N`` — byte cap for the whole cache tree
-  (results + snapshots), LRU-pruned on write.
+* ``REPRO_SNAPSHOT=0``        — disable dataset and warm snapshots;
+* ``REPRO_CACHE=0``           — disable stored results;
+* ``REPRO_CACHE_DIR=PATH``    — the one store directory (default:
+  ``.repro_cache``);
+* ``REPRO_CACHE_MAX_BYTES=N`` — byte cap for the store directory,
+  LRU-pruned on write.
 """
 
 from __future__ import annotations
@@ -54,28 +61,25 @@ from repro.workloads import make_workload
 #: Bump on any change to the snapshot file layout or payload schema.
 SNAPSHOT_VERSION = 1
 
-#: Snapshot kinds (the filename prefix).
+#: Store kinds (the filename prefix).
 WORKLOAD_KIND = "workload"
 WARM_KIND = "warm"
 TRACE_KIND = "trace"
+RESULT_KIND = "result"
 
-#: Default byte cap for the cache tree (results + snapshots): 256 MiB.
+#: Default byte cap for the store directory: 256 MiB.
 DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
-#: Suffixes the LRU pruner manages inside the cache tree.
+#: Suffixes the LRU pruner manages inside the store directory
+#: (``.pkl`` and the ``CACHE_VERSION`` stamp file are an older
+#: checkout's result-cache leftovers).
 _PRUNABLE_SUFFIXES = (".pkl", ".snap")
 
 #: Default warmup length, mirrored from Machine.warm_caches.
 DEFAULT_WARM_STEPS = 50_000
 
-#: Process-global snapshot telemetry (``repro report`` footer).
+#: Process-global store telemetry (``repro report`` footer).
 STATS = CounterSet("snapshot")
-
-
-def reset_stats() -> None:
-    """Zero the process-global snapshot counters (tests, benchmarks)."""
-    global STATS
-    STATS = CounterSet("snapshot")
 
 
 # ------------------------------------------------------------------ digests --
@@ -289,34 +293,34 @@ def snapshots_enabled() -> bool:
 
 
 def default_snapshot_dir() -> Path:
-    override = os.environ.get("REPRO_SNAPSHOT_DIR")
-    if override:
-        return Path(override)
-    cache_root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-    return cache_root / "snapshots"
+    """The one store directory: ``$REPRO_CACHE_DIR`` or
+    ``.repro_cache``."""
+    return Path(os.environ.get("REPRO_CACHE_DIR") or ".repro_cache")
 
 
 class SnapshotStore:
-    """Versioned snapshot files plus an in-process bytes memo.
+    """Versioned store files plus an in-process bytes memo.
 
     File layout: two concatenated pickles — a small header
     ``{"version", "stamp", "kind", "key"}`` followed by the payload.
     Loads validate the header before touching the payload, so stale
     files (format bump or simulator source change) are rejected and
     deleted, never silently loaded.  The memo keeps the serialized
-    payload bytes; each load unpickles a fresh object graph, so no
-    mutable state leaks between runs, and ``fork``-started workers
-    inherit the memo without re-reading files.
+    payload bytes, keyed by directory, kind and key, so a store on a
+    fresh directory starts cold; each load unpickles a fresh object
+    graph, so no mutable state leaks between runs, and
+    ``fork``-started workers inherit the memo without re-reading files.
     """
 
-    #: Process-global memo: "kind:key" -> serialized payload bytes.
-    _MEMO: Dict[str, bytes] = {}
+    #: Process-global memo: (directory, kind, key) -> payload bytes.
+    _MEMO: Dict[Tuple[str, str, str], bytes] = {}
 
     def __init__(self, directory: Optional[Path] = None,
                  enabled: Optional[bool] = None) -> None:
         self.enabled = snapshots_enabled() if enabled is None else enabled
         self.directory = Path(directory) if directory is not None \
             else default_snapshot_dir()
+        self._scope = str(self.directory)
 
     # -- paths / headers ----------------------------------------------------
 
@@ -342,7 +346,7 @@ class SnapshotStore:
         validates (the payload is not unpickled)."""
         if not self.enabled:
             return False
-        if f"{kind}:{key}" in self._MEMO:
+        if (self._scope, kind, key) in self._MEMO:
             return True
         path = self._path(kind, key)
         try:
@@ -358,7 +362,7 @@ class SnapshotStore:
         as a miss (counted under ``stale_rejected``)."""
         if not self.enabled:
             return None
-        blob = self._MEMO.get(f"{kind}:{key}")
+        blob = self._MEMO.get((self._scope, kind, key))
         if blob is not None:
             STATS.add(f"{kind}_memo_hits")
             return _loads(blob)
@@ -381,7 +385,7 @@ class SnapshotStore:
             STATS.add("stale_rejected")
             self._discard(path)
             return None
-        self._MEMO[f"{kind}:{key}"] = payload_blob
+        self._MEMO[(self._scope, kind, key)] = payload_blob
         self._touch(path)
         STATS.add(f"{kind}_disk_hits")
         return payload
@@ -392,7 +396,7 @@ class SnapshotStore:
         if not self.enabled:
             return
         blob = _dumps(payload)
-        self._MEMO[f"{kind}:{key}"] = blob
+        self._MEMO[(self._scope, kind, key)] = blob
         path = self._path(kind, key)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
@@ -436,7 +440,7 @@ class _StaleSnapshot(Exception):
 def resolve_store(snapshots: Optional[bool] = None,
                   snapshot_dir=None) -> SnapshotStore:
     """Build a store from explicit arguments, falling back to the
-    ``REPRO_SNAPSHOT`` / ``REPRO_SNAPSHOT_DIR`` environment policy."""
+    ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment policy."""
     directory = Path(snapshot_dir) if snapshot_dir is not None else None
     return SnapshotStore(directory=directory, enabled=snapshots)
 

@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config.system import WritesConfig
 from repro.errors import ReproError
 from repro.harness.common import HarnessScale, resolve_scale
-from repro.harness.parallel import (
-    ParallelRunError,
-    RunSpec,
-    execute_spec,
-    run_specs,
-)
+from repro.harness.parallel import RunSpec, run_specs_or_none
 
 #: The write-enabled presets (outside EVALUATED_CONFIG_NAMES).
 DEFAULT_PRESETS: Tuple[str, ...] = ("astriflash-writes", "flash-sync-writes")
@@ -319,20 +314,8 @@ def run_writes(experiment: str = "kv", scale="quick",
                 config_overrides=writes_overrides(policy))
         for preset, policy, ratio in grid
     ]
-    try:
-        results = run_specs(specs, jobs=jobs, snapshots=snapshots,
-                            snapshot_dir=snapshot_dir)
-    except ParallelRunError:
-        # Some point of the grid died (e.g. write-buffer capacity at an
-        # extreme ratio).  Re-run cell by cell so the surviving points
-        # still produce curves and the dead ones are marked.
-        results = []
-        for spec in specs:
-            try:
-                results.append(execute_spec(spec, snapshots=snapshots,
-                                            snapshot_dir=snapshot_dir))
-            except ReproError:
-                results.append(None)
+    results = run_specs_or_none(specs, jobs=jobs, snapshots=snapshots,
+                                snapshot_dir=snapshot_dir)
 
     cells = []
     for (preset, policy, ratio), result in zip(grid, results):

@@ -1,10 +1,11 @@
 """Shared test fixtures.
 
-Warm-state snapshots (repro.snapshot) default to ``.repro_cache/`` in
-the working directory; the suite points them at a session-scoped temp
-directory instead so test runs stay hermetic and leave no files behind.
-Within the session the store still operates normally — tests exercise
-both the capture and restore paths.
+The harness store (repro.snapshot: stored results plus dataset and
+warm-state snapshots) defaults to ``.repro_cache/`` in the working
+directory; the suite points it at a session-scoped temp directory
+instead so test runs stay hermetic and leave no files behind.  Within
+the session the store still operates normally — tests exercise the
+store, reuse, capture and restore paths.
 """
 
 import os
@@ -13,15 +14,14 @@ import pytest
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _session_snapshot_dir(tmp_path_factory):
-    previous = os.environ.get("REPRO_SNAPSHOT_DIR")
-    os.environ["REPRO_SNAPSHOT_DIR"] = str(
-        tmp_path_factory.mktemp("snapshots"))
+def _session_store_dir(tmp_path_factory):
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("store"))
     yield
     if previous is None:
-        os.environ.pop("REPRO_SNAPSHOT_DIR", None)
+        os.environ.pop("REPRO_CACHE_DIR", None)
     else:
-        os.environ["REPRO_SNAPSHOT_DIR"] = previous
+        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 @pytest.fixture(scope="session", autouse=True)

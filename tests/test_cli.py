@@ -70,11 +70,11 @@ class TestSnapshotFlags:
         assert os.environ.get("REPRO_SNAPSHOT") == "0"
 
     def test_snapshot_dir_sets_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_DIR",
-                           os.environ.get("REPRO_SNAPSHOT_DIR", ""))
+        monkeypatch.setenv("REPRO_CACHE_DIR",
+                           os.environ.get("REPRO_CACHE_DIR", ""))
         target = str(tmp_path / "snaps")
         assert main(["run", "fig3", "--snapshot-dir", target]) == 0
-        assert os.environ.get("REPRO_SNAPSHOT_DIR") == target
+        assert os.environ.get("REPRO_CACHE_DIR") == target
 
 
 class TestCacheCommand:

@@ -216,11 +216,11 @@ class TestOpenLoopCensoring:
 class TestRunLoadgen:
     @pytest.fixture(scope="class")
     def bench(self, tmp_path_factory):
-        cache_dir = tmp_path_factory.mktemp("loadgen_cache")
+        store_dir = tmp_path_factory.mktemp("loadgen_store")
         return run_loadgen(
             "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
             workload="arrayswap", presets=("dram-only", "astriflash"),
-            refine_evals=1, cache_dir=str(cache_dir),
+            refine_evals=1, snapshot_dir=str(store_dir),
         )
 
     def test_grid_shape(self, bench):
@@ -262,7 +262,7 @@ class TestRunLoadgen:
         rerun = run_loadgen(
             "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
             workload="arrayswap", presets=("dram-only", "astriflash"),
-            refine_evals=1, cache_dir=str(tmp_path),
+            refine_evals=1, snapshot_dir=str(tmp_path),
         )
         assert dumps(dataclasses.asdict(rerun)) == \
             dumps(dataclasses.asdict(bench))
@@ -275,7 +275,7 @@ class TestRunLoadgen:
             "fig10", scale=dataclasses.replace(TINY, measurement_us=4000.0),
             qps_sweep="0.2x:0.6x:2", workload="arrayswap",
             presets=("dram-only", "astriflash"), refine_evals=0,
-            cache_dir=str(tmp_path),
+            snapshot_dir=str(tmp_path),
         )
         dram = bench.knee("dram-only").sustained_qps
         flash = bench.knee("astriflash").sustained_qps

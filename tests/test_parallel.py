@@ -1,7 +1,8 @@
-"""Tests for the process-parallel harness and its result cache."""
+"""Tests for the process-parallel harness and its stored results."""
 
 import pytest
 
+from repro import snapshot
 from repro.harness import parallel
 from repro.harness.common import HarnessScale
 from repro.harness.parallel import (
@@ -15,6 +16,7 @@ from repro.harness.parallel import (
     spec_key,
 )
 from repro.perf import canonical_result_dict
+from repro.workloads import arrival_from_spec
 
 # Small enough that one run takes a fraction of a second.
 TINY = HarnessScale(
@@ -72,7 +74,7 @@ class TestSpecs:
     def test_unknown_arrival_spec_raises(self):
         from repro.errors import ReproError
         with pytest.raises(ReproError):
-            parallel._build_arrivals(("uniform", 1.0))
+            arrival_from_spec(("uniform", 1.0))
 
 
 class TestDeterminism:
@@ -94,44 +96,54 @@ class TestCache:
     def test_hit_after_store(self, tmp_path):
         spec = tiny_spec()
         report = {}
-        first = run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path,
+        first = run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path,
                           report=report)[0]
         assert report == {"cache_hits": 0, "executed": 1, "retried": 0,
                           "jobs": 1}
-        second = run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path,
-                           report=report)[0]
+        second = run_specs([spec], jobs=1, cache=True,
+                           snapshot_dir=tmp_path, report=report)[0]
         assert report["cache_hits"] == 1 and report["executed"] == 0
         assert result_fields(first) == result_fields(second)
 
-    def test_version_stamp_invalidates(self, tmp_path):
+    def test_source_stamp_invalidates(self, tmp_path, monkeypatch):
         spec = tiny_spec()
-        run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path)
-        # Simulate a stale cache from an older simulator version.
-        (tmp_path / parallel._STAMP_NAME).write_text("0:deadbeef")
+        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
+        snapshot.SnapshotStore.clear_memo()
+        # Simulate a stored result from an older simulator version.
+        monkeypatch.setattr(snapshot, "source_digest", lambda: "deadbeef")
         report = {}
-        run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path,
+        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path,
                   report=report)
         assert report["cache_hits"] == 0 and report["executed"] == 1
-        assert (tmp_path / parallel._STAMP_NAME).read_text() \
-            == parallel._version_stamp()
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
         spec = tiny_spec()
-        run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path)
-        entry = tmp_path / f"{spec_key(spec)}.pkl"
+        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
+        snapshot.SnapshotStore.clear_memo()
+        entry = tmp_path / f"result-{spec_key(spec)}.snap"
         entry.write_bytes(b"not a pickle")
         report = {}
-        result = run_specs([spec], jobs=1, cache=True, cache_dir=tmp_path,
-                           report=report)[0]
+        result = run_specs([spec], jobs=1, cache=True,
+                           snapshot_dir=tmp_path, report=report)[0]
         assert report["executed"] == 1
         assert result.completed_jobs > 0
 
     def test_cache_disabled_by_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         report = {}
-        run_specs([tiny_spec()], jobs=1, cache_dir=tmp_path, report=report)
+        run_specs([tiny_spec()], jobs=1, snapshot_dir=tmp_path,
+                  report=report)
         assert report["cache_hits"] == 0
-        assert not list(tmp_path.glob("*.pkl"))
+        assert not list(tmp_path.glob("result-*"))
+
+    def test_results_and_snapshots_share_one_directory(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
+        monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
+        run_specs([tiny_spec()], jobs=1, cache=True)
+        for kind in ("result", "workload", "warm"):
+            assert len(list(tmp_path.glob(f"{kind}-*.snap"))) == 1, kind
 
 
 class TestFailurePaths:
@@ -157,6 +169,12 @@ class TestFailurePaths:
         result = run_specs([spec], jobs=1, cache=False, report=report)[0]
         assert report["retried"] == 1
         assert result.completed_jobs > 0
+
+    def test_failed_spec_comes_back_as_none(self):
+        bad = tiny_spec(config_overrides=(("scale.nope", 1),))
+        good, failed = parallel.run_specs_or_none([tiny_spec(), bad], jobs=1)
+        assert good.completed_jobs > 0
+        assert failed is None
 
     def test_pool_unavailable_falls_back_in_process(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_in_pool",

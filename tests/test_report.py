@@ -6,8 +6,21 @@ import pytest
 
 from repro.errors import ReproError
 from repro.harness import run_experiment
-from repro.harness.common import ExperimentResult
-from repro.harness.report import ascii_chart, chart_for, render, write_report
+from repro.harness.common import ExperimentResult, HarnessScale
+from repro.harness.parallel import RunSpec, run_specs
+from repro.harness.report import (
+    ascii_chart,
+    chart_for,
+    generate,
+    render,
+    write_report,
+)
+
+# Small enough that one run takes a fraction of a second.
+TINY = HarnessScale(
+    name="tiny", dataset_pages=2048, num_cores=1, warmup_us=100.0,
+    measurement_us=600.0, zipf_s=1.8, workloads=("arrayswap",),
+)
 
 
 class TestAsciiChart:
@@ -72,3 +85,16 @@ class TestWriteReport:
         assert content.startswith("Reproduction report")
         assert "Table I" in content
         assert "Fig. 2" in content
+
+    def test_footer_counts_reused_results(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = RunSpec("astriflash", "arrayswap", TINY, seed=7)
+
+        def experiment(scale, jobs):
+            run_specs([spec], jobs=jobs, cache=True)
+            return ExperimentResult("tiny", "Tiny", ["x"], [[1]])
+
+        out = tmp_path / "report.txt"
+        generate({"first": experiment, "again": experiment},
+                 out=str(out))
+        assert "1 results reused" in out.read_text()

@@ -141,6 +141,17 @@ def test_warm_key_varies_with_warm_inputs():
                                  warm_steps=WARM_STEPS)
 
 
+def test_memo_is_scoped_to_its_directory(tmp_path):
+    """A store on a fresh directory starts cold, whatever another
+    directory's store has put in the process memo."""
+    stored = snap.SnapshotStore(tmp_path / "a", enabled=True)
+    stored.store(snap.WORKLOAD_KIND, "k1", {"payload": 1})
+    fresh = snap.SnapshotStore(tmp_path / "b", enabled=True)
+    assert fresh.load(snap.WORKLOAD_KIND, "k1") is None
+    assert not fresh.contains(snap.WORKLOAD_KIND, "k1")
+    assert stored.load(snap.WORKLOAD_KIND, "k1") == {"payload": 1}
+
+
 # ------------------------------------------------------ stale/corrupt files --
 
 
