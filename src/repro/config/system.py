@@ -12,10 +12,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.units import GIB, KIB, MIB, PAGE_SIZE, US
+from repro.units import GIB, MIB, PAGE_SIZE, US
 
 
 class PagingMode(Enum):

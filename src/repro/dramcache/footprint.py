@@ -93,8 +93,3 @@ class FootprintPredictor:
 
     def underfetch_rate(self) -> float:
         return self.stats.ratio("underfetches", "trainings")
-
-    def mean_estimate(self) -> float:
-        if not self._estimates:
-            return float(self.blocks_per_page)
-        return sum(self._estimates.values()) / len(self._estimates)

@@ -111,9 +111,6 @@ class DramCacheOrganization:
             return page & mask
         return page % self.num_sets
 
-    def _ways(self, page: int) -> List[Way]:
-        return self._sets[self.set_index(page)]
-
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, page: int, is_write: bool = False) -> bool:

@@ -23,7 +23,7 @@ terminate.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config.system import FaultConfig
 from repro.faults.model import (

@@ -63,12 +63,6 @@ class PlaneState:
         self.open_block: int = 0
         self.pages_per_block = pages_per_block
 
-    @property
-    def free_page_count(self) -> int:
-        open_blk = self.blocks[self.open_block]
-        free_in_open = open_blk.pages_per_block - open_blk.write_offset
-        return free_in_open + len(self.free_blocks) * self.pages_per_block
-
     def allocate(self, logical_page: int) -> PhysicalSlot:
         """Claim the next physical page at the write point."""
         block = self.blocks[self.open_block]

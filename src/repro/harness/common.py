@@ -15,7 +15,7 @@ Two scales:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.config import SystemConfig, make_config
 from repro.units import US

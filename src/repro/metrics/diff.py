@@ -159,10 +159,6 @@ class DiffReport:
     def regressions(self) -> List[MetricDelta]:
         return [d for d in self.deltas if d.verdict == "regression"]
 
-    @property
-    def improvements(self) -> List[MetricDelta]:
-        return [d for d in self.deltas if d.verdict == "improvement"]
-
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for delta in self.deltas:

@@ -14,7 +14,7 @@ the kernel's page-lock wait path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config.system import OsConfig
 from repro.flash.device import FlashDevice
@@ -49,10 +49,6 @@ class DemandPager:
     def access(self, page: int, is_write: bool = False) -> bool:
         """Fast path: residency check.  True = mapped, no fault."""
         return self.resident.lookup(page, is_write)
-
-    def pending_fault(self, page: int) -> Optional[Signal]:
-        """Signal of an already-in-flight fault for ``page``, if any."""
-        return self._pending.get(page)
 
     def fault(self, page: int, is_write: bool = False):
         """Process generator handling one page fault end to end.

@@ -2,13 +2,6 @@
 
 from repro.stats.counters import CounterSet
 from repro.stats.histogram import ExactReservoir, LogHistogram, percentile
-from repro.stats.sampling import (
-    SampledMeasurement,
-    measure,
-    measure_until,
-    summarize,
-    t_critical_95,
-)
 from repro.stats.tracker import LatencyTracker, ThroughputTracker
 
 __all__ = [
@@ -16,11 +9,6 @@ __all__ = [
     "ExactReservoir",
     "LatencyTracker",
     "LogHistogram",
-    "SampledMeasurement",
-    "measure",
-    "measure_until",
-    "summarize",
-    "t_critical_95",
     "ThroughputTracker",
     "percentile",
 ]

@@ -108,19 +108,6 @@ class CounterSet:
     def as_dict(self) -> Dict[str, float]:
         return {key: cell[0] for key, cell in self._cells.items()}
 
-    def as_metrics(self, namespace: str = "") -> Dict[str, float]:
-        """Counters under registry-style ``subsystem/name`` keys
-        (repro.metrics).  Dotted keys split on the first dot; bare keys
-        fall under ``namespace`` (default: the set's own name)."""
-        prefix = namespace or self.name or "counters"
-        metrics: Dict[str, float] = {}
-        for key, cell in self._cells.items():
-            subsystem, _, stat = key.partition(".")
-            if not stat:
-                subsystem, stat = prefix, key
-            metrics[f"{subsystem}/{stat}"] = cell[0]
-        return metrics
-
     def merge(self, other: "CounterSet") -> None:
         for key, cell in other._cells.items():
             self.add(key, cell[0])

@@ -137,10 +137,6 @@ class LogHistogram:
         self._max = float("-inf")
         self._min = float("inf")
 
-    def _bucket_index(self, value: float) -> int:
-        clamped = value if value > self._min_value else self._min_value
-        return int(math.log(clamped / self._min_value) * self._inv_log_base)
-
     def _bucket_value(self, index: int) -> float:
         # Midpoint of the bucket in log space.
         return self._min_value * math.exp((index + 0.5) * self._log_base)

@@ -87,7 +87,9 @@ class ThroughputTracker:
         self._window_end: Optional[float] = None
 
     def start_measurement(self, now_ns: float) -> None:
+        """Open (or re-open) the window; a restart drops earlier counts."""
         self._window_start = now_ns
+        self._window_end = None
         self._completions = 0
 
     def stop_measurement(self, now_ns: float) -> None:

@@ -18,12 +18,11 @@ that produced them — record once, replay anywhere.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, TextIO, Union
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 
 TRACE_HEADER = "# repro-trace-v1: compute_ns,page,is_write"
 

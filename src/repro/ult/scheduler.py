@@ -75,11 +75,6 @@ class UltScheduler:
     def oldest_pending(self) -> Optional[UserThread]:
         return self._pending[0] if self._pending else None
 
-    def has_work(self) -> bool:
-        if self._new:
-            return True
-        return any(t.state is ThreadState.READY for t in self._pending)
-
     # -- policy ---------------------------------------------------------------
 
     def note_miss(self) -> None:

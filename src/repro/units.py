@@ -25,41 +25,6 @@ MS = MILLISECOND
 S = SECOND
 
 
-def nanoseconds(value: float) -> float:
-    """Express ``value`` nanoseconds in simulation time."""
-    return value * NANOSECOND
-
-
-def microseconds(value: float) -> float:
-    """Express ``value`` microseconds in simulation time."""
-    return value * MICROSECOND
-
-
-def milliseconds(value: float) -> float:
-    """Express ``value`` milliseconds in simulation time."""
-    return value * MILLISECOND
-
-
-def seconds(value: float) -> float:
-    """Express ``value`` seconds in simulation time."""
-    return value * SECOND
-
-
-def to_microseconds(time_ns: float) -> float:
-    """Convert simulation time (ns) to microseconds."""
-    return time_ns / MICROSECOND
-
-
-def to_milliseconds(time_ns: float) -> float:
-    """Convert simulation time (ns) to milliseconds."""
-    return time_ns / MILLISECOND
-
-
-def to_seconds(time_ns: float) -> float:
-    """Convert simulation time (ns) to seconds."""
-    return time_ns / SECOND
-
-
 # --------------------------------------------------------------------------
 # Size units (bytes).
 # --------------------------------------------------------------------------
@@ -72,44 +37,3 @@ TIB = 1024 * GIB
 
 CACHE_BLOCK_SIZE = 64          # bytes, on-chip cache block (paper Sec. II-A)
 PAGE_SIZE = 4 * KIB            # bytes, DRAM-cache page / flash page
-
-
-def kibibytes(value: float) -> int:
-    """``value`` KiB in bytes."""
-    return int(value * KIB)
-
-
-def mebibytes(value: float) -> int:
-    """``value`` MiB in bytes."""
-    return int(value * MIB)
-
-
-def gibibytes(value: float) -> int:
-    """``value`` GiB in bytes."""
-    return int(value * GIB)
-
-
-def tebibytes(value: float) -> int:
-    """``value`` TiB in bytes."""
-    return int(value * TIB)
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-readable byte count (``'32.0 GiB'``)."""
-    magnitude = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if magnitude < 1024.0 or unit == "TiB":
-            return f"{magnitude:.1f} {unit}"
-        magnitude /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_time(time_ns: float) -> str:
-    """Human-readable simulation time (``'12.3 us'``)."""
-    if time_ns < MICROSECOND:
-        return f"{time_ns:.1f} ns"
-    if time_ns < MILLISECOND:
-        return f"{time_ns / MICROSECOND:.1f} us"
-    if time_ns < SECOND:
-        return f"{time_ns / MILLISECOND:.1f} ms"
-    return f"{time_ns / SECOND:.3f} s"

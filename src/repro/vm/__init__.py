@@ -1,15 +1,5 @@
-"""Virtual-memory substrate: page tables, TLBs, walker, shootdowns."""
+"""Virtual-memory costs: the broadcast TLB-shootdown latency model."""
 
-from repro.vm.address_space import AddressSpace
-from repro.vm.page_table import PageTable
 from repro.vm.shootdown import TlbShootdownModel
-from repro.vm.tlb import Tlb
-from repro.vm.walker import PageTableWalker
 
-__all__ = [
-    "AddressSpace",
-    "PageTable",
-    "PageTableWalker",
-    "Tlb",
-    "TlbShootdownModel",
-]
+__all__ = ["TlbShootdownModel"]

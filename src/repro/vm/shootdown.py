@@ -10,23 +10,18 @@ paging does not scale in Fig. 2.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.config.system import OsConfig
 from repro.errors import ConfigurationError
-from repro.stats import CounterSet
-from repro.vm.tlb import Tlb
 
 
 class TlbShootdownModel:
-    """Latency + bookkeeping for broadcast TLB shootdowns."""
+    """Latency of broadcast TLB shootdowns."""
 
     def __init__(self, config: OsConfig, num_cores: int) -> None:
         if num_cores < 1:
             raise ConfigurationError("need at least one core")
         self.config = config
         self.num_cores = num_cores
-        self.stats = CounterSet("shootdown")
 
     def latency_ns(self, batched_pages: int = 1) -> float:
         """Cost of one shootdown operation.
@@ -43,16 +38,3 @@ class TlbShootdownModel:
         extra = 0.1 * per_core * (batched_pages - 1)
         return base + per_core + extra
 
-    def execute(self, vpn: int, tlbs: List[Tlb],
-                initiator: Optional[int] = None) -> float:
-        """Invalidate ``vpn`` in every TLB; returns the latency."""
-        for tlb in tlbs:
-            tlb.invalidate(vpn)
-        self.stats.add("shootdowns")
-        self.stats.add("pages_invalidated")
-        return self.latency_ns()
-
-    def throughput_ceiling_per_second(self) -> float:
-        """Upper bound on machine-wide page migrations per second when
-        every migration needs a (serializing) shootdown."""
-        return 1e9 / self.latency_ns()

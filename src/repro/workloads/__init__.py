@@ -14,8 +14,7 @@ from repro.workloads.arrival import (
 from repro.workloads.base import Job, Step, Workload
 from repro.workloads.hashtable import HashIndex, HashTableWorkload
 from repro.workloads.masstree import Masstree, MasstreeWorkload
-from repro.workloads.masstree_layers import LayeredMasstree, key_slices
-from repro.workloads.pagedheap import PagedHeap, PageRef, SpreadHeap
+from repro.workloads.pagedheap import PageRef, SpreadHeap
 from repro.workloads.rbtree import RbtWorkload, RedBlackTree
 from repro.workloads.registry import (
     EVALUATED_WORKLOADS,
@@ -36,11 +35,9 @@ __all__ = [
     "HashIndex",
     "HashTableWorkload",
     "Job",
-    "LayeredMasstree",
     "MMPPArrivals",
     "Masstree",
     "MasstreeWorkload",
-    "PagedHeap",
     "PageRef",
     "PoissonArrivals",
     "RbtWorkload",
@@ -54,7 +51,6 @@ __all__ = [
     "Workload",
     "ZipfianGenerator",
     "arrival_from_spec",
-    "key_slices",
     "make_workload",
     "workload_names",
 ]

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 from repro.workloads.zipf import ZipfianGenerator
-
-ELEMENTS_PER_PAGE = 512  # 8-byte elements on a 4 KiB page
 
 
 class ArraySwapWorkload(Workload):
@@ -30,10 +28,6 @@ class ArraySwapWorkload(Workload):
         self.ops_per_job = ops_per_job
         self.compute_ns = compute_ns
         self._zipf = ZipfianGenerator(dataset_pages, zipf_s, seed=seed + 1)
-
-    @property
-    def num_elements(self) -> int:
-        return self.dataset_pages * ELEMENTS_PER_PAGE
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         sample = self._zipf.sample

@@ -50,13 +50,6 @@ class Job:
         self.service_latency_ns: Optional[float] = None
         self.misses = 0
 
-    @property
-    def response_latency_ns(self) -> float:
-        """Queueing + service (the client-observed latency)."""
-        if self.finished_at is None or self.arrived_at is None:
-            raise WorkloadError("job not finished")
-        return self.finished_at - self.arrived_at
-
     def __repr__(self) -> str:
         return f"<Job {self.workload_name}#{self.job_id}>"
 

@@ -8,14 +8,13 @@ pointer-chasing page trace the paper's microbenchmark exercises.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
-from repro.workloads.pagedheap import PagedHeap, SpreadHeap
+from repro.workloads.base import Step, Workload
+from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
 # A bucket head pointer is 8 bytes: 512 buckets per 4 KiB page.

@@ -7,11 +7,10 @@ index exercises the scaled page range), with every lookup returning the
 page path the traversal touched.  Masstree's trie-of-B+-trees layering
 for long keys is collapsed to a single B+ tree over 64-bit keys — the
 layering only changes constant factors for short keys, which is all the
-workload uses; the full layered structure for byte-string keys is
-available in :mod:`repro.workloads.masstree_layers`.
+workload uses.
 
-Values live in a packed row store covering the rest of the page budget,
-so value pages (not index pages) dominate capacity, as in a real store.
+Values live in a row store spread over the rest of the page budget, so
+value pages (not index pages) dominate capacity, as in a real store.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import random
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
-from repro.workloads.pagedheap import PagedHeap, SpreadHeap
+from repro.workloads.base import Step, Workload
+from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
 LEAF_CAPACITY = 32
@@ -154,107 +153,6 @@ class Masstree:
         del node.keys[mid:]
         del node.children[mid + 1:]
         self._insert_in_parent(node, promote, sibling, ancestors)
-
-
-    # -- delete --------------------------------------------------------------
-
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; returns False if absent.
-
-        Classic B+-tree deletion: underfull leaves borrow from a
-        sibling or merge with it, and underflow propagates up the
-        interior levels, shrinking the root when it empties.
-        """
-        ancestors: List[_InteriorNode] = []
-        slots: List[int] = []
-        node = self._root
-        while isinstance(node, _InteriorNode):
-            slot = bisect.bisect_right(node.keys, key)
-            ancestors.append(node)
-            slots.append(slot)
-            node = node.children[slot]
-        leaf: _LeafNode = node
-        index = bisect.bisect_left(leaf.keys, key)
-        if index >= len(leaf.keys) or leaf.keys[index] != key:
-            return False
-        del leaf.keys[index]
-        del leaf.values[index]
-        self._size -= 1
-        self._fix_underflow(leaf, ancestors, slots)
-        return True
-
-    def _min_fill(self, node) -> int:
-        if isinstance(node, _LeafNode):
-            return self.leaf_capacity // 2
-        return (self.interior_fanout + 1) // 2  # children
-
-    def _fix_underflow(self, node, ancestors: List[_InteriorNode],
-                       slots: List[int]) -> None:
-        if not ancestors:
-            # Root: collapse an interior root with a single child.
-            if isinstance(node, _InteriorNode) and len(node.children) == 1:
-                self._root = node.children[0]
-                self._height -= 1
-            return
-        fill = (len(node.keys) if isinstance(node, _LeafNode)
-                else len(node.children))
-        if fill >= self._min_fill(node):
-            return
-        parent = ancestors[-1]
-        slot = slots[-1]
-        left = parent.children[slot - 1] if slot > 0 else None
-        right = (parent.children[slot + 1]
-                 if slot + 1 < len(parent.children) else None)
-
-        if isinstance(node, _LeafNode):
-            if left is not None and len(left.keys) > self._min_fill(left):
-                node.keys.insert(0, left.keys.pop())
-                node.values.insert(0, left.values.pop())
-                parent.keys[slot - 1] = node.keys[0]
-                return
-            if right is not None and len(right.keys) > self._min_fill(right):
-                node.keys.append(right.keys.pop(0))
-                node.values.append(right.values.pop(0))
-                parent.keys[slot] = right.keys[0]
-                return
-            # Merge with a sibling.
-            if left is not None:
-                left.keys += node.keys
-                left.values += node.values
-                left.next_leaf = node.next_leaf
-                del parent.children[slot]
-                del parent.keys[slot - 1]
-            else:
-                node.keys += right.keys
-                node.values += right.values
-                node.next_leaf = right.next_leaf
-                del parent.children[slot + 1]
-                del parent.keys[slot]
-        else:
-            if left is not None and len(left.children) > self._min_fill(left):
-                node.children.insert(0, left.children.pop())
-                node.keys.insert(0, parent.keys[slot - 1])
-                parent.keys[slot - 1] = left.keys.pop()
-                return
-            if right is not None and \
-                    len(right.children) > self._min_fill(right):
-                node.children.append(right.children.pop(0))
-                node.keys.append(parent.keys[slot])
-                parent.keys[slot] = right.keys.pop(0)
-                return
-            if left is not None:
-                left.keys.append(parent.keys[slot - 1])
-                left.keys += node.keys
-                left.children += node.children
-                del parent.children[slot]
-                del parent.keys[slot - 1]
-            else:
-                node.keys.append(parent.keys[slot])
-                node.keys += right.keys
-                node.children += right.children
-                del parent.children[slot + 1]
-                del parent.keys[slot]
-        self._fix_underflow(parent, ancestors[:-1], slots[:-1])
 
     # -- scans ---------------------------------------------------------------
 

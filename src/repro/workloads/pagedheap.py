@@ -5,12 +5,9 @@ their nodes here so every traversal produces an honest page-level
 access trace: the allocator decides which 4 KiB page each node lives
 on, and pointer chases touch exactly those pages.
 
-Two placement modes:
-
-* **packed** — nodes fill pages sequentially (arrays, table heaps);
-* **spread** — nodes are distributed over a fixed page budget with a
-  stride, so a structure with fewer nodes than the scaled dataset still
-  covers the whole flash-resident page range (see DESIGN.md on scaling).
+Nodes are spread over a fixed page budget with a stride, so a
+structure with fewer nodes than the scaled dataset still covers the
+whole flash-resident page range (see DESIGN.md on scaling).
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ from typing import List
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WorkloadError
-from repro.units import PAGE_SIZE
+from repro.errors import ConfigurationError
 
 
 class PageRef:
@@ -35,38 +31,6 @@ class PageRef:
 
     def __repr__(self) -> str:
         return f"<PageRef page={self.page}+{self.offset} size={self.size}>"
-
-
-class PagedHeap:
-    """Sequential (packed) allocator over a page range."""
-
-    def __init__(self, base_page: int, page_budget: int,
-                 page_size: int = PAGE_SIZE) -> None:
-        if page_budget < 1:
-            raise ConfigurationError("heap needs at least one page")
-        self.base_page = base_page
-        self.page_budget = page_budget
-        self.page_size = page_size
-        self._current_page = 0
-        self._current_offset = 0
-
-    @property
-    def pages_used(self) -> int:
-        return self._current_page + (1 if self._current_offset > 0 else 0)
-
-    def allocate(self, size: int) -> PageRef:
-        """Allocate ``size`` bytes; objects never straddle pages."""
-        if size < 1 or size > self.page_size:
-            raise ConfigurationError(f"cannot allocate {size} bytes")
-        if self._current_offset + size > self.page_size:
-            self._current_page += 1
-            self._current_offset = 0
-        if self._current_page >= self.page_budget:
-            raise WorkloadError("paged heap exhausted its page budget")
-        ref = PageRef(self.base_page + self._current_page,
-                      self._current_offset, size)
-        self._current_offset += size
-        return ref
 
 
 class SpreadHeap:
@@ -118,6 +82,3 @@ class SpreadHeap:
         return [base + min((index * budget) // expected, last)
                 for index in range(start, end)]
 
-    @property
-    def allocated(self) -> int:
-        return self._allocated

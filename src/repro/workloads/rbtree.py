@@ -1,7 +1,7 @@
 """Red-black tree workload (microbenchmark suite, Sec. V-A).
 
-A complete red-black tree (insert, search, delete, with the classic
-CLRS rebalancing) whose nodes live on pages from a spread heap, so a
+A red-black tree (insert and search, with the classic CLRS
+rebalancing) whose nodes live on pages from a spread heap, so a
 lookup's root-to-leaf pointer chase produces the page trace the paper's
 RBT microbenchmark stresses: little spatial locality, long dependent
 chains.
@@ -13,7 +13,7 @@ import random
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
@@ -57,12 +57,6 @@ class RedBlackTree:
                 return node.page, pages
             node = node.left if key < node.key else node.right
         return None, pages
-
-    def _find_node(self, key: int) -> Optional[_Node]:
-        node = self.root
-        while node is not None and node.key != key:
-            node = node.left if key < node.key else node.right
-        return node
 
     # -- rotations -----------------------------------------------------------------
 
@@ -153,124 +147,6 @@ class RedBlackTree:
                     z.parent.parent.color = RED
                     self._rotate_left(z.parent.parent)
         self.root.color = BLACK
-
-    # -- delete ------------------------------------------------------------------
-
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; False if absent.  CLRS delete with fixup."""
-        z = self._find_node(key)
-        if z is None:
-            return False
-        self._size -= 1
-
-        def transplant(u: _Node, v: Optional[_Node]) -> None:
-            if u.parent is None:
-                self.root = v
-            elif u is u.parent.left:
-                u.parent.left = v
-            else:
-                u.parent.right = v
-            if v is not None:
-                v.parent = u.parent
-
-        y = z
-        y_original_color = y.color
-        fix_node: Optional[_Node] = None
-        fix_parent: Optional[_Node] = None
-        if z.left is None:
-            fix_node = z.right
-            fix_parent = z.parent
-            transplant(z, z.right)
-        elif z.right is None:
-            fix_node = z.left
-            fix_parent = z.parent
-            transplant(z, z.left)
-        else:
-            y = z.right
-            while y.left is not None:
-                y = y.left
-            y_original_color = y.color
-            fix_node = y.right
-            if y.parent is z:
-                fix_parent = y
-            else:
-                fix_parent = y.parent
-                transplant(y, y.right)
-                y.right = z.right
-                y.right.parent = y
-            transplant(z, y)
-            y.left = z.left
-            y.left.parent = y
-            y.color = z.color
-        if y_original_color == BLACK:
-            self._delete_fixup(fix_node, fix_parent)
-        return True
-
-    def _delete_fixup(self, x: Optional[_Node],
-                      parent: Optional[_Node]) -> None:
-        while x is not self.root and (x is None or x.color == BLACK):
-            if parent is None:
-                break
-            if x is parent.left:
-                w = parent.right
-                if w is not None and w.color == RED:
-                    w.color = BLACK
-                    parent.color = RED
-                    self._rotate_left(parent)
-                    w = parent.right
-                if w is None:
-                    x, parent = parent, parent.parent
-                    continue
-                w_left_black = w.left is None or w.left.color == BLACK
-                w_right_black = w.right is None or w.right.color == BLACK
-                if w_left_black and w_right_black:
-                    w.color = RED
-                    x, parent = parent, parent.parent
-                else:
-                    if w_right_black:
-                        if w.left is not None:
-                            w.left.color = BLACK
-                        w.color = RED
-                        self._rotate_right(w)
-                        w = parent.right
-                    w.color = parent.color
-                    parent.color = BLACK
-                    if w.right is not None:
-                        w.right.color = BLACK
-                    self._rotate_left(parent)
-                    x = self.root
-                    parent = None
-            else:
-                w = parent.left
-                if w is not None and w.color == RED:
-                    w.color = BLACK
-                    parent.color = RED
-                    self._rotate_right(parent)
-                    w = parent.left
-                if w is None:
-                    x, parent = parent, parent.parent
-                    continue
-                w_left_black = w.left is None or w.left.color == BLACK
-                w_right_black = w.right is None or w.right.color == BLACK
-                if w_left_black and w_right_black:
-                    w.color = RED
-                    x, parent = parent, parent.parent
-                else:
-                    if w_left_black:
-                        if w.right is not None:
-                            w.right.color = BLACK
-                        w.color = RED
-                        self._rotate_left(w)
-                        w = parent.left
-                    w.color = parent.color
-                    parent.color = BLACK
-                    if w.left is not None:
-                        w.left.color = BLACK
-                    self._rotate_right(parent)
-                    x = self.root
-                    parent = None
-        if x is not None:
-            x.color = BLACK
 
     # -- validation ------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 from repro.workloads.masstree import Masstree
 from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 from repro.workloads.hashtable import HashIndex
 from repro.workloads.zipf import ZipfianGenerator
 

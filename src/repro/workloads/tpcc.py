@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.workloads.base import Job, Step, Workload
+from repro.workloads.base import Step, Workload
 from repro.workloads.zipf import ZipfianGenerator
 
 ROWS_PER_PAGE = 8  # 512-byte rows

@@ -179,90 +179,24 @@ class TestTrackers:
         tracker.stop_measurement(0.5 * SECOND)
         assert tracker.rate_per_second() == pytest.approx(1000.0)
 
+    def test_throughput_restart_counts_only_the_new_window(self):
+        tracker = ThroughputTracker()
+        tracker.start_measurement(0.0)
+        tracker.record_completion()
+        tracker.stop_measurement(1.0 * SECOND)
+        tracker.start_measurement(2.0 * SECOND)  # fresh window
+        for _ in range(500):
+            tracker.record_completion()
+        tracker.stop_measurement(2.5 * SECOND)
+        assert tracker.completions == 500
+        assert tracker.rate_per_second() == pytest.approx(1000.0)
+
     def test_throughput_window_misuse_raises(self):
         tracker = ThroughputTracker()
         with pytest.raises(ReproError):
             tracker.stop_measurement(1.0)
         with pytest.raises(ReproError):
             tracker.rate_per_second()
-
-
-class TestSampling:
-    def _make(self, values):
-        from repro.stats import summarize
-        return summarize(values)
-
-    def test_summarize_mean_and_interval(self):
-        from repro.stats import summarize
-        m = summarize([10.0, 12.0, 11.0, 9.0, 13.0])
-        assert m.mean == pytest.approx(11.0)
-        low, high = m.interval
-        assert low < 11.0 < high
-        assert m.count == 5
-        assert "n=5" in m.describe()
-
-    def test_identical_samples_zero_width(self):
-        from repro.stats import summarize
-        m = summarize([5.0, 5.0, 5.0])
-        assert m.half_width == 0.0
-        assert m.relative_error == 0.0
-
-    def test_needs_two_samples(self):
-        from repro.stats import summarize
-        with pytest.raises(ReproError):
-            summarize([1.0])
-
-    def test_t_critical_values(self):
-        from repro.stats import t_critical_95
-        assert t_critical_95(1) == pytest.approx(12.706)
-        assert t_critical_95(10) == pytest.approx(2.228)
-        assert t_critical_95(100) == pytest.approx(1.96)
-        with pytest.raises(ReproError):
-            t_critical_95(0)
-
-    def test_measure_runs_seeds(self):
-        from repro.stats import measure
-        seen = []
-
-        def experiment(seed):
-            seen.append(seed)
-            return float(seed)
-
-        m = measure(experiment, num_samples=4, base_seed=100)
-        assert seen == [100, 101, 102, 103]
-        assert m.mean == pytest.approx(101.5)
-
-    def test_measure_until_stops_early_on_tight_ci(self):
-        from repro.stats import measure_until
-        calls = []
-
-        def experiment(seed):
-            calls.append(seed)
-            return 100.0 + (seed % 2) * 0.001  # nearly constant
-
-        m = measure_until(experiment, target_relative_error=0.01,
-                          min_samples=3, max_samples=15)
-        assert len(calls) == 3
-        assert m.relative_error <= 0.01
-
-    def test_measure_until_respects_budget(self):
-        from repro.stats import measure_until
-        import random as _random
-        rng = _random.Random(0)
-
-        def noisy(seed):
-            return rng.uniform(0, 1000)  # hopeless variance
-
-        m = measure_until(noisy, target_relative_error=0.001,
-                          min_samples=3, max_samples=6)
-        assert m.count == 6
-
-    def test_invalid_parameters(self):
-        from repro.stats import measure, measure_until
-        with pytest.raises(ReproError):
-            measure(lambda seed: 0.0, num_samples=1)
-        with pytest.raises(ReproError):
-            measure_until(lambda seed: 0.0, target_relative_error=1.5)
 
 
 class TestExactReservoirRunningSum:

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
     HashIndex,
     Masstree,
-    PagedHeap,
     RedBlackTree,
     SpreadHeap,
     ZipfianGenerator,
@@ -68,33 +67,6 @@ class TestZipfianGenerator:
 
 
 class TestHeaps:
-    def test_paged_heap_packs_objects(self):
-        heap = PagedHeap(base_page=10, page_budget=2)
-        refs = [heap.allocate(1024) for _ in range(4)]
-        assert all(ref.page == 10 for ref in refs)  # 4x 1 KiB fill page 10
-        next_ref = heap.allocate(1024)
-        assert next_ref.page == 11  # fifth rolls to the next page
-
-    def test_paged_heap_objects_do_not_straddle(self):
-        heap = PagedHeap(base_page=0, page_budget=2)
-        heap.allocate(3000)
-        ref = heap.allocate(3000)  # cannot fit on page 0
-        assert ref.page == 1
-        assert ref.offset == 0
-
-    def test_paged_heap_budget_enforced(self):
-        heap = PagedHeap(base_page=0, page_budget=1)
-        heap.allocate(4096)
-        with pytest.raises(WorkloadError):
-            heap.allocate(1)
-
-    def test_paged_heap_invalid_sizes(self):
-        heap = PagedHeap(base_page=0, page_budget=1)
-        with pytest.raises(ConfigurationError):
-            heap.allocate(0)
-        with pytest.raises(ConfigurationError):
-            heap.allocate(5000)
-
     def test_spread_heap_covers_budget(self):
         heap = SpreadHeap(base_page=100, page_budget=10, expected_objects=20)
         pages = [heap.allocate().page for _ in range(20)]
@@ -134,37 +106,15 @@ class TestRedBlackTree:
         # Balanced: depth is O(log n), not O(n).
         assert tree.depth_of(511) <= 2 * 10  # 2*log2(512)=18
 
-    def test_delete(self):
-        tree = self.make_tree(range(64))
-        assert tree.delete(10)
-        assert not tree.delete(10)
-        assert tree.size == 63
-        assert tree.search(10)[0] is None
-        tree.check_invariants()
-
-    def test_delete_all(self):
-        tree = self.make_tree(range(32))
-        for key in range(32):
-            assert tree.delete(key)
-            tree.check_invariants()
-        assert tree.size == 0
-        assert tree.root is None
-
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=120),
-           st.lists(st.integers(0, 255), max_size=60))
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=120))
     @settings(max_examples=60, deadline=None)
-    def test_random_insert_delete_preserves_invariants(self, inserts, deletes):
+    def test_random_inserts_preserve_invariants(self, inserts):
         tree = RedBlackTree(SpreadHeap(0, 1024, 256))
         present = set()
         for key in inserts:
             inserted = tree.insert(key)
             assert inserted == (key not in present)
             present.add(key)
-            tree.check_invariants()
-        for key in deletes:
-            deleted = tree.delete(key)
-            assert deleted == (key in present)
-            present.discard(key)
             tree.check_invariants()
         assert tree.size == len(present)
         for key in present:
@@ -247,63 +197,3 @@ class TestHashIndex:
         with pytest.raises(WorkloadError):
             HashIndex(10_000, base_page=0, page_budget=8,
                       expected_entries=10)
-
-
-class TestMasstreeDelete:
-    def make_tree(self, num_keys, leaf=4, fanout=4):
-        tree = Masstree(SpreadHeap(0, 4096, 512), leaf_capacity=leaf,
-                        interior_fanout=fanout)
-        for key in range(num_keys):
-            tree.insert(key, 5000 + key)
-        return tree
-
-    def test_delete_missing_key(self):
-        tree = self.make_tree(10)
-        assert not tree.delete(999)
-        assert tree.size == 10
-
-    def test_delete_then_lookup(self):
-        tree = self.make_tree(100)
-        assert tree.delete(50)
-        assert tree.get(50)[0] is None
-        assert tree.get(51)[0] == 5051
-        assert tree.size == 99
-        tree.check_invariants()
-
-    def test_delete_all_collapses_tree(self):
-        tree = self.make_tree(128)
-        for key in range(128):
-            assert tree.delete(key)
-            tree.check_invariants()
-        assert tree.size == 0
-        assert tree.height == 1
-
-    def test_reinsert_after_delete(self):
-        tree = self.make_tree(64)
-        for key in range(0, 64, 2):
-            tree.delete(key)
-        for key in range(0, 64, 2):
-            tree.insert(key, 9000 + key)
-        tree.check_invariants()
-        for key in range(0, 64, 2):
-            assert tree.get(key)[0] == 9000 + key
-
-    @given(st.lists(st.integers(0, 127), min_size=1, max_size=200),
-           st.lists(st.integers(0, 127), max_size=120))
-    @settings(max_examples=50, deadline=None)
-    def test_random_insert_delete_consistency(self, inserts, deletes):
-        tree = Masstree(SpreadHeap(0, 4096, 512), leaf_capacity=4,
-                        interior_fanout=4)
-        expected = {}
-        for key in inserts:
-            tree.insert(key, key * 3)
-            expected[key] = key * 3
-            tree.check_invariants()
-        for key in deletes:
-            deleted = tree.delete(key)
-            assert deleted == (key in expected)
-            expected.pop(key, None)
-            tree.check_invariants()
-        assert tree.size == len(expected)
-        for key, value in expected.items():
-            assert tree.get(key)[0] == value
