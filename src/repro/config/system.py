@@ -47,8 +47,6 @@ class CoreConfig:
     # registers between consecutive stores).
     registers_per_speculative_store: int = 4
     architectural_registers: int = 32
-    # Core-side MSHRs linking miss signals back to ROB entries.
-    mshr_entries: int = 16
     # Cost of flushing the ROB and redirecting to the user-level handler
     # when a miss signal arrives: refill of the window, expressed as the
     # average number of cycles of useful work lost per occupied ROB entry.
@@ -65,6 +63,9 @@ class CoreConfig:
             raise ConfigurationError("store buffer larger than ROB")
         if self.frequency_ghz <= 0:
             raise ConfigurationError("core frequency must be positive")
+        if self.flush_cycles_per_rob_entry < 0:
+            raise ConfigurationError(
+                "flush_cycles_per_rob_entry cannot be negative")
 
 
 @dataclass
@@ -383,11 +384,12 @@ class UltConfig:
 
 @dataclass
 class TlbConfig:
-    """TLB hierarchy + walker (Sec. IV-A)."""
+    """Address translation (Sec. IV-A): how often a step misses the TLBs.
 
-    entries: int = 1024                      # unified L2 TLB reach
-    hit_latency_ns: float = 1.0
-    walk_latency_dram_ns: float = 100.0      # walk served from DRAM
+    The runner reads only ``miss_probability``; a miss costs a page
+    walk whose latency depends on where the page tables live.
+    """
+
     # Probability a job step needs translation not covered by the
     # on-core TLBs (cold/irregular accesses).
     miss_probability: float = 0.02

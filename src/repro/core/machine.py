@@ -8,8 +8,8 @@ configured :class:`~repro.config.PagingMode`:
   latter is FlatFlash-style: same hardware cache, but the core waits
   synchronously on misses);
 * the OS demand pager + resident set (OS-Swap);
-* per-core :class:`~repro.cpu.CoreModel` and, for AstriFlash, the
-  per-core user-level thread library;
+* the per-core thread library: user-level threads for AstriFlash,
+  kernel threads for OS-Swap;
 * the page-table page space used by the `noDP` ablation (page tables
   live in flash-backed cached space when partitioning is off).
 """
@@ -25,7 +25,6 @@ from repro.config.system import (
     SystemConfig,
     UltConfig,
 )
-from repro.cpu.core import CoreModel
 from repro.dramcache.cache import DramCache
 from repro.dramcache.timing import flat_partition_access_ns
 from repro.errors import ConfigurationError
@@ -92,16 +91,11 @@ class Machine:
             self.pager = DemandPager(self.engine, config.os, resident,
                                      self.flash, config.num_cores)
 
-        self.cores: List[CoreModel] = [
-            CoreModel(core_id, config.core)
-            for core_id in range(config.num_cores)
-        ]
         self.libraries: List[Optional[ThreadLibrary]] = []
         if mode is PagingMode.ASTRIFLASH:
             self.libraries = [
-                ThreadLibrary(core.core_id, config.ult,
-                              registers=core.registers)
-                for core in self.cores
+                ThreadLibrary(core_id, config.ult)
+                for core_id in range(config.num_cores)
             ]
         elif mode is PagingMode.OS_SWAP:
             # OS-Swap multiplexes kernel threads: the same switch-on-
@@ -114,8 +108,8 @@ class Machine:
                 pending_queue_limit=config.os.kernel_threads_per_core,
             )
             self.libraries = [
-                ThreadLibrary(core.core_id, kernel_threads)
-                for core in self.cores
+                ThreadLibrary(core_id, kernel_threads)
+                for core_id in range(config.num_cores)
             ]
         else:
             self.libraries = [None] * config.num_cores

@@ -33,6 +33,7 @@ from typing import Deque, Dict, Optional
 
 from repro.config.system import PagingMode, SystemConfig
 from repro.core.machine import Machine
+from repro.cpu.core import flush_penalty_ns
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracer import active as _tracer_active
@@ -188,6 +189,7 @@ class Runner:
         self._tlb_miss_probability = config.tlb.miss_probability
         self._flat_walk_ns = (config.os.page_table_levels
                               * self.machine.flat_dram_latency_ns)
+        self._flush_ns = flush_penalty_ns(config.core, workload.rob_occupancy)
 
         self._queues: Dict[int, Deque[Job]] = {
             core_id: deque() for core_id in range(config.num_cores)
@@ -666,7 +668,6 @@ class Runner:
         spanning this on-core episode (dispatch to park/finish), and
         changes no yield or RNG draw.
         """
-        core = self.machine.cores[core_id]
         engine = self.machine.engine
         tracer = self._tracer
         accumulated = 0.0
@@ -739,7 +740,6 @@ class Runner:
             if thread.forward_progress:
                 # The forced instruction retired: clear the bit.
                 thread.forward_progress = False
-                core.registers.retire_resuming_instruction()
             if accumulated >= TIME_QUANTUM_NS:
                 yield accumulated
                 self._busy_ns += accumulated
@@ -759,7 +759,6 @@ class Runner:
         The step's compute and walk are charged before the cold walk,
         and no hit latency: a synchronous replay charges its own.
         """
-        core = self.machine.cores[core_id]
         engine = self.machine.engine
         compute_ns, page, is_write = step
 
@@ -787,7 +786,7 @@ class Runner:
                 pt_completion = pt_result.completion
         # Simulate the compute up to the miss plus the walk, the miss
         # signal, and the ROB flush/redirect.
-        flush_ns = core.flush_penalty_ns(self.workload.rob_occupancy)
+        flush_ns = self._flush_ns
         self.stats.add("time_flush_ns", flush_ns)
         yield accumulated + cold_walk_ns + result.latency_ns + flush_ns
         self._busy_ns += accumulated + cold_walk_ns + result.latency_ns \

@@ -1,38 +1,5 @@
-"""Core-side microarchitecture: ROB/SB, ASO speculation, MSHRs, costs."""
+"""Core-side microarchitecture: the miss-signal ROB-flush cost."""
 
-from repro.cpu.core import CoreModel, MissHandlingRegisters
-from repro.cpu.pipeline import (
-    Instruction,
-    PipelinedMachine,
-    ReferenceMachine,
-    random_program,
-)
-from repro.cpu.mshr import MshrAllocation, MshrFile
-from repro.cpu.registers import MapTable, PhysicalRegisterFile
-from repro.cpu.rob import (
-    InstructionKind,
-    ReorderBuffer,
-    RobEntry,
-    StoreBuffer,
-    StoreBufferEntry,
-)
-from repro.cpu.speculation import SpeculativeCore
+from repro.cpu.core import flush_penalty_ns
 
-__all__ = [
-    "CoreModel",
-    "Instruction",
-    "PipelinedMachine",
-    "ReferenceMachine",
-    "random_program",
-    "InstructionKind",
-    "MapTable",
-    "MissHandlingRegisters",
-    "MshrAllocation",
-    "MshrFile",
-    "PhysicalRegisterFile",
-    "ReorderBuffer",
-    "RobEntry",
-    "SpeculativeCore",
-    "StoreBuffer",
-    "StoreBufferEntry",
-]
+__all__ = ["flush_penalty_ns"]

@@ -1,126 +1,25 @@
-"""Core model: miss-handling architectural registers and timing costs.
+"""Core-side cost of a DRAM-cache miss signal.
 
 The performance simulation does not execute instructions one by one
-(see DESIGN.md); instead :class:`CoreModel` supplies the *costs* the
-paper attributes to the core side of a DRAM-cache miss —
-
-* the ROB flush + redirect to the user-level handler (lost OoO work,
-  proportional to window occupancy; TPCC's compute-heavy window makes
-  its flushes costlier, Sec. VI-A);
-* the architected Handler Address Register / Resume Register pair with
-  the forward-progress bit (Sec. IV-C2/3).
-
-The registers are modelled faithfully: the handler address is
-privileged (installed via a validated system call), the resume register
-is user-writable and carries the forward-progress bit that forces a
-rescheduled thread's access to complete synchronously.
+(see DESIGN.md); the core side of a miss reaches the results only
+through its cost: the ROB flush + redirect to the user-level handler
+(lost OoO work, proportional to window occupancy; TPCC's compute-heavy
+window makes its flushes costlier, Sec. VI-A).  The silicon cost of
+ASO store speculation (Sec. IV-C4) is arithmetic and lives in
+:mod:`repro.analytic.silicon`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.config.system import CoreConfig
-from repro.cpu.mshr import MshrFile
-from repro.errors import ProtocolError
-from repro.stats import CounterSet
 
 
-class MissHandlingRegisters:
-    """Handler Address Register + Resume Register (Sec. IV-C2)."""
+def flush_penalty_ns(config: CoreConfig, rob_occupancy: float) -> float:
+    """Cost of flushing the pipeline on a miss signal.
 
-    def __init__(self) -> None:
-        self._handler_address: Optional[int] = None
-        self._resume_pc: Optional[int] = None
-        self._forward_progress = False
-
-    # Handler address: privileged install only.
-
-    def install_handler(self, address: int, privileged: bool) -> None:
-        """Write the handler address register.
-
-        Hardware only accepts the write in privileged mode; the OS
-        verifies the address through a system call first.
-        """
-        if not privileged:
-            raise ProtocolError(
-                "handler address register is privileged; use the syscall path"
-            )
-        if address <= 0:
-            raise ProtocolError("handler address must be a valid user VA")
-        self._handler_address = address
-
-    @property
-    def handler_address(self) -> Optional[int]:
-        return self._handler_address
-
-    # Resume register: user read/write.
-
-    def set_resume(self, pc: int, forward_progress: bool = False) -> None:
-        self._resume_pc = pc
-        self._forward_progress = forward_progress
-
-    def clear_resume(self) -> None:
-        self._resume_pc = None
-        self._forward_progress = False
-
-    @property
-    def resume_pc(self) -> Optional[int]:
-        return self._resume_pc
-
-    @property
-    def forward_progress(self) -> bool:
-        """While set, the resuming instruction's memory access must
-        complete synchronously even on a DRAM-cache miss."""
-        return self._forward_progress
-
-    def retire_resuming_instruction(self) -> None:
-        """The forced instruction retired: clear the bit (Sec. IV-C3)."""
-        self._forward_progress = False
-
-
-class CoreModel:
-    """Per-core cost model + miss-signal bookkeeping."""
-
-    def __init__(self, core_id: int, config: CoreConfig) -> None:
-        self.core_id = core_id
-        self.config = config
-        self.registers = MissHandlingRegisters()
-        self.mshrs = MshrFile(config.mshr_entries)
-        self.stats = CounterSet(f"core{core_id}")
-        # Bound handles for the per-miss hot path.
-        self._miss_signals = self.stats.counter("miss_signals")
-        self._data_responses = self.stats.counter("data_responses")
-
-    # -- timing ------------------------------------------------------------------
-
-    def flush_penalty_ns(self, rob_occupancy: Optional[float] = None) -> float:
-        """Cost of flushing the pipeline on a miss signal.
-
-        ``rob_occupancy`` defaults to a half-full window.  The penalty
-        models both the discarded in-flight work and the refill of the
-        front end, linear in occupancy.
-        """
-        if rob_occupancy is None:
-            rob_occupancy = self.config.rob_entries / 2
-        rob_occupancy = min(max(rob_occupancy, 0.0), float(self.config.rob_entries))
-        cycles = rob_occupancy * self.config.flush_cycles_per_rob_entry
-        return cycles * self.config.cycle_ns
-
-    # -- miss-signal path -----------------------------------------------------------
-
-    def send_request(self, page: int, rob_seq: int, is_write: bool = False):
-        """Track an outstanding memory request in the core MSHRs."""
-        return self.mshrs.allocate(page, rob_seq, is_write)
-
-    def receive_miss_signal(self, page: int) -> int:
-        """A DRAM-cache miss signal arrived: reclaim the MSHR and
-        return the ROB seq of the triggering instruction."""
-        allocation = self.mshrs.reclaim_by_page(page)
-        self._miss_signals.incr()
-        return allocation.rob_seq
-
-    def receive_data(self, page: int) -> None:
-        """Normal data response: reclaim the MSHR."""
-        self.mshrs.reclaim_by_page(page)
-        self._data_responses.incr()
+    The penalty models both the discarded in-flight work and the refill
+    of the front end, linear in occupancy (clamped to the window).
+    """
+    rob_occupancy = min(max(rob_occupancy, 0.0), float(config.rob_entries))
+    cycles = rob_occupancy * config.flush_cycles_per_rob_entry
+    return cycles * config.cycle_ns

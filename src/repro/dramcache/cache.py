@@ -21,7 +21,6 @@ from repro.dramcache.organization import DramCacheOrganization
 from repro.dramcache.timing import DramCacheTiming, build_timing, flat_partition_access_ns
 from repro.flash.device import FlashDevice
 from repro.sim import Engine
-from repro.stats import CounterSet
 
 
 class DramCache:
@@ -45,7 +44,6 @@ class DramCache:
             admission=admission,
         )
         self.flash = flash
-        self.stats = CounterSet("dram-cache")
 
     # -- data path ------------------------------------------------------------
 
@@ -69,7 +67,6 @@ class DramCache:
         """Pre-populate the cache (most-recent page wins LRU)."""
         for page in pages:
             self.organization.populate(page)
-            self.stats.add("warmed_pages")
 
     # -- reporting -----------------------------------------------------------------
 

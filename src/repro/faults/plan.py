@@ -31,7 +31,6 @@ from repro.faults.model import (
     effective_rber,
     page_failure_probability,
 )
-from repro.stats import CounterSet
 
 #: Shared clean outcome: most reads draw no fault, so the common case
 #: allocates nothing (callers never mutate outcomes).
@@ -60,7 +59,6 @@ class FaultPlan:
         self._failing: List[bool] = [False] * num_planes
         # (erase_count, retry_round) -> page failure probability.
         self._p_fail_cache: Dict[Tuple[int, int], float] = {}
-        self.stats = CounterSet("faults")
 
     # -- queries ---------------------------------------------------------------
 
@@ -102,11 +100,9 @@ class FaultPlan:
         """
         cfg = self.config
         rng = self._rng
-        self.stats.add("draws")
 
         if cfg.timeout_probability > 0.0 \
                 and rng.random() < cfg.timeout_probability:
-            self.stats.add("timeouts")
             self._record_failure(plane_index)
             return ReadOutcome(
                 sense_multiplier=self._sense_multiplier(plane_index),
@@ -130,11 +126,8 @@ class FaultPlan:
 
         multiplier = self._sense_multiplier(plane_index)
         if uncorrectable:
-            self.stats.add("uncorrectable")
             self._record_failure(plane_index)
         else:
-            if retry_rounds:
-                self.stats.add("corrected_by_retry")
             self._record_success(plane_index)
         if not retry_rounds and not uncorrectable and multiplier == 1.0:
             return _CLEAN
@@ -167,9 +160,7 @@ class FaultPlan:
         """
         if self.config.plane_failure_threshold <= 0:
             return
-        if not self._failing[plane_index]:
-            self._failing[plane_index] = True
-            self.stats.add("planes_failed")
+        self._failing[plane_index] = True
 
     def _record_failure(self, plane_index: int) -> None:
         threshold = self.config.plane_failure_threshold

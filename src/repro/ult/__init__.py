@@ -1,6 +1,6 @@
 """User-level threading: contexts, schedulers, per-core library."""
 
-from repro.ult.library import SCHEDULER_HANDLER_VA, ThreadLibrary
+from repro.ult.library import ThreadLibrary
 from repro.ult.queuepair import CompletionEntry, CompletionQueue
 from repro.ult.scheduler import (
     FifoScheduler,
@@ -11,7 +11,6 @@ from repro.ult.scheduler import (
 from repro.ult.thread import ThreadState, UserThread
 
 __all__ = [
-    "SCHEDULER_HANDLER_VA",
     "CompletionEntry",
     "CompletionQueue",
     "FifoScheduler",

@@ -1,10 +1,8 @@
 """Per-core user-level threading library (Sec. IV-D).
 
 `ThreadLibrary` owns the bounded pool of worker-thread contexts for one
-core, the scheduler, and the handler-address installation handshake
-with the core's miss-handling registers.  It is the software half of
-the switch-on-miss co-design; the core loop in
-:mod:`repro.core.runner` drives it.
+core and the scheduler.  It is the software half of the switch-on-miss
+co-design; the core loop in :mod:`repro.core.runner` drives it.
 """
 
 from __future__ import annotations
@@ -12,22 +10,15 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.config.system import UltConfig
-from repro.cpu.core import MissHandlingRegisters
 from repro.errors import ConfigurationError
-from repro.stats import CounterSet
 from repro.ult.scheduler import UltScheduler, make_scheduler
 from repro.ult.thread import ThreadState, UserThread
-
-# Virtual address where the scheduler's miss handler is linked; any
-# nonzero value works for the model, the OS validates it on install.
-SCHEDULER_HANDLER_VA = 0x7F00_0000
 
 
 class ThreadLibrary:
     """Thread pool + scheduler for one physical core."""
 
-    def __init__(self, core_id: int, config: UltConfig,
-                 registers: Optional[MissHandlingRegisters] = None) -> None:
+    def __init__(self, core_id: int, config: UltConfig) -> None:
         if config.threads_per_core < 1:
             raise ConfigurationError("need at least one worker thread")
         self.core_id = core_id
@@ -37,17 +28,6 @@ class ThreadLibrary:
             UserThread(tid, core_id) for tid in range(config.threads_per_core)
         ]
         self._free: List[UserThread] = list(self._threads)
-        self.stats = CounterSet(f"ult{core_id}")
-        if registers is not None:
-            self.install_handler(registers)
-
-    # -- handler installation (Sec. IV-C2) --------------------------------------
-
-    def install_handler(self, registers: MissHandlingRegisters) -> None:
-        """System call: validate and install the scheduler handler
-        address into the privileged register."""
-        registers.install_handler(SCHEDULER_HANDLER_VA, privileged=True)
-        self.stats.add("handler_installs")
 
     # -- job admission -------------------------------------------------------------
 
@@ -69,7 +49,6 @@ class ThreadLibrary:
         thread = self._free.pop()
         thread.bind(job, now)
         self.scheduler.add_new(thread)
-        self.stats.add("admitted")
         return thread
 
     # -- lifecycle events -------------------------------------------------------------
@@ -79,29 +58,23 @@ class ThreadLibrary:
         thread.halt_on_miss(page, now)
         self.scheduler.add_pending(thread)
         self.scheduler.note_miss()
-        self.stats.add("miss_halts")
 
     def on_data_ready(self, thread: UserThread, now: float) -> None:
         """Queue-pair notification: the thread's page arrived."""
         if thread.state is ThreadState.PENDING:
             thread.data_arrived(now)
-            self.stats.add("data_notifications")
 
     def on_finish(self, thread: UserThread) -> Any:
         """Job ran to completion: recycle the context."""
         job = thread.finish()
         self._free.append(thread)
-        self.stats.add("completed")
         return job
 
     # -- dispatch -------------------------------------------------------------
 
     def pick_next(self, now: float, avg_flash_response_ns: float
                   ) -> Optional[UserThread]:
-        thread = self.scheduler.pick_next(now, avg_flash_response_ns)
-        if thread is not None:
-            self.stats.add("dispatches")
-        return thread
+        return self.scheduler.pick_next(now, avg_flash_response_ns)
 
     @property
     def switch_latency_ns(self) -> float:

@@ -106,6 +106,7 @@ BAD_OVERRIDES = (
     ("os.tlb_shootdown_per_core_ns", -1.0),
     ("ult.switch_latency_ns", -100.0),
     ("ult.aging_threshold_factor", -1.0),
+    ("core.flush_cycles_per_rob_entry", -0.5),
 )
 
 

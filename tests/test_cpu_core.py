@@ -1,78 +1,24 @@
-"""Tests for the core cost model and miss-handling registers."""
+"""Tests for the core-side miss-signal cost (the ROB flush penalty)."""
 
 import pytest
 
 from repro.config import CoreConfig
-from repro.cpu import CoreModel, MissHandlingRegisters
-from repro.errors import ProtocolError
-
-
-class TestMissHandlingRegisters:
-    def test_handler_install_requires_privilege(self):
-        regs = MissHandlingRegisters()
-        with pytest.raises(ProtocolError):
-            regs.install_handler(0x1000, privileged=False)
-        regs.install_handler(0x1000, privileged=True)
-        assert regs.handler_address == 0x1000
-
-    def test_invalid_handler_address_rejected(self):
-        regs = MissHandlingRegisters()
-        with pytest.raises(ProtocolError):
-            regs.install_handler(0, privileged=True)
-
-    def test_resume_register_user_writable(self):
-        regs = MissHandlingRegisters()
-        regs.set_resume(0x2000, forward_progress=True)
-        assert regs.resume_pc == 0x2000
-        assert regs.forward_progress
-
-    def test_forward_progress_cleared_on_retire(self):
-        regs = MissHandlingRegisters()
-        regs.set_resume(0x2000, forward_progress=True)
-        regs.retire_resuming_instruction()
-        assert not regs.forward_progress
-        assert regs.resume_pc == 0x2000  # PC stays until cleared
-
-    def test_clear_resume(self):
-        regs = MissHandlingRegisters()
-        regs.set_resume(0x2000)
-        regs.clear_resume()
-        assert regs.resume_pc is None
+from repro.cpu import flush_penalty_ns
 
 
 class TestCoreModel:
     def test_flush_penalty_scales_with_occupancy(self):
-        core = CoreModel(0, CoreConfig())
-        low = core.flush_penalty_ns(rob_occupancy=16)
-        high = core.flush_penalty_ns(rob_occupancy=128)
+        config = CoreConfig()
+        low = flush_penalty_ns(config, rob_occupancy=16)
+        high = flush_penalty_ns(config, rob_occupancy=128)
         assert high == pytest.approx(8 * low)
 
-    def test_flush_penalty_default_is_half_window(self):
-        config = CoreConfig()
-        core = CoreModel(0, config)
-        expected = (config.rob_entries / 2) * config.flush_cycles_per_rob_entry \
-            * config.cycle_ns
-        assert core.flush_penalty_ns() == pytest.approx(expected)
-
     def test_flush_penalty_clamped(self):
-        core = CoreModel(0, CoreConfig())
-        assert core.flush_penalty_ns(rob_occupancy=-5) == 0.0
-        assert core.flush_penalty_ns(rob_occupancy=10_000) == \
-            core.flush_penalty_ns(rob_occupancy=CoreConfig().rob_entries)
+        config = CoreConfig()
+        assert flush_penalty_ns(config, rob_occupancy=-5) == 0.0
+        assert flush_penalty_ns(config, rob_occupancy=10_000) == \
+            flush_penalty_ns(config, rob_occupancy=config.rob_entries)
 
     def test_ideal_core_has_zero_flush_penalty(self):
-        core = CoreModel(0, CoreConfig(flush_cycles_per_rob_entry=0.0))
-        assert core.flush_penalty_ns(rob_occupancy=128) == 0.0
-
-    def test_miss_signal_links_back_to_instruction(self):
-        core = CoreModel(0, CoreConfig())
-        core.send_request(page=10, rob_seq=3)
-        core.send_request(page=20, rob_seq=4)
-        assert core.receive_miss_signal(20) == 4
-        core.receive_data(10)
-        assert len(core.mshrs) == 0
-
-    def test_miss_signal_without_request_raises(self):
-        core = CoreModel(0, CoreConfig())
-        with pytest.raises(ProtocolError):
-            core.receive_miss_signal(99)
+        config = CoreConfig(flush_cycles_per_rob_entry=0.0)
+        assert flush_penalty_ns(config, rob_occupancy=128) == 0.0

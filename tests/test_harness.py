@@ -137,6 +137,7 @@ class TestTable1:
         assert "50 us" in text
         assert "100 ns switch" in text
         assert "256 GiB" in text
+        assert "2.0 KiB" in text
 
 
 class TestGcOverheads:

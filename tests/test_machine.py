@@ -30,9 +30,6 @@ class TestMachineAssembly:
         assert machine.dram_cache is not None
         assert machine.pager is None
         assert all(lib is not None for lib in machine.libraries)
-        # Handler installed via the privileged path on every core.
-        for core in machine.cores:
-            assert core.registers.handler_address is not None
 
     def test_flash_sync_has_cache_but_no_threads(self):
         machine = Machine(small_config("flash-sync"))

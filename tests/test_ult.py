@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import SchedulingPolicy, UltConfig
-from repro.cpu import MissHandlingRegisters
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ult import (
     FifoScheduler,
@@ -231,11 +230,6 @@ class TestThreadLibrary:
         assert library.scheduler.pending_count == 1
         library.on_data_ready(thread, now=55.0)
         assert thread.state is ThreadState.READY
-
-    def test_handler_installed_via_privileged_path(self):
-        registers = MissHandlingRegisters()
-        library = ThreadLibrary(0, UltConfig(), registers=registers)
-        assert registers.handler_address is not None
 
     def test_in_flight_accounting(self):
         library = ThreadLibrary(0, UltConfig(threads_per_core=4))
