@@ -30,7 +30,7 @@ def sweep(scale_name):
         flash = runner.machine.flash
         outcomes["footprint" if enabled else "full-page"] = {
             "throughput": result.throughput_jobs_per_s,
-            "pcie_bytes": flash.pcie.stats["bytes"],
+            "pcie_bytes": flash.pcie.bytes_transferred,
             "reads": flash.stats["reads"],
             "underfetch_rate": (
                 runner.machine.dram_cache.backside.footprint.underfetch_rate()

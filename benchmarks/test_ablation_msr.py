@@ -32,7 +32,7 @@ def sweep(scale_name):
         msr = runner.machine.dram_cache.backside.msr
         outcomes[entries] = {
             "throughput": result.throughput_jobs_per_s,
-            "full_stalls": msr.stats["full_stalls"],
+            "full_stalls": msr.full_stalls,
             "peak": msr.peak_occupancy,
         }
     return outcomes

@@ -55,10 +55,10 @@ def main() -> None:
         detail = ""
         library = runner.machine.libraries[0]
         if library is not None:
-            stats = library.scheduler.stats
-            detail = (f"aged={stats['aged_dispatches']:.0f} "
-                      f"ready={stats['ready_dispatches']:.0f} "
-                      f"new={stats['new_dispatches']:.0f}")
+            scheduler = library.scheduler
+            detail = (f"aged={scheduler.aged_dispatches:.0f} "
+                      f"ready={scheduler.ready_dispatches:.0f} "
+                      f"new={scheduler.new_dispatches:.0f}")
         print(f"{name:20s} {result.service_p50_ns / US:9.1f}u "
               f"{result.service_p99_ns / US:9.1f}u  {detail}")
 

@@ -109,14 +109,6 @@ class DramCacheConfig:
     def controller_cycle_ns(self) -> float:
         return 1.0 / self.controller_frequency_ghz
 
-    @property
-    def total_pages(self) -> int:
-        return self.capacity_bytes // self.page_size
-
-    @property
-    def num_sets(self) -> int:
-        return max(1, self.total_pages // self.associativity)
-
     def validate(self) -> None:
         if self.capacity_bytes < self.page_size * self.associativity:
             raise ConfigurationError("DRAM cache smaller than one set")
@@ -161,10 +153,6 @@ class FlashConfig:
     # "tiny-tail" (the paper's [80]) slices migrations so priority
     # reads slip in between pages.
     gc_policy: str = "blocking"
-
-    @property
-    def total_pages(self) -> int:
-        return self.capacity_bytes // self.page_size
 
     @property
     def num_planes(self) -> int:
@@ -464,10 +452,6 @@ class SystemConfig:
     def scaled_dram_cache_pages(self) -> int:
         pages = int(self.scale.dataset_pages * self.scale.dram_fraction)
         return max(self.dram_cache.associativity, pages)
-
-    def replace(self, **changes) -> "SystemConfig":
-        """A copy of this config with top-level fields replaced."""
-        return dataclasses.replace(self, **changes)
 
     def deep_copy(self) -> "SystemConfig":
         return dataclasses.replace(

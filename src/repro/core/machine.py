@@ -217,6 +217,6 @@ class Machine:
             # flash path on top of the snapshot contract above (both
             # tiers are empty at the warm/measure boundary, so
             # snapshot comparisons are unaffected).
-            parts.append(sorted(self.flash.stats.as_dict().items()))
-            parts.append(sorted(self.flash.ftl.stats.as_dict().items()))
+            parts.append(sorted(self.flash.stats.items()))
+            parts.append(sorted(self.flash.ftl.stats.items()))
         return hashlib.sha256(repr(parts).encode()).hexdigest()

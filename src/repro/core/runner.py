@@ -173,10 +173,7 @@ class Runner:
         self.service_latency = LatencyTracker(name="service")
         self.response_latency = LatencyTracker(name="response")
         self.throughput = ThroughputTracker(name="jobs")
-        self.stats = CounterSet("runner")
-        # Bound handles for counters bumped on (nearly) every access.
-        self._tlb_miss_count = self.stats.counter("tlb_misses")
-        self._jobs_completed_count = self.stats.counter("jobs_completed")
+        self.stats = CounterSet()
         self._rng_random = self._rng.random
         # Observability: bind the active tracer once (None = disabled).
         # Hot paths branch on this local/attribute, never on the
@@ -324,7 +321,7 @@ class Runner:
         total_core_time = (self.config.num_cores
                            * self.config.scale.measurement_ns)
         busy_fraction = min(1.0, busy_ns / max(total_core_time, 1.0))
-        counters = self.stats.as_dict()
+        counters = dict(self.stats)
         # Kernel health/throughput telemetry.  These keys are new
         # relative to the recorded goldens and wall-clock-adjacent, so
         # golden comparisons skip the "engine." prefix.
@@ -336,12 +333,12 @@ class Runner:
         if self.machine.dram_cache is not None:
             counters.update({
                 f"dramcache.{k}": v for k, v in
-                self.machine.dram_cache.frontside.stats.as_dict().items()
+                self.machine.dram_cache.frontside.counts().items()
             })
         if self.machine.flash is not None:
             counters.update({
                 f"flash.{k}": v for k, v in
-                self.machine.flash.stats.as_dict().items()
+                self.machine.flash.stats.items()
             })
             if self.machine.flash.writes is not None:
                 # Window-scoped write-path telemetry (DESIGN.md §4j):
@@ -457,7 +454,7 @@ class Runner:
         self.service_latency.record(now - job.started_at)
         self.response_latency.record(now - job.arrived_at)
         self.throughput.record_completion()
-        self._jobs_completed_count.incr()
+        self.stats["jobs_completed"] += 1.0
         if self._tracer is not None:
             self._tracer.finish_request(job, now)
 
@@ -483,7 +480,7 @@ class Runner:
             if replay.hit:
                 return replay.latency_ns
             races += 1
-            self.stats.add("replay_miss_races")
+            self.stats["replay_miss_races"] += 1.0
             if races > REPLAY_RACE_LIMIT:
                 raise SimulationError(
                     f"replay of page {page} lost the install/evict race "
@@ -566,7 +563,7 @@ class Runner:
                         if record is not None:
                             self._charge_sync_wait(record, core_id,
                                                    wait_start, page)
-                        self.stats.add("sync_miss_waits")
+                        self.stats["sync_miss_waits"] += 1.0
                 accumulated += hit_ns
                 if record is not None:
                     record.charge_step(compute_ns, walk_ns, hit_ns)
@@ -604,11 +601,10 @@ class Runner:
             if thread.state is ThreadState.PENDING:
                 # Aged (or forced) head whose data has not arrived: the
                 # scheduler waits for the flash response (Sec. IV-D2).
-                self.stats.add("blocking_dispatches")
+                self.stats["blocking_dispatches"] += 1.0
                 wait_start = engine.now
                 yield thread.wait_signal
-                self.stats.add("time_blocking_wait_ns",
-                               engine.now - wait_start)
+                self.stats["time_blocking_wait_ns"] += engine.now - wait_start
                 if thread.state is ThreadState.PENDING:
                     thread.data_arrived(engine.now)
 
@@ -616,7 +612,7 @@ class Runner:
             switch_ns = library.switch_latency_ns
             if switch_ns > 0.0:
                 yield switch_ns
-                self.stats.add("time_switch_ns", switch_ns)
+                self.stats["time_switch_ns"] += switch_ns
             was_ready = thread.state is ThreadState.READY
             thread.dispatch()
             record = None
@@ -673,11 +669,14 @@ class Runner:
         accumulated = 0.0
         # Per-step locals: this loop runs once per memory access on the
         # multiplexed modes.  The hit paths are handled inline so the
-        # miss generators (and their setup cost) only run on misses.
+        # miss generators (and their setup cost) only run on misses; a
+        # hit is one call, to the frontside controller or (OS-Swap) the
+        # resident set.
         astriflash = mode is PagingMode.ASTRIFLASH
         cache_access = (self.machine.dram_cache.frontside.access
                         if astriflash else None)
-        pager = None if astriflash else self.machine.pager
+        resident_lookup = (None if astriflash
+                           else self.machine.pager.resident.lookup)
         flat = self.machine.flat_dram_latency_ns
         rng_random = self._rng_random
         tlb_p = self._tlb_miss_probability
@@ -721,7 +720,7 @@ class Runner:
                         accumulated, result, record
                     )
             else:
-                if pager.access(page, is_write):
+                if resident_lookup(page, is_write):
                     outcome = accumulated + flat
                     if record is not None:
                         record.charge_step(compute_ns, walk_ns, flat)
@@ -782,12 +781,12 @@ class Runner:
                     + pt_result.latency_ns
                 )
             else:
-                self.stats.add("pt_walk_flash_misses")
+                self.stats["pt_walk_flash_misses"] += 1.0
                 pt_completion = pt_result.completion
         # Simulate the compute up to the miss plus the walk, the miss
         # signal, and the ROB flush/redirect.
         flush_ns = self._flush_ns
-        self.stats.add("time_flush_ns", flush_ns)
+        self.stats["time_flush_ns"] += flush_ns
         yield accumulated + cold_walk_ns + result.latency_ns + flush_ns
         self._busy_ns += accumulated + cold_walk_ns + result.latency_ns \
             + flush_ns
@@ -802,8 +801,7 @@ class Runner:
             # arrives from flash; no thread switch can hide it.
             walk_start = engine.now
             yield pt_completion
-            self.stats.add("time_pt_walk_wait_ns",
-                           engine.now - walk_start)
+            self.stats["time_pt_walk_wait_ns"] += engine.now - walk_start
             if record is not None:
                 record.tlb_walk += engine.now - walk_start
                 record.add_span("tlb_walk", walk_start, engine.now)
@@ -813,11 +811,11 @@ class Runner:
 
         if thread.forward_progress:
             # Sec. IV-C3: complete synchronously, do not deschedule.
-            self.stats.add("forward_progress_syncs")
+            self.stats["forward_progress_syncs"] += 1.0
             wait_start = engine.now
             yield result.completion
             replay_ns = yield from self._replay_until_hit(page, is_write)
-            self.stats.add("time_sync_wait_ns", engine.now - wait_start)
+            self.stats["time_sync_wait_ns"] += engine.now - wait_start
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += replay_ns
@@ -826,11 +824,11 @@ class Runner:
         if library.scheduler.pending_full:
             # Sec. IV-D1: pending queue full — the scheduler waits for
             # the flash response instead of switching.
-            self.stats.add("pending_overflow_syncs")
+            self.stats["pending_overflow_syncs"] += 1.0
             wait_start = engine.now
             yield result.completion
             replay_ns = yield from self._replay_until_hit(page, is_write)
-            self.stats.add("time_sync_wait_ns", engine.now - wait_start)
+            self.stats["time_sync_wait_ns"] += engine.now - wait_start
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += replay_ns
@@ -877,10 +875,10 @@ class Runner:
         spawn(engine, fault_and_signal(), name=f"fault:{page}")
 
         if thread.forward_progress or library.scheduler.pending_full:
-            self.stats.add("sync_fault_waits")
+            self.stats["sync_fault_waits"] += 1.0
             wait_start = engine.now
             yield done
-            self.stats.add("time_sync_wait_ns", engine.now - wait_start)
+            self.stats["time_sync_wait_ns"] += engine.now - wait_start
             if record is not None:
                 self._charge_sync_wait(record, core_id, wait_start, page)
                 record.dram_hit += flat
@@ -934,7 +932,7 @@ class Runner:
         through the DRAM cache and the walk blocks synchronously on a
         flash fetch when it misses (Sec. IV-A).
         """
-        self._tlb_miss_count.incr()
+        self.stats["tlb_misses"] += 1.0
         if not self.machine.page_tables_in_flash_space:
             return self._flat_walk_ns
         # noDP: upper levels stay cached; the leaf PTE page goes through
@@ -945,7 +943,7 @@ class Runner:
         upper_levels = (levels - 1) * self.machine.flat_dram_latency_ns
         if result.hit:
             return upper_levels + result.latency_ns
-        self.stats.add("pt_walk_flash_misses")
+        self.stats["pt_walk_flash_misses"] += 1.0
         # The walker cannot thread-switch: charge the full expected
         # refill latency synchronously (the walk serializes on flash).
         return (upper_levels

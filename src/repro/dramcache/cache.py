@@ -9,8 +9,6 @@ through the cached partition like any other page and can miss to flash.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.config.system import DramCacheConfig
 from repro.dramcache.controllers import (
     AccessResult,
@@ -18,7 +16,7 @@ from repro.dramcache.controllers import (
     FrontsideController,
 )
 from repro.dramcache.organization import DramCacheOrganization
-from repro.dramcache.timing import DramCacheTiming, build_timing, flat_partition_access_ns
+from repro.dramcache.timing import DramCacheTiming, build_timing
 from repro.flash.device import FlashDevice
 from repro.sim import Engine
 
@@ -50,32 +48,6 @@ class DramCache:
     def access(self, page: int, is_write: bool = False) -> AccessResult:
         """One request from the on-chip hierarchy (see FC docs)."""
         return self.frontside.access(page, is_write)
-
-    @property
-    def hit_latency_ns(self) -> float:
-        """The constant in-DRAM hit latency every hit is charged."""
-        return self.timing.hit_latency_ns
-
-    def flat_access_latency_ns(self) -> float:
-        """Latency of a flat-partition access (page tables under
-        DRAM partitioning)."""
-        return flat_partition_access_ns(self.config)
-
-    # -- warmup -----------------------------------------------------------------
-
-    def warm(self, pages: Iterable[int]) -> None:
-        """Pre-populate the cache (most-recent page wins LRU)."""
-        for page in pages:
-            self.organization.populate(page)
-
-    # -- reporting -----------------------------------------------------------------
-
-    def miss_ratio(self) -> float:
-        return self.frontside.miss_ratio()
-
-    @property
-    def outstanding_misses(self) -> int:
-        return self.backside.outstanding_misses
 
     @property
     def capacity_pages(self) -> int:

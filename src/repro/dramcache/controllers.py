@@ -17,7 +17,7 @@ on the miss.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.config.system import DramCacheConfig
 from repro.dramcache.footprint import FootprintPredictor
@@ -28,7 +28,6 @@ from repro.errors import DeviceFailedError, FlashTimeoutError, ProtocolError
 from repro.flash.device import FlashDevice
 from repro.obs.tracer import active as _tracer_active
 from repro.sim import Engine, Ready, Server, Signal, Store, observe, spawn
-from repro.stats import CounterSet, LatencyTracker
 from repro.units import US
 
 
@@ -60,12 +59,6 @@ class MissRequest:
         # replies) before the read that finally delivered data; the
         # tracer charges it as the ``fault_stall`` component.
         self.fault_stall_ns = 0.0
-
-    @property
-    def fill_latency_ns(self) -> float:
-        if self.installed_at is None:
-            raise ProtocolError("miss not installed yet")
-        return self.installed_at - self.created_at
 
     def __repr__(self) -> str:
         return f"<MissRequest page={self.page} coalesced={self.coalesced}>"
@@ -125,7 +118,6 @@ class BacksideController:
                                 name="bc-miss-queue")
         self.evict_buffer = Server(engine, capacity=config.evict_buffer_entries,
                                    name="bc-evict-buffer")
-        self.stats = CounterSet("backside")
         self._tracer = _tracer_active()
         # Resilience path (DESIGN.md §4f): armed only when the flash
         # device runs under fault injection.  Timeout scales off the
@@ -135,11 +127,6 @@ class BacksideController:
         if self._faults is not None:
             self._read_timeout_ns = (self._faults.config.bc_timeout_factor
                                      * flash.config.read_latency_ns)
-        # Bound handles for the per-miss hot path (see CounterSet.counter).
-        self._flash_reads = self.stats.counter("flash_reads")
-        self._installs = self.stats.counter("installs")
-        self.fill_latency = LatencyTracker(exact=False, name="bc-fill")
-        self.fill_latency.start_measurement()
         spawn(engine, self._accept_loop(), name="bc-accept")
 
     # -- admission ------------------------------------------------------------
@@ -184,7 +171,6 @@ class BacksideController:
             yield from self._await_read_resilient(request)
         else:
             read_signal = self._issue_flash_read(request)
-            self._flash_reads.incr()
             request.flash_issued_at = self.engine.now
 
             # While flash works (~50 us), secure space in the target set.
@@ -199,8 +185,6 @@ class BacksideController:
         self.organization.install(request.page, dirty=request.is_write)
         request.installed_at = self.engine.now
         self.msr.release(request.page)
-        self._installs.incr()
-        self.fill_latency.record(request.fill_latency_ns)
         request.install_signal.fire(request)
         if self._tracer is not None:
             self._tracer.complete(
@@ -231,7 +215,6 @@ class BacksideController:
             attempt_start = self.engine.now
             read_signal = self._issue_flash_read(request)
             if attempts == 0:
-                self._flash_reads.incr()
                 request.flash_issued_at = attempt_start
             attempts += 1
             outcome = self._arm_timeout(read_signal, request.page)
@@ -240,9 +223,9 @@ class BacksideController:
                 yield from self._make_room(request.page)
             payload = yield outcome
             if isinstance(payload, FlashTimeoutError):
-                flash_stats.add("bc_timeouts")
+                flash_stats["bc_timeouts"] += 1.0
             elif getattr(payload, "failed", False):
-                flash_stats.add("bc_uncorrectable_replies")
+                flash_stats["bc_uncorrectable_replies"] += 1.0
             else:
                 return  # data arrived
             stall_ns = self.engine.now - attempt_start
@@ -250,7 +233,7 @@ class BacksideController:
             # Cumulative fault-stall counter: only the resilient path
             # (fault plan active) reaches here, so faults-disabled runs
             # never grow this key and goldens stay bit-identical.
-            flash_stats.add("bc_fault_stall_ns", stall_ns)
+            flash_stats["bc_fault_stall_ns"] += stall_ns
             self.msr.note_reissue(request.page)
             if 0 < cfg.plane_failure_threshold <= attempts:
                 # One page failing attempt after attempt is the
@@ -264,7 +247,7 @@ class BacksideController:
                     f"{attempts} attempts ({cfg.bc_max_reissues} "
                     "reissues allowed): device considered failed"
                 )
-            flash_stats.add("bc_reissues")
+            flash_stats["bc_reissues"] += 1.0
             if self._tracer is not None:
                 self._tracer.instant(
                     "bc", "flash_reissue", self.engine.now,
@@ -314,7 +297,6 @@ class BacksideController:
             except ProtocolError:
                 # Every way of the set has a refill in flight; wait for
                 # one to land and retry.  Rare by construction.
-                self.stats.add("set_conflict_retries")
                 yield 1.0 * US
                 continue
             break
@@ -331,15 +313,15 @@ class BacksideController:
                 if admission.propagate_writes:
                     # Write-through already programmed every store;
                     # the evicted copy carries no new data.
-                    self.flash.stats.add("writeback_elided")
+                    self.flash.stats["writeback_elided"] += 1.0
                     return
                 if not admission.admit_writeback(evicted.page):
                     # Flashield-style drop: the page never earned
                     # flash admission (too few recent reads); it
                     # refaults from the backing copy instead of
-                    # burning a program.  Counted on the flash stats
-                    # because BC counters never reach results.
-                    self.flash.stats.add("admission_rejects")
+                    # burning a program.  Counted on the flash stats,
+                    # which reach results.
+                    self.flash.stats["admission_rejects"] += 1.0
                     if self._tracer is not None:
                         self._tracer.instant(
                             "bc", "admission_reject", self.engine.now,
@@ -349,10 +331,8 @@ class BacksideController:
             # write back off the critical path.
             grant = self.evict_buffer.acquire()
             if grant is not None:
-                self.stats.add("evict_buffer_stalls")
                 yield grant
             yield self.timing.page_install_ns  # row read into the buffer
-            self.stats.add("dirty_writebacks")
             if self._tracer is not None:
                 self._tracer.instant("bc", "writeback", self.engine.now,
                                      {"page": evicted.page})
@@ -363,7 +343,6 @@ class BacksideController:
         write_signal = self.flash.write(page)
         yield write_signal
         self.evict_buffer.release()
-        self.stats.add("writebacks_completed")
 
     def write_through(self, page: int) -> None:
         """Write-through admission hook: the FC calls this on every
@@ -376,15 +355,9 @@ class BacksideController:
     def _write_through_process(self, page: int):
         grant = self.evict_buffer.acquire()
         if grant is not None:
-            self.stats.add("evict_buffer_stalls")
             yield grant
         yield self.timing.page_install_ns  # row read into the buffer
-        self.stats.add("write_through_writes")
         yield from self._writeback(page)
-
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self.msr)
 
 
 class FrontsideController:
@@ -402,15 +375,23 @@ class FrontsideController:
         self.backside = backside
         # Write-path admission policy; None on the default path.
         self._admission = admission
-        self.stats = CounterSet("frontside")
-        # Bound handles for the per-access hot path.
-        self._accesses = self.stats.counter("accesses")
-        self._hits_result_latency = timing.hit_latency_ns
+        # The organization's per-set tag index, probed by access();
+        # bound once, since load_state refills the per-set dicts in
+        # place.
+        self._tag_index = organization.tag_index
+        self._set_mask = organization.set_mask
+        self._num_sets = organization.num_sets
         # All hits look alike and callers never mutate results, so one
         # shared instance serves every hit.
         self._hit_result = AccessResult(True, timing.hit_latency_ns)
-        self._misses = self.stats.counter("misses")
-        self._coalesced = self.stats.counter("coalesced_misses")
+        # Counts: plain ints bumped inline; counts() turns them into
+        # the ``dramcache.*`` result counters.  ``accesses`` always
+        # fires first, since every other count fires inside an access.
+        self.accesses = 0
+        self.misses = 0
+        self.coalesced_misses = 0
+        self.bc_queue_stalls = 0
+        self._fired: List[str] = ["accesses"]
         # Misses currently pending (page -> MissRequest) so duplicate
         # misses coalesce onto one flash read.
         self._pending: Dict[int, MissRequest] = {}
@@ -418,30 +399,52 @@ class FrontsideController:
     def access(self, page: int, is_write: bool = False) -> AccessResult:
         """Probe the cache for one request from the on-chip hierarchy.
 
-        Synchronous decision: hits return immediately with the full
-        hit latency; misses return the miss-signal latency plus a
-        completion signal that fires when the refill lands.
+        A hit is handled entirely here, tag probe included, in one
+        Python frame: it ticks the organization's LRU clock, touches
+        the way (dirty for a write), counts the hit and returns the
+        shared hit result with the full hit latency.  A miss returns
+        the miss-signal latency plus a completion signal that fires
+        when the refill lands.
         """
-        self._accesses.incr()
+        self.accesses += 1
         admission = self._admission
         if admission is not None:
             if is_write:
                 # Application stores, window-scoped later by the GC
                 # baselines; on the flash stats so they reach results.
-                self.backside.flash.stats.add("app_writes")
+                self.backside.flash.stats["app_writes"] += 1.0
                 if admission.propagate_writes:
                     self.backside.write_through(page)
             else:
                 admission.observe_read(page)
-        if self.organization.lookup(page, is_write):
+        org = self.organization
+        clock = org.clock + 1
+        org.clock = clock
+        mask = self._set_mask
+        way = self._tag_index[page & mask if mask is not None
+                              else page % self._num_sets].get(page)
+        if way is not None:
+            way.last_touch = clock
+            way.access_count += 1
+            if is_write:
+                way.dirty = True
+            hits = org.hits
+            if not hits:
+                org.fired.append("hits")
+            org.hits = hits + 1
             return self._hit_result
+        if not org.misses:
+            org.fired.append("misses")
+        org.misses += 1
 
         pending = self._pending.get(page)
         if pending is not None:
             pending.coalesced += 1
             if is_write:
                 pending.is_write = True
-            self._coalesced.incr()
+            if not self.coalesced_misses:
+                self._fired.append("coalesced_misses")
+            self.coalesced_misses += 1
             return AccessResult(
                 False, self.timing.miss_detect_ns,
                 completion=pending.install_signal, coalesced=True,
@@ -449,18 +452,29 @@ class FrontsideController:
 
         request = MissRequest(self.engine, page, is_write)
         self._pending[page] = request
-        self._misses.incr()
+        if not self.misses:
+            self._fired.append("misses")
+        self.misses += 1
         if not self.backside.miss_queue.try_put(request):
             # BC queue full: FC stalls until space frees up; the stall
             # is modelled as a background put so the core still sees
             # the miss signal at the architected latency.
-            self.stats.add("bc_queue_stalls")
+            if not self.bc_queue_stalls:
+                self._fired.append("bc_queue_stalls")
+            self.bc_queue_stalls += 1
             spawn(self.engine, self._blocking_put(request), name="fc-stall")
         self._arm_cleanup(request)
         return AccessResult(
             False, self.timing.miss_detect_ns,
             completion=request.install_signal,
         )
+
+    def counts(self) -> Dict[str, float]:
+        """The counts as floats, in first-fire order and absent until
+        fired: the run's ``dramcache.*`` counters."""
+        if not self.accesses:
+            return {}
+        return {key: float(getattr(self, key)) for key in self._fired}
 
     def _blocking_put(self, request: MissRequest):
         signal = self.backside.miss_queue.put(request)
@@ -475,6 +489,3 @@ class FrontsideController:
             request.install_signal = None
 
         observe(request.install_signal, cleanup)
-
-    def miss_ratio(self) -> float:
-        return self.stats.ratio("misses", "accesses")

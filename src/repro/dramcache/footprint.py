@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import ConfigurationError
-from repro.stats import CounterSet
 from repro.units import CACHE_BLOCK_SIZE, PAGE_SIZE
 
 BLOCKS_PER_PAGE = PAGE_SIZE // CACHE_BLOCK_SIZE
@@ -48,7 +47,11 @@ class FootprintPredictor:
         self.ewma_alpha = ewma_alpha
         self.blocks_per_page = blocks_per_page
         self._estimates: Dict[int, float] = {}
-        self.stats = CounterSet("footprint")
+        # Evictions trained on, and those whose residency used more
+        # blocks than the fetch brought (the footprint ablation's
+        # underfetch rate).
+        self.trainings = 0
+        self.underfetches = 0
 
     def _region(self, page: int) -> int:
         return page // self.region_pages
@@ -60,11 +63,9 @@ class FootprintPredictor:
         """
         estimate = self._estimates.get(self._region(page))
         if estimate is None:
-            self.stats.add("cold_predictions")
             return self.blocks_per_page
         predicted = min(self.blocks_per_page,
                         int(estimate + 0.5) + self.safety_blocks)
-        self.stats.add("predictions")
         return max(1, predicted)
 
     def predict_bytes(self, page: int) -> int:
@@ -82,14 +83,15 @@ class FootprintPredictor:
             self._estimates[region] = (
                 (1.0 - self.ewma_alpha) * old + self.ewma_alpha * used
             )
-        self.stats.add("trainings")
+        self.trainings += 1
         if used > fetched_blocks:
             # The residency needed blocks the fetch did not bring: in
             # hardware these trigger secondary fills.
-            self.stats.add("underfetches")
-            self.stats.add("underfetched_blocks", used - fetched_blocks)
-        else:
-            self.stats.add("overfetched_blocks", fetched_blocks - used)
+            self.underfetches += 1
 
     def underfetch_rate(self) -> float:
-        return self.stats.ratio("underfetches", "trainings")
+        """Share of trained evictions that were underfetched; 0 before
+        the first training."""
+        if not self.trainings:
+            return 0.0
+        return self.underfetches / self.trainings

@@ -5,8 +5,9 @@ On-chip caches track concurrent misses in CAM-based MSHRs, but with
 make SRAM MSHRs prohibitively expensive.  AstriFlash instead keeps the
 miss-handling entries in a specialized DRAM row (8 B per entry,
 set-associative, searched with a CAS).  This module models that table:
-bounded capacity, duplicate-miss coalescing, and per-entry waiter
-signals fired when the page is installed (Sec. IV-B2).
+bounded capacity and duplicate-miss coalescing (Sec. IV-B2).  Threads
+that missed wait on their miss request's install signal
+(:class:`~repro.dramcache.controllers.MissRequest`), not on the table.
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ from typing import Dict, Optional
 from repro.errors import CapacityError, ConfigurationError, ProtocolError
 from repro.obs.tracer import active as _tracer_active
 from repro.sim import Engine, Signal
-from repro.stats import CounterSet
 
 
 class MsrEntry:
-    """One outstanding miss: the page plus its install signal."""
+    """One outstanding miss: the page, its allocation time and whether
+    any merged miss was a write."""
 
-    __slots__ = ("page", "allocated_at", "is_write", "install_signal", "coalesced")
+    __slots__ = ("page", "allocated_at", "is_write", "coalesced")
 
     def __init__(self, engine: Engine, page: int, is_write: bool) -> None:
         self.page = page
         self.allocated_at = engine.now
         self.is_write = is_write
-        self.install_signal = Signal(engine, f"msr-install:{page}")
         self.coalesced = 0  # duplicate misses merged into this entry
 
     def __repr__(self) -> str:
@@ -40,7 +40,8 @@ class MissStatusRow:
 
     ``free_signal`` consumers: when the table is full the backside
     controller parks on :meth:`wait_for_free` and retries after the
-    next release.
+    next release; ``full_stalls`` counts those parks (the MSR ablation's
+    finding).
     """
 
     def __init__(self, engine: Engine, capacity: int) -> None:
@@ -50,7 +51,7 @@ class MissStatusRow:
         self.capacity = capacity
         self._entries: Dict[int, MsrEntry] = {}
         self._free_waiters = []
-        self.stats = CounterSet("msr")
+        self.full_stalls = 0
         self._tracer = _tracer_active()
         self._peak_occupancy = 0
 
@@ -67,7 +68,6 @@ class MissStatusRow:
 
     def lookup(self, page: int) -> Optional[MsrEntry]:
         """CAS search for a pending miss to ``page``."""
-        self.stats.add("lookups")
         return self._entries.get(page)
 
     def allocate(self, page: int, is_write: bool) -> MsrEntry:
@@ -78,7 +78,6 @@ class MissStatusRow:
             raise CapacityError("MSR full")
         entry = MsrEntry(self.engine, page, is_write)
         self._entries[page] = entry
-        self.stats.add("allocations")
         self._peak_occupancy = max(self._peak_occupancy, len(self._entries))
         if self._tracer is not None:
             self._tracer.counter("msr", self.engine.now,
@@ -93,24 +92,22 @@ class MissStatusRow:
         entry.coalesced += 1
         if is_write:
             entry.is_write = True
-        self.stats.add("coalesced")
         return entry
 
     def note_reissue(self, page: int) -> MsrEntry:
-        """Record a flash-read reissue for a still-outstanding miss.
+        """Check a flash-read reissue against its still-outstanding miss.
 
         The resilience path (DESIGN.md §4f) retries timed-out or
         uncorrectable reads without releasing the entry — the miss is
         still one miss, it just took several device attempts.  Requires
         a pending entry: reissuing a read nobody is tracking would mean
-        the BC lost an MSR entry.
+        the BC lost an MSR entry.  Returns that entry.
         """
         entry = self._entries.get(page)
         if entry is None:
             raise ProtocolError(
                 f"flash reissue without pending MSR entry for page {page}"
             )
-        self.stats.add("reissues")
         return entry
 
     def release(self, page: int) -> MsrEntry:
@@ -119,7 +116,6 @@ class MissStatusRow:
         entry = self._entries.pop(page, None)
         if entry is None:
             raise ProtocolError(f"release of missing MSR entry for page {page}")
-        self.stats.add("releases")
         if self._tracer is not None:
             self._tracer.counter("msr", self.engine.now,
                                  float(len(self._entries)))
@@ -132,7 +128,7 @@ class MissStatusRow:
         None when space is available right now."""
         if not self.is_full:
             return None
-        self.stats.add("full_stalls")
+        self.full_stalls += 1
         signal = Signal(self.engine, "msr-free")
         self._free_waiters.append(signal)
         return signal

@@ -6,17 +6,20 @@ The DRAM cache stores 4 KiB pages; each DRAM row is one set holding
 data access — the timing model in :mod:`repro.dramcache.timing` charges
 for that.
 
-This module is purely functional state: lookups, LRU, installs,
+This module is purely functional state: tags, LRU, installs,
 reservations (ways claimed for in-flight refills) and evictions.
 
 Tag probes are the single hottest substrate operation in the simulator
 (every access, warmup step, and replay goes through them), so each set
 maintains a ``page -> Way`` dict for valid tags and another for
-in-flight reservations alongside the way list.  The dicts are an
-*index*, not the source of truth: LRU and victim selection still walk
-the way list, preserving the original tie-breaking order exactly.  Two
-invariants keep the views coherent (property-tested in
-``tests/test_dramcache_organization.py``):
+in-flight reservations alongside the way list.  The per-access probe
+itself runs inside :meth:`FrontsideController.access
+<repro.dramcache.controllers.FrontsideController.access>`, over
+:attr:`DramCacheOrganization.tag_index`, so a hit costs one Python
+frame.  The dicts are an *index*, not the source of truth: LRU and
+victim selection still walk the way list, preserving the original
+tie-breaking order exactly.  Two invariants keep the views coherent
+(property-tested in ``tests/test_structure_properties.py``):
 
 * a way is in the valid index iff ``way.page is not None``;
 * a way is in the reserved index iff ``way.reserved_for is not None``
@@ -28,7 +31,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.stats import CounterSet
+
+#: The organization's counts, as named in :meth:`dump_state`'s ``stats``.
+COUNT_KEYS = ("hits", "misses", "evictions", "dirty_evictions", "installs")
 
 
 class Way:
@@ -87,7 +92,7 @@ class DramCacheOrganization:
         ]
         # Per-set tag indexes: page -> Way for valid tags, and
         # reserved_for -> Way for in-flight refills.
-        self._tag_index: List[Dict[int, Way]] = [
+        self.tag_index: List[Dict[int, Way]] = [
             {} for _ in range(self.num_sets)
         ]
         self._reserved_index: List[Dict[int, Way]] = [
@@ -95,43 +100,33 @@ class DramCacheOrganization:
         ]
         # Power-of-two set counts (the common configuration) index with
         # a mask instead of a modulo; identical mapping either way.
-        self._set_mask = (self.num_sets - 1
-                          if self.num_sets & (self.num_sets - 1) == 0
-                          else None)
-        self._clock = 0  # LRU timestamp source
-        self.stats = CounterSet("dram-cache-org")
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
+        self.set_mask = (self.num_sets - 1
+                         if self.num_sets & (self.num_sets - 1) == 0
+                         else None)
+        self.clock = 0  # LRU timestamp source
+        # Counts (COUNT_KEYS) are plain ints bumped inline, ``hits`` and
+        # ``misses`` by the frontside controller's probe; ``fired``
+        # lists them in first-fire order for dump_state.
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.dirty_evictions = 0
+        self.installs = 0
+        self.fired: List[str] = []
 
     # -- indexing -------------------------------------------------------------
 
     def set_index(self, page: int) -> int:
-        mask = self._set_mask
+        mask = self.set_mask
         if mask is not None:
             return page & mask
         return page % self.num_sets
 
-    # -- lookup ---------------------------------------------------------------
-
-    def lookup(self, page: int, is_write: bool = False) -> bool:
-        """Probe the tags; on a hit, touch LRU (and dirty for writes)."""
-        self._clock += 1
-        mask = self._set_mask
-        index = page & mask if mask is not None else page % self.num_sets
-        way = self._tag_index[index].get(page)
-        if way is not None:
-            way.last_touch = self._clock
-            way.access_count += 1
-            if is_write:
-                way.dirty = True
-            self._hits.incr()
-            return True
-        self._misses.incr()
-        return False
+    # -- probes ---------------------------------------------------------------
 
     def contains(self, page: int) -> bool:
         """Tag probe without LRU side effects."""
-        return page in self._tag_index[self.set_index(page)]
+        return page in self.tag_index[self.set_index(page)]
 
     def is_reserved(self, page: int) -> bool:
         """True if a refill for ``page`` already holds a way."""
@@ -172,31 +167,37 @@ class DramCacheOrganization:
             )
         evicted = EvictedPage(victim.page, victim.dirty,
                               victim.access_count)
-        del self._tag_index[set_index][victim.page]
+        del self.tag_index[set_index][victim.page]
         victim.page = None
         victim.dirty = False
         victim.access_count = 0
         victim.reserved_for = page
         reserved[page] = victim
-        self.stats.add("evictions")
+        if not self.evictions:
+            self.fired.append("evictions")
+        self.evictions += 1
         if evicted.dirty:
-            self.stats.add("dirty_evictions")
+            if not self.dirty_evictions:
+                self.fired.append("dirty_evictions")
+            self.dirty_evictions += 1
         return evicted
 
     def install(self, page: int, dirty: bool = False) -> None:
         """Fill the reserved way with the arrived page."""
-        self._clock += 1
+        self.clock += 1
         set_index = self.set_index(page)
         way = self._reserved_index[set_index].pop(page, None)
         if way is None:
             raise ProtocolError(f"install of page {page} without a reservation")
         way.page = page
         way.dirty = dirty
-        way.last_touch = self._clock
+        way.last_touch = self.clock
         way.access_count = 1  # the access that missed replays
         way.reserved_for = None
-        self._tag_index[set_index][page] = way
-        self.stats.add("installs")
+        self.tag_index[set_index][page] = way
+        if not self.installs:
+            self.fired.append("installs")
+        self.installs += 1
 
     def cancel_reservation(self, page: int) -> None:
         """Release a reservation without installing (error paths)."""
@@ -209,18 +210,19 @@ class DramCacheOrganization:
     # -- direct manipulation (warmup / tests) -----------------------------------
 
     def populate(self, page: int) -> Optional[EvictedPage]:
-        """Insert a page immediately (used for cache warmup)."""
-        # Single probe replacing the old contains() + lookup() pair;
-        # the hit arm mirrors lookup()'s hit path exactly and the miss
-        # arm has no probe side effects, matching the old behaviour.
-        mask = self._set_mask
-        index = page & mask if mask is not None else page % self.num_sets
-        way = self._tag_index[index].get(page)
+        """Insert a page immediately (warmup and tests).
+
+        A resident page is touched like a read hit (LRU, access count,
+        ``hits``); an absent one is installed without counting a miss.
+        """
+        way = self.tag_index[self.set_index(page)].get(page)
         if way is not None:
-            self._clock += 1
-            way.last_touch = self._clock
+            self.clock += 1
+            way.last_touch = self.clock
             way.access_count += 1
-            self._hits.incr()
+            if not self.hits:
+                self.fired.append("hits")
+            self.hits += 1
             return None
         evicted = self.reserve_victim(page)
         self.install(page)
@@ -228,15 +230,15 @@ class DramCacheOrganization:
 
     def warm_job(self, steps) -> int:
         """Warmup fast path: stream one job's steps through
-        :meth:`populate` semantics (plus the write-touch
-        ``lookup(page, is_write=True)`` per write step) without a
-        method call per step.  Clock, LRU, dirty and counter effects
-        are identical to the populate()/lookup() pair it replaces;
-        returns the number of steps consumed.
+        :meth:`populate` semantics, plus a write-hit touch (LRU,
+        access count, dirty, ``hits``) per write step, without a method
+        call per step; returns the number of steps consumed.  The
+        job's hits are counted in one batch at its end, which fixes
+        where ``hits`` lands in the first-fire order.
         """
         num_sets = self.num_sets
-        mask = self._set_mask
-        tag_index = self._tag_index
+        mask = self.set_mask
+        tag_index = self.tag_index
         hits = 0
         done = 0
         for _, page, is_write in steps:
@@ -247,31 +249,30 @@ class DramCacheOrganization:
                 self.install(page)
                 if is_write:
                     way = tag_index[index][page]
-                    clock = self._clock + 1
-                    self._clock = clock
+                    clock = self.clock + 1
+                    self.clock = clock
                     way.last_touch = clock
                     way.access_count += 1
                     way.dirty = True
                     hits += 1
             else:
-                clock = self._clock + 1
-                self._clock = clock
+                clock = self.clock + 1
+                self.clock = clock
                 way.last_touch = clock
                 way.access_count += 1
                 hits += 1
                 if is_write:
                     clock += 1
-                    self._clock = clock
+                    self.clock = clock
                     way.last_touch = clock
                     way.access_count += 1
                     way.dirty = True
                     hits += 1
             done += 1
         if hits:
-            # One batched add: hit counts are integral, so summing the
-            # increments first yields the same float value as adding
-            # them one at a time.
-            self._hits.add(hits)
+            if not self.hits:
+                self.fired.append("hits")
+            self.hits += hits
         return done
 
     # -- warm-state snapshot (repro.snapshot) -----------------------------------
@@ -283,7 +284,7 @@ class DramCacheOrganization:
         keeps tags alongside data in the row; this is the serialized
         analogue): page (-1 = invalid), dirty flag, LRU timestamp,
         access count, reserved_for (-1 = unreserved), plus the LRU
-        clock and the stats counters.
+        clock and the counts (as floats, in first-fire order).
         """
         pages: List[int] = []
         dirty: List[int] = []
@@ -306,8 +307,8 @@ class DramCacheOrganization:
             "last_touch": last_touch,
             "access_count": access_count,
             "reserved_for": reserved_for,
-            "clock": self._clock,
-            "stats": self.stats.as_dict(),
+            "clock": self.clock,
+            "stats": {key: float(getattr(self, key)) for key in self.fired},
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -331,7 +332,7 @@ class DramCacheOrganization:
         reserved_for = state["reserved_for"]
         flat = 0
         for set_index, ways in enumerate(self._sets):
-            tag_index = self._tag_index[set_index]
+            tag_index = self.tag_index[set_index]
             reserved_index = self._reserved_index[set_index]
             tag_index.clear()
             reserved_index.clear()
@@ -348,8 +349,11 @@ class DramCacheOrganization:
                 if way.reserved_for is not None:
                     reserved_index[way.reserved_for] = way
                 flat += 1
-        self._clock = state["clock"]
-        self.stats.restore(state["stats"])
+        self.clock = state["clock"]
+        stats = state["stats"]
+        for key in COUNT_KEYS:
+            setattr(self, key, int(stats.get(key, 0)))
+        self.fired = list(stats)
 
     def occupancy(self) -> int:
         """Number of valid pages currently cached."""
@@ -361,9 +365,3 @@ class DramCacheOrganization:
         return sum(
             1 for ways in self._sets for way in ways if way.valid and way.dirty
         )
-
-    def miss_ratio(self) -> float:
-        total = self.stats["hits"] + self.stats["misses"]
-        if total == 0:
-            return 0.0
-        return self.stats["misses"] / total

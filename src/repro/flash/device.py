@@ -25,7 +25,7 @@ from repro.flash.gc import GarbageCollector
 from repro.flash.pcie import PCIeLink
 from repro.obs.tracer import active as _tracer_active
 from repro.sim import Engine, Server, Signal, spawn
-from repro.stats import CounterSet, LatencyTracker
+from repro.stats import CounterSet
 
 
 class FlashRequest:
@@ -123,10 +123,12 @@ class FlashDevice:
         # buffered; a background drain programs them to the planes.
         self.write_buffer = Server(engine, capacity=config.write_buffer_pages,
                                    name="write-buffer")
-        self.stats = CounterSet("flash")
+        self.stats = CounterSet()
         self._tracer = _tracer_active()
-        self.read_latency = LatencyTracker(exact=False, name="flash-read")
-        self.read_latency.start_measurement()
+        # Completed reads and their summed latency, for the running
+        # mean the ULT aging policy reads.
+        self._reads_done = 0
+        self._read_ns_total = 0.0
         # Per-channel bus time to move one page at ~2 GB/s per channel.
         self._channel_transfer_ns = config.page_size / 2.0
 
@@ -169,9 +171,9 @@ class FlashDevice:
 
     def average_read_latency_ns(self) -> float:
         """Mean observed read latency (used by the ULT aging policy)."""
-        if self.read_latency.count == 0:
+        if not self._reads_done:
             return self.config.read_latency_ns
-        return self.read_latency.mean()
+        return self._read_ns_total / self._reads_done
 
     # -- internals -------------------------------------------------------------
 
@@ -184,11 +186,12 @@ class FlashDevice:
     def _start_request(self, request: FlashRequest) -> Server:
         plane_index = self.ftl.plane_of(request.logical_page)
         request.plane_index = plane_index
-        self.stats.add("requests")
-        self.stats.add(f"{request.kind}s")
+        stats = self.stats
+        stats["requests"] += 1.0
+        stats[f"{request.kind}s"] += 1.0
         if self.gc.plane_collecting(plane_index):
             request.blocked_by_gc = True
-            self.stats.add("requests_blocked_by_gc")
+            stats["requests_blocked_by_gc"] += 1.0
         return self.planes[plane_index]
 
     def _read_process(self, request: FlashRequest):
@@ -223,7 +226,8 @@ class FlashDevice:
         channel.release()
         yield from self.pcie.transfer(num_bytes)
         request.complete_time = self.engine.now
-        self.read_latency.record(request.latency_ns)
+        self._reads_done += 1
+        self._read_ns_total += request.latency_ns
         request.complete()
 
     def _read_process_faulted(self, request: FlashRequest):
@@ -250,7 +254,7 @@ class FlashDevice:
             # mirror/remap copy at a degraded latency.  No plane
             # queueing (the mirror is uncontended by construction) but
             # the channel/PCIe tail is still paid.
-            self.stats.add("degraded_reads")
+            self.stats["degraded_reads"] += 1.0
             mirror_start = self.engine.now
             yield (self.config.read_latency_ns
                    * faults.config.degraded_read_multiplier)
@@ -268,13 +272,13 @@ class FlashDevice:
         sense_start = self.engine.now
         sense_ns = self.config.read_latency_ns * outcome.sense_multiplier
         if outcome.sense_multiplier != 1.0:
-            self.stats.add("slow_plane_reads")
+            self.stats["slow_plane_reads"] += 1.0
         yield sense_ns  # first NAND sense
         backoff = faults.config.read_retry_backoff
         for round_index in range(1, outcome.retry_rounds + 1):
             # Shifted-Vref re-read: each round senses again, slower.
             retry_start = self.engine.now
-            self.stats.add("read_retries")
+            self.stats["read_retries"] += 1.0
             yield sense_ns * (1.0 + backoff * round_index)
             if tracer is not None:
                 tracer.complete(f"flash{plane_index}", "read_retry",
@@ -286,7 +290,7 @@ class FlashDevice:
             # for a while but the operation eventually completes, so
             # the plane stays held (co-located reads queue behind the
             # hang — the plane-level outlier the BC must tolerate).
-            self.stats.add("timeout_stalls")
+            self.stats["timeout_stalls"] += 1.0
             yield (self.config.read_latency_ns
                    * faults.config.timeout_stall_factor)
         plane.release()
@@ -296,12 +300,12 @@ class FlashDevice:
                             {"page": request.logical_page,
                              "retries": outcome.retry_rounds})
         if outcome.retry_rounds and not outcome.uncorrectable:
-            self.stats.add("ecc_recovered_reads")
+            self.stats["ecc_recovered_reads"] += 1.0
         if outcome.uncorrectable:
             # ECC gave up inside the die: no data crosses the channel;
             # the consumer sees the failure and decides (the BC
             # reissues, capped by DeviceFailedError).
-            self.stats.add("uncorrectable_reads")
+            self.stats["uncorrectable_reads"] += 1.0
             request.failed = True
             request.complete_time = self.engine.now
             request.complete()
@@ -314,7 +318,7 @@ class FlashDevice:
         grant = self.write_buffer.acquire()
         if grant is not None:
             # Write cache full: the host sees backpressure.
-            self.stats.add("write_buffer_stalls")
+            self.stats["write_buffer_stalls"] += 1.0
             yield grant
         # Foreground GC backpressure: if the target plane is down to
         # its reserve block the write stalls until GC reclaims space.
@@ -322,14 +326,16 @@ class FlashDevice:
         stalls = 0
         while self.ftl.gc_pressure(target_plane):
             self.gc.maybe_collect(target_plane)
-            self.stats.add("write_gc_stalls")
+            self.stats["write_gc_stalls"] += 1.0
             # Only hopeless stalls count toward the capacity abort:
-            # while the plane still holds reclaimable garbage (or a GC
-            # pass is mid-flight) the writer is merely queued behind
+            # while a GC pass is mid-flight (or the plane still holds
+            # reclaimable garbage) the writer is merely queued behind
             # GC, and under a write burst many writers legitimately
-            # wait several passes for a free page.
-            if (self.ftl.has_reclaimable(target_plane)
-                    or self.gc.plane_collecting(target_plane)):
+            # wait several passes for a free page.  The cheap flag
+            # goes first: a writer queued behind a running pass does
+            # not rescan the plane's blocks.
+            if (self.gc.plane_collecting(target_plane)
+                    or self.ftl.has_reclaimable(target_plane)):
                 stalls = 0
             stalls += 1
             if stalls > 64:
@@ -345,7 +351,7 @@ class FlashDevice:
         # queueing shows up in the same telemetry.
         plane = self._start_request(request)
         if self.writes is not None:
-            self.stats.add("host_writes")
+            self.stats["host_writes"] += 1.0
         # Acknowledge the host: the data is durable in the device cache.
         request.complete_time = self.engine.now
         request.complete()
@@ -369,9 +375,9 @@ class FlashDevice:
                             program_start, self.engine.now,
                             {"page": request.logical_page})
         self.write_buffer.release()
-        self.stats.add("programs_drained")
+        self.stats["programs_drained"] += 1.0
         if self.writes is not None:
-            self.stats.add("device_writes")
+            self.stats["device_writes"] += 1.0
         # Programs may create free-block pressure; GC runs off the
         # critical path (Sec. IV-B: writebacks are de-prioritized).
         self.gc.maybe_collect(plane_index)

@@ -9,7 +9,9 @@ erase count so erases spread across blocks.
 
 Physical layout bookkeeping is intentionally explicit (per-block valid
 bitmaps, free lists, erase counters) so GC and wear statistics fall out
-of real state rather than synthetic probabilities.
+of real state rather than synthetic probabilities.  Each block keeps
+its valid-page count alongside the bitmap, so victim selection reads
+one int per block instead of re-summing bitmaps.
 """
 
 from __future__ import annotations
@@ -24,29 +26,29 @@ PhysicalSlot = Tuple[int, int]
 
 
 class Block:
-    """One erase block: a run of physical pages with a valid bitmap."""
+    """One erase block: a run of physical pages with a valid bitmap.
 
-    __slots__ = ("index", "pages_per_block", "valid", "write_offset", "erase_count")
+    ``valid_count`` is the number of non-None bitmap entries, kept by
+    every write to ``valid`` (allocate, invalidate, GC migration and
+    erase).
+    """
+
+    __slots__ = ("index", "pages_per_block", "valid", "valid_count",
+                 "write_offset", "erase_count")
 
     def __init__(self, index: int, pages_per_block: int) -> None:
         self.index = index
         self.pages_per_block = pages_per_block
         self.valid: List[Optional[int]] = [None] * pages_per_block
+        self.valid_count = 0
         self.write_offset = 0
         self.erase_count = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.write_offset >= self.pages_per_block
-
-    @property
-    def valid_count(self) -> int:
-        return sum(1 for page in self.valid if page is not None)
 
     def erase(self) -> None:
         if any(page is not None for page in self.valid):
             raise ProtocolError(f"erasing block {self.index} with valid pages")
         self.valid = [None] * self.pages_per_block
+        self.valid_count = 0
         self.write_offset = 0
         self.erase_count += 1
 
@@ -66,7 +68,7 @@ class PlaneState:
     def allocate(self, logical_page: int) -> PhysicalSlot:
         """Claim the next physical page at the write point."""
         block = self.blocks[self.open_block]
-        if block.is_full:
+        if block.write_offset >= self.pages_per_block:  # open block full
             if not self.free_blocks:
                 raise CapacityError(
                     f"plane {self.plane_index} out of free blocks; GC required"
@@ -77,6 +79,7 @@ class PlaneState:
                 raise ProtocolError("free-list block was not erased")
         offset = block.write_offset
         block.valid[offset] = logical_page
+        block.valid_count += 1
         block.write_offset += 1
         return (block.index, offset)
 
@@ -86,6 +89,7 @@ class PlaneState:
         if block.valid[offset] is None:
             raise ProtocolError(f"double invalidate of {slot} on plane {self.plane_index}")
         block.valid[offset] = None
+        block.valid_count -= 1
 
     def gc_victim(self) -> Optional[int]:
         """Greedy victim: fullest-garbage block, wear-aware tie break.
@@ -95,11 +99,14 @@ class PlaneState:
         """
         best: Optional[int] = None
         best_key: Optional[Tuple[int, int]] = None
+        open_block = self.open_block
+        pages_per_block = self.pages_per_block
         for block in self.blocks:
-            if block.index == self.open_block or not block.is_full:
-                continue
+            if (block.index == open_block
+                    or block.write_offset < pages_per_block):
+                continue  # the write point, or not yet full
             valid = block.valid_count
-            if valid == block.pages_per_block:
+            if valid == pages_per_block:
                 continue  # nothing reclaimable
             key = (valid, block.erase_count)
             if best_key is None or key < best_key:
@@ -131,7 +138,7 @@ class PageMappingFtl:
         ]
         # logical page -> (plane, block, offset); None while never written.
         self._mapping: Dict[int, Tuple[int, PhysicalSlot]] = {}
-        self.stats = CounterSet("ftl")
+        self.stats = CounterSet()
 
     # -- address mapping ----------------------------------------------------
 
@@ -173,7 +180,7 @@ class PageMappingFtl:
             plane.invalidate(old[1])
         slot = plane.allocate(logical_page)
         self._mapping[logical_page] = (plane_index, slot)
-        self.stats.add("writes")
+        self.stats["writes"] += 1.0
         return plane_index
 
     # -- garbage collection ---------------------------------------------------
@@ -214,14 +221,16 @@ class PageMappingFtl:
             if logical_page is None:
                 continue
             victim.valid[offset] = None
+            victim.valid_count -= 1
             slot = plane.allocate(logical_page)
             self._mapping[logical_page] = (plane_index, slot)
             migrated += 1
         victim.erase()
         plane.free_blocks.append(victim_index)
-        self.stats.add("gc_passes")
-        self.stats.add("gc_migrated_pages", migrated)
-        self.stats.add("gc_erases")
+        stats = self.stats
+        stats["gc_passes"] += 1.0
+        stats["gc_migrated_pages"] += migrated
+        stats["gc_erases"] += 1.0
         return (migrated, 1)
 
     # -- wear statistics --------------------------------------------------------

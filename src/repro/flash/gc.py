@@ -24,7 +24,7 @@ class GarbageCollector:
 
     def __init__(self, device: "FlashDevice") -> None:
         self.device = device
-        self.stats = CounterSet("gc")
+        self.stats = CounterSet()
         self._active: List[bool] = [False] * device.ftl.num_planes
         # Measurement-window baselines (see start_measurement): until
         # the runner marks the warmup boundary both stay 0, so raw
@@ -83,13 +83,14 @@ class GarbageCollector:
                 )
                 yield busy
                 plane.release()
-                self.stats.add("passes")
-                self.stats.add("migrated_pages", migrated)
-                self.stats.add("busy_ns", busy)
+                stats = self.stats
+                stats["passes"] += 1.0
+                stats["migrated_pages"] += migrated
+                stats["busy_ns"] += busy
                 if device.writes is not None:
                     # GC page moves are device-side programs: the write
                     # amplification the host never asked for.
-                    device.stats.add("device_writes", migrated)
+                    device.stats["device_writes"] += migrated
         finally:
             self._active[plane_index] = False
 
@@ -124,15 +125,13 @@ class GarbageCollector:
                         yield grant
                     yield erase_slice_ns
                     plane.release()
-                self.stats.add("passes")
-                self.stats.add("migrated_pages", migrated)
-                self.stats.add(
-                    "busy_ns",
-                    migrated * slice_ns
-                    + erased * device.config.erase_latency_ns,
-                )
+                stats = self.stats
+                stats["passes"] += 1.0
+                stats["migrated_pages"] += migrated
+                stats["busy_ns"] += (migrated * slice_ns
+                                     + erased * device.config.erase_latency_ns)
                 if device.writes is not None:
-                    device.stats.add("device_writes", migrated)
+                    device.stats["device_writes"] += migrated
         finally:
             self._active[plane_index] = False
 
@@ -146,15 +145,11 @@ class GarbageCollector:
         dilute the steady-state blocked fraction.
         """
         stats = self.device.stats
-        self._window_requests = stats.get("requests")
-        self._window_blocked = stats.get("requests_blocked_by_gc")
-        self._window_device = {
-            key: stats.get(key) for key in _DEVICE_WRITE_KEYS
-        }
+        self._window_requests = stats["requests"]
+        self._window_blocked = stats["requests_blocked_by_gc"]
+        self._window_device = {key: stats[key] for key in _DEVICE_WRITE_KEYS}
         ftl_stats = self.device.ftl.stats
-        self._window_ftl = {
-            key: ftl_stats.get(key) for key in _FTL_WRITE_KEYS
-        }
+        self._window_ftl = {key: ftl_stats[key] for key in _FTL_WRITE_KEYS}
         self._window_start_ns = self.device.engine.now
 
     def blocked_fraction(self) -> float:
@@ -162,8 +157,8 @@ class GarbageCollector:
         scoped to the measurement window once :meth:`start_measurement`
         has been called (whole-run before that)."""
         stats = self.device.stats
-        requests = stats.get("requests") - self._window_requests
-        blocked = stats.get("requests_blocked_by_gc") - self._window_blocked
+        requests = stats["requests"] - self._window_requests
+        blocked = stats["requests_blocked_by_gc"] - self._window_blocked
         if requests <= 0:
             return 0.0
         return blocked / requests
@@ -174,7 +169,7 @@ class GarbageCollector:
         ftl_stats = self.device.ftl.stats
         base = self._window_ftl
         return {
-            key: ftl_stats.get(key) - base.get(key, 0.0)
+            key: ftl_stats[key] - base.get(key, 0.0)
             for key in _FTL_WRITE_KEYS
         }
 
@@ -213,7 +208,7 @@ class GarbageCollector:
             return None
         ftl = self.device.ftl
         total_blocks = sum(len(plane.blocks) for plane in ftl.planes)
-        consumed = self.device.ftl.stats.get("gc_erases")
+        consumed = self.device.ftl.stats["gc_erases"]
         remaining = max(0.0, total_blocks * pe_cycle_budget - consumed)
         erases_per_ns = erases / window_ns
         ns_per_year = 365.25 * 24 * 3600 * 1e9
@@ -235,7 +230,7 @@ class GarbageCollector:
         stats = device.stats
         base = self._window_device
         dev = {
-            key: stats.get(key) - base.get(key, 0.0)
+            key: stats[key] - base.get(key, 0.0)
             for key in _DEVICE_WRITE_KEYS
         }
         ftl = self._ftl_window()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.sim import Engine, Server
-from repro.stats import CounterSet
 
 
 class PCIeLink:
@@ -28,7 +27,8 @@ class PCIeLink:
         self.latency_ns = latency_ns
         self.name = name
         self._pipe = Server(engine, capacity=1, name=f"{name}:pipe")
-        self.stats = CounterSet(name)
+        # Bytes delivered (the footprint ablation's refill bandwidth).
+        self.bytes_transferred = 0
 
     def occupancy_ns(self, num_bytes: int) -> float:
         """Serialization time for ``num_bytes`` on the link."""
@@ -46,8 +46,7 @@ class PCIeLink:
         self._pipe.release()
         # Propagation happens after serialization, off the pipe.
         yield self.latency_ns
-        self.stats.add("transfers")
-        self.stats.add("bytes", num_bytes)
+        self.bytes_transferred += num_bytes
 
     def utilization(self) -> float:
         return self._pipe.utilization()

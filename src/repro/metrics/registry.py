@@ -211,7 +211,7 @@ def machine_metrics(machine, **labels: str) -> "MetricSet":
     if flash is None:
         return metrics
     metrics.add("gc/blocked_fraction", flash.gc.blocked_fraction(), **labels)
-    for key, value in flash.gc.stats.as_dict().items():
+    for key, value in flash.gc.stats.items():
         metrics.add(f"gc/{key}", value, **labels)
     counts = flash.ftl.erase_counts()
     if counts:

@@ -103,7 +103,7 @@ class TelemetrySampler:
             else:
                 row["erase_count_max"] = 0.0
                 row["erase_count_mean"] = 0.0
-            row["fault_stall_ns"] = flash.stats.get("bc_fault_stall_ns")
+            row["fault_stall_ns"] = flash.stats["bc_fault_stall_ns"]
         else:
             row["flash_inflight"] = 0.0
             row["gc_blocked_fraction"] = 0.0

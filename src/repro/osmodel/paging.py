@@ -20,7 +20,6 @@ from repro.config.system import OsConfig
 from repro.flash.device import FlashDevice
 from repro.osmodel.resident import ResidentSetManager
 from repro.sim import Engine, Server, Signal, spawn
-from repro.stats import CounterSet, LatencyTracker
 from repro.vm.shootdown import TlbShootdownModel
 
 
@@ -42,13 +41,12 @@ class DemandPager:
         # LATR-style batching: evictions accumulated toward the next
         # amortized broadcast.
         self._unbatched_evictions = 0
-        self.stats = CounterSet("demand-pager")
-        self.fault_latency = LatencyTracker(exact=False, name="fault-latency")
-        self.fault_latency.start_measurement()
-
-    def access(self, page: int, is_write: bool = False) -> bool:
-        """Fast path: residency check.  True = mapped, no fault."""
-        return self.resident.lookup(page, is_write)
+        # Broadcast shootdowns issued (batching's saving shows here).
+        self.shootdowns = 0
+        # Completed faults and their summed latency, for the running
+        # mean the kernel-thread aging policy reads.
+        self._faults_done = 0
+        self._fault_ns_total = 0.0
 
     def fault(self, page: int, is_write: bool = False):
         """Process generator handling one page fault end to end.
@@ -58,13 +56,11 @@ class DemandPager:
         requires an OS context switch, charged by the core loop.
         """
         start = self.engine.now
-        self.stats.add("faults")
 
         existing = self._pending.get(page)
         if existing is not None:
             # Another thread is already faulting this page in: wait on
             # the page lock instead of issuing duplicate I/O.
-            self.stats.add("coalesced_faults")
             yield existing
             return
 
@@ -79,7 +75,6 @@ class DemandPager:
             # Install under the global page-table lock.
             grant = self._page_table_lock.acquire()
             if grant is not None:
-                self.stats.add("lock_waits")
                 yield grant
             victim = self.resident.insert(page, dirty=is_write)
             if victim is not None:
@@ -95,31 +90,28 @@ class DemandPager:
                         yield self.shootdown.latency_ns(
                             batched_pages=self._unbatched_evictions
                         )
-                        self.stats.add("shootdowns")
-                        self.stats.add("batched_pages",
-                                       self._unbatched_evictions)
+                        self.shootdowns += 1
                         self._unbatched_evictions = 0
                 else:
                     yield self.shootdown.latency_ns()
-                    self.stats.add("shootdowns")
+                    self.shootdowns += 1
                 if victim_dirty:
                     spawn(self.engine, self._writeback(victim_page),
                           name=f"swap-out:{victim_page}")
             self._page_table_lock.release()
         finally:
             self._pending.pop(page, None)
-        self.fault_latency.record(self.engine.now - start)
+        self._faults_done += 1
+        self._fault_ns_total += self.engine.now - start
         done.fire()
 
     def _writeback(self, page: int):
-        write_signal = self.flash.write(page)
-        yield write_signal
-        self.stats.add("writebacks")
+        yield self.flash.write(page)
 
     # -- derived metrics ------------------------------------------------------
 
     def average_fault_latency_ns(self) -> float:
-        if self.fault_latency.count == 0:
+        if not self._faults_done:
             return (self.config.page_fault_kernel_ns
                     + self.flash.config.read_latency_ns)
-        return self.fault_latency.mean()
+        return self._fault_ns_total / self._faults_done

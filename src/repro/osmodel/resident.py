@@ -11,10 +11,12 @@ frame) and is guarded by kernel locks, modelled in
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.stats import CounterSet
+
+#: The resident set's counts, as named in :meth:`dump_state`'s ``stats``.
+COUNT_KEYS = ("hits", "faults", "evictions", "dirty_evictions", "insertions")
 
 
 class ResidentSetManager:
@@ -25,20 +27,34 @@ class ResidentSetManager:
             raise ConfigurationError("resident set needs at least one frame")
         self.capacity = capacity_pages
         self._resident: "OrderedDict[int, bool]" = OrderedDict()  # page -> dirty
-        self.stats = CounterSet("resident-set")
+        # Counts (COUNT_KEYS) are plain ints bumped inline; ``fired``
+        # lists them in first-fire order for dump_state.
+        self.hits = 0
+        self.faults = 0
+        self.evictions = 0
+        self.dirty_evictions = 0
+        self.insertions = 0
+        self.fired: List[str] = []
 
     def __len__(self) -> int:
         return len(self._resident)
 
     def lookup(self, page: int, is_write: bool = False) -> bool:
-        """Check residency; hits touch LRU and may set the dirty bit."""
-        if page in self._resident:
-            self._resident.move_to_end(page)
+        """Check residency (the OS-Swap per-access path): hits touch LRU
+        and may set the dirty bit.  True = mapped, no fault."""
+        resident = self._resident
+        if page in resident:
+            resident.move_to_end(page)
             if is_write:
-                self._resident[page] = True
-            self.stats.add("hits")
+                resident[page] = True
+            hits = self.hits
+            if not hits:
+                self.fired.append("hits")
+            self.hits = hits + 1
             return True
-        self.stats.add("faults")
+        if not self.faults:
+            self.fired.append("faults")
+        self.faults += 1
         return False
 
     def is_resident(self, page: int) -> bool:
@@ -56,11 +72,17 @@ class ResidentSetManager:
             return None
         if len(self._resident) >= self.capacity:
             victim = self._resident.popitem(last=False)
-            self.stats.add("evictions")
+            if not self.evictions:
+                self.fired.append("evictions")
+            self.evictions += 1
             if victim[1]:
-                self.stats.add("dirty_evictions")
+                if not self.dirty_evictions:
+                    self.fired.append("dirty_evictions")
+                self.dirty_evictions += 1
         self._resident[page] = dirty
-        self.stats.add("insertions")
+        if not self.insertions:
+            self.fired.append("insertions")
+        self.insertions += 1
         return victim
 
     # -- warm-state snapshot (repro.snapshot) ---------------------------------
@@ -68,12 +90,12 @@ class ResidentSetManager:
     def dump_state(self) -> dict:
         """Picklable dump: the ``(page, dirty)`` pairs in LRU order
         (OrderedDict insertion order *is* the eviction order) plus the
-        stats counters."""
+        counts (as floats, in first-fire order)."""
         return {
             "capacity": self.capacity,
             "resident": [(page, dirty)
                          for page, dirty in self._resident.items()],
-            "stats": self.stats.as_dict(),
+            "stats": {key: float(getattr(self, key)) for key in self.fired},
         }
 
     def load_state(self, state: dict) -> None:
@@ -87,13 +109,10 @@ class ResidentSetManager:
         self._resident.clear()
         for page, dirty in state["resident"]:
             self._resident[page] = dirty
-        self.stats.restore(state["stats"])
-
-    def fault_ratio(self) -> float:
-        total = self.stats["hits"] + self.stats["faults"]
-        if total == 0:
-            return 0.0
-        return self.stats["faults"] / total
+        stats = state["stats"]
+        for key in COUNT_KEYS:
+            setattr(self, key, int(stats.get(key, 0)))
+        self.fired = list(stats)
 
     def warm(self, pages) -> None:
         """Pre-populate frames (experiment warmup)."""

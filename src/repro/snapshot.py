@@ -79,7 +79,7 @@ _PRUNABLE_SUFFIXES = (".pkl", ".snap")
 DEFAULT_WARM_STEPS = 50_000
 
 #: Process-global store telemetry (``repro report`` footer).
-STATS = CounterSet("snapshot")
+STATS = CounterSet()
 
 
 # ------------------------------------------------------------------ digests --
@@ -364,7 +364,7 @@ class SnapshotStore:
             return None
         blob = self._MEMO.get((self._scope, kind, key))
         if blob is not None:
-            STATS.add(f"{kind}_memo_hits")
+            STATS[f"{kind}_memo_hits"] += 1.0
             return _loads(blob)
         path = self._path(kind, key)
         try:
@@ -377,17 +377,17 @@ class SnapshotStore:
         except OSError:
             return None
         except _StaleSnapshot:
-            STATS.add("stale_rejected")
+            STATS["stale_rejected"] += 1.0
             self._discard(path)
             return None
         except Exception:
             # Corrupt entry (interrupted writer, unreadable pickle).
-            STATS.add("stale_rejected")
+            STATS["stale_rejected"] += 1.0
             self._discard(path)
             return None
         self._MEMO[(self._scope, kind, key)] = payload_blob
         self._touch(path)
-        STATS.add(f"{kind}_disk_hits")
+        STATS[f"{kind}_disk_hits"] += 1.0
         return payload
 
     def store(self, kind: str, key: str, payload) -> None:
@@ -412,7 +412,7 @@ class SnapshotStore:
             except OSError:
                 pass
             return
-        STATS.add(f"{kind}_stored")
+        STATS[f"{kind}_stored"] += 1.0
         prune_cache(self.directory, keep=(path,))
 
     @staticmethod
@@ -467,7 +467,7 @@ def build_workload(name: str, dataset_pages: int, seed: int,
         return cached
     workload = make_workload(name, dataset_pages, seed=seed, **kwargs)
     store.store(WORKLOAD_KIND, key, workload)
-    STATS.add("workload_builds")
+    STATS["workload_builds"] += 1.0
     return workload
 
 
@@ -485,7 +485,7 @@ def capture_warm(runner, key: str, store: SnapshotStore,
     tags/ways/dirty bits and reservation maps, or the resident set).
     """
     runner.warm(warm_steps)
-    STATS.add("warm_captures")
+    STATS["warm_captures"] += 1.0
     if not store.enabled:
         return
     payload = {
@@ -510,9 +510,9 @@ def restore_warm(runner, payload: Dict[str, Any]) -> None:
     runner._rng.setstate(payload["rng_state"])
     runner.machine.load_warm_state(payload["machine"])
     runner.mark_warm_restored(time.perf_counter() - start)
-    STATS.add("warm_restores")
+    STATS["warm_restores"] += 1.0
 
 
 def summary() -> Dict[str, float]:
     """Current process-global snapshot counters (report footer)."""
-    return STATS.as_dict()
+    return dict(STATS)

@@ -31,14 +31,6 @@ class ThreadLibrary:
 
     # -- job admission -------------------------------------------------------------
 
-    @property
-    def free_contexts(self) -> int:
-        return len(self._free)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._threads) - len(self._free)
-
     def can_admit(self) -> bool:
         return bool(self._free)
 

@@ -18,7 +18,6 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.stats import CounterSet
 
 
 class CompletionEntry:
@@ -46,7 +45,6 @@ class CompletionQueue:
         self.capacity = capacity
         self._entries: Deque[CompletionEntry] = deque()
         self._doorbell = doorbell
-        self.stats = CounterSet(f"cq{core_id}")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -70,7 +68,6 @@ class CompletionQueue:
             )
         entry = CompletionEntry(page, now, context)
         self._entries.append(entry)
-        self.stats.add("posted")
         if self._doorbell is not None:
             self._doorbell()
         return entry
@@ -79,9 +76,6 @@ class CompletionQueue:
         """Scheduler-side: consume all pending notifications."""
         entries = list(self._entries)
         self._entries.clear()
-        if entries:
-            self.stats.add("drains")
-            self.stats.add("drained_entries", len(entries))
         return entries
 
     def peek(self) -> Optional[CompletionEntry]:

@@ -26,7 +26,6 @@ from typing import Deque, Optional
 from repro.config.system import SchedulingPolicy, UltConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.tracer import active as _tracer_active
-from repro.stats import CounterSet
 from repro.ult.thread import ThreadState, UserThread
 
 
@@ -40,7 +39,11 @@ class UltScheduler:
         self.name = name
         self._new: Deque[UserThread] = deque()
         self._pending: Deque[UserThread] = deque()
-        self.stats = CounterSet(name)
+        # Dispatches by kind (the scheduler study prints these).
+        self.aged_dispatches = 0
+        self.new_dispatches = 0
+        self.ready_dispatches = 0
+        self.forced_dispatches = 0
         self._tracer = _tracer_active()
 
     # -- queue maintenance ---------------------------------------------------
@@ -49,7 +52,6 @@ class UltScheduler:
         if thread.state is not ThreadState.NEW:
             raise ProtocolError("only NEW threads enter the new-job queue")
         self._new.append(thread)
-        self.stats.add("new_enqueued")
 
     def add_pending(self, thread: UserThread) -> None:
         """A running thread halted on a DRAM-cache miss."""
@@ -58,7 +60,6 @@ class UltScheduler:
         if self.pending_full:
             raise ProtocolError("pending queue overflow; caller must block")
         self._pending.append(thread)
-        self.stats.add("pending_enqueued")
 
     @property
     def pending_full(self) -> bool:
@@ -116,7 +117,7 @@ class PriorityAgingScheduler(UltScheduler):
             # spikes); in that case blocking the core would waste it,
             # so the head is left pending and other work runs.
             self._pending.popleft()
-            self.stats.add("aged_dispatches")
+            self.aged_dispatches += 1
             if self._tracer is not None:
                 self._tracer.instant(
                     f"core{head.core_id}", "aged_dispatch", now,
@@ -125,12 +126,12 @@ class PriorityAgingScheduler(UltScheduler):
             return head
         new = self._pop_new()
         if new is not None:
-            self.stats.add("new_dispatches")
+            self.new_dispatches += 1
             return new
         # No new jobs: drain the oldest ready pending job.
         ready = self._pop_ready_pending()
         if ready is not None:
-            self.stats.add("ready_dispatches")
+            self.ready_dispatches += 1
             return ready
         # Nothing ready and no new jobs: when saturated, run the head
         # even though it must block on flash, rather than idle
@@ -138,7 +139,7 @@ class PriorityAgingScheduler(UltScheduler):
         # job", Sec. IV-D1).
         if head is not None and self.pending_full:
             self._pending.popleft()
-            self.stats.add("forced_dispatches")
+            self.forced_dispatches += 1
             if self._tracer is not None:
                 self._tracer.instant(
                     f"core{head.core_id}", "forced_dispatch", now,
@@ -180,16 +181,16 @@ class FifoScheduler(UltScheduler):
             head = self.oldest_pending()
             if head is not None and head.state is ThreadState.READY:
                 self._pending.popleft()
-                self.stats.add("ready_dispatches")
+                self.ready_dispatches += 1
                 return head
         new = self._pop_new()
         if new is not None:
-            self.stats.add("new_dispatches")
+            self.new_dispatches += 1
             return new
         if self.pending_full:
             # Saturated: drain the head, blocking on flash if needed.
             head = self._pending.popleft()
-            self.stats.add("forced_dispatches")
+            self.forced_dispatches += 1
             if self._tracer is not None:
                 self._tracer.instant(
                     f"core{head.core_id}", "forced_dispatch", now,

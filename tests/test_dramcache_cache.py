@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import DramCacheConfig, FlashConfig
-from repro.dramcache import DramCache, build_timing
+from repro.dramcache import DramCache, build_timing, flat_partition_access_ns
 from repro.flash import FlashDevice
 from repro.sim import Engine, spawn
 from repro.units import US
@@ -29,7 +29,8 @@ def make_cache(cache_pages=64, assoc=4, dataset_pages=512, msr_entries=32,
 
 def test_warm_then_hit():
     engine, cache, flash = make_cache()
-    cache.warm(range(16))
+    for page in range(16):
+        cache.organization.populate(page)
     result = cache.access(3)
     assert result.hit
     timing = build_timing(cache.config)
@@ -72,7 +73,7 @@ def test_concurrent_misses_to_same_page_coalesce():
     engine.run()
     assert sorted(completions) == [0, 1, 2]
     assert flash.stats["reads"] == 1  # one refill serves all three
-    assert cache.frontside.stats["coalesced_misses"] == 2
+    assert cache.frontside.coalesced_misses == 2
 
 
 def test_write_miss_installs_dirty():
@@ -86,6 +87,14 @@ def test_write_miss_installs_dirty():
     spawn(engine, writer())
     engine.run()
     assert cache.organization.dirty_count() == 1
+
+
+def test_write_hit_dirties_the_way():
+    engine, cache, flash = make_cache()
+    cache.organization.populate(3)
+    assert cache.access(3, is_write=True).hit
+    assert cache.organization.dirty_count() == 1
+    assert (cache.organization.hits, cache.organization.misses) == (1, 0)
 
 
 def test_dirty_eviction_writes_back_to_flash():
@@ -107,13 +116,14 @@ def test_dirty_eviction_writes_back_to_flash():
 
     spawn(engine, driver())
     engine.run()
-    assert cache.backside.stats["dirty_writebacks"] == 1
+    assert cache.organization.dirty_evictions == 1
     assert flash.stats["writes"] == 1
 
 
 def test_miss_ratio_reporting():
     engine, cache, flash = make_cache()
-    cache.warm(range(8))
+    for page in range(8):
+        cache.organization.populate(page)
     done = []
 
     def driver():
@@ -125,7 +135,9 @@ def test_miss_ratio_reporting():
 
     spawn(engine, driver())
     engine.run()
-    assert cache.miss_ratio() == pytest.approx(1 / 9)
+    assert cache.frontside.misses / cache.frontside.accesses == \
+        pytest.approx(1 / 9)
+    assert cache.frontside.counts() == {"accesses": 9.0, "misses": 1.0}
 
 
 def test_msr_capacity_backpressures_admission():
@@ -145,7 +157,7 @@ def test_msr_capacity_backpressures_admission():
     engine.run()
     assert sorted(completed) == pages
     assert cache.backside.msr.peak_occupancy <= 2
-    assert cache.backside.msr.stats["full_stalls"] > 0
+    assert cache.backside.msr.full_stalls > 0
 
 
 def test_outstanding_misses_visible():
@@ -154,14 +166,14 @@ def test_outstanding_misses_visible():
     assert not result.hit
     # Let the BC accept it.
     engine.run(until=1.0 * US)
-    assert cache.outstanding_misses == 1
+    assert len(cache.backside.msr) == 1
     engine.run()
-    assert cache.outstanding_misses == 0
+    assert len(cache.backside.msr) == 0
 
 
 def test_flat_partition_latency_is_one_dram_access():
     engine, cache, flash = make_cache()
-    flat = cache.flat_access_latency_ns()
+    flat = flat_partition_access_ns(cache.config)
     timing = build_timing(cache.config)
     # Flat rows skip the tag machinery: never slower than a cached hit
     # (equal when way prediction overlaps the tag check).

@@ -38,9 +38,9 @@ class TestBcQueueBackpressure:
             result = cache.access(page)
             assert not result.hit
         engine.run()
-        assert cache.frontside.stats["bc_queue_stalls"] > 0
+        assert cache.frontside.bc_queue_stalls > 0
         # Every miss still completes (installs == unique misses).
-        assert cache.backside.stats["installs"] == 12
+        assert cache.organization.installs == 12
 
 
 class TestEvictBufferStalls:
@@ -64,7 +64,7 @@ class TestEvictBufferStalls:
 
         spawn(engine, driver())
         engine.run()
-        assert cache.backside.stats["dirty_writebacks"] == 2
+        assert cache.organization.dirty_evictions == 2
         assert flash.stats["writes"] == 2
 
     def test_clean_evictions_skip_the_buffer(self):
@@ -80,7 +80,8 @@ class TestEvictBufferStalls:
 
         spawn(engine, driver())
         engine.run()
-        assert cache.backside.stats["dirty_writebacks"] == 0
+        assert cache.organization.evictions == 1
+        assert cache.organization.dirty_evictions == 0
         assert flash.stats["writes"] == 0
 
 
@@ -101,7 +102,11 @@ class TestSetConflictRetries:
             spawn(engine, thread(page))
         engine.run()
         assert sorted(completions) == [10, 11, 12, 13]
-        assert cache.backside.stats["set_conflict_retries"] > 0
+        # The last two found both ways reserved (reservations are
+        # claimed while the reads fly), retried, and could only evict
+        # once the first two had installed.
+        assert cache.organization.installs == 4
+        assert cache.organization.evictions == 2
 
 
 class TestCoalescingWindow:
@@ -134,19 +139,21 @@ class TestCoalescingWindow:
 class TestMissRequestAccounting:
     def test_fill_latency_tracked(self):
         engine, cache, flash = make_cache()
+        fills = []
 
         def driver():
             result = cache.access(50)
             yield result.completion
+            fills.append(engine.now)
 
         spawn(engine, driver())
         engine.run()
-        assert cache.backside.fill_latency.count == 1
-        assert cache.backside.fill_latency.mean() > 45.0 * US
+        assert len(fills) == 1
+        assert fills[0] > 45.0 * US
 
     def test_outstanding_drops_to_zero(self):
         engine, cache, flash = make_cache()
         for page in range(60, 70):
             cache.access(page)
         engine.run()
-        assert cache.outstanding_misses == 0
+        assert len(cache.backside.msr) == 0

@@ -1,4 +1,9 @@
-"""Unit tests for the DRAM-cache organization (sets/ways/LRU/reservations)."""
+"""Unit tests for the DRAM-cache organization (sets/ways/LRU/reservations).
+
+The per-access tag probe runs in ``FrontsideController.access``; here a
+resident page is touched through ``populate`` (a read hit) or a one-step
+``warm_job`` (a write hit).
+"""
 
 import pytest
 
@@ -18,17 +23,19 @@ def test_geometry():
 
 def test_lookup_miss_then_hit_after_install():
     org = make_org()
-    assert not org.lookup(5)
+    assert not org.contains(5)
     assert org.reserve_victim(5) is None  # free way available
+    assert not org.contains(5) and org.is_reserved(5)
     org.install(5)
-    assert org.lookup(5)
-    assert org.miss_ratio() == pytest.approx(0.5)
+    assert org.contains(5) and not org.is_reserved(5)
+    assert org.populate(5) is None  # a hit: nothing evicted
+    assert (org.hits, org.installs, org.evictions) == (1, 1, 0)
 
 
 def test_write_hit_sets_dirty():
     org = make_org()
     org.populate(3)
-    org.lookup(3, is_write=True)
+    org.warm_job([(0.0, 3, True)])
     assert org.dirty_count() == 1
 
 
@@ -36,7 +43,7 @@ def test_lru_eviction_order():
     org = make_org(pages=4, assoc=4)  # one set
     for page in range(4):
         org.populate(page)
-    org.lookup(0)  # page 0 becomes MRU
+    org.populate(0)  # a hit: page 0 becomes MRU
     evicted = org.reserve_victim(4)
     assert evicted is not None
     assert evicted.page == 1  # LRU among 1,2,3
@@ -46,9 +53,9 @@ def test_eviction_reports_dirtiness():
     org = make_org(pages=4, assoc=4)
     for page in range(4):
         org.populate(page)
-    org.lookup(2, is_write=True)
+    org.warm_job([(0.0, 2, True)])  # a write hit dirties page 2
     for page in (0, 1, 3):
-        org.lookup(page)  # make page 2 LRU but dirty? touch others after
+        org.populate(page)  # touch the others after it
     # Force page 2 to be the LRU: re-touch everything else.
     evicted = org.reserve_victim(4)
     assert evicted.page == 2

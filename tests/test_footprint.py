@@ -18,7 +18,6 @@ class TestFootprintPredictor:
     def test_cold_region_fetches_full_page(self):
         predictor = FootprintPredictor()
         assert predictor.predict_blocks(0) == BLOCKS_PER_PAGE
-        assert predictor.stats["cold_predictions"] == 1
 
     def test_learns_small_footprints(self):
         predictor = FootprintPredictor(region_pages=4, safety_blocks=2)
@@ -37,7 +36,7 @@ class TestFootprintPredictor:
         predictor = FootprintPredictor()
         predictor.record_eviction(0, accesses_while_resident=10,
                                   fetched_blocks=4)
-        assert predictor.stats["underfetches"] == 1
+        assert (predictor.trainings, predictor.underfetches) == (1, 1)
         assert predictor.underfetch_rate() == 1.0
 
     def test_footprint_capped_at_page(self):
@@ -111,8 +110,8 @@ class TestFootprintIntegration:
         self._churn(engine_a, cache_a, pattern)
         engine_b, cache_b, flash_b = self.make_cache(footprint=True)
         self._churn(engine_b, cache_b, pattern)
-        assert flash_b.pcie.stats["bytes"] < flash_a.pcie.stats["bytes"]
-        assert cache_b.backside.footprint.stats["trainings"] > 0
+        assert flash_b.pcie.bytes_transferred < flash_a.pcie.bytes_transferred
+        assert cache_b.backside.footprint.trainings > 0
 
     def test_footprint_disabled_by_default(self):
         engine, cache, flash = self.make_cache(footprint=False)

@@ -16,7 +16,7 @@ class TestResidentSetManager:
         assert not rsm.lookup(1)
         rsm.insert(1)
         assert rsm.lookup(1)
-        assert rsm.fault_ratio() == pytest.approx(0.5)
+        assert (rsm.faults, rsm.hits, rsm.insertions) == (1, 1, 1)
 
     def test_lru_eviction(self):
         rsm = ResidentSetManager(2)
@@ -91,8 +91,8 @@ class TestDemandPager:
             spawn(engine, faulter(tag))
         engine.run()
         assert sorted(done) == [0, 1, 2]
-        assert flash.stats["reads"] == 1
-        assert pager.stats["coalesced_faults"] == 2
+        assert flash.stats["reads"] == 1  # one read serves all three
+        assert pager.resident.insertions == 1
 
     def test_eviction_costs_a_shootdown(self):
         engine, pager, flash = make_pager(capacity=1)
@@ -103,7 +103,7 @@ class TestDemandPager:
 
         spawn(engine, faulter())
         engine.run()
-        assert pager.stats["shootdowns"] == 1
+        assert pager.shootdowns == 1
         assert not pager.resident.is_resident(1)
         assert pager.resident.is_resident(2)
 
@@ -117,7 +117,7 @@ class TestDemandPager:
 
         spawn(engine, faulter())
         engine.run()
-        assert pager.stats["writebacks"] == 1
+        assert pager.resident.dirty_evictions == 1
         assert flash.stats["writes"] == 1
 
     def test_page_table_lock_serializes_installs(self):
@@ -134,7 +134,12 @@ class TestDemandPager:
         spawn(engine, faulter(2))
         spawn(engine, faulter(3))
         engine.run()
-        assert pager.stats["lock_waits"] >= 1 or len(set(finish_times)) == 3
+        # The third install queues on the lock behind the second's
+        # shootdown, then pays its own: the two cannot overlap.
+        finish_times.sort()
+        assert len(set(finish_times)) == 3
+        assert finish_times[2] - finish_times[1] >= \
+            pager.shootdown.latency_ns()
 
     def test_average_fault_latency_reported(self):
         engine, pager, flash = make_pager()
@@ -149,5 +154,5 @@ class TestDemandPager:
     def test_access_fast_path(self):
         engine, pager, flash = make_pager()
         pager.resident.insert(7)
-        assert pager.access(7)
-        assert not pager.access(8)
+        assert pager.resident.lookup(7)
+        assert not pager.resident.lookup(8)

@@ -47,15 +47,14 @@ class TestCompletionQueue:
     def test_drain_empty_is_noop(self):
         cq = CompletionQueue(core_id=0)
         assert cq.drain() == []
-        assert cq.stats["drains"] == 0
+        assert len(cq) == 0
 
     def test_stats(self):
         cq = CompletionQueue(core_id=0)
         cq.post(1, now=0.0)
         cq.post(2, now=0.0)
-        cq.drain()
-        assert cq.stats["posted"] == 2
-        assert cq.stats["drained_entries"] == 2
+        assert len(cq.drain()) == 2
+        assert cq.drain() == []
 
     def test_invalid_capacity_raises(self):
         with pytest.raises(ConfigurationError):

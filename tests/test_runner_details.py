@@ -123,7 +123,7 @@ class TestOsSwapDetails:
         workload = make_workload("arrayswap", 1024, seed=3, zipf_s=1.8)
         runner = Runner(config, workload)
         runner.run()
-        assert runner.machine.pager.stats["faults"] > 0
+        assert runner.machine.pager.resident.faults > 0
         assert runner.machine.flash.stats["reads"] > 0
 
     def test_shootdowns_happen_on_evictions(self):
@@ -131,7 +131,7 @@ class TestOsSwapDetails:
         workload = make_workload("arrayswap", 1024, seed=3, zipf_s=1.8)
         runner = Runner(config, workload)
         runner.run()
-        assert runner.machine.pager.stats["shootdowns"] > 0
+        assert runner.machine.pager.shootdowns > 0
 
 
 class _FakeAccess:

@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.harness import fig1, parallel
 from repro.harness.common import HarnessScale, build_config
 from repro.harness.parallel import RunSpec, execute_spec, run_specs
-from repro.stats import CounterSet
 from repro.workloads import EVALUATED_WORKLOADS, make_workload
 
 SEED = 11
@@ -374,16 +373,6 @@ def test_load_warm_state_rejects_tier_mismatch():
     target = _fresh_runner("os-swap", "arrayswap")
     with pytest.raises(ConfigurationError):
         target.machine.load_warm_state(state)
-
-
-def test_counterset_restore_replaces_values():
-    counters = CounterSet("t")
-    counters.add("kept", 1)
-    counters.add("dropped", 2)
-    counters.restore({"kept": 5.0, "created": 7.0})
-    assert counters.as_dict() == {"kept": 5.0, "created": 7.0}
-    counters.add("kept")
-    assert counters.as_dict()["kept"] == 6.0
 
 
 # ------------------------------------------------------ harness integration --

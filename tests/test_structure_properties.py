@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dramcache import DramCacheOrganization
+from repro.config import DramCacheConfig, FlashConfig
+from repro.dramcache import DramCache, DramCacheOrganization
 from repro.errors import CapacityError, ProtocolError
+from repro.flash import FlashDevice
 from repro.flash.ftl import PageMappingFtl
+from repro.sim import Engine
 
 
 class TestOrganizationProperties:
@@ -32,16 +35,23 @@ class TestOrganizationProperties:
                     min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_miss_then_refill_makes_page_resident(self, accesses):
-        org = DramCacheOrganization(num_pages=8, associativity=2)
+        engine = Engine()
+        flash = FlashDevice(
+            engine,
+            FlashConfig(channels=1, dies_per_channel=1, planes_per_die=2,
+                        pages_per_block=16, overprovisioning=0.5),
+            32,
+        )
+        cache = DramCache(engine, DramCacheConfig(associativity=2), 8, flash)
+        org = cache.organization
         for page, is_write in accesses:
-            hit = org.lookup(page, is_write)
-            if not hit and not org.is_reserved(page):
-                org.reserve_victim(page)
-                org.install(page, dirty=is_write)
-            assert org.contains(page) or org.is_reserved(page)
-        # Stats are consistent.
-        total = org.stats["hits"] + org.stats["misses"]
-        assert total == len(accesses)
+            if not cache.access(page, is_write).hit:
+                engine.run()  # the backside controller refills it
+            assert org.contains(page)
+        # Each access counted once, as a hit or a miss.
+        assert cache.frontside.accesses == len(accesses)
+        assert org.hits + org.misses == len(accesses)
+        assert cache.frontside.misses == org.misses == org.installs
 
     @given(st.lists(st.integers(0, 15), min_size=1, max_size=50,
                     unique=True))
@@ -103,6 +113,50 @@ class TestFtlProperties:
         valid = sum(block.valid_count for block in plane.blocks)
         assert valid == min(hot_pages, num_writes)
 
+    @given(st.lists(st.integers(0, 15), min_size=1, max_size=400),
+           st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_valid_counts_match_the_bitmaps(self, writes, planes):
+        ftl = PageMappingFtl(num_logical_pages=16, num_planes=planes,
+                             pages_per_block=4, overprovisioning=0.9)
+
+        def recount_victim(plane):
+            # gc_victim's rule over recounted bitmaps: the closed block
+            # with the fewest valid pages (then fewest erases) that
+            # holds any garbage.
+            best, best_key = None, None
+            for block in plane.blocks:
+                if (block.index == plane.open_block
+                        or block.write_offset < block.pages_per_block):
+                    continue
+                valid = sum(page is not None for page in block.valid)
+                if valid == block.pages_per_block:
+                    continue
+                key = (valid, block.erase_count)
+                if best_key is None or key < best_key:
+                    best, best_key = block.index, key
+            return best
+
+        def check():
+            for plane in ftl.planes:
+                for block in plane.blocks:
+                    assert block.valid_count == sum(
+                        page is not None for page in block.valid)
+                assert plane.gc_victim() == recount_victim(plane)
+
+        for page in writes:
+            plane = ftl.plane_of(page)
+            while ftl.gc_pressure(plane):
+                collected = ftl.collect(plane)
+                check()
+                if collected == (0, 0):
+                    break
+            try:
+                ftl.write(page)
+            except CapacityError:
+                break
+            check()
+
 
 class TestTagIndexCoherence:
     """The per-set ``page -> Way`` dicts are an index over the way
@@ -111,7 +165,7 @@ class TestTagIndexCoherence:
 
     @given(st.lists(
         st.tuples(
-            st.sampled_from(("lookup", "write", "reserve", "install",
+            st.sampled_from(("touch", "write", "reserve", "install",
                              "cancel", "populate")),
             st.integers(0, 63),
         ),
@@ -121,10 +175,12 @@ class TestTagIndexCoherence:
     def test_dict_views_match_way_lists(self, operations):
         org = DramCacheOrganization(num_pages=32, associativity=4)
         for op, page in operations:
-            if op == "lookup":
-                org.lookup(page)
+            if op == "touch":
+                if org.contains(page):
+                    org.populate(page)  # a read hit
             elif op == "write":
-                org.lookup(page, is_write=True)
+                if org.contains(page):
+                    org.warm_job([(0.0, page, True)])  # a write hit
             elif op == "reserve":
                 if not org.is_reserved(page) and not org.contains(page):
                     try:
@@ -152,7 +208,7 @@ class TestTagIndexCoherence:
                     way.reserved_for: way
                     for way in ways if way.reserved_for is not None
                 }
-                assert org._tag_index[set_index] == valid_view
+                assert org.tag_index[set_index] == valid_view
                 assert org._reserved_index[set_index] == reserved_view
                 # A reserved way never simultaneously holds a page.
                 assert all(way.page is None

@@ -111,7 +111,7 @@ class TestPriorityAgingScheduler:
         # arrived: it preempts new work (the anti-starvation rule).
         picked = sched.pick_next(now=100_000.0, avg_flash_response_ns=50_000)
         assert picked is pending
-        assert sched.stats["aged_dispatches"] == 1
+        assert sched.aged_dispatches == 1
 
     def test_aged_but_unready_head_does_not_block_new_work(self):
         sched = self.make()
@@ -235,8 +235,10 @@ class TestThreadLibrary:
         library = ThreadLibrary(0, UltConfig(threads_per_core=4))
         library.admit("a", 0.0)
         library.admit("b", 0.0)
-        assert library.in_flight == 2
-        assert library.free_contexts == 2
+        assert library.can_admit()
+        library.admit("c", 0.0)
+        library.admit("d", 0.0)
+        assert not library.can_admit()
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -38,8 +38,8 @@ def run_overwrites(ftl, pages):
 
 
 def wa_of(ftl):
-    host = ftl.stats.get("writes")
-    return (host + ftl.stats.get("gc_migrated_pages")) / host
+    host = ftl.stats["writes"]
+    return (host + ftl.stats["gc_migrated_pages"]) / host
 
 
 class TestFtlWriteAmplification:
@@ -166,16 +166,14 @@ class TestDeviceWriteCounters:
     def test_disabled_config_keeps_counters_invisible(self):
         device = self._write_one(WritesConfig(enabled=False))
         assert device.writes is None
-        stats = device.stats.as_dict()
-        assert "host_writes" not in stats
-        assert "device_writes" not in stats
+        assert "host_writes" not in device.stats
+        assert "device_writes" not in device.stats
 
     def test_enabled_config_counts_host_and_device_writes(self):
         device = self._write_one(WritesConfig(enabled=True))
         assert device.writes is not None
-        stats = device.stats.as_dict()
-        assert stats["host_writes"] == 1
-        assert stats["device_writes"] == 1
+        assert device.stats["host_writes"] == 1
+        assert device.stats["device_writes"] == 1
 
     def test_write_counters_scoped_to_measurement_window(self):
         device = self._write_one(WritesConfig(enabled=True))
