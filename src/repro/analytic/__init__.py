@@ -4,7 +4,6 @@ and the 20x memory-cost claim."""
 from repro.analytic.bandwidth import (
     AVERAGE_DRAM_BANDWIDTH_PER_CORE_GBPS,
     PCIE_GEN5_BANDWIDTH_GBPS,
-    fits_in_pcie_gen5,
     flash_bandwidth_per_core_gbps,
     flash_bandwidth_total_gbps,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "cost_reduction_factor",
     "dram_only_cost",
     "erlang_c",
-    "fits_in_pcie_gen5",
     "flash_bandwidth_per_core_gbps",
     "flash_bandwidth_total_gbps",
     "mm1_response_percentile",

@@ -38,9 +38,3 @@ def flash_bandwidth_total_gbps(miss_rate: float, num_cores: int,
     if num_cores < 1:
         raise ConfigurationError("need at least one core")
     return num_cores * flash_bandwidth_per_core_gbps(miss_rate, **kwargs)
-
-
-def fits_in_pcie_gen5(miss_rate: float, num_cores: int) -> bool:
-    """Does the refill traffic fit under a PCIe Gen5 x16 link?"""
-    return flash_bandwidth_total_gbps(miss_rate, num_cores) \
-        <= PCIE_GEN5_BANDWIDTH_GBPS

@@ -151,18 +151,6 @@ class OverlapModel:
             return mm1_response_percentile(fraction, lam, mu)
         return mmk_response_percentile(fraction, lam, mu, k)
 
-    def latency_curve(self, fraction: float,
-                      load_points: List[float]) -> List[tuple]:
-        """(normalized load, percentile ns) pairs; load is relative to
-        this model's own maximum throughput."""
-        curve = []
-        for load in load_points:
-            if not 0.0 < load < 1.0:
-                raise ConfigurationError("load points must be in (0,1)")
-            lam = load * self.max_throughput_per_second
-            curve.append((load, self.percentile_ns(fraction, lam)))
-        return curve
-
 
 def paper_figure3_models(work_ns: float = 10_000.0,
                          flash_ns: float = 50_000.0,

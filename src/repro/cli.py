@@ -30,6 +30,11 @@ Every measuring verb (``report``, ``profile``, ``bench-sweep``,
 :class:`repro.metrics.RunRecord` to ``.repro_runs/ledger.jsonl``
 (``$REPRO_RUNS_DIR`` overrides the directory, ``REPRO_LEDGER=0``
 disables); appends are best-effort and never fail the verb.  ``--json PATH`` writes the same record to a file.
+
+Exit status: 0 on success, 1 when a gate fails (``writes``' policy
+ordering, ``diff``/``regress`` regressions, ``trace-run``'s trace
+validation), and 2 on a bad argument value, config or input file,
+reported as one ``repro <verb>: error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import List, Optional
 from repro.config import EVALUATED_CONFIG_NAMES, make_config
 from repro.jsonutil import dumps as json_dumps
 from repro.core import Runner
+from repro.errors import ReproError
 from repro.harness import EXPERIMENTS, run_experiment
 from repro.units import US
 from repro.workloads import (
@@ -527,8 +533,7 @@ def cmd_trace_run(args: argparse.Namespace) -> int:
     )
 
     if args.sample < 1:
-        print("trace-run: --sample must be >= 1", file=sys.stderr)
-        return 2
+        raise ReproError("--sample must be >= 1")
     tracer = Tracer(
         sample_every=args.sample,
         telemetry_interval_ns=args.telemetry_interval_us * US,
@@ -588,31 +593,26 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_writes(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.writes import parse_write_ratio_sweep, run_writes
 
-    try:
-        write_ratios = None
-        if args.write_ratio_sweep is not None:
-            write_ratios = parse_write_ratio_sweep(args.write_ratio_sweep)
-        policies = None
-        if args.policies is not None:
-            policies = tuple(part.strip()
-                             for part in args.policies.split(",")
-                             if part.strip())
-        presets = None
-        if args.presets is not None:
-            presets = tuple(part.strip()
-                            for part in args.presets.split(",")
-                            if part.strip())
-        bench = run_writes(
-            args.experiment, scale=args.scale, write_ratios=write_ratios,
-            policies=policies, presets=presets, seed=args.seed,
-            jobs=args.jobs,
-        )
-    except ReproError as exc:
-        print(f"writes: {exc}", file=sys.stderr)
-        return 2
+    write_ratios = None
+    if args.write_ratio_sweep is not None:
+        write_ratios = parse_write_ratio_sweep(args.write_ratio_sweep)
+    policies = None
+    if args.policies is not None:
+        policies = tuple(part.strip()
+                         for part in args.policies.split(",")
+                         if part.strip())
+    presets = None
+    if args.presets is not None:
+        presets = tuple(part.strip()
+                        for part in args.presets.split(",")
+                        if part.strip())
+    bench = run_writes(
+        args.experiment, scale=args.scale, write_ratios=write_ratios,
+        policies=policies, presets=presets, seed=args.seed,
+        jobs=args.jobs,
+    )
     _emit(bench, args.json_out)
     if not bench.policy_order_ok:
         print("writes: admission-policy WA ordering violated "
@@ -734,15 +734,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
         select_record,
     )
 
-    from repro.errors import ReproError
-
     ledger = read_ledger(ledger_path(args.ledger))
-    try:
-        baseline = select_record(ledger, args.baseline)
-        current = select_record(ledger, args.current)
-    except ReproError as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+    baseline = select_record(ledger, args.baseline)
+    current = select_record(ledger, args.current)
     threshold = (args.threshold if args.threshold is not None
                  else DEFAULT_THRESHOLD)
     report = diff_records(baseline, current, threshold=threshold)
@@ -756,18 +750,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_regress(args: argparse.Namespace) -> int:
     from repro.metrics import DEFAULT_THRESHOLD, ledger_path, run_regress
 
-    from repro.errors import ReproError
-
     threshold = (args.threshold if args.threshold is not None
                  else DEFAULT_THRESHOLD)
-    try:
-        report = run_regress(
-            args.baseline, current_path=args.current,
-            ledger=ledger_path(args.ledger), threshold=threshold,
-        )
-    except ReproError as exc:
-        print(f"regress: {exc}", file=sys.stderr)
-        return 2
+    report = run_regress(
+        args.baseline, current_path=args.current,
+        ledger=ledger_path(args.ledger), threshold=threshold,
+    )
     print(report.format_text())
     if args.json_out is not None:
         with open(args.json_out, "w") as handle:
@@ -785,7 +773,17 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv`` and run the verb.  Every :class:`ReproError` is
+    reported here, once, with exit status 2 (see the module docstring)."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiments":
         return cmd_experiments()
     if args.command == "workloads":

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import List
 
 from repro.config.system import (
     PagingMode,
@@ -168,8 +168,3 @@ def make_config(name: str, **overrides) -> SystemConfig:
         known = ", ".join(sorted(_FACTORIES))
         raise KeyError(f"unknown configuration {name!r}; known: {known}") from None
     return factory(**overrides)
-
-
-def all_configs(**overrides) -> Dict[str, SystemConfig]:
-    """All seven evaluated configurations keyed by name."""
-    return {name: make_config(name, **overrides) for name in EVALUATED_CONFIG_NAMES}

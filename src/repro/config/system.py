@@ -9,7 +9,6 @@ capacities so runs finish quickly in Python.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -75,7 +74,6 @@ class DramCacheConfig:
     capacity_bytes: int = 8 * GIB
     page_size: int = PAGE_SIZE
     associativity: int = 8              # one 64B tag column maps 8 ways
-    tag_bytes: int = 8
     # DRAM timing for the frontside controller (ns).
     row_activate_ns: float = 15.0       # RAS
     column_access_ns: float = 15.0      # CAS
@@ -100,9 +98,9 @@ class DramCacheConfig:
     # Backside controller structures.
     evict_buffer_entries: int = 64
     miss_queue_entries: int = 128
-    # Hybrid partitioning: fraction of DRAM rows exposed flat to the OS
-    # so page tables never live in the cached partition (Sec. IV-A).
-    flat_partition_fraction: float = 0.03
+    # Hybrid partitioning: part of DRAM is exposed flat to the OS so
+    # page tables never live in the cached partition (Sec. IV-A).  Only
+    # its access latency is modelled (timing.flat_partition_access_ns).
     partitioning_enabled: bool = True   # False => AstriFlash-noDP
 
     @property
@@ -114,8 +112,6 @@ class DramCacheConfig:
             raise ConfigurationError("DRAM cache smaller than one set")
         if self.associativity < 1:
             raise ConfigurationError("associativity must be >= 1")
-        if not 0.0 <= self.flat_partition_fraction < 1.0:
-            raise ConfigurationError("flat partition fraction out of range")
         if self.msr_entries < 1:
             raise ConfigurationError("MSR must have at least one entry")
 
@@ -452,22 +448,3 @@ class SystemConfig:
     def scaled_dram_cache_pages(self) -> int:
         pages = int(self.scale.dataset_pages * self.scale.dram_fraction)
         return max(self.dram_cache.associativity, pages)
-
-    def deep_copy(self) -> "SystemConfig":
-        return dataclasses.replace(
-            self,
-            core=dataclasses.replace(self.core),
-            dram_cache=dataclasses.replace(self.dram_cache),
-            flash=dataclasses.replace(self.flash),
-            faults=dataclasses.replace(self.faults),
-            writes=dataclasses.replace(self.writes),
-            os=dataclasses.replace(self.os),
-            ult=dataclasses.replace(self.ult),
-            tlb=dataclasses.replace(self.tlb),
-            scale=dataclasses.replace(self.scale),
-        )
-
-
-def dram_to_flash_ratio(config: SystemConfig) -> float:
-    """DRAM-cache capacity as a fraction of the flash-resident dataset."""
-    return config.dram_cache.capacity_bytes / config.flash.capacity_bytes

@@ -38,12 +38,12 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracer import active as _tracer_active
 from repro.sim import Signal, observe, spawn
-from repro.stats import CounterSet, LatencyTracker, ThroughputTracker
-from repro.stats.histogram import percentile
+from repro.stats import CounterSet, LatencyTracker, ThroughputTracker, \
+    percentile
 from repro.ult.queuepair import CompletionQueue
 from repro.ult.thread import ThreadState, UserThread
 from repro.units import US
-from repro.workloads.arrival import ClosedLoop
+from repro.workloads.arrival import ArrivalProcess, ClosedLoop
 from repro.workloads.base import Job, Workload
 
 # Compute/hit time is accumulated locally and yielded in quanta of this
@@ -158,7 +158,8 @@ class Runner:
     """Run one (configuration, workload, arrival process) experiment."""
 
     def __init__(self, config: SystemConfig, workload: Workload,
-                 arrivals=None, seed: Optional[int] = None,
+                 arrivals: Optional[ArrivalProcess] = None,
+                 seed: Optional[int] = None,
                  warm: bool = True) -> None:
         self.config = config
         self.workload = workload
@@ -398,12 +399,8 @@ class Runner:
         on its eventual response latency; merging those ages back into
         the sample set gives a valid lower bound on the true p99
         (standard right-censoring treatment).  Falls back to the
-        observed p99 when the tracker holds no raw samples
-        (log-histogram mode) or nothing was censored.
+        observed p99 when nothing was censored.
         """
-        samples = self.response_latency.samples()
-        if samples is None:
-            return self.response_latency.p99()
         now = self.machine.engine.now
         ages = [now - job.arrived_at for job in self._live_jobs.values()
                 if job.arrived_at is not None]
@@ -412,7 +409,7 @@ class Runner:
                         if job.arrived_at is not None)
         if not ages:
             return self.response_latency.p99()
-        merged = sorted(samples + ages)
+        merged = sorted(self.response_latency.samples() + ages)
         return percentile(merged, 0.99)
 
     # ------------------------------------------------------------ load gen --

@@ -7,7 +7,7 @@ from repro.dramcache.controllers import (
     FrontsideController,
     MissRequest,
 )
-from repro.dramcache.msr import MissStatusRow, MsrEntry
+from repro.dramcache.msr import MissStatusRow
 from repro.dramcache.organization import DramCacheOrganization, EvictedPage, Way
 from repro.dramcache.timing import (
     DramCacheTiming,
@@ -25,7 +25,6 @@ __all__ = [
     "FrontsideController",
     "MissRequest",
     "MissStatusRow",
-    "MsrEntry",
     "Way",
     "build_timing",
     "flat_partition_access_ns",

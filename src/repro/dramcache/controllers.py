@@ -5,14 +5,18 @@ it probes the in-row tags for every request, serves hits, and forwards
 misses to the backside controller's queue, stalling when that queue is
 full.  It is a 1-cycle FSM.
 
+A duplicate miss to a page whose refill is already pending never
+reaches the BC: the FC merges it in its own pending table onto the
+first miss's request, and the thread waits on that request's install
+signal.
+
 The **backside controller (BC)** is programmable (3 cycles/command).
-For each miss it checks the Miss Status Row for a pending miss to the
-same page (duplicates coalesce), allocates an MSR entry (waiting when
-the table is full), issues the 4 KiB flash read, selects and evicts a
-victim (dirty victims go through a bounded evict buffer and are written
-back off the critical path), installs the arriving page, and releases
-the MSR entry — firing the install signal that wakes the threads parked
-on the miss.
+For each miss it searches the Miss Status Row (one command), allocates
+an MSR entry (waiting when the table is full), issues the 4 KiB flash
+read, selects and evicts a victim (dirty victims go through a bounded
+evict buffer and are written back off the critical path), installs the
+arriving page, and releases the MSR entry — firing the install signal
+that wakes the threads parked on the miss.
 """
 
 from __future__ import annotations
@@ -73,15 +77,13 @@ class AccessResult:
       installed and the access can replay.
     """
 
-    __slots__ = ("hit", "latency_ns", "completion", "coalesced")
+    __slots__ = ("hit", "latency_ns", "completion")
 
     def __init__(self, hit: bool, latency_ns: float,
-                 completion: Optional[Signal] = None,
-                 coalesced: bool = False) -> None:
+                 completion: Optional[Signal] = None) -> None:
         self.hit = hit
         self.latency_ns = latency_ns
         self.completion = completion
-        self.coalesced = coalesced
 
     def __repr__(self) -> str:
         kind = "hit" if self.hit else "miss"
@@ -139,14 +141,16 @@ class BacksideController:
                 request = slot.item
             else:
                 request = yield slot
-            # MSR lookup for a pending miss to the same page.
+            # MSR search (a CAS) before allocating.  Duplicates were
+            # already merged in the FC's pending table, so it never
+            # finds one.
             yield self.timing.backside_command_ns
             while True:
                 wait = self.msr.wait_for_free()
                 if wait is None:
                     break
                 yield wait
-            self.msr.allocate(request.page, request.is_write)
+            self.msr.allocate(request.page)
             spawn(self.engine, self._handle_miss(request),
                   name=f"bc-miss:{request.page}")
 
@@ -447,7 +451,7 @@ class FrontsideController:
             self.coalesced_misses += 1
             return AccessResult(
                 False, self.timing.miss_detect_ns,
-                completion=pending.install_signal, coalesced=True,
+                completion=pending.install_signal,
             )
 
         request = MissRequest(self.engine, page, is_write)

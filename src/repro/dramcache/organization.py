@@ -56,10 +56,6 @@ class Way:
     def valid(self) -> bool:
         return self.page is not None
 
-    @property
-    def reserved(self) -> bool:
-        return self.reserved_for is not None
-
 
 class EvictedPage:
     """A victim page pushed out by a refill."""
@@ -121,16 +117,6 @@ class DramCacheOrganization:
         if mask is not None:
             return page & mask
         return page % self.num_sets
-
-    # -- probes ---------------------------------------------------------------
-
-    def contains(self, page: int) -> bool:
-        """Tag probe without LRU side effects."""
-        return page in self.tag_index[self.set_index(page)]
-
-    def is_reserved(self, page: int) -> bool:
-        """True if a refill for ``page`` already holds a way."""
-        return page in self._reserved_index[self.set_index(page)]
 
     # -- refill path ------------------------------------------------------------
 
@@ -199,42 +185,17 @@ class DramCacheOrganization:
             self.fired.append("installs")
         self.installs += 1
 
-    def cancel_reservation(self, page: int) -> None:
-        """Release a reservation without installing (error paths)."""
-        set_index = self.set_index(page)
-        way = self._reserved_index[set_index].pop(page, None)
-        if way is None:
-            raise ProtocolError(f"no reservation to cancel for page {page}")
-        way.reserved_for = None
-
-    # -- direct manipulation (warmup / tests) -----------------------------------
-
-    def populate(self, page: int) -> Optional[EvictedPage]:
-        """Insert a page immediately (warmup and tests).
-
-        A resident page is touched like a read hit (LRU, access count,
-        ``hits``); an absent one is installed without counting a miss.
-        """
-        way = self.tag_index[self.set_index(page)].get(page)
-        if way is not None:
-            self.clock += 1
-            way.last_touch = self.clock
-            way.access_count += 1
-            if not self.hits:
-                self.fired.append("hits")
-            self.hits += 1
-            return None
-        evicted = self.reserve_victim(page)
-        self.install(page)
-        return evicted
+    # -- warmup -----------------------------------------------------------------
 
     def warm_job(self, steps) -> int:
-        """Warmup fast path: stream one job's steps through
-        :meth:`populate` semantics, plus a write-hit touch (LRU,
-        access count, dirty, ``hits``) per write step, without a method
-        call per step; returns the number of steps consumed.  The
-        job's hits are counted in one batch at its end, which fixes
-        where ``hits`` lands in the first-fire order.
+        """Warmup fast path: stream one job's steps into the cache
+        without a method call per step; returns the number of steps
+        consumed.  A resident page is touched like a read hit (LRU,
+        access count, ``hits``); an absent one is installed without
+        counting a miss.  A write step adds a write-hit touch (LRU,
+        access count, dirty, ``hits``).  The job's hits are counted in
+        one batch at its end, which fixes where ``hits`` lands in the
+        first-fire order.
         """
         num_sets = self.num_sets
         mask = self.set_mask
@@ -354,12 +315,6 @@ class DramCacheOrganization:
         for key in COUNT_KEYS:
             setattr(self, key, int(stats.get(key, 0)))
         self.fired = list(stats)
-
-    def occupancy(self) -> int:
-        """Number of valid pages currently cached."""
-        return sum(
-            1 for ways in self._sets for way in ways if way.valid
-        )
 
     def dirty_count(self) -> int:
         return sum(

@@ -6,7 +6,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "SimulationError",
-    "DeadlockError",
     "CapacityError",
     "ProtocolError",
     "WorkloadError",
@@ -25,10 +24,6 @@ class ConfigurationError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation kernel was used incorrectly or reached a bad state."""
-
-
-class DeadlockError(SimulationError):
-    """The event queue drained while processes were still waiting."""
 
 
 class CapacityError(ReproError):

@@ -21,7 +21,6 @@ importing it from this package must stay cheap and cycle-free.  Use
 from repro.faults.model import (
     ReadOutcome,
     codeword_failure_probability,
-    describe_outcome,
     effective_rber,
     page_failure_probability,
     poisson_tail,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultPlan",
     "ReadOutcome",
     "codeword_failure_probability",
-    "describe_outcome",
     "effective_rber",
     "page_failure_probability",
     "poisson_tail",

@@ -18,7 +18,6 @@ cost of extra sense latency the device model charges.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 
 class ReadOutcome:
@@ -34,11 +33,6 @@ class ReadOutcome:
         self.retry_rounds = retry_rounds
         self.uncorrectable = uncorrectable
         self.timeout_stall = timeout_stall
-
-    @property
-    def faulted(self) -> bool:
-        return (self.retry_rounds > 0 or self.uncorrectable
-                or self.timeout_stall or self.sense_multiplier != 1.0)
 
     def __repr__(self) -> str:
         return (f"<ReadOutcome retries={self.retry_rounds} "
@@ -98,18 +92,3 @@ def effective_rber(rber: float, erase_count: int,
     if retry_round > 0:
         rate *= retry_rber_scale ** retry_round
     return rate
-
-
-def describe_outcome(outcome: Optional[ReadOutcome]) -> str:
-    """Human-readable one-liner for logs and traces."""
-    if outcome is None:
-        return "clean"
-    if outcome.uncorrectable:
-        return f"uncorrectable after {outcome.retry_rounds} retries"
-    if outcome.timeout_stall:
-        return "transient timeout stall"
-    if outcome.retry_rounds:
-        return f"corrected after {outcome.retry_rounds} retries"
-    if outcome.sense_multiplier != 1.0:
-        return f"slow plane x{outcome.sense_multiplier:g}"
-    return "clean"

@@ -155,9 +155,6 @@ class PageMappingFtl:
             return entry[0]
         return logical_page % self.num_planes
 
-    def is_mapped(self, logical_page: int) -> bool:
-        return logical_page in self._mapping
-
     def _check_page(self, logical_page: int) -> None:
         if not 0 <= logical_page < self.num_logical_pages:
             raise ProtocolError(

@@ -1,8 +1,7 @@
 """Experiment harness: one module per paper figure/table.
 
 ``EXPERIMENTS`` maps experiment ids to their ``run(scale=...)``
-callables; ``run_all`` regenerates everything and returns the formatted
-report.
+callables; :func:`run_experiment` runs one by id.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ def run_experiment(name: str, scale="quick", **kwargs) -> ExperimentResult:
     return runner(scale=scale, **kwargs)
 
 
-def run_all(scale="quick", jobs=None) -> List[ExperimentResult]:
-    return [run_experiment(name, scale=scale, jobs=jobs)
-            for name in EXPERIMENTS]
-
-
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
@@ -68,7 +62,6 @@ __all__ = [
     "execute_spec",
     "map_tasks",
     "resolve_scale",
-    "run_all",
     "run_experiment",
     "run_spec",
     "run_specs",

@@ -128,23 +128,6 @@ def trace(gaps_ns, cycle: bool = False) -> Tuple:
     return ("trace", tuple(float(gap) for gap in gaps_ns), bool(cycle))
 
 
-def make_spec(config_name: str, workload_name: str, scale,
-              seed: int = 42, arrivals: Optional[Tuple] = None,
-              workload_overrides: Optional[Mapping[str, Any]] = None,
-              config_overrides: Optional[Mapping[str, Any]] = None
-              ) -> RunSpec:
-    """Build a :class:`RunSpec`, normalizing mapping-style overrides."""
-    return RunSpec(
-        config_name=config_name,
-        workload_name=workload_name,
-        scale=scale,
-        seed=seed,
-        arrivals=arrivals,
-        workload_overrides=tuple(sorted((workload_overrides or {}).items())),
-        config_overrides=tuple(sorted((config_overrides or {}).items())),
-    )
-
-
 def _apply_config_override(config, path: str, value) -> None:
     parts = path.split(".")
     parent = config

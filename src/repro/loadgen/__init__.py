@@ -14,7 +14,6 @@ from repro.loadgen.knee import (
     GRID,
     KneeEvaluation,
     KneeSolution,
-    knee_from_curve,
     solve_knee,
 )
 from repro.loadgen.schema import (
@@ -47,7 +46,6 @@ __all__ = [
     "LoadgenCell",
     "PresetKnee",
     "QpsSweep",
-    "knee_from_curve",
     "parse_qps_sweep",
     "run_loadgen",
     "solve_knee",

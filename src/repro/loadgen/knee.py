@@ -4,8 +4,7 @@ The TailBench-style headline metric the paper leans on: the maximum
 offered load at which the p99 response latency still meets an SLO.
 :func:`solve_knee` bisects offered QPS against an arbitrary
 ``measure`` callable (a simulation in :mod:`repro.loadgen.sweep`, a
-synthetic curve in the tests); :func:`knee_from_curve` reads the knee
-off an already-sampled grid without extra evaluations.
+synthetic curve in the tests).
 
 ``measure(qps)`` returns the p99 in ns, or ``None`` when the point
 cannot be certified (its measurement window was censored — see the
@@ -16,7 +15,7 @@ backlog contract on :class:`repro.core.runner.SimulationResult`);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -85,16 +84,3 @@ def solve_knee(measure: Callable[[float], Optional[float]],
         else:
             bad = mid
     return KneeSolution(good, BRACKETED, good, bad, evaluations)
-
-
-def knee_from_curve(points: Sequence[Tuple[float, Optional[float]]],
-                    slo_ns: float) -> Optional[float]:
-    """Knee read off a sampled (qps, p99_ns) curve: the largest load
-    below the first SLO violation (None when even the lowest sampled
-    load violates)."""
-    sustained = None
-    for qps, p99 in sorted(points):
-        if p99 is None or p99 > slo_ns:
-            break
-        sustained = qps
-    return sustained

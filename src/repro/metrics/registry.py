@@ -139,13 +139,6 @@ class MetricSet:
         metric = self._metrics.get(key)
         return metric.value if metric is not None else None
 
-    def filter(self, prefix: str) -> "MetricSet":
-        """Metrics whose name starts with ``prefix`` (e.g. "flash/")."""
-        kept = MetricSet(m for m in self if m.name.startswith(prefix))
-        kept._policies = {key: policy for key, policy
-                          in self._policies.items() if key in kept}
-        return kept
-
     def as_dict(self) -> Dict[str, float]:
         """The wire form: rendered key -> value, insertion-ordered."""
         return {key: metric.value for key, metric in self._metrics.items()}

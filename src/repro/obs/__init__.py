@@ -40,7 +40,6 @@ from repro.obs.telemetry import (
     TELEMETRY_FIELDS,
     TelemetrySampler,
     write_telemetry_csv,
-    write_telemetry_json,
 )
 from repro.obs.tracer import (
     COMPONENTS,
@@ -73,7 +72,6 @@ __all__ = [
     "validate_trace_events",
     "write_chrome_trace",
     "write_telemetry_csv",
-    "write_telemetry_json",
 ]
 
 

@@ -18,7 +18,6 @@ golden determinism test pins this.
 from __future__ import annotations
 
 import csv
-import json
 from typing import Dict, List
 
 #: Aggregate columns every row carries (per-core ``core{i}_new`` /
@@ -163,16 +162,3 @@ def write_telemetry_csv(rows: List[Dict[str, float]], path: str) -> None:
                                 restval=0.0)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_telemetry_json(rows: List[Dict[str, float]], path: str) -> None:
-    """Write the sampled series as a JSON list of row objects.
-
-    Goes through :func:`repro.jsonutil.json_safe` so a non-finite
-    sample (e.g. an infinite rate from an empty window) serializes as
-    ``null`` instead of a non-standard ``Infinity`` token.
-    """
-    from repro.jsonutil import json_safe
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(json_safe(rows), handle, allow_nan=False)

@@ -195,10 +195,6 @@ class RequestRecord:
     # -- derived quantities --------------------------------------------------
 
     @property
-    def queue_wait_ns(self) -> float:
-        return self.started_at - self.arrived_at
-
-    @property
     def service_latency_ns(self) -> float:
         if self.finished_at is None:
             raise ValueError(f"request {self.job_id} not finished")
@@ -212,13 +208,6 @@ class RequestRecord:
         for name in COMPONENTS:
             total += getattr(self, name)
         return total
-
-    def coverage(self) -> float:
-        """Span-sum over measured service latency (1.0 = exact)."""
-        measured = self.service_latency_ns
-        if measured <= 0.0:
-            return 1.0
-        return self.span_sum_ns() / measured
 
     def __repr__(self) -> str:
         return (f"<RequestRecord {self.workload}#{self.job_id} "

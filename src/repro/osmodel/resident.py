@@ -57,9 +57,6 @@ class ResidentSetManager:
         self.faults += 1
         return False
 
-    def is_resident(self, page: int) -> bool:
-        return page in self._resident
-
     def insert(self, page: int, dirty: bool = False
                ) -> Optional[Tuple[int, bool]]:
         """Map a faulted-in page; returns the evicted ``(page, dirty)``
@@ -113,8 +110,3 @@ class ResidentSetManager:
         for key in COUNT_KEYS:
             setattr(self, key, int(stats.get(key, 0)))
         self.fired = list(stats)
-
-    def warm(self, pages) -> None:
-        """Pre-populate frames (experiment warmup)."""
-        for page in pages:
-            self.insert(page)

@@ -1,14 +1,11 @@
-"""Measurement utilities: counters, histograms, latency/throughput trackers."""
+"""Measurement utilities: counters and latency/throughput trackers."""
 
 from repro.stats.counters import CounterSet
-from repro.stats.histogram import ExactReservoir, LogHistogram, percentile
-from repro.stats.tracker import LatencyTracker, ThroughputTracker
+from repro.stats.tracker import LatencyTracker, ThroughputTracker, percentile
 
 __all__ = [
     "CounterSet",
-    "ExactReservoir",
     "LatencyTracker",
-    "LogHistogram",
     "ThroughputTracker",
     "percentile",
 ]

@@ -7,57 +7,93 @@ been called so warmup transients do not pollute the results.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.stats.histogram import ExactReservoir, LogHistogram
 from repro.units import SECOND
 
 
-class LatencyTracker:
-    """Records per-request latencies inside the measurement window."""
+def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
+    """Exact percentile (nearest-rank with linear interpolation) of a
+    pre-sorted sequence.
 
-    def __init__(self, exact: bool = True, name: str = "") -> None:
+    ``fraction`` is in [0, 1]; e.g. 0.99 for the 99th percentile.
+    """
+    if not sorted_samples:
+        raise ReproError("percentile of empty sample set")
+    if not 0.0 <= fraction <= 1.0:
+        raise ReproError(f"percentile fraction out of range: {fraction}")
+    if len(sorted_samples) == 1:
+        return float(sorted_samples[0])
+    rank = fraction * (len(sorted_samples) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return float(sorted_samples[low])
+    weight = rank - low
+    return float(sorted_samples[low]) * (1 - weight) + float(sorted_samples[high]) * weight
+
+
+class LatencyTracker:
+    """Records per-request latencies inside the measurement window.
+
+    Every sample is kept, so percentiles are exact.  The sample sum is
+    maintained incrementally so :meth:`mean` is O(1) instead of
+    re-reducing the whole sample list on every call (the harness reads
+    means per report row, inside sweeps).
+    """
+
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self._exact = exact
-        self._reservoir = ExactReservoir() if exact else LogHistogram()
+        self._samples: List[float] = []
+        self._sorted = True
+        self._sum = 0.0
         self._measuring = False
 
     def start_measurement(self) -> None:
         """Open the measurement window.
 
         Opening (or re-opening) the window discards previously recorded
-        samples — including warm-up samples slipped in via
-        :meth:`record_always` — so a restarted window never leaks data
-        from an earlier one.
+        samples, so a restarted window never leaks data from an earlier
+        one.
         """
-        self._reservoir = ExactReservoir() if self._exact else LogHistogram()
+        self._samples = []
+        self._sorted = True
+        self._sum = 0.0
         self._measuring = True
-
-    def stop_measurement(self) -> None:
-        self._measuring = False
-
-    @property
-    def measuring(self) -> bool:
-        return self._measuring
 
     def record(self, latency_ns: float) -> None:
         if self._measuring:
-            self._reservoir.record(latency_ns)
-
-    def record_always(self, latency_ns: float) -> None:
-        """Record regardless of the measurement window (for debugging)."""
-        self._reservoir.record(latency_ns)
+            samples = self._samples
+            if samples and latency_ns < samples[-1]:
+                self._sorted = False
+            samples.append(latency_ns)
+            self._sum += latency_ns
 
     @property
     def count(self) -> int:
-        return self._reservoir.count
+        return len(self._samples)
+
+    def _ensure_sorted(self) -> None:
+        if not self._sorted:
+            self._samples.sort()
+            # Re-sync the running sum to the new element order: float
+            # addition is not associative, and mean() must equal a
+            # left-to-right sum of the sample list.  Re-summing here
+            # (already O(n log n) for the sort) keeps it bitwise equal
+            # while staying O(1) per call.
+            self._sum = sum(self._samples)
+            self._sorted = True
 
     def mean(self) -> float:
-        return self._reservoir.mean()
+        if not self._samples:
+            raise ReproError("mean of empty sample set")
+        return self._sum / len(self._samples)
 
     def percentile(self, fraction: float) -> float:
-        return self._reservoir.percentile(fraction)
+        self._ensure_sorted()
+        return percentile(self._samples, fraction)
 
     def p50(self) -> float:
         return self.percentile(0.50)
@@ -65,16 +101,14 @@ class LatencyTracker:
     def p99(self) -> float:
         return self.percentile(0.99)
 
-    def samples(self):
-        """Sorted raw samples when exact, else ``None``.
+    def samples(self) -> List[float]:
+        """A sorted copy of the recorded samples.
 
         The censoring correction in :mod:`repro.core.runner` merges
-        unfinished-job ages into the recorded sample set; that needs
-        the raw values, which only :class:`ExactReservoir` keeps.
+        unfinished-job ages into it.
         """
-        if isinstance(self._reservoir, ExactReservoir):
-            return self._reservoir.samples()
-        return None
+        self._ensure_sorted()
+        return list(self._samples)
 
 
 class ThroughputTracker:

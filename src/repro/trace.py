@@ -110,10 +110,6 @@ class TraceWorkload(Workload):
         self.steps_per_job = steps_per_job
         self._cursor = 0
 
-    @classmethod
-    def from_file(cls, path: str, **kwargs) -> "TraceWorkload":
-        return cls(load_trace(path), **kwargs)
-
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         # Steps are immutable tuples: yield the stored ones, no copy.
         for _ in range(self.steps_per_job):

@@ -53,9 +53,6 @@ class CompletionQueue:
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    def set_doorbell(self, doorbell: Callable[[], None]) -> None:
-        self._doorbell = doorbell
-
     def post(self, page: int, now: float, context=None) -> CompletionEntry:
         """BC-side: publish a page arrival and ring the doorbell.
 
@@ -77,6 +74,3 @@ class CompletionQueue:
         entries = list(self._entries)
         self._entries.clear()
         return entries
-
-    def peek(self) -> Optional[CompletionEntry]:
-        return self._entries[0] if self._entries else None

@@ -19,7 +19,6 @@ from repro.workloads.rbtree import RbtWorkload, RedBlackTree
 from repro.workloads.registry import (
     EVALUATED_WORKLOADS,
     make_workload,
-    workload_names,
 )
 from repro.workloads.silo import SiloWorkload
 from repro.workloads.tatp import TatpWorkload
@@ -52,5 +51,4 @@ __all__ = [
     "ZipfianGenerator",
     "arrival_from_spec",
     "make_workload",
-    "workload_names",
 ]

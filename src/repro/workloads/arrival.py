@@ -228,18 +228,6 @@ class TraceArrivals:
         self.cycle = cycle
         self.exhausted = False
 
-    @classmethod
-    def from_timestamps(cls, timestamps_ns: Sequence[float],
-                        cycle: bool = False) -> "TraceArrivals":
-        """Build from absolute arrival timestamps (sorted ascending)."""
-        if len(timestamps_ns) < 2:
-            raise ConfigurationError(
-                "arrival trace needs at least two timestamps"
-            )
-        gaps = [later - earlier for earlier, later
-                in zip(timestamps_ns, timestamps_ns[1:])]
-        return cls(gaps, cycle=cycle)
-
     def next_gap_ns(self) -> Optional[float]:
         if self._index >= len(self._gaps):
             if not self.cycle:

@@ -87,14 +87,3 @@ class Workload:
 
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         raise NotImplementedError
-
-    # -- calibration helpers -------------------------------------------------
-
-    def average_service_time_ns(self, num_jobs: int = 64) -> float:
-        """Mean per-job sum of compute segments over ``num_jobs`` fresh
-        jobs (memory-access latency is not included)."""
-        total = 0.0
-        for _ in range(num_jobs):
-            for compute_ns, _page, _is_write in self.make_job().steps:
-                total += compute_ns
-        return total / num_jobs

@@ -112,10 +112,6 @@ class HashIndex:
                 return entry_page, pages
         return None, pages
 
-    def average_chain_length(self) -> float:
-        lengths = [len(entries) for entries in self._buckets]
-        return sum(lengths) / len(lengths)
-
 
 class HashTableWorkload(Workload):
     """Zipfian key lookups/updates against the chained hash index."""

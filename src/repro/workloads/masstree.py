@@ -173,25 +173,6 @@ class Masstree:
             leaf = leaf.next_leaf
         return pages
 
-    def check_invariants(self) -> None:
-        """Validate key ordering and fanout bounds (test hook)."""
-        def check(node, low, high):
-            if isinstance(node, _LeafNode):
-                assert node.keys == sorted(node.keys)
-                for key in node.keys:
-                    assert (low is None or key >= low)
-                    assert (high is None or key < high)
-                assert len(node.keys) <= self.leaf_capacity
-                return
-            assert len(node.children) == len(node.keys) + 1
-            assert len(node.children) <= self.interior_fanout
-            for i, child in enumerate(node.children):
-                child_low = node.keys[i - 1] if i > 0 else low
-                child_high = node.keys[i] if i < len(node.keys) else high
-                check(child, child_low, child_high)
-
-        check(self._root, None, None)
-
 
 class MasstreeWorkload(Workload):
     """TailBench-style key-value service over the Masstree index."""

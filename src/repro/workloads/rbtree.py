@@ -148,34 +148,6 @@ class RedBlackTree:
                     self._rotate_left(z.parent.parent)
         self.root.color = BLACK
 
-    # -- validation ------------------------------------------------------------------
-
-    def check_invariants(self) -> int:
-        """Validate BST order, red-red, and black-height; returns the
-        black height.  Raises AssertionError on violation."""
-        if self.root is not None:
-            assert self.root.color == BLACK, "root must be black"
-
-        def walk(node: Optional[_Node], low, high) -> int:
-            if node is None:
-                return 1
-            assert low is None or node.key > low, "BST order violated"
-            assert high is None or node.key < high, "BST order violated"
-            if node.color == RED:
-                for child in (node.left, node.right):
-                    assert child is None or child.color == BLACK, \
-                        "red node with red child"
-            left_height = walk(node.left, low, node.key)
-            right_height = walk(node.right, node.key, high)
-            assert left_height == right_height, "black-height mismatch"
-            return left_height + (1 if node.color == BLACK else 0)
-
-        return walk(self.root, None, None)
-
-    def depth_of(self, key: int) -> int:
-        _, pages = self.search(key)
-        return len(pages)
-
 
 class RbtWorkload(Workload):
     """Zipfian lookups/updates with pointer chasing (the paper's RBT)."""

@@ -42,10 +42,6 @@ EVALUATED_WORKLOADS: List[str] = [
 ]
 
 
-def workload_names() -> List[str]:
-    return list(EVALUATED_WORKLOADS)
-
-
 def make_workload(name: str, dataset_pages: int, seed: int = 42,
                   **kwargs) -> Workload:
     """Instantiate a workload by registry name."""

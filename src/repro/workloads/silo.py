@@ -134,12 +134,6 @@ class SiloWorkload(Workload):
         # Retries exhausted: count it and move on (Silo would back off).
         self.retry_exhaustions += 1
 
-    def abort_rate(self) -> float:
-        total = self.aborts + self.commits
-        if total == 0:
-            return 0.0
-        return self.aborts / total
-
     def _steps_for_job(self, job_id: int) -> Iterator[Step]:
         for _ in range(self.transactions_per_job):
             yield from self._transaction_steps()

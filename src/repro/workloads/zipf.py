@@ -63,31 +63,3 @@ class ZipfianGenerator:
             buffer = self._buffer
         self._cursor = cursor + 1
         return buffer[cursor]
-
-    def sample_array(self, count: int) -> np.ndarray:
-        """``count`` item indices as a numpy array."""
-        uniforms = self._rng.random(count)
-        ranks = np.searchsorted(self._cdf, uniforms, side="left")
-        if self._permutation is not None:
-            ranks = self._permutation[ranks]
-        return ranks
-
-    def coverage(self, fraction: float) -> float:
-        """Probability mass captured by the hottest ``fraction`` of
-        items — the analytic hit rate of a perfectly-managed cache of
-        that size (Fig. 1's idealized form)."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError("coverage fraction out of (0, 1]")
-        top_k = max(1, int(self.n * fraction))
-        return float(self._cdf[top_k - 1])
-
-    def rank_of(self, item: int) -> int:
-        """Popularity rank (0 = hottest) of an item index."""
-        if self._permutation is None:
-            return item
-        # Invert the permutation lazily.
-        if not hasattr(self, "_inverse"):
-            inverse = np.empty(self.n, dtype=np.int64)
-            inverse[self._permutation] = np.arange(self.n)
-            self._inverse = inverse
-        return int(self._inverse[item])

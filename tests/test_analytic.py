@@ -10,8 +10,8 @@ from repro.analytic import (
     astriflash_cost,
     cost_reduction_factor,
     dram_only_cost,
+    PCIE_GEN5_BANDWIDTH_GBPS,
     erlang_c,
-    fits_in_pcie_gen5,
     flash_bandwidth_per_core_gbps,
     flash_bandwidth_total_gbps,
     mm1_response_percentile,
@@ -139,14 +139,16 @@ class TestOverlapModels:
 
     def test_latency_curve_shape(self):
         model = paper_figure3_models()[1]  # astriflash
-        curve = model.latency_curve(0.99, [0.3, 0.6, 0.9])
-        latencies = [latency for _, latency in curve]
+        latencies = [
+            model.percentile_ns(0.99, load * model.max_throughput_per_second)
+            for load in (0.3, 0.6, 0.9)
+        ]
         assert latencies == sorted(latencies)
 
     def test_invalid_load_points_raise(self):
         model = paper_figure3_models()[0]
         with pytest.raises(ConfigurationError):
-            model.latency_curve(0.99, [0.0])
+            model.percentile_ns(0.99, model.max_throughput_per_second)
 
 
 class TestBandwidth:
@@ -159,8 +161,10 @@ class TestBandwidth:
         assert 55.0 < total < 65.0
 
     def test_fits_in_pcie(self):
-        assert fits_in_pcie_gen5(0.03, 64)
-        assert not fits_in_pcie_gen5(0.10, 64)
+        assert flash_bandwidth_total_gbps(0.03, 64) \
+            <= PCIE_GEN5_BANDWIDTH_GBPS
+        assert flash_bandwidth_total_gbps(0.10, 64) \
+            > PCIE_GEN5_BANDWIDTH_GBPS
 
     def test_scales_linearly_with_miss_rate(self):
         assert flash_bandwidth_per_core_gbps(0.06) == \

@@ -134,11 +134,6 @@ class TestTrace:
             [5.0, 7.0, 5.0, 7.0, 5.0]
         assert not process.exhausted
 
-    def test_from_timestamps(self):
-        process = TraceArrivals.from_timestamps([100.0, 150.0, 250.0])
-        assert [process.next_gap_ns() for _ in range(2)] == [50.0, 100.0]
-        assert process.next_gap_ns() is None
-
     def test_rate(self):
         assert TraceArrivals([500.0, 1_500.0]).rate_per_second == \
             pytest.approx(1e6)
@@ -148,8 +143,6 @@ class TestTrace:
             TraceArrivals([])
         with pytest.raises(ConfigurationError):
             TraceArrivals([10.0, -1.0])
-        with pytest.raises(ConfigurationError):
-            TraceArrivals.from_timestamps([100.0])
 
 
 class TestSpecFactory:

@@ -61,6 +61,26 @@ class TestRunCommands:
             main([])
 
 
+class TestErrorExit:
+    """A bad argument value ends any verb the same way: exit 2 and one
+    ``repro <verb>: error:`` line on stderr, never a traceback (exit 1
+    is a failed gate)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "fig9", "--rber-sweep", "abc"],
+        ["loadgen", "fig10", "--qps-sweep", "abc"],
+        ["simulate", "--cores", "0"],
+        ["writes", "kv", "--write-ratio-sweep", "abc"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_value_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestSnapshotFlags:
     def test_no_snapshot_sets_env(self, capsys, monkeypatch):
         # setenv first so monkeypatch restores the pre-test value after

@@ -1,13 +1,13 @@
 """Unit tests for system configuration and presets."""
 
+import copy
+
 import pytest
 
 from repro.config import (
     EVALUATED_CONFIG_NAMES,
     PagingMode,
     SchedulingPolicy,
-    all_configs,
-    dram_to_flash_ratio,
     make_config,
 )
 from repro.errors import ConfigurationError
@@ -15,6 +15,10 @@ from repro.harness.common import HarnessScale
 from repro.harness.parallel import RunSpec, execute_spec
 from repro.sim.engine import total_events_executed
 from repro.units import GIB
+
+
+def all_configs():
+    return {name: make_config(name) for name in EVALUATED_CONFIG_NAMES}
 
 
 def test_all_seven_presets_exist():
@@ -35,8 +39,9 @@ def test_unknown_preset_raises():
 
 def test_paper_capacity_ratio_is_3_percent():
     config = make_config("astriflash")
-    assert dram_to_flash_ratio(config) == pytest.approx(8 * GIB / (256 * GIB))
-    assert dram_to_flash_ratio(config) == pytest.approx(0.03125)
+    ratio = config.dram_cache.capacity_bytes / config.flash.capacity_bytes
+    assert ratio == pytest.approx(8 * GIB / (256 * GIB))
+    assert ratio == pytest.approx(0.03125)
 
 
 def test_modes_match_names():
@@ -125,7 +130,7 @@ def test_bad_sub_config_override_fails_before_running(config_name, path,
 
 def test_deep_copy_is_independent():
     config = make_config("astriflash")
-    clone = config.deep_copy()
+    clone = copy.deepcopy(config)
     clone.ult.threads_per_core = 7
     assert config.ult.threads_per_core != 7
 

@@ -29,8 +29,7 @@ def make_cache(cache_pages=64, assoc=4, dataset_pages=512, msr_entries=32,
 
 def test_warm_then_hit():
     engine, cache, flash = make_cache()
-    for page in range(16):
-        cache.organization.populate(page)
+    cache.organization.warm_job([(0.0, page, False) for page in range(16)])
     result = cache.access(3)
     assert result.hit
     timing = build_timing(cache.config)
@@ -76,6 +75,31 @@ def test_concurrent_misses_to_same_page_coalesce():
     assert cache.frontside.coalesced_misses == 2
 
 
+def test_write_coalescing_onto_a_pending_read_installs_dirty():
+    # A write to a page whose read miss is still refilling merges into
+    # the frontside controller's pending request: one flash read, and
+    # the page installs dirty.
+    engine, cache, flash = make_cache()
+
+    def reader():
+        result = cache.access(60)
+        assert not result.hit
+        yield result.completion
+
+    def writer():
+        yield 1.0 * US  # the read's refill is in flight
+        result = cache.access(60, is_write=True)
+        assert not result.hit
+        yield result.completion
+
+    spawn(engine, reader())
+    spawn(engine, writer())
+    engine.run()
+    assert flash.stats["reads"] == 1
+    assert cache.frontside.coalesced_misses == 1
+    assert cache.organization.dirty_count() == 1
+
+
 def test_write_miss_installs_dirty():
     engine, cache, flash = make_cache()
 
@@ -91,7 +115,7 @@ def test_write_miss_installs_dirty():
 
 def test_write_hit_dirties_the_way():
     engine, cache, flash = make_cache()
-    cache.organization.populate(3)
+    cache.organization.warm_job([(0.0, 3, False)])
     assert cache.access(3, is_write=True).hit
     assert cache.organization.dirty_count() == 1
     assert (cache.organization.hits, cache.organization.misses) == (1, 0)
@@ -122,8 +146,7 @@ def test_dirty_eviction_writes_back_to_flash():
 
 def test_miss_ratio_reporting():
     engine, cache, flash = make_cache()
-    for page in range(8):
-        cache.organization.populate(page)
+    cache.organization.warm_job([(0.0, page, False) for page in range(8)])
     done = []
 
     def driver():

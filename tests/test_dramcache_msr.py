@@ -14,45 +14,32 @@ def make_msr(capacity=4):
 
 def test_allocate_and_lookup():
     engine, msr = make_msr()
-    entry = msr.allocate(10, is_write=False)
-    assert msr.lookup(10) is entry
-    assert msr.lookup(11) is None
+    msr.allocate(10)
+    msr.note_reissue(10)  # finds the pending entry
+    with pytest.raises(ProtocolError):
+        msr.note_reissue(11)
     assert len(msr) == 1
 
 
 def test_duplicate_allocation_raises():
     engine, msr = make_msr()
-    msr.allocate(10, is_write=False)
+    msr.allocate(10)
     with pytest.raises(ProtocolError):
-        msr.allocate(10, is_write=False)
+        msr.allocate(10)
 
 
 def test_capacity_enforced():
     engine, msr = make_msr(capacity=2)
-    msr.allocate(1, False)
-    msr.allocate(2, False)
+    msr.allocate(1)
+    msr.allocate(2)
     assert msr.is_full
     with pytest.raises(CapacityError):
-        msr.allocate(3, False)
-
-
-def test_coalesce_merges_write_intent():
-    engine, msr = make_msr()
-    entry = msr.allocate(5, is_write=False)
-    msr.coalesce(5, is_write=True)
-    assert entry.coalesced == 1
-    assert entry.is_write
-
-
-def test_coalesce_without_entry_raises():
-    engine, msr = make_msr()
-    with pytest.raises(ProtocolError):
-        msr.coalesce(5, is_write=False)
+        msr.allocate(3)
 
 
 def test_release_frees_space_and_wakes_waiter():
     engine, msr = make_msr(capacity=1)
-    msr.allocate(1, False)
+    msr.allocate(1)
     woken = []
 
     def waiter():
@@ -60,7 +47,7 @@ def test_release_frees_space_and_wakes_waiter():
         assert signal is not None
         yield signal
         woken.append(engine.now)
-        msr.allocate(2, False)
+        msr.allocate(2)
 
     def releaser():
         yield 100.0
@@ -70,7 +57,8 @@ def test_release_frees_space_and_wakes_waiter():
     spawn(engine, releaser())
     engine.run()
     assert woken == [100.0]
-    assert msr.lookup(2) is not None
+    assert len(msr) == 1
+    msr.release(2)
 
 
 def test_release_missing_entry_raises():
@@ -87,7 +75,7 @@ def test_wait_for_free_returns_none_when_space():
 def test_peak_occupancy_tracked():
     engine, msr = make_msr(capacity=8)
     for page in range(5):
-        msr.allocate(page, False)
+        msr.allocate(page)
     for page in range(5):
         msr.release(page)
     assert msr.peak_occupancy == 5

@@ -2,6 +2,7 @@
 the ECC error math, the seeded FaultPlan, device-level retry/timeout/
 degraded paths, BC reissue accounting, and the chaos-sweep harness."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -12,7 +13,7 @@ from repro.config import DramCacheConfig, FaultConfig, FlashConfig, \
 from repro.dramcache import DramCache
 from repro.errors import ConfigurationError, DeviceFailedError, \
     FlashTimeoutError, ProtocolError, ReproError
-from repro.faults import FaultPlan, describe_outcome, effective_rber, \
+from repro.faults import FaultPlan, effective_rber, \
     page_failure_probability, poisson_tail
 from repro.faults.chaos import ChaosBench, ChaosCell, \
     _check_monotonic, fault_overrides, parse_rber_sweep
@@ -82,11 +83,6 @@ class TestErrorMath:
                               retry_round=2, retry_rber_scale=0.5)
         assert rate == pytest.approx(1e-3 * 2.0 * 0.25)
 
-    def test_describe_outcome(self):
-        assert describe_outcome(None) == "clean"
-        plan = make_plan(rber=0.0)
-        assert describe_outcome(plan.read_outcome(0, 0)) == "clean"
-
 
 class TestFaultPlan:
     def test_same_seed_reproduces_the_fault_stream(self):
@@ -105,8 +101,11 @@ class TestFaultPlan:
     def test_quiet_config_never_faults(self):
         plan = make_plan(rber=0.0, timeout_probability=0.0,
                          slow_plane_fraction=0.0)
-        assert all(not plan.read_outcome(i % 8, i).faulted
-                   for i in range(200))
+        for i in range(200):
+            outcome = plan.read_outcome(i % 8, i)
+            assert (outcome.sense_multiplier, outcome.retry_rounds,
+                    outcome.uncorrectable, outcome.timeout_stall) == \
+                (1.0, 0, False, False)
 
     def test_slow_plane_topology_is_seed_deterministic(self):
         assert make_plan(slow_plane_fraction=1.0).slow_planes \
@@ -163,7 +162,7 @@ class TestFaultConfig:
     def test_system_config_carries_an_independent_fault_config(self):
         config = SystemConfig()
         config.validate()
-        clone = config.deep_copy()
+        clone = copy.deepcopy(config)
         assert clone.faults is not config.faults
         assert not clone.faults.enabled
 
@@ -304,10 +303,12 @@ class TestMsrReissueAccounting:
         msr = MissStatusRow(engine, 4)
         with pytest.raises(ProtocolError):
             msr.note_reissue(10)
-        entry = msr.allocate(10, is_write=False)
+        msr.allocate(10)
         # A reissue keeps the entry: the miss is still one miss.
-        assert msr.note_reissue(10) is entry
-        assert msr.lookup(10) is entry and len(msr) == 1
+        msr.note_reissue(10)
+        assert len(msr) == 1
+        msr.release(10)
+        assert len(msr) == 0
 
 
 class TestTracedFaultedRun:

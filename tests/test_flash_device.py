@@ -121,7 +121,7 @@ class TestFlashDevice:
 
         spawn(engine, writer())
         engine.run()
-        assert device.ftl.is_mapped(5)
+        assert 5 in device.ftl._mapping
         assert done[0].complete_time is not None
 
     def test_gc_triggers_under_write_pressure(self):
@@ -138,7 +138,7 @@ class TestFlashDevice:
         assert device.ftl.stats["gc_erases"] >= 1
         # Mapping stays correct after GC.
         for page in hot_pages:
-            assert device.ftl.is_mapped(page)
+            assert page in device.ftl._mapping
 
     def test_gc_blocking_is_observed_by_reads(self):
         engine, device = make_device(pages=64)

@@ -109,7 +109,7 @@ class TestPageMappingFtl:
         plane = ftl.write(9)
         assert plane == 9 % 4
         assert ftl.plane_of(9) == plane
-        assert ftl.is_mapped(9)
+        assert 9 in ftl._mapping
 
     def test_overwrite_invalidates_old_slot(self):
         ftl = make_ftl()

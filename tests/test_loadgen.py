@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,11 +18,11 @@ from repro.loadgen import (
     BELOW_RANGE,
     BRACKETED,
     DEFAULT_QPS_SWEEP,
-    knee_from_curve,
     parse_qps_sweep,
     run_loadgen,
     solve_knee,
 )
+from repro.loadgen.sweep import _make_cell, _solve_preset_knee
 from repro.metrics import LEDGER_SCHEMA_VERSION, read_ledger, \
     record_from_file, write_record
 from repro.units import US
@@ -83,6 +84,26 @@ class TestSolveKnee:
             solve_knee(synthetic_p99, 500.0, 100.0, slo_ns=1.0)
         with pytest.raises(ConfigurationError):
             solve_knee(synthetic_p99, 100.0, 500.0, slo_ns=0.0)
+
+
+def knee_from_curve(points, slo_ns):
+    """The sweep's knee read off a sampled grid, with no refinement.
+
+    Each point is ``(qps, p99_ns)``; a ``None`` p99 stands for a cell
+    whose backlog censored its window.
+    """
+    cells = []
+    for qps, p99 in points:
+        result = SimpleNamespace(
+            backlog_fraction=1.0 if p99 is None else 0.0,
+            response_p99_ns=p99, response_p99_lower_bound_ns=None,
+            throughput_jobs_per_s=qps, completed_jobs=1,
+            unfinished_jobs=0, service_p99_ns=0.0, response_mean_ns=None,
+        )
+        cells.append(_make_cell("p", qps, result, slo_ns,
+                                backlog_threshold=0.5))
+    knee = _solve_preset_knee("p", cells, None, slo_ns, refine_evals=0)
+    return knee.sustained_qps
 
 
 class TestKneeFromCurve:

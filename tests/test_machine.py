@@ -80,7 +80,7 @@ class TestWarmup:
         machine = Machine(small_config("astriflash"))
         workload = make_workload("arrayswap", 2048, seed=1)
         machine.warm_caches(workload, num_steps=5000)
-        assert machine.dram_cache.organization.occupancy() > 0
+        assert any(machine.dram_cache.organization.tag_index)
 
     def test_warm_caches_populates_resident_set(self):
         machine = Machine(small_config("os-swap"))

@@ -66,11 +66,9 @@ class TestRegistry:
         right.add("gc/moves", 2.0, gate=EXACT)
         left.merge(right)
         assert len(left) == 2
-        assert list(left.filter("gc/").as_dict()) == ["gc/moves"]
-        # Gate policies follow their keys through merge and filter.
+        assert list(left.as_dict()) == ["flash/reads{preset=p}", "gc/moves"]
+        # Gate policies follow their keys through merge.
         assert left.policies() == {"gc/moves": {"mode": "exact"}}
-        assert left.filter("gc/").policies() == left.policies()
-        assert left.filter("flash/").policies() == {}
         # "policy" stays free as a label (writes/* metrics use it).
         right.add("writes/admission_rejects", 3.0, gate=EXACT,
                   policy="readiness")

@@ -125,9 +125,9 @@ class TestChargeResume:
             record.service_latency_ns
         record.finished_at = 140.0
         record.compute = 100.0
-        assert record.queue_wait_ns == pytest.approx(30.0)
         assert record.service_latency_ns == pytest.approx(100.0)
-        assert record.coverage() == pytest.approx(1.0)
+        assert record.span_sum_ns() == pytest.approx(
+            record.service_latency_ns)
         assert set(record.components()) == set(COMPONENTS)
 
 

@@ -41,8 +41,10 @@ class TestResidentSetManager:
 
     def test_warm(self):
         rsm = ResidentSetManager(8)
-        rsm.warm(range(5))
+        for page in range(5):
+            rsm.insert(page)
         assert len(rsm) == 5
+        assert all(rsm.lookup(page) for page in range(5))
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -74,7 +76,7 @@ class TestDemandPager:
 
         spawn(engine, faulter())
         engine.run()
-        assert pager.resident.is_resident(10)
+        assert pager.resident.lookup(10)
         # Kernel stack (~5 us) + flash read (~50 us).
         assert durations[0] >= 55.0 * US
         assert flash.stats["reads"] == 1
@@ -104,8 +106,8 @@ class TestDemandPager:
         spawn(engine, faulter())
         engine.run()
         assert pager.shootdowns == 1
-        assert not pager.resident.is_resident(1)
-        assert pager.resident.is_resident(2)
+        assert not pager.resident.lookup(1)
+        assert pager.resident.lookup(2)
 
     def test_dirty_eviction_writes_back(self):
         engine, pager, flash = make_pager(capacity=1)

@@ -9,7 +9,6 @@ from repro.harness.parallel import (
     ParallelRunError,
     RunSpec,
     execute_spec,
-    make_spec,
     map_tasks,
     poisson,
     run_specs,
@@ -47,13 +46,6 @@ class TestSpecs:
         assert spec_key(tiny_spec()) != spec_key(
             tiny_spec(config_overrides=(("scale.dram_fraction", 0.05),))
         )
-
-    def test_make_spec_normalizes_mappings(self):
-        spec = make_spec("astriflash", "arrayswap", TINY,
-                         workload_overrides={"zipf_s": 1.9},
-                         config_overrides={"scale.dram_fraction": 0.05})
-        assert spec.workload_overrides == (("zipf_s", 1.9),)
-        assert spec.config_overrides == (("scale.dram_fraction", 0.05),)
 
     def test_config_override_applies_dotted_paths(self):
         spec = tiny_spec(config_overrides=(

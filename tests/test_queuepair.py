@@ -23,26 +23,12 @@ class TestCompletionQueue:
         cq.post(6, now=0.0)
         assert len(rings) == 2
 
-    def test_doorbell_can_be_installed_later(self):
-        cq = CompletionQueue(core_id=0)
-        rings = []
-        cq.set_doorbell(lambda: rings.append(1))
-        cq.post(1, now=0.0)
-        assert rings == [1]
-
     def test_capacity_overflow_raises(self):
         cq = CompletionQueue(core_id=0, capacity=2)
         cq.post(1, now=0.0)
         cq.post(2, now=0.0)
         with pytest.raises(CapacityError):
             cq.post(3, now=0.0)
-
-    def test_peek_does_not_consume(self):
-        cq = CompletionQueue(core_id=0)
-        assert cq.peek() is None
-        cq.post(7, now=3.0)
-        assert cq.peek().page == 7
-        assert len(cq) == 1
 
     def test_drain_empty_is_noop(self):
         cq = CompletionQueue(core_id=0)

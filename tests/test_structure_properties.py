@@ -15,14 +15,26 @@ from repro.flash.ftl import PageMappingFtl
 from repro.sim import Engine
 
 
+def read(org, page):
+    org.warm_job([(0.0, page, False)])
+
+
+def contains(org, page):
+    return page in org.tag_index[org.set_index(page)]
+
+
+def is_reserved(org, page):
+    return page in org._reserved_index[org.set_index(page)]
+
+
 class TestOrganizationProperties:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_populate_never_duplicates_or_overflows(self, pages):
         org = DramCacheOrganization(num_pages=16, associativity=4)
         for page in pages:
-            org.populate(page)
-            assert org.occupancy() <= org.capacity_pages
+            read(org, page)
+            assert sum(map(len, org.tag_index)) <= org.capacity_pages
         # No page may be resident in two ways at once.
         resident = [
             way.page
@@ -47,7 +59,7 @@ class TestOrganizationProperties:
         for page, is_write in accesses:
             if not cache.access(page, is_write).hit:
                 engine.run()  # the backside controller refills it
-            assert org.contains(page)
+            assert contains(org, page)
         # Each access counted once, as a hit or a miss.
         assert cache.frontside.accesses == len(accesses)
         assert org.hits + org.misses == len(accesses)
@@ -166,7 +178,7 @@ class TestTagIndexCoherence:
     @given(st.lists(
         st.tuples(
             st.sampled_from(("touch", "write", "reserve", "install",
-                             "cancel", "populate")),
+                             "populate")),
             st.integers(0, 63),
         ),
         min_size=1, max_size=250,
@@ -176,27 +188,24 @@ class TestTagIndexCoherence:
         org = DramCacheOrganization(num_pages=32, associativity=4)
         for op, page in operations:
             if op == "touch":
-                if org.contains(page):
-                    org.populate(page)  # a read hit
+                if contains(org, page):
+                    read(org, page)  # a read hit
             elif op == "write":
-                if org.contains(page):
+                if contains(org, page):
                     org.warm_job([(0.0, page, True)])  # a write hit
             elif op == "reserve":
-                if not org.is_reserved(page) and not org.contains(page):
+                if not is_reserved(org, page) and not contains(org, page):
                     try:
                         org.reserve_victim(page)
                     except ProtocolError:
                         pass  # every way of the set reserved
             elif op == "install":
-                if org.is_reserved(page):
+                if is_reserved(org, page):
                     org.install(page)
-            elif op == "cancel":
-                if org.is_reserved(page):
-                    org.cancel_reservation(page)
             elif op == "populate":
-                if not org.is_reserved(page):
+                if not is_reserved(org, page):
                     try:
-                        org.populate(page)
+                        read(org, page)
                     except ProtocolError:
                         pass  # every way of the set reserved
 

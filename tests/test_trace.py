@@ -154,7 +154,7 @@ class TestTraceWorkload:
     def test_from_file(self, recorded, tmp_path):
         path = str(tmp_path / "trace.csv")
         recorded.save(path)
-        replay = TraceWorkload.from_file(path, steps_per_job=5)
+        replay = TraceWorkload(load_trace(path), steps_per_job=5)
         _, page, _ = next(replay.make_job().steps)
         assert page == recorded.steps[0][1]
 

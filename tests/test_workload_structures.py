@@ -1,5 +1,8 @@
 """Tests for Zipf, heaps, and the workload data structures."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,49 +15,97 @@ from repro.workloads import (
     SpreadHeap,
     ZipfianGenerator,
 )
+from repro.workloads.masstree import _LeafNode
+from repro.workloads.rbtree import BLACK, RED
+
+
+def draws(zipf, count):
+    return np.array([zipf.sample() for _ in range(count)])
+
+
+def rbtree_check_invariants(tree):
+    """Validate BST order, red-red, and black-height; returns the
+    black height.  Raises AssertionError on violation."""
+    if tree.root is not None:
+        assert tree.root.color == BLACK, "root must be black"
+
+    def walk(node, low, high):
+        if node is None:
+            return 1
+        assert low is None or node.key > low, "BST order violated"
+        assert high is None or node.key < high, "BST order violated"
+        if node.color == RED:
+            for child in (node.left, node.right):
+                assert child is None or child.color == BLACK, \
+                    "red node with red child"
+        left_height = walk(node.left, low, node.key)
+        right_height = walk(node.right, node.key, high)
+        assert left_height == right_height, "black-height mismatch"
+        return left_height + (1 if node.color == BLACK else 0)
+
+    return walk(tree.root, None, None)
+
+
+def masstree_check_invariants(tree):
+    """Validate key ordering and fanout bounds."""
+    def check(node, low, high):
+        if isinstance(node, _LeafNode):
+            assert node.keys == sorted(node.keys)
+            for key in node.keys:
+                assert (low is None or key >= low)
+                assert (high is None or key < high)
+            assert len(node.keys) <= tree.leaf_capacity
+            return
+        assert len(node.children) == len(node.keys) + 1
+        assert len(node.children) <= tree.interior_fanout
+        for i, child in enumerate(node.children):
+            child_low = node.keys[i - 1] if i > 0 else low
+            child_high = node.keys[i] if i < len(node.keys) else high
+            check(child, child_low, child_high)
+
+    check(tree._root, None, None)
 
 
 class TestZipfianGenerator:
     def test_samples_in_range(self):
         zipf = ZipfianGenerator(100, 1.2, seed=1)
-        samples = zipf.sample_array(10_000)
+        samples = draws(zipf, 10_000)
         assert samples.min() >= 0
         assert samples.max() < 100
 
     def test_skew_concentrates_mass(self):
         zipf = ZipfianGenerator(10_000, 1.3, seed=1, permute=False)
-        samples = zipf.sample_array(50_000)
+        samples = draws(zipf, 50_000)
         top_3pct = (samples < 300).mean()
         assert top_3pct > 0.7  # most accesses hit the hot 3%
 
     def test_coverage_monotone(self):
-        zipf = ZipfianGenerator(10_000, 1.3)
-        assert zipf.coverage(0.01) < zipf.coverage(0.1) < zipf.coverage(1.0)
-        assert zipf.coverage(1.0) == pytest.approx(1.0)
+        # Unpermuted, the hottest fraction of items is the lowest indices.
+        zipf = ZipfianGenerator(10_000, 1.3, seed=1, permute=False)
+        samples = draws(zipf, 50_000)
+        shares = [(samples < top).mean() for top in (100, 1000, 10_000)]
+        assert shares[0] < shares[1] < shares[2] == 1.0
 
     def test_coverage_matches_empirical(self):
+        # The hottest 3% of items carry the analytic Zipf mass.
         zipf = ZipfianGenerator(1000, 1.3, seed=3, permute=False)
-        analytic = zipf.coverage(0.03)
-        samples = zipf.sample_array(100_000)
+        weights = 1.0 / np.arange(1, 1001, dtype=np.float64) ** 1.3
+        analytic = weights[:30].sum() / weights.sum()
+        samples = draws(zipf, 100_000)
         empirical = (samples < 30).mean()
         assert abs(analytic - empirical) < 0.02
 
     def test_permutation_spreads_hot_items(self):
         zipf = ZipfianGenerator(10_000, 1.3, seed=1, permute=True)
-        samples = zipf.sample_array(10_000)
-        # The hottest item is no longer index 0 with high probability.
-        hottest = zipf.rank_of(int(samples[0]))
-        assert 0 <= hottest < 10_000
-
-    def test_rank_of_inverts_permutation(self):
-        zipf = ZipfianGenerator(100, 1.0, seed=5, permute=True)
-        item = zipf.sample()
-        rank = zipf.rank_of(item)
-        assert zipf._permutation[rank] == item
+        samples = draws(zipf, 10_000)
+        # The most-drawn item is the one the permutation gives rank 0,
+        # not index 0.
+        hottest, _ = Counter(samples.tolist()).most_common(1)[0]
+        assert hottest == zipf._permutation[0] != 0
 
     def test_zero_skew_is_uniform(self):
         zipf = ZipfianGenerator(100, 0.0, seed=1, permute=False)
-        samples = zipf.sample_array(100_000)
+        samples = draws(zipf, 100_000)
         assert abs((samples < 50).mean() - 0.5) < 0.02
 
     def test_invalid_parameters_raise(self):
@@ -62,8 +113,6 @@ class TestZipfianGenerator:
             ZipfianGenerator(0, 1.0)
         with pytest.raises(ConfigurationError):
             ZipfianGenerator(10, -1.0)
-        with pytest.raises(ConfigurationError):
-            ZipfianGenerator(10, 1.0).coverage(0.0)
 
 
 class TestHeaps:
@@ -102,9 +151,9 @@ class TestRedBlackTree:
 
     def test_invariants_after_sequential_inserts(self):
         tree = self.make_tree(range(512))
-        tree.check_invariants()
+        rbtree_check_invariants(tree)
         # Balanced: depth is O(log n), not O(n).
-        assert tree.depth_of(511) <= 2 * 10  # 2*log2(512)=18
+        assert len(tree.search(511)[1]) <= 2 * 10  # 2*log2(512)=18
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=120))
     @settings(max_examples=60, deadline=None)
@@ -115,7 +164,7 @@ class TestRedBlackTree:
             inserted = tree.insert(key)
             assert inserted == (key not in present)
             present.add(key)
-            tree.check_invariants()
+            rbtree_check_invariants(tree)
         assert tree.size == len(present)
         for key in present:
             assert tree.search(key)[0] is not None
@@ -149,7 +198,7 @@ class TestMasstree:
     def test_splits_grow_height_logarithmically(self):
         tree = self.make_tree(4096)
         assert tree.height <= 5
-        tree.check_invariants()
+        masstree_check_invariants(tree)
 
     def test_range_pages(self):
         tree = self.make_tree(500)
@@ -164,7 +213,7 @@ class TestMasstree:
                         interior_fanout=4)
         for key in keys:
             tree.insert(key, value_page=key * 2)
-            tree.check_invariants()
+            masstree_check_invariants(tree)
         for key in keys:
             assert tree.get(key)[0] == key * 2
 
@@ -191,7 +240,10 @@ class TestHashIndex:
                           expected_entries=64)
         for key in range(64):
             index.insert(key)
-        assert index.average_chain_length() == pytest.approx(4.0)
+        assert index.size / index.num_buckets == pytest.approx(4.0)
+        # Some bucket holds at least four entries, so finding its
+        # oldest key walks the bucket page plus four entries.
+        assert max(len(index.lookup(key)[1]) for key in range(64)) >= 5
 
     def test_budget_must_fit_buckets(self):
         with pytest.raises(WorkloadError):
