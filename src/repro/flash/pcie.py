@@ -48,8 +48,5 @@ class PCIeLink:
         yield self.latency_ns
         self.bytes_transferred += num_bytes
 
-    def utilization(self) -> float:
-        return self._pipe.utilization()
-
     def __repr__(self) -> str:
         return f"<PCIeLink {self.bandwidth_bytes_per_ns:.0f} GB/s lat={self.latency_ns} ns>"

@@ -17,8 +17,8 @@ figure/table modules build on:
   :class:`ParallelRunError` is raised.  Each finished
   :class:`~repro.core.runner.SimulationResult` is stored as the
   ``result`` kind of :class:`repro.snapshot.SnapshotStore` under
-  :func:`spec_key`, in the same directory as the dataset and
-  warm-state snapshots (``REPRO_CACHE_DIR``, default ``.repro_cache``;
+  :func:`spec_key`, in the same directory as the warm-state
+  snapshots (``REPRO_CACHE_DIR``, default ``.repro_cache``;
   disable with ``REPRO_CACHE=0``).  The store's header check (format
   version + a digest of the ``repro`` sources) means *any* simulator
   change invalidates stale results.
@@ -169,31 +169,29 @@ def _spec_warm_key(spec: RunSpec) -> Optional[str]:
 def _prepare_runner(spec: RunSpec, store) -> Runner:
     """Build the :class:`Runner` for one spec, warm state included.
 
-    With snapshots enabled the dataset build is memoized, and the
-    warm/measure-boundary state is restored from the store when the
-    spec's warm key is already captured — bit-identical to a fresh
-    ``machine.warm_caches()`` — or captured for the rest of the sweep
-    otherwise.
+    With snapshots enabled the workload is a session over the process's
+    shared dataset, and the warm/measure-boundary state is restored
+    from the store when the spec's warm key is already captured —
+    bit-identical to a fresh ``machine.warm_caches()`` — or captured
+    for the rest of the sweep otherwise.
     """
     from repro import snapshot as snap
 
     config, kwargs, scale = _spec_parts(spec)
     arrivals = arrival_from_spec(spec.arrivals)
-    key = None
+    workload = snap.build_workload(spec.workload_name, scale.dataset_pages,
+                                   spec.seed, store=store, **kwargs)
+    key = payload = None
     if store.enabled:
         key = snap.warm_key(config, spec.workload_name, spec.seed, kwargs,
                             dataset_pages=scale.dataset_pages)
-        if key is not None:
-            payload = store.load(snap.WARM_KIND, key)
-            if payload is not None:
-                runner = Runner(config, payload["workload"],
-                                arrivals=arrivals, warm=False)
-                snap.restore_warm(runner, payload)
-                return runner
-    workload = snap.build_workload(spec.workload_name, scale.dataset_pages,
-                                   spec.seed, store=store, **kwargs)
-    runner = Runner(config, workload, arrivals=arrivals)
     if key is not None:
+        payload = store.load(snap.WARM_KIND, key)
+    runner = Runner(config, workload, arrivals=arrivals,
+                    warm=payload is None)
+    if payload is not None:
+        snap.restore_warm(runner, payload)
+    elif key is not None:
         snap.capture_warm(runner, key, store)
     return runner
 
@@ -253,11 +251,12 @@ def _pool_context():
 
     ``fork`` is requested explicitly (not left to the platform
     default): forked workers inherit the parent's in-process snapshot
-    memo, so pre-warmed state reaches them with zero file I/O.  On
-    platforms without ``fork`` (Windows; macOS where it is unreliable
-    with threads) this falls back to the platform default (``spawn``),
-    where workers restore warm state from the snapshot *files* instead
-    — same results, one pickle read per group member.
+    memo and datasets, so pre-warmed state reaches them with zero file
+    I/O.  On platforms without ``fork`` (Windows; macOS where it is
+    unreliable with threads) this falls back to the platform default
+    (``spawn``), where workers build their own datasets and restore warm
+    state from the snapshot *files* — same results, one pickle read per
+    group member.
     """
     import multiprocessing
 
@@ -312,7 +311,7 @@ def _prewarm_groups(specs: Sequence[RunSpec], pending: Sequence[int],
     Only groups of two or more pending specs whose key is not already
     captured are warmed here — singletons capture inside their own
     worker at no extra cost.  Forked workers inherit the resulting
-    in-process memo; spawned workers read the snapshot files.
+    memo and datasets; spawned workers read the snapshot files.
     """
     from repro import snapshot as snap
 

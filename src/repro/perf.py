@@ -207,8 +207,10 @@ class SweepBench:
     tracks the event loop, this tracks what :mod:`repro.snapshot`
     amortizes across a sweep (dataset builds, cache warmup).  Three
     timings: snapshots off, the cold on-run that also *builds* the
-    snapshots, and the warm on-run that reuses them.  ``speedup`` is
-    off/on — the figure the acceptance bar (>= 1.3x) reads.
+    datasets and snapshot files, and the on-run of a cold process that
+    rebuilds the datasets and restores warm payloads from the files.
+    ``speedup`` is off/on — the figure the acceptance bar (>= 1.3x)
+    reads.
     """
 
     experiment: str
@@ -293,8 +295,9 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
 
         t_off = timed(False)
         t_cold = timed(True)
-        # Drop the in-process memo so the warm run exercises the real
-        # restore path (memo repopulates from the snapshot files).
+        # Drop the in-process memo and datasets, as a cold process
+        # would: the on-run rebuilds the datasets and restores warm
+        # payloads from the snapshot files.
         snapshot.SnapshotStore.clear_memo()
         t_on = timed(True)
     finally:

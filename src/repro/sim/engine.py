@@ -268,10 +268,5 @@ class Engine:
         """Number of live (non-cancelled) entries in the queue."""
         return len(self._queue) - self._cancelled_in_queue
 
-    @property
-    def queue_length(self) -> int:
-        """Heap entries, including not-yet-compacted cancelled ones."""
-        return len(self._queue)
-
     def __repr__(self) -> str:
         return f"<Engine t={self.now:.1f} pending={self.pending_events}>"

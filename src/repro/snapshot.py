@@ -1,6 +1,6 @@
-"""The harness store: stored results and warm-state snapshots, which
-amortize dataset builds and cache warmup across experiment sweeps
-(DESIGN.md §4e).
+"""The harness store: shared datasets, stored results and warm-state
+snapshots, which amortize dataset builds and cache warmup across
+experiment sweeps (DESIGN.md §4e).
 
 Every figure/table harness is a *sweep*, yet each run used to rebuild
 its workload dataset and re-warm the DRAM cache / resident set from
@@ -8,17 +8,18 @@ scratch — even when sweep points differ only in a parameter that does
 not affect warm state (arrival rate, switch cost, MSR depth).  This
 module memoizes both, and the finished runs themselves:
 
-* **Dataset builds** (:func:`build_workload`) — the constructed
-  workload object (hash index, trees, page-heap layout) is serialized
-  once per ``(name, dataset_pages, seed, kwargs)`` digest, in-process
-  and on disk.  Restores unpickle a *fresh* object per caller, so no
-  mutable state is ever shared between runs.
+* **Datasets** (:func:`build_workload`) — each workload dataset (hash
+  index, trees, page layout, Zipf tables) is built once per process
+  for its :func:`workload_key` and shared read-only; every run gets a
+  fresh *session* over it (:meth:`~repro.workloads.Workload.session`),
+  which holds all the state a run mutates.  ``fork``-started workers
+  inherit the built datasets; spawn-started workers build their own.
 * **Post-warmup machine state** (:func:`capture_warm` /
   :func:`restore_warm`) — DRAM-cache tags/ways/dirty bits and
-  reservation maps (or the OS resident set), plus the workload and
-  runner RNG state at the warm/measure boundary.  Restoring is
-  *bit-identical* to a fresh warm: the golden determinism test passes
-  unchanged through both paths, enforced by
+  reservation maps (or the OS resident set), plus the workload session
+  and the runner RNG state at the warm/measure boundary; no dataset.
+  Restoring is *bit-identical* to a fresh warm: the golden determinism
+  test passes unchanged through both paths, enforced by
   :meth:`~repro.core.machine.Machine.state_fingerprint` equality.
 * **Finished results** (:data:`RESULT_KIND`) — each run's
   ``SimulationResult``, stored and reused by
@@ -35,7 +36,8 @@ workers fall back to the files).
 
 Policy knobs (also exposed as CLI flags, see ``repro --help``):
 
-* ``REPRO_SNAPSHOT=0``        — disable dataset and warm snapshots;
+* ``REPRO_SNAPSHOT=0``        — disable shared datasets and warm
+  snapshots (every run constructs its own workload);
 * ``REPRO_CACHE=0``           — disable stored results;
 * ``REPRO_CACHE_DIR=PATH``    — the one store directory (default:
   ``.repro_cache``);
@@ -48,21 +50,19 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import sys
-import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config.system import PagingMode, SystemConfig
 from repro.stats import CounterSet
-from repro.workloads import make_workload
+from repro.workloads import Workload, make_workload
+from repro.workloads.registry import workload_class
 
 #: Bump on any change to the snapshot file layout or payload schema.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Store kinds (the filename prefix).
-WORKLOAD_KIND = "workload"
 WARM_KIND = "warm"
 TRACE_KIND = "trace"
 RESULT_KIND = "result"
@@ -108,8 +108,11 @@ def _digest(canonical: Tuple) -> str:
 
 def workload_key(name: str, dataset_pages: int, seed: int,
                  kwargs: Dict[str, Any]) -> str:
-    """Digest of exactly the parameters that shape the built dataset."""
-    return _digest(("workload", name, int(dataset_pages), int(seed),
+    """Digest of the parameters that shape the built dataset: the seed
+    only where the build draws from it (rbtree)."""
+    if not workload_class(name).seeded_dataset:
+        seed = None
+    return _digest(("workload", name, int(dataset_pages), seed,
                     tuple(sorted(kwargs.items()))))
 
 
@@ -157,55 +160,6 @@ def generic_key(*parts) -> str:
     """Digest of arbitrary repr-stable parts, for harness-specific
     snapshot kinds (e.g. fig1's warmed-LRU states)."""
     return _digest(parts)
-
-
-# ------------------------------------------------------------- deep pickling --
-
-# Workload datasets include deep linked structures (masstree/rbtree
-# nodes); pickling them overflows the default recursion limit.  Retry
-# such dumps/loads in a dedicated big-stack thread with a raised limit.
-_DEEP_RECURSION_LIMIT = 500_000
-_DEEP_STACK_BYTES = 256 << 20
-
-
-def _with_deep_stack(func, *args):
-    box: Dict[str, Any] = {}
-
-    def work():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
-        try:
-            box["value"] = func(*args)
-        except BaseException as exc:  # re-raised on the caller's thread
-            box["error"] = exc
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_stack = threading.stack_size(_DEEP_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=work, name="repro-snapshot-pickle")
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_stack)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-def _dumps(obj) -> bytes:
-    try:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except RecursionError:
-        return _with_deep_stack(pickle.dumps, obj,
-                                pickle.HIGHEST_PROTOCOL)
-
-
-def _loads(blob: bytes):
-    try:
-        return pickle.loads(blob)
-    except RecursionError:
-        return _with_deep_stack(pickle.loads, blob)
 
 
 # -------------------------------------------------------------- LRU pruning --
@@ -365,7 +319,7 @@ class SnapshotStore:
         blob = self._MEMO.get((self._scope, kind, key))
         if blob is not None:
             STATS[f"{kind}_memo_hits"] += 1.0
-            return _loads(blob)
+            return pickle.loads(blob)
         path = self._path(kind, key)
         try:
             with open(path, "rb") as handle:
@@ -373,7 +327,7 @@ class SnapshotStore:
                 if not self._header_valid(header, kind, key):
                     raise _StaleSnapshot()
                 payload_blob = handle.read()
-            payload = _loads(payload_blob)
+            payload = pickle.loads(payload_blob)
         except OSError:
             return None
         except _StaleSnapshot:
@@ -395,7 +349,7 @@ class SnapshotStore:
         versioned file; LRU-prunes the cache tree afterwards."""
         if not self.enabled:
             return
-        blob = _dumps(payload)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         self._MEMO[(self._scope, kind, key)] = blob
         path = self._path(kind, key)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
@@ -430,7 +384,9 @@ class SnapshotStore:
 
     @classmethod
     def clear_memo(cls) -> None:
+        """Forget the memo and the process's built datasets."""
         cls._MEMO.clear()
+        _DATASETS.clear()
 
 
 class _StaleSnapshot(Exception):
@@ -445,30 +401,33 @@ def resolve_store(snapshots: Optional[bool] = None,
     return SnapshotStore(directory=directory, enabled=snapshots)
 
 
-# ------------------------------------------------------- dataset memoization --
+# ------------------------------------------------------------ shared datasets --
+
+#: The process's built datasets by :func:`workload_key`.  Each is a
+#: workload that never runs; runs get sessions over it.
+_DATASETS: Dict[str, Workload] = {}
 
 
 def build_workload(name: str, dataset_pages: int, seed: int,
                    store: Optional[SnapshotStore] = None, **kwargs):
-    """:func:`~repro.workloads.make_workload` with dataset memoization.
+    """:func:`~repro.workloads.make_workload` over a shared dataset.
 
-    The expensive part of construction (``HashIndex.bulk_load``,
-    masstree/rbtree node builds, page-heap layout) is reused via the
-    snapshot store; the returned object is always a private copy whose
-    behaviour is bit-identical to a fresh construction (RNG state and
-    job counter included — both are at their just-constructed values).
+    The dataset (``HashIndex.bulk_load``, masstree/rbtree node builds,
+    page layout, Zipf tables) is built once per process and key; the
+    returned workload is a fresh session over it, bit-identical to a
+    fresh construction.  A disabled store constructs with
+    ``make_workload``.
     """
     store = store if store is not None else resolve_store()
     if not store.enabled:
         return make_workload(name, dataset_pages, seed=seed, **kwargs)
     key = workload_key(name, dataset_pages, seed, kwargs)
-    cached = store.load(WORKLOAD_KIND, key)
-    if cached is not None:
-        return cached
-    workload = make_workload(name, dataset_pages, seed=seed, **kwargs)
-    store.store(WORKLOAD_KIND, key, workload)
-    STATS["workload_builds"] += 1.0
-    return workload
+    dataset = _DATASETS.get(key)
+    if dataset is None:
+        dataset = _DATASETS[key] = make_workload(
+            name, dataset_pages, seed=seed, **kwargs)
+        STATS["workload_builds"] += 1.0
+    return dataset.session(seed)
 
 
 # ------------------------------------------------- warm-state capture/restore --
@@ -480,16 +439,17 @@ def capture_warm(runner, key: str, store: SnapshotStore,
     warm/measure-boundary state under ``key``.
 
     The payload carries everything the measurement phase reads that
-    warmup wrote: the workload (dataset + advanced RNG + job counter),
-    the runner RNG state, and the machine's warm state (DRAM-cache
-    tags/ways/dirty bits and reservation maps, or the resident set).
+    warmup wrote: the workload session (RNG and Zipf streams, job
+    counter, run state; not the dataset), the runner RNG state, and the
+    machine's warm state (DRAM-cache tags/ways/dirty bits and
+    reservation maps, or the resident set).
     """
     runner.warm(warm_steps)
     STATS["warm_captures"] += 1.0
     if not store.enabled:
         return
     payload = {
-        "workload": runner.workload,
+        "session": runner.workload.dump_session(),
         "rng_state": runner._rng.getstate(),
         "machine": runner.machine.dump_warm_state(),
     }
@@ -497,16 +457,17 @@ def capture_warm(runner, key: str, store: SnapshotStore,
 
 
 def restore_warm(runner, payload: Dict[str, Any]) -> None:
-    """Load a warm-state payload into a freshly-constructed runner,
-    instead of calling ``machine.warm_caches()``.
+    """Load a warm-state payload into a freshly-constructed runner
+    whose workload is a fresh session of the payload's seed, instead of
+    calling ``machine.warm_caches()``.
 
     The restore contract is *bit-identical continuation*: after this
     call the runner's observable state (machine fingerprint, workload
-    RNG, job counter, runner RNG) equals the state a fresh warm with
-    the same inputs would have produced.
+    session, runner RNG) equals the state a fresh warm with the same
+    inputs would have produced.
     """
     start = time.perf_counter()
-    runner.workload = payload["workload"]
+    runner.workload.load_session(payload["session"])
     runner._rng.setstate(payload["rng_state"])
     runner.machine.load_warm_state(payload["machine"])
     runner.mark_warm_restored(time.perf_counter() - start)

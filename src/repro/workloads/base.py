@@ -17,12 +17,19 @@ Workloads own their data structures and produce jobs; they also declare
 the knobs the core model needs (typical ROB occupancy for the flush
 penalty — TPCC's compute-heavy window makes flushes costlier,
 Sec. VI-A).
+
+A workload object is a *dataset* that no run changes (index
+structures, page layout, Zipf CDF tables) plus a *session*: the step
+RNG, the job counter, the Zipf samplers' streams and the other state a
+run mutates.  :meth:`Workload.session` copies an object with a fresh
+session over the same dataset, so one build serves many runs.
 """
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import WorkloadError
 
@@ -61,11 +68,23 @@ class Workload:
     name = "base"
     #: Typical ROB occupancy when a miss signal flushes the pipeline.
     rob_occupancy = 64.0
+    #: Whether building the dataset draws from the seed; when not, one
+    #: dataset serves every seed.
+    seeded_dataset = False
+    #: The Zipf samplers, as ``(attribute, seed offset)``: each shares
+    #: its CDF table with the dataset and draws its own stream.
+    samplers: Tuple[Tuple[str, int], ...] = (("_zipf", 1),)
+    #: The other attributes a run mutates, with their values at
+    #: construction.
+    run_state: Dict[str, Any] = {}
 
     def __init__(self, dataset_pages: int, seed: int = 42) -> None:
         if dataset_pages < 1:
             raise WorkloadError("dataset needs at least one page")
         self.dataset_pages = dataset_pages
+        self._start_session(seed)
+
+    def _start_session(self, seed: int) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
         # Bound method, drawn once per generated step: producers jitter
@@ -75,6 +94,34 @@ class Workload:
         # is exactly 1.0).
         self._rng_random = self._rng.random
         self._next_job_id = 0
+        self.__dict__.update(copy.deepcopy(self.run_state))
+
+    # -- sessions -----------------------------------------------------------
+
+    def session(self, seed: int) -> "Workload":
+        """A copy sharing this object's dataset, with a fresh session that
+        draws exactly what a workload constructed with ``seed`` would (a
+        :attr:`seeded_dataset` serves only its own seed)."""
+        session = copy.copy(self)
+        session._start_session(seed)
+        for attr, offset in self.samplers:
+            setattr(session, attr, getattr(self, attr).fork(seed + offset))
+        return session
+
+    def dump_session(self) -> tuple:
+        """The session state so far, without the dataset."""
+        return (self._rng.getstate(), self._next_job_id,
+                [getattr(self, attr).getstate() for attr, _ in self.samplers],
+                {attr: getattr(self, attr) for attr in self.run_state})
+
+    def load_session(self, state: tuple) -> None:
+        """Resume a fresh session where :meth:`dump_session` left one
+        of the same seed."""
+        rng_state, self._next_job_id, streams, run_state = state
+        self._rng.setstate(rng_state)
+        for (attr, _), stream in zip(self.samplers, streams):
+            getattr(self, attr).setstate(stream)
+        self.__dict__.update(run_state)
 
     # -- job production -----------------------------------------------------
 

@@ -16,7 +16,6 @@ value pages (not index pages) dominate capacity, as in a real store.
 from __future__ import annotations
 
 import bisect
-import random
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
@@ -201,7 +200,6 @@ class MasstreeWorkload(Workload):
         expected_nodes = max(16, 2 * num_keys // LEAF_CAPACITY)
         self.tree = Masstree(SpreadHeap(0, index_budget, expected_nodes))
         value_heap = SpreadHeap(index_budget, value_budget, num_keys)
-        build_rng = random.Random(seed)
         for key in range(num_keys):
             self.tree.insert(key, value_heap.allocate().page)
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,

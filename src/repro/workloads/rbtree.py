@@ -154,6 +154,7 @@ class RbtWorkload(Workload):
 
     name = "rbtree"
     rob_occupancy = 40.0  # dependent chains keep the window small
+    seeded_dataset = True  # the insert order is shuffled by the seed
 
     def __init__(self, dataset_pages: int, seed: int = 42,
                  num_keys: Optional[int] = None, zipf_s: float = 1.55,

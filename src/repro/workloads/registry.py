@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List, Type
 
 from repro.workloads.arrayswap import ArraySwapWorkload
 from repro.workloads.base import Workload
@@ -14,9 +14,7 @@ from repro.workloads.silo import SiloWorkload
 from repro.workloads.tatp import TatpWorkload
 from repro.workloads.tpcc import TpccWorkload
 
-WorkloadFactory = Callable[..., Workload]
-
-_REGISTRY: Dict[str, WorkloadFactory] = {
+_REGISTRY: Dict[str, Type[Workload]] = {
     ArraySwapWorkload.name: ArraySwapWorkload,
     RbtWorkload.name: RbtWorkload,
     HashTableWorkload.name: HashTableWorkload,
@@ -42,12 +40,16 @@ EVALUATED_WORKLOADS: List[str] = [
 ]
 
 
-def make_workload(name: str, dataset_pages: int, seed: int = 42,
-                  **kwargs) -> Workload:
-    """Instantiate a workload by registry name."""
+def workload_class(name: str) -> Type[Workload]:
+    """The workload class registered under ``name``."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return factory(dataset_pages, seed=seed, **kwargs)
+
+
+def make_workload(name: str, dataset_pages: int, seed: int = 42,
+                  **kwargs) -> Workload:
+    """Instantiate a workload by registry name."""
+    return workload_class(name)(dataset_pages, seed=seed, **kwargs)

@@ -27,6 +27,9 @@ class SiloWorkload(Workload):
 
     name = "silo"
     rob_occupancy = 64.0
+    # OCC state: per-leaf TIDs plus abort/commit accounting.
+    run_state = {"_log_cursor": 0, "_leaf_versions": {}, "aborts": 0,
+                 "commits": 0, "retry_exhaustions": 0}
 
     def __init__(self, dataset_pages: int, seed: int = 42,
                  num_keys: Optional[int] = None, zipf_s: float = 1.55,
@@ -52,15 +55,9 @@ class SiloWorkload(Workload):
             self.tree.insert(key, value_heap.allocate().page)
         self._log_base = index_budget + value_budget
         self._log_budget = log_budget
-        self._log_cursor = 0
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,
                                          permute=False)
-        # OCC state: per-leaf TIDs plus abort/commit accounting.
-        self._leaf_versions: dict = {}
         self.max_retries = 3
-        self.aborts = 0
-        self.commits = 0
-        self.retry_exhaustions = 0
 
     def _next_log_page(self) -> int:
         page = self._log_base + \

@@ -30,6 +30,9 @@ class TpccWorkload(Workload):
 
     NEW_ORDER_WEIGHT = 0.5  # remaining traffic is payment
 
+    samplers = (("_customer_zipf", 1), ("_item_zipf", 2))
+    run_state = {"_orderline_cursor": 0}
+
     def __init__(self, dataset_pages: int, seed: int = 42,
                  num_customers: Optional[int] = None, zipf_s: float = 1.50,
                  transactions_per_job: int = 1,
@@ -65,7 +68,6 @@ class TpccWorkload(Workload):
         self._item_zipf = ZipfianGenerator(
             self.num_items, zipf_s, seed=seed + 2, permute=False
         )
-        self._orderline_cursor = 0
 
     # -- table addressing ----------------------------------------------------
 

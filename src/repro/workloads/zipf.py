@@ -10,6 +10,7 @@ page space instead of clustering in low page numbers / cache sets).
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
@@ -30,20 +31,38 @@ class ZipfianGenerator:
             raise ConfigurationError("Zipfian exponent must be non-negative")
         self.n = n
         self.s = s
-        self._rng = np.random.default_rng(seed)
+        self.permute = permute
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
-        if permute:
-            self._permutation: Optional[np.ndarray] = \
-                self._rng.permutation(n)
-        else:
-            self._permutation = None
+        self._start(seed)
+
+    def _start(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        # The permutation is the stream's first draw.
+        self._permutation: Optional[np.ndarray] = \
+            self._rng.permutation(self.n) if self.permute else None
         # The batch buffer holds plain Python ints: per-sample numpy
         # scalar extraction (`int(ndarray[i])`) costs more than the
         # whole one-off `tolist()` conversion at refill time.
         self._buffer: list = []
         self._cursor = 0
+
+    def fork(self, seed: int) -> "ZipfianGenerator":
+        """A sampler sharing this one's CDF table (fixed by ``n`` and
+        ``s``) with its own stream, which draws exactly what
+        ``ZipfianGenerator(n, s, seed, permute)`` would."""
+        fork = copy.copy(self)
+        fork._start(seed)
+        return fork
+
+    def getstate(self) -> tuple:
+        """The stream's position (the seed fixes the permutation)."""
+        return (self._rng.bit_generator.state, self._buffer, self._cursor)
+
+    def setstate(self, state: tuple) -> None:
+        """Resume at a :meth:`getstate` position of a same-seed stream."""
+        self._rng.bit_generator.state, self._buffer, self._cursor = state
 
     def _refill(self) -> None:
         uniforms = self._rng.random(self.BATCH)

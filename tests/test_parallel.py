@@ -134,8 +134,9 @@ class TestCache:
         monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
         monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
         run_specs([tiny_spec()], jobs=1, cache=True)
-        for kind in ("result", "workload", "warm"):
+        for kind in ("result", "warm"):
             assert len(list(tmp_path.glob(f"{kind}-*.snap"))) == 1, kind
+        assert len(list(tmp_path.iterdir())) == 2
 
 
 class TestFailurePaths:

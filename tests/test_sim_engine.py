@@ -232,7 +232,7 @@ def test_cancel_heavy_queue_is_compacted_and_bounded():
             engine.cancel(event)
         # Dead entries must never accumulate across rounds: compaction
         # keeps the heap within a small multiple of the live count.
-        assert engine.queue_length <= 300
+        assert len(engine._queue) <= 300
     assert engine.compactions > 0
     assert engine.pending_events == 10
     engine.run()
@@ -263,7 +263,7 @@ def test_compaction_skips_tiny_queues():
     # popped; nothing should have been rebuilt.
     assert engine.compactions == 0
     engine.run()
-    assert engine.queue_length == 0
+    assert len(engine._queue) == 0
 
 
 def test_compaction_keeps_process_wakeups():

@@ -58,15 +58,6 @@ def test_release_idle_server_raises():
         server.release()
 
 
-def test_server_utilization():
-    engine = Engine()
-    server = Server(engine, capacity=1)
-    log = []
-    spawn(engine, _use(server, engine, 50.0, log, "a"))
-    engine.run(until=100.0)
-    assert server.utilization() == pytest.approx(0.5)
-
-
 def test_invalid_capacities_raise():
     engine = Engine()
     with pytest.raises(SimulationError):

@@ -1,14 +1,17 @@
 """Tests for the warm-state snapshot/restore subsystem.
 
-The subsystem's contract is *bit-identical amortization*: restoring a
-dataset or warm-state snapshot must be indistinguishable from building
-or warming from scratch.  The property test below pins that with
-:meth:`Machine.state_fingerprint` equality for every evaluated
-preset x workload pair; the rest covers the versioned file format
-(stale rejection + rebuild), the LRU byte-cap pruner, and the harness
+The subsystem's contract is *bit-identical amortization*: a session
+over a shared dataset, and a restored warm-state snapshot, must be
+indistinguishable from building or warming from scratch.  The property
+test below pins that with :meth:`Machine.state_fingerprint` equality
+for every evaluated preset x workload pair; the rest covers the shared
+datasets (never changed by a run), the versioned file format (stale
+rejection + rebuild), the LRU byte-cap pruner, and the harness
 integration (warm-key grouping, fork pool context, sweep bench).
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -24,7 +27,11 @@ from repro.errors import ConfigurationError, ReproError
 from repro.harness import fig1, parallel
 from repro.harness.common import HarnessScale, build_config
 from repro.harness.parallel import RunSpec, execute_spec, run_specs
-from repro.workloads import EVALUATED_WORKLOADS, make_workload
+from repro.workloads import EVALUATED_WORKLOADS, ZipfianGenerator
+from repro.workloads.registry import _REGISTRY
+
+#: Every registered workload: the seven evaluated ones plus kvstore.
+REGISTERED_WORKLOADS = sorted(_REGISTRY)
 
 SEED = 11
 WARM_STEPS = 2_000
@@ -34,6 +41,10 @@ TINY = HarnessScale(
     name="snap-tiny", dataset_pages=2048, num_cores=1, warmup_us=100.0,
     measurement_us=400.0, zipf_s=1.8, workloads=EVALUATED_WORKLOADS,
 )
+# Long enough for one core to finish a tpcc job under OS-Swap at
+# every seed the path test runs.
+TINY_LONG = dataclasses.replace(TINY, name="snap-tiny-long",
+                                measurement_us=1_500.0)
 
 
 @pytest.fixture(autouse=True)
@@ -45,8 +56,9 @@ def _fresh_memo():
     snap.SnapshotStore.clear_memo()
 
 
-def tiny_spec(config_name="astriflash", seed=7) -> RunSpec:
-    return RunSpec(config_name, "arrayswap", TINY, seed=seed)
+def tiny_spec(config_name="astriflash", seed=7,
+              workload_name="arrayswap", scale=TINY) -> RunSpec:
+    return RunSpec(config_name, workload_name, scale, seed=seed)
 
 
 def result_fields(result) -> dict:
@@ -54,11 +66,14 @@ def result_fields(result) -> dict:
     return perf.canonical_result_dict(result)
 
 
+def _tiny_workload(workload_name: str, store=None):
+    return snap.build_workload(workload_name, TINY.dataset_pages, SEED,
+                               store=store, **TINY.workload_kwargs())
+
+
 def _fresh_runner(config_name: str, workload_name: str) -> Runner:
-    config = build_config(config_name, TINY)
-    workload = snap.build_workload(workload_name, TINY.dataset_pages,
-                                   SEED, **TINY.workload_kwargs())
-    return Runner(config, workload)
+    return Runner(build_config(config_name, TINY),
+                  _tiny_workload(workload_name))
 
 
 # ------------------------------------------------ fingerprint property test --
@@ -94,17 +109,21 @@ def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name,
     snap.capture_warm(captured, key, store, warm_steps=WARM_STEPS)
     assert captured.machine.state_fingerprint() == want
 
-    # Cold-restore path: drop the memo so the payload comes off disk.
+    # Cold-restore path: drop the memo and the built datasets, so the
+    # payload comes off disk and the session over a rebuilt dataset.
     snap.SnapshotStore.clear_memo()
     payload = store.load(snap.WARM_KIND, key)
     assert payload is not None
     restored = Runner(build_config(config_name, TINY),
-                      payload["workload"], warm=False)
+                      _tiny_workload(workload_name, store), warm=False)
     snap.restore_warm(restored, payload)
     assert restored.machine.state_fingerprint() == want
     assert restored._warm_source == "snapshot"
-    # The runner RNG resumes exactly where the fresh warm left it.
+    # The runner RNG and the workload session resume exactly where the
+    # fresh warm left them.
     assert restored._rng.getstate() == reference._rng.getstate()
+    assert restored.workload.dump_session() == \
+        reference.workload.dump_session()
 
 
 # ------------------------------------------------------------- warm keying --
@@ -144,11 +163,11 @@ def test_memo_is_scoped_to_its_directory(tmp_path):
     """A store on a fresh directory starts cold, whatever another
     directory's store has put in the process memo."""
     stored = snap.SnapshotStore(tmp_path / "a", enabled=True)
-    stored.store(snap.WORKLOAD_KIND, "k1", {"payload": 1})
+    stored.store(snap.TRACE_KIND, "k1", {"payload": 1})
     fresh = snap.SnapshotStore(tmp_path / "b", enabled=True)
-    assert fresh.load(snap.WORKLOAD_KIND, "k1") is None
-    assert not fresh.contains(snap.WORKLOAD_KIND, "k1")
-    assert stored.load(snap.WORKLOAD_KIND, "k1") == {"payload": 1}
+    assert fresh.load(snap.TRACE_KIND, "k1") is None
+    assert not fresh.contains(snap.TRACE_KIND, "k1")
+    assert stored.load(snap.TRACE_KIND, "k1") == {"payload": 1}
 
 
 # ------------------------------------------------------ stale/corrupt files --
@@ -169,9 +188,9 @@ def _write_snapshot(path, header, blob):
 @pytest.mark.parametrize("tamper", ["version", "stamp", "payload"])
 def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
     store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store(snap.WORKLOAD_KIND, "k1", {"payload": 1})
+    store.store(snap.TRACE_KIND, "k1", {"payload": 1})
     snap.SnapshotStore.clear_memo()
-    path = store._path(snap.WORKLOAD_KIND, "k1")
+    path = store._path(snap.TRACE_KIND, "k1")
     header, blob = _read_snapshot(path)
     if tamper == "version":
         header["version"] = snap.SNAPSHOT_VERSION + 1
@@ -182,10 +201,10 @@ def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
     _write_snapshot(path, header, blob)
 
     before = snap.summary().get("stale_rejected", 0)
-    assert store.load(snap.WORKLOAD_KIND, "k1") is None
+    assert store.load(snap.TRACE_KIND, "k1") is None
     assert not path.exists(), "stale snapshot must be deleted"
     assert snap.summary().get("stale_rejected", 0) == before + 1
-    assert not store.contains(snap.WORKLOAD_KIND, "k1")
+    assert not store.contains(snap.TRACE_KIND, "k1")
 
 
 def test_stale_warm_snapshot_rebuilt_not_silently_loaded(tmp_path):
@@ -214,17 +233,22 @@ def test_stale_warm_snapshot_rebuilt_not_silently_loaded(tmp_path):
 # ------------------------------------------------------ execute_spec paths --
 
 
-def test_execute_spec_identical_across_snapshot_paths(tmp_path):
+@pytest.mark.parametrize("workload_name", REGISTERED_WORKLOADS)
+def test_execute_spec_identical_across_snapshot_paths(tmp_path,
+                                                      workload_name):
     """Off, cold-capture, memo-restore, and disk-restore runs must all
     produce bit-identical results (the golden test pins the values;
-    this pins path equivalence for every mode with warm state)."""
+    this pins path equivalence for every mode with warm state).  So
+    must a run of another seed over the dataset the first seed's runs
+    built: a build that draws from the seed must key by it."""
     for config_name in ("astriflash", "os-swap", "flash-sync"):
         # Private store per config: astriflash and flash-sync share a
         # warm key by design, which would make the later "cold" runs
         # restores rather than captures.
         store_dir = tmp_path / config_name
         snap.SnapshotStore.clear_memo()
-        spec = tiny_spec(config_name)
+        spec = tiny_spec(config_name, workload_name=workload_name,
+                         scale=TINY_LONG)
         off = execute_spec(spec, snapshots=False)
         cold = execute_spec(spec, snapshots=True, snapshot_dir=store_dir)
         memo = execute_spec(spec, snapshots=True, snapshot_dir=store_dir)
@@ -236,6 +260,12 @@ def test_execute_spec_identical_across_snapshot_paths(tmp_path):
         assert disk.warm_source == "snapshot"
         assert (result_fields(off) == result_fields(cold)
                 == result_fields(memo) == result_fields(disk))
+
+        other = tiny_spec(config_name, seed=8, workload_name=workload_name,
+                          scale=TINY_LONG)
+        shared = execute_spec(other, snapshots=True, snapshot_dir=store_dir)
+        assert result_fields(shared) == \
+            result_fields(execute_spec(other, snapshots=False))
 
 
 def test_run_specs_warms_shared_group_once(tmp_path):
@@ -256,19 +286,35 @@ def test_run_specs_warms_shared_group_once(tmp_path):
     # And only one dataset was actually constructed.
     assert delta("workload_builds") == 1
 
+    # Two seeds share one dataset, unless the build draws from the seed.
+    for workload_name, builds in (("tatp", 1), ("rbtree", 2)):
+        before = snap.summary().get("workload_builds", 0)
+        run_specs([tiny_spec("dram-only", seed, workload_name)
+                   for seed in (23, 24)],
+                  jobs=1, cache=False, snapshots=True, snapshot_dir=tmp_path)
+        assert snap.summary()["workload_builds"] - before == builds
+
 
 # ------------------------------------------------------- dataset memoization --
 
 
 def test_build_workload_memoizes_but_never_shares_objects(tmp_path):
+    """The dataset is built once and shared; the session objects
+    around it never are."""
     store = snap.SnapshotStore(tmp_path, enabled=True)
     before = snap.summary().get("workload_builds", 0)
-    first = snap.build_workload("arrayswap", 512, 3, store=store)
+    first = snap.build_workload("tatp", 512, 3, store=store)
     assert snap.summary().get("workload_builds", 0) == before + 1
-    second = snap.build_workload("arrayswap", 512, 3, store=store)
+    second = snap.build_workload("tatp", 512, 4, store=store)
     assert snap.summary().get("workload_builds", 0) == before + 1
-    assert first is not second, "restores must be private copies"
-    assert first.name == second.name == "arrayswap"
+    # One dataset: the hash index and the Zipf CDF table ...
+    assert first.index is second.index
+    assert first._zipf._cdf is second._zipf._cdf
+    # ... under private sessions with their own streams.
+    assert first is not second
+    assert first._rng is not second._rng
+    assert first._zipf is not second._zipf
+    assert (first.seed, second.seed) == (3, 4)
 
 
 def test_build_workload_disabled_store_bypasses_files(tmp_path):
@@ -278,16 +324,72 @@ def test_build_workload_disabled_store_bypasses_files(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_deep_workloads_pickle_roundtrip(tmp_path):
-    """Linked-structure datasets (masstree) exceed the default pickle
-    recursion limit at full scale; the big-stack fallback must produce
-    a loadable blob."""
+def _dataset_digest(workload) -> str:
+    """sha256 of every attribute but the session's: the RNG, the job
+    counter, the run state and the samplers' streams (a sampler counts
+    by its CDF table).
+
+    The object graph is walked with an explicit stack: a Masstree leaf
+    chain nests deeper than pickle's recursion limit.
+    """
+    session = {"seed", "_rng", "_rng_random", "_next_job_id"}
+    session.update(workload.run_state)
+    stack = []
+    for name, value in sorted(vars(workload).items()):
+        if name not in session:
+            if isinstance(value, ZipfianGenerator):
+                value = (value.n, value.s, value.permute,
+                         value._cdf.tobytes())
+            stack += [value, name]
+    digest = hashlib.sha256()
+    seen = {}
+    while stack:
+        obj = stack.pop()
+        if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
+            digest.update(repr(obj).encode())
+            continue
+        if id(obj) in seen:
+            digest.update(b"@%d" % seen[id(obj)])
+            continue
+        seen[id(obj)] = len(seen)
+        if isinstance(obj, dict):
+            children = [part for item in obj.items() for part in item]
+        elif isinstance(obj, (list, tuple)):
+            children = list(obj)
+        elif hasattr(obj, "__dict__"):
+            children = [part for item in sorted(vars(obj).items())
+                        for part in item]
+        else:
+            children = [getattr(obj, slot, None)
+                        for slot in type(obj).__slots__]
+        digest.update(b"%s/%d" % (type(obj).__name__.encode(),
+                                  len(children)))
+        stack += reversed(children)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workload_name", REGISTERED_WORKLOADS)
+def test_shared_dataset_unchanged_by_runs(tmp_path, workload_name):
+    """A warm capture, a restore and a full run of sessions leave the
+    shared dataset as built: whatever a run mutates must be session
+    state (``Workload.run_state`` or a sampler's stream)."""
     store = snap.SnapshotStore(tmp_path, enabled=True)
-    built = snap.build_workload("masstree", 1024, 3, store=store)
-    snap.SnapshotStore.clear_memo()
-    restored = snap.build_workload("masstree", 1024, 3, store=store)
-    assert built is not restored
-    assert restored.name == "masstree"
+    config = build_config("astriflash", TINY)
+    key = snap.warm_key(config, workload_name, SEED, TINY.workload_kwargs(),
+                        dataset_pages=TINY.dataset_pages,
+                        warm_steps=WARM_STEPS)
+    captured = Runner(config, _tiny_workload(workload_name, store))
+    (dataset,) = snap._DATASETS.values()
+    built = _dataset_digest(dataset)
+
+    snap.capture_warm(captured, key, store, warm_steps=WARM_STEPS)
+    captured.run()
+    restored = Runner(build_config("astriflash", TINY),
+                      _tiny_workload(workload_name, store), warm=False)
+    snap.restore_warm(restored, store.load(snap.WARM_KIND, key))
+    restored.run()
+    assert restored.workload.dump_session() != dataset.dump_session()
+    assert _dataset_digest(dataset) == built
 
 
 # ----------------------------------------------------------- LRU byte cap --
@@ -328,9 +430,9 @@ def test_store_prunes_to_byte_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "512")
     old = _aged_file(tmp_path, "old.snap", 4096, 0)
     store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store(snap.WORKLOAD_KIND, "fresh", {"payload": 1})
+    store.store(snap.TRACE_KIND, "fresh", {"payload": 1})
     assert not old.exists(), "write must prune older entries over cap"
-    assert store._path(snap.WORKLOAD_KIND, "fresh").exists()
+    assert store._path(snap.TRACE_KIND, "fresh").exists()
 
 
 def test_cache_max_bytes_env_parsing(monkeypatch):
