@@ -11,7 +11,7 @@ Commands:
 * ``chaos <experiment>``          — fault-injection degradation curves
 * ``writes [exp]``                — admission-policy WA/lifetime sweeps
 * ``loadgen <experiment>``        — QPS sweeps and SLO knee curves
-* ``cache clean``                 — wipe or LRU-prune ``.repro_cache/``
+* ``cache clean``                 — wipe or LRU-prune the stored results
 * ``simulate``                    — one ad-hoc simulation run
 * ``workloads`` / ``configs``     — list registries
 * ``history``                     — list/filter the run ledger
@@ -19,11 +19,11 @@ Commands:
 * ``regress --baseline FILE``     — pass/fail gate for CI
 * ``dashboard``                   — static HTML observatory page
 
-Sweep commands accept ``--no-snapshot`` to turn warm-state snapshot
-reuse off and ``--snapshot-dir PATH`` to move the one store directory
-that holds stored results and snapshots (default ``.repro_cache``);
-the flags set the ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment
-the harness reads.
+Sweep commands accept ``--no-snapshot`` to turn the shared datasets
+and warm-state reuse off and ``--snapshot-dir PATH`` to move the
+directory of stored results (default ``.repro_cache``); the flags set
+the ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment the harness
+reads.
 
 Every measuring verb (``report``, ``profile``, ``bench-sweep``,
 ``chaos``, ``writes``, ``loadgen``, ``simulate``) appends a
@@ -74,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_snapshot_flags(sub) -> None:
         sub.add_argument("--no-snapshot", action="store_true",
-                         help="disable warm-state snapshot reuse "
-                              "(rebuild datasets and re-warm caches "
-                              "for every run)")
+                         help="disable shared datasets and warm-state "
+                              "reuse (rebuild datasets and re-warm "
+                              "caches for every run)")
         sub.add_argument("--snapshot-dir", default=None, metavar="PATH",
-                         help="directory holding stored results and "
-                              "snapshots (default: $REPRO_CACHE_DIR "
-                              "or .repro_cache)")
+                         help="directory holding stored results "
+                              "(default: $REPRO_CACHE_DIR or "
+                              ".repro_cache)")
 
     run_parser = commands.add_parser("run", help="regenerate one artifact")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser = commands.add_parser(
         "bench-sweep", help="time one sweep with snapshots off vs on "
                             "(the harness-level bench series)")
-    sweep_parser.add_argument("experiment", nargs="?", default="fig1",
+    sweep_parser.add_argument("experiment", nargs="?", default="fig9",
                               choices=sorted(EXPERIMENTS))
     sweep_parser.add_argument("--scale", default="quick",
                               choices=("quick", "full"))
@@ -277,12 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_snapshot_flags(loadgen_parser)
 
     cache_parser = commands.add_parser(
-        "cache", help="manage the result/snapshot cache directory")
+        "cache", help="manage the stored-results directory")
     cache_commands = cache_parser.add_subparsers(dest="cache_command",
                                                  required=True)
     clean_parser = cache_commands.add_parser(
-        "clean", help="delete cached results and snapshots (all of "
-                      "them, or LRU-prune to a byte cap)")
+        "clean", help="delete stored results (all of them, or "
+                      "LRU-prune to a byte cap)")
     clean_parser.add_argument("--max-bytes", type=int, default=None,
                               metavar="N",
                               help="keep the most recently used entries "
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "everything")
     clean_parser.add_argument("--dir", dest="cache_dir", default=None,
                               metavar="PATH",
-                              help="cache directory (default: "
+                              help="stored-results directory (default: "
                                    "$REPRO_CACHE_DIR or .repro_cache)")
 
     sim_parser = commands.add_parser("simulate", help="one ad-hoc run")

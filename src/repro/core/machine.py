@@ -34,6 +34,10 @@ from repro.osmodel.resident import ResidentSetManager
 from repro.sim import Engine
 from repro.ult.library import ThreadLibrary
 
+#: Warm-up length in workload steps (:meth:`Machine.warm_caches`); it
+#: also enters every warm key (:func:`repro.snapshot.warm_key`).
+DEFAULT_WARM_STEPS = 50_000
+
 # Page-table granularity: data pages covered per PT leaf page.  Real
 # hardware packs 512 8-byte PTEs per 4 KiB page; the scaled simulation
 # uses a smaller fan-out so the PT working set keeps the same relation
@@ -136,7 +140,8 @@ class Machine:
 
     # -- warmup ----------------------------------------------------------------
 
-    def warm_caches(self, workload, num_steps: int = 50_000) -> None:
+    def warm_caches(self, workload,
+                    num_steps: int = DEFAULT_WARM_STEPS) -> None:
         """Pre-populate the DRAM tier with a functional access trace so
         measurements start from steady state rather than a cold cache."""
         target = (self.dram_cache.organization if self.dram_cache is not None

@@ -5,9 +5,9 @@ an experiment's flash-backed presets across a range of injected raw bit
 error rates and reports how throughput and p99 service latency degrade
 — the resilience analogue of the paper's tail-latency figures.  Each
 ``(preset, rber)`` cell is one independent simulation, so the whole
-grid fans out through :mod:`repro.harness.parallel` and shares warm-
-state snapshots (fault knobs are not part of the warm key: faults only
-fire on reads, and warmup never runs the engine).
+grid fans out through :mod:`repro.harness.parallel` and shares warm
+payloads (fault knobs are not part of the warm key: faults only fire
+on reads, and warmup never runs the engine).
 
 Severity coupling: the swept variable is the RBER; transient-timeout
 probability scales with it (``timeout_coupling``), slow planes and
@@ -231,9 +231,7 @@ def run_chaos(experiment: str = "fig9", scale="quick",
               fault_seed: int = 0xF1A5, seed: int = 42,
               workload: Optional[str] = None,
               presets: Optional[Sequence[str]] = None,
-              jobs: Optional[int] = None,
-              snapshots: Optional[bool] = None,
-              snapshot_dir=None) -> ChaosBench:
+              jobs: Optional[int] = None) -> ChaosBench:
     """Sweep injected fault rates and build the degradation curves."""
     scale = resolve_scale(scale)
     if rber_points is None:
@@ -252,8 +250,7 @@ def run_chaos(experiment: str = "fig9", scale="quick",
                 config_overrides=fault_overrides(rber, fault_seed))
         for preset, rber in grid
     ]
-    results = run_specs_or_none(specs, jobs=jobs, snapshots=snapshots,
-                                snapshot_dir=snapshot_dir)
+    results = run_specs_or_none(specs, jobs=jobs)
 
     cells = []
     for (preset, rber), result in zip(grid, results):

@@ -15,8 +15,10 @@ granularity), then averaging miss ratios across workloads.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analytic.bandwidth import (
     PAPER_CORE_COUNT,
@@ -24,34 +26,37 @@ from repro.analytic.bandwidth import (
 )
 from repro.harness.common import ExperimentResult, HarnessScale, resolve_scale
 from repro.harness.parallel import map_tasks
-from repro.workloads import make_workload
 
 CAPACITY_FRACTIONS: Sequence[float] = (
     0.01, 0.02, 0.03, 0.04, 0.05, 0.075, 0.10,
 )
 
 
-def _lru_warm_key(tkey: str, capacity: int) -> str:
-    """Snapshot key for the warmed LRU state of one (trace, capacity)
-    sweep point."""
-    from repro import snapshot as snap
-    return snap.generic_key("fig1-lru-warm", tkey, int(capacity))
-
-
-def lru_miss_ratio(pages: Iterable[int], capacity_pages: int) -> float:
-    """Miss ratio of an LRU page cache over a page trace."""
+def lru_miss_ratio(pages: Sequence[int], capacity_pages: int,
+                   warm: int = 0) -> float:
+    """Miss ratio of an LRU page cache over ``pages[warm:]``, after
+    the first ``warm`` pages have filled it uncounted."""
     if capacity_pages < 1:
         raise ValueError("capacity must be at least one page")
     cache: "OrderedDict[int, None]" = OrderedDict()
-    hits = misses = 0
-    for page in pages:
+    move_to_end = cache.move_to_end
+    popitem = cache.popitem
+    for page in pages[:warm]:
         if page in cache:
-            cache.move_to_end(page)
+            move_to_end(page)
+        else:
+            if len(cache) >= capacity_pages:
+                popitem(last=False)
+            cache[page] = None
+    hits = misses = 0
+    for page in pages[warm:]:
+        if page in cache:
+            move_to_end(page)
             hits += 1
         else:
             misses += 1
             if len(cache) >= capacity_pages:
-                cache.popitem(last=False)
+                popitem(last=False)
             cache[page] = None
     total = hits + misses
     return misses / total if total else 0.0
@@ -59,8 +64,10 @@ def lru_miss_ratio(pages: Iterable[int], capacity_pages: int) -> float:
 
 def workload_trace(workload_name: str, scale: HarnessScale,
                    num_steps: int, seed: int) -> List[int]:
-    workload = make_workload(workload_name, scale.dataset_pages, seed=seed,
-                             **scale.workload_kwargs())
+    from repro import snapshot as snap
+
+    workload = snap.build_workload(workload_name, scale.dataset_pages, seed,
+                                   **scale.workload_kwargs())
     pages: List[int] = []
     append = pages.append
     while len(pages) < num_steps:
@@ -69,38 +76,23 @@ def workload_trace(workload_name: str, scale: HarnessScale,
     return pages[:num_steps]
 
 
-def workload_trace_cached(workload_name: str, scale: HarnessScale,
-                          num_steps: int, seed: int,
-                          snapshots: Optional[bool] = None,
-                          snapshot_dir=None) -> List[int]:
-    """:func:`workload_trace` memoized through the snapshot store —
-    trace generation (workload build + page stream) dominates the
-    fig1 sweep's wall time, and the trace depends only on the key
-    inputs."""
-    from repro import snapshot as snap
-
-    store = snap.resolve_store(snapshots, snapshot_dir)
-    if not store.enabled:
-        return workload_trace(workload_name, scale, num_steps, seed)
-    key = snap.trace_key(workload_name, scale.dataset_pages, seed,
-                         num_steps, scale.workload_kwargs())
-    cached = store.load(snap.TRACE_KIND, key)
-    if cached is not None:
-        return cached
-    trace = workload_trace(workload_name, scale, num_steps, seed)
-    store.store(snap.TRACE_KIND, key, trace)
-    return trace
-
-
 def run(scale="quick", steps_per_workload: int = 60_000,
-        seed: int = 42, jobs: Optional[int] = None,
-        snapshots: Optional[bool] = None,
-        snapshot_dir=None) -> ExperimentResult:
-    """Regenerate Figure 1's two series."""
+        seed: int = 42, jobs: Optional[int] = None) -> ExperimentResult:
+    """Regenerate Figure 1's two series.
+
+    The whole result is stored under its inputs (scale, seed, steps),
+    so a repeated run is one stored-result read.
+    """
     from repro import snapshot as snap
 
     scale = resolve_scale(scale)
-    store = snap.resolve_store(snapshots, snapshot_dir)
+    store = snap.SnapshotStore()
+    key = hashlib.sha256(repr((
+        "fig1", tuple(sorted(dataclasses.asdict(scale).items())), seed,
+        steps_per_workload)).encode()).hexdigest()
+    stored = store.load(key)
+    if stored is not None:
+        return stored
     result = ExperimentResult(
         experiment="fig1",
         title=("Fig. 1: miss ratio and required flash bandwidth "
@@ -110,81 +102,22 @@ def run(scale="quick", steps_per_workload: int = 60_000,
         notes=("Paper shape: miss rate flattens near 3% capacity; "
                "~60 GB/s of flash bandwidth at the knee."),
     )
-    # Per-workload trace generation is independent: serve what the
-    # snapshot store already has, fan out only the misses.
-    traces = {}
-    if store.enabled:
-        for name in scale.workloads:
-            key = snap.trace_key(name, scale.dataset_pages, seed,
-                                 steps_per_workload,
-                                 scale.workload_kwargs())
-            cached = store.load(snap.TRACE_KIND, key)
-            if cached is not None:
-                traces[name] = cached
-    missing = [name for name in scale.workloads if name not in traces]
-    if missing:
-        trace_lists = map_tasks(
-            workload_trace_cached,
-            [{"workload_name": name, "scale": scale,
-              "num_steps": steps_per_workload, "seed": seed,
-              "snapshots": store.enabled,
-              "snapshot_dir": store.directory}
-             for name in missing],
-            jobs=jobs,
-        )
-        traces.update(zip(missing, trace_lists))
-    # Keep the original (scale.workloads) iteration order regardless of
-    # which traces came from the store.
-    traces = {name: traces[name] for name in scale.workloads}
+    # Per-workload trace generation is independent: fan it out.
+    traces = map_tasks(
+        workload_trace,
+        [{"workload_name": name, "scale": scale,
+          "num_steps": steps_per_workload, "seed": seed}
+         for name in scale.workloads],
+        jobs=jobs,
+    )
     # Warm half the trace, measure on the second half so the cold-start
-    # misses do not pollute the steady-state ratio.  The warmed LRU
-    # state per (trace, capacity) point is itself memoized: the key
-    # order of the OrderedDict *is* the full LRU state, so restoring it
-    # is bit-identical to replaying the warm half.
+    # misses do not pollute the steady-state ratio.
     for fraction in CAPACITY_FRACTIONS:
         capacity = max(1, int(scale.dataset_pages * fraction))
-        ratios = []
-        for name, trace in traces.items():
-            split = len(trace) // 2
-            cache: "OrderedDict[int, None]" = OrderedDict()
-            move_to_end = cache.move_to_end
-            popitem = cache.popitem
-            warm_key = None
-            warm_pages = None
-            if store.enabled:
-                warm_key = _lru_warm_key(
-                    snap.trace_key(name, scale.dataset_pages, seed,
-                                   steps_per_workload,
-                                   scale.workload_kwargs()),
-                    capacity,
-                )
-                warm_pages = store.load(snap.WARM_KIND, warm_key)
-            if warm_pages is not None:
-                for page in warm_pages:
-                    cache[page] = None
-            else:
-                for page in trace[:split]:
-                    if page in cache:
-                        move_to_end(page)
-                    else:
-                        if len(cache) >= capacity:
-                            popitem(last=False)
-                        cache[page] = None
-                if warm_key is not None:
-                    store.store(snap.WARM_KIND, warm_key,
-                                list(cache.keys()))
-            hits = misses = 0
-            for page in trace[split:]:
-                if page in cache:
-                    move_to_end(page)
-                    hits += 1
-                else:
-                    misses += 1
-                    if len(cache) >= capacity:
-                        popitem(last=False)
-                    cache[page] = None
-            ratios.append(misses / max(1, hits + misses))
+        ratios = [lru_miss_ratio(trace, capacity, warm=len(trace) // 2)
+                  for trace in traces]
         mean_miss = sum(ratios) / len(ratios)
         bandwidth = flash_bandwidth_total_gbps(mean_miss, PAPER_CORE_COUNT)
         result.add_row(fraction * 100.0, mean_miss, bandwidth)
+    store.store(key, result)
     return result

@@ -28,17 +28,13 @@ CONFIGS: Sequence[str] = ("dram-only", "astriflash")
 
 def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
         load_points: Sequence[float] = LOAD_POINTS,
-        jobs: Optional[int] = None,
-        snapshots: Optional[bool] = None,
-        snapshot_dir=None) -> ExperimentResult:
+        jobs: Optional[int] = None) -> ExperimentResult:
     """Regenerate Figure 10's two curves."""
     scale = resolve_scale(scale)
     # DRAM-only saturation throughput defines the x-axis normalization;
     # its mean service time defines the y-axis normalization.
     saturation = run_spec(
-        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs,
-        snapshots=snapshots, snapshot_dir=snapshot_dir,
-    )
+        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs)
     max_rate = saturation.throughput_jobs_per_s
     service_norm = saturation.service_mean_ns
 
@@ -69,9 +65,7 @@ def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
                 arrivals=load_arrivals(load))
         for load, config_name in points
     ]
-    outcomes = dict(zip(points, run_specs(specs, jobs=jobs,
-                                          snapshots=snapshots,
-                                          snapshot_dir=snapshot_dir)))
+    outcomes = dict(zip(points, run_specs(specs, jobs=jobs)))
     for load in load_points:
         row = [load]
         for config_name in CONFIGS:

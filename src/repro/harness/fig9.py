@@ -24,9 +24,7 @@ CONFIGS: Sequence[str] = (
 
 def run(scale="quick", seed: int = 42,
         configs: Sequence[str] = CONFIGS,
-        jobs: Optional[int] = None,
-        snapshots: Optional[bool] = None,
-        snapshot_dir=None) -> ExperimentResult:
+        jobs: Optional[int] = None) -> ExperimentResult:
     """Regenerate Figure 9's normalized-throughput bars."""
     scale = resolve_scale(scale)
     if "dram-only" not in configs:
@@ -44,9 +42,7 @@ def run(scale="quick", seed: int = 42,
              for config_name in configs]
     specs = [RunSpec(config_name, workload_name, scale, seed=seed)
              for workload_name, config_name in cells]
-    outcomes = dict(zip(cells, run_specs(specs, jobs=jobs,
-                                         snapshots=snapshots,
-                                         snapshot_dir=snapshot_dir)))
+    outcomes = dict(zip(cells, run_specs(specs, jobs=jobs)))
 
     averages: Dict[str, list] = {name: [] for name in configs
                                  if name != "dram-only"}

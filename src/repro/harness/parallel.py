@@ -15,13 +15,12 @@ figure/table modules build on:
   ``REPRO_JOBS``) or when a process pool cannot be created.  A crashed
   worker is retried once in-process before a structured
   :class:`ParallelRunError` is raised.  Each finished
-  :class:`~repro.core.runner.SimulationResult` is stored as the
-  ``result`` kind of :class:`repro.snapshot.SnapshotStore` under
-  :func:`spec_key`, in the same directory as the warm-state
-  snapshots (``REPRO_CACHE_DIR``, default ``.repro_cache``;
-  disable with ``REPRO_CACHE=0``).  The store's header check (format
-  version + a digest of the ``repro`` sources) means *any* simulator
-  change invalidates stale results.
+  :class:`~repro.core.runner.SimulationResult` is stored by
+  :class:`repro.snapshot.SnapshotStore` under :func:`spec_key`
+  (``REPRO_CACHE_DIR``, default ``.repro_cache``; disable with
+  ``REPRO_CACHE=0``).  The store's header check (format version + a
+  digest of the ``repro`` sources) means *any* simulator change
+  invalidates stale results.
 * :func:`map_tasks` — an uncached generic fan-out for harness stages
   that are not full-system runs (trace generation, device stress sims).
 """
@@ -135,14 +134,7 @@ def _apply_config_override(config, path: str, value) -> None:
         parent = getattr(parent, name)
     if not hasattr(parent, parts[-1]):
         raise ReproError(f"config override {path!r}: no such field")
-    try:
-        setattr(parent, parts[-1], value)
-    except dataclasses.FrozenInstanceError:
-        owner = config
-        for name in parts[:-2]:
-            owner = getattr(owner, name)
-        setattr(owner, parts[-2],
-                dataclasses.replace(parent, **{parts[-1]: value}))
+    setattr(parent, parts[-1], value)
 
 
 def _spec_parts(spec: RunSpec):
@@ -166,12 +158,12 @@ def _spec_warm_key(spec: RunSpec) -> Optional[str]:
                          dataset_pages=scale.dataset_pages)
 
 
-def _prepare_runner(spec: RunSpec, store) -> Runner:
+def _prepare_runner(spec: RunSpec, snapshots: bool) -> Runner:
     """Build the :class:`Runner` for one spec, warm state included.
 
-    With snapshots enabled the workload is a session over the process's
+    With ``snapshots`` the workload is a session over the process's
     shared dataset, and the warm/measure-boundary state is restored
-    from the store when the spec's warm key is already captured —
+    when this process already captured the spec's warm key —
     bit-identical to a fresh ``machine.warm_caches()`` — or captured
     for the rest of the sweep otherwise.
     """
@@ -180,36 +172,33 @@ def _prepare_runner(spec: RunSpec, store) -> Runner:
     config, kwargs, scale = _spec_parts(spec)
     arrivals = arrival_from_spec(spec.arrivals)
     workload = snap.build_workload(spec.workload_name, scale.dataset_pages,
-                                   spec.seed, store=store, **kwargs)
-    key = payload = None
-    if store.enabled:
+                                   spec.seed, snapshots=snapshots, **kwargs)
+    key = None
+    if snapshots:
         key = snap.warm_key(config, spec.workload_name, spec.seed, kwargs,
                             dataset_pages=scale.dataset_pages)
-    if key is not None:
-        payload = store.load(snap.WARM_KIND, key)
-    runner = Runner(config, workload, arrivals=arrivals,
-                    warm=payload is None)
-    if payload is not None:
-        snap.restore_warm(runner, payload)
+    captured = key is not None and snap.warm_captured(key)
+    runner = Runner(config, workload, arrivals=arrivals, warm=not captured)
+    if captured:
+        snap.restore_warm(runner, key)
     elif key is not None:
-        snap.capture_warm(runner, key, store)
+        snap.capture_warm(runner, key)
     return runner
 
 
-def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None,
-                 snapshot_dir=None):
+def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None):
     """Run one spec to a ``SimulationResult``.
 
-    ``snapshots``/``snapshot_dir`` select the warm-state snapshot
-    policy (default: the ``REPRO_SNAPSHOT``/``REPRO_CACHE_DIR``
-    environment); both the fresh-warm and snapshot-restore paths
-    produce bit-identical results — the golden determinism test pins
-    this.
+    ``snapshots`` (default ``REPRO_SNAPSHOT``) turns the shared
+    datasets and warm payloads on or off; both the fresh-warm and the
+    restore paths produce bit-identical results — the golden
+    determinism test pins this.
     """
     from repro import snapshot as snap
 
-    store = snap.resolve_store(snapshots, snapshot_dir)
-    return _prepare_runner(spec, store).run()
+    if snapshots is None:
+        snapshots = snap.snapshots_enabled()
+    return _prepare_runner(spec, snapshots).run()
 
 
 # ---------------------------------------------------------- stored results --
@@ -221,10 +210,6 @@ def default_jobs() -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -250,13 +235,12 @@ def _pool_context():
     """The multiprocessing context for worker pools.
 
     ``fork`` is requested explicitly (not left to the platform
-    default): forked workers inherit the parent's in-process snapshot
-    memo and datasets, so pre-warmed state reaches them with zero file
-    I/O.  On platforms without ``fork`` (Windows; macOS where it is
-    unreliable with threads) this falls back to the platform default
-    (``spawn``), where workers build their own datasets and restore warm
-    state from the snapshot *files* — same results, one pickle read per
-    group member.
+    default): forked workers inherit the parent's datasets and warm
+    payloads, so pre-warmed state reaches them for free.  On platforms
+    without ``fork`` (Windows; macOS where it is unreliable with
+    threads) this falls back to the platform default (``spawn``), where
+    workers build their own datasets and warm for themselves — same
+    results.
     """
     import multiprocessing
 
@@ -303,15 +287,15 @@ def _log(message: str) -> None:
         print(f"[repro.parallel] {message}", file=sys.stderr)
 
 
-def _prewarm_groups(specs: Sequence[RunSpec], pending: Sequence[int],
-                    store) -> None:
-    """Warm each snapshot-key group once in the parent before fanning
-    out, so workers restore instead of re-warming.
+def _prewarm_groups(specs: Sequence[RunSpec],
+                    pending: Sequence[int]) -> None:
+    """Warm each warm-key group once in the parent before fanning out,
+    so workers restore instead of re-warming.
 
     Only groups of two or more pending specs whose key is not already
     captured are warmed here — singletons capture inside their own
     worker at no extra cost.  Forked workers inherit the resulting
-    memo and datasets; spawned workers read the snapshot files.
+    warm payloads and datasets; spawned workers warm for themselves.
     """
     from repro import snapshot as snap
 
@@ -321,10 +305,10 @@ def _prewarm_groups(specs: Sequence[RunSpec], pending: Sequence[int],
         if key is not None:
             groups.setdefault(key, []).append(index)
     for key, members in groups.items():
-        if len(members) < 2 or store.contains(snap.WARM_KIND, key):
+        if len(members) < 2 or snap.warm_captured(key):
             continue
         # Builds, warms, and captures; the runner itself is discarded.
-        _prepare_runner(specs[members[0]], store)
+        _prepare_runner(specs[members[0]], True)
 
 
 def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
@@ -334,31 +318,33 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
               snapshot_dir: Optional[Union[str, Path]] = None) -> List:
     """Execute a batch of run specs, results in spec order.
 
+    The batch's store policy is set here, once; the experiment and
+    verb drivers leave it to the environment the CLI flags set.
     ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Stored
-    results are reused when ``cache`` is enabled (default, unless
-    ``REPRO_CACHE=0``).  Warm-state snapshots (``snapshots``, default
-    per ``REPRO_SNAPSHOT``) group pending specs by warm key and warm
-    each group once in the parent before the pool fans out.  Results
-    and snapshots share one store directory (``snapshot_dir``, default
-    ``REPRO_CACHE_DIR``).  Each spec that crashes its worker is
-    retried once in-process; a second failure raises
-    :class:`ParallelRunError`.  ``report``, if given, is filled with
-    batch statistics (``cache_hits`` / ``executed`` / ``retried`` /
-    ``jobs``).
+    results are read from and written to ``snapshot_dir`` (default
+    ``REPRO_CACHE_DIR``) when ``cache`` is enabled (default, unless
+    ``REPRO_CACHE=0``).  With ``snapshots`` (default, unless
+    ``REPRO_SNAPSHOT=0``) runs share the process's datasets and warm
+    payloads, and with ``jobs > 1`` each group of pending specs that
+    shares a warm key is warmed once in the parent before the pool
+    fans out.  Each spec that crashes its worker is retried once
+    in-process; a second failure raises :class:`ParallelRunError`.
+    ``report``, if given, is filled with batch statistics
+    (``cache_hits`` / ``executed`` / ``retried`` / ``jobs``).
     """
     from repro import snapshot as snap
 
     specs = list(specs)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    store = snap.resolve_store(snapshots, snapshot_dir)
-    result_store = snap.SnapshotStore(
-        store.directory, enabled=cache_enabled() if cache is None else cache)
+    if snapshots is None:
+        snapshots = snap.snapshots_enabled()
+    store = snap.SnapshotStore(snapshot_dir, enabled=cache)
 
     results: List = [None] * len(specs)
     keys: List[Optional[str]] = [None] * len(specs)
-    if result_store.enabled:
+    if store.enabled:
         keys = [spec_key(spec) for spec in specs]
-        results = [result_store.load(snap.RESULT_KIND, key) for key in keys]
+        results = [store.load(key) for key in keys]
     pending = [index for index, result in enumerate(results)
                if result is None]
     hits = len(specs) - len(pending)
@@ -367,25 +353,22 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     if pending:
         outcomes: Optional[List] = None
         if jobs > 1 and len(pending) > 1:
-            if store.enabled:
-                _prewarm_groups(specs, pending, store)
-            worker = functools.partial(execute_spec,
-                                       snapshots=store.enabled,
-                                       snapshot_dir=store.directory)
+            if snapshots:
+                _prewarm_groups(specs, pending)
+            worker = functools.partial(execute_spec, snapshots=snapshots)
             outcomes = _run_in_pool(
                 worker, [specs[i] for i in pending],
                 min(jobs, len(pending)),
             )
         if outcomes is None:
             # In-process path: jobs == 1, a single spec, or no usable
-            # process pool on this platform.  The snapshot memo already
-            # gives in-process group sharing, no pre-warm pass needed.
+            # process pool on this platform.  The warm payloads already
+            # give in-process group sharing, no pre-warm pass needed.
             outcomes = []
             for index in pending:
                 try:
                     outcomes.append(
-                        execute_spec(specs[index], snapshots=store.enabled,
-                                     snapshot_dir=store.directory))
+                        execute_spec(specs[index], snapshots=snapshots))
                 except Exception as exc:
                     outcomes.append(exc)
         for slot, index in enumerate(pending):
@@ -397,12 +380,11 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 retried += 1
                 try:
                     outcome = execute_spec(specs[index],
-                                           snapshots=store.enabled,
-                                           snapshot_dir=store.directory)
+                                           snapshots=snapshots)
                 except Exception as exc:
                     raise ParallelRunError(specs[index], exc) from exc
             results[index] = outcome
-            result_store.store(snap.RESULT_KIND, keys[index], outcome)
+            store.store(keys[index], outcome)
 
     if report is not None:
         report.update(cache_hits=hits, executed=len(pending),
@@ -418,9 +400,8 @@ def run_spec(spec: RunSpec, **kwargs):
     return run_specs([spec], **kwargs)[0]
 
 
-def run_specs_or_none(specs: Sequence[RunSpec], jobs: Optional[int] = None,
-                      snapshots: Optional[bool] = None,
-                      snapshot_dir=None) -> List:
+def run_specs_or_none(specs: Sequence[RunSpec],
+                      jobs: Optional[int] = None) -> List:
     """:func:`run_specs` for sweep grids whose points may die: a spec
     that fails comes back as ``None`` instead of raising.
 
@@ -431,14 +412,12 @@ def run_specs_or_none(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     raises :class:`ReproError` is marked ``None``.
     """
     try:
-        return run_specs(specs, jobs=jobs, snapshots=snapshots,
-                         snapshot_dir=snapshot_dir)
+        return run_specs(specs, jobs=jobs)
     except ParallelRunError:
         results = []
         for spec in specs:
             try:
-                results.append(execute_spec(spec, snapshots=snapshots,
-                                            snapshot_dir=snapshot_dir))
+                results.append(execute_spec(spec))
             except ReproError:
                 results.append(None)
         return results

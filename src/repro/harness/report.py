@@ -176,8 +176,8 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
 
 def _warmup_footer(split_before: Dict[str, float],
                    snap_before: Dict[str, float]) -> str:
-    """Warmup-vs-measurement wall split, snapshot hit/miss counts and
-    reused results accumulated in this process since ``generate``
+    """Warmup-vs-measurement wall split, warm restore/capture counts
+    and reused results accumulated in this process since ``generate``
     started.
 
     Like the kernel line, this covers in-process runs only: with
@@ -200,10 +200,10 @@ def _warmup_footer(split_before: Dict[str, float],
     restored = delta("warm_restores")
     fresh = delta("warm_captures")
     stale = delta("stale_rejected")
-    reused = delta("result_memo_hits") + delta("result_disk_hits")
+    reused = delta("results_reused")
     if not (warm or measure or restored or fresh or stale or reused):
         return ""
     return (f"warmup: {warm:.2f} s vs measurement {measure:.2f} s "
-            f"in-process; snapshots: {restored} restored, "
-            f"{fresh} freshly warmed, {stale} stale rejected; "
-            f"{reused} results reused")
+            f"in-process; warm state: {restored} restored, "
+            f"{fresh} freshly warmed; {reused} results reused, "
+            f"{stale} stale rejected")

@@ -26,15 +26,12 @@ CONFIGS: Sequence[str] = (
 
 
 def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
-        load: float = 0.4, jobs: Optional[int] = None,
-        snapshots: Optional[bool] = None,
-        snapshot_dir=None) -> ExperimentResult:
+        load: float = 0.4,
+        jobs: Optional[int] = None) -> ExperimentResult:
     """Regenerate Table II's normalized p99 service latencies."""
     scale = resolve_scale(scale)
     saturation = run_spec(
-        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs,
-        snapshots=snapshots, snapshot_dir=snapshot_dir,
-    )
+        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs)
     per_core_interarrival = (
         scale.num_cores / (load * saturation.throughput_jobs_per_s) * 1e9
     )
@@ -44,9 +41,7 @@ def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
                 arrivals=poisson(per_core_interarrival, seed=seed + 1))
         for config_name in CONFIGS
     ]
-    outcomes = dict(zip(CONFIGS, run_specs(specs, jobs=jobs,
-                                           snapshots=snapshots,
-                                           snapshot_dir=snapshot_dir)))
+    outcomes = dict(zip(CONFIGS, run_specs(specs, jobs=jobs)))
     baseline = outcomes["flash-sync"].service_p99_ns
 
     result = ExperimentResult(

@@ -5,9 +5,8 @@ offered load across an experiment's config presets and reports, per
 preset, the latency-vs-load curve plus the sustained-QPS-under-SLO
 knee (TailBench methodology; the paper's Fig. 10 lens).  Each
 ``(preset, qps)`` cell is one independent open-loop simulation, so the
-grid fans out through :mod:`repro.harness.parallel` and shares one
-store directory (``snapshot_dir``) of warm-state snapshots and stored
-results.
+grid fans out through :mod:`repro.harness.parallel`, sharing the
+process's datasets and warm payloads and the stored results.
 
 Conventions this layer owns:
 
@@ -335,10 +334,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
                 seed: int = 42,
                 backlog_threshold: float = DEFAULT_BACKLOG_THRESHOLD,
                 refine_evals: int = 4,
-                jobs: Optional[int] = None,
-                snapshots: Optional[bool] = None,
-                snapshot_dir=None,
-                cache: Optional[bool] = None) -> LoadgenBench:
+                jobs: Optional[int] = None) -> LoadgenBench:
     """Sweep offered load and build per-preset knee curves.
 
     The DRAM-only closed-loop saturation run anchors everything:
@@ -363,12 +359,8 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
         workload = "tatp" if "tatp" in scale.workloads \
             else scale.workloads[0]
 
-    run_kwargs = dict(jobs=jobs, snapshots=snapshots,
-                      snapshot_dir=snapshot_dir, cache=cache)
-
-    saturation = run_spec(
-        RunSpec("dram-only", workload, scale, seed=seed), **run_kwargs
-    )
+    saturation = run_spec(RunSpec("dram-only", workload, scale, seed=seed),
+                          jobs=jobs)
     saturation_qps = saturation.throughput_jobs_per_s
     slo_ns = (slo_us * US if slo_us is not None
               else DEFAULT_SLO_SERVICE_FACTOR * saturation.service_mean_ns)
@@ -391,7 +383,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     qps_points = sweep.resolve(saturation_qps)
     grid = [(preset, qps) for preset in presets for qps in qps_points]
     results = run_specs([spec_for(preset, qps) for preset, qps in grid],
-                        **run_kwargs)
+                        jobs=jobs)
     cells = [
         _make_cell(preset, qps, result, slo_ns, backlog_threshold)
         for (preset, qps), result in zip(grid, results)
@@ -418,7 +410,7 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     for preset in presets:
         def measure_fresh(qps: float, _preset: str = preset
                           ) -> Optional[float]:
-            result = run_spec(spec_for(_preset, qps), **run_kwargs)
+            result = run_spec(spec_for(_preset, qps), jobs=jobs)
             cell = _make_cell(_preset, qps, result, slo_ns,
                               backlog_threshold)
             return None if cell.p99_us is None else cell.p99_us * US

@@ -219,8 +219,6 @@ def _kernel_trajectory_panel(records: Sequence[RunRecord]) -> str:
 def _sweep_panel(detail: Mapping) -> str:
     rows = [("snapshots off",
              _fmt(detail.get("wall_seconds_snapshots_off"), ".3f")),
-            ("snapshots cold",
-             _fmt(detail.get("wall_seconds_snapshots_cold"), ".3f")),
             ("snapshots on",
              _fmt(detail.get("wall_seconds_snapshots_on"), ".3f")),
             ("speedup (off/on)",

@@ -205,18 +205,15 @@ class SweepBench:
 
     The harness-level companion to ``profile``: kernel events/s
     tracks the event loop, this tracks what :mod:`repro.snapshot`
-    amortizes across a sweep (dataset builds, cache warmup).  Three
-    timings: snapshots off, the cold on-run that also *builds* the
-    datasets and snapshot files, and the on-run of a cold process that
-    rebuilds the datasets and restores warm payloads from the files.
-    ``speedup`` is off/on — the figure the acceptance bar (>= 1.3x)
-    reads.
+    amortizes across a sweep (dataset builds, cache warmup).  The
+    on-run starts from an empty process table, as a fresh process
+    does: it builds each dataset and captures each warm payload once
+    and shares them across the sweep.  ``speedup`` is off/on.
     """
 
     experiment: str
     scale: str
     wall_seconds_snapshots_off: float
-    wall_seconds_snapshots_cold: float
     wall_seconds_snapshots_on: float
     speedup: float
     config_preset: str = ""
@@ -230,7 +227,6 @@ class SweepBench:
 
         metrics = MetricSet()
         for stat in ("wall_seconds_snapshots_off",
-                     "wall_seconds_snapshots_cold",
                      "wall_seconds_snapshots_on", "speedup"):
             metrics.add(f"sweep/{stat}", getattr(self, stat), gate=INFO)
         return make_record(
@@ -238,33 +234,25 @@ class SweepBench:
             preset=self.config_preset, metrics=metrics.as_dict(),
             policies=metrics.policies(), detail=asdict(self),
             wall_seconds=(self.wall_seconds_snapshots_off
-                          + self.wall_seconds_snapshots_cold
                           + self.wall_seconds_snapshots_on))
 
     def format_text(self) -> str:
         return "\n".join([
             f"sweep bench: {self.experiment} (scale={self.scale})",
             f"  snapshots off   {self.wall_seconds_snapshots_off:.3f} s",
-            f"  snapshots cold  {self.wall_seconds_snapshots_cold:.3f} s "
-            "(building snapshot files)",
             f"  snapshots on    {self.wall_seconds_snapshots_on:.3f} s",
             f"  speedup         {self.speedup:.2f}x (off/on)",
         ])
 
 
-def bench_sweep(experiment: str = "fig1", scale: str = "quick",
-                snapshot_dir: Optional[str] = None) -> SweepBench:
-    """Time one experiment sweep with snapshots off, cold, and on.
+def bench_sweep(experiment: str = "fig9",
+                scale: str = "quick") -> SweepBench:
+    """Time one experiment sweep with snapshots off, then on.
 
     Stored results are off throughout (they would short-circuit the
-    runs being timed) and everything stays in-process so the three
-    timings are comparable.  The store directory is a throwaway one
-    (``snapshot_dir`` or a fresh temp dir) — the bench must not be
-    contaminated by, or contaminate, a real store.
+    runs being timed, and nothing is written) and everything stays
+    in-process so the two timings are comparable.
     """
-    import shutil
-    import tempfile
-
     from repro import snapshot
     from repro.harness import EXPERIMENTS, resolve_scale  # deferred: heavy
 
@@ -276,16 +264,10 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
             f"unknown experiment {experiment!r}; known: {known}"
         ) from None
 
-    own_tmp = snapshot_dir is None
-    directory = snapshot_dir if snapshot_dir is not None \
-        else tempfile.mkdtemp(prefix="repro-bench-sweep-")
-    # Policy via environment so every experiment participates, whether
-    # or not its run() threads explicit snapshot kwargs.
+    # The experiments read the store policy from the environment.
     saved_env = {name: os.environ.get(name)
-                 for name in ("REPRO_CACHE", "REPRO_SNAPSHOT",
-                              "REPRO_CACHE_DIR")}
+                 for name in ("REPRO_CACHE", "REPRO_SNAPSHOT")}
     os.environ["REPRO_CACHE"] = "0"
-    os.environ["REPRO_CACHE_DIR"] = str(directory)
     try:
         def timed(snapshots_on: bool) -> float:
             os.environ["REPRO_SNAPSHOT"] = "1" if snapshots_on else "0"
@@ -294,11 +276,9 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
             return time.perf_counter() - start
 
         t_off = timed(False)
-        t_cold = timed(True)
-        # Drop the in-process memo and datasets, as a cold process
-        # would: the on-run rebuilds the datasets and restores warm
-        # payloads from the snapshot files.
-        snapshot.SnapshotStore.clear_memo()
+        # Start the on-run from an empty table of datasets and warm
+        # payloads, as a fresh process would.
+        snapshot.clear_memo()
         t_on = timed(True)
     finally:
         for name, value in saved_env.items():
@@ -306,14 +286,11 @@ def bench_sweep(experiment: str = "fig1", scale: str = "quick",
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-        if own_tmp:
-            shutil.rmtree(directory, ignore_errors=True)
 
     return SweepBench(
         experiment=experiment,
         scale=scale,
         wall_seconds_snapshots_off=t_off,
-        wall_seconds_snapshots_cold=t_cold,
         wall_seconds_snapshots_on=t_on,
         speedup=(t_off / t_on if t_on > 0 else 0.0),
         config_preset=resolve_scale(scale).name,

@@ -1,6 +1,6 @@
-"""The harness store: shared datasets, stored results and warm-state
-snapshots, which amortize dataset builds and cache warmup across
-experiment sweeps (DESIGN.md §4e).
+"""The harness store and the process's shared run state: datasets,
+warm payloads and stored results, which amortize dataset builds, cache
+warmup and whole runs across experiment sweeps (DESIGN.md §4e).
 
 Every figure/table harness is a *sweep*, yet each run used to rebuild
 its workload dataset and re-warm the DRAM cache / resident set from
@@ -12,34 +12,35 @@ module memoizes both, and the finished runs themselves:
   index, trees, page layout, Zipf tables) is built once per process
   for its :func:`workload_key` and shared read-only; every run gets a
   fresh *session* over it (:meth:`~repro.workloads.Workload.session`),
-  which holds all the state a run mutates.  ``fork``-started workers
-  inherit the built datasets; spawn-started workers build their own.
-* **Post-warmup machine state** (:func:`capture_warm` /
-  :func:`restore_warm`) — DRAM-cache tags/ways/dirty bits and
-  reservation maps (or the OS resident set), plus the workload session
-  and the runner RNG state at the warm/measure boundary; no dataset.
-  Restoring is *bit-identical* to a fresh warm: the golden determinism
-  test passes unchanged through both paths, enforced by
+  which holds all the state a run mutates.
+* **Warm payloads** (:func:`capture_warm` / :func:`restore_warm`) —
+  DRAM-cache tags/ways/dirty bits and reservation maps (or the OS
+  resident set), plus the workload session and the runner RNG state at
+  the warm/measure boundary; no dataset.  Each lives in the process,
+  pickled under its :func:`warm_key` beside the datasets, so every
+  restore unpickles a private object graph.  Restoring is
+  *bit-identical* to a fresh warm: the golden determinism test passes
+  unchanged through both paths, enforced by
   :meth:`~repro.core.machine.Machine.state_fingerprint` equality.
-* **Finished results** (:data:`RESULT_KIND`) — each run's
-  ``SimulationResult``, stored and reused by
-  :func:`~repro.harness.parallel.run_specs` under the spec's content
-  hash.
+* **Finished results** (:class:`SnapshotStore`) — the only files:
+  each run's ``SimulationResult`` under its spec's content hash
+  (:func:`~repro.harness.parallel.run_specs`), and fig1's whole
+  result under its inputs.
 
-Store files are versioned: a header (format version + a digest of
-the ``repro`` sources + the semantic key) is validated before the
+``fork``-started workers inherit the datasets and the warm payloads;
+spawn-started workers build and warm for themselves, with the same
+results.  Store files are versioned: a header (format version + a
+digest of the ``repro`` sources + the key) is validated before the
 payload is unpickled; any mismatch rejects and deletes the stale file
-so it is rebuilt rather than silently loaded.  The in-process memo
-holds the serialized bytes, keyed by the store directory, which
-``fork``-started worker processes inherit for free (spawn-started
-workers fall back to the files).
+so the run is redone rather than silently loaded.
 
 Policy knobs (also exposed as CLI flags, see ``repro --help``):
 
 * ``REPRO_SNAPSHOT=0``        — disable shared datasets and warm
-  snapshots (every run constructs its own workload);
+  payloads (every run constructs its own workload and warms its own
+  caches: the reference path the bit-identity tests compare against);
 * ``REPRO_CACHE=0``           — disable stored results;
-* ``REPRO_CACHE_DIR=PATH``    — the one store directory (default:
+* ``REPRO_CACHE_DIR=PATH``    — the store directory (default:
   ``.repro_cache``);
 * ``REPRO_CACHE_MAX_BYTES=N`` — byte cap for the store directory,
   LRU-pruned on write.
@@ -55,17 +56,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config.system import PagingMode, SystemConfig
+from repro.core.machine import DEFAULT_WARM_STEPS
 from repro.stats import CounterSet
 from repro.workloads import Workload, make_workload
 from repro.workloads.registry import workload_class
 
-#: Bump on any change to the snapshot file layout or payload schema.
-SNAPSHOT_VERSION = 2
-
-#: Store kinds (the filename prefix).
-WARM_KIND = "warm"
-TRACE_KIND = "trace"
-RESULT_KIND = "result"
+#: Bump on any change to the store file layout or payload schema.
+SNAPSHOT_VERSION = 3
 
 #: Default byte cap for the store directory: 256 MiB.
 DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
@@ -74,9 +71,6 @@ DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: (``.pkl`` and the ``CACHE_VERSION`` stamp file are an older
 #: checkout's result-cache leftovers).
 _PRUNABLE_SUFFIXES = (".pkl", ".snap")
-
-#: Default warmup length, mirrored from Machine.warm_caches.
-DEFAULT_WARM_STEPS = 50_000
 
 #: Process-global store telemetry (``repro report`` footer).
 STATS = CounterSet()
@@ -89,7 +83,7 @@ _SOURCE_DIGEST: Optional[str] = None
 
 def source_digest() -> str:
     """Digest of every ``repro`` source file: any simulator change
-    invalidates snapshots without manual version bumps."""
+    invalidates stored results without manual version bumps."""
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
         import repro
@@ -149,19 +143,6 @@ def warm_key(config: SystemConfig, workload_name: str, seed: int,
                     tier, int(warm_steps)))
 
 
-def trace_key(workload_name: str, dataset_pages: int, seed: int,
-              num_steps: int, kwargs: Dict[str, Any]) -> str:
-    """Digest for a memoized flat page trace (fig1-style sweeps)."""
-    return _digest(("trace", workload_name, int(dataset_pages), int(seed),
-                    int(num_steps), tuple(sorted(kwargs.items()))))
-
-
-def generic_key(*parts) -> str:
-    """Digest of arbitrary repr-stable parts, for harness-specific
-    snapshot kinds (e.g. fig1's warmed-LRU states)."""
-    return _digest(parts)
-
-
 # -------------------------------------------------------------- LRU pruning --
 
 
@@ -179,7 +160,7 @@ def cache_max_bytes() -> Optional[int]:
 
 def prune_cache(directory: Path, max_bytes: Optional[int] = None,
                 keep: Iterable[Path] = ()) -> Tuple[int, int]:
-    """LRU-prune cache/snapshot files under ``directory`` to the cap.
+    """LRU-prune store files under ``directory`` to the cap.
 
     Recency is file mtime — loads touch their entry on every hit, so
     mtime order is LRU order.  ``keep`` paths (typically the entry just
@@ -219,7 +200,7 @@ def prune_cache(directory: Path, max_bytes: Optional[int] = None,
 
 
 def clear_cache(directory: Path) -> Tuple[int, int]:
-    """Delete every cache/snapshot file under ``directory``."""
+    """Delete every store file under ``directory``."""
     if not directory.is_dir():
         return (0, 0)
     removed_files = removed_bytes = 0
@@ -239,134 +220,92 @@ def clear_cache(directory: Path) -> Tuple[int, int]:
     return (removed_files, removed_bytes)
 
 
-# ------------------------------------------------------------ snapshot store --
+# ------------------------------------------------------------- result store --
 
 
 def snapshots_enabled() -> bool:
     return os.environ.get("REPRO_SNAPSHOT", "1") != "0"
 
 
+def cache_enabled() -> bool:
+    return os.environ.get("REPRO_CACHE", "1") != "0"
+
+
 def default_snapshot_dir() -> Path:
-    """The one store directory: ``$REPRO_CACHE_DIR`` or
-    ``.repro_cache``."""
+    """The store directory: ``$REPRO_CACHE_DIR`` or ``.repro_cache``."""
     return Path(os.environ.get("REPRO_CACHE_DIR") or ".repro_cache")
 
 
 class SnapshotStore:
-    """Versioned store files plus an in-process bytes memo.
+    """Versioned files of finished results, one per key.
 
     File layout: two concatenated pickles — a small header
-    ``{"version", "stamp", "kind", "key"}`` followed by the payload.
-    Loads validate the header before touching the payload, so stale
-    files (format bump or simulator source change) are rejected and
-    deleted, never silently loaded.  The memo keeps the serialized
-    payload bytes, keyed by directory, kind and key, so a store on a
-    fresh directory starts cold; each load unpickles a fresh object
-    graph, so no mutable state leaks between runs, and
-    ``fork``-started workers inherit the memo without re-reading files.
+    ``{"version", "stamp", "key"}`` followed by the payload.  Loads
+    validate the header before touching the payload, so stale files
+    (format bump or simulator source change) and corrupt ones are
+    rejected and deleted, never silently loaded.  Every load reads its
+    file and unpickles a fresh object graph.  ``enabled`` defaults to
+    ``REPRO_CACHE`` and ``directory`` to ``REPRO_CACHE_DIR``.
     """
-
-    #: Process-global memo: (directory, kind, key) -> payload bytes.
-    _MEMO: Dict[Tuple[str, str, str], bytes] = {}
 
     def __init__(self, directory: Optional[Path] = None,
                  enabled: Optional[bool] = None) -> None:
-        self.enabled = snapshots_enabled() if enabled is None else enabled
+        self.enabled = cache_enabled() if enabled is None else enabled
         self.directory = Path(directory) if directory is not None \
             else default_snapshot_dir()
-        self._scope = str(self.directory)
 
-    # -- paths / headers ----------------------------------------------------
-
-    def _path(self, kind: str, key: str) -> Path:
-        return self.directory / f"{kind}-{key}.snap"
+    def _path(self, key: str) -> Path:
+        return self.directory / f"result-{key}.snap"
 
     @staticmethod
-    def _header(kind: str, key: str) -> Dict[str, Any]:
+    def _header(key: str) -> Dict[str, Any]:
         return {"version": SNAPSHOT_VERSION, "stamp": source_digest(),
-                "kind": kind, "key": key}
+                "key": key}
 
-    def _header_valid(self, header, kind: str, key: str) -> bool:
-        return (isinstance(header, dict)
-                and header.get("version") == SNAPSHOT_VERSION
-                and header.get("stamp") == source_digest()
-                and header.get("kind") == kind
-                and header.get("key") == key)
+    def load(self, key: str):
+        """The stored payload as a fresh object graph, or ``None``.
 
-    # -- load / store -------------------------------------------------------
-
-    def contains(self, kind: str, key: str) -> bool:
-        """Cheap existence probe: memo hit, or a file whose *header*
-        validates (the payload is not unpickled)."""
-        if not self.enabled:
-            return False
-        if (self._scope, kind, key) in self._MEMO:
-            return True
-        path = self._path(kind, key)
-        try:
-            with open(path, "rb") as handle:
-                return self._header_valid(pickle.load(handle), kind, key)
-        except Exception:
-            return False
-
-    def load(self, kind: str, key: str):
-        """The snapshot payload as a fresh object graph, or ``None``.
-
-        A file with a stale or foreign header is deleted and reported
-        as a miss (counted under ``stale_rejected``)."""
+        A file with a stale or foreign header, or a corrupt payload, is
+        deleted and reported as a miss (counted under
+        ``stale_rejected``)."""
         if not self.enabled:
             return None
-        blob = self._MEMO.get((self._scope, kind, key))
-        if blob is not None:
-            STATS[f"{kind}_memo_hits"] += 1.0
-            return pickle.loads(blob)
-        path = self._path(kind, key)
+        path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                header = pickle.load(handle)
-                if not self._header_valid(header, kind, key):
-                    raise _StaleSnapshot()
-                payload_blob = handle.read()
-            payload = pickle.loads(payload_blob)
+                if pickle.load(handle) != self._header(key):
+                    raise ValueError("stale header")
+                payload = pickle.load(handle)
         except OSError:
             return None
-        except _StaleSnapshot:
-            STATS["stale_rejected"] += 1.0
-            self._discard(path)
-            return None
         except Exception:
-            # Corrupt entry (interrupted writer, unreadable pickle).
+            # Stale (format or simulator change) or corrupt
+            # (interrupted writer, unreadable pickle).
             STATS["stale_rejected"] += 1.0
             self._discard(path)
             return None
-        self._MEMO[(self._scope, kind, key)] = payload_blob
         self._touch(path)
-        STATS[f"{kind}_disk_hits"] += 1.0
+        STATS["results_reused"] += 1.0
         return payload
 
-    def store(self, kind: str, key: str, payload) -> None:
-        """Serialize ``payload`` into the memo and (atomically) a
-        versioned file; LRU-prunes the cache tree afterwards."""
+    def store(self, key: str, payload) -> None:
+        """Write ``payload`` (atomically) as a versioned file;
+        LRU-prunes the directory afterwards."""
         if not self.enabled:
             return
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._MEMO[(self._scope, kind, key)] = blob
-        path = self._path(kind, key)
+        path = self._path(key)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as handle:
-                handle.write(pickle.dumps(self._header(kind, key),
-                                          protocol=pickle.HIGHEST_PROTOCOL))
-                handle.write(blob)
+                pickle.dump(self._header(key), handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(payload, handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            self._discard(tmp)
             return
-        STATS[f"{kind}_stored"] += 1.0
         prune_cache(self.directory, keep=(path,))
 
     @staticmethod
@@ -376,29 +315,12 @@ class SnapshotStore:
         except OSError:
             pass
 
-    def _discard(self, path: Path) -> None:
+    @staticmethod
+    def _discard(path: Path) -> None:
         try:
             path.unlink()
         except OSError:
             pass
-
-    @classmethod
-    def clear_memo(cls) -> None:
-        """Forget the memo and the process's built datasets."""
-        cls._MEMO.clear()
-        _DATASETS.clear()
-
-
-class _StaleSnapshot(Exception):
-    pass
-
-
-def resolve_store(snapshots: Optional[bool] = None,
-                  snapshot_dir=None) -> SnapshotStore:
-    """Build a store from explicit arguments, falling back to the
-    ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment policy."""
-    directory = Path(snapshot_dir) if snapshot_dir is not None else None
-    return SnapshotStore(directory=directory, enabled=snapshots)
 
 
 # ------------------------------------------------------------ shared datasets --
@@ -407,19 +329,28 @@ def resolve_store(snapshots: Optional[bool] = None,
 #: workload that never runs; runs get sessions over it.
 _DATASETS: Dict[str, Workload] = {}
 
+#: The process's warm payloads by :func:`warm_key`, pickled, so each
+#: restore unpickles a private object graph.
+_WARM: Dict[str, bytes] = {}
+
+
+def clear_memo() -> None:
+    """Forget the process's built datasets and warm payloads."""
+    _DATASETS.clear()
+    _WARM.clear()
+
 
 def build_workload(name: str, dataset_pages: int, seed: int,
-                   store: Optional[SnapshotStore] = None, **kwargs):
+                   snapshots: Optional[bool] = None, **kwargs):
     """:func:`~repro.workloads.make_workload` over a shared dataset.
 
     The dataset (``HashIndex.bulk_load``, masstree/rbtree node builds,
     page layout, Zipf tables) is built once per process and key; the
     returned workload is a fresh session over it, bit-identical to a
-    fresh construction.  A disabled store constructs with
-    ``make_workload``.
+    fresh construction.  With snapshots off (``snapshots``, default
+    ``REPRO_SNAPSHOT``) it constructs with ``make_workload``.
     """
-    store = store if store is not None else resolve_store()
-    if not store.enabled:
+    if not (snapshots_enabled() if snapshots is None else snapshots):
         return make_workload(name, dataset_pages, seed=seed, **kwargs)
     key = workload_key(name, dataset_pages, seed, kwargs)
     dataset = _DATASETS.get(key)
@@ -433,9 +364,14 @@ def build_workload(name: str, dataset_pages: int, seed: int,
 # ------------------------------------------------- warm-state capture/restore --
 
 
-def capture_warm(runner, key: str, store: SnapshotStore,
+def warm_captured(key: str) -> bool:
+    """Whether this process holds a warm payload under ``key``."""
+    return key in _WARM
+
+
+def capture_warm(runner, key: str,
                  warm_steps: Optional[int] = None) -> None:
-    """Warm ``runner`` freshly (idempotent) and serialize the
+    """Warm ``runner`` freshly (idempotent) and keep the
     warm/measure-boundary state under ``key``.
 
     The payload carries everything the measurement phase reads that
@@ -446,26 +382,24 @@ def capture_warm(runner, key: str, store: SnapshotStore,
     """
     runner.warm(warm_steps)
     STATS["warm_captures"] += 1.0
-    if not store.enabled:
-        return
-    payload = {
+    _WARM[key] = pickle.dumps({
         "session": runner.workload.dump_session(),
         "rng_state": runner._rng.getstate(),
         "machine": runner.machine.dump_warm_state(),
-    }
-    store.store(WARM_KIND, key, payload)
+    }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def restore_warm(runner, payload: Dict[str, Any]) -> None:
-    """Load a warm-state payload into a freshly-constructed runner
-    whose workload is a fresh session of the payload's seed, instead of
-    calling ``machine.warm_caches()``.
+def restore_warm(runner, key: str) -> None:
+    """Load the warm payload captured under ``key`` into a
+    freshly-constructed runner whose workload is a fresh session of the
+    payload's seed, instead of calling ``machine.warm_caches()``.
 
     The restore contract is *bit-identical continuation*: after this
     call the runner's observable state (machine fingerprint, workload
     session, runner RNG) equals the state a fresh warm with the same
     inputs would have produced.
     """
+    payload = pickle.loads(_WARM[key])
     start = time.perf_counter()
     runner.workload.load_session(payload["session"])
     runner._rng.setstate(payload["rng_state"])
@@ -475,5 +409,5 @@ def restore_warm(runner, payload: Dict[str, Any]) -> None:
 
 
 def summary() -> Dict[str, float]:
-    """Current process-global snapshot counters (report footer)."""
+    """Current process-global store counters (report footer)."""
     return dict(STATS)

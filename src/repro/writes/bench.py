@@ -282,9 +282,7 @@ def run_writes(experiment: str = "kv", scale="quick",
                policies: Optional[Sequence[str]] = None,
                presets: Optional[Sequence[str]] = None,
                workload: str = "kvstore", seed: int = 42,
-               jobs: Optional[int] = None,
-               snapshots: Optional[bool] = None,
-               snapshot_dir=None) -> WritesBench:
+               jobs: Optional[int] = None) -> WritesBench:
     """Sweep admission policies and SET ratios over the write presets."""
     base_scale = resolve_scale(scale)
     scale = writes_scale(base_scale)
@@ -314,8 +312,7 @@ def run_writes(experiment: str = "kv", scale="quick",
                 config_overrides=writes_overrides(policy))
         for preset, policy, ratio in grid
     ]
-    results = run_specs_or_none(specs, jobs=jobs, snapshots=snapshots,
-                                snapshot_dir=snapshot_dir)
+    results = run_specs_or_none(specs, jobs=jobs)
 
     cells = []
     for (preset, policy, ratio), result in zip(grid, results):

@@ -1,11 +1,11 @@
 """Shared test fixtures.
 
-The harness store (repro.snapshot: stored results plus dataset and
-warm-state snapshots) defaults to ``.repro_cache/`` in the working
-directory; the suite points it at a session-scoped temp directory
-instead so test runs stay hermetic and leave no files behind.  Within
-the session the store still operates normally — tests exercise the
-store, reuse, capture and restore paths.
+The harness store (repro.snapshot's stored results; datasets and warm
+payloads live in the process) defaults to ``.repro_cache/`` in the
+working directory; the suite points it at a session-scoped temp
+directory instead so test runs stay hermetic and leave no files
+behind.  Within the session the store still operates normally — tests
+exercise storing, reuse and stale rejection.
 """
 
 import os

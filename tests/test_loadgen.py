@@ -237,12 +237,14 @@ class TestOpenLoopCensoring:
 class TestRunLoadgen:
     @pytest.fixture(scope="class")
     def bench(self, tmp_path_factory):
-        store_dir = tmp_path_factory.mktemp("loadgen_store")
-        return run_loadgen(
-            "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
-            workload="arrayswap", presets=("dram-only", "astriflash"),
-            refine_evals=1, snapshot_dir=str(store_dir),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR",
+                         str(tmp_path_factory.mktemp("loadgen_store")))
+            return run_loadgen(
+                "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
+                workload="arrayswap", presets=("dram-only", "astriflash"),
+                refine_evals=1,
+            )
 
     def test_grid_shape(self, bench):
         assert bench.presets == ["dram-only", "astriflash"]
@@ -279,24 +281,26 @@ class TestRunLoadgen:
         document = json.loads(text)
         assert document["detail"]["qps_points"] == bench.qps_points
 
-    def test_rerun_is_bit_identical(self, bench, tmp_path):
+    def test_rerun_is_bit_identical(self, bench, monkeypatch):
+        # Stored results off, so the rerun simulates every cell again.
+        monkeypatch.setenv("REPRO_CACHE", "0")
         rerun = run_loadgen(
             "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
             workload="arrayswap", presets=("dram-only", "astriflash"),
-            refine_evals=1, snapshot_dir=str(tmp_path),
+            refine_evals=1,
         )
         assert dumps(dataclasses.asdict(rerun)) == \
             dumps(dataclasses.asdict(bench))
         assert rerun.record().fingerprint == bench.record().fingerprint
 
-    def test_flash_knee_never_beats_dram(self, tmp_path):
+    def test_flash_knee_never_beats_dram(self, tmp_path, monkeypatch):
         # The shared fixture's window censors every cell; a longer one
         # leaves both knees measurable.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         bench = run_loadgen(
             "fig10", scale=dataclasses.replace(TINY, measurement_us=4000.0),
             qps_sweep="0.2x:0.6x:2", workload="arrayswap",
             presets=("dram-only", "astriflash"), refine_evals=0,
-            snapshot_dir=str(tmp_path),
         )
         dram = bench.knee("dram-only").sustained_qps
         flash = bench.knee("astriflash").sustained_qps

@@ -536,7 +536,6 @@ LOADGEN_PAYLOAD = {
 SWEEP_PAYLOAD = {
     "experiment": "fig9", "scale": "quick",
     "wall_seconds_snapshots_off": 10.0,
-    "wall_seconds_snapshots_cold": 11.0,
     "wall_seconds_snapshots_on": 4.0, "speedup": 2.5,
     "config_preset": "quick",
 }

@@ -100,7 +100,6 @@ class TestCache:
     def test_source_stamp_invalidates(self, tmp_path, monkeypatch):
         spec = tiny_spec()
         run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-        snapshot.SnapshotStore.clear_memo()
         # Simulate a stored result from an older simulator version.
         monkeypatch.setattr(snapshot, "source_digest", lambda: "deadbeef")
         report = {}
@@ -111,7 +110,6 @@ class TestCache:
     def test_corrupt_entry_is_dropped(self, tmp_path):
         spec = tiny_spec()
         run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-        snapshot.SnapshotStore.clear_memo()
         entry = tmp_path / f"result-{spec_key(spec)}.snap"
         entry.write_bytes(b"not a pickle")
         report = {}
@@ -130,13 +128,16 @@ class TestCache:
 
     def test_results_and_snapshots_share_one_directory(self, tmp_path,
                                                        monkeypatch):
+        """The store directory holds the finished result only: the run
+        captures its warm state in the process, not in a file."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
         monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
+        snapshot.clear_memo()
+        before = snapshot.summary().get("warm_captures", 0)
         run_specs([tiny_spec()], jobs=1, cache=True)
-        for kind in ("result", "warm"):
-            assert len(list(tmp_path.glob(f"{kind}-*.snap"))) == 1, kind
-        assert len(list(tmp_path.iterdir())) == 2
+        assert snapshot.summary()["warm_captures"] == before + 1
+        assert len(list(tmp_path.glob("result-*.snap"))) == 1
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 class TestFailurePaths:

@@ -1,12 +1,12 @@
-"""Tests for the warm-state snapshot/restore subsystem.
+"""Tests for the shared datasets, warm payloads and result store.
 
 The subsystem's contract is *bit-identical amortization*: a session
-over a shared dataset, and a restored warm-state snapshot, must be
+over a shared dataset, and a restored warm payload, must be
 indistinguishable from building or warming from scratch.  The property
 test below pins that with :meth:`Machine.state_fingerprint` equality
 for every evaluated preset x workload pair; the rest covers the shared
-datasets (never changed by a run), the versioned file format (stale
-rejection + rebuild), the LRU byte-cap pruner, and the harness
+datasets (never changed by a run), the versioned result files (stale
+rejection + re-run), the LRU byte-cap pruner, and the harness
 integration (warm-key grouping, fork pool context, sweep bench).
 """
 
@@ -49,11 +49,12 @@ TINY_LONG = dataclasses.replace(TINY, name="snap-tiny-long",
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    """Each test starts without the process-global bytes memo, so disk
-    vs memo behaviour is the test's own choice, not execution order's."""
-    snap.SnapshotStore.clear_memo()
+    """Each test starts without the process's datasets and warm
+    payloads, so capture vs restore is the test's own choice, not
+    execution order's."""
+    snap.clear_memo()
     yield
-    snap.SnapshotStore.clear_memo()
+    snap.clear_memo()
 
 
 def tiny_spec(config_name="astriflash", seed=7,
@@ -66,9 +67,9 @@ def result_fields(result) -> dict:
     return perf.canonical_result_dict(result)
 
 
-def _tiny_workload(workload_name: str, store=None):
+def _tiny_workload(workload_name: str):
     return snap.build_workload(workload_name, TINY.dataset_pages, SEED,
-                               store=store, **TINY.workload_kwargs())
+                               snapshots=True, **TINY.workload_kwargs())
 
 
 def _fresh_runner(config_name: str, workload_name: str) -> Runner:
@@ -81,11 +82,10 @@ def _fresh_runner(config_name: str, workload_name: str) -> Runner:
 
 @pytest.mark.parametrize("workload_name", EVALUATED_WORKLOADS)
 @pytest.mark.parametrize("config_name", EVALUATED_CONFIG_NAMES)
-def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name,
-                                                tmp_path):
+def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name):
     """For every preset x workload pair, the machine fingerprint after
-    snapshot-restore equals the fingerprint after a fresh warm — both
-    via capture (memo) and via a cold load from the snapshot file."""
+    a capture, and after a restore of the captured payload, equals the
+    fingerprint after a fresh warm."""
     config = build_config(config_name, TINY)
     key = snap.warm_key(config, workload_name, SEED,
                         TINY.workload_kwargs(),
@@ -104,19 +104,14 @@ def test_restore_is_bit_identical_to_fresh_warm(config_name, workload_name,
         assert fresh.machine.state_fingerprint() == want
         return
 
-    store = snap.SnapshotStore(tmp_path, enabled=True)
     captured = _fresh_runner(config_name, workload_name)
-    snap.capture_warm(captured, key, store, warm_steps=WARM_STEPS)
+    snap.capture_warm(captured, key, warm_steps=WARM_STEPS)
     assert captured.machine.state_fingerprint() == want
+    assert snap.warm_captured(key)
 
-    # Cold-restore path: drop the memo and the built datasets, so the
-    # payload comes off disk and the session over a rebuilt dataset.
-    snap.SnapshotStore.clear_memo()
-    payload = store.load(snap.WARM_KIND, key)
-    assert payload is not None
     restored = Runner(build_config(config_name, TINY),
-                      _tiny_workload(workload_name, store), warm=False)
-    snap.restore_warm(restored, payload)
+                      _tiny_workload(workload_name), warm=False)
+    snap.restore_warm(restored, key)
     assert restored.machine.state_fingerprint() == want
     assert restored._warm_source == "snapshot"
     # The runner RNG and the workload session resume exactly where the
@@ -159,17 +154,6 @@ def test_warm_key_varies_with_warm_inputs():
                                  warm_steps=WARM_STEPS)
 
 
-def test_memo_is_scoped_to_its_directory(tmp_path):
-    """A store on a fresh directory starts cold, whatever another
-    directory's store has put in the process memo."""
-    stored = snap.SnapshotStore(tmp_path / "a", enabled=True)
-    stored.store(snap.TRACE_KIND, "k1", {"payload": 1})
-    fresh = snap.SnapshotStore(tmp_path / "b", enabled=True)
-    assert fresh.load(snap.TRACE_KIND, "k1") is None
-    assert not fresh.contains(snap.TRACE_KIND, "k1")
-    assert stored.load(snap.TRACE_KIND, "k1") == {"payload": 1}
-
-
 # ------------------------------------------------------ stale/corrupt files --
 
 
@@ -188,9 +172,9 @@ def _write_snapshot(path, header, blob):
 @pytest.mark.parametrize("tamper", ["version", "stamp", "payload"])
 def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
     store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store(snap.TRACE_KIND, "k1", {"payload": 1})
-    snap.SnapshotStore.clear_memo()
-    path = store._path(snap.TRACE_KIND, "k1")
+    store.store("k1", {"payload": 1})
+    path = store._path("k1")
+    assert store.load("k1") == {"payload": 1}
     header, blob = _read_snapshot(path)
     if tamper == "version":
         header["version"] = snap.SNAPSHOT_VERSION + 1
@@ -201,31 +185,29 @@ def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
     _write_snapshot(path, header, blob)
 
     before = snap.summary().get("stale_rejected", 0)
-    assert store.load(snap.TRACE_KIND, "k1") is None
-    assert not path.exists(), "stale snapshot must be deleted"
+    assert store.load("k1") is None
+    assert not path.exists(), "stale file must be deleted"
     assert snap.summary().get("stale_rejected", 0) == before + 1
-    assert not store.contains(snap.TRACE_KIND, "k1")
 
 
-def test_stale_warm_snapshot_rebuilt_not_silently_loaded(tmp_path):
+def test_stale_result_rerun_not_silently_loaded(tmp_path):
     spec = tiny_spec()
     baseline = result_fields(execute_spec(spec, snapshots=False))
-    execute_spec(spec, snapshots=True, snapshot_dir=tmp_path)
+    run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
 
-    files = list(tmp_path.glob("warm-*.snap"))
-    assert len(files) == 1
-    path = files[0]
+    (path,) = tmp_path.glob("result-*.snap")
     header, blob = _read_snapshot(path)
-    header["stamp"] = "0" * 16  # simulator "changed" since capture
+    header["stamp"] = "0" * 16  # simulator "changed" since the run
     _write_snapshot(path, header, blob)
-    snap.SnapshotStore.clear_memo()
 
     before = snap.summary().get("stale_rejected", 0)
-    result = execute_spec(spec, snapshots=True, snapshot_dir=tmp_path)
-    assert result.warm_source == "fresh"  # re-warmed, not loaded
+    report = {}
+    (result,) = run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path,
+                          report=report)
+    assert report["executed"] == 1  # re-run, not loaded
     assert result_fields(result) == baseline
-    assert snap.summary().get("stale_rejected", 0) > before
-    # A valid snapshot replaced the stale one.
+    assert snap.summary().get("stale_rejected", 0) == before + 1
+    # A valid result replaced the stale one.
     header, _ = _read_snapshot(path)
     assert header["stamp"] == snap.source_digest()
 
@@ -234,48 +216,42 @@ def test_stale_warm_snapshot_rebuilt_not_silently_loaded(tmp_path):
 
 
 @pytest.mark.parametrize("workload_name", REGISTERED_WORKLOADS)
-def test_execute_spec_identical_across_snapshot_paths(tmp_path,
-                                                      workload_name):
-    """Off, cold-capture, memo-restore, and disk-restore runs must all
-    produce bit-identical results (the golden test pins the values;
-    this pins path equivalence for every mode with warm state).  So
-    must a run of another seed over the dataset the first seed's runs
-    built: a build that draws from the seed must key by it."""
+def test_execute_spec_identical_across_snapshot_paths(workload_name):
+    """Off, capture and restore runs must all produce bit-identical
+    results (the golden test pins the values; this pins path
+    equivalence for every mode with warm state).  So must a run of
+    another seed over the dataset the first seed's runs built: a build
+    that draws from the seed must key by it."""
     for config_name in ("astriflash", "os-swap", "flash-sync"):
-        # Private store per config: astriflash and flash-sync share a
+        # Empty table per config: astriflash and flash-sync share a
         # warm key by design, which would make the later "cold" runs
         # restores rather than captures.
-        store_dir = tmp_path / config_name
-        snap.SnapshotStore.clear_memo()
+        snap.clear_memo()
         spec = tiny_spec(config_name, workload_name=workload_name,
                          scale=TINY_LONG)
         off = execute_spec(spec, snapshots=False)
-        cold = execute_spec(spec, snapshots=True, snapshot_dir=store_dir)
-        memo = execute_spec(spec, snapshots=True, snapshot_dir=store_dir)
-        snap.SnapshotStore.clear_memo()
-        disk = execute_spec(spec, snapshots=True, snapshot_dir=store_dir)
+        cold = execute_spec(spec, snapshots=True)
+        memo = execute_spec(spec, snapshots=True)
         assert off.warm_source == "fresh"
         assert cold.warm_source == "fresh"
         assert memo.warm_source == "snapshot"
-        assert disk.warm_source == "snapshot"
         assert (result_fields(off) == result_fields(cold)
-                == result_fields(memo) == result_fields(disk))
+                == result_fields(memo))
 
         other = tiny_spec(config_name, seed=8, workload_name=workload_name,
                           scale=TINY_LONG)
-        shared = execute_spec(other, snapshots=True, snapshot_dir=store_dir)
+        shared = execute_spec(other, snapshots=True)
         assert result_fields(shared) == \
             result_fields(execute_spec(other, snapshots=False))
 
 
-def test_run_specs_warms_shared_group_once(tmp_path):
+def test_run_specs_warms_shared_group_once():
     """Specs sharing a warm key re-use one capture: the second run of
     the batch restores instead of warming."""
     specs = [tiny_spec("astriflash", seed=23),
              tiny_spec("flash-sync", seed=23)]
     before = snap.summary()
-    run_specs(specs, jobs=1, cache=False,
-              snapshots=True, snapshot_dir=tmp_path)
+    run_specs(specs, jobs=1, cache=False, snapshots=True)
     after = snap.summary()
 
     def delta(key):
@@ -291,21 +267,41 @@ def test_run_specs_warms_shared_group_once(tmp_path):
         before = snap.summary().get("workload_builds", 0)
         run_specs([tiny_spec("dram-only", seed, workload_name)
                    for seed in (23, 24)],
-                  jobs=1, cache=False, snapshots=True, snapshot_dir=tmp_path)
+                  jobs=1, cache=False, snapshots=True)
         assert snap.summary()["workload_builds"] - before == builds
+
+
+def test_bench_span_wrappers_see_each_call(monkeypatch):
+    """The bench's traced pass wraps these three names on the module
+    and times what they cover; over a warm-sharing pair, run one cell
+    at a time the way the bench runs them, each wrapper sees its
+    calls: a session per run, one capture and one restore."""
+    calls = {}
+    for name in ("build_workload", "capture_warm", "restore_warm"):
+        original = getattr(snap, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(snap, name, wrapper)
+    for config_name in ("astriflash", "flash-sync"):
+        run_specs([tiny_spec(config_name, seed=29)], jobs=1, cache=False,
+                  snapshots=True)
+    assert calls == {"build_workload": 2, "capture_warm": 1,
+                     "restore_warm": 1}
 
 
 # ------------------------------------------------------- dataset memoization --
 
 
-def test_build_workload_memoizes_but_never_shares_objects(tmp_path):
+def test_build_workload_memoizes_but_never_shares_objects():
     """The dataset is built once and shared; the session objects
     around it never are."""
-    store = snap.SnapshotStore(tmp_path, enabled=True)
     before = snap.summary().get("workload_builds", 0)
-    first = snap.build_workload("tatp", 512, 3, store=store)
+    first = snap.build_workload("tatp", 512, 3, snapshots=True)
     assert snap.summary().get("workload_builds", 0) == before + 1
-    second = snap.build_workload("tatp", 512, 4, store=store)
+    second = snap.build_workload("tatp", 512, 4, snapshots=True)
     assert snap.summary().get("workload_builds", 0) == before + 1
     # One dataset: the hash index and the Zipf CDF table ...
     assert first.index is second.index
@@ -317,11 +313,12 @@ def test_build_workload_memoizes_but_never_shares_objects(tmp_path):
     assert (first.seed, second.seed) == (3, 4)
 
 
-def test_build_workload_disabled_store_bypasses_files(tmp_path):
-    store = snap.SnapshotStore(tmp_path, enabled=False)
-    workload = snap.build_workload("arrayswap", 512, 3, store=store)
+def test_build_workload_disabled_store_bypasses_files():
+    """With snapshots off, a workload is constructed on its own and
+    no dataset is kept."""
+    workload = snap.build_workload("arrayswap", 512, 3, snapshots=False)
     assert workload.name == "arrayswap"
-    assert list(tmp_path.iterdir()) == []
+    assert snap._DATASETS == {}
 
 
 def _dataset_digest(workload) -> str:
@@ -369,24 +366,23 @@ def _dataset_digest(workload) -> str:
 
 
 @pytest.mark.parametrize("workload_name", REGISTERED_WORKLOADS)
-def test_shared_dataset_unchanged_by_runs(tmp_path, workload_name):
+def test_shared_dataset_unchanged_by_runs(workload_name):
     """A warm capture, a restore and a full run of sessions leave the
     shared dataset as built: whatever a run mutates must be session
     state (``Workload.run_state`` or a sampler's stream)."""
-    store = snap.SnapshotStore(tmp_path, enabled=True)
     config = build_config("astriflash", TINY)
     key = snap.warm_key(config, workload_name, SEED, TINY.workload_kwargs(),
                         dataset_pages=TINY.dataset_pages,
                         warm_steps=WARM_STEPS)
-    captured = Runner(config, _tiny_workload(workload_name, store))
+    captured = Runner(config, _tiny_workload(workload_name))
     (dataset,) = snap._DATASETS.values()
     built = _dataset_digest(dataset)
 
-    snap.capture_warm(captured, key, store, warm_steps=WARM_STEPS)
+    snap.capture_warm(captured, key, warm_steps=WARM_STEPS)
     captured.run()
     restored = Runner(build_config("astriflash", TINY),
-                      _tiny_workload(workload_name, store), warm=False)
-    snap.restore_warm(restored, store.load(snap.WARM_KIND, key))
+                      _tiny_workload(workload_name), warm=False)
+    snap.restore_warm(restored, key)
     restored.run()
     assert restored.workload.dump_session() != dataset.dump_session()
     assert _dataset_digest(dataset) == built
@@ -430,9 +426,9 @@ def test_store_prunes_to_byte_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "512")
     old = _aged_file(tmp_path, "old.snap", 4096, 0)
     store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store(snap.TRACE_KIND, "fresh", {"payload": 1})
+    store.store("fresh", {"payload": 1})
     assert not old.exists(), "write must prune older entries over cap"
-    assert store._path(snap.TRACE_KIND, "fresh").exists()
+    assert store._path("fresh").exists()
 
 
 def test_cache_max_bytes_env_parsing(monkeypatch):
@@ -491,27 +487,36 @@ def test_pool_context_prefers_fork():
         assert context.get_start_method() == expected
 
 
-def test_fig1_rows_identical_with_and_without_snapshots(tmp_path):
-    off = fig1.run(scale="quick", jobs=1, snapshots=False)
-    cold = fig1.run(scale="quick", jobs=1, snapshots=True,
-                    snapshot_dir=tmp_path)
-    snap.SnapshotStore.clear_memo()
-    warm = fig1.run(scale="quick", jobs=1, snapshots=True,
-                    snapshot_dir=tmp_path)
-    assert off.rows == cold.rows == warm.rows
+def test_fig1_rows_identical_with_and_without_snapshots(tmp_path,
+                                                       monkeypatch):
+    """Snapshots off and on give the same rows; a stored fig1 is
+    reused whole on the next run, with the same rows."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
+    off = fig1.run(scale="quick", jobs=1)
+    monkeypatch.setenv("REPRO_SNAPSHOT", "1")
+    on = fig1.run(scale="quick", jobs=1)
+    assert off.rows == on.rows
+
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    fig1.run(scale="quick", jobs=1)
+    assert len(list(tmp_path.glob("result-*.snap"))) == 1
+    before = snap.summary().get("results_reused", 0)
+    again = fig1.run(scale="quick", jobs=1)
+    assert snap.summary().get("results_reused", 0) == before + 1
+    assert again.rows == on.rows
 
 
 def test_bench_sweep_schema_and_speedup(tmp_path):
     from repro.metrics import LEDGER_SCHEMA_VERSION, write_record
 
-    bench = perf.bench_sweep("fig1", scale="quick",
-                             snapshot_dir=str(tmp_path))
+    bench = perf.bench_sweep("fig1", scale="quick")
     record = bench.record()
     assert record.verb == "bench-sweep"
     assert record.schema_version == LEDGER_SCHEMA_VERSION
     data = record.detail
     for field in ("experiment", "scale", "wall_seconds_snapshots_off",
-                  "wall_seconds_snapshots_cold",
                   "wall_seconds_snapshots_on", "speedup",
                   "config_preset"):
         assert field in data
