@@ -5,8 +5,6 @@ granularity) and Unison-style way prediction (serialized vs overlapped
 tag access on hits).
 """
 
-import dataclasses
-
 from conftest import run_once
 
 from repro.harness.common import build_config, resolve_scale
@@ -18,15 +16,13 @@ def sweep(scale_name):
     scale = resolve_scale(scale_name)
     outcomes = {}
     variants = {
-        "direct-mapped": {"associativity": 1},
-        "8-way": {"associativity": 8},
-        "8-way-no-waypred": {"associativity": 8, "way_prediction": False},
+        "direct-mapped": (("dram_cache.associativity", 1),),
+        "8-way": (("dram_cache.associativity", 8),),
+        "8-way-no-waypred": (("dram_cache.associativity", 8),
+                             ("dram_cache.way_prediction", False)),
     }
     for name, overrides in variants.items():
-        config = build_config("astriflash", scale)
-        config.dram_cache = dataclasses.replace(
-            config.dram_cache, **overrides
-        )
+        config = build_config("astriflash", scale, overrides)
         workload = make_workload("tatp", scale.dataset_pages, seed=42,
                                  **scale.workload_kwargs())
         result = Runner(config, workload).run()

@@ -5,8 +5,6 @@ bandwidth Equation 1 charges — the knob the paper offers for scaling to
 higher core counts under a fixed PCIe budget.
 """
 
-import dataclasses
-
 from conftest import run_once
 
 from repro.harness.common import build_config, resolve_scale
@@ -18,11 +16,11 @@ def sweep(scale_name):
     scale = resolve_scale(scale_name)
     outcomes = {}
     for enabled in (False, True):
-        config = build_config("astriflash", scale)
-        config.dram_cache = dataclasses.replace(
-            config.dram_cache, footprint_enabled=enabled,
-            footprint_region_pages=32, footprint_safety_blocks=4,
-        )
+        config = build_config("astriflash", scale, (
+            ("dram_cache.footprint_enabled", enabled),
+            ("dram_cache.footprint_region_pages", 32),
+            ("dram_cache.footprint_safety_blocks", 4),
+        ))
         workload = make_workload("rbtree", scale.dataset_pages, seed=42,
                                  **scale.workload_kwargs())
         runner = Runner(config, workload)

@@ -6,8 +6,6 @@ forces the backside controller to stall admissions, which shows up as
 MSR full-stalls and lost throughput.
 """
 
-import dataclasses
-
 from conftest import run_once
 
 from repro.harness.common import build_config, resolve_scale
@@ -21,10 +19,8 @@ def sweep(scale_name):
     scale = resolve_scale(scale_name)
     outcomes = {}
     for entries in MSR_SIZES:
-        config = build_config("astriflash", scale)
-        config.dram_cache = dataclasses.replace(
-            config.dram_cache, msr_entries=entries
-        )
+        config = build_config("astriflash", scale,
+                              (("dram_cache.msr_entries", entries),))
         workload = make_workload("arrayswap", scale.dataset_pages, seed=42,
                                  **scale.workload_kwargs())
         runner = Runner(config, workload)

@@ -6,8 +6,6 @@ measures OS-Swap throughput with and without batching and checks that
 batching helps yet still leaves OS-Swap far from AstriFlash.
 """
 
-import dataclasses
-
 from conftest import run_once
 
 from repro.harness.common import build_config, resolve_scale
@@ -24,10 +22,8 @@ def sweep(scale_name):
         "astriflash": ("astriflash", False),
     }
     for name, (config_name, batched) in variants.items():
-        config = build_config(config_name, scale)
-        config.os = dataclasses.replace(
-            config.os, batched_shootdowns=batched
-        )
+        config = build_config(config_name, scale,
+                              (("os.batched_shootdowns", batched),))
         workload = make_workload("arrayswap", scale.dataset_pages, seed=42,
                                  **scale.workload_kwargs())
         result = Runner(config, workload).run()

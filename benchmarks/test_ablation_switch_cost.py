@@ -6,8 +6,6 @@ than an OS context switch.  Sweeping the switch cost from free
 how throughput decays toward OS-Swap as switches get heavier.
 """
 
-import dataclasses
-
 from conftest import run_once
 
 from repro.harness.common import build_config, resolve_scale
@@ -22,10 +20,8 @@ def sweep(scale_name):
     scale = resolve_scale(scale_name)
     throughputs = {}
     for switch_ns in SWITCH_COSTS_NS:
-        config = build_config("astriflash", scale)
-        config.ult = dataclasses.replace(
-            config.ult, switch_latency_ns=switch_ns
-        )
+        config = build_config("astriflash", scale,
+                              (("ult.switch_latency_ns", switch_ns),))
         workload = make_workload("tatp", scale.dataset_pages, seed=42,
                                  **scale.workload_kwargs())
         result = Runner(config, workload).run()

@@ -29,9 +29,10 @@ def sweep(scale_name):
     for config_name in ("astriflash", "os-swap"):
         per_core = {}
         for cores in CORE_COUNTS:
-            config = build_config(config_name, scale)
-            config.num_cores = cores
-            config.scale.measurement_ns = 3_000_000.0
+            config = build_config(config_name, scale, (
+                ("num_cores", cores),
+                ("scale.measurement_ns", 3_000_000.0),
+            ))
             workload = make_workload("arrayswap", scale.dataset_pages,
                                      seed=42, **scale.workload_kwargs())
             result = Runner(config, workload).run()

@@ -22,11 +22,14 @@ ZIPF_SKEW = 1.7
 
 
 def build_runner(config_name: str) -> Runner:
-    config = make_config(config_name)
-    config.num_cores = NUM_CORES
-    config.scale.dataset_pages = DATASET_PAGES
-    config.scale.warmup_ns = 300.0 * US
-    config.scale.measurement_ns = 3_000.0 * US
+    # A config is a frozen value: vary a preset with (dotted path, value)
+    # overrides.
+    config = make_config(config_name, (
+        ("num_cores", NUM_CORES),
+        ("scale.dataset_pages", DATASET_PAGES),
+        ("scale.warmup_ns", 300.0 * US),
+        ("scale.measurement_ns", 3_000.0 * US),
+    ))
     workload = make_workload("tatp", DATASET_PAGES, seed=1,
                              zipf_s=ZIPF_SKEW)
     return Runner(config, workload)

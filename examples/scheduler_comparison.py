@@ -20,12 +20,17 @@ NUM_CORES = 2
 LOAD = 0.6
 
 
+#: The laptop-scale machine every design runs on.
+SCALE = (
+    ("num_cores", NUM_CORES),
+    ("scale.dataset_pages", DATASET_PAGES),
+    ("scale.warmup_ns", 300.0 * US),
+    ("scale.measurement_ns", 3_000.0 * US),
+)
+
+
 def run(config_name, interarrival_ns, seed=5):
-    config = make_config(config_name)
-    config.num_cores = NUM_CORES
-    config.scale.dataset_pages = DATASET_PAGES
-    config.scale.warmup_ns = 300.0 * US
-    config.scale.measurement_ns = 3_000.0 * US
+    config = make_config(config_name, SCALE)
     workload = make_workload("tatp", DATASET_PAGES, seed=seed, zipf_s=1.7)
     runner = Runner(config, workload,
                     arrivals=PoissonArrivals(interarrival_ns, seed=seed + 1))
@@ -34,14 +39,9 @@ def run(config_name, interarrival_ns, seed=5):
 
 def main() -> None:
     saturation_runner = Runner(
-        (lambda c: (setattr(c, "num_cores", NUM_CORES), c)[1])(
-            make_config("dram-only")
-        ),
+        make_config("dram-only", SCALE),
         make_workload("tatp", DATASET_PAGES, seed=5, zipf_s=1.7),
     )
-    saturation_runner.config.scale.dataset_pages = DATASET_PAGES
-    saturation_runner.config.scale.warmup_ns = 300.0 * US
-    saturation_runner.config.scale.measurement_ns = 3_000.0 * US
     max_rate = saturation_runner.run().throughput_jobs_per_s
     interarrival = NUM_CORES / (LOAD * max_rate) * 1e9
 

@@ -22,11 +22,12 @@ LOADS = (0.3, 0.5, 0.7, 0.85, 0.95)
 
 
 def run(config_name, interarrival_ns=None, seed=3):
-    config = make_config(config_name)
-    config.num_cores = NUM_CORES
-    config.scale.dataset_pages = DATASET_PAGES
-    config.scale.warmup_ns = 300.0 * US
-    config.scale.measurement_ns = 3_000.0 * US
+    config = make_config(config_name, (
+        ("num_cores", NUM_CORES),
+        ("scale.dataset_pages", DATASET_PAGES),
+        ("scale.warmup_ns", 300.0 * US),
+        ("scale.measurement_ns", 3_000.0 * US),
+    ))
     workload = make_workload(WORKLOAD, DATASET_PAGES, seed=seed, zipf_s=1.7)
     arrivals = None
     if interarrival_ns is not None:

@@ -47,11 +47,12 @@ def main() -> None:
     for config_name in ("dram-only", "astriflash"):
         replay = TraceWorkload(steps, steps_per_job=60,
                                dataset_pages=DATASET_PAGES)
-        config = make_config(config_name)
-        config.num_cores = 2
-        config.scale.dataset_pages = DATASET_PAGES
-        config.scale.warmup_ns = 300.0 * US
-        config.scale.measurement_ns = 2_000.0 * US
+        config = make_config(config_name, (
+            ("num_cores", 2),
+            ("scale.dataset_pages", DATASET_PAGES),
+            ("scale.warmup_ns", 300.0 * US),
+            ("scale.measurement_ns", 2_000.0 * US),
+        ))
         replay_results[config_name] = Runner(config, replay).run()
 
     print("\nReplaying the same trace:")

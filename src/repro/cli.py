@@ -659,10 +659,11 @@ def cmd_cache_clean(max_bytes: Optional[int],
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = make_config(args.config)
-    config.num_cores = args.cores
-    config.scale.dataset_pages = args.dataset_pages
-    config.scale.measurement_ns = args.measurement_us * US
+    config = make_config(args.config, (
+        ("num_cores", args.cores),
+        ("scale.dataset_pages", args.dataset_pages),
+        ("scale.measurement_ns", args.measurement_us * US),
+    ))
     workload = make_workload(args.workload, args.dataset_pages,
                              seed=args.seed, zipf_s=args.zipf)
     arrivals = None

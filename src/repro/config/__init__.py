@@ -1,16 +1,9 @@
-"""System configuration: dataclasses and the seven evaluated presets."""
+"""System configuration: frozen dataclasses and the evaluated presets."""
 
 from repro.config.presets import (
     EVALUATED_CONFIG_NAMES,
-    astriflash,
-    astriflash_ideal,
-    astriflash_nodp,
-    astriflash_nops,
-    baseline_config,
-    dram_only,
-    flash_sync,
+    PRESETS,
     make_config,
-    os_swap,
 )
 from repro.config.system import (
     CoreConfig,
@@ -18,34 +11,31 @@ from repro.config.system import (
     FaultConfig,
     FlashConfig,
     OsConfig,
+    Override,
     PagingMode,
     SchedulingPolicy,
     SimulationScale,
     SystemConfig,
     TlbConfig,
     UltConfig,
+    derive,
 )
 
 __all__ = [
     "EVALUATED_CONFIG_NAMES",
+    "PRESETS",
     "CoreConfig",
     "DramCacheConfig",
     "FaultConfig",
     "FlashConfig",
     "OsConfig",
+    "Override",
     "PagingMode",
     "SchedulingPolicy",
     "SimulationScale",
     "SystemConfig",
     "TlbConfig",
     "UltConfig",
-    "astriflash",
-    "astriflash_ideal",
-    "astriflash_nodp",
-    "astriflash_nops",
-    "baseline_config",
-    "dram_only",
-    "flash_sync",
+    "derive",
     "make_config",
-    "os_swap",
 ]

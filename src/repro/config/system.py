@@ -5,12 +5,18 @@ units the paper uses (Table I and Sections II/IV/V).  The scaled-down
 simulation keeps the paper's *ratios* (3 % DRAM cache, 4 KB pages,
 50 us flash reads, 100 ns thread switches) while shrinking absolute
 capacities so runs finish quickly in Python.
+
+Every config is a frozen value that checks itself when it is built
+(``__post_init__``), so no unchecked config exists.  :func:`derive`
+is the one way to vary one: it applies ``(dotted path, value)`` pairs
+such as ``("scale.dram_fraction", 0.05)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from typing import Any, Dict, Iterable, List, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.units import GIB, MIB, PAGE_SIZE, US
@@ -32,7 +38,7 @@ class SchedulingPolicy(Enum):
     FIFO = "fifo"                      # AstriFlash-noPS ablation
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """An ARM Cortex-A76-like out-of-order core (Table I)."""
 
@@ -55,7 +61,7 @@ class CoreConfig:
     def cycle_ns(self) -> float:
         return 1.0 / self.frequency_ghz
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rob_entries < 1 or self.store_buffer_entries < 1:
             raise ConfigurationError("ROB/SB sizes must be positive")
         if self.store_buffer_entries > self.rob_entries:
@@ -67,7 +73,7 @@ class CoreConfig:
                 "flush_cycles_per_rob_entry cannot be negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DramCacheConfig:
     """Page-granularity DRAM cache with tags in DRAM (Sec. IV-B)."""
 
@@ -107,7 +113,7 @@ class DramCacheConfig:
     def controller_cycle_ns(self) -> float:
         return 1.0 / self.controller_frequency_ghz
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.capacity_bytes < self.page_size * self.associativity:
             raise ConfigurationError("DRAM cache smaller than one set")
         if self.associativity < 1:
@@ -116,7 +122,7 @@ class DramCacheConfig:
             raise ConfigurationError("MSR must have at least one entry")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlashConfig:
     """NAND flash device behind PCIe (Sec. II, V)."""
 
@@ -161,7 +167,7 @@ class FlashConfig:
         scale = self.capacity_bytes / self.gc_reference_capacity_bytes
         return min(1.0, self.gc_blocked_fraction_at_256g / max(scale, 1e-9))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.read_latency_ns <= 0:
             raise ConfigurationError("flash read latency must be positive")
         if self.gc_policy not in ("blocking", "tiny-tail"):
@@ -174,7 +180,7 @@ class FlashConfig:
             raise ConfigurationError("flash smaller than one page")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultConfig:
     """Fault-injection knobs for :mod:`repro.faults` (DESIGN.md §4f).
 
@@ -226,11 +232,11 @@ class FaultConfig:
     # mirror reads at ``degraded_read_multiplier`` x sense latency.
     # 0 disables degraded mode.  Must stay comfortably below
     # ``bc_timeout_factor`` or the degraded path itself times out and
-    # the reissue chain cannot terminate (validate() enforces this).
+    # the reissue chain cannot terminate (checked when built).
     plane_failure_threshold: int = 3
     degraded_read_multiplier: float = 4.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.rber < 1.0:
             raise ConfigurationError("rber must be in [0, 1)")
         if self.codewords_per_page < 1 or self.codeword_bits < 1:
@@ -262,7 +268,7 @@ class FaultConfig:
             raise ConfigurationError("plane_failure_threshold cannot be negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WritesConfig:
     """Write-path knobs for :mod:`repro.writes` (DESIGN.md §4j).
 
@@ -299,7 +305,7 @@ class WritesConfig:
 
     POLICIES = ("write-through", "write-back", "readiness")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.admission_policy not in self.POLICIES:
             raise ConfigurationError(
                 f"unknown admission_policy {self.admission_policy!r}"
@@ -316,7 +322,7 @@ class WritesConfig:
             raise ConfigurationError("pe_cycle_budget must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OsConfig:
     """Costs of the traditional OS paging path (Sec. II-C)."""
 
@@ -332,7 +338,7 @@ class OsConfig:
     # OS-Swap uses kernel threads multiplexed per core.
     kernel_threads_per_core: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.page_table_levels < 1:
             raise ConfigurationError("page_table_levels must be >= 1")
         if self.shootdown_batch_size < 1:
@@ -343,7 +349,7 @@ class OsConfig:
                 raise ConfigurationError(f"{name} cannot be negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UltConfig:
     """User-level threading library (Sec. IV-D)."""
 
@@ -358,7 +364,7 @@ class UltConfig:
     # which the pending-queue head preempts new jobs.
     aging_threshold_factor: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.switch_latency_ns < 0:
             raise ConfigurationError("switch_latency_ns cannot be negative")
         if self.aging_threshold_factor < 0:
@@ -366,7 +372,7 @@ class UltConfig:
                 "aging_threshold_factor cannot be negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TlbConfig:
     """Address translation (Sec. IV-A): how often a step misses the TLBs.
 
@@ -378,12 +384,12 @@ class TlbConfig:
     # on-core TLBs (cold/irregular accesses).
     miss_probability: float = 0.02
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ConfigurationError("miss_probability must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationScale:
     """Scaled-down sizes used by the Python simulation.
 
@@ -398,16 +404,15 @@ class SimulationScale:
     dram_fraction: float = 0.03
     warmup_ns: float = 2_000.0 * US
     measurement_ns: float = 10_000.0 * US
-    seed: int = 42
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dataset_pages < 64:
             raise ConfigurationError("dataset too small to be meaningful")
         if not 0.0 < self.dram_fraction <= 1.0:
             raise ConfigurationError("dram_fraction out of range")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Complete description of an evaluated system configuration."""
 
@@ -425,26 +430,57 @@ class SystemConfig:
     scale: SimulationScale = field(default_factory=SimulationScale)
     llc_capacity_per_core: int = 1 * MIB
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # Each sub-config checked itself when it was built.
         if self.num_cores < 1:
             raise ConfigurationError("need at least one core")
-        self.core.validate()
-        self.dram_cache.validate()
-        self.flash.validate()
-        self.faults.validate()
-        self.writes.validate()
-        self.os.validate()
-        self.ult.validate()
-        self.tlb.validate()
-        self.scale.validate()
 
     # -- derived, scaled quantities ----------------------------------------
-
-    @property
-    def scaled_dataset_pages(self) -> int:
-        return self.scale.dataset_pages
 
     @property
     def scaled_dram_cache_pages(self) -> int:
         pages = int(self.scale.dataset_pages * self.scale.dram_fraction)
         return max(self.dram_cache.associativity, pages)
+
+
+#: One ``(dotted path, value)`` override, e.g. ``("ult.policy", FIFO)``.
+Override = Tuple[str, Any]
+
+C = TypeVar("C")
+
+
+def derive(config: C, overrides: Iterable[Override]) -> C:
+    """A copy of ``config`` with ``overrides`` applied.
+
+    The pairs are grouped by the first part of each path, and each
+    group is applied in one ``dataclasses.replace``, so a cross-field
+    check sees the final values.  When two pairs name the same path
+    the later one wins.  An unknown path raises
+    :class:`ConfigurationError` naming it.
+    """
+    return _derive(config, [(path, path.split("."), value)
+                            for path, value in overrides])
+
+
+def _derive(config: C, pairs: List[Tuple[str, List[str], Any]]) -> C:
+    if not pairs:
+        return config
+    if not is_dataclass(config):
+        raise ConfigurationError(
+            f"config override {pairs[0][0]!r}: no such field")
+    names = {f.name for f in fields(config)}
+    changes: Dict[str, Any] = {}
+    nested: Dict[str, List[Tuple[str, List[str], Any]]] = {}
+    for path, parts, value in pairs:
+        head = parts[0]
+        if head not in names:
+            raise ConfigurationError(
+                f"config override {path!r}: no such field")
+        if len(parts) == 1:
+            changes[head] = value
+        else:
+            nested.setdefault(head, []).append((path, parts[1:], value))
+    for head, rest in nested.items():
+        changes[head] = _derive(changes.get(head, getattr(config, head)),
+                                rest)
+    return replace(config, **changes)

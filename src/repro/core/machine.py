@@ -51,11 +51,10 @@ class Machine:
     """All hardware/OS state for one simulated server."""
 
     def __init__(self, config: SystemConfig) -> None:
-        config.validate()
         self.config = config
         self.engine = Engine()
 
-        dataset_pages = config.scaled_dataset_pages
+        dataset_pages = config.scale.dataset_pages
         self.dataset_pages = dataset_pages
         # Page-table leaf pages sit above the dataset in the flash-
         # mapped physical space (used by AstriFlash-noDP walks).

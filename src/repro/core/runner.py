@@ -57,16 +57,24 @@ TIME_QUANTUM_NS = 1_000.0
 # consecutive losses means the set is thrashing pathologically.
 REPLAY_RACE_LIMIT = 8
 
-# Process-wide warmup-vs-measurement wall-clock split, accumulated
-# across every Runner in this process (mirrors
+# Seed of the runner's own RNG stream (the TLB-miss draws) when the
+# caller passes none.  A run spec's seed drives the workload and the
+# arrivals, not this stream.
+RUNNER_SEED = 42
+
+# Process-wide warmup-vs-measurement wall-clock split and warm counts,
+# accumulated across every Runner in this process (mirrors
 # ``repro.sim.engine.total_events_executed``); the report footer prints
 # the delta around a report run.
 _WALL_TOTALS: Dict[str, float] = {"warm_seconds": 0.0,
-                                  "measure_seconds": 0.0}
+                                  "measure_seconds": 0.0,
+                                  "fresh_warms": 0.0,
+                                  "restored_warms": 0.0}
 
 
 def wall_split_totals() -> Dict[str, float]:
-    """Cumulative in-process wall seconds spent warming vs measuring."""
+    """Cumulative in-process wall seconds spent warming vs measuring,
+    and the number of fresh and restored warms."""
     return dict(_WALL_TOTALS)
 
 
@@ -165,7 +173,7 @@ class Runner:
         self.workload = workload
         self.arrivals = arrivals if arrivals is not None else ClosedLoop()
         self.machine = Machine(config)
-        self.seed = config.scale.seed if seed is None else seed
+        self.seed = RUNNER_SEED if seed is None else seed
         self._rng = random.Random(self.seed)
         self._warm = warm
         self._warm_source = "none"
@@ -245,6 +253,7 @@ class Runner:
         self._warm_wall_seconds = time.perf_counter() - start
         self._warm_source = "fresh"
         _WALL_TOTALS["warm_seconds"] += self._warm_wall_seconds
+        _WALL_TOTALS["fresh_warms"] += 1.0
 
     def mark_warm_restored(self, seconds: float) -> None:
         """Record that warm state was loaded from a snapshot (called
@@ -253,6 +262,7 @@ class Runner:
         self._warm_source = "snapshot"
         self._warm_wall_seconds = seconds
         _WALL_TOTALS["warm_seconds"] += seconds
+        _WALL_TOTALS["restored_warms"] += 1.0
 
     # ------------------------------------------------------------------ run --
 

@@ -42,7 +42,6 @@ class FaultPlan:
 
     def __init__(self, config: FaultConfig, num_planes: int,
                  ftl=None) -> None:
-        config.validate()
         self.config = config
         self.num_planes = num_planes
         self.ftl = ftl

@@ -15,9 +15,9 @@ Two scales:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from repro.config import SystemConfig, make_config
+from repro.config import Override, SystemConfig, make_config
 from repro.units import US
 
 
@@ -117,10 +117,12 @@ class ExperimentResult:
         return "\n".join(header)
 
 
-def build_config(config_name: str, scale: HarnessScale) -> SystemConfig:
-    config = make_config(config_name)
-    config.num_cores = scale.num_cores
-    config.scale.dataset_pages = scale.dataset_pages
-    config.scale.warmup_ns = scale.warmup_us * US
-    config.scale.measurement_ns = scale.measurement_us * US
-    return config
+def build_config(config_name: str, scale: HarnessScale,
+                 overrides: Iterable[Override] = ()) -> SystemConfig:
+    """The preset at the harness scale, with ``overrides`` on top."""
+    return make_config(config_name, (
+        ("num_cores", scale.num_cores),
+        ("scale.dataset_pages", scale.dataset_pages),
+        ("scale.warmup_ns", scale.warmup_us * US),
+        ("scale.measurement_ns", scale.measurement_us * US),
+    ) + tuple(overrides))

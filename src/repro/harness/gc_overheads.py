@@ -10,7 +10,6 @@ blocked fraction.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Sequence
 
 from repro.config import FlashConfig
@@ -64,9 +63,8 @@ def run(scale="quick", jobs: Optional[int] = None) -> ExperimentResult:
                "simulated write-heavy device below cross-checks that "
                "the blocking path is actually exercised."),
     )
-    base = FlashConfig()
     for capacity in CAPACITIES_GIB:
-        config = dataclasses.replace(base, capacity_bytes=capacity * GIB)
+        config = FlashConfig(capacity_bytes=capacity * GIB)
         result.add_row(capacity, config.gc_blocked_fraction)
     fractions = map_tasks(
         simulate_blocked_fraction,

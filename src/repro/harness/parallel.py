@@ -75,8 +75,8 @@ class RunSpec:
     ``arrivals`` is ``None`` for a closed loop or the tuple returned by
     :func:`poisson`; ``workload_overrides`` are extra keyword arguments
     for :func:`~repro.workloads.make_workload`; ``config_overrides``
-    are ``(dotted_path, value)`` pairs applied to the built
-    :class:`~repro.config.SystemConfig` (e.g.
+    are ``(dotted_path, value)`` pairs that
+    :func:`~repro.config.derive` applies to the preset (e.g.
     ``("scale.dram_fraction", 0.05)``).
     """
 
@@ -127,23 +127,11 @@ def trace(gaps_ns, cycle: bool = False) -> Tuple:
     return ("trace", tuple(float(gap) for gap in gaps_ns), bool(cycle))
 
 
-def _apply_config_override(config, path: str, value) -> None:
-    parts = path.split(".")
-    parent = config
-    for name in parts[:-1]:
-        parent = getattr(parent, name)
-    if not hasattr(parent, parts[-1]):
-        raise ReproError(f"config override {path!r}: no such field")
-    setattr(parent, parts[-1], value)
-
-
 def _spec_parts(spec: RunSpec):
     """Resolve a spec into its (config, workload kwargs, scale) parts —
     shared by execution and snapshot-key computation."""
     scale = resolve_scale(spec.scale)
-    config = build_config(spec.config_name, scale)
-    for path, value in spec.config_overrides:
-        _apply_config_override(config, path, value)
+    config = build_config(spec.config_name, scale, spec.config_overrides)
     kwargs = scale.workload_kwargs()
     kwargs.update(dict(spec.workload_overrides))
     return config, kwargs, scale

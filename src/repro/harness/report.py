@@ -176,29 +176,28 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
 
 def _warmup_footer(split_before: Dict[str, float],
                    snap_before: Dict[str, float]) -> str:
-    """Warmup-vs-measurement wall split, warm restore/capture counts
+    """Warmup-vs-measurement wall split, restored and fresh warm counts
     and reused results accumulated in this process since ``generate``
     started.
 
     Like the kernel line, this covers in-process runs only: with
-    ``jobs > 1`` the warm/measure seconds land in the workers, but the
-    store counters (captures in the pre-warm pass, stale rejections,
-    reused results) still show up here.
+    ``jobs > 1`` the workers' warm/measure seconds and warms land in
+    the workers, but the pre-warm pass's warms and the store counters
+    (stale rejections, reused results) still show up here.
     """
     from repro import snapshot
     from repro.core.runner import wall_split_totals
 
     split = wall_split_totals()
-    warm = split["warm_seconds"] - split_before.get("warm_seconds", 0.0)
-    measure = (split["measure_seconds"]
-               - split_before.get("measure_seconds", 0.0))
+    warm = split["warm_seconds"] - split_before["warm_seconds"]
+    measure = split["measure_seconds"] - split_before["measure_seconds"]
+    restored = int(split["restored_warms"] - split_before["restored_warms"])
+    fresh = int(split["fresh_warms"] - split_before["fresh_warms"])
     snap = snapshot.summary()
 
     def delta(key: str) -> int:
         return int(snap.get(key, 0.0) - snap_before.get(key, 0.0))
 
-    restored = delta("warm_restores")
-    fresh = delta("warm_captures")
     stale = delta("stale_rejected")
     reused = delta("results_reused")
     if not (warm or measure or restored or fresh or stale or reused):

@@ -381,7 +381,6 @@ def capture_warm(runner, key: str,
     reservation maps, or the resident set).
     """
     runner.warm(warm_steps)
-    STATS["warm_captures"] += 1.0
     _WARM[key] = pickle.dumps({
         "session": runner.workload.dump_session(),
         "rng_state": runner._rng.getstate(),
@@ -405,7 +404,6 @@ def restore_warm(runner, key: str) -> None:
     runner._rng.setstate(payload["rng_state"])
     runner.machine.load_warm_state(payload["machine"])
     runner.mark_warm_restored(time.perf_counter() - start)
-    STATS["warm_restores"] += 1.0
 
 
 def summary() -> Dict[str, float]:

@@ -34,6 +34,7 @@ import dataclasses
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import make_config
 from repro.config.system import WritesConfig
 from repro.errors import ReproError
 from repro.harness.common import HarnessScale, resolve_scale
@@ -297,6 +298,11 @@ def run_writes(experiment: str = "kv", scale="quick",
     if presets is None:
         presets = DEFAULT_PRESETS
     presets = tuple(presets)
+    for preset in presets:  # validate early, like the policies
+        if not make_config(preset).writes.enabled:
+            raise ReproError(
+                f"preset {preset!r} has no write path; write presets: "
+                f"{', '.join(DEFAULT_PRESETS)}")
 
     grid = [
         (preset, policy, ratio)

@@ -71,6 +71,10 @@ class TestErrorExit:
         ["loadgen", "fig10", "--qps-sweep", "abc"],
         ["simulate", "--cores", "0"],
         ["writes", "kv", "--write-ratio-sweep", "abc"],
+        pytest.param(["writes", "kv", "--presets", "nope"],
+                     id="writes-unknown-preset"),
+        pytest.param(["writes", "kv", "--presets", "astriflash"],
+                     id="writes-read-only-preset"),
     ], ids=lambda argv: argv[0])
     def test_bad_value_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -1,17 +1,21 @@
 """Unit tests for system configuration and presets."""
 
-import copy
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.config import (
     EVALUATED_CONFIG_NAMES,
+    PRESETS,
     PagingMode,
     SchedulingPolicy,
+    derive,
     make_config,
 )
 from repro.errors import ConfigurationError
-from repro.harness.common import HarnessScale
+from repro.harness.common import FULL, QUICK, HarnessScale, build_config
 from repro.harness.parallel import RunSpec, execute_spec
 from repro.sim.engine import total_events_executed
 from repro.units import GIB
@@ -27,14 +31,46 @@ def test_all_seven_presets_exist():
     assert len(configs) == 7
 
 
-def test_presets_validate():
-    for config in all_configs().values():
-        config.validate()
-
-
 def test_unknown_preset_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigurationError):
         make_config("no-such-config")
+
+
+#: sha256 prefixes of each preset's resolved fields
+#: (``dataclasses.asdict`` as JSON with sorted keys), built bare and
+#: through ``build_config`` at quick and at full scale.  A preset-table
+#: edit that moves any field of any of the 27 builds fails here first;
+#: a new config field moves them all and needs a deliberate re-record.
+PRESET_DIGESTS = {
+    "dram-only": ("929cce43aefa25d2", "7015349fb958d9f7", "e92bf8cddb7daa04"),
+    "astriflash": ("340aa0da75e7ec80", "0371688cce943794", "07c766a426a4fd25"),
+    "astriflash-ideal": ("3c3dce92131691e5", "8a99644fd11d9450",
+                         "85acd40f27b5e39b"),
+    "astriflash-nops": ("908b56bdf41227db", "d9372a8aaf34dd4d",
+                        "99ee4887bb778756"),
+    "astriflash-nodp": ("f88575eb4adf63dd", "6fc3dc44074159d1",
+                        "f1875c0ca95a799c"),
+    "os-swap": ("b4f506f907af98f8", "09e7853dea4fe931", "f99ee7e27cf210ef"),
+    "flash-sync": ("96ca1fca625b7127", "8172c44f7cdeed20", "28298081c225d416"),
+    "astriflash-writes": ("747a854000c5a8d8", "8dd60f4cde9b4196",
+                          "571b58304122e97d"),
+    "flash-sync-writes": ("af618de8250daab4", "9dbce32b19a10247",
+                          "3aa2a768b5c7c041"),
+}
+
+
+def _fields_digest(config):
+    fields = json.dumps(dataclasses.asdict(config), sort_keys=True,
+                        default=str)
+    return hashlib.sha256(fields.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) | set(PRESET_DIGESTS)))
+def test_preset_fields_are_pinned(name):
+    builds = (make_config(name), build_config(name, QUICK),
+              build_config(name, FULL))
+    assert tuple(_fields_digest(config) for config in builds) == \
+        PRESET_DIGESTS.get(name)
 
 
 def test_paper_capacity_ratio_is_3_percent():
@@ -78,19 +114,14 @@ def test_scaled_dram_cache_is_3_percent_of_dataset():
 
 def test_invalid_configs_raise():
     config = make_config("astriflash")
-    config.num_cores = 0
-    with pytest.raises(ConfigurationError):
-        config.validate()
-
-    config = make_config("astriflash")
-    config.scale.dram_fraction = 0.0
-    with pytest.raises(ConfigurationError):
-        config.validate()
-
-    config = make_config("astriflash")
-    config.core.store_buffer_entries = config.core.rob_entries + 1
-    with pytest.raises(ConfigurationError):
-        config.validate()
+    for overrides in ((("num_cores", 0),),
+                      (("scale.dram_fraction", 0.0),),
+                      (("core.store_buffer_entries",
+                        config.core.rob_entries + 1),)):
+        with pytest.raises(ConfigurationError):
+            make_config("astriflash", overrides)
+        with pytest.raises(ConfigurationError):
+            derive(config, overrides)
 
 
 TINY = HarnessScale(
@@ -120,6 +151,9 @@ BAD_OVERRIDES = (
 @pytest.mark.parametrize("path,value", BAD_OVERRIDES)
 def test_bad_sub_config_override_fails_before_running(config_name, path,
                                                       value):
+    # The build itself raises, so no Runner or Machine is ever made.
+    with pytest.raises(ConfigurationError):
+        build_config(config_name, TINY, ((path, value),))
     spec = RunSpec(config_name, "arrayswap", TINY,
                    config_overrides=((path, value),))
     before = total_events_executed()
@@ -130,16 +164,26 @@ def test_bad_sub_config_override_fails_before_running(config_name, path,
 
 def test_deep_copy_is_independent():
     config = make_config("astriflash")
-    clone = copy.deepcopy(config)
-    clone.ult.threads_per_core = 7
-    assert config.ult.threads_per_core != 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.num_cores = 7
+    for field in dataclasses.fields(config):
+        sub = getattr(config, field.name)
+        if dataclasses.is_dataclass(sub):
+            name = dataclasses.fields(sub)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sub, name, getattr(sub, name))
+    derived = derive(config, (("ult.threads_per_core", 7),
+                              ("scale.dataset_pages", 4096)))
+    assert derived.ult.threads_per_core == 7
+    assert derived.scale.dataset_pages == 4096
+    assert config == make_config("astriflash")
 
 
 def test_gc_blocking_scales_down_with_capacity():
     config = make_config("astriflash")
     base = config.flash.gc_blocked_fraction
-    config.flash.capacity_bytes = 1024 * GIB  # 1 TiB, 4x reference
-    assert config.flash.gc_blocked_fraction == pytest.approx(base / 4)
+    bigger = derive(config, (("flash.capacity_bytes", 1024 * GIB),))  # 4x
+    assert bigger.flash.gc_blocked_fraction == pytest.approx(base / 4)
 
 
 def test_flash_sync_represents_flatflash_delay():

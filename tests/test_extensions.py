@@ -1,8 +1,6 @@
 """Tests for the optional extensions: Tiny-Tail GC and LATR-style
 batched shootdowns."""
 
-import dataclasses
-
 import pytest
 
 from repro.config import FlashConfig, OsConfig, make_config
@@ -44,9 +42,8 @@ def gc_stress_device(policy: str, seed=3):
 
 class TestTinyTailGc:
     def test_policy_validated(self):
-        config = FlashConfig(gc_policy="nonsense")
         with pytest.raises(ConfigurationError):
-            config.validate()
+            FlashConfig(gc_policy="nonsense")
 
     def test_both_policies_reclaim_space(self):
         for policy in ("blocking", "tiny-tail"):
@@ -104,14 +101,13 @@ class TestBatchedShootdowns:
 
     def test_batching_speeds_up_os_swap(self):
         def run(batched):
-            config = make_config("os-swap")
-            config.num_cores = 2
-            config.scale.dataset_pages = 8192
-            config.scale.warmup_ns = 300.0 * US
-            config.scale.measurement_ns = 1_500.0 * US
-            config.os = dataclasses.replace(
-                config.os, batched_shootdowns=batched
-            )
+            config = make_config("os-swap", (
+                ("num_cores", 2),
+                ("scale.dataset_pages", 8192),
+                ("scale.warmup_ns", 300.0 * US),
+                ("scale.measurement_ns", 1_500.0 * US),
+                ("os.batched_shootdowns", batched),
+            ))
             workload = make_workload("arrayswap", 8192, seed=11, zipf_s=1.7)
             return Runner(config, workload).run()
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro import errors
 from repro.config import DramCacheConfig, FaultConfig, FlashConfig, \
-    SystemConfig
+    SystemConfig, derive
 from repro.dramcache import DramCache
 from repro.errors import ConfigurationError, DeviceFailedError, \
     FlashTimeoutError, ProtocolError, ReproError
@@ -142,26 +142,34 @@ class TestFaultPlan:
 
 class TestFaultConfig:
     def test_degraded_path_must_beat_the_bc_timeout(self):
-        config = make_fault_config(degraded_read_multiplier=6.0,
-                                   bc_timeout_factor=6.0)
         with pytest.raises(ConfigurationError):
-            config.validate()
+            make_fault_config(degraded_read_multiplier=6.0,
+                              bc_timeout_factor=6.0)
         # Disabling degraded mode lifts the constraint.
         make_fault_config(plane_failure_threshold=0,
                           degraded_read_multiplier=9.0,
-                          bc_timeout_factor=6.0).validate()
+                          bc_timeout_factor=6.0)
+        # The multiplier alone breaks the rule; derive applies a
+        # sub-config's pairs in one replace, so the check sees the
+        # final values.
+        with pytest.raises(ConfigurationError):
+            derive(SystemConfig(), (("faults.degraded_read_multiplier", 8.0),))
+        config = derive(SystemConfig(), (
+            ("faults.degraded_read_multiplier", 8.0),
+            ("faults.bc_timeout_factor", 9.0),
+        ))
+        assert config.faults.bc_timeout_factor == 9.0
 
     def test_probability_ranges_enforced(self):
         with pytest.raises(ConfigurationError):
-            make_fault_config(rber=1.0).validate()
+            make_fault_config(rber=1.0)
         with pytest.raises(ConfigurationError):
-            make_fault_config(timeout_probability=1.0).validate()
+            make_fault_config(timeout_probability=1.0)
         with pytest.raises(ConfigurationError):
-            make_fault_config(slow_plane_multiplier=0.5).validate()
+            make_fault_config(slow_plane_multiplier=0.5)
 
     def test_system_config_carries_an_independent_fault_config(self):
         config = SystemConfig()
-        config.validate()
         clone = copy.deepcopy(config)
         assert clone.faults is not config.faults
         assert not clone.faults.enabled
@@ -322,14 +330,17 @@ class TestTracedFaultedRun:
         from repro.obs.tracer import Tracer, disable, enable
         from repro.workloads import make_workload
 
-        config = make_config("astriflash")
-        config.num_cores = 2
-        config.scale.dataset_pages = 1024
-        config.scale.warmup_ns = 200.0 * US
-        config.scale.measurement_ns = 1_500.0 * US
-        config.faults = make_fault_config(
-            rber=8e-3, timeout_probability=0.02,
-            slow_plane_fraction=0.25, wear_rber_factor=0.05)
+        config = make_config("astriflash", (
+            ("num_cores", 2),
+            ("scale.dataset_pages", 1024),
+            ("scale.warmup_ns", 200.0 * US),
+            ("scale.measurement_ns", 1_500.0 * US),
+            ("faults.enabled", True),
+            ("faults.rber", 8e-3),
+            ("faults.timeout_probability", 0.02),
+            ("faults.slow_plane_fraction", 0.25),
+            ("faults.wear_rber_factor", 0.05),
+        ))
         workload = make_workload("tatp", 1024, seed=7, zipf_s=1.6)
         tracer = Tracer()
         enable(tracer)

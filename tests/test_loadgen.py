@@ -185,12 +185,17 @@ class TestJsonUtil:
 # ------------------------------------------------- censoring in the runner --
 
 
+#: One core, a 2k-page dataset and a short window.
+ONE_CORE = (
+    ("num_cores", 1),
+    ("scale.dataset_pages", 2048),
+    ("scale.warmup_ns", 100.0 * US),
+    ("scale.measurement_ns", 600.0 * US),
+)
+
+
 def overloaded_result():
-    config = make_config("dram-only")
-    config.num_cores = 1
-    config.scale.dataset_pages = 2048
-    config.scale.warmup_ns = 100.0 * US
-    config.scale.measurement_ns = 600.0 * US
+    config = make_config("dram-only", ONE_CORE)
     workload = make_workload("arrayswap", 2048, seed=7, zipf_s=1.8)
     # Offer far more load than one core can serve: the window must end
     # with a backlog.
@@ -218,11 +223,7 @@ class TestOpenLoopCensoring:
         assert result.response_p99_lower_bound_ns >= result.response_p99_ns
 
     def test_closed_loop_reports_no_backlog_fields(self):
-        config = make_config("dram-only")
-        config.num_cores = 1
-        config.scale.dataset_pages = 2048
-        config.scale.warmup_ns = 100.0 * US
-        config.scale.measurement_ns = 600.0 * US
+        config = make_config("dram-only", ONE_CORE)
         workload = make_workload("arrayswap", 2048, seed=7, zipf_s=1.8)
         result = Runner(config, workload).run()
         assert result.response_p99_lower_bound_ns is None

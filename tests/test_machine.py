@@ -8,13 +8,9 @@ from repro.errors import ConfigurationError
 from repro.workloads import make_workload
 
 
-def small_config(name, **scale):
-    config = make_config(name)
-    config.num_cores = 2
-    config.scale.dataset_pages = 2048
-    for key, value in scale.items():
-        setattr(config.scale, key, value)
-    return config
+def small_config(name):
+    return make_config(name, (("num_cores", 2),
+                              ("scale.dataset_pages", 2048)))
 
 
 class TestMachineAssembly:

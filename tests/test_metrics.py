@@ -82,10 +82,11 @@ class TestRegistry:
         from repro.units import US
         from repro.workloads import make_workload
 
-        config = make_config("dram-only")
-        config.num_cores = 1
-        config.scale.dataset_pages = 2048
-        config.scale.measurement_ns = 200 * US
+        config = make_config("dram-only", (
+            ("num_cores", 1),
+            ("scale.dataset_pages", 2048),
+            ("scale.measurement_ns", 200 * US),
+        ))
         workload = make_workload("arrayswap", 2048, seed=3)
         result = Runner(config, workload).run()
         metrics = result.metrics()
@@ -639,10 +640,11 @@ class TestTelemetryColumns:
         from repro.units import US
         from repro.workloads import make_workload
 
-        config = make_config("astriflash")
-        config.num_cores = 1
-        config.scale.dataset_pages = 2048
-        config.scale.measurement_ns = 400 * US
+        config = make_config("astriflash", (
+            ("num_cores", 1),
+            ("scale.dataset_pages", 2048),
+            ("scale.measurement_ns", 400 * US),
+        ))
         workload = make_workload("arrayswap", 2048, seed=3)
         tracer = Tracer(telemetry_interval_ns=50 * US)
         enable(tracer)

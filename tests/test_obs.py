@@ -401,11 +401,12 @@ class TestAttribution:
 
 def _simulate(config_name, workload_name="tatp", tracer=None, seed=7):
     """One small two-core run, optionally traced."""
-    config = make_config(config_name)
-    config.num_cores = 2
-    config.scale.dataset_pages = 1024
-    config.scale.warmup_ns = 200.0 * US
-    config.scale.measurement_ns = 1_500.0 * US
+    config = make_config(config_name, (
+        ("num_cores", 2),
+        ("scale.dataset_pages", 1024),
+        ("scale.warmup_ns", 200.0 * US),
+        ("scale.measurement_ns", 1_500.0 * US),
+    ))
     workload = make_workload(workload_name, 1024, seed=seed, zipf_s=1.6)
     if tracer is None:
         return Runner(config, workload).run()

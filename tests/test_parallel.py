@@ -3,6 +3,7 @@
 import pytest
 
 from repro import snapshot
+from repro.core.runner import wall_split_totals
 from repro.harness import parallel
 from repro.harness.common import HarnessScale
 from repro.harness.parallel import (
@@ -48,20 +49,26 @@ class TestSpecs:
         )
 
     def test_config_override_applies_dotted_paths(self):
-        spec = tiny_spec(config_overrides=(
+        from repro.config import derive, make_config
+        overrides = (
             ("ult.threads_per_core", 4),
-            ("ult.pending_queue_limit", 4),
-        ))
-        result = execute_spec(spec)
+            ("ult.pending_queue_limit", 8),
+            ("ult.pending_queue_limit", 4),  # the later pair wins
+        )
+        config = derive(make_config("astriflash"), overrides)
+        assert config.ult.threads_per_core == 4
+        assert config.ult.pending_queue_limit == 4
+        result = execute_spec(tiny_spec(config_overrides=overrides))
         assert result.completed_jobs > 0
 
     def test_unknown_override_path_raises(self):
-        from repro.config import make_config
-        from repro.errors import ReproError
-        with pytest.raises(ReproError):
-            parallel._apply_config_override(
-                make_config("astriflash"), "scale.nope", 1
-            )
+        from repro.config import derive, make_config
+        from repro.errors import ConfigurationError
+        for path in ("scale.nope", "nope", "num_cores.nope"):
+            with pytest.raises(ConfigurationError,
+                               match=f"config override '{path}': "
+                                     "no such field"):
+                derive(make_config("astriflash"), ((path, 1),))
 
     def test_unknown_arrival_spec_raises(self):
         from repro.errors import ReproError
@@ -133,9 +140,9 @@ class TestCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
         snapshot.clear_memo()
-        before = snapshot.summary().get("warm_captures", 0)
+        before = wall_split_totals()["fresh_warms"]
         run_specs([tiny_spec()], jobs=1, cache=True)
-        assert snapshot.summary()["warm_captures"] == before + 1
+        assert wall_split_totals()["fresh_warms"] == before + 1
         assert len(list(tmp_path.glob("result-*.snap"))) == 1
         assert len(list(tmp_path.iterdir())) == 1
 

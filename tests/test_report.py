@@ -98,3 +98,17 @@ class TestWriteReport:
         generate({"first": experiment, "again": experiment},
                  out=str(out))
         assert "1 results reused" in out.read_text()
+
+    def test_footer_counts_fresh_warms_with_snapshots_off(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_SNAPSHOT", "0")
+        spec = RunSpec("astriflash", "arrayswap", TINY, seed=7)
+
+        def experiment(scale, jobs):
+            run_specs([spec], jobs=jobs)
+            return ExperimentResult("tiny", "Tiny", ["x"], [[1]])
+
+        out = tmp_path / "report.txt"
+        generate({"tiny": experiment}, out=str(out))
+        assert "0 restored, 1 freshly warmed" in out.read_text()

@@ -18,12 +18,13 @@ DATASET = 8192
 
 
 def quick_runner(config_name, workload_name="arrayswap", arrivals=None,
-                 seed=11, **workload_kwargs):
-    config = make_config(config_name)
-    config.num_cores = 2
-    config.scale.dataset_pages = DATASET
-    config.scale.warmup_ns = 300.0 * US
-    config.scale.measurement_ns = 2_500.0 * US
+                 seed=11, overrides=(), **workload_kwargs):
+    config = make_config(config_name, (
+        ("num_cores", 2),
+        ("scale.dataset_pages", DATASET),
+        ("scale.warmup_ns", 300.0 * US),
+        ("scale.measurement_ns", 2_500.0 * US),
+    ) + tuple(overrides))
     # Zipf coverage shrinks with the item count, so the tiny test
     # dataset needs a higher skew to land at the paper's ~2% miss rate
     # (the full-scale default of 1.55 is calibrated in DESIGN.md).
@@ -145,7 +146,8 @@ class TestResultReporting:
         assert "jobs/s" in text
 
     def test_empty_window_raises(self):
-        runner = quick_runner("dram-only")
-        runner.config.scale.measurement_ns = 1.0  # nothing can finish
+        runner = quick_runner("dram-only", overrides=(
+            ("scale.measurement_ns", 1.0),  # nothing can finish
+        ))
         with pytest.raises(ConfigurationError):
             runner.run()

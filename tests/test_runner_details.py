@@ -1,8 +1,6 @@
 """Focused tests of runner internals: forward progress, wake paths,
 measurement accounting, and per-mode corner cases."""
 
-import dataclasses
-
 import pytest
 
 from repro.config import make_config
@@ -33,22 +31,20 @@ class OnePageWorkload(Workload):
             yield (self.compute_ns_value, page, self.writes)
 
 
-def small_config(name, cores=1, dataset=1024, **overrides):
-    config = make_config(name)
-    config.num_cores = cores
-    config.scale.dataset_pages = dataset
-    config.scale.warmup_ns = 100.0 * US
-    config.scale.measurement_ns = 1_000.0 * US
-    for key, value in overrides.items():
-        setattr(config.scale, key, value)
-    return config
+def small_config(name, cores=1, dataset=1024, overrides=()):
+    return make_config(name, (
+        ("num_cores", cores),
+        ("scale.dataset_pages", dataset),
+        ("scale.warmup_ns", 100.0 * US),
+        ("scale.measurement_ns", 1_000.0 * US),
+    ) + tuple(overrides))
 
 
 class TestDramOnlyPath:
     def test_throughput_matches_hand_computation(self):
         # 8 steps x (200 ns compute + flat DRAM latency); no TLB misses.
-        config = small_config("dram-only")
-        config.tlb = dataclasses.replace(config.tlb, miss_probability=0.0)
+        config = small_config("dram-only",
+                              overrides=(("tlb.miss_probability", 0.0),))
         workload = OnePageWorkload()
         runner = Runner(config, workload)
         result = runner.run()
@@ -59,15 +55,13 @@ class TestDramOnlyPath:
 
     def test_tlb_misses_add_walk_cost(self):
         workload_a = OnePageWorkload()
-        config_a = small_config("dram-only")
-        config_a.tlb = dataclasses.replace(config_a.tlb,
-                                           miss_probability=0.0)
+        config_a = small_config("dram-only",
+                                overrides=(("tlb.miss_probability", 0.0),))
         base = Runner(config_a, workload_a).run()
 
         workload_b = OnePageWorkload()
-        config_b = small_config("dram-only")
-        config_b.tlb = dataclasses.replace(config_b.tlb,
-                                           miss_probability=1.0)
+        config_b = small_config("dram-only",
+                                overrides=(("tlb.miss_probability", 1.0),))
         walked = Runner(config_b, workload_b).run()
         assert walked.throughput_jobs_per_s < base.throughput_jobs_per_s
 
@@ -77,12 +71,11 @@ class TestForwardProgress:
         # A one-set cache with more concurrently-hot pages than ways:
         # rescheduled threads find their page evicted and must use the
         # forward-progress path.
-        config = small_config("astriflash")
-        config.dram_cache = dataclasses.replace(
-            config.dram_cache, associativity=2
-        )
-        # Shrink cache to 2 pages via the scale fraction.
-        config.scale.dram_fraction = 2.5 / 1024
+        config = small_config("astriflash", overrides=(
+            ("dram_cache.associativity", 2),
+            # Shrink cache to 2 pages via the scale fraction.
+            ("scale.dram_fraction", 2.5 / 1024),
+        ))
         num_sets_pages = [0, 1, 2, 3, 4, 5]  # >2 hot pages, same cache
         workload = OnePageWorkload(pages=tuple(num_sets_pages),
                                    steps_per_job=12)

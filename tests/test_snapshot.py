@@ -23,6 +23,7 @@ from repro import snapshot as snap
 from repro.config import EVALUATED_CONFIG_NAMES
 from repro.config.system import PagingMode
 from repro.core import Runner
+from repro.core.runner import wall_split_totals
 from repro.errors import ConfigurationError, ReproError
 from repro.harness import fig1, parallel
 from repro.harness.common import HarnessScale, build_config
@@ -250,15 +251,15 @@ def test_run_specs_warms_shared_group_once():
     the batch restores instead of warming."""
     specs = [tiny_spec("astriflash", seed=23),
              tiny_spec("flash-sync", seed=23)]
-    before = snap.summary()
+    before = {**snap.summary(), **wall_split_totals()}
     run_specs(specs, jobs=1, cache=False, snapshots=True)
-    after = snap.summary()
+    after = {**snap.summary(), **wall_split_totals()}
 
     def delta(key):
         return after.get(key, 0) - before.get(key, 0)
 
-    assert delta("warm_captures") == 1
-    assert delta("warm_restores") == 1
+    assert delta("fresh_warms") == 1
+    assert delta("restored_warms") == 1
     # And only one dataset was actually constructed.
     assert delta("workload_builds") == 1
 

@@ -143,11 +143,12 @@ class TestTraceWorkload:
     def test_replay_drives_the_simulator(self, recorded):
         replay = TraceWorkload(recorded.steps, steps_per_job=40,
                                dataset_pages=1024)
-        config = make_config("astriflash")
-        config.num_cores = 1
-        config.scale.dataset_pages = 1024
-        config.scale.warmup_ns = 200.0 * US
-        config.scale.measurement_ns = 1_000.0 * US
+        config = make_config("astriflash", (
+            ("num_cores", 1),
+            ("scale.dataset_pages", 1024),
+            ("scale.warmup_ns", 200.0 * US),
+            ("scale.measurement_ns", 1_000.0 * US),
+        ))
         result = Runner(config, replay).run()
         assert result.completed_jobs > 0
 
