@@ -33,8 +33,10 @@ disables); appends are best-effort and never fail the verb.  ``--json PATH`` wri
 
 Exit status: 0 on success, 1 when a gate fails (``writes``' policy
 ordering, ``diff``/``regress`` regressions, ``trace-run``'s trace
-validation), and 2 on a bad argument value, config or input file,
-reported as one ``repro <verb>: error: <message>`` line on stderr.
+validation), 2 on a bad argument value, config or input file,
+reported as one ``repro <verb>: error: <message>`` line on stderr, and
+141 (128 + SIGPIPE), with nothing on stderr, when stdout's reader has
+closed the pipe.
 """
 
 from __future__ import annotations
@@ -775,13 +777,24 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` and run the verb.  Every :class:`ReproError` is
-    reported here, once, with exit status 2 (see the module docstring)."""
+    reported here, once, with exit status 2 (see the module docstring).
+    A reader that closes stdout early (``repro configs | head -1``)
+    ends the verb quietly with 141, the status of a SIGPIPE death."""
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point fd 1 at /dev/null so the exit-time flush of what is
+        # still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _dispatch(args: argparse.Namespace) -> int:

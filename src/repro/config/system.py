@@ -178,6 +178,12 @@ class FlashConfig:
             raise ConfigurationError("flash geometry must be positive")
         if self.capacity_bytes < self.page_size:
             raise ConfigurationError("flash smaller than one page")
+        if self.pages_per_block < 1:
+            raise ConfigurationError("pages_per_block must be >= 1")
+        if self.write_buffer_pages < 1:
+            raise ConfigurationError("write_buffer_pages must be >= 1")
+        if not 0.0 <= self.overprovisioning < 1.0:
+            raise ConfigurationError("overprovisioning must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -341,6 +347,8 @@ class OsConfig:
     def __post_init__(self) -> None:
         if self.page_table_levels < 1:
             raise ConfigurationError("page_table_levels must be >= 1")
+        if self.kernel_threads_per_core < 1:
+            raise ConfigurationError("kernel_threads_per_core must be >= 1")
         if self.shootdown_batch_size < 1:
             raise ConfigurationError("shootdown_batch_size must be >= 1")
         for name in ("context_switch_ns", "page_fault_kernel_ns",
@@ -365,6 +373,8 @@ class UltConfig:
     aging_threshold_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.threads_per_core < 1:
+            raise ConfigurationError("threads_per_core must be >= 1")
         if self.switch_latency_ns < 0:
             raise ConfigurationError("switch_latency_ns cannot be negative")
         if self.aging_threshold_factor < 0:

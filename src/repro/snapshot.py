@@ -344,10 +344,11 @@ def build_workload(name: str, dataset_pages: int, seed: int,
                    snapshots: Optional[bool] = None, **kwargs):
     """:func:`~repro.workloads.make_workload` over a shared dataset.
 
-    The dataset (``HashIndex.bulk_load``, masstree/rbtree node builds,
-    page layout, Zipf tables) is built once per process and key; the
-    returned workload is a fresh session over it, bit-identical to a
-    fresh construction.  With snapshots off (``snapshots``, default
+    The dataset (the hash index's flat chains, masstree/rbtree node
+    builds, page layout, Zipf tables) is built once per process and
+    key; the returned workload is a fresh session over it,
+    bit-identical to a fresh construction, and shares its indexes'
+    per-key path memos.  With snapshots off (``snapshots``, default
     ``REPRO_SNAPSHOT``) it constructs with ``make_workload``.
     """
     if not (snapshots_enabled() if snapshots is None else snapshots):

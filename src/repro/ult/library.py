@@ -19,8 +19,6 @@ class ThreadLibrary:
     """Thread pool + scheduler for one physical core."""
 
     def __init__(self, core_id: int, config: UltConfig) -> None:
-        if config.threads_per_core < 1:
-            raise ConfigurationError("need at least one worker thread")
         self.core_id = core_id
         self.config = config
         self.scheduler: UltScheduler = make_scheduler(config)

@@ -36,6 +36,9 @@ from repro.errors import WorkloadError
 #: One compute segment followed by one memory access:
 #: ``(compute_ns, page, is_write)``.
 Step = Tuple[float, int, bool]
+#: An index lookup: the key's value page (None if absent) and the page
+#: path the walk touched, root first.
+Lookup = Tuple[Optional[int], Tuple[int, ...]]
 
 
 class Job:

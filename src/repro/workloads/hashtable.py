@@ -8,32 +8,40 @@ pointer-chasing page trace the paper's microbenchmark exercises.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Step, Workload
+from repro.workloads.base import Lookup, Step, Workload
 from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
 # A bucket head pointer is 8 bytes: 512 buckets per 4 KiB page.
 BUCKETS_PER_PAGE = 512
-ENTRY_SIZE_BYTES = 48
+HASH_MULTIPLIER = 2654435761
 
 
 class HashIndex:
-    """A bucketed chain hash index with page-path lookups.
+    """A bucketed chain hash index over a fixed key set, with page-path
+    lookups.
 
-    Chains are stored as per-bucket lists of ``(key, page)`` tuples in
-    insertion order and walked newest-first (``reversed``), which is
-    the same visit order as the linked-entry representation this
-    replaces — but tuples are built at C speed, which matters because
-    workload construction loads tens of thousands of keys per run.
+    Built once from distinct keys: key ``i`` gets the ``i``-th entry
+    page of a spread heap past the bucket array.  The chains are two
+    flat ``array('q')`` columns (keys and entry pages) sorted stably by
+    bucket, plus each bucket's start offset, so a bucket's chain is a
+    contiguous slice in insertion order; a lookup walks it from the
+    end, the newest-first visit order of a linked chain.
+
+    A key's path never changes once built, so :meth:`lookup` memoizes
+    ``key -> (entry page, path)`` on first use; every session over the
+    dataset shares the memo, and a path is a tuple, so none can change
+    another's entry.
     """
 
     def __init__(self, num_buckets: int, base_page: int, page_budget: int,
-                 expected_entries: int) -> None:
+                 keys: Sequence[int]) -> None:
         if num_buckets < 1:
             raise WorkloadError("need at least one bucket")
         self.num_buckets = num_buckets
@@ -41,76 +49,47 @@ class HashIndex:
         if bucket_pages >= page_budget:
             raise WorkloadError("page budget too small for the bucket array")
         self._bucket_base = base_page
-        self._entry_heap = SpreadHeap(
-            base_page + bucket_pages, page_budget - bucket_pages,
-            expected_entries,
-        )
-        self._buckets: List[List[Tuple[int, int]]] = [
-            [] for _ in range(num_buckets)
-        ]
-        self._size = 0
+        if keys and max(-min(keys), max(keys)) * HASH_MULTIPLIER >= 2 ** 63:
+            raise WorkloadError("hash keys overflow int64 bucket ids")
+        entry_pages = SpreadHeap(
+            base_page + bucket_pages, page_budget - bucket_pages, len(keys),
+        ).allocate_pages(len(keys))
+        key_column = np.asarray(keys, dtype=np.int64)
+        # Fibonacci hashing: cheap and well-spread for integer keys.
+        buckets = key_column * HASH_MULTIPLIER % num_buckets
+        order = np.argsort(buckets, kind="stable")
+        self._keys = array("q", key_column[order].tobytes())
+        self._entry_pages = array(
+            "q", np.asarray(entry_pages, dtype=np.int64)[order].tobytes())
+        starts = np.zeros(num_buckets + 1, dtype=np.int64)
+        np.cumsum(np.bincount(buckets, minlength=num_buckets),
+                  out=starts[1:])
+        self._starts = array("q", starts.tobytes())
+        self._memo: Dict[int, Lookup] = {}
 
     @property
     def size(self) -> int:
-        return self._size
+        return len(self._keys)
 
-    def _bucket_page(self, bucket: int) -> int:
-        return self._bucket_base + bucket // BUCKETS_PER_PAGE
-
-    def _bucket_of(self, key: int) -> int:
-        # Fibonacci hashing: cheap and well-spread for integer keys.
-        return (key * 2654435761) % self.num_buckets
-
-    def insert(self, key: int) -> List[int]:
-        """Insert ``key`` (idempotent); returns touched pages."""
-        bucket = self._bucket_of(key)
-        pages = [self._bucket_page(bucket)]
-        entries = self._buckets[bucket]
-        for entry_key, entry_page in reversed(entries):
-            pages.append(entry_page)
-            if entry_key == key:
-                return pages
-        page = self._entry_heap.allocate(ENTRY_SIZE_BYTES).page
-        entries.append((key, page))
-        self._size += 1
-        pages.append(page)
-        return pages
-
-    def bulk_load(self, keys: Iterable[int]) -> None:
-        """Insert distinct, not-yet-present keys in one pass.
-
-        Construction-time fast path: equivalent to calling
-        :meth:`insert` per key when no key is already in the index —
-        entries are allocated from the heap in the same order and
-        prepended to the same buckets, so the resulting structure is
-        identical — minus the chain walks and touched-page lists that
-        bulk construction throws away.
-        """
-        keys = list(keys)
-        pages = self._entry_heap.allocate_pages(len(keys))
-        buckets = self._buckets
-        num_buckets = self.num_buckets
-        if keys and 0 <= min(keys) and max(keys) * 2654435761 <= 2 ** 62:
-            # Exact in int64: vectorize the Fibonacci-hash bucket ids.
-            bucket_ids = ((np.asarray(keys, dtype=np.int64) * 2654435761)
-                          % num_buckets).tolist()
-            for key, page, bucket in zip(keys, pages, bucket_ids):
-                buckets[bucket].append((key, page))
-        else:
-            for key, page in zip(keys, pages):
-                buckets[(key * 2654435761) % num_buckets].append((key, page))
-        self._size += len(keys)
-
-    def lookup(self, key: int) -> Tuple[Optional[int], List[int]]:
+    def lookup(self, key: int) -> Lookup:
         """(entry page or None, touched page path)."""
-        # Hottest index operation: _bucket_of/_bucket_page inlined.
-        bucket = (key * 2654435761) % self.num_buckets
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._walk(key)
+        return hit
+
+    def _walk(self, key: int) -> Lookup:
+        bucket = key * HASH_MULTIPLIER % self.num_buckets
         pages = [self._bucket_base + bucket // BUCKETS_PER_PAGE]
-        for entry_key, entry_page in reversed(self._buckets[bucket]):
+        keys = self._keys
+        entry_pages = self._entry_pages
+        for slot in range(self._starts[bucket + 1] - 1,
+                          self._starts[bucket] - 1, -1):
+            entry_page = entry_pages[slot]
             pages.append(entry_page)
-            if entry_key == key:
-                return entry_page, pages
-        return None, pages
+            if keys[slot] == key:
+                return entry_page, tuple(pages)
+        return None, tuple(pages)
 
 
 class HashTableWorkload(Workload):
@@ -134,8 +113,7 @@ class HashTableWorkload(Workload):
         num_buckets = max(BUCKETS_PER_PAGE, num_keys // 2)
         self.index = HashIndex(num_buckets, base_page=0,
                                page_budget=dataset_pages,
-                               expected_entries=num_keys)
-        self.index.bulk_load(range(num_keys))
+                               keys=range(num_keys))
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,
                                          permute=False)
 

@@ -16,10 +16,10 @@ value pages (not index pages) dominate capacity, as in a real store.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Step, Workload
+from repro.workloads.base import Lookup, Step, Workload
 from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
@@ -60,6 +60,7 @@ class Masstree:
         self._root: object = _LeafNode(self._new_page())
         self._size = 0
         self._height = 1
+        self._memo: Dict[int, Lookup] = {}
 
     def _new_page(self) -> int:
         return self._heap.allocate().page
@@ -74,9 +75,18 @@ class Masstree:
 
     # -- search --------------------------------------------------------------
 
-    def get(self, key: int) -> Tuple[Optional[int], List[int]]:
+    def get(self, key: int) -> Lookup:
         """Value page for ``key`` (None if absent) plus the index page
-        path the traversal touched, root first."""
+        path the traversal touched, root first.
+
+        Memoized per key until the next :meth:`insert`: the entry is
+        shared by every caller, so the path is a tuple."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._walk(key)
+        return hit
+
+    def _walk(self, key: int) -> Lookup:
         path: List[int] = []
         node = self._root
         while isinstance(node, _InteriorNode):
@@ -86,13 +96,15 @@ class Masstree:
         path.append(node.page)
         index = bisect.bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
-            return node.values[index], path
-        return None, path
+            return node.values[index], tuple(path)
+        return None, tuple(path)
 
     # -- insert --------------------------------------------------------------
 
-    def insert(self, key: int, value_page: int) -> List[int]:
-        """Insert or update; returns the touched index page path."""
+    def insert(self, key: int, value_page: int) -> None:
+        """Insert ``key``, or update its value page."""
+        if self._memo:
+            self._memo.clear()
         path_nodes: List[_InteriorNode] = []
         node = self._root
         while isinstance(node, _InteriorNode):
@@ -100,19 +112,17 @@ class Masstree:
             slot = bisect.bisect_right(node.keys, key)
             node = node.children[slot]
         leaf: _LeafNode = node
-        touched = [n.page for n in path_nodes] + [leaf.page]
 
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             leaf.values[index] = value_page
-            return touched
+            return
         leaf.keys.insert(index, key)
         leaf.values.insert(index, value_page)
         self._size += 1
 
         if len(leaf.keys) > self.leaf_capacity:
             self._split_leaf(leaf, path_nodes)
-        return touched
 
     def _split_leaf(self, leaf: _LeafNode,
                     ancestors: List[_InteriorNode]) -> None:
@@ -199,9 +209,10 @@ class MasstreeWorkload(Workload):
         value_budget = dataset_pages - index_budget
         expected_nodes = max(16, 2 * num_keys // LEAF_CAPACITY)
         self.tree = Masstree(SpreadHeap(0, index_budget, expected_nodes))
-        value_heap = SpreadHeap(index_budget, value_budget, num_keys)
-        for key in range(num_keys):
-            self.tree.insert(key, value_heap.allocate().page)
+        value_pages = SpreadHeap(index_budget, value_budget,
+                                 num_keys).allocate_pages(num_keys)
+        for key, value_page in enumerate(value_pages):
+            self.tree.insert(key, value_page)
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,
                                          permute=False)
 

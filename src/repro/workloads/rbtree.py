@@ -10,10 +10,10 @@ chains.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Step, Workload
+from repro.workloads.base import Lookup, Step, Workload
 from repro.workloads.pagedheap import SpreadHeap
 from repro.workloads.zipf import ZipfianGenerator
 
@@ -40,6 +40,7 @@ class RedBlackTree:
         self._heap = node_heap
         self.root: Optional[_Node] = None
         self._size = 0
+        self._memo: Dict[int, Lookup] = {}
 
     @property
     def size(self) -> int:
@@ -47,16 +48,23 @@ class RedBlackTree:
 
     # -- search -----------------------------------------------------------------
 
-    def search(self, key: int) -> Tuple[Optional[int], List[int]]:
-        """(node page or None, page path root->node)."""
+    def search(self, key: int) -> Lookup:
+        """(node page or None, page path root->node), memoized per key
+        until the next :meth:`insert`."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._walk(key)
+        return hit
+
+    def _walk(self, key: int) -> Lookup:
         pages: List[int] = []
         node = self.root
         while node is not None:
             pages.append(node.page)
             if key == node.key:
-                return node.page, pages
+                return node.page, tuple(pages)
             node = node.left if key < node.key else node.right
-        return None, pages
+        return None, tuple(pages)
 
     # -- rotations -----------------------------------------------------------------
 
@@ -94,6 +102,8 @@ class RedBlackTree:
 
     def insert(self, key: int) -> bool:
         """Insert ``key``; False if it already existed."""
+        if self._memo:
+            self._memo.clear()
         parent = None
         node = self.root
         while node is not None:

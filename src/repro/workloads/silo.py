@@ -50,9 +50,10 @@ class SiloWorkload(Workload):
         value_budget = dataset_pages - index_budget - log_budget
         expected_nodes = max(16, 2 * num_keys // 32)
         self.tree = Masstree(SpreadHeap(0, index_budget, expected_nodes))
-        value_heap = SpreadHeap(index_budget, value_budget, num_keys)
-        for key in range(num_keys):
-            self.tree.insert(key, value_heap.allocate().page)
+        value_pages = SpreadHeap(index_budget, value_budget,
+                                 num_keys).allocate_pages(num_keys)
+        for key, value_page in enumerate(value_pages):
+            self.tree.insert(key, value_page)
         self._log_base = index_budget + value_budget
         self._log_budget = log_budget
         self._zipf = ZipfianGenerator(num_keys, zipf_s, seed=seed + 1,
@@ -65,72 +66,75 @@ class SiloWorkload(Workload):
         self._log_cursor += 1
         return page
 
-    def _lookup(self, key: int) -> Tuple[int, List[int]]:
-        value_page, path = self.tree.get(key)
-        if value_page is None:
-            raise WorkloadError(f"key {key} missing from Silo store")
-        return value_page, path
-
-    def _leaf_version(self, leaf_page: int) -> int:
-        return self._leaf_versions.get(leaf_page, 0)
-
-    def _transaction_steps(self) -> Iterator[Step]:
-        """One OCC transaction, retried on validation conflicts.
+    def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        """The job's OCC transactions, each retried on validation
+        conflicts.
 
         Leaf TIDs (version counters per index leaf) provide genuine
         conflict detection: because job step generators from different
         simulated cores interleave, a concurrent commit to a read-set
-        leaf between this transaction's read and its validation bumps
+        leaf between a transaction's read and its validation bumps
         the TID and forces a real abort-and-retry, wasting the executed
-        steps exactly as Silo would.
+        steps exactly as Silo would.  The transaction body is inlined,
+        so each step resumes one generator frame.
         """
         compute = self.compute_ns
         half = compute * 0.5
         rng_random = self._rng_random
-        for _attempt in range(self.max_retries + 1):
-            read_set: List[Tuple[int, int]] = []   # (leaf page, TID seen)
-            write_set: List[Tuple[int, int]] = []  # (leaf page, value page)
-
-            # Execution phase: index lookups + value reads, recording
-            # the TID of every read-set leaf.
-            for _ in range(self.reads_per_txn):
-                key = self._zipf.sample()
-                value_page, path = self._lookup(key)
-                for page in path:
-                    yield (compute * (0.5 + rng_random()), page, False)
-                yield (compute * (0.5 + rng_random()), value_page, False)
-                read_set.append((path[-1], self._leaf_version(path[-1])))
-            for _ in range(self.writes_per_txn):
-                key = self._zipf.sample()
-                value_page, path = self._lookup(key)
-                for page in path:
-                    yield (compute * (0.5 + rng_random()), page, False)
-                write_set.append((path[-1], value_page))
-
-            # Validation phase: re-check TIDs on read-set leaf pages.
-            conflicted = False
-            for leaf_page, seen_version in read_set:
-                yield (half * (0.5 + rng_random()), leaf_page, False)
-                if self._leaf_version(leaf_page) != seen_version:
-                    conflicted = True
-            if conflicted:
-                self.aborts += 1
-                continue  # retry the whole transaction
-
-            # Commit phase: install writes, bump leaf TIDs, append log.
-            for leaf_page, value_page in write_set:
-                yield (compute * (0.5 + rng_random()), value_page, True)
-                yield (half * (0.5 + rng_random()), leaf_page, True)
-                self._leaf_versions[leaf_page] = \
-                    self._leaf_version(leaf_page) + 1
-            # The jitter is drawn before the log cursor advances (a
-            # tuple literal evaluates left to right).
-            yield (half * (0.5 + rng_random()), self._next_log_page(), True)
-            self.commits += 1
-            return
-        # Retries exhausted: count it and move on (Silo would back off).
-        self.retry_exhaustions += 1
-
-    def _steps_for_job(self, job_id: int) -> Iterator[Step]:
+        sample = self._zipf.sample
+        get = self.tree.get
         for _ in range(self.transactions_per_job):
-            yield from self._transaction_steps()
+            for _attempt in range(self.max_retries + 1):
+                read_set: List[Tuple[int, int]] = []   # (leaf, TID seen)
+                write_set: List[Tuple[int, int]] = []  # (leaf, value page)
+
+                # Execution phase: index lookups + value reads,
+                # recording the TID of every read-set leaf.
+                for _ in range(self.reads_per_txn):
+                    key = sample()
+                    value_page, path = get(key)
+                    if value_page is None:
+                        raise WorkloadError(
+                            f"key {key} missing from Silo store")
+                    for page in path:
+                        yield (compute * (0.5 + rng_random()), page, False)
+                    yield (compute * (0.5 + rng_random()), value_page, False)
+                    read_set.append(
+                        (path[-1], self._leaf_versions.get(path[-1], 0)))
+                for _ in range(self.writes_per_txn):
+                    key = sample()
+                    value_page, path = get(key)
+                    if value_page is None:
+                        raise WorkloadError(
+                            f"key {key} missing from Silo store")
+                    for page in path:
+                        yield (compute * (0.5 + rng_random()), page, False)
+                    write_set.append((path[-1], value_page))
+
+                # Validation phase: re-check TIDs on read-set leaf pages.
+                conflicted = False
+                for leaf_page, seen_version in read_set:
+                    yield (half * (0.5 + rng_random()), leaf_page, False)
+                    if self._leaf_versions.get(leaf_page, 0) != seen_version:
+                        conflicted = True
+                if conflicted:
+                    self.aborts += 1
+                    continue  # retry the whole transaction
+
+                # Commit phase: install writes, bump leaf TIDs, append
+                # log.
+                for leaf_page, value_page in write_set:
+                    yield (compute * (0.5 + rng_random()), value_page, True)
+                    yield (half * (0.5 + rng_random()), leaf_page, True)
+                    self._leaf_versions[leaf_page] = \
+                        self._leaf_versions.get(leaf_page, 0) + 1
+                # The jitter is drawn before the log cursor advances (a
+                # tuple literal evaluates left to right).
+                yield (half * (0.5 + rng_random()), self._next_log_page(),
+                       True)
+                self.commits += 1
+                break
+            else:
+                # Retries exhausted: count it and move on (Silo would
+                # back off).
+                self.retry_exhaustions += 1

@@ -62,9 +62,8 @@ class TatpWorkload(Workload):
 
         self.index = HashIndex(
             max(512, num_subscribers // 2), base_page=0,
-            page_budget=index_budget, expected_entries=num_subscribers,
+            page_budget=index_budget, keys=range(num_subscribers),
         )
-        self.index.bulk_load(range(num_subscribers))
         self._zipf = ZipfianGenerator(num_subscribers, zipf_s,
                                          seed=seed + 1, permute=False)
 

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -83,6 +87,21 @@ class TestErrorExit:
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {argv[0]}: error: ")
         assert "Traceback" not in captured.err + captured.out
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # The reader closes the pipe before the verb writes its
+        # listing: exit 141 (128 + SIGPIPE) and no traceback.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen([sys.executable, "-m", "repro", "configs"],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""
 
 
 class TestSnapshotFlags:

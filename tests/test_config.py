@@ -143,6 +143,12 @@ BAD_OVERRIDES = (
     ("ult.switch_latency_ns", -100.0),
     ("ult.aging_threshold_factor", -1.0),
     ("core.flush_cycles_per_rob_entry", -0.5),
+    ("flash.pages_per_block", 0),
+    ("flash.write_buffer_pages", 0),
+    ("flash.overprovisioning", 1.0),
+    ("flash.overprovisioning", -0.1),
+    ("ult.threads_per_core", 0),
+    ("os.kernel_threads_per_core", 0),
 )
 
 

@@ -12,6 +12,7 @@ integration (warm-key grouping, fork pool context, sweep bench).
 
 import dataclasses
 import hashlib
+from array import array
 import json
 import os
 import pickle
@@ -28,11 +29,19 @@ from repro.errors import ConfigurationError, ReproError
 from repro.harness import fig1, parallel
 from repro.harness.common import HarnessScale, build_config
 from repro.harness.parallel import RunSpec, execute_spec, run_specs
-from repro.workloads import EVALUATED_WORKLOADS, ZipfianGenerator
+from repro.workloads import (
+    EVALUATED_WORKLOADS,
+    HashIndex,
+    Masstree,
+    RedBlackTree,
+    ZipfianGenerator,
+)
 from repro.workloads.registry import _REGISTRY
 
 #: Every registered workload: the seven evaluated ones plus kvstore.
 REGISTERED_WORKLOADS = sorted(_REGISTRY)
+#: The workloads that look keys up in an index.
+INDEX_WORKLOADS = ("hashtable", "masstree", "rbtree", "silo", "tatp")
 
 SEED = 11
 WARM_STEPS = 2_000
@@ -307,6 +316,9 @@ def test_build_workload_memoizes_but_never_shares_objects():
     # One dataset: the hash index and the Zipf CDF table ...
     assert first.index is second.index
     assert first._zipf._cdf is second._zipf._cdf
+    # ... and the index's path memo: a key looked up through one
+    # session is the identical entry through the other.
+    assert first.index.lookup(17) is second.index.lookup(17)
     # ... under private sessions with their own streams.
     assert first is not second
     assert first._rng is not second._rng
@@ -322,10 +334,21 @@ def test_build_workload_disabled_store_bypasses_files():
     assert snap._DATASETS == {}
 
 
+#: The index structures, each with a per-key path memo (``_memo``).
+INDEX_TYPES = (HashIndex, Masstree, RedBlackTree)
+
+
+def _indexes(workload) -> list:
+    return [value for value in vars(workload).values()
+            if isinstance(value, INDEX_TYPES)]
+
+
 def _dataset_digest(workload) -> str:
     """sha256 of every attribute but the session's: the RNG, the job
     counter, the run state and the samplers' streams (a sampler counts
-    by its CDF table).
+    by its CDF table).  An index's path memo is a cache of the dataset,
+    not state of it, so it is skipped (and checked against a fresh walk
+    by the test below).
 
     The object graph is walked with an explicit stack: a Masstree leaf
     chain nests deeper than pickle's recursion limit.
@@ -343,6 +366,8 @@ def _dataset_digest(workload) -> str:
     seen = {}
     while stack:
         obj = stack.pop()
+        if isinstance(obj, array):  # the hash index's flat columns
+            obj = obj.typecode.encode() + obj.tobytes()
         if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
             digest.update(repr(obj).encode())
             continue
@@ -356,6 +381,8 @@ def _dataset_digest(workload) -> str:
             children = list(obj)
         elif hasattr(obj, "__dict__"):
             children = [part for item in sorted(vars(obj).items())
+                        if not (isinstance(obj, INDEX_TYPES)
+                                and item[0] == "_memo")
                         for part in item]
         else:
             children = [getattr(obj, slot, None)
@@ -370,7 +397,9 @@ def _dataset_digest(workload) -> str:
 def test_shared_dataset_unchanged_by_runs(workload_name):
     """A warm capture, a restore and a full run of sessions leave the
     shared dataset as built: whatever a run mutates must be session
-    state (``Workload.run_state`` or a sampler's stream)."""
+    state (``Workload.run_state`` or a sampler's stream).  The runs
+    fill every index's path memo, and each entry is what a fresh walk
+    of its key returns."""
     config = build_config("astriflash", TINY)
     key = snap.warm_key(config, workload_name, SEED, TINY.workload_kwargs(),
                         dataset_pages=TINY.dataset_pages,
@@ -387,6 +416,12 @@ def test_shared_dataset_unchanged_by_runs(workload_name):
     restored.run()
     assert restored.workload.dump_session() != dataset.dump_session()
     assert _dataset_digest(dataset) == built
+    indexes = _indexes(dataset)
+    assert len(indexes) == (1 if workload_name in INDEX_WORKLOADS else 0)
+    for index in indexes:
+        assert index._memo
+        for key, hit in index._memo.items():
+            assert hit == index._walk(key)
 
 
 # ----------------------------------------------------------- LRU byte cap --

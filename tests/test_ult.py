@@ -242,4 +242,4 @@ class TestThreadLibrary:
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ConfigurationError):
-            ThreadLibrary(0, UltConfig(threads_per_core=0))
+            UltConfig(threads_per_core=0)

@@ -15,6 +15,7 @@ from repro.workloads import (
     SpreadHeap,
     ZipfianGenerator,
 )
+from repro.workloads.hashtable import BUCKETS_PER_PAGE
 from repro.workloads.masstree import _LeafNode
 from repro.workloads.rbtree import BLACK, RED
 
@@ -141,8 +142,16 @@ class TestRedBlackTree:
         page, path = tree.search(42)
         assert page is not None
         assert len(path) >= 1
+        assert isinstance(path, tuple)
         missing, _ = tree.search(1000)
         assert missing is None
+
+    def test_insert_after_missed_search_is_found(self):
+        tree = self.make_tree(range(100))
+        assert tree.search(1000)[0] is None  # memoized as absent
+        tree.insert(1000)
+        page, path = tree.search(1000)
+        assert page is not None and path[-1] == page
 
     def test_duplicate_insert_rejected(self):
         tree = self.make_tree([1])
@@ -182,6 +191,8 @@ class TestMasstree:
         value, path = tree.get(123)
         assert value == 5123
         assert len(path) == tree.height
+        assert isinstance(path, tuple)
+        assert tree.get(123) is tree.get(123)  # memoized per key
 
     def test_missing_key(self):
         tree = self.make_tree(10)
@@ -191,6 +202,7 @@ class TestMasstree:
 
     def test_update_in_place(self):
         tree = self.make_tree(10)
+        assert tree.get(3)[0] == 5003  # memoized before the update
         tree.insert(3, value_page=42)
         assert tree.get(3)[0] == 42
         assert tree.size == 10  # no new key
@@ -220,26 +232,15 @@ class TestMasstree:
 
 class TestHashIndex:
     def test_insert_lookup(self):
-        index = HashIndex(64, base_page=0, page_budget=64,
-                          expected_entries=100)
-        index.insert(5)
+        index = HashIndex(64, base_page=0, page_budget=64, keys=[5])
         page, path = index.lookup(5)
         assert page is not None
         assert path[0] < 64  # bucket page first
+        assert isinstance(path, tuple)
         assert index.lookup(6)[0] is None
 
-    def test_duplicate_insert_idempotent(self):
-        index = HashIndex(64, base_page=0, page_budget=64,
-                          expected_entries=100)
-        index.insert(5)
-        index.insert(5)
-        assert index.size == 1
-
     def test_chains_grow_with_load(self):
-        index = HashIndex(16, base_page=0, page_budget=64,
-                          expected_entries=64)
-        for key in range(64):
-            index.insert(key)
+        index = HashIndex(16, base_page=0, page_budget=64, keys=range(64))
         assert index.size / index.num_buckets == pytest.approx(4.0)
         # Some bucket holds at least four entries, so finding its
         # oldest key walks the bucket page plus four entries.
@@ -247,5 +248,39 @@ class TestHashIndex:
 
     def test_budget_must_fit_buckets(self):
         with pytest.raises(WorkloadError):
-            HashIndex(10_000, base_page=0, page_budget=8,
-                      expected_entries=10)
+            HashIndex(10_000, base_page=0, page_budget=8, keys=range(10))
+
+    def test_keys_overflowing_int64_buckets_rejected(self):
+        for key in (2 ** 40, -(2 ** 40)):
+            with pytest.raises(WorkloadError):
+                HashIndex(64, base_page=0, page_budget=64, keys=[1, key])
+
+    @given(st.lists(st.integers(-2 ** 31, 2 ** 31), min_size=1,
+                    max_size=200, unique=True),
+           st.integers(1, 1500),
+           st.lists(st.integers(-2 ** 31, 2 ** 31), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_per_bucket_chains(self, keys, num_buckets,
+                                              absent):
+        """Every lookup equals a newest-first walk of per-bucket lists
+        of ``(key, entry page)`` in insertion order."""
+        index = HashIndex(num_buckets, base_page=3, page_budget=64,
+                          keys=keys)
+        bucket_pages = -(-num_buckets // BUCKETS_PER_PAGE)
+        heap = SpreadHeap(3 + bucket_pages, 64 - bucket_pages, len(keys))
+        chains = [[] for _ in range(num_buckets)]
+        for key in keys:
+            chains[key * 2654435761 % num_buckets].append(
+                (key, heap.allocate().page))
+
+        def walk(key):
+            bucket = key * 2654435761 % num_buckets
+            pages = [3 + bucket // BUCKETS_PER_PAGE]
+            for entry_key, entry_page in reversed(chains[bucket]):
+                pages.append(entry_page)
+                if entry_key == key:
+                    return entry_page, tuple(pages)
+            return None, tuple(pages)
+
+        for key in keys + [key for key in absent if key not in keys]:
+            assert index.lookup(key) == walk(key)
