@@ -19,26 +19,15 @@ from repro.writes.admission import (
     WriteThroughAdmission,
     make_admission,
 )
-from repro.writes.bench import (
-    DEFAULT_WRITE_RATIOS,
-    WritesBench,
-    WritesCell,
-    parse_write_ratio_sweep,
-    run_writes,
-    writes_overrides,
-)
+from repro.writes.bench import run_writes, writes_overrides
 
 __all__ = [
     "AdmissionPolicy",
-    "DEFAULT_WRITE_RATIOS",
     "ReadinessAdmission",
     "ReadinessSketch",
     "WriteBackAdmission",
     "WriteThroughAdmission",
-    "WritesBench",
-    "WritesCell",
     "make_admission",
-    "parse_write_ratio_sweep",
     "run_writes",
     "writes_overrides",
 ]

@@ -15,9 +15,9 @@ from repro.errors import ConfigurationError, DeviceFailedError, \
     FlashTimeoutError, ProtocolError, ReproError
 from repro.faults import FaultPlan, effective_rber, \
     page_failure_probability, poisson_tail
-from repro.faults.chaos import ChaosBench, ChaosCell, \
-    _check_monotonic, fault_overrides, parse_rber_sweep
+from repro.faults.chaos import CHAOS, fault_overrides
 from repro.flash import FlashDevice
+from repro.harness.sweep import SweepResult, parse_points
 from repro.sim import Engine, spawn
 from repro.units import US
 
@@ -361,6 +361,10 @@ class TestTracedFaultedRun:
         assert charged > 0.0
 
 
+def parse_rber_sweep(text):
+    return parse_points(text, "rber", "[0, 1)")
+
+
 class TestChaosHarness:
     def test_parse_rber_sweep_sorts_and_dedups(self):
         assert parse_rber_sweep("8e-3, 0, 2e-3, 8e-3") == (0.0, 2e-3, 8e-3)
@@ -381,24 +385,26 @@ class TestChaosHarness:
         assert overrides["faults.rber"] == 8e-3
 
     def _bench(self, p99s):
-        cells = [
-            ChaosCell(preset="x", rber=float(i), service_p99_ns=p99,
-                      failed=(p99 is None))
-            for i, p99 in enumerate(p99s)
-        ]
-        return ChaosBench(experiment="fig9", scale="quick",
-                          workload="tatp", fault_seed=1,
-                          rber_points=[float(i) for i in range(len(p99s))],
-                          presets=["x"], cells=cells)
+        """A one-preset chaos sweep; a ``None`` p99 is a failed cell."""
+        rbers = [float(i) for i in range(len(p99s))]
+        sweep = dataclasses.replace(
+            CHAOS, points=tuple({"rber": rber} for rber in rbers),
+            about=(("experiment", "fig9"), ("scale", "quick"),
+                   ("workload", "tatp"), ("fault_seed", 1),
+                   ("rber_points", rbers), ("presets", ["x"])), seed=1)
+        cells = [{"preset": "x", "rber": rber, **CHAOS.read(None),
+                  "service_p99_ns": p99, "failed": p99 is None}
+                 for rber, p99 in zip(rbers, p99s)]
+        return SweepResult(sweep, cells)
 
     def test_monotonic_check_detects_dips(self):
-        assert _check_monotonic(self._bench([1.0, 2.0, 2.0, 3.0]))
-        assert not _check_monotonic(self._bench([1.0, 3.0, 2.0]))
+        assert self._bench([1.0, 2.0, 2.0, 3.0]).ok
+        assert not self._bench([1.0, 3.0, 2.0]).ok
 
     def test_monotonic_check_skips_failed_cells(self):
         bench = self._bench([1.0, None, 2.0])
-        bench.cells[1].service_p99_ns = 99.0  # ignored: cell failed
-        assert _check_monotonic(bench)
+        bench.cells[1]["service_p99_ns"] = 99.0  # ignored: cell failed
+        assert bench.ok
 
     def test_schema_version_is_stamped(self):
         from repro.metrics import LEDGER_SCHEMA_VERSION
@@ -416,7 +422,7 @@ class TestChaosHarness:
             record.metrics
         # The fingerprint pins every simulated figure.
         assert bench.record().fingerprint == record.fingerprint
-        bench.cells[0].service_p99_ns = 1.5
+        bench.cells[0]["service_p99_ns"] = 1.5
         assert bench.record().fingerprint != record.fingerprint
 
     def test_cli_json_is_a_record_that_regresses_clean(

@@ -1,6 +1,8 @@
 """Tests for the metrics registry, run ledger, diff/regress tooling
 and the static dashboard (repro.metrics)."""
 
+import copy
+import dataclasses
 import json
 import math
 from html.parser import HTMLParser
@@ -31,7 +33,8 @@ from repro.metrics import (
     select_record,
     write_record,
 )
-from repro.faults.chaos import ChaosBench, ChaosCell
+from repro.faults.chaos import CHAOS
+from repro.harness.sweep import SweepResult
 
 
 # ------------------------------------------------------------- registry --
@@ -104,20 +107,23 @@ class TestRegistry:
 
 def _chaos_bench(p99_ns=90000.0, failed=False):
     """A two-cell chaos sweep with fixed (host-independent) figures."""
-    cells = [
-        ChaosCell(preset="astriflash", rber=0.0,
-                  throughput_jobs_per_s=1000.0, service_p99_ns=50000.0,
-                  service_mean_ns=9000.0),
-        ChaosCell(preset="astriflash", rber=8e-3,
-                  throughput_jobs_per_s=900.0, service_p99_ns=p99_ns,
-                  service_mean_ns=12000.0,
-                  fault_counters={"flash.read_retries": 14.0},
-                  failed=failed),
-    ]
-    return ChaosBench(experiment="fig9", scale="quick", workload="tatp",
-                      fault_seed=1, rber_points=[0.0, 8e-3],
-                      presets=["astriflash"], cells=cells,
-                      config_preset="quick")
+    payload = dict(CHAOS_PAYLOAD, config_preset="quick")
+    result = _sweep_result(CHAOS, payload, seed=1)
+    result.cells[1].update(service_p99_ns=p99_ns, failed=failed)
+    return result
+
+
+def _sweep_result(sweep, payload, seed):
+    """A sweep result rebuilt from its record's detail payload."""
+    about = tuple((key, value) for key, value in payload.items()
+                  if key not in ("cells", "knees", sweep.gate.name,
+                                 "config_preset"))
+    sweep = dataclasses.replace(
+        sweep, about=about, seed=seed,
+        config_preset=payload.get("config_preset", ""))
+    extra = {"knees": payload["knees"]} if "knees" in payload else {}
+    return SweepResult(sweep, copy.deepcopy(payload["cells"]),
+                       copy.deepcopy(extra))
 
 
 class TestBenchView:
@@ -553,16 +559,12 @@ PROFILE_PAYLOAD = {
 
 def _typed_results():
     """One typed result per dashboard panel, built from the payloads."""
-    from repro.loadgen import LoadgenBench, LoadgenCell, PresetKnee
+    from repro.loadgen.sweep import LOADGEN
     from repro.perf import Hotspot, ProfileReport, SweepBench
 
     return [
-        ChaosBench(**dict(CHAOS_PAYLOAD, cells=[
-            ChaosCell(**cell) for cell in CHAOS_PAYLOAD["cells"]])),
-        LoadgenBench(**dict(
-            LOADGEN_PAYLOAD,
-            cells=[LoadgenCell(**cell) for cell in LOADGEN_PAYLOAD["cells"]],
-            knees=[PresetKnee(**knee) for knee in LOADGEN_PAYLOAD["knees"]])),
+        _sweep_result(CHAOS, CHAOS_PAYLOAD, seed=1),
+        _sweep_result(LOADGEN, LOADGEN_PAYLOAD, seed=42),
         SweepBench(**SWEEP_PAYLOAD),
         ProfileReport(**dict(PROFILE_PAYLOAD, hotspots=[
             Hotspot(**spot) for spot in PROFILE_PAYLOAD["hotspots"]])),

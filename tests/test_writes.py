@@ -14,16 +14,9 @@ from repro.flash import FlashDevice
 from repro.flash.ftl import PageMappingFtl
 from repro.harness.common import QUICK
 from repro.sim import Engine, spawn
-from repro.writes import (
-    ReadinessSketch,
-    WritesBench,
-    WritesCell,
-    make_admission,
-    parse_write_ratio_sweep,
-    writes_overrides,
-)
-from repro.writes.bench import POLICY_ORDER, _check_policy_order, \
-    writes_scale
+from repro.harness.sweep import SweepResult, parse_points
+from repro.writes import ReadinessSketch, make_admission, writes_overrides
+from repro.writes.bench import POLICY_ORDER, WRITES, writes_scale
 
 
 def run_overwrites(ftl, pages):
@@ -185,6 +178,10 @@ class TestDeviceWriteCounters:
         assert window["wa_factor"] == 1.0
 
 
+def parse_write_ratio_sweep(text):
+    return parse_points(text, "write-ratio", "(0, 1]")
+
+
 class TestSweepHelpers:
     def test_parse_write_ratio_sweep(self):
         assert parse_write_ratio_sweep("0.5,0.25,0.5") == (0.25, 0.5)
@@ -217,37 +214,39 @@ class TestSweepHelpers:
 
 
 def _order_bench(e2e_by_policy):
-    cells = [
-        WritesCell(preset="p", policy=policy, write_ratio=0.5,
-                   flash_writes_per_app_write=value)
-        for policy, value in e2e_by_policy.items()
-    ]
-    return WritesBench(
-        experiment="kv", scale="quick", workload="kvstore", seed=42,
-        write_ratio_points=[0.5], presets=["p"],
-        policies=list(e2e_by_policy), cells=cells,
-    )
+    """A one-preset, one-ratio write sweep over the given policies."""
+    points = tuple({"policy": policy, "write_ratio": 0.5}
+                   for policy in e2e_by_policy)
+    cells = [{"preset": "p", **point, **WRITES.read(None),
+              "flash_writes_per_app_write": value, "failed": False}
+             for point, value in zip(points, e2e_by_policy.values())]
+    return SweepResult(dataclasses.replace(WRITES, points=points), cells)
 
 
 class TestPolicyOrderCheck:
     def test_strictly_decreasing_order_passes(self):
         bench = _order_bench({"write-through": 0.9, "write-back": 0.5,
                               "readiness": 0.3})
-        assert _check_policy_order(bench)
+        assert bench.ok
 
     def test_inverted_order_fails(self):
         bench = _order_bench({"write-through": 0.3, "write-back": 0.5,
                               "readiness": 0.9})
-        assert not _check_policy_order(bench)
+        assert not bench.ok
 
     def test_failed_cell_fails_the_check(self):
         bench = _order_bench({"write-through": 0.9, "write-back": 0.5})
-        bench.cells[0] = dataclasses.replace(bench.cells[0], failed=True)
-        assert not _check_policy_order(bench)
+        bench.cells[0]["failed"] = True
+        assert not bench.ok
+
+    def test_missing_cell_fails_the_check(self):
+        bench = _order_bench({"write-through": 0.9, "write-back": 0.5})
+        del bench.cells[1]
+        assert not bench.ok
 
     def test_single_policy_vacuously_passes(self):
         bench = _order_bench({"write-back": 0.5})
-        assert _check_policy_order(bench)
+        assert bench.ok
 
     def test_policy_order_covers_all_policies(self):
         assert set(POLICY_ORDER) == set(WritesConfig.POLICIES)
@@ -259,22 +258,22 @@ class TestRunWritesEndToEnd:
         from repro.writes import run_writes
 
         return run_writes(presets=("flash-sync-writes",),
-                          write_ratios=(0.5,),
+                          write_ratio_sweep="0.5",
                           policies=("write-through", "readiness"))
 
     def test_cells_complete_and_measure_writes(self, bench):
         assert len(bench.cells) == 2
         for cell in bench.cells:
-            assert not cell.failed
-            assert cell.host_writes > 0
-            assert cell.wa_factor >= 1.0
+            assert not cell["failed"]
+            assert cell["host_writes"] > 0
+            assert cell["wa_factor"] >= 1.0
 
     def test_readiness_rejects_and_beats_write_through(self, bench):
-        by_policy = {cell.policy: cell for cell in bench.cells}
-        assert by_policy["readiness"].admission_rejects > 0
-        assert by_policy["readiness"].flash_writes_per_app_write \
-            < by_policy["write-through"].flash_writes_per_app_write
-        assert bench.policy_order_ok
+        by_policy = {cell["policy"]: cell for cell in bench.cells}
+        assert by_policy["readiness"]["admission_rejects"] > 0
+        assert by_policy["readiness"]["flash_writes_per_app_write"] \
+            < by_policy["write-through"]["flash_writes_per_app_write"]
+        assert bench.ok
 
     def test_payload_projects_onto_metrics_registry(self, bench):
         record = bench.record()
@@ -294,11 +293,11 @@ class TestRunWritesEndToEnd:
 
     def test_cli_json_is_a_record_that_regresses_clean(
             self, bench, tmp_path, monkeypatch, capsys):
-        import repro.writes
+        import repro.writes.bench
         from repro.cli import main
         from repro.metrics import record_from_file
 
-        monkeypatch.setattr(repro.writes, "run_writes",
+        monkeypatch.setattr(repro.writes.bench, "run_writes",
                             lambda *args, **kwargs: bench)
         out = tmp_path / "writes.json"
         assert main(["writes", "--json", str(out)]) == 0
