@@ -120,6 +120,17 @@ class DramCacheConfig:
             raise ConfigurationError("associativity must be >= 1")
         if self.msr_entries < 1:
             raise ConfigurationError("MSR must have at least one entry")
+        if self.evict_buffer_entries < 1 or self.miss_queue_entries < 1:
+            raise ConfigurationError(
+                "evict buffer and miss queue need at least one entry")
+        if self.controller_frequency_ghz <= 0:
+            raise ConfigurationError(
+                "DRAM-cache controller frequency must be positive")
+        if min(self.row_activate_ns, self.column_access_ns,
+               self.data_transfer_ns, self.frontside_cycles_per_command,
+               self.backside_cycles_per_command) < 0:
+            raise ConfigurationError(
+                "DRAM timings and command cycles cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,15 @@ class FlashConfig:
             raise ConfigurationError("write_buffer_pages must be >= 1")
         if not 0.0 <= self.overprovisioning < 1.0:
             raise ConfigurationError("overprovisioning must be in [0, 1)")
+        if min(self.program_latency_ns, self.erase_latency_ns,
+               self.pcie_latency_ns) < 0:
+            raise ConfigurationError(
+                "flash program, erase and PCIe latencies cannot be negative")
+        if self.pcie_bandwidth_gbps <= 0:
+            raise ConfigurationError("PCIe bandwidth must be positive")
+        if not 0.0 <= self.gc_blocked_fraction_at_256g <= 1.0:
+            raise ConfigurationError(
+                "gc_blocked_fraction_at_256g must be in [0, 1]")
 
 
 @dataclass(frozen=True)

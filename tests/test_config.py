@@ -149,6 +149,20 @@ BAD_OVERRIDES = (
     ("flash.overprovisioning", -0.1),
     ("ult.threads_per_core", 0),
     ("os.kernel_threads_per_core", 0),
+    ("dram_cache.controller_frequency_ghz", 0.0),
+    ("dram_cache.controller_frequency_ghz", -2.0),
+    ("dram_cache.evict_buffer_entries", 0),
+    ("dram_cache.miss_queue_entries", 0),
+    ("dram_cache.frontside_cycles_per_command", -1),
+    ("dram_cache.backside_cycles_per_command", -1),
+    ("dram_cache.row_activate_ns", -15.0),
+    ("dram_cache.column_access_ns", -20.0),
+    ("dram_cache.data_transfer_ns", -20.0),
+    ("flash.program_latency_ns", -1.0),
+    ("flash.erase_latency_ns", -1.0),
+    ("flash.gc_blocked_fraction_at_256g", -0.1),
+    ("flash.pcie_bandwidth_gbps", 0.0),
+    ("flash.pcie_latency_ns", -1.0),
 )
 
 

@@ -148,6 +148,16 @@ class TestGcOverheads:
         assert rows[1024] == pytest.approx(0.01)
         assert rows[1024] < 0.01 + 1e-9  # paper: <1% at 1 TiB
 
+    def test_analytic_rows_simulate_nothing(self):
+        # The rows come from the analytic model alone: no device is
+        # simulated, and no measured figure is printed beside them.
+        from repro.sim.engine import total_events_executed
+
+        before = total_events_executed()
+        result = run_experiment("gc_overheads")
+        assert total_events_executed() == before
+        assert "Measured" not in result.notes
+
 
 @pytest.mark.slow
 class TestSimulationExperiments:
