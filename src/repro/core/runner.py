@@ -29,6 +29,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Optional
 
 from repro.config.system import PagingMode, SystemConfig
@@ -162,6 +163,14 @@ class SimulationResult:
         return metrics_from_result(self)
 
 
+def _wake(idle: Dict[int, Optional[Signal]], core_id: int) -> None:
+    """Fire the idle signal of core ``core_id`` if the core is parked."""
+    signal = idle[core_id]
+    if signal is not None and not signal.fired:
+        idle[core_id] = None
+        signal.fire()
+
+
 class Runner:
     """Run one (configuration, workload, arrival process) experiment."""
 
@@ -190,7 +199,6 @@ class Runner:
         # once per job (or dispatch) and pay one ``record is not None``
         # test per step.
         self._tracer = _tracer_active()
-        self._telemetry: Optional[TelemetrySampler] = None
         # Per-run invariants bound once for the per-access fast paths.
         self._tlb_miss_probability = config.tlb.miss_probability
         self._flat_walk_ns = (config.os.page_table_levels
@@ -211,6 +219,8 @@ class Runner:
         }
         # Queue-pair notifications (Sec. IV-D2): the BC posts page
         # arrivals here; schedulers drain them at scheduling points.
+        # The doorbell holds the idle table, not the runner, which
+        # holds the queues.
         self._cqs: Dict[int, CompletionQueue] = {}
         for core_id, library in enumerate(self.machine.libraries):
             if library is None:
@@ -218,7 +228,7 @@ class Runner:
             capacity = 2 * library.config.threads_per_core
             self._cqs[core_id] = CompletionQueue(
                 core_id, capacity=capacity,
-                doorbell=(lambda cid=core_id: self._wake(cid)),
+                doorbell=partial(_wake, self._idle, core_id),
             )
         # Miss-interval accounting (Sec. II-A calibration).  The
         # ``_window_*`` snapshots are taken when the measurement window
@@ -278,10 +288,11 @@ class Runner:
         if tracer is not None:
             tracer.begin_run(f"{self.config.name}/{self.workload.name}")
             if tracer.telemetry_interval_ns > 0.0:
-                self._telemetry = TelemetrySampler(
+                # Held by its scheduled sample only: the sampler holds
+                # this runner.
+                TelemetrySampler(
                     self, tracer, tracer.telemetry_interval_ns
-                )
-                self._telemetry.start()
+                ).start()
 
         open_loop = not isinstance(self.arrivals, ClosedLoop)
         if open_loop:
@@ -291,14 +302,19 @@ class Runner:
         for core_id in range(self.config.num_cores):
             spawn(engine, self._core_loop(core_id), name=f"core{core_id}")
         engine.schedule(scale.warmup_ns, self._start_measurement)
-        engine.run(until=scale.warmup_ns + scale.measurement_ns)
-        self.throughput.stop_measurement(engine.now)
-        if tracer is not None:
-            tracer.end_run(engine.now)
+        try:
+            engine.run(until=scale.warmup_ns + scale.measurement_ns)
+            self.throughput.stop_measurement(engine.now)
+            if tracer is not None:
+                tracer.end_run(engine.now)
 
-        wall_seconds = time.perf_counter() - wall_start
-        _WALL_TOTALS["measure_seconds"] += wall_seconds
-        return self._build_result(open_loop, wall_seconds)
+            wall_seconds = time.perf_counter() - wall_start
+            _WALL_TOTALS["measure_seconds"] += wall_seconds
+            return self._build_result(open_loop, wall_seconds)
+        finally:
+            # After the result, which counts the executed events: the
+            # unfinished processes hold this runner in cycles.
+            engine.close()
 
     def _start_measurement(self) -> None:
         """Open the measurement window (scheduled at ``warmup_ns``)."""
@@ -433,7 +449,7 @@ class Runner:
             job = self.workload.make_job()
             job.arrived_at = self.machine.engine.now
             self._queues[core_id].append(job)
-            self._wake(core_id)
+            _wake(self._idle, core_id)
 
     def _next_job(self, core_id: int) -> Optional[Job]:
         queue = self._queues[core_id]
@@ -447,12 +463,6 @@ class Runner:
             self._live_jobs[job.job_id] = job
             return job
         return None
-
-    def _wake(self, core_id: int) -> None:
-        signal = self._idle[core_id]
-        if signal is not None and not signal.fired:
-            self._idle[core_id] = None
-            signal.fire()
 
     def _finish_job(self, job: Job) -> None:
         now = self.machine.engine.now

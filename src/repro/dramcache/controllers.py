@@ -467,7 +467,7 @@ class FrontsideController:
                 self._fired.append("bc_queue_stalls")
             self.bc_queue_stalls += 1
             spawn(self.engine, self._blocking_put(request), name="fc-stall")
-        self._arm_cleanup(request)
+        observe(request.install_signal, self._cleanup)
         return AccessResult(
             False, self.timing.miss_detect_ns,
             completion=request.install_signal,
@@ -485,11 +485,10 @@ class FrontsideController:
         if signal is not None:
             yield signal
 
-    def _arm_cleanup(self, request: MissRequest) -> None:
-        def cleanup(_value):
-            self._pending.pop(request.page, None)
-            # The fired signal keeps this request as its payload; drop
-            # the back-reference so the pair is not cyclic garbage.
-            request.install_signal = None
-
-        observe(request.install_signal, cleanup)
+    def _cleanup(self, request: MissRequest) -> None:
+        """Install observer: the install signal's payload is the
+        request, so the observer holds no request of its own."""
+        self._pending.pop(request.page, None)
+        # The fired signal keeps this request as its payload; drop
+        # the back-reference so the pair is not cyclic garbage.
+        request.install_signal = None

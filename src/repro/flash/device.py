@@ -103,7 +103,6 @@ class FlashDevice:
         self.pcie = PCIeLink(
             engine, config.pcie_bandwidth_gbps, config.pcie_latency_ns
         )
-        self.gc = GarbageCollector(self)
         # Fault injection (DESIGN.md §4f): None unless explicitly
         # enabled, so the default read path stays byte-identical to the
         # golden fixtures.  The plan owns its RNG streams.
@@ -124,6 +123,7 @@ class FlashDevice:
         self.write_buffer = Server(engine, capacity=config.write_buffer_pages,
                                    name="write-buffer")
         self.stats = CounterSet()
+        self.gc = GarbageCollector(self)
         self._tracer = _tracer_active()
         # Completed reads and their summed latency, for the running
         # mean the ULT aging policy reads.

@@ -12,6 +12,12 @@ bitmaps, free lists, erase counters) so GC and wear statistics fall out
 of real state rather than synthetic probabilities.  Each block keeps
 its valid-page count alongside the bitmap, so victim selection reads
 one int per block instead of re-summing bitmaps.
+
+A block's bitmap (its page map) exists only while the block holds
+programmed pages: the first program into the block allocates it and
+the erase drops it.  The dataset is read-mostly and the device programs
+only dirty writebacks, so most blocks of a run are never written and
+never pay for a map.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ PhysicalSlot = Tuple[int, int]
 class Block:
     """One erase block: a run of physical pages with a valid bitmap.
 
+    ``valid`` is None until the block's first program
+    (:meth:`PlaneState.allocate`) and again after :meth:`erase`.
     ``valid_count`` is the number of non-None bitmap entries, kept by
     every write to ``valid`` (allocate, invalidate, GC migration and
     erase).
@@ -39,15 +47,16 @@ class Block:
     def __init__(self, index: int, pages_per_block: int) -> None:
         self.index = index
         self.pages_per_block = pages_per_block
-        self.valid: List[Optional[int]] = [None] * pages_per_block
+        self.valid: Optional[List[Optional[int]]] = None
         self.valid_count = 0
         self.write_offset = 0
         self.erase_count = 0
 
     def erase(self) -> None:
-        if any(page is not None for page in self.valid):
+        if self.valid is not None and any(
+                page is not None for page in self.valid):
             raise ProtocolError(f"erasing block {self.index} with valid pages")
-        self.valid = [None] * self.pages_per_block
+        self.valid = None
         self.valid_count = 0
         self.write_offset = 0
         self.erase_count += 1
@@ -78,6 +87,8 @@ class PlaneState:
             if block.write_offset != 0:
                 raise ProtocolError("free-list block was not erased")
         offset = block.write_offset
+        if offset == 0:  # first program since build or erase
+            block.valid = [None] * self.pages_per_block
         block.valid[offset] = logical_page
         block.valid_count += 1
         block.write_offset += 1

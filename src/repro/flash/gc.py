@@ -20,10 +20,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class GarbageCollector:
-    """Drives per-plane GC passes on the owning :class:`FlashDevice`."""
+    """Drives per-plane GC passes on the owning :class:`FlashDevice`.
+
+    The collector keeps the parts of the device it reads (engine,
+    config, FTL, plane servers, the device counters and the write-path
+    config), not the device, which holds the collector: that pair
+    would be a reference cycle.
+    """
 
     def __init__(self, device: "FlashDevice") -> None:
-        self.device = device
+        self.engine = device.engine
+        self.config = device.config
+        self.ftl = device.ftl
+        self.planes = device.planes
+        self.device_stats = device.stats
+        self.writes = device.writes
         self.stats = CounterSet()
         self._active: List[bool] = [False] * device.ftl.num_planes
         # Measurement-window baselines (see start_measurement): until
@@ -46,18 +57,17 @@ class GarbageCollector:
         """Kick off a GC pass if the plane is under free-block pressure."""
         if self._active[plane_index]:
             return
-        if not self.device.ftl.gc_pressure(plane_index):
+        if not self.ftl.gc_pressure(plane_index):
             return
         self._active[plane_index] = True
         spawn(
-            self.device.engine,
+            self.engine,
             self._collect_process(plane_index),
             name=f"gc:plane{plane_index}",
         )
 
     def _collect_process(self, plane_index: int):
-        device = self.device
-        if device.config.gc_policy == "tiny-tail":
+        if self.config.gc_policy == "tiny-tail":
             yield from self._collect_tiny_tail(plane_index)
         else:
             yield from self._collect_blocking(plane_index)
@@ -65,21 +75,22 @@ class GarbageCollector:
     def _collect_blocking(self, plane_index: int):
         """Traditional GC: the plane is held for the whole pass, so
         reads queue behind migrations and the erase."""
-        device = self.device
-        plane = device.planes[plane_index]
+        ftl = self.ftl
+        config = self.config
+        plane = self.planes[plane_index]
         try:
-            while device.ftl.gc_pressure(plane_index):
+            while ftl.gc_pressure(plane_index):
                 grant = plane.acquire()
                 if grant is not None:
                     yield grant
-                migrated, erased = device.ftl.collect(plane_index)
+                migrated, erased = ftl.collect(plane_index)
                 if migrated == 0 and erased == 0:
                     plane.release()
                     break
                 busy = (
                     migrated
-                    * (device.config.read_latency_ns + device.config.program_latency_ns)
-                    + erased * device.config.erase_latency_ns
+                    * (config.read_latency_ns + config.program_latency_ns)
+                    + erased * config.erase_latency_ns
                 )
                 yield busy
                 plane.release()
@@ -87,10 +98,10 @@ class GarbageCollector:
                 stats["passes"] += 1.0
                 stats["migrated_pages"] += migrated
                 stats["busy_ns"] += busy
-                if device.writes is not None:
+                if self.writes is not None:
                     # GC page moves are device-side programs: the write
                     # amplification the host never asked for.
-                    device.stats["device_writes"] += migrated
+                    self.device_stats["device_writes"] += migrated
         finally:
             self._active[plane_index] = False
 
@@ -99,13 +110,13 @@ class GarbageCollector:
         page-sized slices and the plane is released between slices, so
         priority reads slip in and observe at most one slice of delay
         instead of a multi-millisecond pass."""
-        device = self.device
-        plane = device.planes[plane_index]
-        slice_ns = (device.config.read_latency_ns
-                    + device.config.program_latency_ns)
+        ftl = self.ftl
+        config = self.config
+        plane = self.planes[plane_index]
+        slice_ns = config.read_latency_ns + config.program_latency_ns
         try:
-            while device.ftl.gc_pressure(plane_index):
-                migrated, erased = device.ftl.collect(plane_index)
+            while ftl.gc_pressure(plane_index):
+                migrated, erased = ftl.collect(plane_index)
                 if migrated == 0 and erased == 0:
                     break
                 for _ in range(migrated):
@@ -117,7 +128,7 @@ class GarbageCollector:
                 # Erase-suspend: the long block erase is performed in
                 # suspendable windows so priority reads slip in.
                 erase_slices = 8
-                erase_slice_ns = (erased * device.config.erase_latency_ns
+                erase_slice_ns = (erased * config.erase_latency_ns
                                   / erase_slices)
                 for _ in range(erase_slices):
                     grant = plane.acquire()
@@ -129,9 +140,9 @@ class GarbageCollector:
                 stats["passes"] += 1.0
                 stats["migrated_pages"] += migrated
                 stats["busy_ns"] += (migrated * slice_ns
-                                     + erased * device.config.erase_latency_ns)
-                if device.writes is not None:
-                    device.stats["device_writes"] += migrated
+                                     + erased * config.erase_latency_ns)
+                if self.writes is not None:
+                    self.device_stats["device_writes"] += migrated
         finally:
             self._active[plane_index] = False
 
@@ -144,19 +155,19 @@ class GarbageCollector:
         warmup-era GC stalls (dataset builds, cache fills) must not
         dilute the steady-state blocked fraction.
         """
-        stats = self.device.stats
+        stats = self.device_stats
         self._window_requests = stats["requests"]
         self._window_blocked = stats["requests_blocked_by_gc"]
         self._window_device = {key: stats[key] for key in _DEVICE_WRITE_KEYS}
-        ftl_stats = self.device.ftl.stats
+        ftl_stats = self.ftl.stats
         self._window_ftl = {key: ftl_stats[key] for key in _FTL_WRITE_KEYS}
-        self._window_start_ns = self.device.engine.now
+        self._window_start_ns = self.engine.now
 
     def blocked_fraction(self) -> float:
         """Fraction of foreground requests that arrived during GC,
         scoped to the measurement window once :meth:`start_measurement`
         has been called (whole-run before that)."""
-        stats = self.device.stats
+        stats = self.device_stats
         requests = stats["requests"] - self._window_requests
         blocked = stats["requests_blocked_by_gc"] - self._window_blocked
         if requests <= 0:
@@ -166,7 +177,7 @@ class GarbageCollector:
     # ------------------------------------------------------- write path --
 
     def _ftl_window(self) -> Dict[str, float]:
-        ftl_stats = self.device.ftl.stats
+        ftl_stats = self.ftl.stats
         base = self._window_ftl
         return {
             key: ftl_stats[key] - base.get(key, 0.0)
@@ -200,15 +211,15 @@ class GarbageCollector:
         policies, not a calendar prediction for a 256 GiB device.
         """
         if pe_cycle_budget is None:
-            writes = self.device.writes
+            writes = self.writes
             pe_cycle_budget = writes.pe_cycle_budget if writes else 3000
         erases = self._ftl_window()["gc_erases"]
-        window_ns = self.device.engine.now - self._window_start_ns
+        window_ns = self.engine.now - self._window_start_ns
         if erases <= 0 or window_ns <= 0:
             return None
-        ftl = self.device.ftl
+        ftl = self.ftl
         total_blocks = sum(len(plane.blocks) for plane in ftl.planes)
-        consumed = self.device.ftl.stats["gc_erases"]
+        consumed = ftl.stats["gc_erases"]
         remaining = max(0.0, total_blocks * pe_cycle_budget - consumed)
         erases_per_ns = erases / window_ns
         ns_per_year = 365.25 * 24 * 3600 * 1e9
@@ -226,8 +237,7 @@ class GarbageCollector:
         end-to-end amplification (device programs per application
         store — below 1.0 when the DRAM cache coalesces stores).
         ``lifetime_years`` is present only when the window erased."""
-        device = self.device
-        stats = device.stats
+        stats = self.device_stats
         base = self._window_device
         dev = {
             key: stats[key] - base.get(key, 0.0)

@@ -333,6 +333,13 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     if arrival not in ARRIVAL_KINDS:
         raise ReproError(f"unknown arrival kind {arrival!r}; "
                          f"known: {', '.join(ARRIVAL_KINDS)}")
+    # The same ranges chaos's --rber-sweep points take; a negative
+    # RBER would otherwise run the clean sweep unannounced.
+    if not 0.0 <= rber < 1.0:
+        raise ReproError(f"rber {rber:g} outside [0, 1)")
+    if not 0.0 <= backlog_threshold <= 1.0:
+        raise ReproError(
+            f"backlog threshold {backlog_threshold:g} outside [0, 1]")
     qps_grid = parse_qps_sweep(qps_sweep if qps_sweep is not None
                                else DEFAULT_QPS_SWEEP)
     presets = experiment_presets(experiment, DEFAULT_PRESETS)

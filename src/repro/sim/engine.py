@@ -21,12 +21,18 @@ are the rare case and the only cancellable one: they get an
 cancelled entries outnumber live ones.  None of this changes
 semantics — pop order is the same ``(time, seq)`` total order the
 kernel has always used.
+
+A run ends with :meth:`Engine.close`: unfinished processes hold their
+owners (the runner, the controllers, the flash device) in suspended
+frames, and the queue and signal waiter lists hold those processes, so
+the engine keeps its live waiters (processes and unfired
+:func:`~repro.sim.process.observe` callbacks) for ``close`` to release.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -95,6 +101,10 @@ class Engine:
         self._seq = 0
         self._running = False
         self._cancelled_in_queue = 0
+        # Live waiters (processes and observers) for close(); a dict
+        # keeps start order, so close() releases them in a fixed order.
+        self._live: Dict[Any, None] = {}
+        self._closed = False
         # Kernel health/throughput telemetry (repro.perf reads these).
         self.events_executed = 0
         self.compactions = 0
@@ -203,6 +213,8 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() re-entered")
+        if self._closed:
+            raise SimulationError("engine closed: its run has ended")
         self._running = True
         # Bound once per call, not per event: process.py imports this
         # module, so the import cannot sit at module level.
@@ -262,6 +274,22 @@ class Engine:
             _total_events += executed
             self._running = False
         return executed
+
+    def close(self) -> None:
+        """End the run: close every unfinished process's generator,
+        drop every unfired observer callback and empty the queue.
+
+        Closing a generator runs its ``finally`` blocks, which only
+        reset the owner's in-flight flags.  The clock, the counters and
+        every model object stay as the run left them, so a finished
+        run stays readable; running the engine again raises.
+        """
+        self._closed = True
+        live, self._live = self._live, {}
+        for waiter in live:
+            waiter.release()
+        self._queue.clear()
+        self._cancelled_in_queue = 0
 
     @property
     def pending_events(self) -> int:

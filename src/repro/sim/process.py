@@ -69,7 +69,8 @@ class Signal:
 
 
 class Process:
-    """A running generator coroutine scheduled on an :class:`Engine`."""
+    """A running generator coroutine scheduled on an :class:`Engine`,
+    listed as live there from start to finish."""
 
     __slots__ = ("engine", "generator", "name", "finished", "result", "_done_signal")
 
@@ -80,6 +81,7 @@ class Process:
         self.finished = False
         self.result: Any = None
         self._done_signal: Optional[Signal] = None
+        engine._live[self] = None
         engine.resume(self)
 
     # -- lifecycle ------------------------------------------------------------
@@ -99,6 +101,7 @@ class Process:
             )
 
     def _finish(self, result: Any) -> None:
+        del self.engine._live[self]
         self.finished = True
         self.result = result
         if self._done_signal is not None:
@@ -111,6 +114,11 @@ class Process:
         if self._done_signal is None:
             self._done_signal = Signal(self.engine, f"join:{self.name}")
         self._done_signal._add_waiter(process)
+
+    def release(self) -> None:
+        """Close the suspended generator (:meth:`Engine.close`), which
+        frees the objects its frame holds."""
+        self.generator.close()
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -125,16 +133,26 @@ def spawn(engine: Engine, generator: ProcessGenerator, name: str = "") -> Proces
 class _SignalObserver:
     """Adapter letting a plain callback wait on a Signal."""
 
-    __slots__ = ("callback",)
+    __slots__ = ("engine", "callback")
 
-    def __init__(self, callback) -> None:
+    def __init__(self, engine: Engine, callback) -> None:
+        self.engine = engine
         self.callback = callback
+        engine._live[self] = None
 
     def _resume(self, value: Any) -> None:
+        del self.engine._live[self]
         self.callback(value)
+
+    def release(self) -> None:
+        """Drop the callback (:meth:`Engine.close`): the signal may
+        still list this observer, and the callback may hold an object
+        that holds the signal."""
+        self.callback = None
 
 
 def observe(signal: Signal, callback) -> None:
     """Invoke ``callback(value)`` when ``signal`` fires — a lightweight
     alternative to spawning a whole process just to watch a signal."""
-    signal._add_waiter(_SignalObserver(callback))  # type: ignore[arg-type]
+    signal._add_waiter(
+        _SignalObserver(signal.engine, callback))  # type: ignore[arg-type]

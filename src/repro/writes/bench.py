@@ -188,9 +188,15 @@ def run_writes(experiment: str = "kv", scale="quick",
         DEFAULT_WRITE_RATIO_SWEEP if write_ratio_sweep is None
         else write_ratio_sweep, "write-ratio", "(0, 1]")
     policies = POLICY_ORDER if policies is None else tuple(policies)
+    presets = DEFAULT_PRESETS if presets is None else tuple(presets)
+    # An empty list runs no cell, and the order gate would pass on
+    # no evidence.
+    if not policies:
+        raise ReproError("writes needs at least one admission policy")
+    if not presets:
+        raise ReproError("writes needs at least one preset")
     for policy in policies:
         writes_overrides(policy)  # validate early
-    presets = DEFAULT_PRESETS if presets is None else tuple(presets)
     for preset in presets:  # validate early, like the policies
         if not make_config(preset).writes.enabled:
             raise ReproError(

@@ -79,6 +79,20 @@ class TestErrorExit:
                      id="writes-unknown-preset"),
         pytest.param(["writes", "kv", "--presets", "astriflash"],
                      id="writes-read-only-preset"),
+        pytest.param(["writes", "kv", "--policies", ","],
+                     id="writes-empty-policies"),
+        pytest.param(["writes", "kv", "--presets", ","],
+                     id="writes-empty-presets"),
+        pytest.param(["loadgen", "fig10", "--rber", "-0.008"],
+                     id="loadgen-negative-rber"),
+        pytest.param(["loadgen", "fig10", "--rber", "1"],
+                     id="loadgen-rber-one"),
+        pytest.param(["loadgen", "fig10", "--rber", "nan"],
+                     id="loadgen-rber-nan"),
+        pytest.param(["loadgen", "fig10", "--backlog-threshold", "-0.1"],
+                     id="loadgen-negative-backlog-threshold"),
+        pytest.param(["loadgen", "fig10", "--backlog-threshold", "1.5"],
+                     id="loadgen-backlog-threshold-above-one"),
     ], ids=lambda argv: argv[0])
     def test_bad_value_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2

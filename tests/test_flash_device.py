@@ -28,6 +28,25 @@ def make_device(pages=256, **overrides):
     return engine, device
 
 
+class TestPageMaps:
+    def test_fresh_device_holds_no_page_map(self):
+        # Reads of the pristine dataset program nothing, so only the
+        # block the one write lands in gets a page map.
+        engine = Engine()
+        device = FlashDevice(engine, FlashConfig(), 4096)
+        blocks = [block for plane in device.ftl.planes
+                  for block in plane.blocks]
+        assert len(blocks) >= 4 * FlashConfig().num_planes
+        assert all(block.valid is None for block in blocks)
+        for page in range(0, 4096, 97):
+            device.read(page)
+        device.write(11)
+        engine.run()
+        mapped = [block for block in blocks if block.valid is not None]
+        assert len(mapped) == 1
+        assert mapped[0].valid_count == 1 and 11 in mapped[0].valid
+
+
 class TestPCIeLink:
     def test_transfer_time_includes_serialization_and_latency(self):
         engine = Engine()

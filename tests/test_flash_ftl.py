@@ -13,18 +13,34 @@ def make_ftl(pages=256, planes=2, pages_per_block=16, op=0.25):
 class TestBlock:
     def test_erase_resets_state(self):
         block = Block(0, 4)
+        block.valid = [None] * 4  # the map a first program allocates
         block.valid[0] = 7
         block.write_offset = 1
         block.valid[0] = None
         block.erase()
         assert block.erase_count == 1
         assert block.write_offset == 0
+        assert block.valid is None
 
     def test_erase_with_valid_pages_raises(self):
         block = Block(0, 4)
+        block.valid = [None] * 4
         block.valid[0] = 7
         with pytest.raises(ProtocolError):
             block.erase()
+
+    def test_unwritten_block_has_no_map(self):
+        block = Block(0, 4)
+        assert block.valid is None
+        block.erase()  # an erase of a never-written block is legal
+        assert block.valid is None and block.erase_count == 1
+
+    def test_first_program_allocates_the_map(self):
+        plane = PlaneState(0, num_blocks=2, pages_per_block=2)
+        assert all(block.valid is None for block in plane.blocks)
+        assert plane.allocate(5) == (0, 0)
+        assert plane.blocks[0].valid == [5, None]
+        assert plane.blocks[1].valid is None
 
 
 class TestPlaneState:

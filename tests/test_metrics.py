@@ -267,22 +267,30 @@ class TestLedger:
         with pytest.raises(ReproError):
             select_record(records, "zzz")
 
-    def test_identical_seed_runs_identical_records(self, tmp_path,
+    @pytest.mark.parametrize("config", ["dram-only", "astriflash",
+                                        "os-swap"])
+    def test_identical_seed_runs_identical_records(self, config, tmp_path,
                                                    monkeypatch, capsys):
         """Two identical-seed simulate runs append records whose
-        normalized payloads (and so record_ids) are identical."""
+        normalized payloads (and so record_ids) are identical.  The
+        record reads the machine after the run (GC and wear figures,
+        the fingerprint), so a flash-backed run's record carries them
+        and nothing is reported on stderr."""
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-        argv = ["simulate", "--config", "dram-only", "--workload",
+        argv = ["simulate", "--config", config, "--workload",
                 "arrayswap", "--dataset-pages", "2048",
-                "--measurement-us", "200", "--seed", "11"]
+                "--measurement-us", "1000", "--seed", "11"]
         assert main(list(argv)) == 0
         assert main(list(argv)) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().err == ""
         first, second = read_ledger(tmp_path / "ledger.jsonl")
         assert first.record_id == second.record_id
         assert first.normalized() == second.normalized()
         assert first.metrics == second.metrics
         assert first.fingerprint == second.fingerprint
+        has_gc = any(key.startswith("gc/blocked_fraction")
+                     for key in first.metrics)
+        assert has_gc == (config != "dram-only")
 
 
 # ----------------------------------------------------------------- diff --

@@ -285,3 +285,64 @@ def test_compaction_keeps_process_wakeups():
     assert engine.pending_events == 8
     engine.run()
     assert woke == [(index, 10.0 + index) for index in range(8)]
+
+
+def test_close_releases_unfinished_waiters():
+    engine = Engine()
+    cleanups = []
+    seen = []
+
+    def sleeper():
+        try:
+            yield 1_000.0
+        finally:
+            cleanups.append("sleeper")
+
+    def parked(signal):
+        try:
+            yield signal
+        finally:
+            cleanups.append("parked")
+
+    def quick():
+        yield 1.0
+
+    never = Signal(engine, "never")
+    spawn(engine, sleeper())
+    spawn(engine, parked(never))
+    spawn(engine, quick())
+    observe(never, seen.append)
+    engine.run(until=10.0)
+    executed = engine.events_executed
+    engine.close()
+    # Each unfinished generator ran its finally block, in start
+    # order; the finished one and the fired events left nothing.
+    assert cleanups == ["sleeper", "parked"]
+    assert engine.pending_events == 0
+    assert engine.now == 10.0 and engine.events_executed == executed
+    # A closed engine resumes nothing: a late fire only queues, and
+    # running it again raises.
+    never.fire("late")
+    with pytest.raises(SimulationError):
+        engine.run()
+    with pytest.raises(SimulationError):
+        engine.step()
+    assert seen == [] and engine.events_executed == executed
+
+
+def test_finished_processes_and_fired_observers_leave_the_live_table():
+    engine = Engine()
+    signal = Signal(engine)
+    seen = []
+
+    def waiter():
+        yield signal
+        yield 5.0
+
+    spawn(engine, waiter())
+    observe(signal, seen.append)
+    assert len(engine._live) == 2
+    engine.schedule(1.0, signal.fire, "go")
+    engine.run()
+    assert seen == ["go"]
+    assert engine._live == {}

@@ -103,7 +103,8 @@ class TestFtlProperties:
         valid_pages = []
         for plane in ftl.planes:
             for block in plane.blocks:
-                for logical in block.valid:
+                # A never-written block holds no map and no page.
+                for logical in block.valid or ():
                     if logical is not None:
                         valid_pages.append(logical)
         counts = Counter(valid_pages)
@@ -141,7 +142,7 @@ class TestFtlProperties:
                 if (block.index == plane.open_block
                         or block.write_offset < block.pages_per_block):
                     continue
-                valid = sum(page is not None for page in block.valid)
+                valid = sum(page is not None for page in block.valid or ())
                 if valid == block.pages_per_block:
                     continue
                 key = (valid, block.erase_count)
@@ -153,7 +154,10 @@ class TestFtlProperties:
             for plane in ftl.planes:
                 for block in plane.blocks:
                     assert block.valid_count == sum(
-                        page is not None for page in block.valid)
+                        page is not None for page in block.valid or ())
+                    # The map exists exactly while the block holds
+                    # programmed pages.
+                    assert (block.valid is None) == (block.write_offset == 0)
                 assert plane.gc_victim() == recount_victim(plane)
 
         for page in writes:
