@@ -7,7 +7,6 @@ Commands:
 * ``run-all [--scale]``           — regenerate everything
 * ``trace-run <experiment>``      — traced run -> Chrome trace JSON
 * ``report [--telemetry]``        — full report (+ tail attribution)
-* ``bench-sweep``                 — sweep wall time, snapshots off vs on
 * ``chaos <experiment>``          — fault-injection degradation curves
 * ``writes [exp]``                — admission-policy WA/lifetime sweeps
 * ``loadgen <experiment>``        — QPS sweeps and SLO knee curves
@@ -19,14 +18,12 @@ Commands:
 * ``regress --baseline FILE``     — pass/fail gate for CI
 * ``dashboard``                   — static HTML observatory page
 
-Sweep commands accept ``--no-snapshot`` to turn the shared datasets
-and warm-state reuse off and ``--snapshot-dir PATH`` to move the
-directory of stored results (default ``.repro_cache``); the flags set
-the ``REPRO_SNAPSHOT`` / ``REPRO_CACHE_DIR`` environment the harness
-reads.
+Sweep commands accept ``--snapshot-dir PATH`` to move the directory
+of stored results (default ``.repro_cache``); the flag sets the
+``REPRO_CACHE_DIR`` environment the harness reads.
 
-Every measuring verb (``report``, ``profile``, ``bench-sweep``,
-``chaos``, ``writes``, ``loadgen``, ``simulate``) appends a
+Every measuring verb (``report``, ``profile``, ``chaos``, ``writes``,
+``loadgen``, ``simulate``) appends a
 :class:`repro.metrics.RunRecord` to ``.repro_runs/ledger.jsonl``
 (``$REPRO_RUNS_DIR`` overrides the directory, ``REPRO_LEDGER=0``
 disables); appends are best-effort and never fail the verb.  ``--json PATH`` writes the same record to a file.
@@ -51,6 +48,7 @@ from repro.jsonutil import dumps as json_dumps
 from repro.core import Runner
 from repro.errors import ReproError
 from repro.harness import EXPERIMENTS, run_experiment
+from repro.harness.parallel import resolve_jobs
 from repro.units import US
 from repro.workloads import (
     EVALUATED_WORKLOADS,
@@ -80,10 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "(default: $REPRO_JOBS or 1 = in-process)")
 
     def add_snapshot_flags(sub) -> None:
-        sub.add_argument("--no-snapshot", action="store_true",
-                         help="disable shared datasets and warm-state "
-                              "reuse (rebuild datasets and re-warm "
-                              "caches for every run)")
         sub.add_argument("--snapshot-dir", default=None, metavar="PATH",
                          help="directory holding stored results "
                               "(default: $REPRO_CACHE_DIR or "
@@ -153,17 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--json", dest="json_out", default=None,
                                 metavar="PATH",
                                 help="also write the run record as JSON")
-
-    sweep_parser = commands.add_parser(
-        "bench-sweep", help="time one sweep with snapshots off vs on "
-                            "(the harness-level bench series)")
-    sweep_parser.add_argument("experiment", nargs="?", default="fig9",
-                              choices=sorted(EXPERIMENTS))
-    sweep_parser.add_argument("--scale", default="quick",
-                              choices=("quick", "full"))
-    sweep_parser.add_argument("--json", dest="json_out", default=None,
-                              metavar="PATH",
-                              help="also write the run record as JSON")
 
     def add_sweep_verb(verb: str, help: str, experiment: str,
                        choices=None, bare_json: bool = True):
@@ -377,11 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_snapshot_flags(args: argparse.Namespace) -> None:
-    """Translate --no-snapshot/--snapshot-dir into the environment the
-    harness (and its worker processes) reads."""
-    if getattr(args, "no_snapshot", False):
-        os.environ["REPRO_SNAPSHOT"] = "0"
+def _apply_run_flags(args: argparse.Namespace) -> None:
+    """Check --jobs (or ``REPRO_JOBS``) before any work, and translate
+    --snapshot-dir into the environment the harness (and its worker
+    processes) reads."""
+    if hasattr(args, "jobs"):
+        resolve_jobs(args.jobs)
     if getattr(args, "snapshot_dir", None):
         os.environ["REPRO_CACHE_DIR"] = args.snapshot_dir
 
@@ -558,14 +542,6 @@ def cmd_profile(experiment: str, scale: str, top: int,
     return 0
 
 
-def cmd_bench_sweep(experiment: str, scale: str,
-                    json_out: Optional[str]) -> int:
-    from repro.perf import bench_sweep
-
-    _emit(bench_sweep(experiment, scale=scale), json_out)
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``chaos``, ``writes`` and ``loadgen``: run the verb's declared
     sweep with its flags, print the table and emit the record.  A gate
@@ -577,8 +553,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = {"chaos": chaos.run_chaos, "writes": writes.run_writes,
            "loadgen": loadgen.run_loadgen}[args.command]
     result = run(**{key: value for key, value in vars(args).items()
-                    if key not in ("command", "json_out", "no_snapshot",
-                                   "snapshot_dir")})
+                    if key not in ("command", "json_out", "snapshot_dir")})
     _emit(result, args.json_out)
     gate = result.sweep.gate
     if gate.failure and not result.ok:
@@ -593,6 +568,8 @@ def cmd_cache_clean(max_bytes: Optional[int],
 
     from repro.snapshot import clear_cache, default_snapshot_dir, prune_cache
 
+    if max_bytes is not None and max_bytes < 0:
+        raise ReproError(f"--max-bytes must be >= 0, got {max_bytes}")
     directory = Path(cache_dir) if cache_dir else default_snapshot_dir()
     if not directory.is_dir():
         print(f"cache: {directory} does not exist; nothing to clean")
@@ -752,7 +729,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_workloads()
     if args.command == "configs":
         return cmd_configs()
-    _apply_snapshot_flags(args)
+    _apply_run_flags(args)
     if args.command == "run":
         return cmd_run(args.experiment, args.scale, args.jobs)
     if args.command == "run-all":
@@ -760,8 +737,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "report":
         return cmd_report(args.scale, args.out, args.jobs, args.telemetry,
                           args.writes)
-    if args.command == "bench-sweep":
-        return cmd_bench_sweep(args.experiment, args.scale, args.json_out)
     if args.command in ("chaos", "writes", "loadgen"):
         return cmd_sweep(args)
     if args.command == "cache":

@@ -440,6 +440,11 @@ class SimulationScale:
             raise ConfigurationError("dataset too small to be meaningful")
         if not 0.0 < self.dram_fraction <= 1.0:
             raise ConfigurationError("dram_fraction out of range")
+        # Written so that NaN fails them too.
+        if not self.warmup_ns >= 0.0:
+            raise ConfigurationError("warmup_ns must be >= 0")
+        if not self.measurement_ns > 0.0:
+            raise ConfigurationError("measurement_ns must be > 0")
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,12 @@ figure/table modules build on:
   digest of the ``repro`` sources) means *any* simulator change
   invalidates stale results.
 * :func:`map_tasks` — an uncached generic fan-out for harness stages
-  that are not full-system runs (trace generation, device stress sims).
+  that are not full-system runs (Fig. 1's per-workload page traces).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import os
 import sys
@@ -46,7 +45,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.harness.common import HarnessScale, build_config, resolve_scale
 from repro.core import Runner
 from repro.workloads import arrival_from_spec
@@ -146,25 +145,23 @@ def _spec_warm_key(spec: RunSpec) -> Optional[str]:
                          dataset_pages=scale.dataset_pages)
 
 
-def _prepare_runner(spec: RunSpec, snapshots: bool) -> Runner:
+def _prepare_runner(spec: RunSpec) -> Runner:
     """Build the :class:`Runner` for one spec, warm state included.
 
-    With ``snapshots`` the workload is a session over the process's
-    shared dataset, and the warm/measure-boundary state is restored
-    when this process already captured the spec's warm key —
-    bit-identical to a fresh ``machine.warm_caches()`` — or captured
-    for the rest of the sweep otherwise.
+    The workload is a session over the process's shared dataset, and
+    the warm/measure-boundary state is restored when this process
+    already captured the spec's warm key — bit-identical to a fresh
+    ``machine.warm_caches()`` — or captured for the rest of the sweep
+    otherwise.
     """
     from repro import snapshot as snap
 
     config, kwargs, scale = _spec_parts(spec)
     arrivals = arrival_from_spec(spec.arrivals)
     workload = snap.build_workload(spec.workload_name, scale.dataset_pages,
-                                   spec.seed, snapshots=snapshots, **kwargs)
-    key = None
-    if snapshots:
-        key = snap.warm_key(config, spec.workload_name, spec.seed, kwargs,
-                            dataset_pages=scale.dataset_pages)
+                                   spec.seed, **kwargs)
+    key = snap.warm_key(config, spec.workload_name, spec.seed, kwargs,
+                        dataset_pages=scale.dataset_pages)
     captured = key is not None and snap.warm_captured(key)
     runner = Runner(config, workload, arrivals=arrivals, warm=not captured)
     if captured:
@@ -174,19 +171,14 @@ def _prepare_runner(spec: RunSpec, snapshots: bool) -> Runner:
     return runner
 
 
-def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None):
+def execute_spec(spec: RunSpec):
     """Run one spec to a ``SimulationResult``.
 
-    ``snapshots`` (default ``REPRO_SNAPSHOT``) turns the shared
-    datasets and warm payloads on or off; both the fresh-warm and the
-    restore paths produce bit-identical results — the golden
-    determinism test pins this.
+    The capture and the restore path (see :func:`_prepare_runner`)
+    give results bit-identical to a run that builds its own workload
+    and warms from scratch — ``tests/test_snapshot.py`` pins this.
     """
-    from repro import snapshot as snap
-
-    if snapshots is None:
-        snapshots = snap.snapshots_enabled()
-    return _prepare_runner(spec, snapshots).run()
+    return _prepare_runner(spec).run()
 
 
 # ---------------------------------------------------------- stored results --
@@ -194,10 +186,25 @@ def execute_spec(spec: RunSpec, snapshots: Optional[bool] = None):
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS``; 1 (serial) when unset."""
+    raw = os.environ.get("REPRO_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(
+            f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """``jobs``, or :func:`default_jobs` when ``None``; a count below
+    1 is an error, not a serial run."""
+    if jobs is None:
+        return default_jobs()
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    return int(jobs)
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -296,13 +303,13 @@ def _prewarm_groups(specs: Sequence[RunSpec],
         if len(members) < 2 or snap.warm_captured(key):
             continue
         # Builds, warms, and captures; the runner itself is discarded.
-        _prepare_runner(specs[members[0]], True)
+        _prepare_runner(specs[members[0]])
 
 
 def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
               cache: Optional[bool] = None,
               report: Optional[Dict[str, int]] = None,
-              snapshots: Optional[bool] = None,
+              snapshots: bool = True,
               snapshot_dir: Optional[Union[str, Path]] = None) -> List:
     """Execute a batch of run specs, results in spec order.
 
@@ -311,21 +318,22 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Stored
     results are read from and written to ``snapshot_dir`` (default
     ``REPRO_CACHE_DIR``) when ``cache`` is enabled (default, unless
-    ``REPRO_CACHE=0``).  With ``snapshots`` (default, unless
-    ``REPRO_SNAPSHOT=0``) runs share the process's datasets and warm
+    ``REPRO_CACHE=0``).  Runs share the process's datasets and warm
     payloads, and with ``jobs > 1`` each group of pending specs that
     shares a warm key is warmed once in the parent before the pool
-    fans out.  Each spec that crashes its worker is retried once
+    fans out; ``snapshots`` must be true (``bench/sweep.py`` still
+    passes it).  Each spec that crashes its worker is retried once
     in-process; a second failure raises :class:`ParallelRunError`.
     ``report``, if given, is filled with batch statistics
     (``cache_hits`` / ``executed`` / ``retried`` / ``jobs``).
     """
     from repro import snapshot as snap
 
+    if not snapshots:
+        raise ReproError("run_specs always shares datasets and warm "
+                         "payloads; snapshots=False is not supported")
     specs = list(specs)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    if snapshots is None:
-        snapshots = snap.snapshots_enabled()
+    jobs = resolve_jobs(jobs)
     store = snap.SnapshotStore(snapshot_dir, enabled=cache)
 
     results: List = [None] * len(specs)
@@ -341,11 +349,9 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     if pending:
         outcomes: Optional[List] = None
         if jobs > 1 and len(pending) > 1:
-            if snapshots:
-                _prewarm_groups(specs, pending)
-            worker = functools.partial(execute_spec, snapshots=snapshots)
+            _prewarm_groups(specs, pending)
             outcomes = _run_in_pool(
-                worker, [specs[i] for i in pending],
+                execute_spec, [specs[i] for i in pending],
                 min(jobs, len(pending)),
             )
         if outcomes is None:
@@ -355,8 +361,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
             outcomes = []
             for index in pending:
                 try:
-                    outcomes.append(
-                        execute_spec(specs[index], snapshots=snapshots))
+                    outcomes.append(execute_spec(specs[index]))
                 except Exception as exc:
                     outcomes.append(exc)
         for slot, index in enumerate(pending):
@@ -367,8 +372,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                 # failures and rescues innocent casualties.
                 retried += 1
                 try:
-                    outcome = execute_spec(specs[index],
-                                           snapshots=snapshots)
+                    outcome = execute_spec(specs[index])
                 except Exception as exc:
                     raise ParallelRunError(specs[index], exc) from exc
             results[index] = outcome
@@ -419,7 +423,7 @@ def map_tasks(func: Callable, kwargs_list: Sequence[Mapping[str, Any]],
 
     ``func`` must be a module-level (picklable) callable.
     """
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    jobs = resolve_jobs(jobs)
     items = [(func, dict(kwargs)) for kwargs in kwargs_list]
     outcomes: Optional[List] = None
     if jobs > 1 and len(items) > 1:

@@ -4,8 +4,8 @@ Dependency-free on both ends: the input is the run ledger alone, the
 output is a single self-contained HTML document — inline CSS, inline
 SVG charts, no scripts, no external fetches — that renders the
 kernel-throughput trajectory, the newest record's ``detail`` of each
-measuring verb (sweep bench, chaos degradation curves, loadgen knee
-curves, profile hotspots), and the latest tail-latency attribution.
+measuring verb (chaos degradation curves, loadgen knee curves,
+profile hotspots), and the latest tail-latency attribution.
 Every section degrades gracefully: an empty ledger or a verb that
 never ran renders a placeholder or nothing, never an error (the
 dashboard must work on a fresh clone).
@@ -216,19 +216,6 @@ def _kernel_trajectory_panel(records: Sequence[RunRecord]) -> str:
                          "trend, not a gate)")
 
 
-def _sweep_panel(detail: Mapping) -> str:
-    rows = [("snapshots off",
-             _fmt(detail.get("wall_seconds_snapshots_off"), ".3f")),
-            ("snapshots on",
-             _fmt(detail.get("wall_seconds_snapshots_on"), ".3f")),
-            ("speedup (off/on)",
-             _fmt(detail.get("speedup"), ".2f") + "x")]
-    return _section("Sweep bench (snapshot amortization)",
-                    _table(("timing", "value"), rows),
-                    note=f"experiment={detail.get('experiment', '?')} "
-                         f"scale={detail.get('scale', '?')}")
-
-
 def _chaos_panel(detail: Mapping) -> str:
     series: Dict[str, List[Point]] = {}
     for cell in detail.get("cells", ()):
@@ -344,7 +331,6 @@ section { page-break-inside: avoid; }
 
 #: Measuring verb -> the panel that renders its newest record's detail.
 _DETAIL_PANELS = (
-    ("bench-sweep", _sweep_panel),
     ("chaos", _chaos_panel),
     ("loadgen", _loadgen_panel),
     ("profile", _profile_panel),

@@ -1,8 +1,8 @@
 """Run records and the run ledger: one JSONL line per CLI invocation.
 
 :class:`RunRecord` is the one artifact schema.  Every measuring verb
-(``report``, ``profile``, ``bench-sweep``, ``chaos``, ``writes``,
-``loadgen``, ``simulate``) appends one to
+(``report``, ``profile``, ``chaos``, ``writes``, ``loadgen``,
+``simulate``) appends one to
 ``.repro_runs/ledger.jsonl`` — the persistent perf trajectory that
 ``repro history``/``diff``/``regress``/``dashboard`` read — and
 ``--json PATH`` writes the same record to a file (committed baselines
@@ -214,7 +214,8 @@ def filter_records(records: Sequence[RunRecord], verb: str = "",
                    experiment: str = "", preset: str = "",
                    workload: str = "",
                    last: Optional[int] = None) -> List[RunRecord]:
-    """Ledger query: equality filters, then keep the newest ``last``."""
+    """Ledger query: equality filters, then keep the newest ``last``
+    (a negative count is an error)."""
     selected = [
         record for record in records
         if (not verb or record.verb == verb)
@@ -222,7 +223,9 @@ def filter_records(records: Sequence[RunRecord], verb: str = "",
         and (not preset or record.preset == preset)
         and (not workload or record.workload == workload)
     ]
-    if last is not None and last >= 0:
+    if last is not None:
+        if last < 0:
+            raise ReproError(f"--last must be >= 0, got {last}")
         selected = selected[-last:] if last else []
     return selected
 
@@ -231,7 +234,8 @@ def select_record(records: Sequence[RunRecord], selector: str) -> RunRecord:
     """Resolve a ``repro diff`` selector against the ledger.
 
     Accepts a ledger index (``0`` oldest, ``-1`` newest), a
-    ``record_id`` prefix, or a path to a :class:`RunRecord` JSON file.
+    ``record_id`` prefix (the newest line carrying that id), or a path
+    to a :class:`RunRecord` JSON file.
     """
     try:
         index = int(selector)
@@ -247,12 +251,15 @@ def select_record(records: Sequence[RunRecord], selector: str) -> RunRecord:
             ) from None
     matches = [record for record in records
                if record.record_id.startswith(selector)]
-    if len(matches) == 1:
-        return matches[0]
-    if len(matches) > 1:
+    # Identical runs share one content-hash id: their newest line is
+    # the record.  A prefix of two different ids stays ambiguous.
+    ids = {record.record_id for record in matches}
+    if len(ids) == 1:
+        return matches[-1]
+    if len(ids) > 1:
         raise ReproError(
             f"record id prefix {selector!r} is ambiguous "
-            f"({len(matches)} matches)"
+            f"({len(ids)} record ids)"
         )
     if os.path.isfile(selector):
         return record_from_file(selector)

@@ -11,7 +11,7 @@ are one command away:
   events/sec, and the top-N hotspots by internal time.
 * :meth:`ProfileReport.record` packs it into a
   :class:`~repro.metrics.RunRecord` — what ``--json`` writes and the
-  run ledger appends (the sweep bench below does the same).
+  run ledger appends.
 
 Events/sec counts *simulated events retired per wall-clock second*
 (see :func:`repro.sim.engine.total_events_executed`), which makes it a
@@ -131,9 +131,12 @@ def profile_experiment(experiment: str, scale: str = "quick",
                        ) -> ProfileReport:
     """Regenerate ``experiment`` under cProfile and report hotspots.
 
-    The result cache is disabled for the duration (a cache hit would
-    profile pickle loads, not the simulator) and runs stay in-process
-    (``jobs=1``) so the profiler sees every event.
+    Stored results are off for the duration (a hit would profile
+    pickle loads, not the simulator) and runs stay in-process
+    (``jobs=1``) so the profiler sees every event.  The process's
+    datasets and warm payloads are dropped first, so each dataset
+    build and each warm key's first warm-up show in the profile, as
+    in a fresh CLI process.
 
     Events/sec is computed over the *kernel* wall time: cache-warm
     seconds (``Runner.warm`` / snapshot restores, tracked by the
@@ -143,6 +146,7 @@ def profile_experiment(experiment: str, scale: str = "quick",
     """
     if top < 1:
         raise ReproError("profile needs at least one hotspot row")
+    from repro import snapshot
     from repro.core.runner import wall_split_totals  # deferred: heavy
     from repro.harness import EXPERIMENTS, resolve_scale  # deferred: heavy
 
@@ -155,13 +159,9 @@ def profile_experiment(experiment: str, scale: str = "quick",
         ) from None
 
     profiler = profiler if profiler is not None else cProfile.Profile()
-    # Disable both caching layers for the duration: a result-cache hit
-    # would profile pickle loads, and a warm-state snapshot restore
-    # would hide the warmup the profiler is supposed to attribute.
-    saved_env = {name: os.environ.get(name)
-                 for name in ("REPRO_CACHE", "REPRO_SNAPSHOT")}
+    saved_cache = os.environ.get("REPRO_CACHE")
     os.environ["REPRO_CACHE"] = "0"
-    os.environ["REPRO_SNAPSHOT"] = "0"
+    snapshot.clear_memo()
     events_before = total_events_executed()
     warm_before = wall_split_totals()["warm_seconds"]
     wall_start = time.perf_counter()
@@ -172,11 +172,10 @@ def profile_experiment(experiment: str, scale: str = "quick",
         finally:
             profiler.disable()
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+        if saved_cache is None:
+            del os.environ["REPRO_CACHE"]
+        else:
+            os.environ["REPRO_CACHE"] = saved_cache
     wall_seconds = time.perf_counter() - wall_start
     events = total_events_executed() - events_before
     warm_wall = wall_split_totals()["warm_seconds"] - warm_before
@@ -194,106 +193,6 @@ def profile_experiment(experiment: str, scale: str = "quick",
         hotspots=hotspots_from_stats(stats, top=top),
         config_preset=resolve_scale(scale).name,
         warm_wall_seconds=warm_wall,
-    )
-
-
-# ------------------------------------------------------------- sweep bench --
-
-@dataclass
-class SweepBench:
-    """End-to-end sweep wall time, snapshots off vs on.
-
-    The harness-level companion to ``profile``: kernel events/s
-    tracks the event loop, this tracks what :mod:`repro.snapshot`
-    amortizes across a sweep (dataset builds, cache warmup).  The
-    on-run starts from an empty process table, as a fresh process
-    does: it builds each dataset and captures each warm payload once
-    and shares them across the sweep.  ``speedup`` is off/on.
-    """
-
-    experiment: str
-    scale: str
-    wall_seconds_snapshots_off: float
-    wall_seconds_snapshots_on: float
-    speedup: float
-    config_preset: str = ""
-
-    def record(self):
-        """This bench as a :class:`~repro.metrics.RunRecord` (wall
-        timings only, so every metric is ``info``)."""
-        from repro.metrics import (  # deferred: import cost
-            INFO, MetricSet, make_record,
-        )
-
-        metrics = MetricSet()
-        for stat in ("wall_seconds_snapshots_off",
-                     "wall_seconds_snapshots_on", "speedup"):
-            metrics.add(f"sweep/{stat}", getattr(self, stat), gate=INFO)
-        return make_record(
-            "bench-sweep", experiment=self.experiment, scale=self.scale,
-            preset=self.config_preset, metrics=metrics.as_dict(),
-            policies=metrics.policies(), detail=asdict(self),
-            wall_seconds=(self.wall_seconds_snapshots_off
-                          + self.wall_seconds_snapshots_on))
-
-    def format_text(self) -> str:
-        return "\n".join([
-            f"sweep bench: {self.experiment} (scale={self.scale})",
-            f"  snapshots off   {self.wall_seconds_snapshots_off:.3f} s",
-            f"  snapshots on    {self.wall_seconds_snapshots_on:.3f} s",
-            f"  speedup         {self.speedup:.2f}x (off/on)",
-        ])
-
-
-def bench_sweep(experiment: str = "fig9",
-                scale: str = "quick") -> SweepBench:
-    """Time one experiment sweep with snapshots off, then on.
-
-    Stored results are off throughout (they would short-circuit the
-    runs being timed, and nothing is written) and everything stays
-    in-process so the two timings are comparable.
-    """
-    from repro import snapshot
-    from repro.harness import EXPERIMENTS, resolve_scale  # deferred: heavy
-
-    try:
-        runner = EXPERIMENTS[experiment]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ReproError(
-            f"unknown experiment {experiment!r}; known: {known}"
-        ) from None
-
-    # The experiments read the store policy from the environment.
-    saved_env = {name: os.environ.get(name)
-                 for name in ("REPRO_CACHE", "REPRO_SNAPSHOT")}
-    os.environ["REPRO_CACHE"] = "0"
-    try:
-        def timed(snapshots_on: bool) -> float:
-            os.environ["REPRO_SNAPSHOT"] = "1" if snapshots_on else "0"
-            start = time.perf_counter()
-            runner(scale=scale, jobs=1)
-            return time.perf_counter() - start
-
-        t_off = timed(False)
-        # Start the on-run from an empty table of datasets and warm
-        # payloads, as a fresh process would.
-        snapshot.clear_memo()
-        t_on = timed(True)
-    finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-    return SweepBench(
-        experiment=experiment,
-        scale=scale,
-        wall_seconds_snapshots_off=t_off,
-        wall_seconds_snapshots_on=t_on,
-        speedup=(t_off / t_on if t_on > 0 else 0.0),
-        config_preset=resolve_scale(scale).name,
     )
 
 

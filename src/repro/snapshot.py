@@ -34,11 +34,10 @@ digest of the ``repro`` sources + the key) is validated before the
 payload is unpickled; any mismatch rejects and deletes the stale file
 so the run is redone rather than silently loaded.
 
-Policy knobs (also exposed as CLI flags, see ``repro --help``):
+Every run goes through the datasets and warm payloads; only the
+stored results have policy knobs (``--snapshot-dir`` sets the
+directory, see ``repro --help``):
 
-* ``REPRO_SNAPSHOT=0``        — disable shared datasets and warm
-  payloads (every run constructs its own workload and warms its own
-  caches: the reference path the bit-identity tests compare against);
 * ``REPRO_CACHE=0``           — disable stored results;
 * ``REPRO_CACHE_DIR=PATH``    — the store directory (default:
   ``.repro_cache``);
@@ -223,10 +222,6 @@ def clear_cache(directory: Path) -> Tuple[int, int]:
 # ------------------------------------------------------------- result store --
 
 
-def snapshots_enabled() -> bool:
-    return os.environ.get("REPRO_SNAPSHOT", "1") != "0"
-
-
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
@@ -340,19 +335,15 @@ def clear_memo() -> None:
     _WARM.clear()
 
 
-def build_workload(name: str, dataset_pages: int, seed: int,
-                   snapshots: Optional[bool] = None, **kwargs):
+def build_workload(name: str, dataset_pages: int, seed: int, **kwargs):
     """:func:`~repro.workloads.make_workload` over a shared dataset.
 
     The dataset (the hash index's flat chains, masstree/rbtree node
     builds, page layout, Zipf tables) is built once per process and
     key; the returned workload is a fresh session over it,
     bit-identical to a fresh construction, and shares its indexes'
-    per-key path memos.  With snapshots off (``snapshots``, default
-    ``REPRO_SNAPSHOT``) it constructs with ``make_workload``.
+    per-key path memos.
     """
-    if not (snapshots_enabled() if snapshots is None else snapshots):
-        return make_workload(name, dataset_pages, seed=seed, **kwargs)
     key = workload_key(name, dataset_pages, seed, kwargs)
     dataset = _DATASETS.get(key)
     if dataset is None:

@@ -93,6 +93,19 @@ class TestErrorExit:
                      id="loadgen-negative-backlog-threshold"),
         pytest.param(["loadgen", "fig10", "--backlog-threshold", "1.5"],
                      id="loadgen-backlog-threshold-above-one"),
+        pytest.param(["run", "fig3", "--jobs", "0"], id="run-jobs-zero"),
+        pytest.param(["run", "fig3", "--jobs", "-4"],
+                     id="run-jobs-negative"),
+        pytest.param(["run-all", "--jobs", "0"], id="run-all-jobs-zero"),
+        pytest.param(["report", "--jobs", "0"], id="report-jobs-zero"),
+        pytest.param(["chaos", "fig9", "--jobs", "0"], id="chaos-jobs-zero"),
+        pytest.param(["writes", "kv", "--jobs", "0"], id="writes-jobs-zero"),
+        pytest.param(["loadgen", "fig10", "--jobs", "0"],
+                     id="loadgen-jobs-zero"),
+        pytest.param(["history", "--last", "-1"],
+                     id="history-negative-last"),
+        pytest.param(["cache", "clean", "--max-bytes", "-1"],
+                     id="cache-clean-negative-max-bytes"),
     ], ids=lambda argv: argv[0])
     def test_bad_value_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -101,6 +114,15 @@ class TestErrorExit:
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {argv[0]}: error: ")
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_repro_jobs_exits_2_with_one_line(self, value, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        assert main(["run", "fig3"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro run: error: REPRO_JOBS ")
 
     def test_closed_stdout_exits_141_quietly(self):
         # The reader closes the pipe before the verb writes its
@@ -119,13 +141,6 @@ class TestErrorExit:
 
 
 class TestSnapshotFlags:
-    def test_no_snapshot_sets_env(self, capsys, monkeypatch):
-        # setenv first so monkeypatch restores the pre-test value after
-        # main() mutates os.environ directly.
-        monkeypatch.setenv("REPRO_SNAPSHOT", "1")
-        assert main(["run", "fig3", "--no-snapshot"]) == 0
-        assert os.environ.get("REPRO_SNAPSHOT") == "0"
-
     def test_snapshot_dir_sets_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR",
                            os.environ.get("REPRO_CACHE_DIR", ""))
@@ -157,23 +172,6 @@ class TestCacheCommand:
                      "--max-bytes", "100"]) == 0
         assert "pruned 1" in capsys.readouterr().out
         assert new.exists() and not old.exists()
-
-
-class TestBenchSweepCommand:
-    def test_bench_sweep_writes_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "sweep.json"
-        assert main(["bench-sweep", "fig1", "--scale", "quick",
-                     "--json", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "speedup" in printed
-        data = json.loads(out.read_text())
-        assert data["verb"] == "bench-sweep"
-        assert data["experiment"] == "fig1"
-        assert data["detail"]["speedup"] > 0
-        assert main(["regress", "--baseline", str(out),
-                     "--current", str(out)]) == 0
 
 
 class TestReportCommand:

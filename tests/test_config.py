@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -163,6 +164,10 @@ BAD_OVERRIDES = (
     ("flash.gc_blocked_fraction_at_256g", -0.1),
     ("flash.pcie_bandwidth_gbps", 0.0),
     ("flash.pcie_latency_ns", -1.0),
+    ("scale.measurement_ns", -1.0),
+    ("scale.measurement_ns", 0.0),
+    ("scale.measurement_ns", math.nan),
+    ("scale.warmup_ns", -1.0),
 )
 
 
@@ -178,7 +183,7 @@ def test_bad_sub_config_override_fails_before_running(config_name, path,
                    config_overrides=((path, value),))
     before = total_events_executed()
     with pytest.raises(ConfigurationError):
-        execute_spec(spec, snapshots=False)
+        execute_spec(spec)
     assert total_events_executed() == before
 
 

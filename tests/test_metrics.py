@@ -266,6 +266,17 @@ class TestLedger:
             select_record(records, "5")
         with pytest.raises(ReproError):
             select_record(records, "zzz")
+        # A run made again carries the same content-hash id: its
+        # newest line is selected, by a prefix or by the whole id.
+        rerun = [RunRecord(verb="simulate", record_id="ccc333",
+                           timestamp=stamp)
+                 for stamp in ("t0", "t1", "t2")]
+        assert select_record(records + rerun, "ccc").timestamp == "t2"
+        assert select_record(records + rerun, "ccc333") is rerun[-1]
+        # A prefix of two different ids stays ambiguous.
+        with pytest.raises(ReproError, match="ambiguous"):
+            select_record(records + [RunRecord(verb="simulate",
+                                               record_id="aaa999")], "aaa")
 
     @pytest.mark.parametrize("config", ["dram-only", "astriflash",
                                         "os-swap"])
@@ -548,13 +559,6 @@ LOADGEN_PAYLOAD = {
     ],
 }
 
-SWEEP_PAYLOAD = {
-    "experiment": "fig9", "scale": "quick",
-    "wall_seconds_snapshots_off": 10.0,
-    "wall_seconds_snapshots_on": 4.0, "speedup": 2.5,
-    "config_preset": "quick",
-}
-
 PROFILE_PAYLOAD = {
     "experiment": "fig9", "scale": "quick", "wall_seconds": 2.0,
     "total_calls": 100000, "events_executed": 50000,
@@ -568,12 +572,11 @@ PROFILE_PAYLOAD = {
 def _typed_results():
     """One typed result per dashboard panel, built from the payloads."""
     from repro.loadgen.sweep import LOADGEN
-    from repro.perf import Hotspot, ProfileReport, SweepBench
+    from repro.perf import Hotspot, ProfileReport
 
     return [
         _sweep_result(CHAOS, CHAOS_PAYLOAD, seed=1),
         _sweep_result(LOADGEN, LOADGEN_PAYLOAD, seed=42),
-        SweepBench(**SWEEP_PAYLOAD),
         ProfileReport(**dict(PROFILE_PAYLOAD, hotspots=[
             Hotspot(**spot) for spot in PROFILE_PAYLOAD["hotspots"]])),
     ]
@@ -590,11 +593,11 @@ class TestDashboard:
         assert "ledger is empty" in text
         assert "no profile ledger records" in text
 
-    def test_renders_all_five_schemas(self, tmp_path, monkeypatch,
+    def test_renders_all_four_schemas(self, tmp_path, monkeypatch,
                                       capsys):
         """Every panel renders from the newest ledger record of its verb
-        (chaos, loadgen, bench-sweep, profile and simulate); nothing is
-        read from the working directory."""
+        (chaos, loadgen, profile and simulate); nothing is read from
+        the working directory."""
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         for result in _typed_results():
             append_record(result.record())
@@ -605,7 +608,7 @@ class TestDashboard:
         capsys.readouterr()
         text = _check_html(out)
         for marker in ("Kernel throughput trajectory", "fig9 / quick",
-                       "Chaos degradation", "Loadgen knee", "Sweep bench",
+                       "Chaos degradation", "Loadgen knee",
                        "Profile hotspots", "Run ledger", "<svg",
                        "repro/sim/engine.py:1(run)"):
             assert marker in text, marker

@@ -138,7 +138,6 @@ class TestCache:
         """The store directory holds the finished result only: the run
         captures its warm state in the process, not in a file."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
         snapshot.clear_memo()
         before = wall_split_totals()["fresh_warms"]
         run_specs([tiny_spec()], jobs=1, cache=True)

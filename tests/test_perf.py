@@ -170,22 +170,26 @@ def test_profile_excludes_warm_wall(monkeypatch):
 
 
 def test_profile_env_is_restored(monkeypatch):
-    """Both caching layers are off while profiling, restored after."""
+    """Stored results are off while profiling and restored after; the
+    profile starts from empty dataset and warm-payload tables, so
+    builds and first warm-ups show in it."""
+    from repro import snapshot
     from repro.harness import EXPERIMENTS
 
     seen = {}
 
     def noop(scale, jobs):
-        seen.update((name, os.environ.get(name))
-                    for name in ("REPRO_CACHE", "REPRO_SNAPSHOT"))
+        seen.update(cache=os.environ.get("REPRO_CACHE"),
+                    datasets=len(snapshot._DATASETS),
+                    warm=len(snapshot._WARM))
 
     monkeypatch.setitem(EXPERIMENTS, "noop", noop)
     monkeypatch.setenv("REPRO_CACHE", "1")
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
+    snapshot.build_workload("tatp", 512, 3)
+    monkeypatch.setitem(snapshot._WARM, "held", b"")
     profile_experiment("noop", top=1)
-    assert seen == {"REPRO_CACHE": "0", "REPRO_SNAPSHOT": "0"}
+    assert seen == {"cache": "0", "datasets": 0, "warm": 0}
     assert os.environ["REPRO_CACHE"] == "1"
-    assert "REPRO_SNAPSHOT" not in os.environ
 
 
 def test_vector_stats_keeps_the_keys_bench_reads():

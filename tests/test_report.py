@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import snapshot
 from repro.errors import ReproError
 from repro.harness import run_experiment
 from repro.harness.common import ExperimentResult, HarnessScale
@@ -99,16 +100,19 @@ class TestWriteReport:
                  out=str(out))
         assert "1 results reused" in out.read_text()
 
-    def test_footer_counts_fresh_warms_with_snapshots_off(self, tmp_path,
-                                                          monkeypatch):
+    def test_footer_counts_restored_and_fresh_warms(self, tmp_path,
+                                                    monkeypatch):
+        """Two specs that share a warm key, run from empty tables: the
+        first warms freshly and the second restores its payload."""
         monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_SNAPSHOT", "0")
-        spec = RunSpec("astriflash", "arrayswap", TINY, seed=7)
+        snapshot.clear_memo()
+        specs = [RunSpec(name, "arrayswap", TINY, seed=7)
+                 for name in ("astriflash", "flash-sync")]
 
         def experiment(scale, jobs):
-            run_specs([spec], jobs=jobs)
+            run_specs(specs, jobs=jobs)
             return ExperimentResult("tiny", "Tiny", ["x"], [[1]])
 
         out = tmp_path / "report.txt"
         generate({"tiny": experiment}, out=str(out))
-        assert "0 restored, 1 freshly warmed" in out.read_text()
+        assert "1 restored, 1 freshly warmed" in out.read_text()

@@ -7,13 +7,12 @@ test below pins that with :meth:`Machine.state_fingerprint` equality
 for every evaluated preset x workload pair; the rest covers the shared
 datasets (never changed by a run), the versioned result files (stale
 rejection + re-run), the LRU byte-cap pruner, and the harness
-integration (warm-key grouping, fork pool context, sweep bench).
+integration (warm-key grouping, fork pool context, fig1's traces).
 """
 
 import dataclasses
 import hashlib
 from array import array
-import json
 import os
 import pickle
 
@@ -27,7 +26,7 @@ from repro.core import Runner
 from repro.core.runner import wall_split_totals
 from repro.errors import ConfigurationError, ReproError
 from repro.harness import fig1, parallel
-from repro.harness.common import HarnessScale, build_config
+from repro.harness.common import HarnessScale, build_config, resolve_scale
 from repro.harness.parallel import RunSpec, execute_spec, run_specs
 from repro.workloads import (
     EVALUATED_WORKLOADS,
@@ -35,6 +34,8 @@ from repro.workloads import (
     Masstree,
     RedBlackTree,
     ZipfianGenerator,
+    arrival_from_spec,
+    make_workload,
 )
 from repro.workloads.registry import _REGISTRY
 
@@ -77,9 +78,20 @@ def result_fields(result) -> dict:
     return perf.canonical_result_dict(result)
 
 
+def reference_run(spec: RunSpec):
+    """The run the shared paths must match: ``spec``'s workload built
+    on its own, by ``make_workload``, and warmed from scratch by the
+    runner."""
+    config, kwargs, scale = parallel._spec_parts(spec)
+    workload = make_workload(spec.workload_name, scale.dataset_pages,
+                             seed=spec.seed, **kwargs)
+    return Runner(config, workload,
+                  arrivals=arrival_from_spec(spec.arrivals)).run()
+
+
 def _tiny_workload(workload_name: str):
     return snap.build_workload(workload_name, TINY.dataset_pages, SEED,
-                               snapshots=True, **TINY.workload_kwargs())
+                               **TINY.workload_kwargs())
 
 
 def _fresh_runner(config_name: str, workload_name: str) -> Runner:
@@ -202,7 +214,7 @@ def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
 
 def test_stale_result_rerun_not_silently_loaded(tmp_path):
     spec = tiny_spec()
-    baseline = result_fields(execute_spec(spec, snapshots=False))
+    baseline = result_fields(reference_run(spec))
     run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
 
     (path,) = tmp_path.glob("result-*.snap")
@@ -227,7 +239,8 @@ def test_stale_result_rerun_not_silently_loaded(tmp_path):
 
 @pytest.mark.parametrize("workload_name", REGISTERED_WORKLOADS)
 def test_execute_spec_identical_across_snapshot_paths(workload_name):
-    """Off, capture and restore runs must all produce bit-identical
+    """The reference run (its own workload, warmed from scratch), a
+    capture run and a restore run must all produce bit-identical
     results (the golden test pins the values; this pins path
     equivalence for every mode with warm state).  So must a run of
     another seed over the dataset the first seed's runs built: a build
@@ -239,20 +252,19 @@ def test_execute_spec_identical_across_snapshot_paths(workload_name):
         snap.clear_memo()
         spec = tiny_spec(config_name, workload_name=workload_name,
                          scale=TINY_LONG)
-        off = execute_spec(spec, snapshots=False)
-        cold = execute_spec(spec, snapshots=True)
-        memo = execute_spec(spec, snapshots=True)
-        assert off.warm_source == "fresh"
+        reference = reference_run(spec)
+        cold = execute_spec(spec)
+        memo = execute_spec(spec)
+        assert reference.warm_source == "fresh"
         assert cold.warm_source == "fresh"
         assert memo.warm_source == "snapshot"
-        assert (result_fields(off) == result_fields(cold)
+        assert (result_fields(reference) == result_fields(cold)
                 == result_fields(memo))
 
         other = tiny_spec(config_name, seed=8, workload_name=workload_name,
                           scale=TINY_LONG)
-        shared = execute_spec(other, snapshots=True)
-        assert result_fields(shared) == \
-            result_fields(execute_spec(other, snapshots=False))
+        shared = execute_spec(other)
+        assert result_fields(shared) == result_fields(reference_run(other))
 
 
 def test_run_specs_warms_shared_group_once():
@@ -261,7 +273,7 @@ def test_run_specs_warms_shared_group_once():
     specs = [tiny_spec("astriflash", seed=23),
              tiny_spec("flash-sync", seed=23)]
     before = {**snap.summary(), **wall_split_totals()}
-    run_specs(specs, jobs=1, cache=False, snapshots=True)
+    run_specs(specs, jobs=1, cache=False)
     after = {**snap.summary(), **wall_split_totals()}
 
     def delta(key):
@@ -277,8 +289,15 @@ def test_run_specs_warms_shared_group_once():
         before = snap.summary().get("workload_builds", 0)
         run_specs([tiny_spec("dram-only", seed, workload_name)
                    for seed in (23, 24)],
-                  jobs=1, cache=False, snapshots=True)
+                  jobs=1, cache=False)
         assert snap.summary()["workload_builds"] - before == builds
+
+
+def test_run_specs_rejects_snapshots_off():
+    """Every run shares the datasets and warm payloads: the keyword
+    the benchmark still passes takes no other value."""
+    with pytest.raises(ReproError):
+        run_specs([tiny_spec()], jobs=1, cache=False, snapshots=False)
 
 
 def test_bench_span_wrappers_see_each_call(monkeypatch):
@@ -296,8 +315,7 @@ def test_bench_span_wrappers_see_each_call(monkeypatch):
 
         monkeypatch.setattr(snap, name, wrapper)
     for config_name in ("astriflash", "flash-sync"):
-        run_specs([tiny_spec(config_name, seed=29)], jobs=1, cache=False,
-                  snapshots=True)
+        run_specs([tiny_spec(config_name, seed=29)], jobs=1, cache=False)
     assert calls == {"build_workload": 2, "capture_warm": 1,
                      "restore_warm": 1}
 
@@ -309,9 +327,9 @@ def test_build_workload_memoizes_but_never_shares_objects():
     """The dataset is built once and shared; the session objects
     around it never are."""
     before = snap.summary().get("workload_builds", 0)
-    first = snap.build_workload("tatp", 512, 3, snapshots=True)
+    first = snap.build_workload("tatp", 512, 3)
     assert snap.summary().get("workload_builds", 0) == before + 1
-    second = snap.build_workload("tatp", 512, 4, snapshots=True)
+    second = snap.build_workload("tatp", 512, 4)
     assert snap.summary().get("workload_builds", 0) == before + 1
     # One dataset: the hash index and the Zipf CDF table ...
     assert first.index is second.index
@@ -324,14 +342,6 @@ def test_build_workload_memoizes_but_never_shares_objects():
     assert first._rng is not second._rng
     assert first._zipf is not second._zipf
     assert (first.seed, second.seed) == (3, 4)
-
-
-def test_build_workload_disabled_store_bypasses_files():
-    """With snapshots off, a workload is constructed on its own and
-    no dataset is kept."""
-    workload = snap.build_workload("arrayswap", 512, 3, snapshots=False)
-    assert workload.name == "arrayswap"
-    assert snap._DATASETS == {}
 
 
 #: The index structures, each with a per-key path memo (``_memo``).
@@ -523,49 +533,34 @@ def test_pool_context_prefers_fork():
         assert context.get_start_method() == expected
 
 
-def test_fig1_rows_identical_with_and_without_snapshots(tmp_path,
-                                                       monkeypatch):
-    """Snapshots off and on give the same rows; a stored fig1 is
-    reused whole on the next run, with the same rows."""
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
-    off = fig1.run(scale="quick", jobs=1)
-    monkeypatch.setenv("REPRO_SNAPSHOT", "1")
-    on = fig1.run(scale="quick", jobs=1)
-    assert off.rows == on.rows
+def _fresh_trace(workload_name, scale, num_steps, seed):
+    """``fig1.workload_trace``'s pages, drawn from a workload built
+    on its own."""
+    workload = make_workload(workload_name, scale.dataset_pages, seed=seed,
+                             **scale.workload_kwargs())
+    pages = []
+    while len(pages) < num_steps:
+        pages.extend(page for _, page, _ in workload.make_job().steps)
+    return pages[:num_steps]
+
+
+def test_fig1_traces_match_fresh_workloads(tmp_path, monkeypatch):
+    """Each quick workload's fig1 trace, drawn from a session over the
+    shared dataset (the first builds it, the second reuses it and its
+    path memos), equals one drawn from a fresh ``make_workload``; a
+    stored fig1 is reused whole on the next run, with the same
+    rows."""
+    scale = resolve_scale("quick")
+    for name in scale.workloads:
+        want = _fresh_trace(name, scale, 60_000, 42)
+        for _ in range(2):
+            assert fig1.workload_trace(name, scale, 60_000, 42) == want
 
     monkeypatch.setenv("REPRO_CACHE", "1")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    fig1.run(scale="quick", jobs=1)
+    first = fig1.run(scale="quick", jobs=1)
     assert len(list(tmp_path.glob("result-*.snap"))) == 1
     before = snap.summary().get("results_reused", 0)
     again = fig1.run(scale="quick", jobs=1)
     assert snap.summary().get("results_reused", 0) == before + 1
-    assert again.rows == on.rows
-
-
-def test_bench_sweep_schema_and_speedup(tmp_path):
-    from repro.metrics import LEDGER_SCHEMA_VERSION, write_record
-
-    bench = perf.bench_sweep("fig1", scale="quick")
-    record = bench.record()
-    assert record.verb == "bench-sweep"
-    assert record.schema_version == LEDGER_SCHEMA_VERSION
-    data = record.detail
-    for field in ("experiment", "scale", "wall_seconds_snapshots_off",
-                  "wall_seconds_snapshots_on", "speedup",
-                  "config_preset"):
-        assert field in data
-    assert data["experiment"] == "fig1"
-    assert data["wall_seconds_snapshots_on"] > 0
-    assert data["speedup"] > 0
-    assert record.metrics["sweep/speedup"] == data["speedup"]
-    out = tmp_path / "sweep.json"
-    write_record(record, out)
-    assert json.loads(out.read_text())["detail"]["speedup"] == \
-        data["speedup"]
-
-
-def test_bench_sweep_unknown_experiment():
-    with pytest.raises(ReproError):
-        perf.bench_sweep("nonesuch")
+    assert again.rows == first.rows

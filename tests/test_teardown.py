@@ -51,7 +51,7 @@ def collector_off():
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_finished_run_is_freed_by_refcount(spec, collector_off):
-    runner = _prepare_runner(spec, snapshots=False)
+    runner = _prepare_runner(spec)
     result = runner.run()
     assert result.completed_jobs > 0
     machine_ref = weakref.ref(runner.machine)
