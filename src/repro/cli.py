@@ -39,6 +39,7 @@ closed the pipe.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -361,11 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_run_flags(args: argparse.Namespace) -> None:
-    """Check --jobs (or ``REPRO_JOBS``) before any work, and translate
-    --snapshot-dir into the environment the harness (and its worker
-    processes) reads."""
+    """Check --jobs (or ``REPRO_JOBS``) and ``REPRO_CACHE_MAX_BYTES``
+    before any work, and translate --snapshot-dir into the environment
+    the harness (and its worker processes) reads."""
     if hasattr(args, "jobs"):
+        from repro.snapshot import cache_max_bytes
+
         resolve_jobs(args.jobs)
+        cache_max_bytes()
     if getattr(args, "snapshot_dir", None):
         os.environ["REPRO_CACHE_DIR"] = args.snapshot_dir
 
@@ -507,6 +511,9 @@ def cmd_trace_run(args: argparse.Namespace) -> int:
 
     if args.sample < 1:
         raise ReproError("--sample must be >= 1")
+    if not 0.0 <= args.telemetry_interval_us < math.inf:
+        raise ReproError("--telemetry-interval-us must be finite and "
+                         f">= 0, got {args.telemetry_interval_us:g}")
     tracer = Tracer(
         sample_every=args.sample,
         telemetry_interval_ns=args.telemetry_interval_us * US,

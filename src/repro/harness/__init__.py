@@ -24,7 +24,6 @@ from repro.harness.parallel import (
     RunSpec,
     execute_spec,
     map_tasks,
-    run_spec,
     run_specs,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "map_tasks",
     "resolve_scale",
     "run_experiment",
-    "run_spec",
     "run_specs",
 ]

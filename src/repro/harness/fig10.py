@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.harness.common import ExperimentResult, resolve_scale
-from repro.harness.parallel import RunSpec, poisson, run_spec, run_specs
+from repro.harness.parallel import RunSpec, poisson, run_specs
 
 LOAD_POINTS: Sequence[float] = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98)
 
@@ -33,8 +33,8 @@ def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
     scale = resolve_scale(scale)
     # DRAM-only saturation throughput defines the x-axis normalization;
     # its mean service time defines the y-axis normalization.
-    saturation = run_spec(
-        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs)
+    (saturation,) = run_specs(
+        [RunSpec("dram-only", workload_name, scale, seed=seed)], jobs=jobs)
     max_rate = saturation.throughput_jobs_per_s
     service_norm = saturation.service_mean_ns
 

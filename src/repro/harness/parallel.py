@@ -9,12 +9,9 @@ figure/table modules build on:
   Executing a spec (:func:`execute_spec`) is the one-run path, so
   results are bit-identical regardless of the number of worker
   processes.
-* :func:`run_specs` — execute a batch across a
-  ``ProcessPoolExecutor``, returning results in spec order.  Falls back
-  to in-process execution when ``jobs == 1`` (the default, also set via
-  ``REPRO_JOBS``) or when a process pool cannot be created.  A crashed
-  worker is retried once in-process before a structured
-  :class:`ParallelRunError` is raised.  Each finished
+* :func:`run_specs` — execute a batch, returning results in spec
+  order; when specs raised, one :class:`ParallelRunError` carries
+  every failure.  Each finished
   :class:`~repro.core.runner.SimulationResult` is stored by
   :class:`repro.snapshot.SnapshotStore` under :func:`spec_key`
   (``REPRO_CACHE_DIR``, default ``.repro_cache``; disable with
@@ -23,6 +20,10 @@ figure/table modules build on:
   invalidates stale results.
 * :func:`map_tasks` — an uncached generic fan-out for harness stages
   that are not full-system runs (Fig. 1's per-workload page traces).
+
+Both share one fan-out (:func:`_fan_out`): a process pool when
+``jobs > 1`` (``--jobs``, ``REPRO_JOBS``), else in-process, with each
+call run once, so a batch fails the same way at every job count.
 """
 
 from __future__ import annotations
@@ -52,16 +53,21 @@ from repro.workloads import arrival_from_spec
 
 
 class ParallelRunError(ReproError):
-    """A run spec failed (after the one crash retry the pool allows).
+    """One or more specs of a batch raised.
 
-    Carries the failing spec and the underlying cause so sweep drivers
-    can report *which* point of a batch died.
+    ``failures`` holds every ``(spec, cause)`` in spec order, ``spec``
+    and ``cause`` the first of them, and ``results`` the batch's
+    results in spec order with ``None`` where a spec failed, so a sweep
+    keeps the points that finished and reports *which* ones died.
     """
 
-    def __init__(self, spec: "RunSpec", cause: BaseException) -> None:
-        super().__init__(f"run spec {spec.label()} failed: {cause!r}")
-        self.spec = spec
-        self.cause = cause
+    def __init__(self, failures: List[Tuple["RunSpec", Exception]],
+                 results: List) -> None:
+        self.failures, self.results = failures, results
+        self.spec, self.cause = failures[0]
+        more = f" (and {len(failures) - 1} more)" if failures[1:] else ""
+        super().__init__(f"run spec {self.spec.label()} failed: "
+                         f"{self.cause!r}{more}")
 
 
 # --------------------------------------------------------------- run specs --
@@ -247,34 +253,44 @@ def _pool_context():
 
 def _run_in_pool(func: Callable, items: Sequence,
                  jobs: int) -> Optional[List]:
-    """Run ``func`` over ``items`` in a process pool.
+    """Each ``func(item)``'s result or exception from a pool of
+    ``jobs`` workers, in item order (a call the pool lost to a dead
+    worker is a ``BrokenProcessPool``); ``None`` when no pool could be
+    created or could start its workers."""
+    try:
+        from concurrent.futures import Future, ProcessPoolExecutor
 
-    Returns a list aligned with ``items`` where each slot is either the
-    result or the exception that run raised.  Returns ``None`` when no
-    pool could be created at all (caller falls back in-process).
-    """
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=jobs,
-                                       mp_context=_pool_context())
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=_pool_context()) as pool:
+            futures = [pool.submit(func, item) for item in items]
+            return [_call(Future.result, future) for future in futures]
     except Exception:
         return None
-    outcomes: List = [None] * len(items)
+
+
+def _call(func: Callable, item):
+    """``func(item)``, or the exception it raised."""
     try:
-        with executor:
-            futures = {
-                executor.submit(func, item): index
-                for index, item in enumerate(items)
-            }
-            for future, index in futures.items():
-                try:
-                    outcomes[index] = future.result()
-                except BaseException as exc:  # includes BrokenProcessPool
-                    outcomes[index] = exc
-    except Exception:
-        # The pool itself failed to start workers; fall back.
-        return None
-    return outcomes
+        return func(item)
+    except Exception as exc:
+        return exc
+
+
+def _fan_out(func: Callable, items: Sequence, jobs: int) -> List:
+    """Each ``func(item)``'s result or exception, in item order, from a
+    process pool when ``jobs > 1`` and there are two or more items,
+    else (or when no pool can be created) in-process.  Only a call the
+    pool lost runs again, once and in-process; a call that raised is
+    never re-run."""
+    outcomes = None
+    if jobs > 1 and len(items) > 1:
+        outcomes = _run_in_pool(func, items, min(jobs, len(items)))
+    if outcomes is None:
+        return [_call(func, item) for item in items]
+    from concurrent.futures.process import BrokenProcessPool
+
+    return [_call(func, item) if isinstance(outcome, BrokenProcessPool)
+            else outcome for item, outcome in zip(items, outcomes)]
 
 
 def _log(message: str) -> None:
@@ -291,24 +307,24 @@ def _prewarm_groups(specs: Sequence[RunSpec],
     captured are warmed here — singletons capture inside their own
     worker at no extra cost.  Forked workers inherit the resulting
     warm payloads and datasets; spawned workers warm for themselves.
+    A spec that cannot be built or warmed is left to its own run,
+    which reports it.
     """
     from repro import snapshot as snap
 
-    groups: Dict[str, List[int]] = {}
+    groups: Dict[str, List[RunSpec]] = {}
     for index in pending:
-        key = _spec_warm_key(specs[index])
-        if key is not None:
-            groups.setdefault(key, []).append(index)
+        key = _call(_spec_warm_key, specs[index])
+        if isinstance(key, str):
+            groups.setdefault(key, []).append(specs[index])
     for key, members in groups.items():
-        if len(members) < 2 or snap.warm_captured(key):
-            continue
-        # Builds, warms, and captures; the runner itself is discarded.
-        _prepare_runner(specs[members[0]])
+        if len(members) > 1 and not snap.warm_captured(key):
+            # Builds, warms, and captures; the runner is discarded.
+            _call(_prepare_runner, members[0])
 
 
 def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
               cache: Optional[bool] = None,
-              report: Optional[Dict[str, int]] = None,
               snapshots: bool = True,
               snapshot_dir: Optional[Union[str, Path]] = None) -> List:
     """Execute a batch of run specs, results in spec order.
@@ -322,10 +338,8 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     payloads, and with ``jobs > 1`` each group of pending specs that
     shares a warm key is warmed once in the parent before the pool
     fans out; ``snapshots`` must be true (``bench/sweep.py`` still
-    passes it).  Each spec that crashes its worker is retried once
-    in-process; a second failure raises :class:`ParallelRunError`.
-    ``report``, if given, is filled with batch statistics
-    (``cache_hits`` / ``executed`` / ``retried`` / ``jobs``).
+    passes it).  Every finished result is stored before a
+    :class:`ParallelRunError` reports the specs that raised.
     """
     from repro import snapshot as snap
 
@@ -345,108 +359,41 @@ def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
                if result is None]
     hits = len(specs) - len(pending)
 
-    retried = 0
-    if pending:
-        outcomes: Optional[List] = None
-        if jobs > 1 and len(pending) > 1:
-            _prewarm_groups(specs, pending)
-            outcomes = _run_in_pool(
-                execute_spec, [specs[i] for i in pending],
-                min(jobs, len(pending)),
-            )
-        if outcomes is None:
-            # In-process path: jobs == 1, a single spec, or no usable
-            # process pool on this platform.  The warm payloads already
-            # give in-process group sharing, no pre-warm pass needed.
-            outcomes = []
-            for index in pending:
-                try:
-                    outcomes.append(execute_spec(specs[index]))
-                except Exception as exc:
-                    outcomes.append(exc)
-        for slot, index in enumerate(pending):
-            outcome = outcomes[slot]
-            if isinstance(outcome, BaseException):
-                # One retry, in-process: a crashed worker poisons every
-                # future on its pool, so the retry both re-runs genuine
-                # failures and rescues innocent casualties.
-                retried += 1
-                try:
-                    outcome = execute_spec(specs[index])
-                except Exception as exc:
-                    raise ParallelRunError(specs[index], exc) from exc
+    if jobs > 1 and len(pending) > 1:
+        _prewarm_groups(specs, pending)
+    outcomes = _fan_out(execute_spec, [specs[i] for i in pending], jobs)
+    failures = []
+    for index, outcome in zip(pending, outcomes):
+        if isinstance(outcome, Exception):
+            failures.append((specs[index], outcome))
+        else:
             results[index] = outcome
             store.store(keys[index], outcome)
 
-    if report is not None:
-        report.update(cache_hits=hits, executed=len(pending),
-                      retried=retried, jobs=jobs)
     if hits or jobs > 1:
         _log(f"{len(specs)} runs: {hits} cache hits, "
              f"{len(pending)} executed (jobs={jobs})")
+    if failures:
+        raise ParallelRunError(failures, results)
     return results
-
-
-def run_spec(spec: RunSpec, **kwargs):
-    """Convenience wrapper: one spec, one result."""
-    return run_specs([spec], **kwargs)[0]
-
-
-def run_specs_or_none(specs: Sequence[RunSpec],
-                      jobs: Optional[int] = None) -> List:
-    """:func:`run_specs` for sweep grids whose points may die: a spec
-    that fails comes back as ``None`` instead of raising.
-
-    When the batch raises :class:`ParallelRunError` (a
-    ``DeviceFailedError`` at an extreme fault rate, write-buffer
-    capacity at an extreme SET ratio), every spec is re-run in-process,
-    so the surviving points still produce curves and a spec that
-    raises :class:`ReproError` is marked ``None``.
-    """
-    try:
-        return run_specs(specs, jobs=jobs)
-    except ParallelRunError:
-        results = []
-        for spec in specs:
-            try:
-                results.append(execute_spec(spec))
-            except ReproError:
-                results.append(None)
-        return results
 
 
 def map_tasks(func: Callable, kwargs_list: Sequence[Mapping[str, Any]],
               jobs: Optional[int] = None) -> List:
     """Generic uncached fan-out: ``[func(**kw) for kw in kwargs_list]``
-    across worker processes, in order, with the same in-process
-    fallback and single-retry policy as :func:`run_specs`.
+    across worker processes, in order, through the same fan-out as
+    :func:`run_specs`; the first task that raised raises
+    :class:`ReproError`.
 
     ``func`` must be a module-level (picklable) callable.
     """
-    jobs = resolve_jobs(jobs)
     items = [(func, dict(kwargs)) for kwargs in kwargs_list]
-    outcomes: Optional[List] = None
-    if jobs > 1 and len(items) > 1:
-        outcomes = _run_in_pool(_call_task, items, min(jobs, len(items)))
-    if outcomes is None:
-        outcomes = []
-        for item in items:
-            try:
-                outcomes.append(_call_task(item))
-            except Exception as exc:
-                outcomes.append(exc)
-    results: List = []
-    for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, BaseException):
-            try:
-                outcome = _call_task(items[index])
-            except Exception as exc:
-                raise ReproError(
-                    f"task {func.__name__}(**{items[index][1]!r}) failed: "
-                    f"{exc!r}"
-                ) from exc
-        results.append(outcome)
-    return results
+    outcomes = _fan_out(_call_task, items, resolve_jobs(jobs))
+    for (_, kwargs), outcome in zip(items, outcomes):
+        if isinstance(outcome, Exception):
+            raise ReproError(f"task {func.__name__}(**{kwargs!r}) failed: "
+                             f"{outcome!r}") from outcome
+    return outcomes
 
 
 def _call_task(item: Tuple[Callable, Dict[str, Any]]):

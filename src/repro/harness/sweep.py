@@ -10,7 +10,8 @@ verb declares its sweep once and fills in the grid per run with
 
 A cell is a dict: ``preset``, the point's keys, the columns ``read``
 returns and, when the sweep has a ``failed`` text, ``failed`` (a run
-that raises is then a failed cell; otherwise the raise ends the verb).
+that raises a :class:`~repro.errors.ReproError` is then a failed cell;
+otherwise the raise ends the verb).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping,
 
 from repro.errors import ReproError
 from repro.harness import EXPERIMENTS
-from repro.harness.parallel import RunSpec, run_specs, run_specs_or_none
+from repro.harness.parallel import ParallelRunError, RunSpec, run_specs
 
 Point = Mapping[str, Any]
 Cell = Dict[str, Any]
@@ -201,12 +202,19 @@ class SweepResult:
 
 
 def run_sweep(sweep: Sweep, jobs: Optional[int] = None) -> SweepResult:
-    """Run every ``(preset, point)`` cell of the grid, in order."""
+    """Run every ``(preset, point)`` cell of the grid, in order.  With
+    a ``failed`` text, a run that raised a :class:`ReproError` is a
+    failed cell; any other failure ends the sweep."""
     grid = [(preset, point) for preset in dict(sweep.about)["presets"]
             for point in sweep.points]
     specs = [sweep.spec(preset, point) for preset, point in grid]
-    results = (run_specs_or_none if sweep.failed else run_specs)(
-        specs, jobs=jobs)
+    try:
+        results = run_specs(specs, jobs=jobs)
+    except ParallelRunError as error:
+        if not sweep.failed or not all(
+                isinstance(cause, ReproError) for _, cause in error.failures):
+            raise
+        results = error.results
     return SweepResult(sweep, [
         {"preset": preset, **point, **sweep.read(result),
          **({"failed": result is None} if sweep.failed else {})}

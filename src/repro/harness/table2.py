@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.harness.common import ExperimentResult, resolve_scale
-from repro.harness.parallel import RunSpec, poisson, run_spec, run_specs
+from repro.harness.parallel import RunSpec, poisson, run_specs
 
 CONFIGS: Sequence[str] = (
     "flash-sync", "astriflash", "astriflash-nops", "astriflash-nodp",
@@ -30,8 +30,8 @@ def run(scale="quick", seed: int = 42, workload_name: str = "tatp",
         jobs: Optional[int] = None) -> ExperimentResult:
     """Regenerate Table II's normalized p99 service latencies."""
     scale = resolve_scale(scale)
-    saturation = run_spec(
-        RunSpec("dram-only", workload_name, scale, seed=seed), jobs=jobs)
+    (saturation,) = run_specs(
+        [RunSpec("dram-only", workload_name, scale, seed=seed)], jobs=jobs)
     per_core_interarrival = (
         scale.num_cores / (load * saturation.throughput_jobs_per_s) * 1e9
     )

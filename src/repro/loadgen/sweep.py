@@ -22,6 +22,7 @@ machine (:mod:`repro.harness.sweep`), loadgen owns:
 from __future__ import annotations
 
 import dataclasses
+import math
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -29,7 +30,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.faults.chaos import fault_overrides
 from repro.harness import parallel
 from repro.harness.common import resolve_scale
-from repro.harness.parallel import RunSpec, run_spec
+from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.sweep import (
     Column, Gate, Sweep, SweepResult, default_workload,
     experiment_presets, run_sweep,
@@ -340,13 +341,19 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     if not 0.0 <= backlog_threshold <= 1.0:
         raise ReproError(
             f"backlog threshold {backlog_threshold:g} outside [0, 1]")
+    # A non-positive SLO misses every cell; a negative budget refines
+    # nothing: both would print a plausible, wrong knee.
+    if slo_us is not None and not 0.0 < slo_us < math.inf:
+        raise ReproError(f"SLO {slo_us:g} us must be finite and > 0")
+    if refine_evals < 0:
+        raise ReproError(f"refine evals {refine_evals} must be >= 0")
     qps_grid = parse_qps_sweep(qps_sweep if qps_sweep is not None
                                else DEFAULT_QPS_SWEEP)
     presets = experiment_presets(experiment, DEFAULT_PRESETS)
     workload = workload or default_workload(scale)
 
-    saturation = run_spec(RunSpec("dram-only", workload, scale, seed=seed),
-                          jobs=jobs)
+    (saturation,) = run_specs(
+        [RunSpec("dram-only", workload, scale, seed=seed)], jobs=jobs)
     saturation_qps = saturation.throughput_jobs_per_s
     slo_ns = (slo_us * US if slo_us is not None
               else DEFAULT_SLO_SERVICE_FACTOR * saturation.service_mean_ns)
@@ -386,8 +393,8 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     ), jobs=jobs)
 
     def measure(preset: str, qps: float) -> Optional[float]:
-        p99_us = read(run_spec(spec(preset, {"offered_qps": qps}),
-                               jobs=jobs))["p99_us"]
+        p99_us = read(run_specs([spec(preset, {"offered_qps": qps})],
+                                jobs=jobs)[0])["p99_us"]
         return None if p99_us is None else p99_us * US
 
     result.extra["knees"] = [

@@ -54,26 +54,22 @@ COMPONENTS = (
 
 # ------------------------------------------------------------- fast path --
 
-#: Module-level fast-path flag: ``True`` iff a tracer is active.
-#: Components read :func:`active` once at construction; hot paths then
-#: branch on their bound reference, never on this module.
-ENABLED = False
-
+#: The process-wide active tracer.  Components read :func:`active` once
+#: at construction; hot paths then branch on their bound reference,
+#: never on this module.
 _ACTIVE: Optional["Tracer"] = None
 
 
 def enable(tracer: "Tracer") -> None:
     """Install ``tracer`` as the process-wide active tracer."""
-    global ENABLED, _ACTIVE
+    global _ACTIVE
     _ACTIVE = tracer
-    ENABLED = True
 
 
 def disable() -> None:
     """Remove the active tracer (instrumentation reverts to no-op)."""
-    global ENABLED, _ACTIVE
+    global _ACTIVE
     _ACTIVE = None
-    ENABLED = False
 
 
 def active() -> Optional["Tracer"]:

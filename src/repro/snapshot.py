@@ -42,7 +42,8 @@ directory, see ``repro --help``):
 * ``REPRO_CACHE_DIR=PATH``    — the store directory (default:
   ``.repro_cache``);
 * ``REPRO_CACHE_MAX_BYTES=N`` — byte cap for the store directory,
-  LRU-pruned on write.
+  LRU-pruned on write (``0``: no cap; not an integer >= 0: an
+  error).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config.system import PagingMode, SystemConfig
 from repro.core.machine import DEFAULT_WARM_STEPS
+from repro.errors import ConfigurationError
 from repro.stats import CounterSet
 from repro.workloads import Workload, make_workload
 from repro.workloads.registry import workload_class
@@ -146,15 +148,20 @@ def warm_key(config: SystemConfig, workload_name: str, seed: int,
 
 
 def cache_max_bytes() -> Optional[int]:
-    """Byte cap for the cache tree; ``None`` disables pruning."""
+    """Byte cap for the cache tree from ``REPRO_CACHE_MAX_BYTES``;
+    ``None`` (the variable set to 0) disables pruning.  A value that is
+    not an integer >= 0 is a :class:`ConfigurationError`."""
     raw = os.environ.get("REPRO_CACHE_MAX_BYTES")
     if raw is None:
         return DEFAULT_CACHE_MAX_BYTES
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_CACHE_MAX_BYTES
-    return value if value > 0 else None
+        value = -1
+    if value < 0:
+        raise ConfigurationError(
+            f"REPRO_CACHE_MAX_BYTES must be an integer >= 0, got {raw!r}")
+    return value or None
 
 
 def prune_cache(directory: Path, max_bytes: Optional[int] = None,

@@ -93,6 +93,16 @@ class TestErrorExit:
                      id="loadgen-negative-backlog-threshold"),
         pytest.param(["loadgen", "fig10", "--backlog-threshold", "1.5"],
                      id="loadgen-backlog-threshold-above-one"),
+        pytest.param(["loadgen", "fig10", "--slo-us", "-5"],
+                     id="loadgen-negative-slo"),
+        pytest.param(["loadgen", "fig10", "--slo-us", "0"],
+                     id="loadgen-zero-slo"),
+        pytest.param(["loadgen", "fig10", "--slo-us", "nan"],
+                     id="loadgen-slo-nan"),
+        pytest.param(["loadgen", "fig10", "--refine-evals", "-1"],
+                     id="loadgen-negative-refine-evals"),
+        pytest.param(["trace-run", "table2", "--telemetry-interval-us",
+                      "-1"], id="trace-run-negative-telemetry-interval"),
         pytest.param(["run", "fig3", "--jobs", "0"], id="run-jobs-zero"),
         pytest.param(["run", "fig3", "--jobs", "-4"],
                      id="run-jobs-negative"),
@@ -123,6 +133,18 @@ class TestErrorExit:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("repro run: error: REPRO_JOBS ")
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_cache_max_bytes_exits_2_with_one_line(self, value, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", value)
+        assert main(["run", "fig3"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "repro run: error: REPRO_CACHE_MAX_BYTES ")
+        assert captured.out == ""
 
     def test_closed_stdout_exits_141_quietly(self):
         # The reader closes the pipe before the verb writes its

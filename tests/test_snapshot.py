@@ -223,10 +223,9 @@ def test_stale_result_rerun_not_silently_loaded(tmp_path):
     _write_snapshot(path, header, blob)
 
     before = snap.summary().get("stale_rejected", 0)
-    report = {}
-    (result,) = run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path,
-                          report=report)
-    assert report["executed"] == 1  # re-run, not loaded
+    reused = snap.summary().get("results_reused", 0)
+    (result,) = run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
+    assert snap.summary().get("results_reused", 0) == reused  # re-run
     assert result_fields(result) == baseline
     assert snap.summary().get("stale_rejected", 0) == before + 1
     # A valid result replaced the stale one.
@@ -484,8 +483,11 @@ def test_cache_max_bytes_env_parsing(monkeypatch):
     assert snap.cache_max_bytes() == 1024
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
     assert snap.cache_max_bytes() is None, "0 disables pruning"
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "bogus")
-    assert snap.cache_max_bytes() == snap.DEFAULT_CACHE_MAX_BYTES
+    for bogus in ("bogus", "-5", "1.5"):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", bogus)
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_CACHE_MAX_BYTES must be an integer"):
+            snap.cache_max_bytes()
 
 
 def test_clear_cache_removes_only_cache_files(tmp_path):

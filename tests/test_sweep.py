@@ -17,7 +17,7 @@ import repro.harness.sweep as sweep_module
 from repro.cli import main
 from repro.errors import ReproError
 from repro.harness.common import QUICK, HarnessScale
-from repro.harness.parallel import RunSpec
+from repro.harness.parallel import ParallelRunError, RunSpec
 from repro.harness.sweep import (
     Column, Gate, Sweep, SweepResult, default_workload, experiment_presets,
     parse_points, run_sweep,
@@ -294,14 +294,33 @@ class TestRunSweep:
                 ("b", 0.0, 0.0), ("b", 1.0, 1.0)]
         assert "failed" not in cells[0]
 
+    @staticmethod
+    def cell_a1_raises(cause):
+        """``run_specs`` as if the ("a", 1.0) cell's run raised
+        ``cause``."""
+        def run_specs(specs, jobs=None):
+            results = [None if spec == ("a", 1.0) else spec
+                       for spec in specs]
+            raise ParallelRunError(
+                [(RunSpec("a", "toy", "quick"), cause)], results)
+        return run_specs
+
     def test_a_run_that_raised_is_a_failed_cell(self, monkeypatch):
-        monkeypatch.setattr(
-            sweep_module, "run_specs_or_none", lambda specs, jobs=None:
-            [None if spec == ("a", 1.0) else spec for spec in specs])
+        monkeypatch.setattr(sweep_module, "run_specs",
+                            self.cell_a1_raises(ReproError("dead")))
         cells = run_sweep(self.declared(failed="dead")).cells
         assert [cell["failed"] for cell in cells] == \
             [False, True, False, False]
         assert cells[1]["y"] is None
+
+    @pytest.mark.parametrize("failed, cause", [
+        ("", ReproError("dead")), ("dead", ZeroDivisionError("bug"))])
+    def test_other_failures_end_the_sweep(self, failed, cause,
+                                          monkeypatch):
+        monkeypatch.setattr(sweep_module, "run_specs",
+                            self.cell_a1_raises(cause))
+        with pytest.raises(ParallelRunError):
+            run_sweep(self.declared(failed=failed))
 
 
 def test_writes_bench_import_stays_light():
