@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.harness.sensitivity import dram_fraction_sweep, thread_count_sweep
+from repro.harness.sensitivity import DRAM_FRACTION_SWEEP, THREAD_COUNT_SWEEP
 
 
 def test_sensitivity_dram_fraction(benchmark, harness_scale):
-    result = run_once(benchmark, dram_fraction_sweep, harness_scale)
+    result = run_once(benchmark, DRAM_FRACTION_SWEEP, harness_scale)
     print("\n" + result.format_table())
 
     fractions = result.column("dram_fraction")
@@ -20,7 +20,7 @@ def test_sensitivity_dram_fraction(benchmark, harness_scale):
 
 
 def test_sensitivity_thread_count(benchmark, harness_scale):
-    result = run_once(benchmark, thread_count_sweep, harness_scale)
+    result = run_once(benchmark, THREAD_COUNT_SWEEP, harness_scale)
     print("\n" + result.format_table())
 
     threads = result.column("threads_per_core")

@@ -48,8 +48,8 @@ from repro.config import EVALUATED_CONFIG_NAMES, make_config
 from repro.jsonutil import dumps as json_dumps
 from repro.core import Runner
 from repro.errors import ReproError
-from repro.harness import EXPERIMENTS, run_experiment
-from repro.harness.parallel import resolve_jobs
+from repro.harness import EXPERIMENTS, run_experiment, run_experiments
+from repro.harness.parallel import ARRIVAL_KINDS, resolve_jobs
 from repro.units import US
 from repro.workloads import (
     EVALUATED_WORKLOADS,
@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "(default: 40x the DRAM-only mean "
                                      "service time)")
     loadgen_parser.add_argument("--arrival", default="poisson",
-                                choices=("poisson", "mmpp", "diurnal"),
+                                choices=ARRIVAL_KINDS,
                                 help="arrival process shape (aggregate "
                                      "rate; converted to per-core "
                                      "streams internally)")
@@ -426,28 +426,21 @@ def cmd_run(experiment: str, scale: str, jobs: Optional[int]) -> int:
 
 
 def cmd_run_all(scale: str, jobs: Optional[int]) -> int:
-    for name in EXPERIMENTS:
-        print(run_experiment(name, scale=scale, jobs=jobs).format_table())
+    for result in run_experiments(EXPERIMENTS, scale=scale, jobs=jobs):
+        print(result.format_table())
         print()
     return 0
 
 
 def cmd_report(scale: str, out: str, jobs: Optional[int],
                telemetry: bool = False, writes: bool = False) -> int:
-    import time
-
     from repro.harness.report import generate
-    from repro.sim.engine import total_events_executed
 
-    events_before = total_events_executed()
-    wall_start = time.perf_counter()
-    results = generate(
+    results, wall_seconds, events_per_second = generate(
         EXPERIMENTS, scale=scale, jobs=jobs, out=out,
         header=(f"AstriFlash reproduction report (scale={scale}) — "
                 "every paper table/figure regenerated"),
     )
-    wall_seconds = time.perf_counter() - wall_start
-    events = total_events_executed() - events_before
     print(f"wrote {out}")
     from repro.metrics import make_record, metrics_from_experiments
 
@@ -455,9 +448,7 @@ def cmd_report(scale: str, out: str, jobs: Optional[int],
     _append_ledger(make_record(
         "report", experiment=",".join(EXPERIMENTS), scale=scale,
         metrics=metrics, fingerprint=fingerprint,
-        wall_seconds=wall_seconds,
-        events_per_second=(events / wall_seconds
-                           if events and wall_seconds > 0 else 0.0),
+        wall_seconds=wall_seconds, events_per_second=events_per_second,
         artifacts=[out],
     ))
     if telemetry:

@@ -1,6 +1,7 @@
 """Shared experiment-harness infrastructure.
 
-Every figure/table module exposes ``run(scale=...)`` returning an
+Every figure/table module exposes a ``(scale=...)`` callable (a
+:class:`Figure` when it simulates) returning an
 :class:`ExperimentResult` whose rows regenerate the paper's series, and
 the harness registry lets the CLI/benchmarks enumerate them.
 
@@ -15,7 +16,8 @@ Two scales:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.config import Override, SystemConfig, make_config
 from repro.units import US
@@ -115,6 +117,27 @@ class ExperimentResult:
         if self.notes:
             header.extend(["", self.notes])
         return "\n".join(header)
+
+
+class Figure(NamedTuple):
+    """A simulated figure, declared: ``cells(scale, seed, anchor)`` lists
+    its runs as ``{key: RunSpec}`` before any simulates, ``rows(scale,
+    results by key, anchor)`` builds its table, and ``anchor`` is the
+    ``anchor`` workload's DRAM-only saturation result (or ``None``)."""
+
+    experiment: str
+    title: str
+    columns: Sequence[str]
+    cells: Callable[..., Dict]
+    rows: Callable[..., Iterable[Sequence]]
+    notes: str = ""
+    anchor: Optional[str] = None
+
+    def __call__(self, scale="quick", seed: int = 42,
+                 jobs: Optional[int] = None) -> ExperimentResult:
+        from repro.harness import run_figures
+
+        return run_figures([self], scale, seed, jobs)[0]
 
 
 def build_config(config_name: str, scale: HarnessScale,

@@ -20,6 +20,9 @@ figure/table modules build on:
   invalidates stale results.
 * :func:`map_tasks` — an uncached generic fan-out for harness stages
   that are not full-system runs (Fig. 1's per-workload page traces).
+* :func:`saturation` and :func:`arrival_spec` — the DRAM-only anchor run
+  and the aggregate-load-to-per-core-streams step Fig. 10, Table II and
+  ``repro loadgen`` share.
 
 Both share one fan-out (:func:`_fan_out`): a process pool when
 ``jobs > 1`` (``--jobs``, ``REPRO_JOBS``), else in-process, with each
@@ -49,6 +52,7 @@ from typing import (
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.common import HarnessScale, build_config, resolve_scale
 from repro.core import Runner
+from repro.units import US
 from repro.workloads import arrival_from_spec
 
 
@@ -94,9 +98,21 @@ class RunSpec:
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
 
     def label(self) -> str:
+        """``config/workload@scale`` and each field set beyond its
+        default, so the specs of one batch read apart."""
         scale = self.scale.name if isinstance(self.scale, HarnessScale) \
             else self.scale
-        return f"{self.config_name}/{self.workload_name}@{scale}"
+        parts = [f"{self.config_name}/{self.workload_name}@{scale}"]
+        if self.seed != 42:
+            parts.append(f"seed={self.seed}")
+        if self.arrivals is not None:
+            gap = self.arrivals[1]
+            if isinstance(gap, tuple):  # a trace's recorded gaps
+                gap = sum(gap) / max(len(gap), 1)
+            parts.append(f"{self.arrivals[0]} gap={gap:g}ns")
+        parts.extend(f"{path}={value}" for path, value
+                     in self.workload_overrides + self.config_overrides)
+        return " ".join(parts)
 
 
 def poisson(mean_interarrival_ns: float, seed: int = 42) -> Tuple:
@@ -130,6 +146,54 @@ def diurnal(mean_interarrival_ns: float, period_ns: float,
 def trace(gaps_ns, cycle: bool = False) -> Tuple:
     """Arrival spec replaying recorded inter-arrival gaps."""
     return ("trace", tuple(float(gap) for gap in gaps_ns), bool(cycle))
+
+
+# Bursty/diurnal arrival shapes (see arrival_spec).  The MMPP cycle
+# sits well inside the quick measurement window so every run sees
+# multiple burst episodes; the diurnal period matches half the quick
+# window for one full peak-trough swing.
+MMPP_BURST_RATIO = 4.0        # burst-state rate / normal-state rate
+MMPP_BURST_FRACTION = 0.1     # stationary fraction of time in burst
+MMPP_CYCLE_NS = 400.0 * US    # mean dwell cycle (normal + burst)
+DIURNAL_PERIOD_NS = 1_000.0 * US
+DIURNAL_AMPLITUDE = 0.5
+
+ARRIVAL_KINDS = ("poisson", "mmpp", "diurnal")
+
+
+def arrival_spec(kind: str, qps: float, num_cores: int,
+                 seed: int) -> Tuple:
+    """Arrival spec offering an *aggregate* load of ``qps``: each core
+    runs its own stream, ``num_cores / qps`` seconds apart on average,
+    and the modulated shapes pass ``streams=num_cores`` so their shared
+    dwell/period clocks track machine time."""
+    per_core_mean_ns = num_cores / qps * 1e9
+    if kind == "poisson":
+        return poisson(per_core_mean_ns, seed=seed + 1)
+    if kind == "mmpp":
+        # Pick the normal-state gap so the *stationary* rate matches
+        # the requested load: rate = (f0 + f1*ratio) / normal_gap.
+        burst_dwell_ns = MMPP_CYCLE_NS * MMPP_BURST_FRACTION
+        mean_dwell_ns = MMPP_CYCLE_NS - burst_dwell_ns
+        normal_gap_ns = per_core_mean_ns * (
+            (1.0 - MMPP_BURST_FRACTION)
+            + MMPP_BURST_FRACTION * MMPP_BURST_RATIO
+        )
+        return mmpp(
+            normal_gap_ns, normal_gap_ns / MMPP_BURST_RATIO,
+            mean_dwell_ns, burst_dwell_ns, seed=seed + 1,
+            streams=num_cores,
+        )
+    return diurnal(
+        per_core_mean_ns, DIURNAL_PERIOD_NS, DIURNAL_AMPLITUDE,
+        seed=seed + 1, streams=num_cores,
+    )
+
+
+def saturation(workload: str, scale, seed: int = 42) -> RunSpec:
+    """The DRAM-only closed-loop run whose throughput anchors the
+    open-loop loads of Fig. 10, Table II and ``repro loadgen``."""
+    return RunSpec("dram-only", workload, scale, seed=seed)
 
 
 def _spec_parts(spec: RunSpec):

@@ -14,7 +14,7 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.harness.common import ExperimentResult
+from repro.harness import ExperimentResult, run_experiments
 from repro.sim.engine import total_events_executed
 
 Point = Tuple[float, float]
@@ -137,16 +137,15 @@ def write_report(results: List[ExperimentResult], path: str,
 
 
 def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
-             scale="quick", jobs: Optional[int] = None,
-             out: Optional[str] = None,
-             header: str = "") -> List[ExperimentResult]:
-    """Regenerate ``experiments`` (id -> run callable) and optionally
-    bundle them into a report file.
-
-    ``jobs`` is forwarded to each experiment so its independent runs
-    fan out through :mod:`repro.harness.parallel`; repeated invocations
-    reuse stored results, so regenerating a report after regenerating
-    a figure costs only the runs not already stored.
+             scale="quick", jobs: Optional[int] = None, *, out: str,
+             header: str = ""
+             ) -> Tuple[List[ExperimentResult], float, float]:
+    """Regenerate ``experiments`` (id -> run callable) through
+    :func:`repro.harness.run_experiments` into the report file ``out``.
+    Returns ``(results, wall_seconds, events_per_second)``: the one
+    measurement of the run, which the footer prints and ``repro
+    report``'s ledger record carries.  Repeated invocations reuse stored
+    results, so a report after a figure costs only the runs not stored.
     """
     from repro import snapshot
     from repro.core.runner import wall_split_totals
@@ -155,23 +154,22 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
     split_before = wall_split_totals()
     snap_before = snapshot.summary()
     wall_start = time.perf_counter()
-    results = [runner(scale=scale, jobs=jobs)
-               for runner in experiments.values()]
+    results = run_experiments(experiments, scale=scale, jobs=jobs)
     wall_seconds = time.perf_counter() - wall_start
     events = total_events_executed() - events_before
-    if out is not None:
-        # Kernel throughput footer: in-process events only, so worker
-        # processes (jobs > 1) and cache hits leave it at zero — it is
-        # telemetry for the simulator, not a result.
-        lines = []
-        if events and wall_seconds > 0:
-            lines.append(
-                f"kernel: {events:,} events in {wall_seconds:.1f} s "
-                f"({events / wall_seconds:,.0f} events/s in-process)")
-        lines.append(_warmup_footer(split_before, snap_before))
-        write_report(results, out, header=header,
-                     footer="\n".join(line for line in lines if line))
-    return results
+    per_second = events / wall_seconds if events and wall_seconds > 0 else 0.0
+    # Kernel throughput footer: in-process events only, so worker
+    # processes (jobs > 1) and cache hits leave it at zero — it is
+    # telemetry for the simulator, not a result.
+    lines = []
+    if per_second:
+        lines.append(
+            f"kernel: {events:,} events in {wall_seconds:.1f} s "
+            f"({per_second:,.0f} events/s in-process)")
+    lines.append(_warmup_footer(split_before, snap_before))
+    write_report(results, out, header=header,
+                 footer="\n".join(line for line in lines if line))
+    return results, wall_seconds, per_second
 
 
 def _warmup_footer(split_before: Dict[str, float],

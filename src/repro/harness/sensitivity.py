@@ -1,86 +1,58 @@
-"""Sensitivity studies beyond the paper's figures.
+"""Sensitivity studies beyond the paper's figures, over TATP.
 
 Two sweeps the paper's design discussion motivates but does not plot:
 
-* :func:`dram_fraction_sweep` — AstriFlash throughput (vs DRAM-only) as
+* :data:`DRAM_FRACTION_SWEEP` — AstriFlash throughput (vs DRAM-only) as
   the DRAM-cache fraction shrinks below / grows above the 3 % design
   point.  Complements Fig. 1 (which only measures miss ratio) by
   closing the loop through the full simulator.
-* :func:`thread_count_sweep` — throughput vs user threads per core:
+* :data:`THREAD_COUNT_SWEEP` — throughput vs user threads per core:
   the multiprogramming level must cover the flash stall
   (Sec. III-A's M/M/k argument predicts a knee around
   service/compute ≈ 6-8 threads; beyond that returns diminish).
-
-Every sweep point is one :class:`~repro.harness.parallel.RunSpec` with
-a config override, so the sweeps fan out across worker processes.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from repro.harness.common import Figure
+from repro.harness.parallel import RunSpec
 
-from repro.harness.common import ExperimentResult, resolve_scale
-from repro.harness.parallel import RunSpec, run_specs
-
-DRAM_FRACTIONS: Sequence[float] = (0.01, 0.02, 0.03, 0.05, 0.10)
-THREAD_COUNTS: Sequence[int] = (1, 2, 4, 8, 16, 48)
+DRAM_FRACTIONS = (0.01, 0.02, 0.03, 0.05, 0.10)
+THREAD_COUNTS = (1, 2, 4, 8, 16, 48)
 
 
-def dram_fraction_sweep(scale="quick", workload_name: str = "tatp",
-                        seed: int = 42,
-                        fractions: Sequence[float] = DRAM_FRACTIONS,
-                        jobs: Optional[int] = None) -> ExperimentResult:
-    """AstriFlash throughput vs DRAM-cache capacity fraction."""
-    scale = resolve_scale(scale)
-    result = ExperimentResult(
-        experiment="sensitivity-dram-fraction",
-        title=(f"Sensitivity: AstriFlash throughput vs DRAM fraction "
-               f"({workload_name})"),
-        columns=["dram_fraction", "throughput_vs_dram_only", "miss_ratio"],
-        notes="The paper's 3% design point sits at the knee.",
-    )
-    specs = [RunSpec("dram-only", workload_name, scale, seed=seed)]
-    specs.extend(
-        RunSpec("astriflash", workload_name, scale, seed=seed,
-                config_overrides=(("scale.dram_fraction", fraction),))
-        for fraction in fractions
-    )
-    outcomes = run_specs(specs, jobs=jobs)
-    baseline, sweep = outcomes[0], outcomes[1:]
-    for fraction, outcome in zip(fractions, sweep):
-        result.add_row(
-            fraction,
-            outcome.throughput_jobs_per_s / baseline.throughput_jobs_per_s,
-            outcome.miss_ratio,
-        )
-    return result
+DRAM_FRACTION_SWEEP = Figure(
+    experiment="sensitivity-dram-fraction",
+    title="Sensitivity: AstriFlash throughput vs DRAM fraction (tatp)",
+    columns=("dram_fraction", "throughput_vs_dram_only", "miss_ratio"),
+    notes="The paper's 3% design point sits at the knee.",
+    cells=lambda scale, seed, anchor: {
+        fraction: RunSpec(
+            "astriflash", "tatp", scale, seed=seed,
+            config_overrides=(("scale.dram_fraction", fraction),))
+        for fraction in DRAM_FRACTIONS},
+    rows=lambda scale, results, anchor: [
+        (fraction, results[fraction].throughput_jobs_per_s
+         / anchor.throughput_jobs_per_s, results[fraction].miss_ratio)
+        for fraction in DRAM_FRACTIONS],
+    anchor="tatp",
+)
 
-
-def thread_count_sweep(scale="quick", workload_name: str = "tatp",
-                       seed: int = 42,
-                       thread_counts: Sequence[int] = THREAD_COUNTS,
-                       jobs: Optional[int] = None) -> ExperimentResult:
-    """AstriFlash throughput vs user-level threads per core."""
-    scale = resolve_scale(scale)
-    result = ExperimentResult(
-        experiment="sensitivity-threads",
-        title=(f"Sensitivity: AstriFlash throughput vs threads/core "
-               f"({workload_name})"),
-        columns=["threads_per_core", "throughput_jobs_per_s",
-                 "core_busy_fraction"],
-        notes=("One thread degenerates to Flash-Sync; the knee sits "
-               "where the pool covers the flash stall (M/M/k)."),
-    )
-    specs = [
-        RunSpec("astriflash", workload_name, scale, seed=seed,
-                config_overrides=(
-                    ("ult.pending_queue_limit", max(1, threads)),
-                    ("ult.threads_per_core", threads),
-                ))
-        for threads in thread_counts
-    ]
-    outcomes = run_specs(specs, jobs=jobs)
-    for threads, outcome in zip(thread_counts, outcomes):
-        result.add_row(threads, outcome.throughput_jobs_per_s,
-                       outcome.core_busy_fraction)
-    return result
+THREAD_COUNT_SWEEP = Figure(
+    experiment="sensitivity-threads",
+    title="Sensitivity: AstriFlash throughput vs threads/core (tatp)",
+    columns=("threads_per_core", "throughput_jobs_per_s",
+             "core_busy_fraction"),
+    notes=("One thread degenerates to Flash-Sync; the knee sits "
+           "where the pool covers the flash stall (M/M/k)."),
+    cells=lambda scale, seed, anchor: {
+        threads: RunSpec("astriflash", "tatp", scale, seed=seed,
+                         config_overrides=(
+                             ("ult.pending_queue_limit", max(1, threads)),
+                             ("ult.threads_per_core", threads)))
+        for threads in THREAD_COUNTS},
+    rows=lambda scale, results, anchor: [
+        (threads, results[threads].throughput_jobs_per_s,
+         results[threads].core_busy_fraction)
+        for threads in THREAD_COUNTS],
+)

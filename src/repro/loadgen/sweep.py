@@ -6,12 +6,12 @@ latency-vs-load curve and sustained-QPS-under-SLO knee (TailBench
 methodology; the paper's Fig. 10 lens).  Beside the shared sweep
 machine (:mod:`repro.harness.sweep`), loadgen owns:
 
-* **the saturation anchor**: a DRAM-only closed-loop run fixes the
-  relative grid ends, the default SLO (40x its mean service time, the
-  Sec. III-A convention of :func:`repro.harness.fig3.max_load_within_slo`)
+* **the anchor's uses**: the DRAM-only saturation run Fig. 10 and
+  Table II share (:func:`~repro.harness.parallel.saturation`; offered
+  QPS become per-core streams through its neighbour ``arrival_spec``)
+  fixes the relative grid ends, the default SLO (40x its mean service
+  time, :func:`repro.harness.fig3.max_load_within_slo`'s convention)
   and the knee's normalization;
-* **aggregate rates**: :func:`_arrival_spec` alone converts machine
-  QPS to the runner's per-core arrival streams;
 * **censoring**: a cell whose unfinished-job backlog exceeds
   ``backlog_threshold`` had its tail censored by the window, so its
   p99 is withheld (the right-censoring lower bound stands in) and it
@@ -28,9 +28,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.faults.chaos import fault_overrides
-from repro.harness import parallel
 from repro.harness.common import resolve_scale
-from repro.harness.parallel import RunSpec, run_specs
+from repro.harness.parallel import (
+    ARRIVAL_KINDS, RunSpec, arrival_spec, run_specs, saturation,
+)
 from repro.harness.sweep import (
     Column, Gate, Sweep, SweepResult, default_workload,
     experiment_presets, run_sweep,
@@ -52,18 +53,6 @@ DEFAULT_BACKLOG_THRESHOLD = 0.05
 
 #: Fallback presets when the experiment module exposes no ``CONFIGS``.
 DEFAULT_PRESETS: Tuple[str, ...] = ("dram-only", "astriflash")
-
-# Bursty/diurnal arrival shapes (see _arrival_spec).  The MMPP cycle
-# sits well inside the quick measurement window so every run sees
-# multiple burst episodes; the diurnal period matches half the quick
-# window for one full peak-trough swing.
-MMPP_BURST_RATIO = 4.0        # burst-state rate / normal-state rate
-MMPP_BURST_FRACTION = 0.1     # stationary fraction of time in burst
-MMPP_CYCLE_NS = 400.0 * US    # mean dwell cycle (normal + burst)
-DIURNAL_PERIOD_NS = 1_000.0 * US
-DIURNAL_AMPLITUDE = 0.5
-
-ARRIVAL_KINDS = ("poisson", "mmpp", "diurnal")
 
 #: Knee statuses: how the sustained QPS relates to the searched range.
 BELOW_RANGE = "below_range"    # even the lowest load violates the SLO
@@ -117,35 +106,6 @@ def parse_qps_sweep(text: str) -> Callable[[float], Tuple[float, ...]]:
         return tuple(first + i * step for i in range(points))
 
     return resolve
-
-
-def _arrival_spec(kind: str, qps: float, num_cores: int,
-                  seed: int) -> Tuple:
-    """Picklable arrival spec offering an *aggregate* load of ``qps``:
-    each core runs its own stream, ``num_cores / qps`` seconds apart on
-    average, and the modulated shapes pass ``streams=num_cores`` so
-    their shared dwell/period clocks track machine time."""
-    per_core_mean_ns = num_cores / qps * 1e9
-    if kind == "poisson":
-        return parallel.poisson(per_core_mean_ns, seed=seed + 1)
-    if kind == "mmpp":
-        # Pick the normal-state gap so the *stationary* rate matches
-        # the requested load: rate = (f0 + f1*ratio) / normal_gap.
-        burst_dwell_ns = MMPP_CYCLE_NS * MMPP_BURST_FRACTION
-        mean_dwell_ns = MMPP_CYCLE_NS - burst_dwell_ns
-        normal_gap_ns = per_core_mean_ns * (
-            (1.0 - MMPP_BURST_FRACTION)
-            + MMPP_BURST_FRACTION * MMPP_BURST_RATIO
-        )
-        return parallel.mmpp(
-            normal_gap_ns, normal_gap_ns / MMPP_BURST_RATIO,
-            mean_dwell_ns, burst_dwell_ns, seed=seed + 1,
-            streams=num_cores,
-        )
-    return parallel.diurnal(
-        per_core_mean_ns, DIURNAL_PERIOD_NS, DIURNAL_AMPLITUDE,
-        seed=seed + 1, streams=num_cores,
-    )
 
 
 def _read(result, slo_ns: float, backlog_threshold: float) -> dict:
@@ -352,11 +312,10 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
     presets = experiment_presets(experiment, DEFAULT_PRESETS)
     workload = workload or default_workload(scale)
 
-    (saturation,) = run_specs(
-        [RunSpec("dram-only", workload, scale, seed=seed)], jobs=jobs)
-    saturation_qps = saturation.throughput_jobs_per_s
+    (anchor,) = run_specs([saturation(workload, scale, seed)], jobs=jobs)
+    saturation_qps = anchor.throughput_jobs_per_s
     slo_ns = (slo_us * US if slo_us is not None
-              else DEFAULT_SLO_SERVICE_FACTOR * saturation.service_mean_ns)
+              else DEFAULT_SLO_SERVICE_FACTOR * anchor.service_mean_ns)
     qps_points = qps_grid(saturation_qps)
 
     def spec(preset: str, point) -> RunSpec:
@@ -365,8 +324,8 @@ def run_loadgen(experiment: str = "fig10", scale="quick",
         # stays the bit-identical clean baseline.
         return RunSpec(
             preset, workload, scale, seed=seed,
-            arrivals=_arrival_spec(arrival, point["offered_qps"],
-                                   scale.num_cores, seed),
+            arrivals=arrival_spec(arrival, point["offered_qps"],
+                                  scale.num_cores, seed),
             config_overrides=(fault_overrides(rber, fault_seed)
                               if rber > 0.0 and preset != "dram-only"
                               else ()),

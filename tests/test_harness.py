@@ -181,8 +181,7 @@ class TestSimulationExperiments:
         assert values["astriflash-nodp"] > 1.2
 
     def test_fig10_shape(self):
-        result = run_experiment("fig10", scale="quick",
-                                load_points=(0.3, 0.9))
+        result = run_experiment("fig10", scale="quick")
         rows = {row[0]: row for row in result.rows}
         # AstriFlash p99 exceeds DRAM-only at low load (flash tail).
         assert rows[0.3][4] > rows[0.3][2]

@@ -1,12 +1,14 @@
 """Tests for the process-parallel harness and its stored results."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import snapshot
 from repro.core.runner import wall_split_totals
 from repro.errors import ConfigurationError
-from repro.harness import parallel
-from repro.harness.common import HarnessScale
+from repro.harness import fig9, fig10, parallel, table2
+from repro.harness.common import QUICK, HarnessScale
 from repro.harness.parallel import (
     ParallelRunError,
     RunSpec,
@@ -71,6 +73,16 @@ class TestSpecs:
                                match=f"config override '{path}': "
                                      "no such field"):
                 derive(make_config("astriflash"), ((path, 1),))
+
+    def test_label_names_only_what_is_set(self):
+        assert RunSpec("dram-only", "tatp", "quick").label() == \
+            "dram-only/tatp@quick"
+        spec = tiny_spec(arrivals=poisson(5000.0, seed=8),
+                         workload_overrides=(("zipf_s", 1.5),),
+                         config_overrides=(("num_cores", 2),))
+        assert spec.label() == ("astriflash/arrayswap@tiny seed=7 "
+                                "poisson gap=5000ns zipf_s=1.5 "
+                                "num_cores=2")
 
     def test_unknown_arrival_spec_raises(self):
         from repro.errors import ReproError
@@ -269,6 +281,13 @@ class TestFailurePaths:
         assert [cell["failed"] for cell in serial] == \
             [False, False, True, False]
 
+    def test_error_tells_the_failed_spec_apart_from_its_batch(self):
+        specs = failing_batch()
+        assert len({spec.label() for spec in specs}) == len(specs)
+        with pytest.raises(ParallelRunError,
+                           match="flash.pages_per_block=0"):
+            run_specs(specs, jobs=1, cache=False)
+
     def test_pool_unavailable_falls_back_in_process(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_in_pool",
                             lambda *args, **kwargs: None)
@@ -309,6 +328,52 @@ class TestExperimentWiring:
         from repro.harness.report import generate
         cheap = {name: EXPERIMENTS[name] for name in ("table1", "fig3")}
         out = tmp_path / "report.txt"
-        results = generate(cheap, scale="quick", jobs=2, out=str(out))
+        results, _, _ = generate(cheap, scale="quick", jobs=2,
+                                 out=str(out))
         assert len(results) == 2
         assert "Table I" in out.read_text()
+
+
+class TestRunFigures:
+    """Declared figures list their cells before anything simulates,
+    and a verb's figures run each distinct spec once."""
+
+    def test_run_all_simulates_each_distinct_run_once(self, monkeypatch):
+        import repro.harness as harness
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        calls = count_calls(monkeypatch)
+        batches = []
+        real = harness.run_specs
+
+        def counted(specs, **kwargs):
+            batches.append(list(specs))
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(harness, "run_specs", counted)
+        harness.run_experiments(harness.EXPERIMENTS, scale="quick", jobs=1)
+        anchor = RunSpec("dram-only", "tatp", QUICK)
+        assert len(calls) == 33
+        assert calls.count(anchor) == 1
+        assert [len(batch) for batch in batches] == [1, 32]
+        assert batches[0] == [anchor]
+
+    def test_fig9_cells_are_listed_before_any_run(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cells = fig9.FIGURE.cells(QUICK, 42, None)
+        assert len(cells) == 15
+        assert calls == []
+
+    def test_open_loop_cells_carry_the_anchored_arrivals(self):
+        rate = 123_456.0
+        anchor = SimpleNamespace(throughput_jobs_per_s=rate)
+
+        def arrivals(load):
+            return poisson(QUICK.num_cores / (load * rate) * 1e9, seed=43)
+
+        cells = fig10.FIGURE.cells(QUICK, 42, anchor)
+        assert len(cells) == len(fig10.LOAD_POINTS) * len(fig10.CONFIGS)
+        for (load, _), spec in cells.items():
+            assert spec.arrivals == arrivals(load)
+        for spec in table2.FIGURE.cells(QUICK, 42, anchor).values():
+            assert spec.arrivals == arrivals(0.4)
