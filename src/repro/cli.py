@@ -10,17 +10,12 @@ Commands:
 * ``chaos <experiment>``          — fault-injection degradation curves
 * ``writes [exp]``                — admission-policy WA/lifetime sweeps
 * ``loadgen <experiment>``        — QPS sweeps and SLO knee curves
-* ``cache clean``                 — wipe or LRU-prune the stored results
 * ``simulate``                    — one ad-hoc simulation run
 * ``workloads`` / ``configs``     — list registries
 * ``history``                     — list/filter the run ledger
 * ``diff <A> <B>``                — per-metric deltas between two runs
 * ``regress --baseline FILE``     — pass/fail gate for CI
 * ``dashboard``                   — static HTML observatory page
-
-Sweep commands accept ``--snapshot-dir PATH`` to move the directory
-of stored results (default ``.repro_cache``); the flag sets the
-``REPRO_CACHE_DIR`` environment the harness reads.
 
 Every measuring verb (``report``, ``profile``, ``chaos``, ``writes``,
 ``loadgen``, ``simulate``) appends a
@@ -78,25 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_help = ("worker processes for independent simulations "
                  "(default: $REPRO_JOBS or 1 = in-process)")
 
-    def add_snapshot_flags(sub) -> None:
-        sub.add_argument("--snapshot-dir", default=None, metavar="PATH",
-                         help="directory holding stored results "
-                              "(default: $REPRO_CACHE_DIR or "
-                              ".repro_cache)")
-
     run_parser = commands.add_parser("run", help="regenerate one artifact")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_parser.add_argument("--scale", default="quick",
                             choices=("quick", "full"))
     run_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    add_snapshot_flags(run_parser)
 
     all_parser = commands.add_parser("run-all",
                                      help="regenerate every artifact")
     all_parser.add_argument("--scale", default="quick",
                             choices=("quick", "full"))
     all_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    add_snapshot_flags(all_parser)
 
     report_parser = commands.add_parser(
         "report", help="regenerate everything into a report file "
@@ -114,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="also run the write-path sweep and "
                                     "append the WA/lifetime panel "
                                     "(admission policies x write ratio)")
-    add_snapshot_flags(report_parser)
 
     trace_parser = commands.add_parser(
         "trace-run", help="regenerate one artifact with request-lifecycle "
@@ -170,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             sub.add_argument("--json", dest="json_out", default=None,
                              metavar="PATH", help=json_help)
-        add_snapshot_flags(sub)
         return sub
 
     chaos_parser = add_sweep_verb(
@@ -248,23 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--fault-seed", type=int, default=0xF1A5,
                          help="fault-plan RNG seed (fixed seed => "
                               "identical curves)")
-
-    cache_parser = commands.add_parser(
-        "cache", help="manage the stored-results directory")
-    cache_commands = cache_parser.add_subparsers(dest="cache_command",
-                                                 required=True)
-    clean_parser = cache_commands.add_parser(
-        "clean", help="delete stored results (all of them, or "
-                      "LRU-prune to a byte cap)")
-    clean_parser.add_argument("--max-bytes", type=int, default=None,
-                              metavar="N",
-                              help="keep the most recently used entries "
-                                   "up to N bytes instead of deleting "
-                                   "everything")
-    clean_parser.add_argument("--dir", dest="cache_dir", default=None,
-                              metavar="PATH",
-                              help="stored-results directory (default: "
-                                   "$REPRO_CACHE_DIR or .repro_cache)")
 
     sim_parser = commands.add_parser("simulate", help="one ad-hoc run")
     sim_parser.add_argument("--config", default="astriflash",
@@ -359,19 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dash_parser.add_argument("--ledger", default=None, metavar="PATH",
                              help=ledger_help)
     return parser
-
-
-def _apply_run_flags(args: argparse.Namespace) -> None:
-    """Check --jobs (or ``REPRO_JOBS``) and ``REPRO_CACHE_MAX_BYTES``
-    before any work, and translate --snapshot-dir into the environment
-    the harness (and its worker processes) reads."""
-    if hasattr(args, "jobs"):
-        from repro.snapshot import cache_max_bytes
-
-        resolve_jobs(args.jobs)
-        cache_max_bytes()
-    if getattr(args, "snapshot_dir", None):
-        os.environ["REPRO_CACHE_DIR"] = args.snapshot_dir
 
 
 def _append_ledger(record) -> None:
@@ -551,35 +506,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = {"chaos": chaos.run_chaos, "writes": writes.run_writes,
            "loadgen": loadgen.run_loadgen}[args.command]
     result = run(**{key: value for key, value in vars(args).items()
-                    if key not in ("command", "json_out", "snapshot_dir")})
+                    if key not in ("command", "json_out")})
     _emit(result, args.json_out)
     gate = result.sweep.gate
     if gate.failure and not result.ok:
         print(f"{args.command}: {gate.failure}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_cache_clean(max_bytes: Optional[int],
-                    cache_dir: Optional[str]) -> int:
-    from pathlib import Path
-
-    from repro.snapshot import clear_cache, default_snapshot_dir, prune_cache
-
-    if max_bytes is not None and max_bytes < 0:
-        raise ReproError(f"--max-bytes must be >= 0, got {max_bytes}")
-    directory = Path(cache_dir) if cache_dir else default_snapshot_dir()
-    if not directory.is_dir():
-        print(f"cache: {directory} does not exist; nothing to clean")
-        return 0
-    if max_bytes is None:
-        files, freed = clear_cache(directory)
-        print(f"cache: removed {files} files ({freed:,} bytes) "
-              f"from {directory}")
-    else:
-        files, freed = prune_cache(directory, max_bytes=max_bytes)
-        print(f"cache: pruned {files} LRU files ({freed:,} bytes) from "
-              f"{directory}; capped at {max_bytes:,} bytes")
     return 0
 
 
@@ -651,20 +583,31 @@ def cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold(value: Optional[float]) -> float:
+    """``--threshold`` of ``diff`` and ``regress``, or the default; a
+    value that is not finite and >= 0 (NaN included) is an error."""
+    from repro.metrics import DEFAULT_THRESHOLD
+
+    if value is None:
+        return DEFAULT_THRESHOLD
+    if not 0.0 <= value < math.inf:
+        raise ReproError(f"--threshold must be finite and >= 0, "
+                         f"got {value:g}")
+    return value
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.metrics import (
-        DEFAULT_THRESHOLD,
         diff_records,
         ledger_path,
         read_ledger,
         select_record,
     )
 
+    threshold = _threshold(args.threshold)
     ledger = read_ledger(ledger_path(args.ledger))
     baseline = select_record(ledger, args.baseline)
     current = select_record(ledger, args.current)
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
     report = diff_records(baseline, current, threshold=threshold)
     if args.json_out:
         print(json_dumps(report.to_json_dict()))
@@ -674,10 +617,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    from repro.metrics import DEFAULT_THRESHOLD, ledger_path, run_regress
+    from repro.metrics import ledger_path, run_regress
 
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
+    threshold = _threshold(args.threshold)
     report = run_regress(
         args.baseline, current_path=args.current,
         ledger=ledger_path(args.ledger), threshold=threshold,
@@ -727,7 +669,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_workloads()
     if args.command == "configs":
         return cmd_configs()
-    _apply_run_flags(args)
+    if hasattr(args, "jobs"):
+        resolve_jobs(args.jobs)  # a bad --jobs or REPRO_JOBS fails first
     if args.command == "run":
         return cmd_run(args.experiment, args.scale, args.jobs)
     if args.command == "run-all":
@@ -737,8 +680,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                           args.writes)
     if args.command in ("chaos", "writes", "loadgen"):
         return cmd_sweep(args)
-    if args.command == "cache":
-        return cmd_cache_clean(args.max_bytes, args.cache_dir)
     if args.command == "trace-run":
         return cmd_trace_run(args)
     if args.command == "profile":

@@ -14,6 +14,7 @@ such as ``("scale.dram_fraction", 0.05)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Any, Dict, Iterable, List, Tuple, TypeVar
@@ -441,10 +442,10 @@ class SimulationScale:
         if not 0.0 < self.dram_fraction <= 1.0:
             raise ConfigurationError("dram_fraction out of range")
         # Written so that NaN fails them too.
-        if not self.warmup_ns >= 0.0:
-            raise ConfigurationError("warmup_ns must be >= 0")
-        if not self.measurement_ns > 0.0:
-            raise ConfigurationError("measurement_ns must be > 0")
+        if not 0.0 <= self.warmup_ns < math.inf:
+            raise ConfigurationError("warmup_ns must be finite and >= 0")
+        if not 0.0 < self.measurement_ns < math.inf:
+            raise ConfigurationError("measurement_ns must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,8 @@ def wall_split_totals() -> Dict[str, float]:
 
 #: SimulationResult fields that depend on the wall clock or warm-state
 #: provenance.  Everything else is deterministic: two runs of the same
-#: spec match on it bit-for-bit (serial or parallel, cached or fresh).
+#: spec match on it bit-for-bit (serial or parallel, restored or fresh
+#: warm state).
 RESULT_WALL_FIELDS = (
     "events_per_second", "wall_seconds", "warm_wall_seconds", "warm_source",
 )
@@ -442,10 +443,7 @@ class Runner:
 
     def _arrival_process(self, core_id: int):
         while True:
-            gap = self.arrivals.next_gap_ns()
-            if gap is None:
-                return  # finite source (trace replay) exhausted
-            yield gap
+            yield self.arrivals.next_gap_ns()
             job = self.workload.make_job()
             job.arrived_at = self.machine.engine.now
             self._queues[core_id].append(job)

@@ -15,8 +15,6 @@ granularity), then averaging miss ratios across workloads.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 from collections import OrderedDict
 from typing import List, Optional, Sequence
 
@@ -78,21 +76,8 @@ def workload_trace(workload_name: str, scale: HarnessScale,
 
 def run(scale="quick", steps_per_workload: int = 60_000,
         seed: int = 42, jobs: Optional[int] = None) -> ExperimentResult:
-    """Regenerate Figure 1's two series.
-
-    The whole result is stored under its inputs (scale, seed, steps),
-    so a repeated run is one stored-result read.
-    """
-    from repro import snapshot as snap
-
+    """Regenerate Figure 1's two series."""
     scale = resolve_scale(scale)
-    store = snap.SnapshotStore()
-    key = hashlib.sha256(repr((
-        "fig1", tuple(sorted(dataclasses.asdict(scale).items())), seed,
-        steps_per_workload)).encode()).hexdigest()
-    stored = store.load(key)
-    if stored is not None:
-        return stored
     result = ExperimentResult(
         experiment="fig1",
         title=("Fig. 1: miss ratio and required flash bandwidth "
@@ -119,5 +104,4 @@ def run(scale="quick", steps_per_workload: int = 60_000,
         mean_miss = sum(ratios) / len(ratios)
         bandwidth = flash_bandwidth_total_gbps(mean_miss, PAPER_CORE_COUNT)
         result.add_row(fraction * 100.0, mean_miss, bandwidth)
-    store.store(key, result)
     return result

@@ -1,4 +1,4 @@
-"""Process-parallel experiment fan-out with stored results.
+"""Process-parallel experiment fan-out.
 
 Every paper artifact is a batch of *independent* ``(config, workload,
 arrivals, overrides)`` simulations, so regenerating figures is
@@ -9,17 +9,12 @@ figure/table modules build on:
   Executing a spec (:func:`execute_spec`) is the one-run path, so
   results are bit-identical regardless of the number of worker
   processes.
-* :func:`run_specs` — execute a batch, returning results in spec
+* :func:`run_specs` — simulate a batch, returning results in spec
   order; when specs raised, one :class:`ParallelRunError` carries
-  every failure.  Each finished
-  :class:`~repro.core.runner.SimulationResult` is stored by
-  :class:`repro.snapshot.SnapshotStore` under :func:`spec_key`
-  (``REPRO_CACHE_DIR``, default ``.repro_cache``; disable with
-  ``REPRO_CACHE=0``).  The store's header check (format version + a
-  digest of the ``repro`` sources) means *any* simulator change
-  invalidates stale results.
-* :func:`map_tasks` — an uncached generic fan-out for harness stages
-  that are not full-system runs (Fig. 1's per-workload page traces).
+  every failure.  Every result is simulated: nothing is read from or
+  written to disk.
+* :func:`map_tasks` — a generic fan-out for harness stages that are
+  not full-system runs (Fig. 1's per-workload page traces).
 * :func:`saturation` and :func:`arrival_spec` — the DRAM-only anchor run
   and the aggregate-load-to-per-core-streams step Fig. 10, Table II and
   ``repro loadgen`` share.
@@ -31,10 +26,7 @@ call run once, so a batch fails the same way at every job count.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -106,10 +98,7 @@ class RunSpec:
         if self.seed != 42:
             parts.append(f"seed={self.seed}")
         if self.arrivals is not None:
-            gap = self.arrivals[1]
-            if isinstance(gap, tuple):  # a trace's recorded gaps
-                gap = sum(gap) / max(len(gap), 1)
-            parts.append(f"{self.arrivals[0]} gap={gap:g}ns")
+            parts.append(f"{self.arrivals[0]} gap={self.arrivals[1]:g}ns")
         parts.extend(f"{path}={value}" for path, value
                      in self.workload_overrides + self.config_overrides)
         return " ".join(parts)
@@ -141,11 +130,6 @@ def diurnal(mean_interarrival_ns: float, period_ns: float,
     """Arrival spec for sinusoidally rate-modulated arrivals."""
     return ("diurnal", float(mean_interarrival_ns), float(period_ns),
             float(amplitude), int(seed), int(streams))
-
-
-def trace(gaps_ns, cycle: bool = False) -> Tuple:
-    """Arrival spec replaying recorded inter-arrival gaps."""
-    return ("trace", tuple(float(gap) for gap in gaps_ns), bool(cycle))
 
 
 # Bursty/diurnal arrival shapes (see arrival_spec).  The MMPP cycle
@@ -198,7 +182,7 @@ def saturation(workload: str, scale, seed: int = 42) -> RunSpec:
 
 def _spec_parts(spec: RunSpec):
     """Resolve a spec into its (config, workload kwargs, scale) parts —
-    shared by execution and snapshot-key computation."""
+    shared by execution and warm-key computation."""
     scale = resolve_scale(spec.scale)
     config = build_config(spec.config_name, scale, spec.config_overrides)
     kwargs = scale.workload_kwargs()
@@ -251,7 +235,7 @@ def execute_spec(spec: RunSpec):
     return _prepare_runner(spec).run()
 
 
-# ---------------------------------------------------------- stored results --
+# ---------------------------------------------------------------- job count --
 
 
 def default_jobs() -> int:
@@ -275,22 +259,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
     return int(jobs)
-
-
-def spec_key(spec: RunSpec) -> str:
-    """Content hash naming the stored result for ``spec``."""
-    scale = resolve_scale(spec.scale)
-    canonical = (
-        spec.config_name,
-        spec.workload_name,
-        tuple(sorted(dataclasses.asdict(scale).items(),
-                     key=lambda item: item[0])),
-        spec.seed,
-        spec.arrivals,
-        spec.workload_overrides,
-        spec.config_overrides,
-    )
-    return hashlib.sha256(repr(canonical).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------- fan-out --
@@ -357,17 +325,11 @@ def _fan_out(func: Callable, items: Sequence, jobs: int) -> List:
             else outcome for item, outcome in zip(items, outcomes)]
 
 
-def _log(message: str) -> None:
-    if os.environ.get("REPRO_QUIET", "0") != "1":
-        print(f"[repro.parallel] {message}", file=sys.stderr)
-
-
-def _prewarm_groups(specs: Sequence[RunSpec],
-                    pending: Sequence[int]) -> None:
+def _prewarm_groups(specs: Sequence[RunSpec]) -> None:
     """Warm each warm-key group once in the parent before fanning out,
     so workers restore instead of re-warming.
 
-    Only groups of two or more pending specs whose key is not already
+    Only groups of two or more specs whose key is not already
     captured are warmed here — singletons capture inside their own
     worker at no extra cost.  Forked workers inherit the resulting
     warm payloads and datasets; spawned workers warm for themselves.
@@ -377,10 +339,10 @@ def _prewarm_groups(specs: Sequence[RunSpec],
     from repro import snapshot as snap
 
     groups: Dict[str, List[RunSpec]] = {}
-    for index in pending:
-        key = _call(_spec_warm_key, specs[index])
+    for spec in specs:
+        key = _call(_spec_warm_key, spec)
         if isinstance(key, str):
-            groups.setdefault(key, []).append(specs[index])
+            groups.setdefault(key, []).append(spec)
     for key, members in groups.items():
         if len(members) > 1 and not snap.warm_captured(key):
             # Builds, warms, and captures; the runner is discarded.
@@ -388,63 +350,41 @@ def _prewarm_groups(specs: Sequence[RunSpec],
 
 
 def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
-              cache: Optional[bool] = None,
-              snapshots: bool = True,
+              cache: bool = False, snapshots: bool = True,
               snapshot_dir: Optional[Union[str, Path]] = None) -> List:
-    """Execute a batch of run specs, results in spec order.
+    """Simulate a batch of run specs, results in spec order.
 
-    The batch's store policy is set here, once; the experiment and
-    verb drivers leave it to the environment the CLI flags set.
-    ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Stored
-    results are read from and written to ``snapshot_dir`` (default
-    ``REPRO_CACHE_DIR``) when ``cache`` is enabled (default, unless
-    ``REPRO_CACHE=0``).  Runs share the process's datasets and warm
-    payloads, and with ``jobs > 1`` each group of pending specs that
-    shares a warm key is warmed once in the parent before the pool
-    fans out; ``snapshots`` must be true (``bench/sweep.py`` still
-    passes it).  Every finished result is stored before a
-    :class:`ParallelRunError` reports the specs that raised.
+    ``jobs`` defaults to ``REPRO_JOBS`` (1 = in-process).  Runs share
+    the process's datasets and warm payloads, and with ``jobs > 1``
+    each group of specs that shares a warm key is warmed once in the
+    parent before the pool fans out.  ``cache``, ``snapshots`` and
+    ``snapshot_dir`` remain only for ``bench/sweep.py``, which passes
+    ``cache=False``, ``snapshots=True`` and a directory this never
+    touches; any other ``cache`` or ``snapshots`` value raises.  Every
+    spec runs before a :class:`ParallelRunError` reports the ones that
+    raised.
     """
-    from repro import snapshot as snap
-
-    if not snapshots:
-        raise ReproError("run_specs always shares datasets and warm "
-                         "payloads; snapshots=False is not supported")
+    if cache or not snapshots:
+        raise ReproError("run_specs always simulates and always shares "
+                         "datasets and warm payloads; cache=True and "
+                         "snapshots=False are not supported")
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    store = snap.SnapshotStore(snapshot_dir, enabled=cache)
-
-    results: List = [None] * len(specs)
-    keys: List[Optional[str]] = [None] * len(specs)
-    if store.enabled:
-        keys = [spec_key(spec) for spec in specs]
-        results = [store.load(key) for key in keys]
-    pending = [index for index, result in enumerate(results)
-               if result is None]
-    hits = len(specs) - len(pending)
-
-    if jobs > 1 and len(pending) > 1:
-        _prewarm_groups(specs, pending)
-    outcomes = _fan_out(execute_spec, [specs[i] for i in pending], jobs)
-    failures = []
-    for index, outcome in zip(pending, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((specs[index], outcome))
-        else:
-            results[index] = outcome
-            store.store(keys[index], outcome)
-
-    if hits or jobs > 1:
-        _log(f"{len(specs)} runs: {hits} cache hits, "
-             f"{len(pending)} executed (jobs={jobs})")
+    if jobs > 1 and len(specs) > 1:
+        _prewarm_groups(specs)
+    results = _fan_out(execute_spec, specs, jobs)
+    failures = [(spec, outcome) for spec, outcome in zip(specs, results)
+                if isinstance(outcome, Exception)]
     if failures:
-        raise ParallelRunError(failures, results)
+        raise ParallelRunError(failures, [
+            None if isinstance(outcome, Exception) else outcome
+            for outcome in results])
     return results
 
 
 def map_tasks(func: Callable, kwargs_list: Sequence[Mapping[str, Any]],
               jobs: Optional[int] = None) -> List:
-    """Generic uncached fan-out: ``[func(**kw) for kw in kwargs_list]``
+    """Generic fan-out: ``[func(**kw) for kw in kwargs_list]``
     across worker processes, in order, through the same fan-out as
     :func:`run_specs`; the first task that raised raises
     :class:`ReproError`.

@@ -144,46 +144,39 @@ def generate(experiments: Mapping[str, Callable[..., ExperimentResult]],
     :func:`repro.harness.run_experiments` into the report file ``out``.
     Returns ``(results, wall_seconds, events_per_second)``: the one
     measurement of the run, which the footer prints and ``repro
-    report``'s ledger record carries.  Repeated invocations reuse stored
-    results, so a report after a figure costs only the runs not stored.
+    report``'s ledger record carries.
     """
-    from repro import snapshot
     from repro.core.runner import wall_split_totals
 
     events_before = total_events_executed()
     split_before = wall_split_totals()
-    snap_before = snapshot.summary()
     wall_start = time.perf_counter()
     results = run_experiments(experiments, scale=scale, jobs=jobs)
     wall_seconds = time.perf_counter() - wall_start
     events = total_events_executed() - events_before
     per_second = events / wall_seconds if events and wall_seconds > 0 else 0.0
     # Kernel throughput footer: in-process events only, so worker
-    # processes (jobs > 1) and cache hits leave it at zero — it is
-    # telemetry for the simulator, not a result.
+    # processes (jobs > 1) leave it at zero — it is telemetry for the
+    # simulator, not a result.
     lines = []
     if per_second:
         lines.append(
             f"kernel: {events:,} events in {wall_seconds:.1f} s "
             f"({per_second:,.0f} events/s in-process)")
-    lines.append(_warmup_footer(split_before, snap_before))
+    lines.append(_warmup_footer(split_before))
     write_report(results, out, header=header,
                  footer="\n".join(line for line in lines if line))
     return results, wall_seconds, per_second
 
 
-def _warmup_footer(split_before: Dict[str, float],
-                   snap_before: Dict[str, float]) -> str:
-    """Warmup-vs-measurement wall split, restored and fresh warm counts
-    and reused results accumulated in this process since ``generate``
-    started.
+def _warmup_footer(split_before: Dict[str, float]) -> str:
+    """Warmup-vs-measurement wall split and restored and fresh warm
+    counts accumulated in this process since ``generate`` started.
 
     Like the kernel line, this covers in-process runs only: with
     ``jobs > 1`` the workers' warm/measure seconds and warms land in
-    the workers, but the pre-warm pass's warms and the store counters
-    (stale rejections, reused results) still show up here.
+    the workers, but the pre-warm pass's warms still show up here.
     """
-    from repro import snapshot
     from repro.core.runner import wall_split_totals
 
     split = wall_split_totals()
@@ -191,16 +184,8 @@ def _warmup_footer(split_before: Dict[str, float],
     measure = split["measure_seconds"] - split_before["measure_seconds"]
     restored = int(split["restored_warms"] - split_before["restored_warms"])
     fresh = int(split["fresh_warms"] - split_before["fresh_warms"])
-    snap = snapshot.summary()
-
-    def delta(key: str) -> int:
-        return int(snap.get(key, 0.0) - snap_before.get(key, 0.0))
-
-    stale = delta("stale_rejected")
-    reused = delta("results_reused")
-    if not (warm or measure or restored or fresh or stale or reused):
+    if not (warm or measure or restored or fresh):
         return ""
     return (f"warmup: {warm:.2f} s vs measurement {measure:.2f} s "
             f"in-process; warm state: {restored} restored, "
-            f"{fresh} freshly warmed; {reused} results reused, "
-            f"{stale} stale rejected")
+            f"{fresh} freshly warmed")

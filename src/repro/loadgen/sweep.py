@@ -78,8 +78,9 @@ def parse_qps_sweep(text: str) -> Callable[[float], Tuple[float, ...]]:
             value = float(token)
         except ValueError:
             raise ReproError(f"bad qps sweep endpoint {token!r}") from None
-        if value <= 0:
-            raise ReproError(f"qps sweep endpoint {value} must be positive")
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ReproError(f"qps sweep endpoint {value} must be finite "
+                             "and positive")
         if relative and value > 2.0:
             raise ReproError(
                 f"relative sweep endpoint {value}x exceeds 2x saturation")

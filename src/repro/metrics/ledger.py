@@ -56,8 +56,8 @@ def ledger_enabled() -> bool:
 
 
 def default_runs_dir() -> Path:
-    """``$REPRO_RUNS_DIR`` or ``.repro_runs`` in the working directory
-    (mirrors the ``.repro_cache`` convention in the parallel harness)."""
+    """``$REPRO_RUNS_DIR`` or ``.repro_runs`` in the working
+    directory."""
     return Path(os.environ.get(DIR_ENV_VAR, ".repro_runs"))
 
 

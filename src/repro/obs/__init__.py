@@ -13,13 +13,11 @@ The subsystem has four parts (DESIGN.md §4d):
 
 :func:`trace_experiment` is the one-call session helper behind
 ``python -m repro trace-run``: enable a tracer, re-run an experiment
-in-process with the result cache off (cached results would yield an
-empty trace), and return the tracer alongside the experiment result.
+in-process, and return the tracer alongside the experiment result.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from repro.obs.attribution import (
@@ -79,34 +77,27 @@ def trace_experiment(experiment: str, scale: str = "quick",
                      tracer: Optional[Tracer] = None) -> Tuple[Tracer, object]:
     """Run one harness experiment with tracing enabled.
 
-    Forces in-process execution with the result cache off: tracing
-    happens inside the simulating process, so cache hits or pool
-    workers would leave the tracer empty.  Returns ``(tracer, result)``
-    where ``result`` is the experiment's
+    Forces in-process execution: tracing happens inside the simulating
+    process, so pool workers would leave the tracer empty.  Returns
+    ``(tracer, result)`` where ``result`` is the experiment's
     :class:`~repro.harness.common.ExperimentResult`.
     """
     from repro.harness import run_experiment
 
     if tracer is None:
         tracer = Tracer()
-    saved_cache = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "0"
     enable(tracer)
     try:
         result = run_experiment(experiment, scale=scale, jobs=1)
     finally:
         disable()
-        if saved_cache is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = saved_cache
     return tracer, result
 
 
 def trace_specs(specs, tracer: Optional[Tracer] = None) -> Tuple[Tracer, list]:
     """Execute :class:`~repro.harness.parallel.RunSpec`s under tracing.
 
-    Uncached, in-process, in order — the traced analogue of
+    In-process, in order — the traced analogue of
     ``run_specs`` used by ``repro report --telemetry``.
     """
     from repro.harness.parallel import execute_spec

@@ -5,10 +5,10 @@ guesswork; this module packages that measurement loop so regressions
 are one command away:
 
 * :func:`profile_experiment` regenerates one paper artifact under
-  :mod:`cProfile` — result cache disabled, in-process (``jobs=1``) so
-  every simulated event is actually executed and attributed — and
-  distils the run into a :class:`ProfileReport`: wall time, kernel
-  events/sec, and the top-N hotspots by internal time.
+  :mod:`cProfile` — in-process (``jobs=1``) so every simulated event
+  is attributed — and distils the run into a :class:`ProfileReport`:
+  wall time, kernel events/sec, and the top-N hotspots by internal
+  time.
 * :meth:`ProfileReport.record` packs it into a
   :class:`~repro.metrics.RunRecord` — what ``--json`` writes and the
   run ledger appends.
@@ -131,12 +131,10 @@ def profile_experiment(experiment: str, scale: str = "quick",
                        ) -> ProfileReport:
     """Regenerate ``experiment`` under cProfile and report hotspots.
 
-    Stored results are off for the duration (a hit would profile
-    pickle loads, not the simulator) and runs stay in-process
-    (``jobs=1``) so the profiler sees every event.  The process's
-    datasets and warm payloads are dropped first, so each dataset
-    build and each warm key's first warm-up show in the profile, as
-    in a fresh CLI process.
+    Runs stay in-process (``jobs=1``) so the profiler sees every
+    event.  The process's datasets and warm payloads are dropped
+    first, so each dataset build and each warm key's first warm-up
+    show in the profile, as in a fresh CLI process.
 
     Events/sec is computed over the *kernel* wall time: cache-warm
     seconds (``Runner.warm`` / snapshot restores, tracked by the
@@ -159,23 +157,15 @@ def profile_experiment(experiment: str, scale: str = "quick",
         ) from None
 
     profiler = profiler if profiler is not None else cProfile.Profile()
-    saved_cache = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "0"
     snapshot.clear_memo()
     events_before = total_events_executed()
     warm_before = wall_split_totals()["warm_seconds"]
     wall_start = time.perf_counter()
+    profiler.enable()
     try:
-        profiler.enable()
-        try:
-            runner(scale=scale, jobs=1)
-        finally:
-            profiler.disable()
+        runner(scale=scale, jobs=1)
     finally:
-        if saved_cache is None:
-            del os.environ["REPRO_CACHE"]
-        else:
-            os.environ["REPRO_CACHE"] = saved_cache
+        profiler.disable()
     wall_seconds = time.perf_counter() - wall_start
     events = total_events_executed() - events_before
     warm_wall = wall_split_totals()["warm_seconds"] - warm_before

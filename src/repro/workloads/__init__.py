@@ -8,7 +8,6 @@ from repro.workloads.arrival import (
     DiurnalArrivals,
     MMPPArrivals,
     PoissonArrivals,
-    TraceArrivals,
     arrival_from_spec,
 )
 from repro.workloads.base import Job, Step, Workload
@@ -46,7 +45,6 @@ __all__ = [
     "Step",
     "TatpWorkload",
     "TpccWorkload",
-    "TraceArrivals",
     "Workload",
     "ZipfianGenerator",
     "arrival_from_spec",

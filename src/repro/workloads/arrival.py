@@ -1,9 +1,8 @@
 """Request arrival processes (open-loop load generation).
 
 Every process speaks the :class:`ArrivalProcess` protocol: repeated
-``next_gap_ns()`` calls yield successive inter-arrival gaps (``None``
-once a finite source is exhausted) and ``rate_per_second`` reports the
-long-run mean arrival rate.
+``next_gap_ns()`` calls yield successive inter-arrival gaps and
+``rate_per_second`` reports the long-run mean arrival rate.
 
 **Per-core convention.** The runner spawns one arrival stream per core,
 all drawing gaps from a single shared process object, so a process's
@@ -20,7 +19,6 @@ modulated processes keep their time base honest under N consumers.
   state dwell times;
 * :class:`DiurnalArrivals` — sinusoidally rate-modulated Poisson
   (thinning), a scaled-down model of day/night traffic swings;
-* :class:`TraceArrivals` — replay of recorded inter-arrival gaps;
 * :class:`ClosedLoop` — a saturating job source for maximum-throughput
   measurements (Fig. 9 models "a large job queue").  Its nominal rate
   is infinite; JSON emitters must route non-finite values through
@@ -31,18 +29,25 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
 
 
+def _check_positive(what: str, value: float) -> None:
+    """``value`` must be finite and positive (so NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{what} must be finite and positive, "
+                                 f"got {value!r}")
+
+
 class ArrivalProcess(Protocol):
     """What the runner needs from an arrival source."""
 
-    def next_gap_ns(self) -> Optional[float]:
-        """Per-stream time until the next request (None = exhausted)."""
+    def next_gap_ns(self) -> float:
+        """Per-stream time until the next request."""
         ...
 
     @property
@@ -55,8 +60,7 @@ class PoissonArrivals:
     """Exponential inter-arrival times with a given per-core mean."""
 
     def __init__(self, mean_interarrival_ns: float, seed: int = 42) -> None:
-        if mean_interarrival_ns <= 0:
-            raise ConfigurationError("mean inter-arrival must be positive")
+        _check_positive("mean inter-arrival", mean_interarrival_ns)
         self.mean_interarrival_ns = mean_interarrival_ns
         self._rng = random.Random(seed)
 
@@ -106,8 +110,7 @@ class MMPPArrivals:
                             ("burst inter-arrival", burst_interarrival_ns),
                             ("mean dwell", mean_dwell_ns),
                             ("burst dwell", burst_dwell_ns)):
-            if value <= 0:
-                raise ConfigurationError(f"MMPP {name} must be positive")
+            _check_positive(f"MMPP {name}", value)
         if streams < 1:
             raise ConfigurationError("MMPP needs at least one stream")
         self._means = (mean_interarrival_ns, burst_interarrival_ns)
@@ -166,10 +169,8 @@ class DiurnalArrivals:
     def __init__(self, mean_interarrival_ns: float, period_ns: float,
                  amplitude: float = 0.5, seed: int = 42,
                  phase: float = 0.0, streams: int = 1) -> None:
-        if mean_interarrival_ns <= 0:
-            raise ConfigurationError("mean inter-arrival must be positive")
-        if period_ns <= 0:
-            raise ConfigurationError("diurnal period must be positive")
+        _check_positive("mean inter-arrival", mean_interarrival_ns)
+        _check_positive("diurnal period", period_ns)
         if not 0.0 <= amplitude < 1.0:
             raise ConfigurationError("diurnal amplitude must be in [0, 1)")
         if streams < 1:
@@ -208,49 +209,11 @@ class DiurnalArrivals:
         return self._base_rate * 1e9
 
 
-class TraceArrivals:
-    """Replay recorded inter-arrival gaps.
-
-    ``next_gap_ns`` hands the gaps out in order; once the trace is
-    exhausted it returns ``None`` (the arrival stream ends — jobs
-    already queued still drain) unless ``cycle=True``, which wraps
-    around indefinitely.
-    """
-
-    def __init__(self, gaps_ns: Sequence[float], cycle: bool = False) -> None:
-        if not gaps_ns:
-            raise ConfigurationError("arrival trace must not be empty")
-        gaps = [float(gap) for gap in gaps_ns]
-        if any(gap < 0 for gap in gaps):
-            raise ConfigurationError("arrival trace gaps must be >= 0")
-        self._gaps = gaps
-        self._index = 0
-        self.cycle = cycle
-        self.exhausted = False
-
-    def next_gap_ns(self) -> Optional[float]:
-        if self._index >= len(self._gaps):
-            if not self.cycle:
-                self.exhausted = True
-                return None
-            self._index = 0
-        gap = self._gaps[self._index]
-        self._index += 1
-        return gap
-
-    @property
-    def rate_per_second(self) -> float:
-        total = sum(self._gaps)
-        if total <= 0:
-            return float("inf")
-        return len(self._gaps) / total * 1e9
-
-
 def arrival_from_spec(spec: Optional[Tuple]):
     """Build an arrival process from its picklable tuple spec.
 
     Specs are what :class:`repro.harness.parallel.RunSpec` carries (see
-    the ``poisson``/``mmpp``/``diurnal``/``trace`` helpers there);
+    the ``poisson``/``mmpp``/``diurnal`` helpers there);
     ``None`` means closed loop (the runner's default).
     """
     if spec is None:
@@ -268,7 +231,4 @@ def arrival_from_spec(spec: Optional[Tuple]):
         _, mean_ns, period_ns, amplitude, seed, streams = spec
         return DiurnalArrivals(mean_ns, period_ns, amplitude=amplitude,
                                seed=seed, streams=streams)
-    if kind == "trace":
-        _, gaps, cycle = spec
-        return TraceArrivals(gaps, cycle=cycle)
     raise ConfigurationError(f"unknown arrival spec {spec!r}")

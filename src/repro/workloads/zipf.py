@@ -11,6 +11,7 @@ page space instead of clustering in low page numbers / cache sets).
 from __future__ import annotations
 
 import copy
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,8 +28,9 @@ class ZipfianGenerator:
                  permute: bool = True) -> None:
         if n < 1:
             raise ConfigurationError("Zipfian needs at least one item")
-        if s < 0:
-            raise ConfigurationError("Zipfian exponent must be non-negative")
+        if not 0.0 <= s < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"Zipfian exponent must be finite and >= 0, got {s!r}")
         self.n = n
         self.s = s
         self.permute = permute

@@ -9,7 +9,6 @@ from repro.workloads import (
     DiurnalArrivals,
     MMPPArrivals,
     PoissonArrivals,
-    TraceArrivals,
     arrival_from_spec,
 )
 
@@ -118,31 +117,24 @@ class TestDiurnal:
             DiurnalArrivals(1_000.0, 50_000.0, amplitude=1.0)
 
 
-class TestTrace:
-    def test_replays_exact_gaps_then_exhausts(self):
-        process = TraceArrivals([10.0, 20.0, 30.0])
-        assert [process.next_gap_ns() for _ in range(3)] == \
-            [10.0, 20.0, 30.0]
-        assert not process.exhausted
-        assert process.next_gap_ns() is None
-        assert process.exhausted
-        assert process.next_gap_ns() is None  # stays exhausted
-
-    def test_cycle_wraps(self):
-        process = TraceArrivals([5.0, 7.0], cycle=True)
-        assert [process.next_gap_ns() for _ in range(5)] == \
-            [5.0, 7.0, 5.0, 7.0, 5.0]
-        assert not process.exhausted
-
-    def test_rate(self):
-        assert TraceArrivals([500.0, 1_500.0]).rate_per_second == \
-            pytest.approx(1e6)
-
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ConfigurationError):
-            TraceArrivals([])
-        with pytest.raises(ConfigurationError):
-            TraceArrivals([10.0, -1.0])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda bad: PoissonArrivals(bad), id="poisson-mean"),
+    pytest.param(lambda bad: MMPPArrivals(bad, 250.0), id="mmpp-mean"),
+    pytest.param(lambda bad: MMPPArrivals(1_000.0, bad), id="mmpp-burst"),
+    pytest.param(lambda bad: MMPPArrivals(1_000.0, 250.0, mean_dwell_ns=bad),
+                 id="mmpp-dwell"),
+    pytest.param(lambda bad: MMPPArrivals(1_000.0, 250.0,
+                                          burst_dwell_ns=bad),
+                 id="mmpp-burst-dwell"),
+    pytest.param(lambda bad: DiurnalArrivals(bad, 50_000.0),
+                 id="diurnal-mean"),
+    pytest.param(lambda bad: DiurnalArrivals(1_000.0, bad),
+                 id="diurnal-period"),
+])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_rejects_non_finite_means_dwells_and_period(build, bad):
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        build(bad)
 
 
 class TestSpecFactory:
@@ -170,11 +162,6 @@ class TestSpecFactory:
                                  seed=5, streams=2)
         assert [built.next_gap_ns() for _ in range(100)] == \
             [direct.next_gap_ns() for _ in range(100)]
-
-    def test_trace_round_trip(self):
-        built = arrival_from_spec(("trace", (1.0, 2.0), False))
-        assert [built.next_gap_ns() for _ in range(2)] == [1.0, 2.0]
-        assert built.next_gap_ns() is None
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,8 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.metrics import make_record, write_record
+from repro.sim.engine import total_events_executed
 
 
 class TestListingCommands:
@@ -37,6 +39,14 @@ class TestRunCommands:
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["run", "fig42"])
+
+    def test_run_writes_nothing_into_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        # Fig. 1 is simulated on every run: no result file is stored.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fig1"]) == 0
+        assert "Fig. 1" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_accepts_jobs_flag(self, capsys):
         assert main(["run", "fig2", "--jobs", "2"]) == 0
@@ -114,8 +124,6 @@ class TestErrorExit:
                      id="loadgen-jobs-zero"),
         pytest.param(["history", "--last", "-1"],
                      id="history-negative-last"),
-        pytest.param(["cache", "clean", "--max-bytes", "-1"],
-                     id="cache-clean-negative-max-bytes"),
     ], ids=lambda argv: argv[0])
     def test_bad_value_exits_2_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -134,17 +142,49 @@ class TestErrorExit:
         assert len(lines) == 1
         assert lines[0].startswith("repro run: error: REPRO_JOBS ")
 
-    @pytest.mark.parametrize("value", ["abc", "-5"])
-    def test_bad_cache_max_bytes_exits_2_with_one_line(self, value, capsys,
-                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", value)
-        assert main(["run", "fig3"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--measurement-us", "inf"],
+                     id="simulate-measurement-inf"),
+        pytest.param(["simulate", "--interarrival-us", "inf"],
+                     id="simulate-interarrival-inf"),
+        pytest.param(["simulate", "--interarrival-us", "nan"],
+                     id="simulate-interarrival-nan"),
+        pytest.param(["simulate", "--zipf", "nan"], id="simulate-zipf-nan"),
+        pytest.param(["simulate", "--zipf", "inf"], id="simulate-zipf-inf"),
+        pytest.param(["loadgen", "fig10", "--qps-sweep", "nan:0.9x:2",
+                      "--refine-evals", "0"], id="loadgen-qps-sweep-nan"),
+        pytest.param(["loadgen", "fig10", "--qps-sweep", "1e3:inf:2"],
+                     id="loadgen-qps-sweep-inf"),
+    ])
+    def test_non_finite_input_fails_before_simulating(self, argv, capsys):
+        """A non-finite number is refused where it enters, by name,
+        before any event runs."""
+        before = total_events_executed()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(
-            "repro run: error: REPRO_CACHE_MAX_BYTES ")
-        assert captured.out == ""
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert "finite" in lines[0]
+        assert total_events_executed() == before
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("verb", ["diff", "regress"])
+    def test_bad_threshold_exits_2_with_one_line(self, verb, threshold,
+                                                 tmp_path, capsys):
+        """Over a 5x p99 regression, a negative or non-finite threshold
+        is an error, not a verdict."""
+        paths = []
+        for name, p99 in (("base", 100.0), ("slow", 500.0)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            write_record(make_record(
+                "simulate", metrics={"runner/service_p99_ns": p99}),
+                paths[-1])
+        runs = paths if verb == "diff" else \
+            ["--baseline", paths[0], "--current", paths[1]]
+        assert main([verb, *runs, "--threshold", threshold]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"repro {verb}: error: --threshold must be "
+                         f"finite and >= 0, got {float(threshold):g}"]
 
     def test_closed_stdout_exits_141_quietly(self):
         # The reader closes the pipe before the verb writes its
@@ -160,40 +200,6 @@ class TestErrorExit:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == ""
-
-
-class TestSnapshotFlags:
-    def test_snapshot_dir_sets_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR",
-                           os.environ.get("REPRO_CACHE_DIR", ""))
-        target = str(tmp_path / "snaps")
-        assert main(["run", "fig3", "--snapshot-dir", target]) == 0
-        assert os.environ.get("REPRO_CACHE_DIR") == target
-
-
-class TestCacheCommand:
-    def test_cache_clean_missing_dir(self, tmp_path, capsys):
-        missing = tmp_path / "nope"
-        assert main(["cache", "clean", "--dir", str(missing)]) == 0
-        assert "does not exist" in capsys.readouterr().out
-
-    def test_cache_clean_removes_files(self, tmp_path, capsys):
-        (tmp_path / "a.snap").write_bytes(b"x" * 10)
-        (tmp_path / "b.pkl").write_bytes(b"y" * 10)
-        assert main(["cache", "clean", "--dir", str(tmp_path)]) == 0
-        assert "removed 2 files" in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
-
-    def test_cache_clean_max_bytes_prunes_lru(self, tmp_path, capsys):
-        old = tmp_path / "old.snap"
-        old.write_bytes(b"x" * 100)
-        os.utime(old, (1_000_000, 1_000_000))
-        new = tmp_path / "new.snap"
-        new.write_bytes(b"y" * 100)
-        assert main(["cache", "clean", "--dir", str(tmp_path),
-                     "--max-bytes", "100"]) == 0
-        assert "pruned 1" in capsys.readouterr().out
-        assert new.exists() and not old.exists()
 
 
 class TestReportCommand:

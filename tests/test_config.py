@@ -167,7 +167,9 @@ BAD_OVERRIDES = (
     ("scale.measurement_ns", -1.0),
     ("scale.measurement_ns", 0.0),
     ("scale.measurement_ns", math.nan),
+    ("scale.measurement_ns", math.inf),
     ("scale.warmup_ns", -1.0),
+    ("scale.warmup_ns", math.inf),
 )
 
 

@@ -293,14 +293,11 @@ class TestOpenLoopCensoring:
 
 class TestRunLoadgen:
     @pytest.fixture(scope="class")
-    def bench(self, tmp_path_factory):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_CACHE_DIR",
-                         str(tmp_path_factory.mktemp("loadgen_store")))
-            return run_loadgen(
-                "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
-                workload="arrayswap", refine_evals=1,
-            )
+    def bench(self):
+        return run_loadgen(
+            "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
+            workload="arrayswap", refine_evals=1,
+        )
 
     def test_grid_shape(self, bench):
         detail = bench.detail()
@@ -341,9 +338,7 @@ class TestRunLoadgen:
         assert document["detail"]["qps_points"] == \
             bench.detail()["qps_points"]
 
-    def test_rerun_is_bit_identical(self, bench, monkeypatch):
-        # Stored results off, so the rerun simulates every cell again.
-        monkeypatch.setenv("REPRO_CACHE", "0")
+    def test_rerun_is_bit_identical(self, bench):
         rerun = run_loadgen(
             "fig10", scale=TINY, qps_sweep="0.4x:0.9x:2",
             workload="arrayswap", refine_evals=1,
@@ -351,10 +346,9 @@ class TestRunLoadgen:
         assert dumps(rerun.detail()) == dumps(bench.detail())
         assert rerun.record().fingerprint == bench.record().fingerprint
 
-    def test_flash_knee_never_beats_dram(self, tmp_path, monkeypatch):
+    def test_flash_knee_never_beats_dram(self):
         # The shared fixture's window censors every cell; a longer one
         # leaves both knees measurable.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         bench = run_loadgen(
             "fig10", scale=dataclasses.replace(TINY, measurement_us=4000.0),
             qps_sweep="0.2x:0.6x:2", workload="arrayswap", refine_evals=0,

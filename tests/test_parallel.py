@@ -1,11 +1,9 @@
-"""Tests for the process-parallel harness and its stored results."""
+"""Tests for the process-parallel harness."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro import snapshot
-from repro.core.runner import wall_split_totals
 from repro.errors import ConfigurationError
 from repro.harness import fig9, fig10, parallel, table2
 from repro.harness.common import QUICK, HarnessScale
@@ -16,7 +14,6 @@ from repro.harness.parallel import (
     map_tasks,
     poisson,
     run_specs,
-    spec_key,
 )
 from repro.harness.sweep import Gate, Sweep, run_sweep
 from repro.perf import canonical_result_dict
@@ -42,16 +39,6 @@ def result_fields(result) -> dict:
 
 
 class TestSpecs:
-    def test_spec_key_is_stable_and_content_addressed(self):
-        assert spec_key(tiny_spec()) == spec_key(tiny_spec())
-        assert spec_key(tiny_spec()) != spec_key(tiny_spec(seed=8))
-        assert spec_key(tiny_spec()) != spec_key(
-            tiny_spec(arrivals=poisson(1000.0, seed=8))
-        )
-        assert spec_key(tiny_spec()) != spec_key(
-            tiny_spec(config_overrides=(("scale.dram_fraction", 0.05),))
-        )
-
     def test_config_override_applies_dotted_paths(self):
         from repro.config import derive, make_config
         overrides = (
@@ -105,64 +92,29 @@ class TestDeterminism:
         assert result_fields(first) == result_fields(second)
 
 
-def store_counts() -> tuple:
-    """The store's ``(results_reused, stale_rejected)`` counters."""
-    counts = snapshot.summary()
-    return (counts.get("results_reused", 0.0),
-            counts.get("stale_rejected", 0.0))
+class TestOneRunPath:
+    """Every batch simulates; nothing is read from or written to
+    disk."""
 
+    def test_batch_leaves_working_directory_empty(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_specs([tiny_spec(), tiny_spec("flash-sync")], jobs=1)
+        run_specs([tiny_spec()], jobs=1)
+        assert list(tmp_path.iterdir()) == []
 
-class TestCache:
-    def test_hit_after_store(self, tmp_path):
-        spec = tiny_spec()
-        reused, stale = store_counts()
-        first = run_specs([spec], jobs=1, cache=True,
-                          snapshot_dir=tmp_path)[0]
-        assert store_counts() == (reused, stale)
-        second = run_specs([spec], jobs=1, cache=True,
-                           snapshot_dir=tmp_path)[0]
-        assert store_counts() == (reused + 1, stale)
-        assert result_fields(first) == result_fields(second)
-
-    def test_source_stamp_invalidates(self, tmp_path, monkeypatch):
-        spec = tiny_spec()
-        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-        # Simulate a stored result from an older simulator version.
-        monkeypatch.setattr(snapshot, "source_digest", lambda: "deadbeef")
-        reused, stale = store_counts()
-        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-        assert store_counts() == (reused, stale + 1)
-
-    def test_corrupt_entry_is_dropped(self, tmp_path):
-        spec = tiny_spec()
-        run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-        entry = tmp_path / f"result-{spec_key(spec)}.snap"
-        entry.write_bytes(b"not a pickle")
-        reused, stale = store_counts()
-        result = run_specs([spec], jobs=1, cache=True,
-                           snapshot_dir=tmp_path)[0]
-        assert store_counts() == (reused, stale + 1)
-        assert result.completed_jobs > 0
-
-    def test_cache_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        reused, _ = store_counts()
-        run_specs([tiny_spec()], jobs=1, snapshot_dir=tmp_path)
-        run_specs([tiny_spec()], jobs=1, snapshot_dir=tmp_path)
-        assert store_counts()[0] == reused
-        assert not list(tmp_path.glob("result-*"))
-
-    def test_results_and_snapshots_share_one_directory(self, tmp_path,
-                                                       monkeypatch):
-        """The store directory holds the finished result only: the run
-        captures its warm state in the process, not in a file."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        snapshot.clear_memo()
-        before = wall_split_totals()["fresh_warms"]
-        run_specs([tiny_spec()], jobs=1, cache=True)
-        assert wall_split_totals()["fresh_warms"] == before + 1
-        assert len(list(tmp_path.glob("result-*.snap"))) == 1
-        assert len(list(tmp_path.iterdir())) == 1
+    def test_bench_call_writes_nothing(self, tmp_path, monkeypatch):
+        """``bench/sweep.py``'s exact call runs and leaves both its
+        directory and the working directory empty."""
+        directory = tmp_path / "bench"
+        directory.mkdir()
+        monkeypatch.chdir(tmp_path)
+        (result,) = run_specs([tiny_spec()], jobs=1, cache=False,
+                              snapshots=True, snapshot_dir=directory)
+        assert result_fields(result) == \
+            result_fields(execute_spec(tiny_spec()))
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
 
 
 def count_calls(monkeypatch) -> list:
@@ -252,7 +204,6 @@ class TestFailurePaths:
         assert [spec for spec, _ in excinfo.value.failures] == [bad]
 
     def test_each_spec_of_a_failing_batch_runs_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
         calls = count_calls(monkeypatch)
         specs = failing_batch()
         cells = run_sweep(batch_sweep(specs), jobs=1).cells
@@ -273,8 +224,7 @@ class TestFailurePaths:
         assert [result_fields(error.results[i]) for i in (0, 1, 3)] == \
             [result_fields(execute_spec(specs[i])) for i in (0, 1, 3)]
 
-    def test_failed_cells_match_at_any_job_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
+    def test_failed_cells_match_at_any_job_count(self):
         sweep = batch_sweep(failing_batch())
         serial = run_sweep(sweep, jobs=1).cells
         assert run_sweep(sweep, jobs=2).cells == serial
@@ -341,7 +291,6 @@ class TestRunFigures:
     def test_run_all_simulates_each_distinct_run_once(self, monkeypatch):
         import repro.harness as harness
 
-        monkeypatch.setenv("REPRO_CACHE", "0")
         calls = count_calls(monkeypatch)
         batches = []
         real = harness.run_specs

@@ -2,7 +2,6 @@
 
 import cProfile
 import json
-import os
 import pstats
 
 import numpy as np
@@ -113,18 +112,6 @@ class TestProfileExperiment:
         assert report.config_preset == "quick"
         assert report.record().preset == "quick"
 
-    def test_cache_env_is_restored(self):
-        saved = os.environ.get("REPRO_CACHE")
-        os.environ["REPRO_CACHE"] = "1"
-        try:
-            profile_experiment("table1", top=3)
-            assert os.environ["REPRO_CACHE"] == "1"
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CACHE", None)
-            else:
-                os.environ["REPRO_CACHE"] = saved
-
 
 class TestCli:
     def test_profile_command_writes_json(self, tmp_path, capsys):
@@ -169,27 +156,23 @@ def test_profile_excludes_warm_wall(monkeypatch):
     assert report.wall_seconds < 0.02  # warm time subtracted out
 
 
-def test_profile_env_is_restored(monkeypatch):
-    """Stored results are off while profiling and restored after; the
-    profile starts from empty dataset and warm-payload tables, so
-    builds and first warm-ups show in it."""
+def test_profile_starts_from_empty_tables(monkeypatch):
+    """The profile starts from empty dataset and warm-payload tables,
+    so builds and first warm-ups show in it."""
     from repro import snapshot
     from repro.harness import EXPERIMENTS
 
     seen = {}
 
     def noop(scale, jobs):
-        seen.update(cache=os.environ.get("REPRO_CACHE"),
-                    datasets=len(snapshot._DATASETS),
+        seen.update(datasets=len(snapshot._DATASETS),
                     warm=len(snapshot._WARM))
 
     monkeypatch.setitem(EXPERIMENTS, "noop", noop)
-    monkeypatch.setenv("REPRO_CACHE", "1")
     snapshot.build_workload("tatp", 512, 3)
     monkeypatch.setitem(snapshot._WARM, "held", b"")
     profile_experiment("noop", top=1)
-    assert seen == {"cache": "0", "datasets": 0, "warm": 0}
-    assert os.environ["REPRO_CACHE"] == "1"
+    assert seen == {"datasets": 0, "warm": 0}
 
 
 def test_vector_stats_keeps_the_keys_bench_reads():

@@ -87,24 +87,9 @@ class TestWriteReport:
         assert "Table I" in content
         assert "Fig. 2" in content
 
-    def test_footer_counts_reused_results(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec = RunSpec("astriflash", "arrayswap", TINY, seed=7)
-
-        def experiment(scale, jobs):
-            run_specs([spec], jobs=jobs, cache=True)
-            return ExperimentResult("tiny", "Tiny", ["x"], [[1]])
-
-        out = tmp_path / "report.txt"
-        generate({"first": experiment, "again": experiment},
-                 out=str(out))
-        assert "1 results reused" in out.read_text()
-
-    def test_footer_counts_restored_and_fresh_warms(self, tmp_path,
-                                                    monkeypatch):
+    def test_footer_counts_restored_and_fresh_warms(self, tmp_path):
         """Two specs that share a warm key, run from empty tables: the
         first warms freshly and the second restores its payload."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
         snapshot.clear_memo()
         specs = [RunSpec(name, "arrayswap", TINY, seed=7)
                  for name in ("astriflash", "flash-sync")]

@@ -1,20 +1,17 @@
-"""Tests for the shared datasets, warm payloads and result store.
+"""Tests for the shared datasets and warm payloads.
 
 The subsystem's contract is *bit-identical amortization*: a session
 over a shared dataset, and a restored warm payload, must be
 indistinguishable from building or warming from scratch.  The property
 test below pins that with :meth:`Machine.state_fingerprint` equality
 for every evaluated preset x workload pair; the rest covers the shared
-datasets (never changed by a run), the versioned result files (stale
-rejection + re-run), the LRU byte-cap pruner, and the harness
-integration (warm-key grouping, fork pool context, fig1's traces).
+datasets (never changed by a run) and the harness integration
+(warm-key grouping, fork pool context, fig1's traces).
 """
 
 import dataclasses
 import hashlib
 from array import array
-import os
-import pickle
 
 import pytest
 
@@ -176,63 +173,6 @@ def test_warm_key_varies_with_warm_inputs():
                                  warm_steps=WARM_STEPS)
 
 
-# ------------------------------------------------------ stale/corrupt files --
-
-
-def _read_snapshot(path):
-    with open(path, "rb") as handle:
-        return pickle.load(handle), handle.read()
-
-
-def _write_snapshot(path, header, blob):
-    with open(path, "wb") as handle:
-        handle.write(pickle.dumps(header,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-        handle.write(blob)
-
-
-@pytest.mark.parametrize("tamper", ["version", "stamp", "payload"])
-def test_stale_snapshot_rejected_and_deleted(tmp_path, tamper):
-    store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store("k1", {"payload": 1})
-    path = store._path("k1")
-    assert store.load("k1") == {"payload": 1}
-    header, blob = _read_snapshot(path)
-    if tamper == "version":
-        header["version"] = snap.SNAPSHOT_VERSION + 1
-    elif tamper == "stamp":
-        header["stamp"] = "0" * 16
-    else:
-        blob = blob[: len(blob) // 2]  # interrupted writer
-    _write_snapshot(path, header, blob)
-
-    before = snap.summary().get("stale_rejected", 0)
-    assert store.load("k1") is None
-    assert not path.exists(), "stale file must be deleted"
-    assert snap.summary().get("stale_rejected", 0) == before + 1
-
-
-def test_stale_result_rerun_not_silently_loaded(tmp_path):
-    spec = tiny_spec()
-    baseline = result_fields(reference_run(spec))
-    run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-
-    (path,) = tmp_path.glob("result-*.snap")
-    header, blob = _read_snapshot(path)
-    header["stamp"] = "0" * 16  # simulator "changed" since the run
-    _write_snapshot(path, header, blob)
-
-    before = snap.summary().get("stale_rejected", 0)
-    reused = snap.summary().get("results_reused", 0)
-    (result,) = run_specs([spec], jobs=1, cache=True, snapshot_dir=tmp_path)
-    assert snap.summary().get("results_reused", 0) == reused  # re-run
-    assert result_fields(result) == baseline
-    assert snap.summary().get("stale_rejected", 0) == before + 1
-    # A valid result replaced the stale one.
-    header, _ = _read_snapshot(path)
-    assert header["stamp"] == snap.source_digest()
-
-
 # ------------------------------------------------------ execute_spec paths --
 
 
@@ -271,32 +211,30 @@ def test_run_specs_warms_shared_group_once():
     the batch restores instead of warming."""
     specs = [tiny_spec("astriflash", seed=23),
              tiny_spec("flash-sync", seed=23)]
-    before = {**snap.summary(), **wall_split_totals()}
-    run_specs(specs, jobs=1, cache=False)
-    after = {**snap.summary(), **wall_split_totals()}
-
-    def delta(key):
-        return after.get(key, 0) - before.get(key, 0)
-
-    assert delta("fresh_warms") == 1
-    assert delta("restored_warms") == 1
+    before = wall_split_totals()
+    run_specs(specs, jobs=1)
+    after = wall_split_totals()
+    assert after["fresh_warms"] - before["fresh_warms"] == 1
+    assert after["restored_warms"] - before["restored_warms"] == 1
     # And only one dataset was actually constructed.
-    assert delta("workload_builds") == 1
+    assert len(snap._DATASETS) == 1
 
     # Two seeds share one dataset, unless the build draws from the seed.
     for workload_name, builds in (("tatp", 1), ("rbtree", 2)):
-        before = snap.summary().get("workload_builds", 0)
+        before = len(snap._DATASETS)
         run_specs([tiny_spec("dram-only", seed, workload_name)
-                   for seed in (23, 24)],
-                  jobs=1, cache=False)
-        assert snap.summary()["workload_builds"] - before == builds
+                   for seed in (23, 24)], jobs=1)
+        assert len(snap._DATASETS) - before == builds
 
 
 def test_run_specs_rejects_snapshots_off():
-    """Every run shares the datasets and warm payloads: the keyword
-    the benchmark still passes takes no other value."""
+    """Every run is simulated and shares the datasets and warm
+    payloads: the keywords the benchmark still passes take no other
+    value."""
     with pytest.raises(ReproError):
         run_specs([tiny_spec()], jobs=1, cache=False, snapshots=False)
+    with pytest.raises(ReproError):
+        run_specs([tiny_spec()], jobs=1, cache=True)
 
 
 def test_bench_span_wrappers_see_each_call(monkeypatch):
@@ -325,11 +263,10 @@ def test_bench_span_wrappers_see_each_call(monkeypatch):
 def test_build_workload_memoizes_but_never_shares_objects():
     """The dataset is built once and shared; the session objects
     around it never are."""
-    before = snap.summary().get("workload_builds", 0)
     first = snap.build_workload("tatp", 512, 3)
-    assert snap.summary().get("workload_builds", 0) == before + 1
+    assert len(snap._DATASETS) == 1
     second = snap.build_workload("tatp", 512, 4)
-    assert snap.summary().get("workload_builds", 0) == before + 1
+    assert len(snap._DATASETS) == 1
     # One dataset: the hash index and the Zipf CDF table ...
     assert first.index is second.index
     assert first._zipf._cdf is second._zipf._cdf
@@ -433,75 +370,6 @@ def test_shared_dataset_unchanged_by_runs(workload_name):
             assert hit == index._walk(key)
 
 
-# ----------------------------------------------------------- LRU byte cap --
-
-
-def _aged_file(tmp_path, name, size, age_rank):
-    path = tmp_path / name
-    path.write_bytes(b"x" * size)
-    os.utime(path, (1_000_000 + age_rank, 1_000_000 + age_rank))
-    return path
-
-
-def test_prune_cache_evicts_oldest_first(tmp_path):
-    oldest = _aged_file(tmp_path, "a.snap", 100, 0)
-    middle = _aged_file(tmp_path, "b.pkl", 100, 1)
-    newest = _aged_file(tmp_path, "c.snap", 100, 2)
-    files, freed = snap.prune_cache(tmp_path, max_bytes=250)
-    assert (files, freed) == (1, 100)
-    assert not oldest.exists() and middle.exists() and newest.exists()
-
-
-def test_prune_cache_protects_keep_paths(tmp_path):
-    oldest = _aged_file(tmp_path, "a.snap", 100, 0)
-    newest = _aged_file(tmp_path, "b.snap", 100, 1)
-    snap.prune_cache(tmp_path, max_bytes=100, keep=(oldest,))
-    assert oldest.exists() and not newest.exists()
-
-
-def test_prune_cache_ignores_foreign_files(tmp_path):
-    stamp = tmp_path / "CACHE_VERSION"
-    stamp.write_text("1:abc")
-    doomed = _aged_file(tmp_path, "a.snap", 100, 0)
-    snap.prune_cache(tmp_path, max_bytes=1)
-    assert stamp.exists() and not doomed.exists()
-
-
-def test_store_prunes_to_byte_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "512")
-    old = _aged_file(tmp_path, "old.snap", 4096, 0)
-    store = snap.SnapshotStore(tmp_path, enabled=True)
-    store.store("fresh", {"payload": 1})
-    assert not old.exists(), "write must prune older entries over cap"
-    assert store._path("fresh").exists()
-
-
-def test_cache_max_bytes_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
-    assert snap.cache_max_bytes() == snap.DEFAULT_CACHE_MAX_BYTES
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1024")
-    assert snap.cache_max_bytes() == 1024
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
-    assert snap.cache_max_bytes() is None, "0 disables pruning"
-    for bogus in ("bogus", "-5", "1.5"):
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", bogus)
-        with pytest.raises(ConfigurationError,
-                           match="REPRO_CACHE_MAX_BYTES must be an integer"):
-            snap.cache_max_bytes()
-
-
-def test_clear_cache_removes_only_cache_files(tmp_path):
-    (tmp_path / "a.snap").write_bytes(b"x")
-    (tmp_path / "b.pkl").write_bytes(b"y")
-    (tmp_path / "CACHE_VERSION").write_text("1:abc")
-    foreign = tmp_path / "notes.txt"
-    foreign.write_text("keep me")
-    files, _freed = snap.clear_cache(tmp_path)
-    assert files == 3
-    assert foreign.exists()
-    assert list(tmp_path.iterdir()) == [foreign]
-
-
 # -------------------------------------------------- machine state contracts --
 
 
@@ -546,23 +414,13 @@ def _fresh_trace(workload_name, scale, num_steps, seed):
     return pages[:num_steps]
 
 
-def test_fig1_traces_match_fresh_workloads(tmp_path, monkeypatch):
+def test_fig1_traces_match_fresh_workloads():
     """Each quick workload's fig1 trace, drawn from a session over the
     shared dataset (the first builds it, the second reuses it and its
-    path memos), equals one drawn from a fresh ``make_workload``; a
-    stored fig1 is reused whole on the next run, with the same
-    rows."""
+    path memos), equals one drawn from a fresh ``make_workload``."""
     scale = resolve_scale("quick")
     for name in scale.workloads:
         want = _fresh_trace(name, scale, 60_000, 42)
         for _ in range(2):
             assert fig1.workload_trace(name, scale, 60_000, 42) == want
 
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    first = fig1.run(scale="quick", jobs=1)
-    assert len(list(tmp_path.glob("result-*.snap"))) == 1
-    before = snap.summary().get("results_reused", 0)
-    again = fig1.run(scale="quick", jobs=1)
-    assert snap.summary().get("results_reused", 0) == before + 1
-    assert again.rows == first.rows

@@ -33,9 +33,7 @@ TINY = HarnessScale(
 )
 
 
-def test_flash_read_latency_sweep_is_a_short_declaration(tmp_path,
-                                                         monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_flash_read_latency_sweep_is_a_short_declaration():
     reads_ns = (10_000.0, 50_000.0, 200_000.0)
     sweep = Sweep(
         verb="flash-read",
